@@ -1,8 +1,8 @@
 package totoro
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"totoro/internal/ids"
@@ -153,9 +153,9 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		// split the host NIC.
 		queue := &workload.ComputeQueue{}
 		for v := 0; v < virtual; v++ {
-			addr := transport.Addr(fmt.Sprintf("n%d", logical))
+			addr := transport.Addr("n" + strconv.Itoa(logical))
 			if virtual > 1 {
-				addr = transport.Addr(fmt.Sprintf("n%d.%d", host, v))
+				addr = transport.Addr("n" + strconv.Itoa(host) + "." + strconv.Itoa(v))
 			}
 			logical++
 			id := ids.Random(c.rng)
@@ -206,7 +206,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			c.HostOf = append(c.HostOf, host)
 			c.stores = append(c.stores, st)
 			c.faulty = append(c.faulty, fs)
-			c.shards = append(c.shards, make(map[AppID]*ml.Dataset))
+			c.shards = append(c.shards, nil)
 			ringNodes = append(ringNodes, eng.Ring())
 		}
 	}
@@ -240,7 +240,7 @@ func (c *Cluster) Deploy(app *workload.App, owner int, workers []int) AppID {
 		if err := c.Engines[w].Subscribe(id, shard, spec.ZoneRestricted); err != nil {
 			panic(err)
 		}
-		c.shards[w][id] = shard
+		put(&c.shards[w], id, shard)
 	}
 	c.settle()
 	return id

@@ -1,6 +1,7 @@
 package totoro
 
 import (
+	"runtime"
 	"testing"
 
 	"totoro/internal/ring"
@@ -126,4 +127,25 @@ func TestZonedClusterBuildsAllZones(t *testing.T) {
 		}
 	}
 	_ = workload.DefaultCostModel()
+}
+
+// TestPerNodeFootprint keeps the simulator's idle cost per node from rotting:
+// what a 4000-node fleet holds after construction — routing rows and leaf
+// sets, the engine, its registry, the simulator's node — is under 5 KB per
+// node (it was 27.7 KB when every node carried 32 routing rows, a seeded
+// rng and fourteen empty maps). DESIGN.md §4.8 has the budget by layer.
+func TestPerNodeFootprint(t *testing.T) {
+	const n = 4000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := NewCluster(ClusterConfig{N: n, Seed: 1, Ring: ring.Config{B: 4}, Bandwidth: 2 << 20, ExactSizes: true})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (after.HeapAlloc - before.HeapAlloc) / n
+	t.Logf("%d bytes of live heap per node", per)
+	if per > 10<<10 {
+		t.Fatalf("a simulated node holds %d bytes after construction, want <= %d", per, 10<<10)
+	}
+	runtime.KeepAlive(c)
 }

@@ -361,14 +361,14 @@ func sortedApps[T any](m map[AppID]T) []AppID {
 // from NewEngine, before any traffic).
 func (e *Engine) restore(ds *durableState) {
 	for app, rep := range ds.masters {
-		e.masters[app] = masterFromImage(rep)
+		put(&e.masters, app, masterFromImage(rep))
 	}
 	for app, rep := range ds.replicas {
 		r := rep
-		e.replicas[app] = &r
+		put(&e.replicas, app, &r)
 	}
 	for app, restricted := range ds.subs {
-		e.workers[app] = &workerState{restricted: restricted}
+		put(&e.workers, app, &workerState{restricted: restricted})
 	}
 	e.recovered = true
 	e.ctrRecoveries.Inc()

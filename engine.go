@@ -134,7 +134,10 @@ type masterState struct {
 const maxRoundHolds = 3
 
 type workerState struct {
-	shard      *ml.Dataset
+	shard *ml.Dataset
+	// proto is the architecture handed to fl.LocalTrainWS: sizes only, no
+	// weights — training runs in the pool workspace's own model, which is
+	// overwritten with the round's parameters.
 	proto      *ml.MLP
 	restricted bool
 	// gen counts roundStart announcements handled for this app. A training
@@ -158,7 +161,9 @@ type Engine struct {
 	ring *ring.Node
 	ps   *pubsub.Node
 
-	queue   *workload.ComputeQueue
+	queue *workload.ComputeQueue
+	// The role maps (here and below) are created by their first entry, see
+	// put: most nodes of a fleet hold no role in most applications.
 	masters map[AppID]*masterState
 	workers map[AppID]*workerState
 	cb      Callbacks
@@ -217,16 +222,7 @@ func NewEngine(env transport.Env, self ring.Contact, opts Options) *Engine {
 	if queue == nil {
 		queue = &workload.ComputeQueue{}
 	}
-	e := &Engine{
-		env:      env,
-		opts:     opts,
-		queue:    queue,
-		masters:  make(map[AppID]*masterState),
-		workers:  make(map[AppID]*workerState),
-		replicas: make(map[AppID]*replicaMsg),
-		checking: make(map[AppID]bool),
-		suspect:  make(map[AppID]int),
-	}
+	e := &Engine{env: env, opts: opts, queue: queue}
 	e.ctrPromotions = env.Metrics().Counter("engine.promotions")
 	e.ctrRounds = env.Metrics().Counter("engine.rounds")
 	if opts.Store != nil {
@@ -328,7 +324,7 @@ func (e *Engine) Subscribe(app AppID, shard *ml.Dataset, restricted bool) error 
 				e.Self().Addr, e.Self().ID.ZonePrefix(e.opts.ZoneBits), app.ZonePrefix(e.opts.ZoneBits))
 		}
 	}
-	e.workers[app] = &workerState{shard: shard, restricted: restricted}
+	put(&e.workers, app, &workerState{shard: shard, restricted: restricted})
 	e.journal(walSub{App: app, Restricted: restricted})
 	e.ps.Subscribe(app)
 	return nil
@@ -470,7 +466,7 @@ func (e *Engine) becomeMaster(spec AppSpec) {
 		global:   append([]float64(nil), spec.InitParams...),
 		progress: &workload.Progress{App: spec.Name},
 	}
-	e.masters[spec.ID] = m
+	put(&e.masters, spec.ID, m)
 	// Journal the mastership before claiming the tree: a crash after this
 	// point recovers as master, never as a node that half-claimed a root.
 	e.journal(walMaster{Rep: e.masterImage(m)})
@@ -554,11 +550,20 @@ func (e *Engine) handleRoundStart(app ids.ID, rs roundStart, subscriber bool) {
 		e.ps.SubmitUpdate(app, rs.Round, nil)
 		return
 	}
+	e.trainRound(app, rs, w)
+}
+
+// trainRound runs a selected worker's local training for one round and
+// submits the update when the simulated compute time has elapsed. It is its
+// own function so that rs — which the closures below capture, forcing it
+// to the heap on entry — is copied there only for workers that train, not
+// for every tree member a round broadcast passes through.
+func (e *Engine) trainRound(app ids.ID, rs roundStart, w *workerState) {
 	gen := w.gen
 	if w.proto == nil || !sameSizes(w.proto.Sizes, rs.Sizes) {
-		w.proto = ml.NewMLP(rs.Sizes, e.env.Rand())
+		w.proto = &ml.MLP{Sizes: append([]int(nil), rs.Sizes...)}
 	}
-	dur := e.opts.Cost.Time(rs.Cfg.LocalEpochs, w.shard.Len(), w.proto.NumParams(), e.opts.Speed)
+	dur := e.opts.Cost.Time(rs.Cfg.LocalEpochs, w.shard.Len(), len(rs.Params), e.opts.Speed)
 	now := e.env.Now()
 	finish := e.queue.Start(now, dur)
 	// Training inputs are fully determined here, so hand the pure job to
@@ -747,6 +752,14 @@ func (e *Engine) retryRound(m *masterState, round int) {
 	e.ps.ResetRounds(m.spec.ID)
 	e.replicateRound(m)
 	e.beginRound(m)
+}
+
+// put stores m[k] = v, creating the map for its first entry.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
 }
 
 func sameSizes(a, b []int) bool {

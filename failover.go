@@ -133,7 +133,7 @@ func (e *Engine) handleReplica(rep replicaMsg) {
 		return
 	}
 	delete(e.suspect, app) // a fresh image is proof of a live master
-	e.replicas[app] = &rep
+	put(&e.replicas, app, &rep)
 	if rep.Started && !rep.Done {
 		e.ensureReplicaCheck(app)
 	}
@@ -206,7 +206,7 @@ func (e *Engine) ensureReplicaCheck(app AppID) {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
-	e.checking[app] = true
+	put(&e.checking, app, true)
 	var tick func()
 	tick = func() {
 		rep, ok := e.replicas[app]
@@ -247,7 +247,7 @@ func (e *Engine) maybePromote(app AppID) bool {
 	// it sends back lands in handleReplica, which clears the suspicion.
 	if rep.Master.Addr != "" && rep.Master.Addr != e.Self().Addr {
 		if tries := e.suspect[app]; tries < masterProbeTries {
-			e.suspect[app] = tries + 1
+			put(&e.suspect, app, tries+1)
 			e.env.Send(rep.Master.Addr, masterPing{App: app, From: e.Self().Addr})
 			return false
 		}
@@ -268,7 +268,7 @@ func (e *Engine) maybePromote(app AppID) bool {
 			Reached: rep.Reached,
 		},
 	}
-	e.masters[app] = m
+	put(&e.masters, app, m)
 	e.ctrPromotions.Inc()
 	// Journal the promotion before any network action: a crash mid-takeover
 	// recovers as the (bumped-epoch) master and re-runs the takeover.

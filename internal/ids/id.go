@@ -11,7 +11,6 @@ package ids
 import (
 	"crypto/sha1"
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 )
 
@@ -62,12 +61,26 @@ func Random(rng *rand.Rand) ID {
 
 // String renders the ID as 32 hex digits.
 func (d ID) String() string {
-	return fmt.Sprintf("%016x%016x", d.Hi, d.Lo)
+	var buf [32]byte
+	putHex(buf[:16], d.Hi)
+	putHex(buf[16:], d.Lo)
+	return string(buf[:])
 }
 
 // Short renders the leading 8 hex digits, for logs.
 func (d ID) Short() string {
-	return fmt.Sprintf("%08x", d.Hi>>32)
+	var buf [8]byte
+	putHex(buf[:], d.Hi>>32)
+	return string(buf[:])
+}
+
+// putHex fills dst with the low 4·len(dst) bits of v as lower-case hex,
+// zero-padded.
+func putHex(dst []byte, v uint64) {
+	for i := len(dst) - 1; i >= 0; i-- {
+		dst[i] = "0123456789abcdef"[v&15]
+		v >>= 4
+	}
 }
 
 // Cmp returns -1, 0, or +1 comparing d and o as unsigned 128-bit integers.

@@ -133,24 +133,53 @@ func (m *MLP) layerForwardInto(l int, a, z []float64, relu bool) {
 
 // Predict returns the argmax class for one input.
 func (m *MLP) Predict(x []float64) int {
-	logits := m.Forward(x)
+	return m.predictInto(x, m.actBuffer())
+}
+
+// actBuffer returns the scratch predictInto needs: two activation buffers,
+// each as wide as the widest layer output, in one slice.
+func (m *MLP) actBuffer() []float64 {
+	width := 0
+	for l := range m.W {
+		width = max(width, m.Sizes[l+1])
+	}
+	return make([]float64, 2*width)
+}
+
+// predictInto is Predict with the activations ping-ponging between the two
+// halves of buf (see actBuffer) instead of a fresh slice per layer. The
+// arithmetic and its order are Forward's.
+//
+//vet:noalloc
+func (m *MLP) predictInto(x, buf []float64) int {
+	half := len(buf) / 2
+	a := x
+	for l := range m.W {
+		z := buf[(l&1)*half:][:m.Sizes[l+1]]
+		m.layerForwardInto(l, a, z, l+1 < len(m.W))
+		a = z
+	}
 	best := 0
-	for j := 1; j < len(logits); j++ {
-		if logits[j] > logits[best] {
+	for j := 1; j < len(a); j++ {
+		if a[j] > a[best] {
 			best = j
 		}
 	}
 	return best
 }
 
-// Accuracy evaluates top-1 accuracy over a dataset.
+// Accuracy evaluates top-1 accuracy over a dataset. It allocates one
+// activation buffer per call and nothing per sample.
+//
+//vet:noalloc amortized
 func (m *MLP) Accuracy(d *Dataset) float64 {
 	if len(d.Y) == 0 {
 		return 0
 	}
+	buf := m.actBuffer()
 	hit := 0
 	for i := range d.Y {
-		if m.Predict(d.X[i]) == d.Y[i] {
+		if m.predictInto(d.X[i], buf) == d.Y[i] {
 			hit++
 		}
 	}

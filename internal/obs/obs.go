@@ -15,7 +15,7 @@
 //     and wall-clock under TCP.
 //   - Thread-safe but cheap on the hot path: counters and gauges are
 //     atomics, and emitters cache instrument handles at construction
-//     instead of hitting the name map per event.
+//     instead of looking the name up per event.
 //   - Nil-safe: every method works on a nil *Registry (instruments become
 //     no-ops), so optional instrumentation needs no branching.
 //   - Deterministic exposition: snapshots render in sorted name order, so
@@ -26,6 +26,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,9 +81,16 @@ func (g *Gauge) Value() float64 {
 // nodes merge bucket-by-bucket.
 type Histogram struct {
 	mu     sync.Mutex
-	bounds []float64
+	layout *layout
+	tally  *tally // created by the first Observe
+}
+
+// layout is a histogram's bucket bounds, one interned copy per distinct
+// layout.
+type layout struct{ bounds []float64 }
+
+type tally struct {
 	counts []int64 // len(bounds)+1
-	count  int64
 	sum    float64
 }
 
@@ -92,23 +100,27 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.mu.Lock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.count++
-	h.sum += v
+	if h.tally == nil {
+		h.tally = &tally{counts: make([]int64, len(h.layout.bounds)+1)}
+	}
+	h.tally.counts[sort.SearchFloat64s(h.layout.bounds, v)]++
+	h.tally.sum += v
 	h.mu.Unlock()
 }
 
-// snapshot copies the histogram state.
-func (h *Histogram) snapshot() HistSnapshot {
+// mergeInto folds the histogram's state into s under name.
+func (h *Histogram) mergeInto(s Snapshot, name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return HistSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]int64(nil), h.counts...),
-		Count:  h.count,
-		Sum:    h.sum,
+	var t tally
+	if h.tally != nil {
+		t = *h.tally
 	}
+	count := int64(0)
+	for _, c := range t.counts {
+		count += c
+	}
+	s.addHist(name, h.layout.bounds, t.counts, len(h.layout.bounds)+1, count, t.sum)
 }
 
 // Fixed bucket layouts shared by all layers, so per-node histograms merge.
@@ -121,14 +133,126 @@ var (
 	ByteBuckets = []float64{64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 )
 
+// instKind is the type of an instrument; names are per kind.
+type instKind uint8
+
+const (
+	kindCounter instKind = iota
+	kindGauge
+	kindHist
+	numKinds
+)
+
+type instKey struct {
+	kind instKind
+	name string
+}
+
+// interned is the process-wide table of instrument names and histogram
+// layouts: a fleet of identical protocol stacks keeps one copy of each here,
+// and every registry two bytes per instrument. The table only grows and an
+// entry never changes, so a copy of keys taken under the lock stays valid
+// without it.
+var interned = struct {
+	mu      sync.Mutex
+	ids     map[instKey]uint16
+	keys    []instKey
+	layouts []*layout
+}{ids: make(map[instKey]uint16)}
+
+// intern returns k's id.
+func intern(k instKey) uint16 {
+	t := &interned
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	id, ok := t.ids[k]
+	if !ok {
+		if len(t.keys) > math.MaxUint16 {
+			panic("obs: more than 65536 distinct instrument names")
+		}
+		id = uint16(len(t.keys))
+		t.ids[k] = id
+		t.keys = append(t.keys, k)
+	}
+	return id
+}
+
+// internedKeys returns the key of every id handed out so far.
+func internedKeys() []instKey {
+	interned.mu.Lock()
+	defer interned.mu.Unlock()
+	return interned.keys
+}
+
+func internLayout(bounds []float64) *layout {
+	t := &interned
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, l := range t.layouts {
+		if slices.Equal(l.bounds, bounds) {
+			return l
+		}
+	}
+	l := &layout{slices.Clone(bounds)}
+	t.layouts = append(t.layouts, l)
+	return l
+}
+
+// slab stores instruments in chunks that never move, so the handles a
+// registry gave out stay valid as it grows.
+type slab[T any] struct{ chunks [][]T }
+
+func (s *slab[T]) len() int {
+	n := 0
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	return n
+}
+
+func (s *slab[T]) at(i int) *T {
+	for _, c := range s.chunks {
+		if i < len(c) {
+			return &c[i]
+		}
+		i -= len(c)
+	}
+	panic("obs: instrument ordinal out of range")
+}
+
+// reserve makes room for n elements in one chunk. The slab must be empty.
+func (s *slab[T]) reserve(n int) {
+	if n > 0 {
+		s.chunks = [][]T{make([]T, 0, n)}
+	}
+}
+
+// grow appends one zero element; when the last chunk is full, the new one
+// is as large as all the others together.
+func (s *slab[T]) grow() *T {
+	if k := len(s.chunks); k > 0 {
+		if c := s.chunks[k-1]; len(c) < cap(c) {
+			s.chunks[k-1] = c[:len(c)+1]
+			return &s.chunks[k-1][len(c)]
+		}
+	}
+	c := make([]T, 1, max(s.len(), 4))
+	s.chunks = append(s.chunks, c)
+	return &c[0]
+}
+
 // Registry holds one node's named instruments plus its trace ring.
 // Instruments are created on first use and live for the registry's
 // lifetime; emitters should cache the returned handles.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu sync.Mutex
+	// ids are the interned keys of the registry's instruments in the order
+	// they were registered. An instrument's value is the element of its
+	// kind's slab at the instrument's position among those of its kind.
+	ids      []uint16
+	counters slab[Counter]
+	gauges   slab[Gauge]
+	hists    slab[Histogram]
 	trace    traceRing
 }
 
@@ -142,11 +266,62 @@ func New(traceCap int) *Registry {
 	if traceCap <= 0 {
 		traceCap = DefaultTraceCap
 	}
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		trace:    traceRing{cap: traceCap},
+	return &Registry{trace: traceRing{cap: traceCap}}
+}
+
+// NewLike is New for a registry expected to register what model has (a
+// fleet builds the same protocol stack on every node): room for exactly
+// that many instruments of each kind is allocated up front. A nil model
+// means New.
+func NewLike(traceCap int, model *Registry) *Registry {
+	r := New(traceCap)
+	if model != nil {
+		model.mu.Lock()
+		defer model.mu.Unlock()
+		r.ids = make([]uint16, 0, len(model.ids))
+		r.counters.reserve(model.counters.len())
+		r.gauges.reserve(model.gauges.len())
+		r.hists.reserve(model.hists.len())
+	}
+	return r
+}
+
+// find returns the position of instrument k among the registry's
+// instruments of its kind — the number of those, when it has not registered
+// k — and k's id. Caller holds r.mu.
+func (r *Registry) find(k instKey) (ord int, id uint16, ok bool) {
+	id = intern(k)
+	keys := internedKeys()
+	for _, have := range r.ids {
+		if have == id {
+			return ord, id, true
+		}
+		if keys[have].kind == k.kind {
+			ord++
+		}
+	}
+	return ord, id, false
+}
+
+// slot is find, registering k if the registry has not; fresh reports that.
+// Caller holds r.mu.
+func (r *Registry) slot(k instKey) (ord int, fresh bool) {
+	ord, id, ok := r.find(k)
+	if !ok {
+		r.ids = append(r.ids, id)
+	}
+	return ord, !ok
+}
+
+// each calls f with the key and position-among-its-kind of every
+// instrument. Caller holds r.mu.
+func (r *Registry) each(f func(k instKey, ord int)) {
+	keys := internedKeys()
+	var ord [numKinds]int
+	for _, id := range r.ids {
+		k := keys[id]
+		f(k, ord[k.kind])
+		ord[k.kind]++
 	}
 }
 
@@ -157,12 +332,11 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	ord, fresh := r.slot(instKey{kindCounter, name})
+	if fresh {
+		return r.counters.grow()
 	}
-	return c
+	return r.counters.at(ord)
 }
 
 // Gauge returns (creating if needed) the named gauge.
@@ -172,12 +346,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+	ord, fresh := r.slot(instKey{kindGauge, name})
+	if fresh {
+		return r.gauges.grow()
 	}
-	return g
+	return r.gauges.at(ord)
 }
 
 // Histogram returns (creating if needed) the named histogram with the
@@ -188,12 +361,13 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{bounds: append([]float64(nil), bounds...), counts: make([]int64, len(bounds)+1)}
-		r.hists[name] = h
+	ord, fresh := r.slot(instKey{kindHist, name})
+	if fresh {
+		h := r.hists.grow()
+		h.layout = internLayout(bounds)
+		return h
 	}
-	return h
+	return r.hists.at(ord)
 }
 
 // ResetCounters zeroes the named counters if they exist (experiment
@@ -205,8 +379,8 @@ func (r *Registry) ResetCounters(names ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, name := range names {
-		if c, ok := r.counters[name]; ok {
-			c.reset()
+		if ord, _, ok := r.find(instKey{kindCounter, name}); ok {
+			r.counters.at(ord).reset()
 		}
 	}
 }
@@ -227,28 +401,73 @@ type Snapshot struct {
 	Histograms map[string]HistSnapshot `json:"histograms"`
 }
 
-// Snapshot freezes the registry's current instrument values.
+// Snapshot freezes the registry's current instrument values. (It assigns
+// where MergeInto adds: 0 + v is not v for a gauge holding -0.)
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistSnapshot{},
-	}
+	s := MergeSnapshots()
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.snapshot()
-	}
+	r.each(func(k instKey, ord int) {
+		switch k.kind {
+		case kindCounter:
+			s.Counters[k.name] = r.counters.at(ord).Value()
+		case kindGauge:
+			s.Gauges[k.name] = r.gauges.at(ord).Value()
+		case kindHist:
+			r.hists.at(ord).mergeInto(s, k.name)
+		}
+	})
 	return s
+}
+
+// MergeInto folds the registry's current values into s exactly as
+// s.Merge(r.Snapshot()) would, without building the snapshot in between —
+// what a fleet-wide merge over tens of thousands of registries wants.
+func (r *Registry) MergeInto(s Snapshot) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.each(func(k instKey, ord int) {
+		switch k.kind {
+		case kindCounter:
+			s.Counters[k.name] += r.counters.at(ord).Value()
+		case kindGauge:
+			s.Gauges[k.name] += r.gauges.at(ord).Value()
+		case kindHist:
+			r.hists.at(ord).mergeInto(s, k.name)
+		}
+	})
+}
+
+// addHist folds one histogram's tallies (counts may be nil for "all zero",
+// n is the bucket count) into s.Histograms[name]. A layout with another
+// bucket count than the one already there replaces it.
+func (s Snapshot) addHist(name string, bounds []float64, counts []int64, n int, count int64, sum float64) {
+	cur, ok := s.Histograms[name]
+	if !ok || len(cur.Counts) != n {
+		fresh := HistSnapshot{
+			Bounds: append([]float64(nil), bounds...),
+			Counts: append([]int64(nil), counts...),
+			Count:  count,
+			Sum:    sum,
+		}
+		if counts == nil && n > 0 {
+			fresh.Counts = make([]int64, n)
+		}
+		s.Histograms[name] = fresh
+		return
+	}
+	for i, c := range counts {
+		cur.Counts[i] += c
+	}
+	cur.Count += count
+	cur.Sum += sum
+	s.Histograms[name] = cur
 }
 
 // Merge folds o into s (summing counters, histograms bucket-by-bucket,
@@ -262,22 +481,7 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 		s.Gauges[name] += v
 	}
 	for name, h := range o.Histograms {
-		cur, ok := s.Histograms[name]
-		if !ok || len(cur.Counts) != len(h.Counts) {
-			s.Histograms[name] = HistSnapshot{
-				Bounds: append([]float64(nil), h.Bounds...),
-				Counts: append([]int64(nil), h.Counts...),
-				Count:  h.Count,
-				Sum:    h.Sum,
-			}
-			continue
-		}
-		for i := range cur.Counts {
-			cur.Counts[i] += h.Counts[i]
-		}
-		cur.Count += h.Count
-		cur.Sum += h.Sum
-		s.Histograms[name] = cur
+		s.addHist(name, h.Bounds, h.Counts, len(h.Counts), h.Count, h.Sum)
 	}
 	return s
 }

@@ -28,7 +28,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	for _, v := range []float64{0, 1, 2, 2, 5, 100} {
 		h.Observe(v)
 	}
-	s := h.snapshot()
+	s := r.Snapshot().Histograms["ring.route_hops"]
 	if s.Count != 6 || s.Sum != 110 {
 		t.Fatalf("hist count=%d sum=%v, want 6/110", s.Count, s.Sum)
 	}

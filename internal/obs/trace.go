@@ -37,34 +37,43 @@ const (
 	KindPubSubAgg     = "pubsub.agg"     // Key=topic, Note="flush"|"timeout"
 )
 
-// traceRing is a bounded ring buffer of events.
+// traceChunk is how many events the ring grows by. Most nodes of a fleet
+// record a few dozen events, far below the cap; growing in small fixed
+// chunks allocates what is stored and nothing else, where doubling a slice
+// allocates twice that and leaves half of it as garbage.
+const traceChunk = 8
+
+// traceRing is a bounded ring buffer of events. The event numbered s (from
+// 0) is stored in slot s%cap until event s+cap overwrites it.
 type traceRing struct {
-	mu   sync.Mutex
-	cap  int
-	buf  []Event
-	next int    // overwrite position once full
-	seq  uint64 // total events ever emitted
+	mu     sync.Mutex
+	cap    int
+	chunks [][]Event // slot i is chunks[i/traceChunk][i%traceChunk]
+	seq    uint64    // total events ever emitted
 }
+
+func (t *traceRing) slot(i uint64) *Event { return &t.chunks[i/traceChunk][i%traceChunk] }
 
 func (t *traceRing) append(e Event) {
 	t.mu.Lock()
+	i := t.seq % uint64(t.cap)
+	if i == uint64(len(t.chunks))*traceChunk { // first pass over the slots only
+		t.chunks = append(t.chunks, make([]Event, min(traceChunk, uint64(t.cap)-i)))
+	}
 	t.seq++
 	e.Seq = t.seq
-	if len(t.buf) < t.cap {
-		t.buf = append(t.buf, e)
-	} else {
-		t.buf[t.next] = e
-		t.next = (t.next + 1) % t.cap
-	}
+	*t.slot(i) = e
 	t.mu.Unlock()
 }
 
 func (t *traceRing) events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
+	n := min(t.seq, uint64(t.cap))
+	out := make([]Event, 0, n)
+	for s := t.seq - n; s < t.seq; s++ {
+		out = append(out, *t.slot(s % uint64(t.cap)))
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -58,16 +59,20 @@ type Handlers struct {
 	OnRepair func(topic ids.ID)
 }
 
-// aggRound tracks one round's in-network aggregation at one node.
+// aggRound tracks one round's in-network aggregation at one node. A leaf,
+// which has no children to wait for or hear from, allocates nothing but the
+// struct.
 type aggRound struct {
 	combined any
 	count    int
-	reported map[transport.Addr]bool
-	expected map[transport.Addr]bool
+	// waiting holds the children (as of the round's creation) that have not
+	// reported yet, sorted; the round is complete when it is empty.
+	waiting []transport.Addr
 	// seen records every (sender, upstream-seq) pair already folded into
 	// (or forwarded for) this round, so a network-duplicated Upstream is
-	// dropped instead of double-counted.
-	seen     map[upKey]bool
+	// dropped instead of double-counted. One per reporting child (a few more
+	// when stragglers resend), so a scanned slice.
+	seen     []upKey
 	selfDone bool
 	flushed  bool
 	cancel   func()
@@ -79,9 +84,12 @@ type upKey struct {
 	seq  uint64
 }
 
-// topicState is this node's view of one tree.
+// topicState is this node's view of one tree. Its maps are created by their
+// first write.
 type topicState struct {
-	topic      ids.ID
+	topic ids.ID
+	// key is topic.String(), formatted once for the trace events.
+	key        string
 	parent     ring.Contact
 	isRoot     bool
 	subscribed bool // participates as worker (receives multicasts)
@@ -112,7 +120,7 @@ type topicState struct {
 	mcLast    uint64
 	mcBase    uint64
 	mcSeen    map[uint64]bool
-	mcCache   map[uint64]Multicast
+	mcCache   []Multicast // ring of mcCacheSize slots indexed by Seq; see cached
 	kaCancel  func()
 	checkStop func()
 	// adopted marks a root claimed implicitly — a JOIN or PUBLISH arrived
@@ -151,12 +159,7 @@ type Node struct {
 // New wires a pub/sub node onto an existing ring node and registers itself
 // as the ring's application.
 func New(env transport.Env, rn *ring.Node, cfg Config) *Node {
-	n := &Node{
-		env:    env,
-		ring:   rn,
-		cfg:    cfg.withDefaults(),
-		topics: make(map[ids.ID]*topicState),
-	}
+	n := &Node{env: env, ring: rn, cfg: cfg.withDefaults()}
 	m := env.Metrics()
 	n.ctrMulticasts = m.Counter("pubsub.multicasts_sent")     // per-child multicast sends
 	n.ctrUpstreams = m.Counter("pubsub.upstreams_sent")       // partial aggregates sent to parent
@@ -195,17 +198,29 @@ func childList(st *topicState) []ring.Contact {
 	return out
 }
 
+// setChild records c as a child of the topic.
+func (st *topicState) setChild(c ring.Contact) {
+	if st.children == nil {
+		st.children = make(map[transport.Addr]ring.Contact)
+	}
+	st.children[c.Addr] = c
+}
+
+// traceKey returns the topic's trace-event key.
+func (st *topicState) traceKey() string {
+	if st.key == "" {
+		st.key = st.topic.String()
+	}
+	return st.key
+}
+
 // state returns (creating if needed) the per-topic state.
 func (n *Node) state(topic ids.ID) *topicState {
 	st, ok := n.topics[topic]
 	if !ok {
-		st = &topicState{
-			topic:     topic,
-			children:  make(map[transport.Addr]ring.Contact),
-			rounds:    make(map[int]*aggRound),
-			missCount: make(map[transport.Addr]int),
-			mcSeen:    make(map[uint64]bool),
-			mcCache:   make(map[uint64]Multicast),
+		st = &topicState{topic: topic}
+		if n.topics == nil {
+			n.topics = make(map[ids.ID]*topicState)
 		}
 		n.topics[topic] = st
 	}
@@ -450,7 +465,7 @@ func (n *Node) enforceFanout(st *topicState) {
 		}
 		if target.IsZero() {
 			// No sibling to push to; keep the child after all.
-			st.children[victim.Addr] = victim
+			st.setChild(victim)
 			return
 		}
 		n.env.Send(target.Addr, JoinMsg{Topic: st.topic, Subscriber: victim})
@@ -479,7 +494,7 @@ func (n *Node) addChild(st *topicState, c ring.Contact) {
 		n.env.Send(best.Addr, JoinMsg{Topic: st.topic, Subscriber: c})
 		return
 	}
-	st.children[c.Addr] = c
+	st.setChild(c)
 	n.env.Send(c.Addr, Welcome{Topic: st.topic, Parent: n.ring.Self(), Cfg: st.ownerCfg, Epoch: st.mcEpoch, LastSeq: st.mcLast})
 	n.ensureKeepAlive(st)
 }
@@ -558,7 +573,7 @@ func (n *Node) recordDeliver(st *topicState, depth int) {
 	}
 	n.env.Metrics().Trace(obs.Event{
 		At: n.env.Now(), Node: string(n.ring.Self().Addr),
-		Kind: obs.KindPubSubDeliver, Key: st.topic.String(),
+		Kind: obs.KindPubSubDeliver, Key: st.traceKey(),
 		Hop: depth, Note: note,
 	})
 }
@@ -596,15 +611,8 @@ func (n *Node) mcAdvance(st *topicState, epoch uint64) bool {
 	st.mcEpoch = epoch
 	st.seq = 0
 	st.mcLast, st.mcBase = 0, 0
-	st.mcSeen = make(map[uint64]bool)
-	st.mcCache = make(map[uint64]Multicast)
-	for _, r := range st.rounds {
-		if r.cancel != nil {
-			r.cancel()
-		}
-	}
-	st.rounds = make(map[int]*aggRound)
-	st.missCount = make(map[transport.Addr]int)
+	st.mcSeen, st.mcCache = nil, nil
+	n.dropRounds(st)
 	return true
 }
 
@@ -620,8 +628,11 @@ func (n *Node) recordMulticast(st *topicState, m Multicast) bool {
 	if st.mcSeen[m.Seq] {
 		return false
 	}
+	if st.mcSeen == nil {
+		st.mcSeen = make(map[uint64]bool)
+		st.mcCache = make([]Multicast, mcCacheSize)
+	}
 	st.mcSeen[m.Seq] = true
-	st.mcCache[m.Seq] = m
 	if m.Seq > st.mcLast {
 		if st.mcBase == 0 {
 			st.mcBase = m.Seq
@@ -639,10 +650,11 @@ func (n *Node) recordMulticast(st *topicState, m Multicast) bool {
 		}
 		st.mcLast = m.Seq
 	}
-	for s := range st.mcCache {
-		if s+mcCacheSize <= st.mcLast {
-			delete(st.mcCache, s)
-		}
+	// Cache it for retransmission unless it is already behind the window.
+	// Two sequences that share a slot are mcCacheSize apart, so the one a
+	// store overwrites has always left the window.
+	if m.Seq+mcCacheSize > st.mcLast {
+		st.mcCache[m.Seq%mcCacheSize] = m
 	}
 	for s := range st.mcSeen {
 		if s+4*mcCacheSize <= st.mcLast {
@@ -659,7 +671,7 @@ func (n *Node) handleNack(m McNack) {
 		return
 	}
 	for _, seq := range m.Missing {
-		if mc, ok := st.mcCache[seq]; ok {
+		if mc, ok := st.cached(seq); ok {
 			n.env.Send(m.Child.Addr, Multicast{
 				Topic: mc.Topic, Epoch: mc.Epoch, Seq: mc.Seq, Depth: mc.Depth + 1, Object: mc.Object,
 			})
@@ -667,16 +679,29 @@ func (n *Node) handleNack(m McNack) {
 	}
 }
 
+// cached returns the multicast with the given sequence number if it is
+// still inside the retransmission window (the last mcCacheSize sequences).
+func (st *topicState) cached(seq uint64) (Multicast, bool) {
+	if st.mcCache == nil || seq == 0 || seq+mcCacheSize <= st.mcLast {
+		return Multicast{}, false
+	}
+	mc := st.mcCache[seq%mcCacheSize]
+	return mc, mc.Seq == seq
+}
+
 func (n *Node) round(st *topicState, round int) *aggRound {
 	r, ok := st.rounds[round]
 	if !ok {
-		r = &aggRound{
-			reported: make(map[transport.Addr]bool),
-			expected: make(map[transport.Addr]bool, len(st.children)),
-			seen:     make(map[upKey]bool),
+		r = &aggRound{}
+		if len(st.children) > 0 {
+			r.waiting = make([]transport.Addr, 0, len(st.children))
+			for a := range st.children {
+				r.waiting = append(r.waiting, a)
+			}
+			slices.Sort(r.waiting)
 		}
-		for a := range st.children {
-			r.expected[a] = true
+		if st.rounds == nil {
+			st.rounds = make(map[int]*aggRound)
 		}
 		st.rounds[round] = r
 		if timeout := n.effCfg(st).AggTimeout; timeout > 0 {
@@ -712,13 +737,15 @@ func (n *Node) handleUpstream(m Upstream) {
 		// combiner merges in place — a second merge would double-count every
 		// client contribution in the sender's subtree.
 		k := upKey{m.From.Addr, m.Seq}
-		if r.seen[k] {
+		if slices.Contains(r.seen, k) {
 			n.ctrUpstreamDupes.Inc()
 			return
 		}
-		r.seen[k] = true
+		r.seen = append(r.seen, k)
 	}
-	r.reported[m.From.Addr] = true
+	if i, ok := slices.BinarySearch(r.waiting, m.From.Addr); ok {
+		r.waiting = slices.Delete(r.waiting, i, i+1)
+	}
 	delete(st.missCount, m.From.Addr)
 	if n.handlers.OnChildUpdate != nil {
 		n.handlers.OnChildUpdate(m.Topic, m.Round, m.From, m.Count)
@@ -741,13 +768,8 @@ func (n *Node) handleUpstream(m Upstream) {
 }
 
 func (n *Node) maybeFlush(st *topicState, round int, r *aggRound) {
-	if r.flushed || !r.selfDone {
+	if r.flushed || !r.selfDone || len(r.waiting) > 0 {
 		return
-	}
-	for a := range r.expected {
-		if !r.reported[a] {
-			return
-		}
 	}
 	n.flush(st, round, r)
 }
@@ -770,7 +792,7 @@ func (n *Node) forwardUp(st *topicState, round int, obj any, count int) {
 		// experiments read aggregation-latency timings from.
 		n.env.Metrics().Trace(obs.Event{
 			At: n.env.Now(), Node: string(n.ring.Self().Addr),
-			Kind: obs.KindPubSubAgg, Key: st.topic.String(),
+			Kind: obs.KindPubSubAgg, Key: st.traceKey(),
 			Hop: count, Note: "root",
 		})
 		if n.handlers.OnAggregate != nil {
@@ -807,9 +829,9 @@ const childMissLimit = 2
 // recordMisses charges children that did not report before a timeout
 // flush, pruning those past the limit.
 func (n *Node) recordMisses(st *topicState, r *aggRound) {
-	for a := range r.expected {
-		if r.reported[a] {
-			continue
+	for _, a := range r.waiting {
+		if st.missCount == nil {
+			st.missCount = make(map[transport.Addr]int)
 		}
 		st.missCount[a]++
 		if st.missCount[a] >= childMissLimit {
@@ -992,8 +1014,7 @@ func (n *Node) Disown(topic ids.ID) {
 	st.isRoot = false
 	st.adopted = false
 	n.ctrRootHandoffs.Inc()
-	st.children = make(map[transport.Addr]ring.Contact)
-	st.missCount = make(map[transport.Addr]int)
+	st.children, st.missCount = nil, nil
 	if st.subscribed {
 		st.joining = true
 		n.ring.Route(st.topic, JoinMsg{Topic: st.topic, Subscriber: n.ring.Self()})
@@ -1008,17 +1029,20 @@ func (n *Node) Disown(topic ids.ID) {
 // already marked flushed, and a re-announced round must start aggregation
 // fresh instead of treating every contribution as a post-flush straggler.
 func (n *Node) ResetRounds(topic ids.ID) {
-	st, ok := n.topics[topic]
-	if !ok {
-		return
+	if st, ok := n.topics[topic]; ok {
+		n.dropRounds(st)
 	}
+}
+
+// dropRounds cancels the topic's round timers and forgets its rounds and
+// the per-child miss tallies that go with them.
+func (n *Node) dropRounds(st *topicState) {
 	for _, r := range st.rounds {
 		if r.cancel != nil {
 			r.cancel()
 		}
 	}
-	st.rounds = make(map[int]*aggRound)
-	st.missCount = make(map[transport.Addr]int)
+	st.rounds, st.missCount = nil, nil
 }
 
 // ForceRepair triggers parent repair immediately (experiment driver hook).

@@ -87,11 +87,17 @@ type Node struct {
 	self Contact
 	app  App
 
-	rt        [][]Contact // [row][digit]
-	leafCW    []Contact   // successors, sorted by clockwise distance
-	leafCCW   []Contact   // predecessors, sorted by counter-clockwise distance
+	// rt is the routing table, [row][digit]. Only the rows a node has an
+	// entry in exist: rt stops at the deepest such row, and a row before it
+	// that never got an entry is nil. At 50k nodes that is 4–5 rows of the
+	// 32 the ID space has.
+	rt        [][]Contact
+	leafCW    []Contact // successors, sorted by clockwise distance
+	leafCCW   []Contact // predecessors, sorted by counter-clockwise distance
 	neighbors []Contact
 
+	// The maps below are created by their first write; most nodes of a
+	// healthy fleet never need any of them.
 	seq       uint64
 	pending   map[uint64]*pendingHop
 	joined    bool
@@ -116,21 +122,7 @@ type Node struct {
 // upcalls, then Join (or include the node in a static build).
 func New(env transport.Env, self Contact, cfg Config) *Node {
 	cfg = cfg.withDefaults()
-	n := &Node{
-		env:       env,
-		cfg:       cfg,
-		self:      self,
-		app:       NopApp{},
-		rt:        make([][]Contact, ids.NumDigits(cfg.B)),
-		pending:   make(map[uint64]*pendingHop),
-		deadUntil: make(map[transport.Addr]time.Duration),
-		probeSent: make(map[transport.Addr]time.Duration),
-		lastPong:  make(map[transport.Addr]time.Duration),
-		removed:   make(map[transport.Addr]removedContact),
-	}
-	for i := range n.rt {
-		n.rt[i] = make([]Contact, 1<<uint(cfg.B))
-	}
+	n := &Node{env: env, cfg: cfg, self: self, app: NopApp{}}
 	m := env.Metrics()
 	n.ctrDelivered = m.Counter("ring.delivered")    // routes that terminated here
 	n.ctrForwarded = m.Counter("ring.forwarded")    // routes passed on
@@ -201,6 +193,9 @@ func (n *Node) Receive(from transport.Addr, msg any) {
 		n.considerContact(m.From)
 		n.env.Send(from, Pong{From: n.self})
 	case Pong:
+		if n.lastPong == nil {
+			n.lastPong = make(map[transport.Addr]time.Duration)
+		}
 		n.lastPong[m.From.Addr] = n.env.Now()
 		n.considerContact(m.From)
 	}
@@ -251,6 +246,9 @@ func (n *Node) forward(e Envelope, next Contact) {
 			retry.Hops-- // hop did not happen
 			n.handleEnvelope(retry)
 		})
+		if n.pending == nil {
+			n.pending = make(map[uint64]*pendingHop)
+		}
 		n.pending[e.Seq] = p
 	}
 	n.env.Send(next.Addr, e)
@@ -281,11 +279,7 @@ func (n *Node) nextHop(key ids.ID, exclude transport.Addr) Contact {
 		return best
 	}
 	row := ids.CommonPrefix(n.self.ID, key, n.cfg.B)
-	if row >= len(n.rt) {
-		return Contact{}
-	}
-	col := key.Digit(row, n.cfg.B)
-	if c := n.rt[row][col]; !c.IsZero() && c.Addr != exclude {
+	if c := n.rtEntry(row, key.Digit(row, n.cfg.B)); !c.IsZero() && c.Addr != exclude {
 		return c
 	}
 	// Rare case: no entry. Fall back to any known contact that is both at
@@ -417,7 +411,8 @@ func (n *Node) insertLeaf(c Contact) {
 }
 
 // insertSorted inserts c into a distance-sorted leaf half (cw or ccw),
-// deduplicating by address and trimming to max entries.
+// deduplicating by address and keeping the max closest entries. The half is
+// allocated once, at its full size.
 func insertSorted(self ids.ID, list []Contact, c Contact, cw bool, max int) []Contact {
 	dist := func(x Contact) ids.ID {
 		if cw {
@@ -438,28 +433,53 @@ func insertSorted(self ids.ID, list []Contact, c Contact, cw bool, max int) []Co
 			break
 		}
 	}
-	list = append(list, Contact{})
+	if pos >= max {
+		return list // farther than every entry of a full half
+	}
+	if list == nil {
+		list = make([]Contact, 0, max)
+	}
+	if len(list) < max {
+		list = append(list, Contact{})
+	}
 	copy(list[pos+1:], list[pos:])
 	list[pos] = c
-	if len(list) > max {
-		list = list[:max]
-	}
 	return list
+}
+
+// rtEntry returns the routing-table entry at (row, col); a row the node
+// never allocated is empty.
+func (n *Node) rtEntry(row, col int) Contact {
+	if row >= len(n.rt) || n.rt[row] == nil {
+		return Contact{}
+	}
+	return n.rt[row][col]
+}
+
+// setRT stores c at (row, col), allocating the row on its first entry.
+func (n *Node) setRT(row, col int, c Contact) {
+	for len(n.rt) <= row {
+		n.rt = append(n.rt, nil)
+	}
+	if n.rt[row] == nil {
+		n.rt[row] = make([]Contact, 1<<uint(n.cfg.B))
+	}
+	n.rt[row][col] = c
 }
 
 func (n *Node) insertRT(c Contact) {
 	row := ids.CommonPrefix(n.self.ID, c.ID, n.cfg.B)
-	if row >= len(n.rt) {
+	if row >= ids.NumDigits(n.cfg.B) {
 		return
 	}
 	col := c.ID.Digit(row, n.cfg.B)
-	cur := n.rt[row][col]
+	cur := n.rtEntry(row, col)
 	switch {
 	case cur.IsZero():
-		n.rt[row][col] = c
+		n.setRT(row, col, c)
 	case n.cfg.Proximity != nil &&
 		n.cfg.Proximity(n.self.Addr, c.Addr) < n.cfg.Proximity(n.self.Addr, cur.Addr):
-		n.rt[row][col] = c
+		n.setRT(row, col, c)
 	}
 }
 
@@ -489,6 +509,9 @@ func (n *Node) insertNeighbor(c Contact) {
 // RemoveContact scrubs a suspected-failed address from all routing state
 // and starts leaf-set repair if a leaf was lost.
 func (n *Node) RemoveContact(addr transport.Addr) {
+	if n.deadUntil == nil {
+		n.deadUntil = make(map[transport.Addr]time.Duration)
+	}
 	n.deadUntil[addr] = n.env.Now() + n.cfg.DeadQuarantine
 	delete(n.probeSent, addr)
 	delete(n.lastPong, addr)
@@ -522,6 +545,9 @@ func (n *Node) RemoveContact(addr transport.Addr) {
 	// only traffic that can cross the healed boundary and re-merge the two
 	// sides' routing state.
 	if !gone.IsZero() && n.cfg.RecontactTries > 0 {
+		if n.removed == nil {
+			n.removed = make(map[transport.Addr]removedContact)
+		}
 		n.removed[addr] = removedContact{c: gone}
 	}
 	if repaired {
@@ -551,11 +577,13 @@ func (n *Node) handleJoinRequest(m JoinRequest) {
 	n.considerContact(m.Joiner)
 	// Contribute routing rows 0..commonPrefix to the joiner's future table.
 	cp := ids.CommonPrefix(n.self.ID, m.Joiner.ID, n.cfg.B)
-	for r := 0; r <= cp && r < len(n.rt); r++ {
-		row := make([]Contact, 0, len(n.rt[r]))
-		for _, c := range n.rt[r] {
-			if !c.IsZero() {
-				row = append(row, c)
+	for r := 0; r <= cp && r < ids.NumDigits(n.cfg.B); r++ {
+		var row []Contact // a row this node never allocated contributes only self
+		if r < len(n.rt) {
+			for _, c := range n.rt[r] {
+				if !c.IsZero() {
+					row = append(row, c)
+				}
 			}
 		}
 		row = append(row, n.self)
@@ -634,6 +662,9 @@ func (n *Node) maintainOnce() {
 			delete(n.probeSent, c.Addr)
 			n.RemoveContact(c.Addr)
 			continue
+		}
+		if n.probeSent == nil {
+			n.probeSent = make(map[transport.Addr]time.Duration)
 		}
 		n.probeSent[c.Addr] = now
 		n.env.Send(c.Addr, Ping{From: n.self})

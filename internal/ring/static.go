@@ -78,8 +78,7 @@ func BuildStatic(nodes []*Node, rng *rand.Rand) {
 					if d2 == d {
 						continue
 					}
-					cand := pickContact(nodes, buckets[d2], node, rng)
-					node.rt[row][d2] = cand
+					node.setRT(row, d2, pickContact(nodes, buckets[d2], node, rng))
 				}
 			}
 			fill(members, row+1)

@@ -87,7 +87,7 @@ func (c *Churn) Down() int { return len(c.downBy) }
 
 func (c *Churn) scheduleNextFail() {
 	d := time.Duration(c.rng.ExpFloat64() * float64(c.cfg.FailEvery))
-	c.net.schedule(d, func() {
+	c.net.timer(d, nil, func() {
 		if c.stopped {
 			return
 		}
@@ -119,7 +119,7 @@ func (c *Churn) failOne() {
 	}
 	if c.cfg.Downtime > 0 {
 		down := time.Duration(c.rng.ExpFloat64() * float64(c.cfg.Downtime))
-		c.net.schedule(down, func() {
+		c.net.timer(down, nil, func() {
 			if c.stopped || !c.downBy[victim] {
 				return
 			}

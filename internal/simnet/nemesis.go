@@ -256,7 +256,7 @@ func (n *Network) StartNemesis(cfg NemesisConfig) (*Nemesis, error) {
 	}
 	for _, ph := range phases {
 		ph := ph
-		n.schedule(ph.Start-n.now, func() { nm.activate(ph) })
+		n.timer(ph.Start-n.now, nil, func() { nm.activate(ph) })
 	}
 	return nm, nil
 }
@@ -409,7 +409,7 @@ func (nm *Nemesis) activate(ph Phase) {
 	if nm.cfg.OnPhase != nil {
 		nm.cfg.OnPhase(ph, true, victims)
 	}
-	nm.net.schedule(ph.Dur, func() {
+	nm.net.timer(ph.Dur, nil, func() {
 		heal()
 		if nm.cfg.OnPhase != nil {
 			nm.cfg.OnPhase(ph, false, victims)

@@ -17,7 +17,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -92,48 +91,133 @@ const (
 	CtrBytesOut = transport.CtrBytesOut
 )
 
+// eventKind says what a queued event does when the loop reaches it.
+type eventKind uint8
+
+const (
+	// evCancelled is a timer whose cancel handle ran before it fired; the
+	// loop discards it without counting a step.
+	evCancelled eventKind = iota
+	// evTimer runs fn — for a node's Env.After timer only while that node is
+	// still alive in the generation that armed it.
+	evTimer
+	// evArrive is a message reaching its destination's NIC, where the
+	// ingress link model is charged.
+	evArrive
+	// evIngress is a message that has cleared the destination's ingress
+	// queue and is handed to the handler.
+	evIngress
+)
+
+// event is the one representation of queued work: a timer carries fn (and,
+// for Env.After, the node and generation that armed it); a message carries
+// (node = sender, to, msg, size) as plain fields, so a send costs no closure.
+//
+// Events are owned by the single-threaded Network and recycled through its
+// free list. The loop releases an event before running it, so the slot may
+// be reused — under a new seq — while its own callback is still on the
+// stack. Anything that holds an *event past that point (a timer's cancel
+// handle) must remember the seq it was issued and compare before writing.
 type event struct {
+	seq  uint64 // 0 while on the free list
+	kind eventKind
+	fn   func()
+	node *simNode
+	gen  uint64
+	to   transport.Addr
+	msg  any
+	size int
+}
+
+// queued is one heap slot: the (at, seq) key by value, so sifting never
+// dereferences an event.
+type queued struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
+	ev  *event
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a queued) before(b queued) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
+// eventQueue is a 4-ary min-heap on (at, seq). seq is unique, so the key is
+// a total order and pop order does not depend on the heap's shape or arity.
+type eventQueue []queued
+
+//vet:noalloc amortized
+func (q *eventQueue) push(x queued) {
+	h := append(*q, x)
+	*q = h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !x.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = x
+}
+
+//vet:noalloc
+func (q *eventQueue) pop() queued {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	x := h[last]
+	h[last] = queued{}
+	h = h[:last]
+	*q = h
+	if last == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= last {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+4 && c < last; c++ {
+			if h[c].before(h[min]) {
+				min = c
+			}
+		}
+		if !h[min].before(x) {
+			break
+		}
+		h[i] = h[min]
+		i = min
+	}
+	h[i] = x
+	return top
+}
+
+// simNode is one simulated node and, at the same time, the transport.Env its
+// protocol stack runs on.
 type simNode struct {
+	net     *Network
 	addr    transport.Addr
 	handler transport.Handler
-	rng     *rand.Rand
-	alive   bool
-	reg     *obs.Registry
+	// rng is created by the first Rand() call: few stacks ever draw from it,
+	// and a math/rand source is 5 KB and 15 µs of seeding per node.
+	rng   *rand.Rand
+	alive bool
+	reg   *obs.Registry
 	// build reconstructs the node's protocol stack (kept from AddNode so
-	// Restart can reboot the node); env is the node's stable Env handle.
+	// Restart can reboot the node).
 	build func(transport.Env) transport.Handler
-	env   *env
 	// gen counts reboots. Timers capture the generation they were armed in
 	// and refuse to fire across a restart: the old incarnation's pending
 	// callbacks must not drive the rebooted stack (or send as it).
 	gen uint64
 	// Cached traffic counter handles (the send hot path must not hit the
-	// registry's name map per message).
+	// registry's name table per message).
 	msgsIn, msgsOut, bytesIn, bytesOut *obs.Counter
 	// bandwidth in bytes/sec; 0 = unlimited.
 	bandwidth int64
@@ -157,13 +241,17 @@ type Network struct {
 	now     time.Duration
 	seq     uint64
 	queue   eventQueue
+	free    []*event // recycled events, last released on top
 	nodes   map[transport.Addr]*simNode
+	sorted  []transport.Addr // Addrs() cache; nil after AddNode
 	rng     *rand.Rand
 	latency LatencyFunc
 	loss    LossFunc
 	// reg holds network-level counters (net.delivered, net.dropped); the
-	// per-node counters live in each node's own registry.
+	// per-node counters live in each node's own registry, each sized like
+	// the one before it (lastReg).
 	reg       *obs.Registry
+	lastReg   *obs.Registry
 	delivered *obs.Counter
 	// dropped is the total of all drop causes; the per-cause counters say
 	// why a message died, not just that it did.
@@ -228,33 +316,27 @@ func (n *Network) Dropped() int64 { return n.dropped.Value() }
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration { return n.now }
 
-// env implements transport.Env for one node.
-type env struct {
-	net  *Network
-	node *simNode
-}
+func (nd *simNode) Self() transport.Addr   { return nd.addr }
+func (nd *simNode) Now() time.Duration     { return nd.net.now }
+func (nd *simNode) Metrics() *obs.Registry { return nd.reg }
 
-func (e *env) Self() transport.Addr   { return e.node.addr }
-func (e *env) Now() time.Duration     { return e.net.now }
-func (e *env) Rand() *rand.Rand       { return e.node.rng }
-func (e *env) Metrics() *obs.Registry { return e.node.reg }
-
-func (e *env) Send(to transport.Addr, msg any) {
-	e.net.send(e.node, to, msg)
-}
-
-func (e *env) After(d time.Duration, fn func()) (cancel func()) {
-	if d < 0 {
-		d = 0
+// Rand returns the node's private source, seeded from the network seed, the
+// address and the reboot generation — so Restart (which drops the source)
+// gives the rebooted stack a fresh-but-deterministic stream.
+func (nd *simNode) Rand() *rand.Rand {
+	if nd.rng == nil {
+		seed := nd.net.cfg.Seed ^ int64(hashAddr(nd.addr)) ^ int64(nd.gen<<32)
+		nd.rng = rand.New(rand.NewSource(seed))
 	}
-	node := e.node
-	gen := node.gen
-	ev := e.net.schedule(d, func() {
-		if node.alive && node.gen == gen {
-			fn()
-		}
-	})
-	return func() { ev.fn = nil }
+	return nd.rng
+}
+
+func (nd *simNode) Send(to transport.Addr, msg any) {
+	nd.net.send(nd, to, msg)
+}
+
+func (nd *simNode) After(d time.Duration, fn func()) (cancel func()) {
+	return nd.net.timer(max(d, 0), nd, fn).canceller()
 }
 
 // AddNode registers a node. build receives the node's Env and returns its
@@ -263,12 +345,14 @@ func (n *Network) AddNode(addr transport.Addr, build func(transport.Env) transpo
 	if _, dup := n.nodes[addr]; dup {
 		panic(fmt.Sprintf("simnet: duplicate node %q", addr))
 	}
-	reg := obs.New(n.cfg.TraceCap)
+	reg := obs.NewLike(n.cfg.TraceCap, n.lastReg)
+	n.lastReg = reg
 	node := &simNode{
+		net:       n,
 		addr:      addr,
-		rng:       rand.New(rand.NewSource(n.cfg.Seed ^ int64(hashAddr(addr)))),
 		alive:     true,
 		reg:       reg,
+		build:     build,
 		msgsIn:    reg.Counter(CtrMsgsIn),
 		msgsOut:   reg.Counter(CtrMsgsOut),
 		bytesIn:   reg.Counter(CtrBytesIn),
@@ -276,11 +360,9 @@ func (n *Network) AddNode(addr transport.Addr, build func(transport.Env) transpo
 		bandwidth: n.cfg.DefaultBandwidth,
 	}
 	n.nodes[addr] = node
-	e := &env{net: n, node: node}
-	node.build = build
-	node.env = e
-	node.handler = build(e)
-	return e
+	n.sorted = nil
+	node.handler = build(node)
+	return node
 }
 
 func hashAddr(a transport.Addr) uint64 {
@@ -344,50 +426,52 @@ func (n *Network) send(from *simNode, to transport.Addr, msg any) {
 	txEnd := txStart + from.txTime(size)
 	from.egressFree = txEnd
 	arrival := txEnd + n.latency(from.addr, to) + extra
-	n.deliver(from.addr, to, msg, size, arrival)
+	n.message(evArrive, arrival-n.now, from, to, msg, size)
 	if dup {
 		// The duplicate is a network-level copy: it skips the sender's NIC
 		// (sent once) but arrives independently after its own jitter.
 		n.dupInjected.Inc()
 		w := defaultReorderWindow
 		arrival2 := arrival + time.Duration(n.rng.Int63n(int64(w)))
-		n.deliver(from.addr, to, msg, size, arrival2)
+		n.message(evArrive, arrival2-n.now, from, to, msg, size)
 	}
 }
 
-// deliver schedules one arrival at the destination. Ingress serialization
-// is charged when the message arrives, not when it was sent: the receiver
-// drains its link in true arrival order, so messages that the fault layer
-// delayed or reordered don't head-of-line-block messages that physically
-// got there first.
-func (n *Network) deliver(src, to transport.Addr, msg any, size int, arrival time.Duration) {
-	n.schedule(arrival-n.now, func() {
-		dst, ok := n.nodes[to]
-		if !ok || !dst.alive {
-			n.dropped.Inc()
-			n.droppedDead.Inc()
-			return
-		}
-		deliverAt := n.now
-		if dst.ingressFree > deliverAt {
-			deliverAt = dst.ingressFree
-		}
-		deliverAt += dst.txTime(size)
-		dst.ingressFree = deliverAt
-		if deliverAt <= n.now {
-			n.handoff(dst, src, size, msg)
-			return
-		}
-		n.schedule(deliverAt-n.now, func() {
-			dst, ok := n.nodes[to]
-			if !ok || !dst.alive {
-				n.dropped.Inc()
-				n.droppedDead.Inc()
-				return
-			}
-			n.handoff(dst, src, size, msg)
-		})
-	})
+// arrive handles a message reaching its destination's NIC. Ingress
+// serialization is charged here, when the message arrives, not when it was
+// sent: the receiver drains its link in true arrival order, so messages
+// that the fault layer delayed or reordered don't head-of-line-block
+// messages that physically got there first.
+func (n *Network) arrive(from *simNode, to transport.Addr, msg any, size int) {
+	dst, ok := n.nodes[to]
+	if !ok || !dst.alive {
+		n.dropped.Inc()
+		n.droppedDead.Inc()
+		return
+	}
+	deliverAt := n.now
+	if dst.ingressFree > deliverAt {
+		deliverAt = dst.ingressFree
+	}
+	deliverAt += dst.txTime(size)
+	dst.ingressFree = deliverAt
+	if deliverAt <= n.now {
+		n.handoff(dst, from.addr, size, msg)
+		return
+	}
+	n.message(evIngress, deliverAt-n.now, from, to, msg, size)
+}
+
+// ingress handles a message that has cleared the destination's ingress
+// queue; the destination may have died while it waited there.
+func (n *Network) ingress(from *simNode, to transport.Addr, msg any, size int) {
+	dst, ok := n.nodes[to]
+	if !ok || !dst.alive {
+		n.dropped.Inc()
+		n.droppedDead.Inc()
+		return
+	}
+	n.handoff(dst, from.addr, size, msg)
 }
 
 // handoff counts and delivers one message that cleared the receiver's link.
@@ -420,35 +504,98 @@ func (n *Network) SetBandwidth(addr transport.Addr, bytesPerSec int64) {
 	}
 }
 
-func (n *Network) schedule(d time.Duration, fn func()) *event {
+// schedule queues an event d from now and returns it for the caller to fill
+// in: only the (at, seq) key lives in the heap. Every call takes the next
+// seq, so events due at the same instant run in the order they were
+// scheduled.
+//
+//vet:noalloc amortized
+func (n *Network) schedule(d time.Duration) *event {
+	var ev *event
+	if k := len(n.free); k > 0 {
+		ev = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		ev = new(event)
+	}
 	n.seq++
-	ev := &event{at: n.now + d, seq: n.seq, fn: fn}
-	heap.Push(&n.queue, ev)
+	ev.seq = n.seq
+	n.queue.push(queued{at: n.now + d, seq: n.seq, ev: ev})
 	return ev
+}
+
+// release returns a popped event to the free list, dropping what it
+// references.
+//
+//vet:noalloc amortized
+func (n *Network) release(ev *event) {
+	*ev = event{}
+	n.free = append(n.free, ev)
+}
+
+// timer queues fn to run after d. With a node, the timer is that node's: it
+// fires only if the node is still alive in the generation that armed it.
+func (n *Network) timer(d time.Duration, node *simNode, fn func()) *event {
+	ev := n.schedule(d)
+	ev.kind = evTimer
+	ev.fn = fn
+	if node != nil {
+		ev.node, ev.gen = node, node.gen
+	}
+	return ev
+}
+
+// message queues one stage (evArrive or evIngress) of a message's delivery.
+//
+//vet:noalloc
+func (n *Network) message(kind eventKind, d time.Duration, from *simNode, to transport.Addr, msg any, size int) {
+	ev := n.schedule(d)
+	ev.kind = kind
+	ev.node, ev.to, ev.msg, ev.size = from, to, msg, size
+}
+
+// canceller returns the timer's cancel handle. The handle outlives the
+// event's turn in the queue, so it checks that the slot still holds the
+// timer it was issued for before touching it.
+func (ev *event) canceller() func() {
+	seq := ev.seq
+	return func() {
+		if ev.seq == seq {
+			ev.kind = evCancelled
+			ev.fn = nil
+		}
+	}
 }
 
 // ScheduleAfter runs fn on the event loop after d, independent of any
 // node's liveness (driver-level orchestration: churn scripts, restart
 // sequencing). Returns a cancel function.
 func (n *Network) ScheduleAfter(d time.Duration, fn func()) (cancel func()) {
-	if d < 0 {
-		d = 0
-	}
-	ev := n.schedule(d, fn)
-	return func() { ev.fn = nil }
+	return n.timer(max(d, 0), nil, fn).canceller()
 }
 
 // Step executes the next pending event. It reports false when the queue is
 // empty. With invariants registered (AddInvariant), the checks run after
 // every event that lands on a new virtual timestamp.
 func (n *Network) Step() bool {
-	for n.queue.Len() > 0 {
-		ev := heap.Pop(&n.queue).(*event)
-		if ev.fn == nil { // cancelled timer
+	for len(n.queue) > 0 {
+		q := n.queue.pop()
+		e := *q.ev
+		n.release(q.ev)
+		if e.kind == evCancelled {
 			continue
 		}
-		n.now = ev.at
-		ev.fn()
+		n.now = q.at
+		switch e.kind {
+		case evTimer:
+			if e.node == nil || (e.node.alive && e.node.gen == e.gen) {
+				e.fn()
+			}
+		case evArrive:
+			n.arrive(e.node, e.to, e.msg, e.size)
+		case evIngress:
+			n.ingress(e.node, e.to, e.msg, e.size)
+		}
 		if len(n.invariants) > 0 && n.now != n.lastCheck {
 			n.lastCheck = n.now
 			n.runInvariants()
@@ -462,12 +609,8 @@ func (n *Network) Step() bool {
 // pass deadline. It returns the number of events executed.
 func (n *Network) Run(deadline time.Duration) int {
 	steps := 0
-	for n.queue.Len() > 0 {
-		next := n.peek()
-		if next == nil {
-			break
-		}
-		if next.at > deadline {
+	for n.skipCancelled() {
+		if n.queue[0].at > deadline {
 			n.now = deadline
 			return steps
 		}
@@ -487,22 +630,23 @@ func (n *Network) RunUntilIdle() int {
 	return steps
 }
 
-func (n *Network) peek() *event {
-	for n.queue.Len() > 0 {
-		if n.queue[0].fn == nil {
-			heap.Pop(&n.queue)
-			continue
+// skipCancelled discards cancelled timers from the head of the queue and
+// reports whether a live event remains there.
+func (n *Network) skipCancelled() bool {
+	for len(n.queue) > 0 {
+		if n.queue[0].ev.kind != evCancelled {
+			return true
 		}
-		return n.queue[0]
+		n.release(n.queue.pop().ev)
 	}
-	return nil
+	return false
 }
 
 // Pending reports the number of live queued events.
 func (n *Network) Pending() int {
 	c := 0
-	for _, e := range n.queue {
-		if e.fn != nil {
+	for _, q := range n.queue {
+		if q.ev.kind != evCancelled {
 			c++
 		}
 	}
@@ -541,11 +685,11 @@ func (n *Network) Restart(addr transport.Addr) transport.Handler {
 	}
 	node.gen++
 	node.alive = true
-	node.rng = rand.New(rand.NewSource(n.cfg.Seed ^ int64(hashAddr(addr)) ^ int64(node.gen<<32)))
+	node.rng = nil // reseeded for the new generation on the next Rand()
 	// A fresh process has empty NIC queues.
 	node.egressFree = 0
 	node.ingressFree = 0
-	node.handler = node.build(node.env)
+	node.handler = node.build(node)
 	return node.handler
 }
 
@@ -582,14 +726,16 @@ func (n *Network) MetricsOf(addr transport.Addr) *obs.Registry {
 func (n *Network) Metrics() *obs.Registry { return n.reg }
 
 // MergedSnapshot sums the network-level registry and every node's
-// registry into one fleet-wide snapshot, deterministically.
+// registry into one fleet-wide snapshot, deterministically: registries are
+// folded one at a time in sorted address order (float histogram sums depend
+// on it), with no per-node snapshot in between.
 func (n *Network) MergedSnapshot() obs.Snapshot {
-	snaps := make([]obs.Snapshot, 0, len(n.nodes)+1)
-	snaps = append(snaps, n.reg.Snapshot())
+	out := obs.MergeSnapshots()
+	n.reg.MergeInto(out)
 	for _, addr := range n.Addrs() {
-		snaps = append(snaps, n.nodes[addr].reg.Snapshot())
+		n.nodes[addr].reg.MergeInto(out)
 	}
-	return obs.MergeSnapshots(snaps...)
+	return out
 }
 
 // MergedTrace interleaves every node's trace ring into one global
@@ -614,14 +760,17 @@ func (n *Network) ResetTraffic() {
 }
 
 // Addrs returns all registered node addresses in insertion-independent
-// deterministic (sorted) order.
+// deterministic (sorted) order. The slice is shared between calls until the
+// next AddNode; callers must not modify it.
 func (n *Network) Addrs() []transport.Addr {
-	out := make([]transport.Addr, 0, len(n.nodes))
-	for a := range n.nodes {
-		out = append(out, a)
+	if n.sorted == nil {
+		n.sorted = make([]transport.Addr, 0, len(n.nodes))
+		for a := range n.nodes {
+			n.sorted = append(n.sorted, a)
+		}
+		sort.Slice(n.sorted, func(i, j int) bool { return n.sorted[i] < n.sorted[j] })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return n.sorted
 }
 
 // NumNodes returns the number of registered nodes.
