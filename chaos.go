@@ -54,6 +54,12 @@ type Chaos struct {
 	dualSince map[AppID]time.Duration
 	pending   error
 
+	// Scratch for check, which runs on every virtual tick and must not
+	// feed the GC: the sorted app IDs being visited, and the live masters
+	// of one app.
+	appScratch    []AppID
+	masterScratch []*Engine
+
 	// Commits counts observed round commits (test instrumentation).
 	Commits int
 }
@@ -111,6 +117,7 @@ func (c *Cluster) StartChaos(cfg ChaosConfig) *Chaos {
 // install wires one engine (initial or rebuilt after Restart) into the
 // checker.
 func (ch *Chaos) install(_ int, e *Engine) {
+	ch.epochs[e] = make(map[AppID]int)
 	e.AckHook = func(app AppID, epoch, round, participants int, commit bool) {
 		ch.observe(e, app, epoch, round, participants, commit)
 	}
@@ -168,7 +175,10 @@ func (ch *Chaos) fail(err error) {
 // check is the invariant function the network runs on every step that
 // advances virtual time, and at quiesce. Iteration is index- and
 // sort-ordered throughout so a violation (and its message) is
-// deterministic for a given seed.
+// deterministic for a given seed. A tick without a violation allocates
+// nothing (the violation messages are built in cold helpers).
+//
+//vet:noalloc
 func (ch *Chaos) check() error {
 	if ch.pending != nil {
 		return ch.pending
@@ -184,18 +194,18 @@ func (ch *Chaos) check() error {
 // checkEngine asserts per-engine invariants: mastership epochs never
 // regress within one engine incarnation, and no held replica is ahead of
 // what its master ever acknowledged.
+//
+//vet:noalloc
 func (ch *Chaos) checkEngine(e *Engine) error {
-	em := ch.epochs[e]
-	if em == nil {
-		em = make(map[AppID]int)
-		ch.epochs[e] = em
-	}
-	for _, app := range sortedApps(e.masters) {
+	em := ch.epochs[e] // created by install
+	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.masters)
+	for _, app := range ch.appScratch {
 		if err := ch.noteEpoch(e, em, app, e.masters[app].epoch, "master"); err != nil {
 			return err
 		}
 	}
-	for _, app := range sortedApps(e.replicas) {
+	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.replicas)
+	for _, app := range ch.appScratch {
 		rep := e.replicas[app]
 		if err := ch.noteEpoch(e, em, app, rep.Epoch, "replica"); err != nil {
 			return err
@@ -205,15 +215,22 @@ func (ch *Chaos) checkEngine(e *Engine) error {
 		// committed round into the successor epoch's image, so the bound
 		// is cumulative across epochs, not per-epoch.
 		if max, acked := ch.ackedThrough(app, rep.Epoch); rep.Round > max || (!acked && rep.Round > 0) {
-			return fmt.Errorf("app %s: %s holds replica round %d at epoch %d but no master lineage through that epoch acked past round %d — replica ahead of master acks",
-				app.Short(), e.Self().Addr, rep.Round, rep.Epoch, max)
+			return errReplicaAhead(app, e.Self().Addr, rep.Round, rep.Epoch, max)
 		}
 	}
 	return nil
 }
 
+//vet:noalloc cold
+func errReplicaAhead(app AppID, at transport.Addr, round, epoch, max int) error {
+	return fmt.Errorf("app %s: %s holds replica round %d at epoch %d but no master lineage through that epoch acked past round %d — replica ahead of master acks",
+		app.Short(), at, round, epoch, max)
+}
+
 // ackedThrough returns the highest round any master lineage acked for app
 // at any epoch ≤ through, and whether any such ack exists.
+//
+//vet:noalloc
 func (ch *Chaos) ackedThrough(app AppID, through int) (int, bool) {
 	max, acked := 0, false
 	for ep := 0; ep <= through; ep++ {
@@ -227,10 +244,10 @@ func (ch *Chaos) ackedThrough(app AppID, through int) (int, bool) {
 	return max, acked
 }
 
+//vet:noalloc
 func (ch *Chaos) noteEpoch(e *Engine, em map[AppID]int, app AppID, epoch int, role string) error {
 	if prev, seen := em[app]; seen && epoch < prev {
-		return fmt.Errorf("app %s: epoch regressed on %s: %s at epoch %d after holding epoch %d",
-			app.Short(), e.Self().Addr, role, epoch, prev)
+		return errEpochRegressed(app, e.Self().Addr, role, epoch, prev)
 	}
 	if epoch > em[app] {
 		em[app] = epoch
@@ -238,21 +255,31 @@ func (ch *Chaos) noteEpoch(e *Engine, em map[AppID]int, app AppID, epoch int, ro
 	return nil
 }
 
+//vet:noalloc cold
+func errEpochRegressed(app AppID, at transport.Addr, role string, epoch, prev int) error {
+	return fmt.Errorf("app %s: epoch regressed on %s: %s at epoch %d after holding epoch %d",
+		app.Short(), at, role, epoch, prev)
+}
+
 // checkDualMasters asserts the reconciliation invariant: two live,
 // unfinished masters for one app that can talk to each other must
 // resolve by epoch within the grace window. (Split-brain across a
 // partition is legal; lingering split-brain after a heal is the bug this
 // harness exists to catch.)
+//
+//vet:noalloc
 func (ch *Chaos) checkDualMasters() error {
 	now := ch.c.Net.Now()
-	for _, app := range sortedApps(ch.c.apps) {
-		var masters []*Engine
+	ch.appScratch = appendSortedApps(ch.appScratch[:0], ch.c.apps)
+	for _, app := range ch.appScratch {
+		masters := ch.masterScratch[:0]
 		for i := range ch.c.Engines {
 			e := ch.c.Engines[i]
 			if m, ok := e.masters[app]; ok && !m.done && ch.c.Net.Alive(e.Self().Addr) {
 				masters = append(masters, e)
 			}
 		}
+		ch.masterScratch = masters
 		var a, b *Engine
 		for x := 0; x < len(masters) && a == nil; x++ {
 			for y := x + 1; y < len(masters); y++ {
@@ -272,9 +299,14 @@ func (ch *Chaos) checkDualMasters() error {
 			continue
 		}
 		if now-since > ch.cfg.DualMasterGrace {
-			return fmt.Errorf("app %s: unreconciled split-brain: masters %s (epoch %d) and %s (epoch %d) mutually reachable for %v without resolving",
-				app.Short(), a.Self().Addr, a.masters[app].epoch, b.Self().Addr, b.masters[app].epoch, now-since)
+			return errSplitBrain(app, a, b, now-since)
 		}
 	}
 	return nil
+}
+
+//vet:noalloc cold
+func errSplitBrain(app AppID, a, b *Engine, lasted time.Duration) error {
+	return fmt.Errorf("app %s: unreconciled split-brain: masters %s (epoch %d) and %s (epoch %d) mutually reachable for %v without resolving",
+		app.Short(), a.Self().Addr, a.masters[app].epoch, b.Self().Addr, b.masters[app].epoch, lasted)
 }

@@ -1,6 +1,7 @@
 package totoro
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -202,7 +203,7 @@ func TestChaosRunsAreBitIdentical(t *testing.T) {
 // InvariantViolation carrying the run's seed and a trace excerpt.
 func TestChaosCatchesInjectedRegression(t *testing.T) {
 	const seed = 271
-	inject := func(t *testing.T, wantMsg string, bug func(m *Engine, id AppID, epoch int)) {
+	inject := func(t *testing.T, wantMsg string, bug func(c *Cluster, m *Engine, id AppID, epoch int)) {
 		t.Helper()
 		c := chaosCluster(seed, 2)
 		app := testApps(1, seed)[0]
@@ -219,7 +220,7 @@ func TestChaosCatchesInjectedRegression(t *testing.T) {
 		if m == nil {
 			t.Fatal("no master after training")
 		}
-		bug(m, id, m.masters[id].epoch)
+		bug(c, m, id, m.masters[id].epoch)
 		c.Net.CheckInvariants()
 		v := c.Net.Violation()
 		if v == nil {
@@ -237,17 +238,90 @@ func TestChaosCatchesInjectedRegression(t *testing.T) {
 	}
 
 	t.Run("replayed-commit", func(t *testing.T) {
-		inject(t, "after already committing", func(m *Engine, id AppID, epoch int) {
+		inject(t, "after already committing", func(_ *Cluster, m *Engine, id AppID, epoch int) {
 			// A buggy master acks round 1 again after committing round 3.
 			m.AckHook(id, epoch, 1, 1, true)
 		})
 	})
 	t.Run("double-counted-update", func(t *testing.T) {
-		inject(t, "double-counted", func(m *Engine, id AppID, epoch int) {
+		inject(t, "double-counted", func(_ *Cluster, m *Engine, id AppID, epoch int) {
 			// A buggy merge counts 99 participants against 10 workers.
 			m.AckHook(id, epoch, 11, 99, true)
 		})
 	})
+	// The per-tick checks build their messages in cold helpers; the text a
+	// seed produces is part of the replay contract, so it is pinned whole.
+	t.Run("epoch-regressed", func(t *testing.T) {
+		inject(t, "app 17d7fda2: epoch regressed on n34: master at epoch 0 after holding epoch 1",
+			func(c *Cluster, m *Engine, id AppID, epoch int) {
+				m.masters[id].epoch = epoch + 1
+				c.Net.CheckInvariants()     // the checker witnesses epoch 1 ...
+				m.masters[id].epoch = epoch // ... and then the master falls back
+			})
+	})
+	t.Run("replica-ahead", func(t *testing.T) {
+		inject(t, "app 17d7fda2: n34 holds replica round 9 at epoch 0 but no master lineage through that epoch acked past round 3 — replica ahead of master acks",
+			func(_ *Cluster, m *Engine, id AppID, epoch int) {
+				put(&m.replicas, id, &replicaMsg{Epoch: epoch, Round: 9})
+			})
+	})
+}
+
+// TestChaosCheckDoesNotAllocate pins the checker's cost on a tick that
+// finds nothing wrong, which is every tick of a healthy run: no garbage,
+// with engines that hold no app, one app and (the sorted path) two.
+func TestChaosCheckDoesNotAllocate(t *testing.T) {
+	const seed = 283
+	c := NewCluster(ClusterConfig{
+		N: 20, Seed: seed, Ring: ring.Config{B: 4}, Bandwidth: 2 << 20,
+		Replicas: 2, ReplicaCheckInterval: 300 * time.Millisecond, Durable: true,
+		OnViolation: func(*simnet.InvariantViolation) {},
+	})
+	var ids []AppID
+	for _, app := range testApps(4, seed) {
+		app.MaxRounds = 3
+		app.TargetAccuracy = 0.999
+		ids = append(ids, c.DeployOnRandomNodes(app))
+	}
+	ch := c.StartChaos(ChaosConfig{})
+	c.Train(ids...)
+	if v := c.Net.Violation(); v != nil {
+		t.Fatalf("clean run violated an invariant: %v", v)
+	}
+	most := 0
+	for _, e := range c.Engines {
+		most = max(most, len(e.masters), len(e.replicas))
+	}
+	if most < 2 {
+		t.Fatalf("no engine holds two apps (most: %d); the sorted path is not exercised", most)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := ch.check(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a clean invariant check allocated %.0f times, want 0", allocs)
+	}
+}
+
+func TestSortedApps(t *testing.T) {
+	if got := sortedApps(map[AppID]int(nil)); got != nil {
+		t.Fatalf("sortedApps of an empty map = %v, want nil", got)
+	}
+	m := map[AppID]bool{}
+	for _, name := range []string{"d", "a", "e", "c", "b"} {
+		m[NewAppID(name, "owner")] = true
+	}
+	scratch := make([]AppID, 0, 8)
+	for _, got := range [][]AppID{sortedApps(m), appendSortedApps(scratch, m)} {
+		if len(got) != len(m) || !slices.IsSortedFunc(got, AppID.Cmp) {
+			t.Fatalf("not the map's keys in ID order: %v", got)
+		}
+	}
+	if got := appendSortedApps(scratch, m); &got[0] != &scratch[:1][0] {
+		t.Fatal("appendSortedApps did not reuse the scratch slice")
+	}
 }
 
 // TestRepeatedKillRestartSameNode crash-restarts the app's original

@@ -1,7 +1,7 @@
 package totoro
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"totoro/internal/ids"
@@ -348,13 +348,26 @@ func (e *Engine) buildSnapshot() walSnapshot {
 	return snap
 }
 
+// sortedApps returns m's keys in ID order (nil for an empty map).
 func sortedApps[T any](m map[AppID]T) []AppID {
-	out := make([]AppID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+	if len(m) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return appendSortedApps(make([]AppID, 0, len(m)), m)
+}
+
+// appendSortedApps appends m's keys to dst, which must be empty, in ID
+// order; callers on a hot path pass a recycled dst[:0].
+//
+//vet:noalloc
+func appendSortedApps[T any](dst []AppID, m map[AppID]T) []AppID {
+	for id := range m {
+		dst = append(dst, id)
+	}
+	if len(dst) > 1 {
+		slices.SortFunc(dst, AppID.Cmp)
+	}
+	return dst
 }
 
 // restore installs a recovered image into a freshly built engine (called

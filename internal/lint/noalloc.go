@@ -150,6 +150,8 @@ func pureExternalFn(fn *types.Func) bool {
 		return recv != nil // Duration/Time arithmetic on values
 	case "slices":
 		return slicesCleanFuncs[fn.Name()]
+	case "reflect":
+		return fn.Name() == "TypeOf" // reads the interface's type word
 	}
 	return false
 }

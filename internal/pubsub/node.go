@@ -62,7 +62,15 @@ type Handlers struct {
 // aggRound tracks one round's in-network aggregation at one node. A leaf,
 // which has no children to wait for or hear from, allocates nothing but the
 // struct.
+//
+// Once flushed, a round is a tombstone: flush releases combined, waiting and
+// cancel, and what stays (flushed, selfDone, count, seen) is what routes
+// stragglers and drops duplicates. topicState.rounds keeps one tombstone per
+// round — it is never pruned here, because a round that came back to life
+// would merge stragglers instead of forwarding them.
 type aggRound struct {
+	// combined is the aggregate so far. It leaves by reference at the flush,
+	// so from then on it belongs to whoever received it.
 	combined any
 	count    int
 	// waiting holds the children (as of the round's creation) that have not
@@ -782,8 +790,12 @@ func (n *Node) flush(st *topicState, round int, r *aggRound) {
 	n.ctrFlushes.Inc()
 	// The round stays in the map marked flushed so that stragglers arriving
 	// later are forwarded upstream as supplementary partials instead of
-	// resurrecting the round.
-	n.forwardUp(st, round, r.combined, r.count)
+	// resurrecting the round. Nothing reads the aggregate here again, so it
+	// lives only as long as its receiver (the parent's merge, the root's
+	// OnAggregate) holds it.
+	obj := r.combined
+	r.combined, r.waiting, r.cancel = nil, nil, nil
+	n.forwardUp(st, round, obj, r.count)
 }
 
 func (n *Node) forwardUp(st *topicState, round int, obj any, count int) {

@@ -1,0 +1,204 @@
+package pubsub
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"totoro/internal/ids"
+	"totoro/internal/ring"
+)
+
+// deepTree subscribes 40 of 150 nodes under a fanout cap of 3, which forces
+// the tree at least three levels deep, and returns the topic's members.
+func deepTree(t *testing.T, f *forest, topic ids.ID) []*stack {
+	t.Helper()
+	var subs []*stack
+	for i := 0; i < 40; i++ {
+		s := f.stacks[f.rng.Intn(len(f.stacks))]
+		s.ps.Subscribe(topic)
+		subs = append(subs, s)
+	}
+	f.net.RunUntilIdle()
+	root := f.verifyTree(t, topic, subs)
+	members := f.attachedMembers(topic)
+	for _, s := range members {
+		info, _ := s.ps.TreeInfo(topic)
+		if len(info.Children) > 0 && !info.IsRoot && info.Parent.Addr != root.ring.Self().Addr {
+			return members // an interior node below the root's children: ≥ 3 levels
+		}
+	}
+	t.Fatal("tree has fewer than three levels")
+	return nil
+}
+
+func heapInUse() uint64 {
+	runtime.GC()
+	runtime.GC() // a second cycle frees what the first one's finalizers and pools released
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestFlushedRoundsReleaseTheirPayload pins what a round leaves behind: a
+// tombstone, not the update. Before flush released r.combined, every leaf
+// kept each round's 256 KB object reachable through topicState.rounds for
+// the life of the node.
+func TestFlushedRoundsReleaseTheirPayload(t *testing.T) {
+	const floats, rounds, warmup = 32 << 10, 30, 3
+	f := newForest(t, 150, ring.Config{B: 4}, Config{MaxFanout: 3}, 11)
+	topic := ids.Hash("app-retention")
+	aggregated := 0
+	for _, s := range f.stacks {
+		s.ps.SetHandlers(Handlers{
+			// The FL combiner's contract: merge into the left operand.
+			Combine: func(_ ids.ID, a, b any) any {
+				aa, bb := a.([]float64), b.([]float64)
+				for i := range aa {
+					aa[i] += bb[i]
+				}
+				return aa
+			},
+			OnAggregate: func(_ ids.ID, _ int, obj any, count int) {
+				if obj != nil {
+					aggregated += count
+				}
+			},
+		})
+	}
+	members := deepTree(t, f, topic)
+	contributors := 0
+	runRound := func(round int) {
+		contributors = 0
+		for _, s := range members {
+			if info, _ := s.ps.TreeInfo(topic); info.Subscribed {
+				s.ps.SubmitUpdate(topic, round, make([]float64, floats))
+				contributors++
+			} else {
+				s.ps.SubmitUpdate(topic, round, nil)
+			}
+		}
+		f.net.RunUntilIdle()
+	}
+	for r := 1; r <= warmup; r++ {
+		runRound(r)
+	}
+	before := heapInUse()
+	for r := warmup + 1; r <= warmup+rounds; r++ {
+		runRound(r)
+	}
+	after := heapInUse()
+	runtime.KeepAlive(f) // or the second reading finds the whole forest dead
+	if want := (warmup + rounds) * contributors; aggregated != want {
+		t.Fatalf("root aggregated %d contributions, want %d", aggregated, want)
+	}
+	perRoundMember := (float64(after) - float64(before)) / float64(rounds*len(members))
+	t.Logf("%d members: heap in use grew %.0f B per round per member", len(members), perRoundMember)
+	if perRoundMember >= 1024 {
+		t.Fatalf("heap in use grew %.0f B per round per member over %d rounds; a flushed round must leave a tombstone (< 1 KB), not its %d KB update",
+			perRoundMember, rounds, floats*8>>10)
+	}
+}
+
+// TestTombstoneStillRoutesStragglers extends the in-place-combiner
+// regression test above to the released round: whatever reaches a flushed
+// round after its aggregate is gone is still forwarded exactly once, and a
+// network duplicate of it is still dropped.
+func TestTombstoneStillRoutesStragglers(t *testing.T) {
+	type acc struct{ sum, count int }
+	f := newForest(t, 150, ring.Config{B: 4}, Config{AggTimeout: 100 * time.Millisecond, MaxFanout: 3}, 11)
+	topic := ids.Hash("app-tombstone")
+	var results []*acc
+	for _, s := range f.stacks {
+		s.ps.SetHandlers(Handlers{
+			Combine: func(_ ids.ID, a, b any) any {
+				aa, bb := a.(*acc), b.(*acc)
+				aa.sum += bb.sum
+				aa.count += bb.count
+				return aa
+			},
+			OnAggregate: func(_ ids.ID, _ int, obj any, _ int) {
+				if obj != nil {
+					results = append(results, obj.(*acc))
+				}
+			},
+		})
+	}
+	members := deepTree(t, f, topic)
+	// mid is an interior node below the root; kid is a leaf child of it. Both
+	// stay silent until every round has flushed on its deadline.
+	var mid, kid *stack
+	for _, s := range members {
+		info, _ := s.ps.TreeInfo(topic)
+		if info.IsRoot || len(info.Children) > 0 {
+			continue
+		}
+		if p := f.byAddr[info.Parent.Addr]; p != nil {
+			if pi, _ := p.ps.TreeInfo(topic); !pi.IsRoot {
+				mid, kid = p, s
+				break
+			}
+		}
+	}
+	if mid == nil {
+		t.Fatal("no leaf under a non-root interior node")
+	}
+	const round = 3
+	contributors := 0
+	for _, s := range members {
+		if s == mid || s == kid {
+			continue
+		}
+		if info, _ := s.ps.TreeInfo(topic); info.Subscribed {
+			s.ps.SubmitUpdate(topic, round, &acc{sum: 1, count: 1})
+			contributors++
+		} else {
+			s.ps.SubmitUpdate(topic, round, nil)
+		}
+	}
+	f.net.Run(5 * time.Second)
+
+	st := mid.ps.topics[topic]
+	r := st.rounds[round]
+	if r == nil || !r.flushed {
+		t.Fatal("mid's round did not flush on its deadline")
+	}
+	if r.combined != nil || r.waiting != nil || r.cancel != nil {
+		t.Fatalf("flushed round still holds combined=%v waiting=%v cancel set=%v", r.combined, r.waiting, r.cancel != nil)
+	}
+	ups := mid.ps.Metrics().Counter("pubsub.upstreams_sent")
+	dupes := mid.ps.Metrics().Counter("pubsub.upstream_dupes")
+	expect := func(what string, wantUps, wantDupes int64) {
+		t.Helper()
+		f.net.Run(time.Second)
+		if ups.Value() != wantUps || dupes.Value() != wantDupes {
+			t.Fatalf("after %s: upstreams_sent=%d dupes=%d, want %d and %d", what, ups.Value(), dupes.Value(), wantUps, wantDupes)
+		}
+	}
+	ups0, dupes0 := ups.Value(), dupes.Value()
+
+	kid.ps.SubmitUpdate(topic, round, &acc{sum: 100, count: 1})
+	expect("a late child partial", ups0+1, dupes0)
+
+	kst := kid.ps.topics[topic]
+	mid.ps.Receive(kid.ring.Self().Addr, Upstream{
+		Topic: topic, Round: round, From: kid.ring.Self(), Epoch: kst.mcEpoch,
+		Object: &acc{sum: 100, count: 1}, Count: 1, Seq: kst.upSeq,
+	})
+	expect("a duplicate of it", ups0+1, dupes0+1)
+
+	mid.ps.SubmitUpdate(topic, round, &acc{sum: 1000, count: 1})
+	expect("a late own update", ups0+2, dupes0+1)
+
+	totalSum, totalCount := 0, 0
+	for _, res := range results {
+		totalSum += res.sum
+		totalCount += res.count
+	}
+	if want := contributors + 1100; totalSum != want {
+		t.Fatalf("aggregate sum = %d want %d (a straggler was dropped or double-counted)", totalSum, want)
+	}
+	if want := contributors + 2; totalCount != want {
+		t.Fatalf("aggregate count = %d want %d", totalCount, want)
+	}
+}

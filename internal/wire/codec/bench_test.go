@@ -133,6 +133,30 @@ func benchGobDecode(b *testing.B, msg any) {
 	}
 }
 
+// benchFrameSize times what simnet pays per Send under ExactSizes.
+func benchFrameSize(b *testing.B, msg any) {
+	b.ReportAllocs()
+	b.ResetTimer() // the caller built msg on the clock
+	var n int
+	for i := 0; i < b.N; i++ {
+		size, err := FrameSize(benchAddr, msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n += size
+	}
+	b.SetBytes(int64(n / b.N))
+}
+
+func BenchmarkFrameSizeControl(b *testing.B) { benchFrameSize(b, benchControlMsg()) }
+
+// A 261 KB frame, the bigmodel-1k update: sizing it costs what sizing the
+// control message costs.
+func BenchmarkFrameSizeUpdate(b *testing.B) {
+	m, _ := benchUpdateMsg(32574)
+	benchFrameSize(b, m)
+}
+
 func BenchmarkEncodeControl_Gob(b *testing.B)   { benchGobEncode(b, benchControlMsg()) }
 func BenchmarkEncodeControl_Codec(b *testing.B) { benchCodecEncode(b, benchControlMsg()) }
 func BenchmarkDecodeControl_Gob(b *testing.B)   { benchGobDecode(b, benchControlMsg()) }

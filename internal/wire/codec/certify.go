@@ -1,9 +1,12 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+
+	"totoro/internal/transport"
 )
 
 // CertifyLossless round-trips randomized instances of every prototype
@@ -11,8 +14,10 @@ import (
 // encode→decode intact. It is the dynamic half of the wire-v2 losslessness
 // contract: totoro-vet's wiresafe analyzer proves the registered types are
 // structurally encodable, this proves the hand-rolled encoders actually
-// carry every exported field. Tests call it with Registered() — after all
-// RegisterCodec calls, so application types are certified too.
+// carry every exported field. Every instance is also sized: FrameSize must
+// count exactly the bytes the encoder writes for it. Tests call it with
+// Registered() — after all RegisterCodec calls, so application types are
+// certified too.
 func CertifyLossless(prototypes []any, rng *rand.Rand, trials int) error {
 	if trials <= 0 {
 		trials = 8
@@ -40,7 +45,31 @@ func CertifyLossless(prototypes []any, rng *rand.Rand, trials int) error {
 			if !reflect.DeepEqual(v, got) {
 				return fmt.Errorf("certify %v: round-trip mismatch\n sent: %#v\n got:  %#v", t, v, got)
 			}
+			if err := checkFrameSize("certify-addr", v); err != nil {
+				return fmt.Errorf("certify %v: %w", t, err)
+			}
 		}
+	}
+	return nil
+}
+
+// checkFrameSize reports a FrameSize that disagrees with the encoder: the
+// counting pass must arrive at the length prefix plus the body EncodeFrame
+// writes, and fail exactly when EncodeFrame fails.
+func checkFrameSize(from transport.Addr, v any) error {
+	e := NewEnc()
+	defer e.Free()
+	encErr := EncodeFrame(e, from, v)
+	got, err := FrameSize(from, v)
+	if encErr != nil || err != nil {
+		if encErr == nil || err == nil {
+			return fmt.Errorf("FrameSize(%T) error %v, EncodeFrame error %v", v, err, encErr)
+		}
+		return nil
+	}
+	n := e.Len()
+	if want := len(binary.AppendUvarint(nil, uint64(n))) + n; got != want {
+		return fmt.Errorf("FrameSize(%T) = %d, the encoded frame is %d bytes\n value: %.200s", v, got, want, fmt.Sprintf("%#v", v))
 	}
 	return nil
 }

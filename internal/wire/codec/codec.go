@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"sort"
@@ -173,9 +174,15 @@ func Registered() []any {
 // Enc is an append-only encode buffer. Obtain with NewEnc, return with
 // Free; the backing array is recycled through a sync.Pool so steady-state
 // encoding allocates nothing. An Enc must not be used after Free.
+//
+// An Enc in counting mode (FrameSize) writes nothing: every method adds the
+// length it would have appended to n, so the registered EncodeFuncs size a
+// value by the same calls that encode it, without reading its slices.
 type Enc struct {
-	buf []byte
-	err error
+	buf      []byte
+	err      error
+	counting bool
+	n        int // bytes counted; counting mode only
 }
 
 // maxPooledBuf bounds the capacity of buffers returned to the pool so one
@@ -198,15 +205,15 @@ func (e *Enc) Free() {
 	}
 }
 
-// Reset empties the buffer, keeping its capacity.
-func (e *Enc) Reset() { e.buf, e.err = e.buf[:0], nil }
+// Reset empties the buffer, keeping its capacity, and leaves counting mode.
+func (e *Enc) Reset() { *e = Enc{buf: e.buf[:0]} }
 
 // Bytes returns the encoded contents. The slice aliases the encoder's
 // buffer and is invalidated by the next write, Reset, or Free.
 func (e *Enc) Bytes() []byte { return e.buf }
 
-// Len returns the number of encoded bytes.
-func (e *Enc) Len() int { return len(e.buf) }
+// Len returns the number of encoded (in counting mode: counted) bytes.
+func (e *Enc) Len() int { return len(e.buf) + e.n }
 
 // Err returns the first encode error (only the gob fallback can fail).
 func (e *Enc) Err() error { return e.err }
@@ -220,15 +227,43 @@ func (e *Enc) grow(n int) []byte {
 	return e.buf[l:]
 }
 
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+//
+//vet:noalloc
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // Uvarint appends x in unsigned varint form.
 //
 //vet:noalloc
-func (e *Enc) Uvarint(x uint64) { e.buf = binary.AppendUvarint(e.buf, x) }
+func (e *Enc) Uvarint(x uint64) {
+	if e.counting {
+		e.n += uvarintLen(x)
+		return
+	}
+	e.buf = binary.AppendUvarint(e.buf, x)
+}
 
 // Varint appends x in zigzag varint form.
 //
 //vet:noalloc
-func (e *Enc) Varint(x int64) { e.buf = binary.AppendVarint(e.buf, x) }
+func (e *Enc) Varint(x int64) {
+	if e.counting {
+		e.n += uvarintLen(uint64(x<<1) ^ uint64(x>>63)) // zigzag, as binary.AppendVarint
+		return
+	}
+	e.buf = binary.AppendVarint(e.buf, x)
+}
+
+// skip counts a run of n payload bytes in counting mode and reports whether
+// it did; the slab writers call it after their length prefix.
+//
+//vet:noalloc
+func (e *Enc) skip(n int) bool {
+	if e.counting {
+		e.n += n
+	}
+	return e.counting
+}
 
 // Int appends a zigzag varint int.
 //
@@ -239,6 +274,9 @@ func (e *Enc) Int(x int) { e.Varint(int64(x)) }
 //
 //vet:noalloc
 func (e *Enc) Bool(v bool) {
+	if e.skip(1) {
+		return
+	}
 	b := byte(0)
 	if v {
 		b = 1
@@ -249,7 +287,12 @@ func (e *Enc) Bool(v bool) {
 // Uint64 appends x as 8 little-endian bytes.
 //
 //vet:noalloc
-func (e *Enc) Uint64(x uint64) { binary.LittleEndian.PutUint64(e.grow(8), x) }
+func (e *Enc) Uint64(x uint64) {
+	if e.skip(8) {
+		return
+	}
+	binary.LittleEndian.PutUint64(e.grow(8), x)
+}
 
 // Float64 appends the IEEE-754 bits of f as 8 little-endian bytes.
 //
@@ -261,6 +304,9 @@ func (e *Enc) Float64(f float64) { e.Uint64(math.Float64bits(f)) }
 //vet:noalloc
 func (e *Enc) String(s string) {
 	e.Uvarint(uint64(len(s)))
+	if e.skip(len(s)) {
+		return
+	}
 	e.buf = append(e.buf, s...)
 }
 
@@ -269,6 +315,9 @@ func (e *Enc) String(s string) {
 //vet:noalloc
 func (e *Enc) ByteSlice(b []byte) {
 	e.Uvarint(uint64(len(b)))
+	if e.skip(len(b)) {
+		return
+	}
 	e.buf = append(e.buf, b...)
 }
 
@@ -278,6 +327,9 @@ func (e *Enc) ByteSlice(b []byte) {
 //vet:noalloc
 func (e *Enc) Float64s(v []float64) {
 	e.Uvarint(uint64(len(v)))
+	if e.skip(8 * len(v)) {
+		return
+	}
 	dst := e.grow(8 * len(v))
 	for i, f := range v {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(f))
@@ -289,6 +341,9 @@ func (e *Enc) Float64s(v []float64) {
 //vet:noalloc
 func (e *Enc) Float32s(v []float32) {
 	e.Uvarint(uint64(len(v)))
+	if e.skip(4 * len(v)) {
+		return
+	}
 	dst := e.grow(4 * len(v))
 	for i, f := range v {
 		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(f))
@@ -300,6 +355,9 @@ func (e *Enc) Float32s(v []float32) {
 //vet:noalloc
 func (e *Enc) Int8s(v []int8) {
 	e.Uvarint(uint64(len(v)))
+	if e.skip(len(v)) {
+		return
+	}
 	dst := e.grow(len(v))
 	for i, x := range v {
 		dst[i] = byte(x)
@@ -309,6 +367,13 @@ func (e *Enc) Int8s(v []int8) {
 // StringMap appends the map in sorted-key order (deterministic encodes).
 func (e *Enc) StringMap(m map[string]string) {
 	e.Uvarint(uint64(len(m)))
+	if e.counting {
+		for k, v := range m { // order cannot change a length
+			e.String(k)
+			e.String(v)
+		}
+		return
+	}
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -322,6 +387,8 @@ func (e *Enc) StringMap(m map[string]string) {
 
 // Value appends the tagged encoding of v: its registered codec when the
 // concrete type has one, the gob fallback otherwise.
+//
+//vet:noalloc
 func (e *Enc) Value(v any) {
 	if v == nil {
 		e.Uvarint(tagNil)
@@ -329,6 +396,7 @@ func (e *Enc) Value(v any) {
 	}
 	if ent, ok := encoders[reflect.TypeOf(v)]; ok {
 		e.Uvarint(ent.tag)
+		//lint:ignore noalloc registered EncodeFuncs are compositions of Enc's noalloc methods; the call graph cannot see through the registry, so AllocsPerRun tests pin the hot types
 		ent.enc(e, v)
 		return
 	}
@@ -337,7 +405,10 @@ func (e *Enc) Value(v any) {
 
 // gobFallback wraps v in a tagged gob sub-frame. A fresh gob stream per
 // value re-ships type descriptors each time — that cost is exactly why
-// hot types get hand-rolled codecs and gob is the fallback.
+// hot types get hand-rolled codecs and gob is the fallback. Counting mode
+// encodes too: gob offers no other way to learn a length.
+//
+//vet:noalloc cold
 func (e *Enc) gobFallback(v any) {
 	var bb bytes.Buffer
 	if err := gob.NewEncoder(&bb).Encode(&v); err != nil {

@@ -27,6 +27,69 @@ func TestCertifyLossless(t *testing.T) {
 	}
 }
 
+// TestFrameSizeMatchesEncoder covers what the certification corpus does
+// not reach: the compressed update encodings at size, nil, Values nested
+// in Values, the gob fallback (top-level and nested), a payload that
+// cannot be encoded at all, and sender addresses and bodies on either side
+// of a varint length boundary.
+func TestFrameSizeMatchesEncoder(t *testing.T) {
+	gob.Register(fallbackOnly{})
+	rng := rand.New(rand.NewSource(3))
+	dense := make([]float64, 32574)
+	for i := range dense {
+		dense[i] = rng.NormFloat64()
+	}
+	upstream := func(obj any) any {
+		return pubsub.Upstream{Topic: testID(1), Round: 300, From: testContact(2), Epoch: 1 << 40, Count: -3, Seq: 1 << 21, Object: obj}
+	}
+	cases := []any{
+		nil, false, -1, int64(math.MinInt64), uint64(math.MaxUint64), math.Inf(-1), "",
+		strings.Repeat("x", 127), strings.Repeat("x", 128), []byte(nil), make([]byte, 1<<14),
+		map[string]string{"b": "2", "a": "1", "": strings.Repeat("v", 200)},
+		dense, PackF32(dense), PackQDelta(dense), Float32s(nil), QDelta{},
+		upstream(nil), upstream(dense), upstream(PackQDelta(dense)),
+		ring.Envelope{Key: testID(3), Source: testContact(4), Hops: 2, Seq: 9,
+			Payload: pubsub.Multicast{Topic: testID(5), Epoch: 2, Seq: 7, Depth: 3, Object: upstream(PackF32(dense))}},
+		fallbackOnly{A: 7, B: "fb"},
+		ring.Envelope{Key: testID(6), Source: testContact(7), Payload: fallbackOnly{A: 1, B: "nested"}},
+		func() {}, // no codec and gob refuses it: both sides must fail
+		upstream(func() {}),
+	}
+	for _, from := range []transport.Addr{"", "a", transport.Addr(strings.Repeat("h", 130))} {
+		for _, v := range cases {
+			if err := checkFrameSize(from, v); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	// Bodies of 0..300 bytes walk the frame's own length prefix across the
+	// one-to-two-byte boundary.
+	for n := 0; n <= 300; n++ {
+		if err := checkFrameSize("", make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Sizing the largest frame the engine sends must not allocate.
+func TestFrameSizeDoesNotAllocate(t *testing.T) {
+	var msg any = pubsub.Upstream{Topic: testID(1), Round: 3, From: testContact(2), Count: 17, Object: make([]float64, 32574)}
+	var size int
+	allocs := testing.AllocsPerRun(100, func() {
+		n, err := FrameSize("10.0.0.9:9000", msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = n
+	})
+	if allocs != 0 {
+		t.Fatalf("FrameSize of a 32 574-float Upstream allocates %.0f times per call, want 0", allocs)
+	}
+	if size < 8*32574 {
+		t.Fatalf("FrameSize = %d, smaller than its own payload", size)
+	}
+}
+
 func roundTrip(t *testing.T, v any) any {
 	t.Helper()
 	e := NewEnc()

@@ -22,6 +22,8 @@ const MaxFrameBytes = 64 << 20
 // followed by the tagged message — to e. The transport prefixes the body
 // with its uvarint length on the stream. The only possible error is a
 // failed gob fallback for an unregistered, gob-hostile payload.
+//
+//vet:noalloc
 func EncodeFrame(e *Enc, from transport.Addr, msg any) error {
 	e.Addr(from)
 	e.Value(msg)
@@ -30,21 +32,21 @@ func EncodeFrame(e *Enc, from transport.Addr, msg any) error {
 
 // FrameSize returns the exact on-stream cost of sending msg from the given
 // address over the v2 transport: the frame body (EncodeFrame) plus its
-// uvarint length prefix. It encodes into a pooled buffer and discards the
-// bytes, so simulators can charge exactly what tcpnet would transmit. An
-// error means the message has no codec and resists the gob fallback.
+// uvarint length prefix, so simulators can charge exactly what tcpnet would
+// transmit. It is one EncodeFrame pass over a counting Enc: the codecs add
+// up lengths and no payload byte is read or written (only a gob-fallback
+// value is really encoded). An error means the message has no codec and
+// resists the gob fallback.
+//
+//vet:noalloc
 func FrameSize(from transport.Addr, msg any) (int, error) {
 	e := NewEnc()
 	defer e.Free()
+	e.counting = true
 	if err := EncodeFrame(e, from, msg); err != nil {
 		return 0, err
 	}
-	n := e.Len()
-	prefix := 1
-	for x := uint64(n); x >= 0x80; x >>= 7 {
-		prefix++
-	}
-	return prefix + n, nil
+	return uvarintLen(uint64(e.n)) + e.n, nil
 }
 
 var decPool = sync.Pool{New: func() any { return new(Dec) }}

@@ -66,7 +66,8 @@ func fuzzSeeds() [][]byte {
 // bytes: it may reject the input, but it must never panic, never
 // over-allocate past the input size, and anything it accepts must be
 // stable — canonically re-encoding the decoded value and decoding again
-// must reproduce the same canonical bytes. (The raw input may differ from
+// must reproduce the same canonical bytes — and sized by FrameSize at
+// exactly its canonical length. (The raw input may differ from
 // its canonical form: varints have non-minimal encodings. Comparing
 // canonical bytes instead of values also sidesteps DeepEqual-on-NaN,
 // since NaN payload bits are legitimate wire values.)
@@ -85,6 +86,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("accepted frame failed to re-encode: %v", err)
 		}
 		canon := append([]byte(nil), e.Bytes()...)
+		if err := checkFrameSize(from, msg); err != nil {
+			t.Fatal(err)
+		}
 		from2, msg2, err := DecodeFrame(canon)
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
