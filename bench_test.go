@@ -15,7 +15,9 @@ import (
 	"sync"
 	"testing"
 
+	"totoro"
 	"totoro/internal/experiments"
+	"totoro/internal/ring"
 )
 
 // table3Once caches the (expensive) Table 3 run per scale so that the
@@ -275,5 +277,20 @@ func BenchmarkAblationFedProx(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiments.AblationFedProx(o)
 		b.ReportMetric(rows[0].FedProxAcc-rows[0].FedAvgAcc, "prox-gain@minalpha")
+	}
+}
+
+// BenchmarkNewCluster50k is what constructing the benchmark's fleet-50k
+// costs: 50k engines on the simulator (exact frame sizes, fanout 16) and
+// the static wiring of their overlay. At that size a run is mostly this.
+func BenchmarkNewCluster50k(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := totoro.NewCluster(totoro.ClusterConfig{
+			N: 50000, Seed: 1, Ring: ring.Config{B: 4}, Bandwidth: 2 << 20, ExactSizes: true,
+		})
+		if len(c.Engines) != 50000 {
+			b.Fatal("cluster is short of engines")
+		}
 	}
 }

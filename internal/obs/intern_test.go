@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -171,4 +172,139 @@ func TestStandardRegistryFootprint(t *testing.T) {
 		t.Fatalf("a standard registry costs %.0f bytes, want <= 512", per)
 	}
 	runtime.KeepAlive(regs)
+}
+
+func internLookups() int {
+	interned.mu.Lock()
+	defer interned.mu.Unlock()
+	return interned.lookups
+}
+
+// A registry built like a model and asked for the model's instruments in the
+// model's order resolves every one by position: the intern table is not
+// consulted once, for new instruments or for ones asked for again.
+func TestRegisteringInModelOrderLooksNothingUp(t *testing.T) {
+	stack := func(r *Registry) (c1, c2 *Counter, g *Gauge, h *Histogram) {
+		c1 = r.Counter("pos.a")
+		g = r.Gauge("pos.a") // a name is per kind
+		h = r.Histogram("pos.h", HopBuckets)
+		c2 = r.Counter("pos.b")
+		return
+	}
+	model := New(0)
+	stack(model)
+	before := internLookups()
+	var last *Registry
+	for i := 0; i < 3; i++ { // each sized like the one before, as simnet.AddNode does
+		r := NewLike(0, model)
+		c1, c2, g, h := stack(r)
+		c1.Add(1)
+		c2.Add(2)
+		g.Set(3)
+		h.Observe(4)
+		model, last = r, r
+	}
+	if n := internLookups() - before; n != 0 {
+		t.Fatalf("%d intern look-ups while registering in model order, want 0", n)
+	}
+	s := last.Snapshot()
+	if s.Counters["pos.a"] != 1 || s.Counters["pos.b"] != 2 || s.Gauges["pos.a"] != 3 || s.Histograms["pos.h"].Sum != 4 || len(s.Counters) != 2 {
+		t.Fatalf("instruments registered by position hold the wrong values:\n%s", s)
+	}
+}
+
+// Leaving the model's order — another order, a name repeated early, names
+// the model never had, more names than the model — falls back to the name
+// look-up, leaves the model and its other followers untouched, and every
+// name keeps resolving to its own instrument.
+func TestRegisteringOutOfModelOrderStillResolves(t *testing.T) {
+	names := []string{"ord.a", "ord.b", "ord.c", "ord.d"}
+	model := New(0)
+	for i, name := range names {
+		model.Counter(name).Add(int64(100 + i))
+	}
+	orders := map[string][]string{
+		"same":     {"ord.a", "ord.b", "ord.c", "ord.d"},
+		"reversed": {"ord.d", "ord.c", "ord.b", "ord.a"},
+		"repeat":   {"ord.a", "ord.a", "ord.b", "ord.a", "ord.c", "ord.b", "ord.d"},
+		"swap":     {"ord.a", "ord.c", "ord.b", "ord.c", "ord.d"},
+		"extra":    {"ord.a", "ord.x", "ord.b", "ord.c", "ord.d", "ord.y"},
+		"longer":   {"ord.a", "ord.b", "ord.c", "ord.d", "ord.e", "ord.f"},
+		"partial":  {"ord.a", "ord.b"},
+	}
+	regs := make(map[string]*Registry)
+	for label, order := range orders {
+		r := NewLike(0, model)
+		regs[label] = r
+		handles := make(map[string]*Counter)
+		for _, name := range order {
+			c := r.Counter(name)
+			if prev, ok := handles[name]; ok && prev != c {
+				t.Fatalf("%s: %s resolved to two instruments", label, name)
+			}
+			handles[name] = c
+			c.Inc()
+		}
+	}
+	model.Counter("ord.late").Inc() // the model grows after its followers were made
+	checkOwn := func(label string) {
+		t.Helper()
+		want := make(map[string]int64)
+		for _, name := range orders[label] {
+			want[name]++
+		}
+		if got := regs[label].Snapshot().Counters; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: counters %v, want %v", label, got, want)
+		}
+	}
+	for label := range orders {
+		checkOwn(label)
+	}
+	if got := model.Snapshot().Counters; len(got) != 5 || got["ord.a"] != 100 || got["ord.d"] != 103 || got["ord.late"] != 1 {
+		t.Fatalf("followers disturbed the model: %v", got)
+	}
+	// A follower is a model in turn, whether or not it kept to the order.
+	for _, label := range []string{"same", "reversed", "partial"} {
+		r := NewLike(0, regs[label])
+		for _, name := range names {
+			r.Counter(name).Add(7)
+		}
+		if got := r.Snapshot().Counters; len(got) != 4 || got["ord.a"] != 7 || got["ord.d"] != 7 {
+			t.Fatalf("follower of %q: %v", label, got)
+		}
+		checkOwn(label) // and left its model alone
+	}
+}
+
+// Followers read the model's id array while the model, one shared registry
+// used from several goroutines (as under tcpnet), keeps registering: the
+// race detector must stay quiet and every follower complete.
+func TestFollowersRegisterWhileModelGrows(t *testing.T) {
+	model := New(0)
+	for i := 0; i < 8; i++ {
+		model.Counter(fmt.Sprintf("conc.%d", i))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				model.Counter(fmt.Sprintf("conc.%d", (g*200+i)%40)).Inc()
+				r := NewLike(0, model)
+				for k := 0; k < 8; k++ {
+					r.Counter(fmt.Sprintf("conc.%d", k)).Inc()
+				}
+				r.Counter("conc.own").Inc()
+				if got := r.Snapshot().Counters; len(got) != 9 || got["conc.7"] != 1 {
+					t.Errorf("follower holds %v", got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(model.Snapshot().Counters); got != 40 {
+		t.Fatalf("model holds %d counters, want 40", got)
+	}
 }

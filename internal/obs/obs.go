@@ -151,13 +151,14 @@ type instKey struct {
 // interned is the process-wide table of instrument names and histogram
 // layouts: a fleet of identical protocol stacks keeps one copy of each here,
 // and every registry two bytes per instrument. The table only grows and an
-// entry never changes, so a copy of keys taken under the lock stays valid
-// without it.
+// entry never changes, so readers take no lock: keys is republished, longer,
+// after every new name.
 var interned = struct {
 	mu      sync.Mutex
 	ids     map[instKey]uint16
-	keys    []instKey
+	keys    atomic.Pointer[[]instKey]
 	layouts []*layout
+	lookups int // calls of intern, for the tests
 }{ids: make(map[instKey]uint16)}
 
 // intern returns k's id.
@@ -165,23 +166,27 @@ func intern(k instKey) uint16 {
 	t := &interned
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.lookups++
 	id, ok := t.ids[k]
 	if !ok {
-		if len(t.keys) > math.MaxUint16 {
+		keys := internedKeys()
+		if len(keys) > math.MaxUint16 {
 			panic("obs: more than 65536 distinct instrument names")
 		}
-		id = uint16(len(t.keys))
+		id = uint16(len(keys))
 		t.ids[k] = id
-		t.keys = append(t.keys, k)
+		keys = append(keys, k)
+		t.keys.Store(&keys)
 	}
 	return id
 }
 
 // internedKeys returns the key of every id handed out so far.
 func internedKeys() []instKey {
-	interned.mu.Lock()
-	defer interned.mu.Unlock()
-	return interned.keys
+	if keys := interned.keys.Load(); keys != nil {
+		return *keys
+	}
+	return nil
 }
 
 func internLayout(bounds []float64) *layout {
@@ -249,7 +254,14 @@ type Registry struct {
 	// ids are the interned keys of the registry's instruments in the order
 	// they were registered. An instrument's value is the element of its
 	// kind's slab at the instrument's position among those of its kind.
+	//
+	// While follows is set, ids is a prefix of the model's ids in the model's
+	// own array, and cap(ids) is how many the model had: what the model
+	// registered next is ids[:len(ids)+1]'s last element. That array is only
+	// read here; the first name out of the model's order moves ids to an array
+	// of the registry's own.
 	ids      []uint16
+	follows  bool
 	counters slab[Counter]
 	gauges   slab[Gauge]
 	hists    slab[Histogram]
@@ -271,14 +283,16 @@ func New(traceCap int) *Registry {
 
 // NewLike is New for a registry expected to register what model has (a
 // fleet builds the same protocol stack on every node): room for exactly
-// that many instruments of each kind is allocated up front. A nil model
-// means New.
+// that many instruments of each kind is allocated up front, and as long as
+// the registry asks for the model's instruments in the model's order, each
+// is resolved by its position — no look-up of the name. A nil model means
+// New.
 func NewLike(traceCap int, model *Registry) *Registry {
 	r := New(traceCap)
 	if model != nil {
 		model.mu.Lock()
 		defer model.mu.Unlock()
-		r.ids = make([]uint16, 0, len(model.ids))
+		r.ids, r.follows = model.ids[:0:len(model.ids)], true
 		r.counters.reserve(model.counters.len())
 		r.gauges.reserve(model.gauges.len())
 		r.hists.reserve(model.hists.len())
@@ -303,11 +317,22 @@ func (r *Registry) find(k instKey) (ord int, id uint16, ok bool) {
 	return ord, id, false
 }
 
-// slot is find, registering k if the registry has not; fresh reports that.
+// slot is find, registering k if the registry has not; fresh reports that,
+// and ord then counts for nothing (the instrument is the next of its kind).
+// The model's next instrument is recognised without looking its name up.
 // Caller holds r.mu.
 func (r *Registry) slot(k instKey) (ord int, fresh bool) {
+	if n := len(r.ids); r.follows && n < cap(r.ids) {
+		if next := r.ids[:n+1]; internedKeys()[next[n]] == k {
+			r.ids = next // the model has no name twice, so k is new here
+			return 0, true
+		}
+	}
 	ord, id, ok := r.find(k)
 	if !ok {
+		if r.follows {
+			r.ids, r.follows = slices.Clip(r.ids), false
+		}
 		r.ids = append(r.ids, id)
 	}
 	return ord, !ok

@@ -20,8 +20,6 @@
 package ring
 
 import (
-	"sort"
-
 	"totoro/internal/ids"
 	"totoro/internal/transport"
 )
@@ -68,25 +66,3 @@ func (NopApp) Deliver(Delivery) {}
 
 // Forward implements App.
 func (NopApp) Forward(*Delivery, Contact) bool { return true }
-
-// sortByCW sorts contacts by clockwise distance from base.
-func sortByCW(base ids.ID, cs []Contact) {
-	sort.Slice(cs, func(i, j int) bool {
-		return ids.CWDist(base, cs[i].ID).Less(ids.CWDist(base, cs[j].ID))
-	})
-}
-
-// closestContact returns the contact numerically closest to key among cs,
-// or the zero Contact if cs is empty.
-func closestContact(key ids.ID, cs []Contact) Contact {
-	var best Contact
-	for _, c := range cs {
-		if c.IsZero() {
-			continue
-		}
-		if best.IsZero() || ids.Closer(key, c.ID, best.ID) {
-			best = c
-		}
-	}
-	return best
-}

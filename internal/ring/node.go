@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -271,8 +272,14 @@ func (n *Node) nextHop(key ids.ID, exclude transport.Addr) Contact {
 	// Leaf set range check: if the key falls between the extreme leaves,
 	// the numerically closest of {leafset ∪ self} owns it.
 	if n.inLeafRange(key) {
-		cands := append(n.leafsetExcluding(exclude), n.self)
-		best := closestContact(key, cands)
+		best := n.self
+		for _, half := range [2][]Contact{n.leafCW, n.leafCCW} {
+			for _, c := range half {
+				if c.Addr != exclude && ids.Closer(key, c.ID, best.ID) {
+					best = c
+				}
+			}
+		}
 		if best.Addr == n.self.Addr {
 			return Contact{}
 		}
@@ -299,21 +306,6 @@ func (n *Node) nextHop(key ids.ID, exclude transport.Addr) Contact {
 	return best
 }
 
-// leafsetExcluding returns the leaf set minus one address.
-func (n *Node) leafsetExcluding(exclude transport.Addr) []Contact {
-	ls := n.Leafset()
-	if exclude == transport.None {
-		return ls
-	}
-	out := ls[:0]
-	for _, c := range ls {
-		if c.Addr != exclude {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // inLeafRange reports whether key falls inside the span covered by the leaf
 // set. With fewer than LeafSetSize/2 leaves per side the node knows the
 // whole (small) ring and the range is considered to cover everything.
@@ -331,17 +323,9 @@ func (n *Node) inLeafRange(key ids.ID) bool {
 
 // Leafset returns the union of both leaf-set halves (no duplicates).
 func (n *Node) Leafset() []Contact {
-	out := make([]Contact, 0, len(n.leafCW)+len(n.leafCCW))
-	seen := make(map[transport.Addr]bool, len(n.leafCW)+len(n.leafCCW))
-	for _, c := range n.leafCW {
-		if !seen[c.Addr] {
-			seen[c.Addr] = true
-			out = append(out, c)
-		}
-	}
+	out := append(make([]Contact, 0, len(n.leafCW)+len(n.leafCCW)), n.leafCW...)
 	for _, c := range n.leafCCW {
-		if !seen[c.Addr] {
-			seen[c.Addr] = true
+		if !slices.ContainsFunc(n.leafCW, func(e Contact) bool { return e.Addr == c.Addr }) {
 			out = append(out, c)
 		}
 	}
@@ -456,11 +440,16 @@ func (n *Node) rtEntry(row, col int) Contact {
 	return n.rt[row][col]
 }
 
+// growRT extends the table to depth rows; the new ones are nil.
+func (n *Node) growRT(depth int) {
+	if len(n.rt) < depth {
+		n.rt = append(make([][]Contact, 0, depth), n.rt...)[:depth]
+	}
+}
+
 // setRT stores c at (row, col), allocating the row on its first entry.
 func (n *Node) setRT(row, col int, c Contact) {
-	for len(n.rt) <= row {
-		n.rt = append(n.rt, nil)
-	}
+	n.growRT(row + 1)
 	if n.rt[row] == nil {
 		n.rt[row] = make([]Contact, 1<<uint(n.cfg.B))
 	}

@@ -381,3 +381,93 @@ func TestDifferentBasesRouteCorrectly(t *testing.T) {
 		})
 	}
 }
+
+// closestContact and leafsetByMap are the oracles of
+// TestLeafBranchMatchesOracle: the obvious forms — materialise the union,
+// dedup through a map, take the closest — of what nextHop's leaf-range
+// branch and Leafset do by scanning the two halves in place.
+func closestContact(key ids.ID, cs []Contact) Contact {
+	var best Contact
+	for _, c := range cs {
+		if best.IsZero() || ids.Closer(key, c.ID, best.ID) {
+			best = c
+		}
+	}
+	return best
+}
+
+func leafsetByMap(n *Node) []Contact {
+	var out []Contact
+	seen := make(map[transport.Addr]bool)
+	for _, half := range [][]Contact{n.leafCW, n.leafCCW} {
+		for _, c := range half {
+			if !seen[c.Addr] {
+				seen[c.Addr] = true
+				out = append(out, c)
+			}
+		}
+	}
+	return out
+}
+
+// The in-place leaf scan picks the closest of Leafset() minus the excluded
+// address, plus self — on rings smaller than a leaf half (both halves hold
+// everyone), barely larger, and large; and Leafset lists the clockwise half,
+// then what the other half adds.
+func TestLeafBranchMatchesOracle(t *testing.T) {
+	for _, size := range []int{1, 2, 5, 13, 23, 25, 40, 300} {
+		c := newStaticCluster(t, size, Config{}, int64(size))
+		checked := 0
+		for _, n := range c.nodes {
+			ls := leafsetByMap(n)
+			if got := n.Leafset(); fmt.Sprint(got) != fmt.Sprint(ls) {
+				t.Fatalf("size %d: Leafset() = %v, want %v", size, got, ls)
+			}
+			for trial := 0; trial < 40; trial++ {
+				key := ids.Random(c.rng)
+				if trial%4 == 0 && len(ls) > 0 { // just past a leaf: ties and near-ties
+					key = ls[c.rng.Intn(len(ls))].ID.Add(ids.ID{Lo: uint64(c.rng.Intn(3))})
+				}
+				exclude := transport.None
+				if trial%3 == 0 && len(ls) > 0 {
+					exclude = ls[c.rng.Intn(len(ls))].Addr
+				}
+				if !n.inLeafRange(key) || key == n.self.ID {
+					continue
+				}
+				var cands []Contact
+				for _, l := range ls {
+					if l.Addr != exclude {
+						cands = append(cands, l)
+					}
+				}
+				want := closestContact(key, append(cands, n.self))
+				if want.Addr == n.self.Addr {
+					want = Contact{}
+				}
+				if got := n.nextHop(key, exclude); got != want {
+					t.Fatalf("size %d node %s key %s exclude %q: next hop %v, want %v", size, n.self.Addr, key, exclude, got, want)
+				}
+				checked++
+			}
+		}
+		if size > 1 && checked == 0 {
+			t.Fatalf("size %d: no key fell in a leaf range", size)
+		}
+	}
+}
+
+// A route's last hop — the key is inside the leaf range — allocates nothing.
+func TestTerminalHopAllocatesNothing(t *testing.T) {
+	c := newStaticCluster(t, 300, Config{}, 3)
+	n := c.nodes[0]
+	keys := []ids.ID{n.leafCW[3].ID, n.leafCCW[5].ID.Add(ids.ID{Lo: 1}), n.self.ID.Add(ids.ID{Lo: 1})}
+	for _, key := range keys {
+		if !n.inLeafRange(key) {
+			t.Fatalf("key %s is outside the leaf range", key)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { n.nextHop(key, transport.None) }); allocs != 0 {
+			t.Fatalf("nextHop(%s) allocated %.0f times", key, allocs)
+		}
+	}
+}

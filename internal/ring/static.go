@@ -2,109 +2,108 @@ package ring
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"totoro/internal/ids"
 )
+
+// member is one node's place in ring order. The contacts sit side by side
+// so that sampling a bucket reads this array instead of chasing a *Node.
+type member struct {
+	c    Contact
+	node *Node
+}
 
 // BuildStatic wires an entire population of nodes into a consistent overlay
 // without exchanging any messages, in O(N·log N) time.
 //
 // The paper's scalability experiments emulate up to 100k edge nodes (§7.1);
 // joining them one message at a time would dominate experiment runtime
-// while measuring nothing the paper reports. BuildStatic constructs exactly
+// while measuring nothing the paper reports. BuildStatic writes exactly
 // the state the join protocol converges to: full leaf sets from ring order,
 // and locality-aware routing tables populated by recursive digit
-// partitioning. Dynamic joins and repairs remain fully functional on top of
-// a statically built overlay.
+// partitioning — overwriting, so the same wiring twice changes nothing.
+// Dynamic joins and repairs remain fully functional on top of a statically
+// built overlay.
 func BuildStatic(nodes []*Node, rng *rand.Rand) {
-	if len(nodes) == 0 {
+	n := len(nodes)
+	if n == 0 {
 		return
 	}
 	b := nodes[0].cfg.B
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
+	numDigits := ids.NumDigits(b)
+	sorted := make([]member, n)
+	for i, node := range nodes {
+		sorted[i] = member{node.self, node}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return nodes[order[i]].self.ID.Less(nodes[order[j]].self.ID)
-	})
+	slices.SortFunc(sorted, func(x, y member) int { return x.c.ID.Cmp(y.c.ID) })
 
-	// Leaf sets from ring order.
-	n := len(order)
-	for pos, idx := range order {
-		node := nodes[idx]
-		half := node.cfg.LeafSetSize / 2
-		for k := 1; k <= half && k < n; k++ {
-			succ := nodes[order[(pos+k)%n]]
-			pred := nodes[order[(pos-k%n+n)%n]]
-			node.insertLeaf(succ.self)
-			node.insertLeaf(pred.self)
+	// Leaf sets are the next and previous entries of ring order (all the
+	// others, each way round, on a ring smaller than a half). The table gets
+	// its final depth at once: a node's deepest row is the longest prefix it
+	// shares with anyone, and that is with a ring neighbour.
+	for pos, m := range sorted {
+		node, half := m.node, m.node.cfg.LeafSetSize/2
+		node.leafCW, node.leafCCW = slices.Grow(node.leafCW[:0], half), slices.Grow(node.leafCCW[:0], half)
+		for k := 1; k <= min(half, n-1); k++ {
+			node.leafCW = append(node.leafCW, sorted[(pos+k)%n].c)
+			node.leafCCW = append(node.leafCCW, sorted[(pos-k+n)%n].c)
 		}
 		node.joined = true
+		if n > 1 {
+			next, prev := sorted[(pos+1)%n].c.ID, sorted[(pos-1+n)%n].c.ID
+			node.growRT(min(numDigits, 1+max(ids.CommonPrefix(m.c.ID, next, b), ids.CommonPrefix(m.c.ID, prev, b))))
+		}
 	}
 
 	// Routing tables by recursive partition on digits: every member of a
 	// prefix group gets, for each sibling group, one contact sampled from
-	// that sibling (preferring proximity when configured).
-	numDigits := ids.NumDigits(b)
-	var fill func(group []int, row int)
-	fill = func(group []int, row int) {
-		if len(group) <= 1 || row >= numDigits {
+	// that sibling (preferring proximity when configured). A prefix group is
+	// a run of ring order and so are its digit buckets: the group's i-th is
+	// sorted[cut[i]:cut[i+1]], cut being its row's stretch of cuts.
+	width := 1<<uint(b) + 1
+	cuts := make([]int, numDigits*width)
+	var fill func(lo, hi, row int)
+	fill = func(lo, hi, row int) {
+		if hi-lo <= 1 || row >= numDigits {
 			return
 		}
-		buckets := make(map[int][]int)
-		for _, idx := range group {
-			d := nodes[idx].self.ID.Digit(row, b)
-			buckets[d] = append(buckets[d], idx)
-		}
-		if len(buckets) == 1 {
-			// All members share this digit too; descend without fan-out.
-			for _, members := range buckets {
-				fill(members, row+1)
+		cut, k := cuts[row*width:(row+1)*width], 0
+		for i, prev := lo, -1; i < hi; i++ {
+			if d := sorted[i].c.ID.Digit(row, b); d != prev {
+				cut[k], prev = i, d
+				k++
 			}
-			return
 		}
-		digits := make([]int, 0, len(buckets))
-		for d := range buckets {
-			digits = append(digits, d)
-		}
-		sort.Ints(digits)
-		for _, d := range digits {
-			members := buckets[d]
-			for _, m := range members {
-				node := nodes[m]
-				for _, d2 := range digits {
-					if d2 == d {
-						continue
+		cut[k] = hi
+		// One bucket — all members share this digit too — descends at once.
+		for i := 0; i < k; i++ {
+			for _, m := range sorted[cut[i]:cut[i+1]] {
+				for j := 0; j < k; j++ {
+					if j != i {
+						c := pickContact(sorted[cut[j]:cut[j+1]], m.node, rng)
+						m.node.setRT(row, c.ID.Digit(row, b), c)
 					}
-					node.setRT(row, d2, pickContact(nodes, buckets[d2], node, rng))
 				}
 			}
-			fill(members, row+1)
+			fill(cut[i], cut[i+1], row+1)
 		}
 	}
-	fill(order, 0)
+	fill(0, n, 0)
 }
 
 // pickContact samples up to four members of the bucket and returns the one
 // closest to node by its proximity metric (or the first sample when no
 // metric is configured). This mirrors Pastry's locality-aware table
 // construction.
-func pickContact(nodes []*Node, bucket []int, node *Node, rng *rand.Rand) Contact {
-	k := 4
-	if len(bucket) < k {
-		k = len(bucket)
-	}
-	best := Contact{}
-	bestD := 0.0
-	for t := 0; t < k; t++ {
-		c := nodes[bucket[rng.Intn(len(bucket))]].self
+func pickContact(bucket []member, node *Node, rng *rand.Rand) Contact {
+	best, bestD := Contact{}, 0.0
+	for t := min(4, len(bucket)); t > 0; t-- {
+		c := bucket[rng.Intn(len(bucket))].c
 		if node.cfg.Proximity == nil {
 			return c
 		}
-		d := node.cfg.Proximity(node.self.Addr, c.Addr)
-		if best.IsZero() || d < bestD {
+		if d := node.cfg.Proximity(node.self.Addr, c.Addr); best.IsZero() || d < bestD {
 			best, bestD = c, d
 		}
 	}
