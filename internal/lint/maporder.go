@@ -25,7 +25,9 @@ import (
 //     whichever key the runtime happened to yield first.
 //
 // The fix is the sorted-keys idiom: snapshot the keys (or values), sort
-// them, and iterate the slice — see pubsub.childList and obs.sortedKeys.
+// them, and iterate the slice — see obs.sortedKeys — or, where the loop is
+// hot, keep the collection as a sorted slice in the first place, as
+// pubsub's topicState.children does.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "map iteration must not reach sends, telemetry, RNG draws, float accumulation, or tie-broken selections",

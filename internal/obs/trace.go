@@ -34,7 +34,7 @@ const (
 	KindRingHop       = "ring.hop"       // Key=msg ID, To=next hop, Hop=hops so far
 	KindRingDeliver   = "ring.deliver"   // Key=msg ID, Hop=total hops
 	KindPubSubDeliver = "pubsub.deliver" // Key=topic, Hop=tree depth, Note="sub"|"fwd"
-	KindPubSubAgg     = "pubsub.agg"     // Key=topic, Note="flush"|"timeout"
+	KindPubSubAgg     = "pubsub.agg"     // Key=topic, Hop=contribution count, Note="root"
 )
 
 // traceChunk is how many events the ring grows by. Most nodes of a fleet

@@ -1,8 +1,8 @@
 package pubsub
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"time"
 
 	"totoro/internal/ids"
@@ -79,7 +79,7 @@ type aggRound struct {
 	// seen records every (sender, upstream-seq) pair already folded into
 	// (or forwarded for) this round, so a network-duplicated Upstream is
 	// dropped instead of double-counted. One per reporting child (a few more
-	// when stragglers resend), so a scanned slice.
+	// when stragglers resend), so a scanned slice, sized with waiting.
 	seen     []upKey
 	selfDone bool
 	flushed  bool
@@ -101,15 +101,24 @@ type topicState struct {
 	parent     ring.Contact
 	isRoot     bool
 	subscribed bool // participates as worker (receives multicasts)
-	children   map[transport.Addr]ring.Contact
-	childInfo  map[transport.Addr]ring.Contact
-	lastSeen   time.Duration // last keep-alive from parent
-	joining    bool
+	// children is strictly ascending by Addr, so every send or selection that
+	// walks it happens in the same order in every run (send order decides
+	// event order, hence floating-point merge order at aggregation points).
+	// It is copy-on-write: setChild and removeChild install a new array and
+	// never write the old one, so a loop ranging over it may add or remove
+	// children and still visits each child it started with exactly once.
+	children []ring.Contact
+	lastSeen time.Duration // last keep-alive from parent
+	joining  bool
 	// ownerCfg carries the tree owner's per-tree parameter overrides
 	// (fanout cap, aggregation deadline), learned from CreateMsg at the
 	// root and from Welcome everywhere else.
 	ownerCfg TreeConfig
 	rounds   map[int]*aggRound
+	// roundPool is the unused tail of the last chunk newRound carved rounds
+	// from. A chunk is never grown or moved: a *aggRound stays valid across
+	// the re-entrant flush → OnAggregate → SubmitUpdate(round+1) chain.
+	roundPool []aggRound
 	// missCount tracks consecutive timed-out rounds per child without a
 	// report; children missing childMissLimit rounds in a row are dropped.
 	missCount map[transport.Addr]int
@@ -120,14 +129,15 @@ type topicState struct {
 	// Reliable multicast state: the root generation (epoch) the state
 	// belongs to, highest sequence seen, the first sequence this member
 	// ever saw (its baseline — history before it joined is not owed), the
-	// set of delivered sequences (bounded by the cache window), and a
-	// bounded cache of recent multicasts for retransmissions. All of it is
-	// reset when the epoch advances (mcAdvance): a new root restarts Seq
-	// from 1, and the old generation's numbers must not suppress it.
+	// window of delivered sequences (bit i = sequence mcLast-i; what falls
+	// off its far end is forgotten, see mcDelivered), and a bounded cache of
+	// recent multicasts for retransmissions. All of it is reset when the
+	// epoch advances (mcAdvance): a new root restarts Seq from 1, and the
+	// old generation's numbers must not suppress it.
 	mcEpoch   uint64
 	mcLast    uint64
 	mcBase    uint64
-	mcSeen    map[uint64]bool
+	mcWindow  uint64
 	mcCache   []Multicast // ring of mcCacheSize slots indexed by Seq; see cached
 	kaCancel  func()
 	checkStop func()
@@ -149,6 +159,10 @@ type Node struct {
 	cfg      Config
 	handlers Handlers
 	topics   map[ids.ID]*topicState
+	// lastTopic is the state the last state() call returned: a member's
+	// messages mostly concern one tree, and this spares them hashing the
+	// 128-bit key. maybeLeave clears it when it deletes that topic.
+	lastTopic *topicState
 
 	// Cached handles into env.Metrics() — see the "pubsub.*" names below.
 	ctrMulticasts     *obs.Counter
@@ -191,27 +205,30 @@ func (n *Node) Metrics() *obs.Registry { return n.env.Metrics() }
 // SetHandlers installs the application upcalls.
 func (n *Node) SetHandlers(h Handlers) { n.handlers = h }
 
-// childList returns the topic's children sorted by address. Every send or
-// selection that walks the children must use this instead of ranging over
-// the map: Go randomizes map iteration order per run, and iteration order
-// decides message send order (hence event order, hence floating-point merge
-// order at aggregation points). Sorted iteration keeps whole-cluster runs
-// bit-for-bit reproducible.
-func childList(st *topicState) []ring.Contact {
-	out := make([]ring.Contact, 0, len(st.children))
-	for _, c := range st.children {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+// childIndex returns where the child with address a is, or would be
+// inserted, in the sorted children, and whether it is there.
+func (st *topicState) childIndex(a transport.Addr) (int, bool) {
+	return slices.BinarySearchFunc(st.children, a, func(c ring.Contact, a transport.Addr) int {
+		return cmp.Compare(c.Addr, a)
+	})
 }
 
 // setChild records c as a child of the topic.
 func (st *topicState) setChild(c ring.Contact) {
-	if st.children == nil {
-		st.children = make(map[transport.Addr]ring.Contact)
+	i, found := st.childIndex(c.Addr)
+	next := make([]ring.Contact, 0, len(st.children)+1)
+	next = append(append(next, st.children[:i]...), c)
+	if found {
+		i++
 	}
-	st.children[c.Addr] = c
+	st.children = append(next, st.children[i:]...)
+}
+
+// removeChild forgets the child with address a, if there is one.
+func (st *topicState) removeChild(a transport.Addr) {
+	if i, found := st.childIndex(a); found {
+		st.children = slices.Concat(st.children[:i], st.children[i+1:])
+	}
 }
 
 // traceKey returns the topic's trace-event key.
@@ -224,6 +241,9 @@ func (st *topicState) traceKey() string {
 
 // state returns (creating if needed) the per-topic state.
 func (n *Node) state(topic ids.ID) *topicState {
+	if st := n.lastTopic; st != nil && st.topic == topic {
+		return st
+	}
 	st, ok := n.topics[topic]
 	if !ok {
 		st = &topicState{topic: topic}
@@ -232,6 +252,7 @@ func (n *Node) state(topic ids.ID) *topicState {
 		}
 		n.topics[topic] = st
 	}
+	n.lastTopic = st
 	return st
 }
 
@@ -286,6 +307,9 @@ func (n *Node) maybeLeave(st *topicState) {
 	}
 	n.stopTimers(st)
 	delete(n.topics, st.topic)
+	if n.lastTopic == st {
+		n.lastTopic = nil
+	}
 }
 
 // Publish routes obj to the topic root, which multicasts it down the tree
@@ -409,7 +433,7 @@ func (n *Node) Receive(from transport.Addr, msg any) bool {
 		n.handleNack(m)
 	case LeaveMsg:
 		if st, ok := n.topics[m.Topic]; ok {
-			delete(st.children, m.Child.Addr)
+			st.removeChild(m.Child.Addr)
 			n.maybeLeave(st)
 		}
 	default:
@@ -443,7 +467,7 @@ func (n *Node) learnTreeConfig(st *topicState, cfg TreeConfig) {
 		return
 	}
 	n.enforceFanout(st)
-	for _, c := range childList(st) {
+	for _, c := range st.children {
 		n.env.Send(c.Addr, Welcome{Topic: st.topic, Parent: n.ring.Self(), Cfg: st.ownerCfg, Epoch: st.mcEpoch, LastSeq: st.mcLast})
 	}
 }
@@ -459,14 +483,14 @@ func (n *Node) enforceFanout(st *topicState) {
 		// the sibling closest to it.
 		var victim ring.Contact
 		self := n.ring.Self().ID
-		for _, ch := range childList(st) {
+		for _, ch := range st.children {
 			if victim.IsZero() || ids.Closer(self, victim.ID, ch.ID) {
 				victim = ch
 			}
 		}
-		delete(st.children, victim.Addr)
+		st.removeChild(victim.Addr)
 		var target ring.Contact
-		for _, ch := range childList(st) {
+		for _, ch := range st.children {
 			if target.IsZero() || ids.Closer(victim.ID, ch.ID, target.ID) {
 				target = ch
 			}
@@ -486,7 +510,7 @@ func (n *Node) addChild(st *topicState, c ring.Contact) {
 	if c.Addr == n.ring.Self().Addr {
 		return
 	}
-	if _, dup := st.children[c.Addr]; dup {
+	if _, dup := st.childIndex(c.Addr); dup {
 		n.env.Send(c.Addr, Welcome{Topic: st.topic, Parent: n.ring.Self(), Cfg: st.ownerCfg, Epoch: st.mcEpoch, LastSeq: st.mcLast})
 		return
 	}
@@ -494,7 +518,7 @@ func (n *Node) addChild(st *topicState, c ring.Contact) {
 		// Push down: redirect the join to the child whose ID is closest to
 		// the subscriber (keeps locality and balances subtrees).
 		var best ring.Contact
-		for _, ch := range childList(st) {
+		for _, ch := range st.children {
 			if best.IsZero() || ids.Closer(c.ID, ch.ID, best.ID) {
 				best = ch
 			}
@@ -529,7 +553,7 @@ func (n *Node) handleWelcome(m Welcome) {
 	}
 	// Guard against trivial cycles: refuse a parent that is currently our
 	// child and re-join instead.
-	if _, isChild := st.children[m.Parent.Addr]; isChild {
+	if _, isChild := st.childIndex(m.Parent.Addr); isChild {
 		st.joining = true
 		n.ring.Route(st.topic, JoinMsg{Topic: st.topic, Subscriber: n.ring.Self()})
 		return
@@ -587,15 +611,35 @@ func (n *Node) recordDeliver(st *topicState, depth int) {
 }
 
 func (n *Node) forwardMulticast(st *topicState, m Multicast) {
-	for _, c := range childList(st) {
+	if len(st.children) == 0 {
+		return
+	}
+	// Boxed once: every child is sent the same immutable value.
+	m.Depth++
+	var msg any = m
+	for _, c := range st.children {
 		n.ctrMulticasts.Inc()
-		n.env.Send(c.Addr, Multicast{Topic: m.Topic, Epoch: m.Epoch, Seq: m.Seq, Depth: m.Depth + 1, Object: m.Object})
+		n.env.Send(c.Addr, msg)
 	}
 }
 
 // mcCacheSize bounds the retransmission window: parents can serve the last
 // mcCacheSize multicasts to children that missed them.
 const mcCacheSize = 16
+
+// mcWindowBits is how many sequences back from mcLast a member remembers
+// having delivered: the 64 bits of topicState.mcWindow.
+const mcWindowBits = 4 * mcCacheSize
+
+var _ = [1]struct{}{}[mcWindowBits-64] // compiles only at 64: mcWindow is a uint64
+
+// mcDelivered reports whether seq is in the delivery window and marked
+// delivered. A sequence behind the window is forgotten, not delivered: if it
+// re-arrives it is new again, and a catch-up scan asks for it again.
+func (st *topicState) mcDelivered(seq uint64) bool {
+	back := st.mcLast - seq
+	return seq <= st.mcLast && back < mcWindowBits && st.mcWindow>>back&1 != 0
+}
 
 // mcAdvance moves the topic's reliable-multicast state to a newer stream
 // epoch. A higher epoch means a new root generation (failover promotion
@@ -619,7 +663,7 @@ func (n *Node) mcAdvance(st *topicState, epoch uint64) bool {
 	st.mcEpoch = epoch
 	st.seq = 0
 	st.mcLast, st.mcBase = 0, 0
-	st.mcSeen, st.mcCache = nil, nil
+	st.mcWindow, st.mcCache = 0, nil
 	n.dropRounds(st)
 	return true
 }
@@ -633,14 +677,12 @@ func (n *Node) recordMulticast(st *topicState, m Multicast) bool {
 	if !n.mcAdvance(st, m.Epoch) {
 		return false // stale root generation
 	}
-	if st.mcSeen[m.Seq] {
+	if st.mcDelivered(m.Seq) {
 		return false
 	}
-	if st.mcSeen == nil {
-		st.mcSeen = make(map[uint64]bool)
+	if st.mcCache == nil {
 		st.mcCache = make([]Multicast, mcCacheSize)
 	}
-	st.mcSeen[m.Seq] = true
 	if m.Seq > st.mcLast {
 		if st.mcBase == 0 {
 			st.mcBase = m.Seq
@@ -648,7 +690,7 @@ func (n *Node) recordMulticast(st *topicState, m Multicast) bool {
 		if st.mcLast > 0 && !st.parent.IsZero() {
 			var missing []uint64
 			for s := st.mcLast + 1; s < m.Seq && len(missing) < mcCacheSize; s++ {
-				if !st.mcSeen[s] {
+				if !st.mcDelivered(s) {
 					missing = append(missing, s)
 				}
 			}
@@ -656,18 +698,18 @@ func (n *Node) recordMulticast(st *topicState, m Multicast) bool {
 				n.env.Send(st.parent.Addr, McNack{Topic: st.topic, Child: n.ring.Self(), Missing: missing})
 			}
 		}
+		// Slide the window up to the new head (a shift of 64 or more
+		// empties it) and mark the head.
+		st.mcWindow = st.mcWindow<<(m.Seq-st.mcLast) | 1
 		st.mcLast = m.Seq
+	} else if back := st.mcLast - m.Seq; back < mcWindowBits {
+		st.mcWindow |= 1 << back
 	}
 	// Cache it for retransmission unless it is already behind the window.
 	// Two sequences that share a slot are mcCacheSize apart, so the one a
 	// store overwrites has always left the window.
 	if m.Seq+mcCacheSize > st.mcLast {
 		st.mcCache[m.Seq%mcCacheSize] = m
-	}
-	for s := range st.mcSeen {
-		if s+4*mcCacheSize <= st.mcLast {
-			delete(st.mcSeen, s)
-		}
 	}
 	return true
 }
@@ -697,16 +739,29 @@ func (st *topicState) cached(seq uint64) (Multicast, bool) {
 	return mc, mc.Seq == seq
 }
 
+// roundChunk is how many aggRounds a topic allocates at a time.
+const roundChunk = 8
+
+// newRound returns a zero aggRound from the topic's current chunk.
+func (st *topicState) newRound() *aggRound {
+	if len(st.roundPool) == 0 {
+		st.roundPool = make([]aggRound, roundChunk)
+	}
+	r := &st.roundPool[0]
+	st.roundPool = st.roundPool[1:]
+	return r
+}
+
 func (n *Node) round(st *topicState, round int) *aggRound {
 	r, ok := st.rounds[round]
 	if !ok {
-		r = &aggRound{}
-		if len(st.children) > 0 {
-			r.waiting = make([]transport.Addr, 0, len(st.children))
-			for a := range st.children {
-				r.waiting = append(r.waiting, a)
+		r = st.newRound()
+		if k := len(st.children); k > 0 {
+			r.waiting = make([]transport.Addr, k)
+			for i, c := range st.children {
+				r.waiting[i] = c.Addr
 			}
-			slices.Sort(r.waiting)
+			r.seen = make([]upKey, 0, k)
 		}
 		if st.rounds == nil {
 			st.rounds = make(map[int]*aggRound)
@@ -847,7 +902,7 @@ func (n *Node) recordMisses(st *topicState, r *aggRound) {
 		}
 		st.missCount[a]++
 		if st.missCount[a] >= childMissLimit {
-			delete(st.children, a)
+			st.removeChild(a)
 			delete(st.missCount, a)
 		}
 	}
@@ -861,10 +916,8 @@ func (n *Node) ensureKeepAlive(st *topicState) {
 	}
 	var tick func()
 	tick = func() {
-		if len(st.children) > 0 {
-			for _, c := range childList(st) {
-				n.env.Send(c.Addr, KeepAlive{Topic: st.topic, Parent: n.ring.Self(), Epoch: st.mcEpoch, LastSeq: st.mcLast})
-			}
+		for _, c := range st.children {
+			n.env.Send(c.Addr, KeepAlive{Topic: st.topic, Parent: n.ring.Self(), Epoch: st.mcEpoch, LastSeq: st.mcLast})
 		}
 		st.kaCancel = n.env.After(n.cfg.KeepAliveInterval, tick)
 	}
@@ -924,7 +977,7 @@ func (n *Node) handleKeepAlive(m KeepAlive) {
 			from = st.mcBase // history before this member joined is not owed
 		}
 		for s := from; s <= m.LastSeq; s++ {
-			if !st.mcSeen[s] {
+			if !st.mcDelivered(s) {
 				missing = append(missing, s)
 			}
 		}
@@ -1109,7 +1162,7 @@ func (n *Node) TreeInfo(topic ids.ID) (Info, bool) {
 		Parent:     st.parent,
 		Attached:   st.isRoot || !st.parent.IsZero(),
 	}
-	info.Children = childList(st)
+	info.Children = slices.Clone(st.children)
 	return info, true
 }
 

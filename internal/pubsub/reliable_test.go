@@ -3,6 +3,7 @@ package pubsub
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -171,5 +172,218 @@ func TestDuplicateMulticastSuppressed(t *testing.T) {
 	s.ps.Receive("tester", m)
 	if got := f.delivered[s.ring.Self().Addr]; len(got) != 1 {
 		t.Fatalf("delivered %d times", len(got))
+	}
+}
+
+// mapWindow is the delivery bookkeeping as recordMulticast, handleWelcome
+// and handleKeepAlive kept it before the 64-bit window: a set of delivered
+// sequences, pruned end to end on every delivery. It lives on as the oracle
+// the window must agree with — verdict for verdict, NACK for NACK.
+type mapWindow struct {
+	epoch, last, base uint64
+	seen              map[uint64]bool
+	cache             []Multicast
+}
+
+func (o *mapWindow) advance(epoch uint64) bool {
+	if epoch > o.epoch {
+		*o = mapWindow{epoch: epoch}
+	}
+	return epoch >= o.epoch
+}
+
+// record is a member's recordMulticast: whether m is new, and the sequences
+// it asks its parent to resend.
+func (o *mapWindow) record(m Multicast) (fresh bool, nack []uint64) {
+	if !o.advance(m.Epoch) || o.seen[m.Seq] {
+		return false, nil
+	}
+	if o.seen == nil {
+		o.seen = make(map[uint64]bool)
+		o.cache = make([]Multicast, mcCacheSize)
+	}
+	o.seen[m.Seq] = true
+	if m.Seq > o.last {
+		if o.base == 0 {
+			o.base = m.Seq
+		}
+		if o.last > 0 {
+			for s := o.last + 1; s < m.Seq && len(nack) < mcCacheSize; s++ {
+				if !o.seen[s] {
+					nack = append(nack, s)
+				}
+			}
+		}
+		o.last = m.Seq
+	}
+	if m.Seq+mcCacheSize > o.last {
+		o.cache[m.Seq%mcCacheSize] = m
+	}
+	for s := range o.seen {
+		if s+4*mcCacheSize <= o.last {
+			delete(o.seen, s)
+		}
+	}
+	return true, nack
+}
+
+func (o *mapWindow) welcome(epoch, lastSeq uint64) {
+	if epoch > o.epoch {
+		o.advance(epoch)
+		o.base = lastSeq + 1
+	}
+	if o.base == 0 {
+		o.base = lastSeq + 1
+	}
+}
+
+// keepAlive is the catch-up scan of handleKeepAlive.
+func (o *mapWindow) keepAlive(epoch, lastSeq uint64) (nack []uint64) {
+	switch {
+	case lastSeq == 0 || epoch < o.epoch:
+		return nil
+	case epoch > o.epoch || o.last == 0 && o.base > lastSeq:
+		return []uint64{lastSeq}
+	}
+	from := uint64(1)
+	if lastSeq > mcCacheSize {
+		from = lastSeq - mcCacheSize + 1
+	}
+	for s := max(from, o.base); s <= lastSeq; s++ {
+		if !o.seen[s] {
+			nack = append(nack, s)
+		}
+	}
+	return nack
+}
+
+func (o *mapWindow) cached(seq uint64) (Multicast, bool) {
+	if o.cache == nil || seq == 0 || seq+mcCacheSize <= o.last {
+		return Multicast{}, false
+	}
+	mc := o.cache[seq%mcCacheSize]
+	return mc, mc.Seq == seq
+}
+
+// TestDeliveryWindowMatchesTheMap feeds one member seeded random streams —
+// in order, across gaps narrower and wider than the window, duplicates
+// inside it, re-arrivals from behind it, new and stale epochs, and welcomes
+// and keep-alives that name sequences it has not reached — and holds the
+// window to the map's answers after every message: the same new/duplicate
+// verdict, the same McNack, the same stream state, and the same delivered
+// and cached reading for every sequence around the head.
+func TestDeliveryWindowMatchesTheMap(t *testing.T) {
+	const streams, steps = 10_000, 40
+	n, env := newSolo(Config{}, true)
+	delivered := 0
+	n.SetHandlers(Handlers{OnDeliver: func(ids.ID, any, int, bool) { delivered++ }})
+	parent := contact(1)
+	var inOrder, narrowGap, wideGap, dupes, holesFilled, fromBehind, epochs, stale, caughtUp int
+	for stream := 0; stream < streams; stream++ {
+		rng := rand.New(rand.NewSource(int64(stream)))
+		topic := ids.ID{Hi: 0x77696e646f77, Lo: uint64(stream)}
+		o := &mapWindow{}
+		for step := 0; step < steps; step++ {
+			var (
+				msg  any // what the member receives this step
+				want []uint64
+			)
+			env.take()
+			before := delivered
+			fresh := false
+			switch r := rng.Intn(100); {
+			case step == 0 || r < 8:
+				epoch, lastSeq := o.epoch+uint64(rng.Intn(3)/2), uint64(rng.Intn(300))
+				o.welcome(epoch, lastSeq)
+				msg = Welcome{Topic: topic, Parent: parent, Epoch: epoch, LastSeq: lastSeq}
+			case r < 20:
+				epoch := o.epoch
+				switch rng.Intn(10) {
+				case 0:
+					epoch++
+				case 1:
+					epoch = max(epoch, 1) - 1
+				}
+				lastSeq := []uint64{0, o.last, o.last - min(o.last, uint64(rng.Intn(80))), o.last + 1 + uint64(rng.Intn(40))}[rng.Intn(4)]
+				want = o.keepAlive(epoch, lastSeq)
+				if epoch == o.epoch && lastSeq > o.last && len(want) > 0 {
+					caughtUp++
+				}
+				msg = KeepAlive{Topic: topic, Parent: parent, Epoch: epoch, LastSeq: lastSeq}
+			default:
+				mc := Multicast{Topic: topic, Epoch: o.epoch, Depth: 1}
+				switch {
+				case r < 50:
+					mc.Seq = o.last + 1
+					inOrder++
+				case r < 62:
+					mc.Seq = o.last + 2 + uint64(rng.Intn(mcWindowBits-2))
+					narrowGap++
+				case r < 67:
+					mc.Seq = o.last + mcWindowBits + uint64(rng.Intn(200))
+					wideGap++
+				case r < 82: // inside the window: a duplicate, or a hole being filled
+					mc.Seq = o.last - min(o.last, uint64(rng.Intn(mcWindowBits)))
+					if o.seen[mc.Seq] {
+						dupes++
+					} else {
+						holesFilled++
+					}
+				case r < 90: // behind the window: forgotten, so new again
+					mc.Seq = o.last - min(o.last, mcWindowBits+uint64(rng.Intn(100)))
+					if mc.Seq+mcWindowBits <= o.last {
+						fromBehind++
+					}
+				case r < 95:
+					mc.Epoch, mc.Seq = o.epoch+1, 1+uint64(rng.Intn(5))
+					epochs++
+				default:
+					mc.Epoch, mc.Seq = max(o.epoch, 1)-1, o.last+1
+					if mc.Epoch < o.epoch {
+						stale++
+					}
+				}
+				mc.Object = [2]uint64{mc.Epoch, mc.Seq}
+				fresh, want = o.record(mc)
+				msg = mc
+			}
+			n.Receive(parent.Addr, msg)
+			at := func() string { return fmt.Sprintf("stream %d step %d: %+v", stream, step, msg) }
+			if got := delivered - before; got > 1 || (got == 1) != fresh {
+				t.Fatalf("%s: delivered %d times, the map says new=%v", at(), got, fresh)
+			}
+			var got []uint64
+			for _, s := range env.take() {
+				nack, ok := s.msg.(McNack)
+				if !ok || s.to != parent.Addr || got != nil || len(nack.Missing) == 0 {
+					t.Fatalf("%s: sent %+v to %s", at(), s.msg, s.to)
+				}
+				got = nack.Missing
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: McNack.Missing = %v, the map asks for %v", at(), got, want)
+			}
+			st := n.state(topic)
+			if st.mcEpoch != o.epoch || st.mcLast != o.last || st.mcBase != o.base {
+				t.Fatalf("%s: epoch/last/base = %d/%d/%d, the map has %d/%d/%d", at(), st.mcEpoch, st.mcLast, st.mcBase, o.epoch, o.last, o.base)
+			}
+			for s := o.last - min(o.last, mcWindowBits+8); s <= o.last+2; s++ {
+				if st.mcDelivered(s) != o.seen[s] {
+					t.Fatalf("%s: delivered(%d) = %v, the map says %v (head %d)", at(), s, st.mcDelivered(s), o.seen[s], o.last)
+				}
+				gotMC, gotOK := st.cached(s)
+				wantMC, wantOK := o.cached(s)
+				if gotOK != wantOK || gotMC != wantMC {
+					t.Fatalf("%s: cached(%d) = %+v, %v; the map's cache has %+v, %v", at(), s, gotMC, gotOK, wantMC, wantOK)
+				}
+			}
+		}
+	}
+	t.Logf("%d in order, %d across a gap < %d, %d across a wider one, %d duplicates, %d holes filled, %d from behind the window, %d new epochs, %d stale, %d keep-alive catch-ups",
+		inOrder, narrowGap, mcWindowBits, wideGap, dupes, holesFilled, fromBehind, epochs, stale, caughtUp)
+	for _, c := range []int{inOrder, narrowGap, wideGap, dupes, holesFilled, fromBehind, epochs, stale, caughtUp} {
+		if c < streams/10 {
+			t.Fatal("a kind of arrival the test is about hardly happened; see the counts above")
+		}
 	}
 }
