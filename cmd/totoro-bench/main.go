@@ -177,42 +177,11 @@ func run(id string, o experiments.Options) bool {
 			fmt.Printf("alpha %5.2f  fedavg %.3f  fedprox %.3f\n", r.Alpha, r.FedAvgAcc, r.FedProxAcc)
 		}
 	case "wire":
-		fmt.Println("=== Wire format v2: codec vs gob (microbench, live TCP traffic, accuracy cost) ===")
-		rep := experiments.WireReport{
-			Bench:       experiments.WireMicrobench(o),
-			Compression: experiments.WireCompressionAccuracy(o),
-		}
-		traffic, err := experiments.WireTrafficTCP(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wire traffic run failed: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Traffic = traffic
-		fmt.Printf("%-18s %-10s %12s %10s %10s %8s\n", "op", "wire", "ns/op", "MB/s", "B/op", "allocs")
-		for _, r := range rep.Bench {
-			fmt.Printf("%-18s %-10s %12.1f %10.1f %10d %8d\n",
-				r.Op, r.Wire, r.NsPerOp, r.MBPerSec, r.BytesPerOp, r.AllocsPerOp)
-		}
-		fmt.Println("\nlive tcpnet traffic (identical message mix, net.* counter window):")
-		for _, r := range rep.Traffic {
-			fmt.Printf("  %-4s msgs=%4d bytes=%9d  bytes/msg=%9.1f  decode_errors=%d\n",
-				r.Wire, r.Msgs, r.Bytes, r.BytesPerMsg, r.DecodeErrors)
-		}
-		fmt.Println("\ncompression accuracy cost (same workload, same seeds):")
-		for _, r := range rep.Compression {
+		fmt.Println("=== Wire format v2: accuracy cost of the compressed update encodings (same workload, same seeds) ===")
+		for _, r := range experiments.WireCompressionAccuracy(o) {
 			fmt.Printf("  %-10s final-acc=%.3f  update=%6dB of %6dB dense  saving=%5.1f%%\n",
 				r.Compressor, r.FinalAcc, r.UpdateBytes, r.DenseBytes, 100*r.Saving)
 		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "marshal wire report: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile("BENCH_wire.json", append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write BENCH_wire.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("\nwrote BENCH_wire.json")
 	case "wal":
 		fmt.Println("=== Durable store: WAL append cost and cold-recovery time ===")
 		rep := experiments.WALReport{Append: experiments.WALAppendBench(o)}

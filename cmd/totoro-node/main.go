@@ -30,7 +30,6 @@ import (
 	"totoro/internal/store"
 	"totoro/internal/transport"
 	"totoro/internal/transport/tcpnet"
-	"totoro/internal/wire"
 )
 
 func main() {
@@ -41,7 +40,6 @@ func main() {
 		publish   = flag.String("publish", "", "optional message to broadcast after joining")
 		agg       = flag.Int("aggregate", 0, "optional value to contribute to aggregation round 1")
 		metrics   = flag.String("metrics", "", "HTTP address serving /metrics, /metrics/text, /metrics/prom, /metrics/trace (empty = off)")
-		gobWire   = flag.Bool("gob-wire", false, "send with the legacy gob wire format instead of wire v2 (reads auto-detect either, so mixed fleets interoperate)")
 		dataDir   = flag.String("data-dir", "", "directory for the durable store (WAL + snapshots); the node recovers its identity and roles from it on boot (empty = in-memory only)")
 		walSync   = flag.Bool("wal-sync", false, "fsync the WAL on every append (durable against power loss, at per-record flush latency)")
 		walGroup  = flag.Bool("wal-group-commit", false, "batch concurrent synchronous WAL appends into shared fsyncs (group commit; only meaningful with -wal-sync)")
@@ -49,8 +47,6 @@ func main() {
 	flag.Parse()
 
 	totoro.RegisterWire()
-	wire.RegisterPayload("")
-	wire.RegisterPayload(0)
 
 	var idBytes [16]byte
 	if _, err := rand.Read(idBytes[:]); err != nil {
@@ -73,7 +69,7 @@ func main() {
 	}
 
 	var engine *totoro.Engine
-	node, err := tcpnet.ListenConfig(*listen, tcpnet.Config{GobWire: *gobWire}, func(e transport.Env) transport.Handler {
+	node, err := tcpnet.Listen(*listen, func(e transport.Env) transport.Handler {
 		engine = totoro.NewEngine(e, ring.Contact{ID: nodeID, Addr: e.Self()},
 			totoro.Options{Ring: ring.Config{B: 4}, Store: st})
 		engine.SetCallbacks(totoro.Callbacks{

@@ -1,278 +1,16 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"math/rand"
-	"sync/atomic"
-	"testing"
-	"time"
 
 	"totoro/internal/fl"
-	"totoro/internal/ids"
 	"totoro/internal/ml"
-	"totoro/internal/pubsub"
-	"totoro/internal/ring"
-	"totoro/internal/transport"
-	"totoro/internal/transport/tcpnet"
-	"totoro/internal/wire"
-	"totoro/internal/wire/codec"
 )
 
-// This file measures wire format v2 (internal/wire/codec) against the gob
-// baseline it demoted: encode/decode microbenchmarks on the dominant frame
-// shapes, live before/after traffic over real tcpnet sockets, and the
-// accuracy cost of the lossy compressed encodings. cmd/totoro-bench -exp
-// wire prints the rows and emits them as BENCH_wire.json.
-
-// WireBenchRow is one microbenchmark measurement.
-type WireBenchRow struct {
-	Op          string  // e.g. "encode-update10k"
-	Wire        string  // "gob" or "v2" (or a compressed v2 variant)
-	NsPerOp     float64 //
-	MBPerSec    float64 // payload throughput (0 when not byte-metered)
-	BytesPerOp  int64   // heap bytes allocated per op
-	AllocsPerOp int64
-}
-
-// wireControlMsg is the small control frame that dominates maintenance
-// traffic: a routed envelope carrying a tree-join.
-func wireControlMsg() any {
-	return ring.Envelope{
-		Key:    ids.ID{Hi: 1, Lo: 2},
-		Source: ring.Contact{ID: ids.ID{Hi: 3, Lo: 4}, Addr: "10.0.0.1:9000"},
-		Hops:   3, Seq: 1234,
-		Payload: pubsub.JoinMsg{Topic: ids.ID{Hi: 5, Lo: 6},
-			Subscriber: ring.Contact{ID: ids.ID{Hi: 7, Lo: 8}, Addr: "10.0.0.2:9000"}},
-	}
-}
-
-// wireUpdateMsg is the dense model-update frame that dominates training
-// traffic: an Upstream carrying n float64 parameters.
-func wireUpdateMsg(n int) (any, []float64) {
-	params := make([]float64, n)
-	for i := range params {
-		params[i] = float64(i%97) * 0.013
-	}
-	return pubsub.Upstream{
-		Topic: ids.ID{Hi: 9, Lo: 10}, Round: 42,
-		From:  ring.Contact{ID: ids.ID{Hi: 11, Lo: 12}, Addr: "10.0.0.3:9000"},
-		Count: 17, Object: params,
-	}, params
-}
-
-// gobFrame mirrors tcpnet's legacy gob frame (sender address + payload).
-type gobFrame struct {
-	From string
-	Msg  any
-}
-
-const wireBenchAddr = "10.0.0.9:9000"
-
-func benchRow(op, wireName string, r testing.BenchmarkResult) WireBenchRow {
-	row := WireBenchRow{
-		Op: op, Wire: wireName,
-		NsPerOp:     float64(r.NsPerOp()),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-	}
-	if r.Bytes > 0 && r.T > 0 {
-		row.MBPerSec = float64(r.Bytes) * float64(r.N) / 1e6 / r.T.Seconds()
-	}
-	return row
-}
-
-// WireMicrobench runs the gob-vs-codec encode/decode benchmarks
-// programmatically and returns their rows. The gob side uses persistent
-// encoder/decoder streams (type descriptors shipped once), exactly like
-// the legacy tcpnet wire loop.
-func WireMicrobench(o Options) []WireBenchRow {
-	wire.Register()
-	control := wireControlMsg()
-	update, params := wireUpdateMsg(10000)
-
-	codecEncode := func(msg any) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			var n int64
-			for i := 0; i < b.N; i++ {
-				e := codec.NewEnc()
-				if err := codec.EncodeFrame(e, wireBenchAddr, msg); err != nil {
-					b.Fatal(err)
-				}
-				n += int64(e.Len())
-				e.Free()
-			}
-			b.SetBytes(n / int64(b.N))
-		}
-	}
-	codecDecode := func(msg any) func(b *testing.B) {
-		return func(b *testing.B) {
-			e := codec.NewEnc()
-			defer e.Free()
-			if err := codec.EncodeFrame(e, wireBenchAddr, msg); err != nil {
-				b.Fatal(err)
-			}
-			buf := append([]byte(nil), e.Bytes()...)
-			b.SetBytes(int64(len(buf)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := codec.DecodeFrame(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	gobEncode := func(msg any) func(b *testing.B) {
-		return func(b *testing.B) {
-			var bb bytes.Buffer
-			enc := gob.NewEncoder(&bb)
-			if err := enc.Encode(gobFrame{From: wireBenchAddr, Msg: msg}); err != nil {
-				b.Fatal(err)
-			}
-			prime := bb.Len()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bb.Truncate(prime)
-				if err := enc.Encode(gobFrame{From: wireBenchAddr, Msg: msg}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(bb.Len() - prime))
-		}
-	}
-	gobDecode := func(msg any) func(b *testing.B) {
-		return func(b *testing.B) {
-			var bb bytes.Buffer
-			enc := gob.NewEncoder(&bb)
-			dec := gob.NewDecoder(&bb)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if err := enc.Encode(gobFrame{From: wireBenchAddr, Msg: msg}); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				var m gobFrame
-				if err := dec.Decode(&m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-
-	return []WireBenchRow{
-		benchRow("encode-control", "gob", testing.Benchmark(gobEncode(control))),
-		benchRow("encode-control", "v2", testing.Benchmark(codecEncode(control))),
-		benchRow("decode-control", "gob", testing.Benchmark(gobDecode(control))),
-		benchRow("decode-control", "v2", testing.Benchmark(codecDecode(control))),
-		benchRow("encode-update10k", "gob", testing.Benchmark(gobEncode(update))),
-		benchRow("encode-update10k", "v2", testing.Benchmark(codecEncode(update))),
-		benchRow("decode-update10k", "gob", testing.Benchmark(gobDecode(update))),
-		benchRow("decode-update10k", "v2", testing.Benchmark(codecDecode(update))),
-		benchRow("encode-update10k", "v2-f32", testing.Benchmark(codecEncode(codec.PackF32(params)))),
-		benchRow("encode-update10k", "v2-qdelta", testing.Benchmark(codecEncode(codec.PackQDelta(params)))),
-	}
-}
-
-// WireTrafficRow is one live-socket measurement: the same message mix
-// shipped over real tcpnet connections under one wire format, metered by
-// the transport's own net.* counters (a Snapshot.Delta window, the same
-// instrument Fig 7 uses).
-type WireTrafficRow struct {
-	Wire         string // "gob" or "v2"
-	Msgs         int64  // net.msgs_out in the window
-	Bytes        int64  // net.bytes_out in the window
-	BytesPerMsg  float64
-	DecodeErrors int64
-}
-
-type wireSink struct{ seen atomic.Int64 }
-
-func (s *wireSink) Receive(from transport.Addr, msg any) { s.seen.Add(1) }
-
-// WireTrafficTCP sends an identical mix of control and 10k-float update
-// frames between two live TCP nodes under the legacy gob wire and under
-// wire v2, and reports each format's measured socket traffic. This is the
-// before/after view of the codec change on real connections; the counter
-// window is taken with Snapshot.Delta rather than by resetting counters.
-func WireTrafficTCP(o Options) ([]WireTrafficRow, error) {
-	wire.Register()
-	updates, controls := 50, 200
-	if o.Short {
-		updates, controls = 10, 40
-	}
-	var out []WireTrafficRow
-	for _, gobWire := range []bool{true, false} {
-		row, err := wireTrafficRun(gobWire, updates, controls)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-func wireTrafficRun(gobWire bool, updates, controls int) (WireTrafficRow, error) {
-	name := "v2"
-	if gobWire {
-		name = "gob"
-	}
-	cfg := tcpnet.Config{GobWire: gobWire}
-	var senderEnv transport.Env
-	sender, err := tcpnet.ListenConfig("127.0.0.1:0", cfg, func(e transport.Env) transport.Handler {
-		senderEnv = e
-		return &wireSink{}
-	})
-	if err != nil {
-		return WireTrafficRow{}, err
-	}
-	defer sender.Close()
-	sink := &wireSink{}
-	receiver, err := tcpnet.ListenConfig("127.0.0.1:0", cfg, func(e transport.Env) transport.Handler {
-		return sink
-	})
-	if err != nil {
-		return WireTrafficRow{}, err
-	}
-	defer receiver.Close()
-
-	update, _ := wireUpdateMsg(10000)
-	control := wireControlMsg()
-	to := receiver.Addr()
-	before := sender.Metrics().Snapshot()
-	sender.Do(func() {
-		for i := 0; i < updates; i++ {
-			senderEnv.Send(to, update)
-		}
-		for i := 0; i < controls; i++ {
-			senderEnv.Send(to, control)
-		}
-	})
-	want := int64(updates + controls)
-	deadline := time.Now().Add(30 * time.Second)
-	for sink.seen.Load() < want {
-		if time.Now().After(deadline) {
-			return WireTrafficRow{}, fmt.Errorf("%s wire: %d/%d messages delivered", name, sink.seen.Load(), want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	win := sender.Metrics().Snapshot().Delta(before)
-	row := WireTrafficRow{
-		Wire:         name,
-		Msgs:         win.Counters[transport.CtrMsgsOut],
-		Bytes:        win.Counters[transport.CtrBytesOut],
-		DecodeErrors: receiver.DecodeErrors() + sender.DecodeErrors(),
-	}
-	if row.Msgs > 0 {
-		row.BytesPerMsg = float64(row.Bytes) / float64(row.Msgs)
-	}
-	return row, nil
-}
+// This file measures the accuracy cost of the lossy compressed update
+// encodings; cmd/totoro-bench -exp wire prints the rows. What the codec
+// itself costs — encode, decode and sizing times, allocations, live tcpnet
+// round trips — is measured by the probes in bench/.
 
 // WireCompressionRow is the accuracy cost of one update encoding after a
 // fixed training budget, next to its per-update wire size.
@@ -326,11 +64,4 @@ func WireCompressionAccuracy(o Options) []WireCompressionRow {
 		})
 	}
 	return out
-}
-
-// WireReport bundles every wire-v2 measurement for BENCH_wire.json.
-type WireReport struct {
-	Bench       []WireBenchRow
-	Traffic     []WireTrafficRow
-	Compression []WireCompressionRow
 }

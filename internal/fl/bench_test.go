@@ -25,21 +25,6 @@ func BenchmarkLocalTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalTrainLegacy is the pre-workspace entry point (fresh
-// buffers every call) kept for before/after comparison.
-func BenchmarkLocalTrainLegacy(b *testing.B) {
-	rng := rand.New(rand.NewSource(44))
-	proto := ml.NewMLP([]int{64, 48, 62}, rng)
-	global := proto.Params()
-	data := ml.FEMNISTLike(50, rng)
-	cfg := ClientConfig{LocalEpochs: 1, BatchSize: 20, LR: 0.1, Momentum: 0.5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LocalTrain(proto, global, data, cfg, rng)
-	}
-}
-
 // BenchmarkAccumMerge measures folding one client update into a running
 // partial aggregate with the in-place hot path every interior tree node
 // runs per child.
@@ -56,23 +41,5 @@ func BenchmarkAccumMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agg.Add(leaf)
-	}
-}
-
-// BenchmarkAccumMergeLegacy is the pure (allocating) merge kept for
-// before/after comparison.
-func BenchmarkAccumMergeLegacy(b *testing.B) {
-	rng := rand.New(rand.NewSource(45))
-	dim := 64*48 + 48 + 48*62 + 62
-	delta := make([]float64, dim)
-	for i := range delta {
-		delta[i] = rng.NormFloat64()
-	}
-	agg := NewAccum(Update{Delta: delta, Samples: 50})
-	leaf := NewAccum(Update{Delta: delta, Samples: 50})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg = Merge(agg, leaf)
 	}
 }

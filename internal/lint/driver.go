@@ -24,10 +24,8 @@ var (
 		"internal/multiring": true,
 		"internal/relay":     true,
 		"internal/fl":        true,
-		// The wire layer: registration hub and the v2 codec. Both sides of
-		// every registered type's contract (gob losslessness, codec
-		// fallback parity) are checked where the type or codec lives.
-		"internal/wire":       true,
+		// The wire layer: a registered type's contract (structurally
+		// encodable, has a codec) is checked where the type lives.
 		"internal/wire/codec": true,
 	}
 	// deterministicDirs additionally covers the simulator core and the
@@ -50,7 +48,7 @@ var (
 
 // analyzersFor returns the suite subset that applies to the package at
 // module-relative dir rel. Packages outside every set still get loaded
-// (their gob registrations feed the wire pre-pass and their declarations
+// (their codec registrations feed the wire pre-pass and their declarations
 // feed the call graph) but are not analyzed.
 func analyzersFor(rel string) []*Analyzer {
 	var out []*Analyzer
@@ -83,9 +81,9 @@ func RunRepo(modRoot string, patterns []string) ([]Diagnostic, error) {
 		return nil, err
 	}
 	// Wire pre-pass over the WHOLE module, not just the selected patterns:
-	// registrations live in internal/wire and the engine root, and they
-	// vouch for types sent from any package — a single-package run must
-	// see the same registration set as a full run or wiresafe would
+	// registrations live in internal/wire/codec and the engine root, and
+	// they vouch for types sent from any package — a single-package run
+	// must see the same registration set as a full run or wiresafe would
 	// report phantom unregistered payloads.
 	allDirs, err := resolvePatterns(loader.ModRoot, []string{"./..."})
 	if err != nil {

@@ -1,10 +1,13 @@
 // Package wiresafe is the expectation corpus for the wiresafe analyzer:
-// gob-hostile fields in registered wire types and unregistered Env.Send
-// payloads must be flagged; lossless registered types must not.
+// unencodable fields in codec-registered wire types, and Env.Send payloads
+// and store records without a codec, must be flagged; encodable registered
+// types must not.
+//
+// (This corpus is loaded and type-checked by the analyzer harness, never
+// executed, so the nil enc/dec funcs below are fine.)
 package wiresafe
 
 import (
-	"encoding/gob"
 	"time"
 
 	"totoro/internal/store"
@@ -12,7 +15,7 @@ import (
 	"totoro/internal/wire/codec"
 )
 
-// Clean round-trips losslessly: exported fields of gob-friendly types.
+// Clean round-trips losslessly: exported fields of encodable types.
 type Clean struct {
 	ID   string
 	Vals []float64
@@ -31,10 +34,10 @@ type BadChan struct {
 
 type Dropped struct {
 	Name  string
-	count int // want "wire field Dropped.count is unexported; gob drops it silently"
+	count int // want "wire field Dropped.count is unexported; a codec carries exported fields only"
 }
 
-type Opaque struct { // want "wire type Opaque has no exported fields; gob refuses to encode it"
+type Opaque struct { // want "wire type Opaque has no exported fields; a codec carries exported fields only"
 	a, b int
 }
 
@@ -56,69 +59,38 @@ type Inner struct {
 }
 
 // Stamped is clean even though time.Time has unexported fields: it
-// provides its own gob encoding, so field-level analysis does not apply.
+// marshals itself, so field-level analysis does not apply.
 type Stamped struct {
 	ID string
 	At time.Time
 }
 
-// AnyPayload is clean: an empty interface field is gob's intended opaque
-// payload slot (the concrete values carry their own registrations).
+// AnyPayload is clean: an empty interface field is the codec's opaque
+// payload slot (Enc.Value; the concrete values carry their own codecs).
 type AnyPayload struct {
 	Kind string
 	Body any
 }
 
 func init() {
-	gob.Register(Clean{})
-	gob.Register(BadFunc{})
-	gob.Register(BadChan{})
-	gob.Register(Dropped{})
-	gob.Register(Opaque{})
-	gob.Register(BadIface{})
-	gob.Register(Outer{})
-	gob.Register(Stamped{})
-	gob.Register(AnyPayload{})
-}
-
-// --- codec-v2 registrations ---
-// (This corpus is loaded and type-checked by the analyzer harness, never
-// executed, so the nil enc/dec funcs below are fine.)
-
-// CodecClean holds both halves of the v2 contract: a hand-rolled codec
-// and the gob registration that backs the fallback path.
-type CodecClean struct {
-	N int
-	V []float64
-}
-
-// CodecNoFallback has a v2 codec but no gob registration, so the tagged
-// fallback and legacy GobWire peers cannot carry it.
-type CodecNoFallback struct { // want "CodecNoFallback has a codec-v2 encoder but no gob registration"
-	N int
-}
-
-// CodecBad is codec- and gob-registered but structurally uncodecable.
-type CodecBad struct {
-	Name string
-	Fn   func() // want "wire field CodecBad.Fn has func type"
-}
-
-func init() {
-	codec.RegisterCodec(64, CodecClean{}, nil, nil)
-	codec.RegisterCodec(65, CodecNoFallback{}, nil, nil)
-	codec.RegisterCodec(66, CodecBad{}, nil, nil)
+	codec.RegisterCodec(64, Clean{}, nil, nil)
+	codec.RegisterCodec(65, BadFunc{}, nil, nil)
+	codec.RegisterCodec(66, BadChan{}, nil, nil)
+	codec.RegisterCodec(67, Dropped{}, nil, nil)
+	codec.RegisterCodec(68, Opaque{}, nil, nil)
+	codec.RegisterCodec(69, BadIface{}, nil, nil)
+	codec.RegisterCodec(70, Outer{}, nil, nil)
+	codec.RegisterCodec(71, Stamped{}, nil, nil)
+	codec.RegisterCodec(72, AnyPayload{}, nil, nil)
 	// Unnamed codec types (primitives, slices) have no declaration to
 	// anchor findings to; the dynamic certification covers them.
-	codec.RegisterCodec(67, []int32(nil), nil, nil)
-	gob.Register(CodecClean{})
-	gob.Register(CodecBad{})
+	codec.RegisterCodec(73, []int32(nil), nil, nil)
 }
 
 // --- durable-store record registrations ---
 
-// RecClean is a certified WAL record: codec encoder, gob fallback, and
-// a registration with the store.
+// RecClean is a certified WAL record: a codec and a registration with the
+// store.
 type RecClean struct {
 	LSN  uint64
 	Name string
@@ -138,22 +110,23 @@ type RecBad struct { // want "RecBad is registered as a durable-store record but
 }
 
 func init() {
-	codec.RegisterCodec(68, RecClean{}, nil, nil)
-	gob.Register(RecClean{})
+	codec.RegisterCodec(74, RecClean{}, nil, nil)
 	store.RegisterRecords(RecClean{}, RecNoCodec{}, RecBad{})
 }
 
-// Unregistered compiles and moves fine under simnet, but tcpnet's gob
-// decoder has never heard of it.
-type Unregistered struct{ ID string }
+// --- Env.Send payloads ---
+
+// NoCodec compiles and moves fine under simnet, but tcpnet has no encoder
+// for it and drops the frame.
+type NoCodec struct{ ID string }
 
 func send(env transport.Env, to transport.Addr) {
 	env.Send(to, Clean{ID: "ok"})
-	env.Send(to, &Clean{ID: "ptr-ok"})     // gob flattens pointers; value registration vouches
-	env.Send(to, Unregistered{ID: "nope"}) // want "Unregistered is sent over the wire but never gob-registered"
+	env.Send(to, &Clean{ID: "ptr"})   // want "^\\*totoro/.*/wiresafe.Clean is sent over the wire but has no codec-v2 registration"
+	env.Send(to, NoCodec{ID: "nope"}) // want "wiresafe.NoCodec is sent over the wire but has no codec-v2 registration"
 }
 
 func suppressedSend(env transport.Env, to transport.Addr) {
-	//lint:ignore wiresafe corpus exemption: payload registered by the embedding app at startup
-	env.Send(to, Unregistered{ID: "later"})
+	//lint:ignore wiresafe corpus exemption: the embedding app registers the payload's codec at startup
+	env.Send(to, NoCodec{ID: "later"})
 }

@@ -4,161 +4,79 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
-// WireSafe guards the wire contract — gob (the fallback encoding) and
-// codec v2 (the hot path). Under simnet messages move as in-memory
-// values, so a wire-unsafe type or a never-registered payload "works" in
-// every simulation and only fails once the same binary runs over tcpnet —
-// the worst possible place to discover it. Three checks:
+// WireSafe guards the wire contract: codec v2 is the only encoding, for
+// sockets and for the journal. Under simnet messages move as in-memory
+// values, so a payload with no codec, or a field its codec cannot carry,
+// "works" in every simulation and only fails once the same binary runs over
+// tcpnet — the worst possible place to discover it. Three checks:
 //
-//   - every gob-registered wire type declared in the package under
-//     analysis must round-trip through gob losslessly: no func or chan
-//     fields, no unexported fields (gob drops them silently — state that
-//     exists under simnet and vanishes over TCP), no structs whose fields
-//     are all unexported (gob refuses those outright), and no non-empty
-//     interface fields (each concrete implementation would need its own
-//     registration that nothing enforces);
-//   - every concrete in-module struct handed to transport.Env.Send must
-//     appear in the repo-wide registration set (internal/wire.Register,
-//     totoro.RegisterWire, or a direct gob.Register call);
-//   - every codec-v2-registered type (wire/codec register/RegisterCodec)
-//     must be structurally encodable by the same rules AND also be
-//     gob-registered — the tagged gob fallback and legacy GobWire peers
-//     must be able to carry every value a v2 codec can, or mixed fleets
-//     diverge. The static check is paired with the dynamic one:
-//     codec.CertifyLossless round-trips randomized instances of the same
-//     registry in the tests;
-//   - every durable-store record type (internal/store.RegisterRecords)
-//     must have a codec-v2 encoder, because WAL bodies are encoded with
-//     codec.Value: a record without one is refused by Append/Snapshot at
-//     runtime — after the state change it was meant to journal already
-//     happened. Records without a codec are also structurally checked, so
-//     the defect is reported at the type, not discovered at replay.
+//   - every codec-registered struct type (wire/codec register/RegisterCodec)
+//     declared in the package under analysis must be structurally encodable:
+//     no func or chan fields, no unexported fields (hand-rolled encoders
+//     carry exported fields only, and codec.CertifyLossless — the dynamic
+//     half of this contract — fills only those, so unexported state exists
+//     under simnet and vanishes over TCP unnoticed), no structs whose fields
+//     are all unexported, and no non-empty interface fields (Enc.Value
+//     dispatches on the concrete type; each implementation would need its
+//     own registration that nothing enforces). Unnamed codec types
+//     (primitives, slices, maps) have no declaration site to anchor to;
+//     CertifyLossless covers them;
+//   - every concrete in-module struct handed to transport.Env.Send must have
+//     a codec registration for exactly the type sent (a *T does not ride
+//     T's codec): tcpnet drops what it cannot encode;
+//   - every durable-store record type (internal/store.RegisterRecords) must
+//     have one too, because WAL bodies are encoded with codec.Value: a
+//     record without a codec is refused by Append/Snapshot at runtime —
+//     after the state change it was meant to journal already happened. Such
+//     a record is also structurally checked, so the defect is reported at
+//     the type, not discovered at replay.
 var WireSafe = &Analyzer{
 	Name: "wiresafe",
-	Doc:  "registered wire types must be lossless under gob and codec v2, Env.Send payloads must be registered, codec types need gob fallback parity, and store records need codec encoders",
+	Doc:  "codec-registered types must be structurally encodable, and Env.Send payloads and store records must have codecs",
 	Run:  runWireSafe,
 }
 
-// WireSet is the repo-wide set of registered wire types — gob
-// registrations and codec-v2 registrations tracked separately — keyed by
-// canonical type string (object identity does not hold between a package
-// loaded from source and the same package imported from export data).
+// WireSet is the repo-wide set of codec-registered types and of
+// durable-store record types, keyed by type string (object identity does
+// not hold between a package loaded from source and the same package
+// imported from export data).
 type WireSet struct {
-	entries map[string]WireEntry
-	codecs  map[string]WireEntry
-	records map[string]WireEntry
-}
-
-// WireEntry records one registered type and the registration site.
-type WireEntry struct {
-	Type types.Type
-	Pos  token.Position
+	codecs  map[string]types.Type
+	records map[string]types.Type
 }
 
 // NewWireSet returns an empty set.
 func NewWireSet() *WireSet {
-	return &WireSet{
-		entries: map[string]WireEntry{},
-		codecs:  map[string]WireEntry{},
-		records: map[string]WireEntry{},
-	}
+	return &WireSet{codecs: map[string]types.Type{}, records: map[string]types.Type{}}
 }
 
-// wireKey canonicalizes a type for set membership: pointers are flattened
-// (gob does the same on the wire) and the key is the fully qualified type
-// string of the value type.
-func wireKey(t types.Type) string {
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	return types.TypeString(t, nil)
-}
+func wireKey(t types.Type) string { return types.TypeString(t, nil) }
 
-// Add records a registered type (first registration site wins).
-func (w *WireSet) Add(t types.Type, pos token.Position) {
-	k := wireKey(t)
-	if _, ok := w.entries[k]; !ok {
-		w.entries[k] = WireEntry{Type: t, Pos: pos}
-	}
-}
-
-// Has reports whether t (or its pointee) is registered.
-func (w *WireSet) Has(t types.Type) bool {
-	_, ok := w.entries[wireKey(t)]
-	return ok
-}
-
-// Len returns the number of registered types.
-func (w *WireSet) Len() int { return len(w.entries) }
-
-// AddCodec records a codec-v2 registration (first site wins).
-func (w *WireSet) AddCodec(t types.Type, pos token.Position) {
-	k := wireKey(t)
-	if _, ok := w.codecs[k]; !ok {
-		w.codecs[k] = WireEntry{Type: t, Pos: pos}
-	}
-}
-
-// HasCodec reports whether t (or its pointee) has a codec-v2 registration.
+// HasCodec reports whether exactly t has a codec registration.
 func (w *WireSet) HasCodec(t types.Type) bool {
 	_, ok := w.codecs[wireKey(t)]
 	return ok
 }
 
-// CodecLen returns the number of codec-v2 registered types.
-func (w *WireSet) CodecLen() int { return len(w.codecs) }
-
-// AddRecord records a durable-store record registration (first site wins).
-func (w *WireSet) AddRecord(t types.Type, pos token.Position) {
-	k := wireKey(t)
-	if _, ok := w.records[k]; !ok {
-		w.records[k] = WireEntry{Type: t, Pos: pos}
-	}
-}
-
-// RecordLen returns the number of registered store record types.
-func (w *WireSet) RecordLen() int { return len(w.records) }
-
-// Entries returns all gob-registered types in stable (key-sorted) order.
-func (w *WireSet) Entries() []WireEntry { return sortedEntries(w.entries) }
-
-// CodecEntries returns all codec-v2 registered types in stable order.
-func (w *WireSet) CodecEntries() []WireEntry { return sortedEntries(w.codecs) }
-
-// RecordEntries returns all store record types in stable order.
-func (w *WireSet) RecordEntries() []WireEntry { return sortedEntries(w.records) }
-
-func sortedEntries(m map[string]WireEntry) []WireEntry {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]WireEntry, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
-}
-
-// CollectWire scans one package for wire registration calls — gob.Register,
-// gob.RegisterName, internal/wire.RegisterPayload, and the codec-v2
-// registrations (wire/codec's register and RegisterCodec, whose explicit
-// prototype argument exists precisely so this pass can see the static
-// type) — and records the static types of their value arguments. The
-// driver runs this over every package before any analyzer, so
-// registrations made in one package (the internal/wire hub, the codec
-// package's init) vouch for types declared in another.
+// CollectWire scans one package for codec registrations (wire/codec's
+// register and RegisterCodec, whose explicit prototype argument exists
+// precisely so this pass can see the static type) and store.RegisterRecords
+// calls, and records the static types of their prototype arguments. The
+// driver runs this over every package before any analyzer, so registrations
+// made in one package (the codec package's init, the engine root) vouch for
+// types declared in another.
 func CollectWire(pkg *Package, ws *WireSet) {
 	pass := &Pass{Package: pkg}
+	add := func(set map[string]types.Type, arg ast.Expr) {
+		if t := pkg.Info.TypeOf(arg); t != nil {
+			set[wireKey(t)] = t
+		}
+	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -169,107 +87,54 @@ func CollectWire(pkg *Package, ws *WireSet) {
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
-			if fn.Name() == "RegisterRecords" && strings.HasSuffix(fn.Pkg().Path(), "/store") {
-				// Variadic: every prototype argument is a record type.
-				for _, arg := range call.Args {
-					if t := pkg.Info.TypeOf(arg); t != nil {
-						ws.AddRecord(t, pkg.Fset.Position(arg.Pos()))
-					}
+			switch path := fn.Pkg().Path(); {
+			case fn.Name() == "RegisterRecords" && strings.HasSuffix(path, "/store"):
+				for _, arg := range call.Args { // variadic: every argument is a prototype
+					add(ws.records, arg)
 				}
-				return true
-			}
-			argIdx, codec := -1, false
-			switch {
-			case fn.Pkg().Path() == "encoding/gob" && fn.Name() == "Register":
-				argIdx = 0
-			case fn.Pkg().Path() == "encoding/gob" && fn.Name() == "RegisterName":
-				argIdx = 1
-			case fn.Name() == "RegisterPayload" && strings.HasSuffix(fn.Pkg().Path(), "/wire"):
-				argIdx = 0
 			case (fn.Name() == "register" || fn.Name() == "RegisterCodec") &&
-				strings.HasSuffix(fn.Pkg().Path(), "/wire/codec"):
-				argIdx, codec = 1, true // (tag, prototype, enc, dec)
-			}
-			if argIdx < 0 || len(call.Args) <= argIdx {
-				return true
-			}
-			if t := pkg.Info.TypeOf(call.Args[argIdx]); t != nil {
-				if codec {
-					ws.AddCodec(t, pkg.Fset.Position(call.Args[argIdx].Pos()))
-				} else {
-					ws.Add(t, pkg.Fset.Position(call.Args[argIdx].Pos()))
-				}
+				strings.HasSuffix(path, "/wire/codec") && len(call.Args) > 1:
+				add(ws.codecs, call.Args[1]) // (tag, prototype, enc, dec)
 			}
 			return true
 		})
 	}
 }
 
+// declaredHere returns, in stable order, the named struct types of set that
+// the package under analysis declares; the others are checked when their own
+// package runs.
+func declaredHere(pass *Pass, set map[string]types.Type) []*types.Named {
+	var out []*types.Named
+	for _, k := range slices.Sorted(maps.Keys(set)) {
+		named := namedStructOf(set[k])
+		if named != nil && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pass.Path {
+			out = append(out, named)
+		}
+	}
+	return out
+}
+
 func runWireSafe(pass *Pass) {
 	if pass.Wire == nil {
 		return
 	}
-	// Check the gob-safety of registered wire types declared here.
-	for _, e := range pass.Wire.Entries() {
-		named := namedStructOf(e.Type)
-		if named == nil {
-			continue
-		}
+	checkStruct := func(named *types.Named) {
 		obj := named.Obj()
-		if obj.Pkg() == nil || obj.Pkg().Path() != pass.Path {
-			continue // declared elsewhere; checked when that package runs
-		}
-		st := named.Underlying().(*types.Struct)
-		checkGobStruct(pass, obj.Name(), obj.Pos(), st, map[string]bool{wireKey(named): true})
+		checkCodecStruct(pass, obj.Name(), obj.Pos(), named.Underlying().(*types.Struct), map[string]bool{wireKey(named): true})
 	}
-	// Check codec-v2 registrations declared here: the same structural
-	// losslessness rules apply (the hand-rolled encoders carry exported
-	// fields only, and funcs/chans/non-empty interfaces are uncodecable),
-	// plus fallback parity — a codec type without a gob registration
-	// cannot ride the tagged fallback or reach a legacy GobWire peer.
-	// Unnamed codec types (primitives, slices, maps) have no declaration
-	// site to anchor to; codec.CertifyLossless covers them dynamically.
-	for _, e := range pass.Wire.CodecEntries() {
-		named := namedStructOf(e.Type)
-		if named == nil {
-			continue
-		}
-		obj := named.Obj()
-		if obj.Pkg() == nil || obj.Pkg().Path() != pass.Path {
-			continue
-		}
-		st := named.Underlying().(*types.Struct)
-		checkGobStruct(pass, obj.Name(), obj.Pos(), st, map[string]bool{wireKey(named): true})
-		if !pass.Wire.Has(named) {
-			pass.Reportf(obj.Pos(),
-				"%s has a codec-v2 encoder but no gob registration; the gob fallback and legacy GobWire peers cannot carry it — add it to internal/wire.Register (or gob.Register alongside RegisterCodec)",
-				types.TypeString(named, nil))
-		}
+	for _, named := range declaredHere(pass, pass.Wire.codecs) {
+		checkStruct(named)
 	}
-	// Check durable-store record types declared here. A record with a
-	// codec-v2 registration was already structurally checked by the codec
-	// pass above; one without is both missing its encoder (Append/Snapshot
-	// refuse it at runtime, after the mutation it journals has happened)
-	// and still owed the structural walk.
-	for _, e := range pass.Wire.RecordEntries() {
-		named := namedStructOf(e.Type)
-		if named == nil {
-			continue
-		}
-		obj := named.Obj()
-		if obj.Pkg() == nil || obj.Pkg().Path() != pass.Path {
-			continue
-		}
+	for _, named := range declaredHere(pass, pass.Wire.records) {
 		if pass.Wire.HasCodec(named) {
-			continue
+			continue // structurally checked above
 		}
-		pass.Reportf(obj.Pos(),
+		pass.Reportf(named.Obj().Pos(),
 			"%s is registered as a durable-store record but has no codec-v2 encoder; the WAL encodes bodies with codec.Value, so Append/Snapshot refuse it at runtime — add a RegisterCodec alongside RegisterRecords",
 			types.TypeString(named, nil))
-		st := named.Underlying().(*types.Struct)
-		checkGobStruct(pass, obj.Name(), obj.Pos(), st, map[string]bool{wireKey(named): true})
+		checkStruct(named)
 	}
-	// Check that Env.Send payloads are registered.
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -295,10 +160,10 @@ func runWireSafe(pass *Pass) {
 			if !strings.HasPrefix(named.Obj().Pkg().Path(), "totoro") {
 				return true
 			}
-			if !pass.Wire.Has(named) {
+			if !pass.Wire.HasCodec(t) {
 				pass.Reportf(call.Args[1].Pos(),
-					"%s is sent over the wire but never gob-registered; add it to internal/wire.Register (decodes under simnet, fails over tcpnet)",
-					types.TypeString(named, nil))
+					"%s is sent over the wire but has no codec-v2 registration; add a RegisterCodec for it (moves in memory under simnet, dropped by tcpnet)",
+					types.TypeString(t, nil))
 			}
 			return true
 		})
@@ -331,25 +196,21 @@ func namedStructOf(t types.Type) *types.Named {
 	return named
 }
 
-// hasCustomGobEncoding reports whether t (or *t) provides its own gob or
-// binary encoding, making field-level analysis moot (time.Time et al.).
-func hasCustomGobEncoding(t types.Type) bool {
-	for _, name := range []string{"GobEncode", "MarshalBinary"} {
-		if obj, _, _ := types.LookupFieldOrMethod(t, true, nil, name); obj != nil {
-			if _, ok := obj.(*types.Func); ok {
-				return true
-			}
-		}
-	}
-	return false
+// hasOwnEncoding reports whether t (or *t) marshals itself, making
+// field-level analysis moot: a codec carries it through that method
+// (time.Time et al.).
+func hasOwnEncoding(t types.Type) bool {
+	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "MarshalBinary")
+	_, ok := obj.(*types.Func)
+	return ok
 }
 
-// checkGobStruct walks the fields of a registered wire struct and reports
-// anything gob cannot carry losslessly. at is the position the finding is
-// anchored to: the field declaration while inside the package under
+// checkCodecStruct walks the fields of a codec-registered struct and reports
+// anything a codec cannot carry losslessly. at is the position the finding
+// is anchored to: the field declaration while inside the package under
 // analysis, the outermost local field once the walk crosses into imported
 // types (whose positions come from export data).
-func checkGobStruct(pass *Pass, path string, at token.Pos, st *types.Struct, seen map[string]bool) {
+func checkCodecStruct(pass *Pass, path string, at token.Pos, st *types.Struct, seen map[string]bool) {
 	exported := 0
 	for i := 0; i < st.NumFields(); i++ {
 		if st.Field(i).Exported() {
@@ -357,7 +218,7 @@ func checkGobStruct(pass *Pass, path string, at token.Pos, st *types.Struct, see
 		}
 	}
 	if st.NumFields() > 0 && exported == 0 {
-		pass.Reportf(at, "wire type %s has no exported fields; gob refuses to encode it", path)
+		pass.Reportf(at, "wire type %s has no exported fields; a codec carries exported fields only, so nothing of it crosses the wire", path)
 		return
 	}
 	for i := 0; i < st.NumFields(); i++ {
@@ -368,42 +229,42 @@ func checkGobStruct(pass *Pass, path string, at token.Pos, st *types.Struct, see
 			fieldAt = field.Pos()
 		}
 		if !field.Exported() {
-			pass.Reportf(fieldAt, "wire field %s is unexported; gob drops it silently, so its state vanishes over tcpnet", fieldPath)
+			pass.Reportf(fieldAt, "wire field %s is unexported; a codec carries exported fields only, so its state vanishes over tcpnet", fieldPath)
 			continue
 		}
-		checkGobType(pass, fieldPath, fieldAt, field.Type(), seen)
+		checkCodecType(pass, fieldPath, fieldAt, field.Type(), seen)
 	}
 }
 
-// checkGobType reports gob-hostile types reachable from a wire field.
-func checkGobType(pass *Pass, path string, at token.Pos, t types.Type, seen map[string]bool) {
+// checkCodecType reports unencodable types reachable from a wire field.
+func checkCodecType(pass *Pass, path string, at token.Pos, t types.Type, seen map[string]bool) {
 	switch u := t.Underlying().(type) {
 	case *types.Signature:
-		pass.Reportf(at, "wire field %s has func type; gob cannot encode functions", path)
+		pass.Reportf(at, "wire field %s has func type; no codec can encode functions", path)
 	case *types.Chan:
-		pass.Reportf(at, "wire field %s has chan type; gob cannot encode channels", path)
+		pass.Reportf(at, "wire field %s has chan type; no codec can encode channels", path)
 	case *types.Interface:
 		if !u.Empty() {
-			pass.Reportf(at, "wire field %s is a non-empty interface; every concrete implementation needs its own gob registration — prefer a concrete type", path)
+			pass.Reportf(at, "wire field %s is a non-empty interface; every concrete implementation needs its own codec registration — prefer a concrete type", path)
 		}
 	case *types.Pointer:
-		checkGobType(pass, path, at, u.Elem(), seen)
+		checkCodecType(pass, path, at, u.Elem(), seen)
 	case *types.Slice:
-		checkGobType(pass, path+"[]", at, u.Elem(), seen)
+		checkCodecType(pass, path+"[]", at, u.Elem(), seen)
 	case *types.Array:
-		checkGobType(pass, path+"[]", at, u.Elem(), seen)
+		checkCodecType(pass, path+"[]", at, u.Elem(), seen)
 	case *types.Map:
-		checkGobType(pass, path+"[key]", at, u.Key(), seen)
-		checkGobType(pass, path+"[value]", at, u.Elem(), seen)
+		checkCodecType(pass, path+"[key]", at, u.Key(), seen)
+		checkCodecType(pass, path+"[value]", at, u.Elem(), seen)
 	case *types.Struct:
 		k := wireKey(t)
 		if seen[k] {
 			return
 		}
 		seen[k] = true
-		if hasCustomGobEncoding(t) {
+		if hasOwnEncoding(t) {
 			return
 		}
-		checkGobStruct(pass, path, at, u, seen)
+		checkCodecStruct(pass, path, at, u, seen)
 	}
 }

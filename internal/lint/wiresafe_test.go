@@ -4,11 +4,11 @@ import "testing"
 
 // TestWireSafeCorpus pins the wiresafe analyzer's full output: func,
 // chan, unexported, all-unexported, and non-empty-interface fields of
-// registered types flagged (transitively); unregistered Env.Send payloads
-// flagged; codec-v2 registrations without gob fallback parity flagged;
-// durable-store records without codec encoders flagged (and structurally
-// walked); custom-gob types, empty-interface payload slots, registered
-// payloads, certified records, and unnamed codec prototypes untouched.
+// codec-registered types flagged (transitively); Env.Send payloads without
+// a codec for exactly the type sent flagged; durable-store records without
+// codec encoders flagged (and structurally walked); self-marshalling types,
+// empty-interface payload slots, registered payloads, certified records,
+// and unnamed codec prototypes untouched.
 func TestWireSafeCorpus(t *testing.T) {
 	RunExpectTest(t, "testdata/src/wiresafe", WireSafe)
 }

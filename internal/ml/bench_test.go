@@ -37,19 +37,6 @@ func BenchmarkBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkBackwardLegacy measures the seed-style per-batch path: fresh
-// gradient buffers and a flattened copy every call.
-func BenchmarkBackwardLegacy(b *testing.B) {
-	m, X, Y := benchModel(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := NewGrads(m)
-		m.Backward(X, Y, g)
-		_ = g.Flat()
-	}
-}
-
 // BenchmarkTrainEpoch measures one full epoch of mini-batch SGD over a
 // 50-sample client shard (the Table 3 per-client workload) with a reused
 // workspace and the in-place SGD step.

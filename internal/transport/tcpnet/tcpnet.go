@@ -11,12 +11,10 @@
 // Wire format: every outbound connection opens with the codec-v2 preamble
 // and then carries length-prefixed binary frames encoded with pooled
 // buffers — no per-message reflection or allocation for the hot types.
-// Legacy mode (Config.GobWire) keeps the original gob stream; the read
-// side auto-detects which format a peer speaks from the first four bytes,
-// so mixed fleets interoperate through one listener. A frame body that
-// fails to decode is counted under net.decode_errors and skipped — the
-// length framing stays intact, so one malformed message never poisons the
-// connection.
+// There is no other format: an inbound connection that opens with anything
+// else is closed and counted under net.decode_errors. A frame body that
+// fails to decode is counted there too and skipped — the length framing
+// stays intact, so one malformed message never poisons the connection.
 //
 // Outbound delivery is resilient: each peer has a dedicated writer with a
 // bounded send queue. A broken connection is closed and redialed with
@@ -30,8 +28,6 @@ package tcpnet
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -41,7 +37,6 @@ import (
 
 	"totoro/internal/obs"
 	"totoro/internal/transport"
-	"totoro/internal/wire"
 	"totoro/internal/wire/codec"
 )
 
@@ -69,11 +64,6 @@ type Config struct {
 	QueueLen int
 	// WriteTimeout bounds one frame write (default 10s).
 	WriteTimeout time.Duration
-	// GobWire reverts outbound framing to the legacy gob stream (wire
-	// format v1). Inbound framing is always auto-detected, so a GobWire
-	// node and a codec-v2 node interoperate. Used by the wire benchmarks
-	// for before/after traffic comparisons.
-	GobWire bool
 	// MaxFrameBytes caps one inbound codec-v2 frame's claimed body length
 	// (default codec.MaxFrameBytes). A frame claiming more is treated as a
 	// framing error and the connection is dropped.
@@ -134,11 +124,12 @@ type Node struct {
 	// reg is the node's telemetry registry (shared with the protocol stack
 	// via Env.Metrics). reconnects counts successful redials of previously
 	// broken connections; droppedSends counts frames lost to full queues,
-	// an exhausted retry budget, or an unencodable payload; decodeErrors
+	// an exhausted retry budget, or a payload with no codec; decodeErrors
 	// counts inbound frames whose body failed to decode (skipped without
-	// killing the connection). The net.* counters track real socket
-	// traffic under the same names the simulator uses. Counters are safe
-	// from reader and writer goroutines.
+	// killing the connection) and connections refused for not speaking
+	// codec v2. The net.* counters track real socket traffic under the same
+	// names the simulator uses. Counters are safe from reader and writer
+	// goroutines.
 	reg          *obs.Registry
 	reconnects   *obs.Counter
 	droppedSends *obs.Counter
@@ -165,8 +156,9 @@ func (n *Node) Reconnects() int64 { return n.reconnects.Value() }
 func (n *Node) DroppedSends() int64 { return n.droppedSends.Value() }
 
 // DecodeErrors returns the count of inbound frames whose body failed to
-// decode ("net.decode_errors"). Such frames are skipped; the connection
-// survives.
+// decode — skipped, the connection survives — plus connections closed over
+// a framing violation: no codec-v2 preamble, or an oversized length header
+// ("net.decode_errors").
 func (n *Node) DecodeErrors() int64 { return n.decodeErrors.Value() }
 
 // Listen starts a node on the given TCP address ("host:port") with default
@@ -178,7 +170,6 @@ func Listen(addr string, build func(transport.Env) transport.Handler) (*Node, er
 
 // ListenConfig is Listen with explicit transport tuning.
 func ListenConfig(addr string, cfg Config, build func(transport.Env) transport.Handler) (*Node, error) {
-	wire.Register()
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
@@ -283,19 +274,17 @@ func (n *Node) readLoop(c net.Conn) {
 		c.Close()
 	}()
 	br := bufio.NewReaderSize(&countingReader{r: c, ctr: n.bytesIn}, 32<<10)
-	// The first four bytes identify the wire format: codec-v2 streams open
-	// with a preamble whose leading byte is zero, which no gob stream can
-	// start with (gob's first byte is a nonzero message length).
-	head, err := br.Peek(len(codec.Preamble))
-	if err != nil {
+	// Whatever does not open with the preamble is not a peer: refuse it
+	// before parsing anything. A connection that ends first is churn.
+	var head [len(codec.Preamble)]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return
 	}
-	if [4]byte(head) == codec.Preamble {
-		br.Discard(len(codec.Preamble))
-		n.readV2(br)
+	if head != codec.Preamble {
+		n.decodeErrors.Inc()
 		return
 	}
-	n.readGob(br)
+	n.readV2(br)
 }
 
 // readV2 drains codec-v2 frames: uvarint body length + body. A body that
@@ -329,29 +318,6 @@ func (n *Node) readV2(br *bufio.Reader) {
 		n.msgsIn.Inc()
 		select {
 		case n.events <- func() { n.handler.Receive(from, msg) }:
-		case <-n.done:
-			return
-		}
-	}
-}
-
-// readGob drains a legacy gob stream (wire format v1).
-func (n *Node) readGob(br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	for {
-		var f frame
-		if err := dec.Decode(&f); err != nil {
-			// Clean or churn-induced stream ends are routine; anything else
-			// is a decode failure worth counting. Gob cannot resynchronize
-			// mid-stream, so the connection ends either way.
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, net.ErrClosed) {
-				n.decodeErrors.Inc()
-			}
-			return
-		}
-		n.msgsIn.Inc()
-		select {
-		case n.events <- func() { n.handler.Receive(f.From, f.Msg) }:
 		case <-n.done:
 			return
 		}
@@ -456,15 +422,13 @@ func (n *Node) enqueue(to transport.Addr, f frame) {
 // failures with exponential backoff before the peer is abandoned; any
 // success resets the budget.
 //
-// In codec-v2 mode the frame body is encoded once into a pooled buffer
-// before any socket work, so a redial retries the already-encoded bytes,
-// and an encode failure (an unregistered, gob-hostile payload in the
-// fallback path) drops just that frame — it is deterministic, so retrying
-// or tearing the connection down would not help.
+// The frame body is encoded once into a pooled buffer before any socket
+// work, so a redial retries the already-encoded bytes, and an encode
+// failure (a payload with no codec) drops just that frame — it is
+// deterministic, so retrying or tearing the connection down would not help.
 func (n *Node) writeLoop(to transport.Addr, p *peer, seed int64) {
 	var conn net.Conn
-	var gobEnc *gob.Encoder // legacy stream encoder (Config.GobWire)
-	var bw *bufio.Writer    // codec-v2 frame writer
+	var bw *bufio.Writer
 	defer func() {
 		if conn != nil {
 			conn.Close()
@@ -480,14 +444,11 @@ func (n *Node) writeLoop(to transport.Addr, p *peer, seed int64) {
 		case <-n.done:
 			return
 		}
-		var enc *codec.Enc
-		if !n.cfg.GobWire {
-			enc = codec.NewEnc()
-			if err := codec.EncodeFrame(enc, f.From, f.Msg); err != nil {
-				enc.Free()
-				n.droppedSends.Inc()
-				continue
-			}
+		enc := codec.NewEnc()
+		if err := codec.EncodeFrame(enc, f.From, f.Msg); err != nil {
+			enc.Free()
+			n.droppedSends.Inc()
+			continue
 		}
 		for {
 			if conn == nil {
@@ -495,65 +456,44 @@ func (n *Node) writeLoop(to transport.Addr, p *peer, seed int64) {
 				if err != nil {
 					fails++
 					if fails > n.cfg.MaxRetries {
-						if enc != nil {
-							enc.Free()
-						}
+						enc.Free()
 						n.abandon(to, p, 1)
 						return
 					}
 					if !n.sleepBackoff(rng, fails) {
-						if enc != nil {
-							enc.Free()
-						}
+						enc.Free()
 						return
 					}
 					continue
 				}
 				conn = c
-				cw := &countingWriter{w: conn, ctr: n.bytesOut}
-				if n.cfg.GobWire {
-					gobEnc = gob.NewEncoder(cw)
-				} else {
-					bw = bufio.NewWriterSize(cw, 32<<10)
-					bw.Write(codec.Preamble[:]) // flushed with the first frame
-				}
+				bw = bufio.NewWriterSize(&countingWriter{w: conn, ctr: n.bytesOut}, 32<<10)
+				bw.Write(codec.Preamble[:]) // flushed with the first frame
 				if hadConn {
 					n.reconnects.Inc()
 				}
 				hadConn = true
 			}
 			conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
-			var err error
-			if n.cfg.GobWire {
-				err = gobEnc.Encode(f)
-			} else {
-				err = writeV2Frame(bw, enc.Bytes())
-			}
-			if err == nil {
-				if enc != nil {
-					enc.Free()
-				}
+			if err := writeV2Frame(bw, enc.Bytes()); err == nil {
+				enc.Free()
 				n.msgsOut.Inc()
 				fails = 0
 				break
 			}
-			// A failed write leaves the stream mid-frame: in gob mode the
-			// encoder is also poisoned. Close the connection and retry this
-			// frame on a fresh dial (the v2 body is still encoded in enc).
+			// A failed write leaves the stream mid-frame. Close the
+			// connection and retry this frame on a fresh dial (its body is
+			// still encoded in enc).
 			conn.Close()
-			conn, gobEnc, bw = nil, nil, nil
+			conn, bw = nil, nil
 			fails++
 			if fails > n.cfg.MaxRetries {
-				if enc != nil {
-					enc.Free()
-				}
+				enc.Free()
 				n.abandon(to, p, 1)
 				return
 			}
 			if !n.sleepBackoff(rng, fails) {
-				if enc != nil {
-					enc.Free()
-				}
+				enc.Free()
 				return
 			}
 		}

@@ -106,7 +106,7 @@ func startNodeConfig(t *testing.T, cfg Config) (*Node, *echoHandler) {
 // TestReconnectDrainsQueuedFrames kills the receiver, keeps sending, then
 // restarts a listener on the same port: the sender must redial and deliver
 // later frames on the fresh connection rather than staying wedged on the
-// poisoned encoder of the dead one.
+// dead one.
 func TestReconnectDrainsQueuedFrames(t *testing.T) {
 	cfg := Config{
 		DialTimeout: time.Second,
@@ -193,23 +193,39 @@ func TestRetryBudgetAbandonsPeerThenRecovers(t *testing.T) {
 	waitFor(t, func() bool { return h2.seen.Load() >= 1 })
 }
 
-// TestGobWireInterop runs one legacy (GobWire) node against one codec-v2
-// node: the read side auto-detects each peer's framing from the stream
-// preamble, so messages flow both ways through the same listeners.
-func TestGobWireInterop(t *testing.T) {
-	legacy, hl := startNodeConfig(t, Config{GobWire: true})
-	v2, hv := startNode(t)
-	legacy.Do(func() { hl.env.Send(v2.Addr(), "ping") })
-	waitFor(t, func() bool { return hv.seen.Load() >= 1 }) // gob frame into v2 node
-	waitFor(t, func() bool { return hl.seen.Load() >= 1 }) // v2 "pong" back into legacy node
-	if n := v2.DecodeErrors() + legacy.DecodeErrors(); n != 0 {
-		t.Fatalf("interop produced %d decode errors", n)
+// TestNonV2StreamIsRejected: bytes that do not open with the codec-v2
+// preamble get the connection closed and counted once, whatever follows; a
+// well-formed connection after it still delivers.
+func TestNonV2StreamIsRejected(t *testing.T) {
+	b, hb := startNode(t)
+	conn, err := net.Dial("tcp", string(b.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(append([]byte{0x2a, 0xff, 0x81, 0x03, 0x01, 0x01}, v2FrameBytes(t, "raw-sender", "smuggled")...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("connection still alive after a non-v2 opening")
+	}
+	if got := b.DecodeErrors(); got != 1 {
+		t.Fatalf("DecodeErrors = %d, want 1", got)
+	}
+
+	a, ha := startNode(t)
+	a.Do(func() { ha.env.Send(b.Addr(), "ping") })
+	waitFor(t, func() bool { return ha.seen.Load() >= 1 }) // b got it and answered
+	if hb.seen.Load() != 1 || b.DecodeErrors() != 1 {
+		t.Fatalf("after a v2 peer: delivered %d (want 1, the ping), DecodeErrors %d (want 1)", hb.seen.Load(), b.DecodeErrors())
 	}
 }
 
-// TestMalformedFrameCountedNotFatal injects a garbage body inside valid
-// v2 length framing: the node must count it under net.decode_errors, keep
-// the connection alive, and deliver the well-formed frames around it.
+// TestMalformedFrameCountedNotFatal injects a garbage body and a body whose
+// value tag is 0 inside valid v2 length framing: the node must count each
+// under net.decode_errors, keep the connection alive, and deliver the
+// well-formed frames around them.
 func TestMalformedFrameCountedNotFatal(t *testing.T) {
 	a, ha := startNode(t)
 	b, hb := startNode(t)
@@ -227,21 +243,26 @@ func TestMalformedFrameCountedNotFatal(t *testing.T) {
 	conn.Write(codec.Preamble[:])
 	goodBefore := v2FrameBytes(t, "raw-sender", "hello")
 	garbage := []byte{0xde, 0xad, 0xbe, 0xef} // tag 0x5e... not registered
+	// A value under the reserved tag 0, framed as earlier builds framed
+	// their fallback: sender address, tag, length, bytes.
+	tagZero := []byte{0x01, 'a', 0x00, 0x03, 'g', 'o', 'b'}
 	goodAfter := v2FrameBytes(t, "raw-sender", "world")
 	var buf []byte
 	buf = append(buf, goodBefore...)
-	buf = binary.AppendUvarint(buf, uint64(len(garbage)))
-	buf = append(buf, garbage...)
+	for _, bad := range [][]byte{garbage, tagZero} {
+		buf = binary.AppendUvarint(buf, uint64(len(bad)))
+		buf = append(buf, bad...)
+	}
 	buf = append(buf, goodAfter...)
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}
 
-	// Both good frames arrive — the garbage one was skipped, not fatal.
+	// Both good frames arrive — the bad ones were skipped, not fatal.
 	waitFor(t, func() bool { return hb.seen.Load() >= 3 })
-	waitFor(t, func() bool { return b.DecodeErrors() == 1 })
-	if got := b.Metrics().Counter(transport.CtrDecodeErrors).Value(); got != 1 {
-		t.Fatalf("net.decode_errors = %d, want 1", got)
+	waitFor(t, func() bool { return b.DecodeErrors() == 2 })
+	if got := b.Metrics().Counter(transport.CtrDecodeErrors).Value(); got != 2 {
+		t.Fatalf("net.decode_errors = %d, want 2", got)
 	}
 }
 

@@ -8,7 +8,8 @@
 //     virtual clock, used by the paper-reproduction experiments to model
 //     up to hundreds of thousands of edge nodes in one process; and
 //   - internal/transport/tcpnet: a real TCP transport with length-prefixed
-//     gob frames, used by cmd/totoro-node for live deployments.
+//     codec-v2 frames (internal/wire/codec), used by cmd/totoro-node for
+//     live deployments.
 //
 // Handlers must be event-driven: they react to Receive and to timers set
 // with After, and never block.

@@ -1,8 +1,6 @@
 package codec
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"totoro/internal/ids"
@@ -10,13 +8,9 @@ import (
 	"totoro/internal/ring"
 )
 
-// Benchmarks pitting wire v2 against the gob baseline on the three frame
-// shapes that dominate engine traffic: a small control message, a dense
-// 10k-float model update, and the compressed update encodings. The gob
-// side uses a persistent stream (encoder/decoder pair reused across
-// messages), exactly like the legacy tcpnet wire loop — this is the
-// fair comparison, since a fresh gob encoder per message would re-ship
-// type descriptors and flatter v2 even more.
+// Benchmarks of wire v2 on the three frame shapes that dominate engine
+// traffic: a small control message, a dense 10k-float model update, and the
+// compressed update encodings.
 
 func benchControlMsg() any {
 	return ring.Envelope{
@@ -38,19 +32,6 @@ func benchUpdateMsg(n int) (any, []float64) {
 		From:  ring.Contact{ID: ids.ID{Hi: 11, Lo: 12}, Addr: "10.0.0.3:9000"},
 		Count: 17, Object: params,
 	}, params
-}
-
-func init() {
-	// The gob benchmarks ship the same interface-typed payloads tcpnet's
-	// legacy path does, so the concrete types must be gob-registered.
-	// (Production code does this via wire.Register; codec can't import
-	// wire without a cycle.)
-	gob.Register(ring.Envelope{})
-	gob.Register(pubsub.JoinMsg{})
-	gob.Register(pubsub.Upstream{})
-	gob.Register([]float64(nil))
-	gob.Register(Float32s(nil))
-	gob.Register(QDelta{})
 }
 
 const benchAddr = "10.0.0.9:9000"
@@ -86,53 +67,6 @@ func benchCodecDecode(b *testing.B, msg any) {
 	}
 }
 
-// wireMsg mirrors tcpnet's legacy gob frame (sender address + payload).
-type wireMsg struct {
-	From string
-	Msg  any
-}
-
-func benchGobEncode(b *testing.B, msg any) {
-	var bb bytes.Buffer
-	enc := gob.NewEncoder(&bb)
-	// Prime the stream so type descriptors are sent once, as on a
-	// long-lived connection.
-	if err := enc.Encode(wireMsg{From: benchAddr, Msg: msg}); err != nil {
-		b.Fatal(err)
-	}
-	prime := bb.Len()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bb.Truncate(prime)
-		if err := enc.Encode(wireMsg{From: benchAddr, Msg: msg}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(bb.Len() - prime))
-}
-
-func benchGobDecode(b *testing.B, msg any) {
-	// A self-feeding pipe keeps one decoder stream alive for all N
-	// messages, as on a long-lived connection.
-	var bb bytes.Buffer
-	enc := gob.NewEncoder(&bb)
-	dec := gob.NewDecoder(&bb)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := enc.Encode(wireMsg{From: benchAddr, Msg: msg}); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		var m wireMsg
-		if err := dec.Decode(&m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchFrameSize times what simnet pays per Send under ExactSizes.
 func benchFrameSize(b *testing.B, msg any) {
 	b.ReportAllocs()
@@ -157,24 +91,12 @@ func BenchmarkFrameSizeUpdate(b *testing.B) {
 	benchFrameSize(b, m)
 }
 
-func BenchmarkEncodeControl_Gob(b *testing.B)   { benchGobEncode(b, benchControlMsg()) }
 func BenchmarkEncodeControl_Codec(b *testing.B) { benchCodecEncode(b, benchControlMsg()) }
-func BenchmarkDecodeControl_Gob(b *testing.B)   { benchGobDecode(b, benchControlMsg()) }
 func BenchmarkDecodeControl_Codec(b *testing.B) { benchCodecDecode(b, benchControlMsg()) }
-
-func BenchmarkEncodeUpdate10k_Gob(b *testing.B) {
-	m, _ := benchUpdateMsg(10000)
-	benchGobEncode(b, m)
-}
 
 func BenchmarkEncodeUpdate10k_Codec(b *testing.B) {
 	m, _ := benchUpdateMsg(10000)
 	benchCodecEncode(b, m)
-}
-
-func BenchmarkDecodeUpdate10k_Gob(b *testing.B) {
-	m, _ := benchUpdateMsg(10000)
-	benchGobDecode(b, m)
 }
 
 func BenchmarkDecodeUpdate10k_Codec(b *testing.B) {

@@ -55,14 +55,14 @@ func CertifyLossless(prototypes []any, rng *rand.Rand, trials int) error {
 
 // checkFrameSize reports a FrameSize that disagrees with the encoder: the
 // counting pass must arrive at the length prefix plus the body EncodeFrame
-// writes, and fail exactly when EncodeFrame fails.
+// writes, and fail exactly when EncodeFrame fails, with the same error.
 func checkFrameSize(from transport.Addr, v any) error {
 	e := NewEnc()
 	defer e.Free()
 	encErr := EncodeFrame(e, from, v)
 	got, err := FrameSize(from, v)
 	if encErr != nil || err != nil {
-		if encErr == nil || err == nil {
+		if encErr == nil || err == nil || encErr.Error() != err.Error() {
 			return fmt.Errorf("FrameSize(%T) error %v, EncodeFrame error %v", v, err, encErr)
 		}
 		return nil

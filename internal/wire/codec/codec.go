@@ -1,29 +1,28 @@
-// Package codec is Totoro's wire format v2: a hand-rolled, pooled binary
-// codec for the engine's high-volume message types, with encoding/gob
-// demoted to a tagged fallback for rare and application-defined payloads.
+// Package codec is Totoro's wire format (v2, the only one): a hand-rolled,
+// pooled binary codec for every message type the engine sends or journals.
 //
-// Motivation: every Totoro message used to round-trip through gob, whose
-// reflection-driven encoder dominates transport CPU and allocates per
-// message. The hot path — model updates ([]float64), accumulator merges,
-// ring/pubsub control traffic — is a small closed set of types, so each
-// gets a purpose-built encoder: varint headers, little-endian bulk copies
-// for float payloads, and append-only buffers recycled through a
-// sync.Pool. Anything outside the set still works: it is wrapped in a
-// gob-encoded sub-frame behind the reserved Gob tag.
+// Motivation: a reflection-driven encoder dominates transport CPU and
+// allocates per message. Totoro's traffic — model updates ([]float64),
+// accumulator merges, ring/pubsub control messages — is a small closed set
+// of types, so each gets a purpose-built encoder: varint headers,
+// little-endian bulk copies for float payloads, and append-only buffers
+// recycled through a sync.Pool. There is no fallback for a type outside the
+// set: it registers a codec (RegisterCodec) or encoding it fails.
 //
 // Wire value layout (see DESIGN.md "Wire format v2" for the full frame):
 //
 //	value := uvarint(tag) payload
 //
 // where the payload layout is fixed per tag. Tags are part of the wire
-// contract and never reassigned. Tag 0 is the gob fallback (payload:
-// uvarint length + gob stream of the value as interface). Tags 1..15 are
-// primitives, 16..63 the engine-internal message types, and 64+ (TagApp)
-// are open to applications via RegisterCodec.
+// contract and never reassigned. Tag 0 is reserved — it marked a
+// self-describing fallback frame in earlier builds — and decodes, like any
+// unknown tag, as ErrMalformed. Tags 1..15 are primitives, 16..63 the
+// engine-internal message types, and 64+ (TagApp) are open to applications
+// via RegisterCodec.
 //
 // Registration must happen before the first frame is encoded (package
-// init or process setup, exactly like gob.Register); the registry is read
-// without locks on the hot path.
+// init or process setup); the registry is read without locks on the hot
+// path.
 //
 // Decoding is defensive: a malformed or truncated value yields a sticky
 // error on the Dec — never a panic — and claimed lengths are bounds-checked
@@ -32,9 +31,7 @@
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -47,8 +44,9 @@ import (
 
 // Wire tags. Stable: these values are the wire contract.
 const (
-	// TagGob marks a gob-encoded fallback value.
-	TagGob = 0
+	// 0 is reserved and never registered: earlier builds framed
+	// unregistered types under it, so it must stay an unknown tag that
+	// Dec.Value rejects.
 
 	tagNil     = 1
 	tagBool    = 2
@@ -108,8 +106,8 @@ type entry struct {
 
 // The registry maps concrete types to encoders and tags to decoders.
 // Writes are serialized by regMu and must complete before the first
-// encode/decode (init-time or process-setup-time, like gob.Register);
-// reads are lock-free on the hot path.
+// encode/decode (init-time or process-setup-time); reads are lock-free on
+// the hot path.
 var (
 	regMu    sync.Mutex
 	encoders = map[reflect.Type]*entry{}
@@ -140,7 +138,7 @@ func register(tag uint64, prototype any, enc EncodeFunc, dec DecodeFunc) {
 // type. tag must be >= TagApp and process-unique; both endpoints must
 // register the same tag for the same type (the engine's own registrations
 // are in package init, applications typically register alongside
-// wire.Register / totoro.RegisterWire). enc writes the payload, dec reads
+// totoro.RegisterWire). enc writes the payload, dec reads
 // it back; the value must round-trip losslessly — totoro-vet's wiresafe
 // analyzer checks the registered types statically and the certification
 // test exercises them dynamically.
@@ -215,7 +213,7 @@ func (e *Enc) Bytes() []byte { return e.buf }
 // Len returns the number of encoded (in counting mode: counted) bytes.
 func (e *Enc) Len() int { return len(e.buf) + e.n }
 
-// Err returns the first encode error (only the gob fallback can fail).
+// Err returns the first encode error: a value whose type has no codec.
 func (e *Enc) Err() error { return e.err }
 
 // grow appends n uninitialized bytes and returns the slice to fill.
@@ -385,8 +383,8 @@ func (e *Enc) StringMap(m map[string]string) {
 	}
 }
 
-// Value appends the tagged encoding of v: its registered codec when the
-// concrete type has one, the gob fallback otherwise.
+// Value appends the tagged encoding of v by its concrete type's registered
+// codec. A type without one writes nothing and fails the encoder.
 //
 //vet:noalloc
 func (e *Enc) Value(v any) {
@@ -400,25 +398,18 @@ func (e *Enc) Value(v any) {
 		ent.enc(e, v)
 		return
 	}
-	e.gobFallback(v)
+	e.noCodec(v)
 }
 
-// gobFallback wraps v in a tagged gob sub-frame. A fresh gob stream per
-// value re-ships type descriptors each time — that cost is exactly why
-// hot types get hand-rolled codecs and gob is the fallback. Counting mode
-// encodes too: gob offers no other way to learn a length.
+// noCodec records, once, that v's type was never registered. The error is
+// sticky and the same in both modes, so EncodeFrame and FrameSize fail
+// identically and a transport drops the frame instead of sending part of it.
 //
 //vet:noalloc cold
-func (e *Enc) gobFallback(v any) {
-	var bb bytes.Buffer
-	if err := gob.NewEncoder(&bb).Encode(&v); err != nil {
-		if e.err == nil {
-			e.err = fmt.Errorf("codec: gob fallback for %T: %w", v, err)
-		}
-		return
+func (e *Enc) noCodec(v any) {
+	if e.err == nil {
+		e.err = fmt.Errorf("codec: no codec registered for %T", v)
 	}
-	e.Uvarint(TagGob)
-	e.ByteSlice(bb.Bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -635,18 +626,6 @@ func (d *Dec) Value() any {
 	}
 	if tag == tagNil {
 		return nil
-	}
-	if tag == TagGob {
-		b := d.ByteSlice()
-		if d.err != nil {
-			return nil
-		}
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-			d.fail("gob fallback: " + err.Error())
-			return nil
-		}
-		return v
 	}
 	ent, ok := decoders[tag]
 	if !ok {

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -29,11 +28,10 @@ func TestCertifyLossless(t *testing.T) {
 
 // TestFrameSizeMatchesEncoder covers what the certification corpus does
 // not reach: the compressed update encodings at size, nil, Values nested
-// in Values, the gob fallback (top-level and nested), a payload that
-// cannot be encoded at all, and sender addresses and bodies on either side
-// of a varint length boundary.
+// in Values, payloads with no codec (top-level and nested: both sides must
+// fail), and sender addresses and bodies on either side of a varint length
+// boundary.
 func TestFrameSizeMatchesEncoder(t *testing.T) {
-	gob.Register(fallbackOnly{})
 	rng := rand.New(rand.NewSource(3))
 	dense := make([]float64, 32574)
 	for i := range dense {
@@ -50,9 +48,9 @@ func TestFrameSizeMatchesEncoder(t *testing.T) {
 		upstream(nil), upstream(dense), upstream(PackQDelta(dense)),
 		ring.Envelope{Key: testID(3), Source: testContact(4), Hops: 2, Seq: 9,
 			Payload: pubsub.Multicast{Topic: testID(5), Epoch: 2, Seq: 7, Depth: 3, Object: upstream(PackF32(dense))}},
-		fallbackOnly{A: 7, B: "fb"},
-		ring.Envelope{Key: testID(6), Source: testContact(7), Payload: fallbackOnly{A: 1, B: "nested"}},
-		func() {}, // no codec and gob refuses it: both sides must fail
+		unregistered{A: 7, B: "top"},
+		ring.Envelope{Key: testID(6), Source: testContact(7), Payload: unregistered{A: 1, B: "nested"}},
+		func() {},
 		upstream(func() {}),
 	}
 	for _, from := range []transport.Addr{"", "a", transport.Addr(strings.Repeat("h", 130))} {
@@ -139,42 +137,47 @@ func TestFloatBitPatterns(t *testing.T) {
 	}
 }
 
-// An unregistered type rides the gob fallback and still round-trips.
-type fallbackOnly struct {
+// unregistered has no codec.
+type unregistered struct {
 	A int
 	B string
 }
 
-func TestGobFallback(t *testing.T) {
-	gob.Register(fallbackOnly{})
-	want := fallbackOnly{A: 7, B: "fb"}
-	got := roundTrip(t, want)
-	if got != want {
-		t.Fatalf("fallback round-trip: got %#v want %#v", got, want)
-	}
-	// The fallback frame must carry the gob tag, not a registered one.
+// There is no fallback encoding: a value whose type has no codec writes
+// nothing and fails the encoder with an error naming the type, and
+// FrameSize fails the same way.
+func TestUnregisteredTypeFailsEncode(t *testing.T) {
 	e := NewEnc()
 	defer e.Free()
-	e.Value(want)
-	if e.Bytes()[0] != TagGob {
-		t.Fatalf("fallback frame starts with tag %d, want %d", e.Bytes()[0], TagGob)
+	e.Value(unregistered{A: 7, B: "x"})
+	if e.Err() == nil || !strings.Contains(e.Err().Error(), "no codec registered for codec.unregistered") {
+		t.Fatalf("encode error = %v, want one naming codec.unregistered", e.Err())
+	}
+	if e.Len() != 0 {
+		t.Fatalf("a value with no codec wrote %d bytes", e.Len())
+	}
+	if err := checkFrameSize("a", unregistered{A: 7, B: "x"}); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// A nested payload (Envelope carrying an unregistered struct) exercises
-// the fallback inside a hand-rolled codec.
-func TestNestedFallbackPayload(t *testing.T) {
-	gob.Register(fallbackOnly{})
-	want := ring.Envelope{Key: testID(3), Source: testContact(4), Hops: 2, Seq: 9,
-		Payload: fallbackOnly{A: 1, B: "x"}}
-	got := roundTrip(t, want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %#v want %#v", got, want)
+// A nested payload (Envelope carrying an unregistered struct) fails the
+// frame from inside a hand-rolled codec, naming the inner type.
+func TestNestedUnregisteredPayloadFailsEncode(t *testing.T) {
+	msg := ring.Envelope{Key: testID(3), Source: testContact(4), Hops: 2, Seq: 9,
+		Payload: unregistered{A: 1, B: "x"}}
+	e := NewEnc()
+	defer e.Free()
+	if err := EncodeFrame(e, "a", msg); err == nil || !strings.Contains(err.Error(), "codec.unregistered") {
+		t.Fatalf("encode error = %v, want one naming the nested type", err)
+	}
+	if err := checkFrameSize("a", msg); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// A gob-hostile payload (function value) fails the encode cleanly instead
-// of producing a corrupt frame.
+// A payload nothing could encode (function value) fails the encode cleanly
+// instead of producing a corrupt frame.
 func TestEncodeErrorOnUnencodable(t *testing.T) {
 	e := NewEnc()
 	defer e.Free()
@@ -184,13 +187,18 @@ func TestEncodeErrorOnUnencodable(t *testing.T) {
 	}
 }
 
+// Tag 0 framed unregistered types in earlier builds. It is rejected like
+// any unknown tag, whatever length and bytes follow it.
 func TestUnknownTagFails(t *testing.T) {
 	e := NewEnc()
 	defer e.Free()
 	e.Uvarint(63) // reserved, never registered
 	d := NewDec(e.Bytes())
-	if d.Value(); d.Err() == nil {
-		t.Fatal("unknown tag decoded without error")
+	if d.Value(); !errors.Is(d.Err(), ErrMalformed) {
+		t.Fatalf("unknown tag: err = %v, want ErrMalformed", d.Err())
+	}
+	if _, msg, err := DecodeFrame(tagZeroFrame); msg != nil || !errors.Is(err, ErrMalformed) {
+		t.Fatalf("tag 0 decoded to %#v, err = %v; want ErrMalformed", msg, err)
 	}
 }
 

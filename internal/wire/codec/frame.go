@@ -7,11 +7,9 @@ import (
 	"totoro/internal/transport"
 )
 
-// Preamble opens every codec-v2 byte stream. The leading zero byte makes
-// the format self-identifying against a legacy gob stream: gob's first
-// byte is a message length, which is never zero, so a receiver can peek
-// four bytes and route the connection to the right decoder. This is what
-// lets mixed fleets (old gob senders, new v2 senders) share one listener.
+// Preamble opens every codec-v2 byte stream. A receiver reads four bytes
+// and closes a connection that does not start with them, so a stranger on
+// the port is turned away before any frame is parsed.
 var Preamble = [4]byte{0x00, 'T', 'W', '2'}
 
 // MaxFrameBytes is the default cap a transport should place on one
@@ -21,7 +19,7 @@ const MaxFrameBytes = 64 << 20
 // EncodeFrame appends one transport frame body — the sender's address
 // followed by the tagged message — to e. The transport prefixes the body
 // with its uvarint length on the stream. The only possible error is a
-// failed gob fallback for an unregistered, gob-hostile payload.
+// payload — msg or a value nested in it — whose type has no codec.
 //
 //vet:noalloc
 func EncodeFrame(e *Enc, from transport.Addr, msg any) error {
@@ -34,9 +32,8 @@ func EncodeFrame(e *Enc, from transport.Addr, msg any) error {
 // address over the v2 transport: the frame body (EncodeFrame) plus its
 // uvarint length prefix, so simulators can charge exactly what tcpnet would
 // transmit. It is one EncodeFrame pass over a counting Enc: the codecs add
-// up lengths and no payload byte is read or written (only a gob-fallback
-// value is really encoded). An error means the message has no codec and
-// resists the gob fallback.
+// up lengths and no payload byte is read or written. It fails exactly when
+// EncodeFrame does, with the same error.
 //
 //vet:noalloc
 func FrameSize(from transport.Addr, msg any) (int, error) {

@@ -10,6 +10,10 @@ import (
 	"totoro/internal/transport"
 )
 
+// tagZeroFrame is an address followed by a value under the reserved tag 0,
+// with the length and bytes a fallback frame of earlier builds carried.
+var tagZeroFrame = []byte{0x01, 'a', 0x00, 0x03, 'g', 'o', 'b'}
+
 // fuzzSeeds are valid frame bodies for a spread of registered types, so
 // the fuzzer starts from the real wire grammar and mutates from there.
 // checked-in crashers from past fuzzing sessions belong in
@@ -50,7 +54,7 @@ func fuzzSeeds() [][]byte {
 		e.Free()
 	}
 	// Deliberately malformed variants: truncations, flipped tag bytes,
-	// and an absurd length claim.
+	// an absurd length claim, and the reserved tag 0.
 	full := seeds[len(seeds)-1]
 	seeds = append(seeds,
 		full[:len(full)/2],
@@ -58,6 +62,7 @@ func fuzzSeeds() [][]byte {
 		[]byte{},
 		[]byte{0x80},                   // unterminated uvarint
 		[]byte{0x00, 0x09, 0xFF, 0xFF}, // addr then []float64 claiming a huge length
+		tagZeroFrame,
 	)
 	return seeds
 }

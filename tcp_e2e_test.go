@@ -13,7 +13,6 @@ import (
 	"totoro/internal/ring"
 	"totoro/internal/transport"
 	"totoro/internal/transport/tcpnet"
-	"totoro/internal/wire"
 )
 
 // TestEnginesOverRealTCP runs four full Totoro engines as live TCP
@@ -22,8 +21,6 @@ import (
 // simulator drives, over real sockets.
 func TestEnginesOverRealTCP(t *testing.T) {
 	totoro.RegisterWire()
-	wire.RegisterPayload("")
-	wire.RegisterPayload(1)
 
 	type liveNode struct {
 		node   *tcpnet.Node

@@ -1,39 +1,13 @@
 package totoro
 
-import (
-	"encoding/gob"
-	"sync"
-
-	"totoro/internal/wire"
-)
+import "sync"
 
 var wireOnce sync.Once
 
-// RegisterWire registers every message type an Engine can put on the wire,
-// enabling deployment over internal/transport/tcpnet: codec-v2 encoders
-// for the hot FL driver messages (wire_codec.go) plus the gob
-// registrations that back the fallback path and legacy (GobWire) peers.
-// Call once per process before creating TCP-backed engines. Custom
-// Broadcast/Aggregate payload types must additionally be registered with
-// wire.RegisterPayload (they ride the gob fallback unless the app also
-// installs a codec via codec.RegisterCodec).
-func RegisterWire() {
-	wireOnce.Do(func() {
-		wire.Register()
-		gob.Register(AppSpec{})
-		gob.Register(announceMsg{})
-		gob.Register(startMsg{})
-		gob.Register(roundStart{})
-		gob.Register(updateAgg{})
-		gob.Register(replicaMsg{})
-		gob.Register(masterPing{})
-		gob.Register(walIdentity{})
-		gob.Register(walSub{})
-		gob.Register(walUnsub{})
-		gob.Register(walRound{})
-		gob.Register(walMaster{})
-		gob.Register(walReplica{})
-		gob.Register(walSnapshot{})
-		registerCodecs()
-	})
-}
+// RegisterWire registers a codec for every message type an Engine can put
+// on the wire or in its journal (wire_codec.go, durable.go), enabling
+// deployment over internal/transport/tcpnet. Call once per process before
+// creating TCP-backed engines. A custom Broadcast/Aggregate payload type
+// outside the codec's primitives (string, int, float64, []float64, ...)
+// must install its own codec with codec.RegisterCodec, or Send drops it.
+func RegisterWire() { wireOnce.Do(registerCodecs) }

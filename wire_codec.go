@@ -12,9 +12,8 @@ import (
 // the hottest application-level payloads in the engine — roundStart ships
 // the global model down the tree every round, updateAgg ships the partial
 // aggregates up, and replicaMsg replicates master state to the leaf set —
-// so they get hand-rolled encoders in the engine's reserved tag range
-// instead of riding the gob fallback. RegisterWire installs them together
-// with the gob registrations (the fallback must know the same types).
+// so they get hand-rolled encoders at the start of the application tag
+// range. RegisterWire installs them.
 //
 // Tags are wire contract: never reuse or renumber.
 const (
@@ -25,6 +24,10 @@ const (
 	tagUpdateAgg
 	tagReplica
 )
+
+// tagMasterPing follows the durable records' block (durable.go), which had
+// taken the tags after tagReplica before masterPing got a codec.
+const tagMasterPing = tagWalReplica + 1
 
 func registerCodecs() {
 	codec.RegisterCodec(tagAppSpec, AppSpec{},
@@ -78,6 +81,13 @@ func registerCodecs() {
 	codec.RegisterCodec(tagReplica, replicaMsg{},
 		func(e *codec.Enc, v any) { encReplica(e, v.(replicaMsg)) },
 		func(d *codec.Dec) any { return decReplica(d) })
+	codec.RegisterCodec(tagMasterPing, masterPing{},
+		func(e *codec.Enc, v any) {
+			m := v.(masterPing)
+			e.ID(m.App)
+			e.Addr(m.From)
+		},
+		func(d *codec.Dec) any { return masterPing{App: d.ID(), From: d.Addr()} })
 	registerWalCodecs()
 }
 

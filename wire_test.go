@@ -1,8 +1,6 @@
 package totoro
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,12 +13,12 @@ import (
 	"totoro/internal/workload"
 )
 
-// TestEngineWireRoundTrip gob-encodes every engine-level message type
-// registered by RegisterWire — with all fields populated — and checks it
-// survives the trip bit-for-bit. The messages travel inside tcpnet frames
-// as `any`, so a field silently dropped by gob (unexported, nil-vs-empty
-// asymmetry, unregistered concrete type) would only surface as a corrupted
-// live deployment; this pins the contract at the codec level.
+// TestEngineWireRoundTrip encodes every engine-level message type — with
+// all fields populated — through codec.Value and checks it survives the
+// trip bit-for-bit. The messages travel inside tcpnet frames as `any`, so a
+// field an encoder forgets, a nil-vs-empty asymmetry or a concrete type
+// missing from RegisterWire would only surface as a corrupted live
+// deployment; this pins the contract at the codec level.
 func TestEngineWireRoundTrip(t *testing.T) {
 	RegisterWire()
 
@@ -73,33 +71,14 @@ func TestEngineWireRoundTrip(t *testing.T) {
 			Reached: true,
 			DoneAt:  90 * time.Second,
 		},
+		masterPing{App: spec.ID, From: "127.0.0.1:7002"},
 	}
 	for _, msg := range msgs {
 		name := reflect.TypeOf(msg).String()
-		var buf bytes.Buffer
-		// Encode through an interface field, exactly as tcpnet frames do, so
-		// the test fails if a concrete type is missing from RegisterWire.
-		type envelope struct{ Msg any }
-		if err := gob.NewEncoder(&buf).Encode(envelope{Msg: msg}); err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		var out envelope
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if !reflect.DeepEqual(out.Msg, msg) {
-			t.Fatalf("%s: round trip mutated the message:\n sent %#v\n got  %#v", name, msg, out.Msg)
-		}
-		// The same messages must survive the codec-v2 hot path — via their
-		// hand-rolled encoders, not the gob fallback (the tag check below
-		// fails if a type silently falls back).
 		e := codec.NewEnc()
 		e.Value(msg)
 		if err := e.Err(); err != nil {
 			t.Fatalf("%s: codec encode: %v", name, err)
-		}
-		if e.Bytes()[0] == codec.TagGob {
-			t.Fatalf("%s: fell back to gob; registerCodecs is missing its tag", name)
 		}
 		d := codec.NewDec(append([]byte(nil), e.Bytes()...))
 		got := d.Value()
