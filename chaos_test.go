@@ -1,6 +1,8 @@
 package totoro
 
 import (
+	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"totoro/internal/simnet"
 	"totoro/internal/store"
 	"totoro/internal/transport"
+	"totoro/internal/wire/codec"
 	"totoro/internal/workload"
 )
 
@@ -63,11 +66,10 @@ type chaosResult struct {
 	snapshot  string
 }
 
-// runChaos trains one app to the given round count on a chaos cluster
-// with the invariant checker installed, under the given nemesis schedule
-// (empty = fault-free baseline), and runs the quiesce check before
-// returning.
-func runChaos(t *testing.T, seed int64, spec string, rounds int) chaosResult {
+// startChaos deploys one app of the given round count on a chaos cluster
+// with the invariant checker installed and the given nemesis schedule
+// (empty = fault-free baseline) armed; the caller drives the training.
+func startChaos(t *testing.T, seed int64, spec string, rounds int) (*Cluster, AppID, *Chaos, *simnet.Nemesis) {
 	t.Helper()
 	c := chaosCluster(seed, 2)
 	app := testApps(1, seed)[0]
@@ -106,7 +108,14 @@ func runChaos(t *testing.T, seed int64, spec string, rounds int) chaosResult {
 			t.Fatal(err)
 		}
 	}
+	return c, id, chaos, nem
+}
 
+// runChaos trains startChaos's app to completion and runs the quiesce
+// check before returning.
+func runChaos(t *testing.T, seed int64, spec string, rounds int) chaosResult {
+	t.Helper()
+	c, id, chaos, nem := startChaos(t, seed, spec, rounds)
 	prog := c.TrainUntil(c.Net.Now()+10*time.Minute, id)[0]
 	c.Net.CheckInvariants()
 
@@ -123,6 +132,87 @@ func runChaos(t *testing.T, seed int64, spec string, rounds int) chaosResult {
 		res.dupes += e.Metrics().Counter("pubsub.upstream_dupes").Value()
 	}
 	return res
+}
+
+// TestReplayReachesLiveRoles holds WAL replay to the live engine across
+// everything the composed schedule does to the role maps — promotions,
+// demotions by a higher epoch, same-epoch tie-breaks, stale and duplicated
+// replicas, crash-restarts: every 50ms of virtual time, every alive engine
+// with an intact journal must fold from its store, into an engine that was
+// never on a network, to the byte-identical snapshot the live engine would
+// write (a store is folded again only after an append; the live side is
+// compared every time, so an unjournaled mutation shows too).
+// TestRecoveredStateMatchesLive checks the same equation once, after a
+// fault-free run; this is the guard that keeps Engine.apply honest.
+func TestReplayReachesLiveRoles(t *testing.T) {
+	// The two acceptance/replay seeds on which masterships actually move.
+	seeds := []int64{241, 269}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	image := func(e *Engine) []byte {
+		enc := codec.NewEnc()
+		defer enc.Free()
+		enc.Value(e.buildSnapshot())
+		if err := enc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return slices.Clone(enc.Bytes())
+	}
+	for _, seed := range seeds {
+		c, id, _, _ := startChaos(t, seed, chaosSpec, chaosRounds)
+		c.Engines[0].StartTraining(id)
+		folded := make([][]byte, len(c.Engines)) // each store's replayed image ...
+		foldedAt := make([]int, len(c.Engines))  // ... as of this many appends
+		checked := 0
+		for deadline := c.Net.Now() + 10*time.Minute; c.Net.Now() < deadline && !c.allDone([]AppID{id}); {
+			c.Net.Run(c.Net.Now() + 50*time.Millisecond)
+			for i, live := range c.Engines {
+				if !c.Net.Alive(live.Self().Addr) || live.Degraded() {
+					continue
+				}
+				if n := c.FaultyStore(i).Appends; n != foldedAt[i] {
+					replayed := &Engine{}
+					if _, err := replayed.replay(c.stores[i]); err != nil {
+						t.Fatalf("seed %d: %s: %v", seed, live.Self().Addr, err)
+					}
+					folded[i], foldedAt[i] = image(replayed), n
+				}
+				if !bytes.Equal(folded[i], image(live)) {
+					replayed := &Engine{}
+					replayed.replay(c.stores[i])
+					t.Fatalf("seed %d, t=%v: %s replays to a state it does not hold:\nreplayed %s\nlive     %s",
+						seed, c.Net.Now(), live.Self().Addr, roles(replayed), roles(live))
+				}
+				checked++
+			}
+		}
+		if v := c.Net.Violation(); v != nil {
+			t.Fatalf("seed %d: %v", seed, v)
+		}
+		promotions := int64(0)
+		for _, e := range c.Engines {
+			promotions += e.Metrics().Counter("engine.promotions").Value()
+		}
+		if promotions == 0 || checked == 0 {
+			t.Fatalf("seed %d: %d promotions, %d comparisons: the run no longer moves a mastership", seed, promotions, checked)
+		}
+	}
+}
+
+// roles renders an engine's durable roles without the models.
+func roles(e *Engine) string {
+	var b strings.Builder
+	snap := e.buildSnapshot()
+	for kind, reps := range [][]replicaMsg{snap.Masters, snap.Replicas} {
+		for _, r := range reps {
+			fmt.Fprintf(&b, "%s{%s epoch %d round %d by %s started=%v done=%v at %v, %d points} ",
+				[]string{"master", "replica"}[kind], r.Spec.ID.Short(), r.Epoch, r.Round, r.Master.Addr,
+				r.Started, r.Done, r.DoneAt, len(r.Points))
+		}
+	}
+	fmt.Fprintf(&b, "self=%s subs=%v", snap.Self.Addr, snap.Subs)
+	return b.String()
 }
 
 // TestChaosAcceptance is the harness acceptance test: under the composed

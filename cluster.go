@@ -322,22 +322,24 @@ func (c *Cluster) allDone(appIDs []AppID) bool {
 			return false
 		}
 		p, _ := m.Progress(id)
-		if p == nil || (p.Done == 0 && !p.Reached) {
-			return false
-		}
-		if p.Done == 0 {
+		if p == nil || p.Done == 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Progress finds the app's master and returns its recorded trajectory.
+// Progress finds the app's master and returns its recorded trajectory. For
+// an unfinished app the result is a copy with Done set to the current time:
+// the master's own Progress rides every journaled and replicated image and
+// is what allDone polls, so a reader must not complete it.
 func (c *Cluster) Progress(id AppID) *workload.Progress {
 	if m := c.Master(id); m != nil {
 		p, _ := m.Progress(id)
 		if p.Done == 0 {
-			p.Done = c.Net.Now()
+			running := *p
+			running.Done = c.Net.Now()
+			return &running
 		}
 		return p
 	}
@@ -375,20 +377,14 @@ func (c *Cluster) Restart(i int) {
 }
 
 // Restarted completes a crash-restart that the network layer already
-// performed (churn in Restart mode calls Network.Restart itself; pass this
-// as the churn OnRestart hook). It plays the role a node's init system
-// plays in a real deployment: hand the recovered engine its data shards
+// performed (a nemesis kill or churn phase calls Network.Restart itself;
+// pass this as NemesisConfig.OnRestart). It plays the role a node's init
+// system plays in a real deployment: hand the recovered engine its data shards
 // (the store journals *that* the node works for an app; the driver owns
 // the bytes), point it at a live bootstrap node, and — once the overlay
 // join completes — let it resume its recovered roles.
 func (c *Cluster) Restarted(addr transport.Addr) {
-	idx := -1
-	for i, e := range c.Engines {
-		if e.Self().Addr == addr {
-			idx = i
-			break
-		}
-	}
+	idx := c.EngineIndex(addr)
 	if idx < 0 {
 		return
 	}

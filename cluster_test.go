@@ -31,6 +31,33 @@ func TestClusterProgressUnknownApp(t *testing.T) {
 	}
 }
 
+// TestClusterProgressIsReadOnly: polling Cluster.Progress mid-run (a
+// progress bar, a test waiting for a round) used to write Done into the
+// live master's Progress, which ended StepUntilDone/TrainUntil early and
+// rode the next journaled and replicated image as a bogus DoneAt.
+func TestClusterProgressIsReadOnly(t *testing.T) {
+	c := testCluster(30, 47)
+	app := testApps(1, 47)[0]
+	app.MaxRounds = 8
+	app.TargetAccuracy = 0.999 // unreachable: all 8 rounds run
+	id := c.DeployOnRandomNodes(app)
+	c.Engines[0].StartTraining(id)
+	for len(c.Progress(id).Points) < 2 {
+		if !c.Net.Step() {
+			t.Fatal("network went idle before two rounds committed")
+		}
+	}
+	if c.allDone([]AppID{id}) {
+		t.Fatalf("done after %d of 8 rounds", len(c.Progress(id).Points))
+	}
+	if p := c.Progress(id); p.Done != c.Net.Now() {
+		t.Fatalf("running app reports Done=%v, want the current time %v", p.Done, c.Net.Now())
+	}
+	if last := c.Train(id)[0].Points; len(last) != 8 {
+		t.Fatalf("training ended after %d of 8 rounds", len(last))
+	}
+}
+
 func TestMasterCachedAcrossLookups(t *testing.T) {
 	c := testCluster(50, 43)
 	app := testApps(1, 43)[0]

@@ -191,18 +191,15 @@ func run(id string, o experiments.Options) bool {
 			os.Exit(1)
 		}
 		rep.Recovery = recovery
-		fmt.Printf("%-24s %-12s %4s %12s %12s %10s %10s %8s\n",
-			"op", "mode", "par", "ns/op", "appends/s", "MB/s", "B/op", "allocs")
+		fmt.Printf("%-24s %-12s %12s %12s %10s %10s %8s\n",
+			"op", "mode", "ns/op", "appends/s", "MB/s", "B/op", "allocs")
 		for _, r := range rep.Append {
 			mode := "no-sync"
 			if r.Sync {
 				mode = "fsync"
-				if r.Batched {
-					mode = "fsync-batch"
-				}
 			}
-			fmt.Printf("%-24s %-12s %4d %12.1f %12.0f %10.1f %10d %8d\n",
-				r.Op, mode, r.Par, r.NsPerOp, r.AppendsPerS, r.MBPerSec, r.BytesPerOp, r.AllocsPerOp)
+			fmt.Printf("%-24s %-12s %12.1f %12.0f %10.1f %10d %8d\n",
+				r.Op, mode, r.NsPerOp, r.AppendsPerS, r.MBPerSec, r.BytesPerOp, r.AllocsPerOp)
 		}
 		fmt.Println("\ncold recovery (snapshot + journal tail replay on boot):")
 		for _, r := range rep.Recovery {

@@ -42,7 +42,6 @@ func main() {
 		metrics   = flag.String("metrics", "", "HTTP address serving /metrics, /metrics/text, /metrics/prom, /metrics/trace (empty = off)")
 		dataDir   = flag.String("data-dir", "", "directory for the durable store (WAL + snapshots); the node recovers its identity and roles from it on boot (empty = in-memory only)")
 		walSync   = flag.Bool("wal-sync", false, "fsync the WAL on every append (durable against power loss, at per-record flush latency)")
-		walGroup  = flag.Bool("wal-group-commit", false, "batch concurrent synchronous WAL appends into shared fsyncs (group commit; only meaningful with -wal-sync)")
 	)
 	flag.Parse()
 
@@ -60,7 +59,7 @@ func main() {
 	// overrides it so the node reclaims its old ring position.
 	var st store.Store
 	if *dataDir != "" {
-		f, err := store.Open(*dataDir, store.FileConfig{Sync: *walSync, GroupCommit: *walGroup})
+		f, err := store.Open(*dataDir, store.FileConfig{Sync: *walSync})
 		if err != nil {
 			log.Fatalf("durable store: %v", err)
 		}

@@ -4,25 +4,23 @@
 //
 //	totoro-sim -nodes 150 -apps 5 -clients 16 -fanout 16 -task speech
 //
-// With -churn the deployment trains under a seeded Poisson fault process
-// (and is automatically configured for resilience: reliable routing hops,
-// keep-alive tree repair, and master-state replication):
-//
-//	totoro-sim -churn 2s -churn-down 10s
-//
-// With -churn-restart, downed nodes come back with amnesia and recover
-// from their write-ahead logs instead of reviving with memory intact:
-//
-//	totoro-sim -churn 2s -churn-down 10s -churn-restart
-//
 // With -nemesis the deployment trains under a composed, seeded fault
 // schedule — partitions that heal, asymmetric link cuts, message
-// drop/duplicate/reorder rules, stragglers, kill–restart, disk faults —
-// while an always-on invariant checker asserts the engine's safety
-// contract after every virtual-time step. A violation aborts the run
-// with the seed for deterministic replay.
+// drop/duplicate/reorder rules, stragglers, kill–restart, Poisson churn,
+// disk faults — on the resilient stack (reliable routing hops, keep-alive
+// tree repair, master-state replication, durable stores), while an
+// always-on invariant checker asserts the engine's safety contract after
+// every virtual-time step. A violation aborts the run with the seed for
+// deterministic replay.
 //
 //	totoro-sim -nemesis 'partition@2s+3s/frac=0.3;dup@1s+8s/p=0.2;disk@4s+2s/n=1'
+//
+// -churn is shorthand for one more phase of that schedule, a Poisson
+// fail/revive process that starts when training does; with -churn-restart
+// downed nodes come back with amnesia and recover from their write-ahead
+// logs instead of reviving with memory intact:
+//
+//	totoro-sim -churn 2s -churn-down 10s -churn-restart
 package main
 
 import (
@@ -51,10 +49,10 @@ func main() {
 		task      = flag.String("task", "speech", "workload: speech or femnist")
 		rounds    = flag.Int("rounds", 40, "maximum training rounds")
 		seed      = flag.Int64("seed", 1, "deterministic seed")
-		churn     = flag.Duration("churn", 0, "mean time between node failures (0 = no churn)")
-		churnDown = flag.Duration("churn-down", 10*time.Second, "downtime before a failed node revives")
-		restart   = flag.Bool("churn-restart", false, "downed nodes crash-restart from their write-ahead log instead of reviving with memory intact (implies durable stores)")
-		nemesis   = flag.String("nemesis", "", "composed fault schedule: 'kind@start+dur[/k=v,...][;...]' with kinds partition, oneway, isolate, drop, dup, reorder, delay, slow, kill, disk (implies the resilient stack, durable stores, and always-on invariant checking)")
+		churn     = flag.Duration("churn", 0, "shorthand: append a 'churn@now+4h/mtbf=<this>' phase to the -nemesis schedule (0 = none)")
+		churnDown = flag.Duration("churn-down", 10*time.Second, "the -churn phase's down=: mean downtime before a failed node comes back")
+		restart   = flag.Bool("churn-restart", false, "the -churn phase's restart=true: downed nodes crash-restart from their write-ahead log instead of reviving with memory intact")
+		nemesis   = flag.String("nemesis", "", "composed fault schedule: 'kind@start+dur[/k=v,...][;...]' with kinds partition, oneway, isolate, drop, dup, reorder, delay, slow, kill, churn, disk (implies the resilient stack, durable stores, and always-on invariant checking)")
 		metrics   = flag.Bool("metrics", false, "print the merged fleet telemetry snapshot after the run")
 	)
 	flag.Parse()
@@ -66,6 +64,10 @@ func main() {
 			log.Fatalf("-nemesis: %v", err)
 		}
 	}
+	if *restart && *churn <= 0 {
+		log.Fatal("-churn-restart needs -churn")
+	}
+	faults := *churn > 0 || len(phases) > 0
 
 	var b int
 	switch *fanout {
@@ -94,9 +96,9 @@ func main() {
 		Ring:      ring.Config{B: b},
 		Bandwidth: 2 << 20,
 	}
-	if *churn > 0 || len(phases) > 0 {
-		// Churn and nemesis schedules demand the resilient stack: per-hop
-		// acks with rerouting, keep-alive repair of broken tree edges,
+	if faults {
+		// A fault schedule demands the resilient stack: per-hop acks with
+		// rerouting, keep-alive repair of broken tree edges,
 		// partial-aggregation deadlines, and replicated master state for
 		// failover.
 		cfg.Ring.ReliableHops = true
@@ -109,18 +111,8 @@ func main() {
 		cfg.Replicas = 2
 		cfg.ReplicaCheckInterval = 300 * time.Millisecond
 		cfg.FailoverGrace = 500 * time.Millisecond
-	}
-	if *restart {
-		if *churn <= 0 {
-			log.Fatal("-churn-restart needs -churn")
-		}
-		// Crash-restart churn: every node journals to a durable store and
-		// reboots from it. Replication stays on — failover covers the
-		// downtime, the WAL covers the reboot.
-		cfg.Durable = true
-	}
-	if len(phases) > 0 {
-		// Nemesis kill phases crash-restart their victims, and disk phases
+		// Kill and churn phases crash-restart their victims — failover
+		// covers the downtime, the WAL covers the reboot — and disk phases
 		// need fault-injecting stores to land on.
 		cfg.Durable = true
 		cfg.FaultyStores = true
@@ -137,7 +129,7 @@ func main() {
 		SamplesPerClient: *samples,
 		Seed:             *seed,
 	})
-	// Place workers explicitly so churn (if any) can exempt them: the demo
+	// Place workers explicitly so a fault schedule can exempt them: the demo
 	// is about infrastructure failures, not losing the training data.
 	placer := rand.New(rand.NewSource(*seed))
 	var appIDs []totoro.AppID
@@ -159,13 +151,19 @@ func main() {
 		fmt.Printf("  %-12s master=%s appId=%s…\n", ws[i].Name, m.Self().Addr, id.Short())
 	}
 
-	if *churn > 0 || len(phases) > 0 {
-		cluster.StartMaintenance(500 * time.Millisecond)
-	}
-
 	var chaos *totoro.Chaos
 	var nem *simnet.Nemesis
-	if len(phases) > 0 {
+	if faults {
+		cluster.StartMaintenance(500 * time.Millisecond)
+		if *churn > 0 {
+			// The phase starts now, not at zero: deployment advanced the clock.
+			phases = append(phases, simnet.Phase{
+				Kind: "churn", Start: cluster.Net.Now(), Dur: 4 * time.Hour,
+				Params: map[string]string{
+					"mtbf": churn.String(), "down": churnDown.String(), "restart": fmt.Sprint(*restart),
+				},
+			})
+		}
 		chaos = cluster.StartChaos(totoro.ChaosConfig{})
 		var err error
 		nem, err = cluster.Net.StartNemesis(simnet.NemesisConfig{
@@ -191,43 +189,12 @@ func main() {
 		fmt.Printf("nemesis: %d phases, invariant checking on (workers and masters exempt from kills)\n", len(phases))
 	}
 
-	var faults *simnet.Churn
-	if *churn > 0 {
-		faults = cluster.Net.StartChurn(simnet.ChurnConfig{
-			Seed:      *seed + 1,
-			FailEvery: *churn,
-			Downtime:  *churnDown,
-			Exempt:    exempt,
-			Restart:   *restart,
-			OnRestart: func(addr transport.Addr, now time.Duration) { cluster.Restarted(addr) },
-		})
-		mode := "revive"
-		if *restart {
-			mode = "crash-restart from WAL"
-		}
-		fmt.Printf("churn: one failure per %v on average, %v downtime, %s (masters and workers exempt)\n",
-			*churn, *churnDown, mode)
-	}
-
 	progress := cluster.Train(appIDs...)
 	fmt.Println("\nresults:")
 	for i, p := range progress {
 		last := p.Points[len(p.Points)-1]
 		fmt.Printf("  %-12s rounds=%3d acc=%.3f target=%.3f reached=%v done=%.1fs\n",
 			ws[i].Name, last.Round, last.Accuracy, ws[i].TargetAccuracy, p.Reached, p.Done.Seconds())
-	}
-	if faults != nil {
-		faults.Stop()
-		repairs := 0
-		for _, e := range cluster.Engines {
-			repairs += int(e.Metrics().Counter("pubsub.repairs").Value())
-		}
-		recoveries := 0
-		for _, e := range cluster.Engines {
-			recoveries += int(e.Metrics().Counter("engine.recoveries").Value())
-		}
-		fmt.Printf("\nchurn: %d failures injected, %d revived, %d restarted (%d WAL recoveries), %d still down; %d tree repairs\n",
-			faults.Fails, faults.Revives, faults.Restarts, recoveries, faults.Down(), repairs)
 	}
 	if nem != nil {
 		// Quiesce check: one last pass over every invariant now that the

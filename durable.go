@@ -2,11 +2,8 @@ package totoro
 
 import (
 	"slices"
-	"time"
 
-	"totoro/internal/ids"
 	"totoro/internal/ml"
-	"totoro/internal/pubsub"
 	"totoro/internal/ring"
 	"totoro/internal/store"
 	"totoro/internal/wire/codec"
@@ -164,103 +161,60 @@ func registerWalCodecs() {
 	)
 }
 
-// durableState is the fold of a journal: the recovered engine image.
-type durableState struct {
-	self     ring.Contact
-	masters  map[AppID]replicaMsg
-	replicas map[AppID]replicaMsg
-	subs     map[AppID]bool
-	loaded   bool
-}
-
-func newDurableState() *durableState {
-	return &durableState{
-		masters:  make(map[AppID]replicaMsg),
-		replicas: make(map[AppID]replicaMsg),
-		subs:     make(map[AppID]bool),
-	}
-}
-
-// loadDurable replays a store into a recovered engine image. Store-level
-// errors (corrupt snapshot, unreadable journal) degrade to whatever
-// replayed cleanly — a partially recovered node re-earns the rest
-// through the normal protocols, which beats refusing to boot.
-func loadDurable(st store.Store) (*durableState, error) {
+// replay folds a store into this engine — the latest snapshot, then every
+// record journaled after it — and reports whether the store held anything.
+// Store-level errors (corrupt snapshot, unreadable journal) degrade to
+// whatever replayed cleanly: a partially recovered node re-earns the rest
+// through the normal protocols, which beats refusing to boot. NewEngine
+// calls it before the overlay node exists; it touches no network.
+func (e *Engine) replay(st store.Store) (loaded bool, err error) {
 	state, recs, err := st.Load()
-	ds := newDurableState()
-	if snap, ok := state.(walSnapshot); ok {
-		ds.applySnapshot(snap)
-	}
+	e.apply(state) // nil when there is no snapshot yet
 	for _, rec := range recs {
-		ds.apply(rec)
+		e.apply(rec)
 	}
-	return ds, err
+	return state != nil || len(recs) > 0, err
 }
 
-func (ds *durableState) applySnapshot(s walSnapshot) {
-	ds.loaded = true
-	ds.self = s.Self
-	for _, r := range s.Masters {
-		ds.masters[r.Spec.ID] = r
-	}
-	for _, r := range s.Replicas {
-		ds.replicas[r.Spec.ID] = r
-	}
-	for _, w := range s.Subs {
-		ds.subs[w.App] = w.Restricted
-	}
-}
-
-// apply folds one record, mirroring the live mutation it journaled —
-// including the demotion rules of handleReplica, so a replayed journal
-// reaches the same masters/replicas split the live engine held.
-func (ds *durableState) apply(rec any) {
-	ds.loaded = true
+// apply folds one journaled record into the role maps. It is the mutation
+// itself, not a mirror of it: Subscribe and Unsubscribe call it live, and
+// walReplica goes through the yieldTo and keepReplica that handleReplica
+// runs, so a replayed journal reaches the masters/replicas split the live
+// engine held (TestReplayReachesLiveRoles).
+func (e *Engine) apply(rec any) {
 	switch r := rec.(type) {
 	case walIdentity:
-		ds.self = r.Self
+		e.self = r.Self
 	case walSub:
-		ds.subs[r.App] = r.Restricted
+		put(&e.workers, r.App, &workerState{restricted: r.Restricted})
 	case walUnsub:
-		delete(ds.subs, r.App)
+		delete(e.workers, r.App)
 	case walRound:
 		// The begun round is in flight; recovery re-runs it from the last
 		// committed image, so only the started flag matters here.
-		if m, ok := ds.masters[r.App]; ok && !m.Started {
-			m.Started = true
-			ds.masters[r.App] = m
+		if m, ok := e.masters[r.App]; ok {
+			m.started = true
 		}
 	case walMaster:
-		ds.masters[r.Rep.Spec.ID] = r.Rep
-		delete(ds.replicas, r.Rep.Spec.ID)
+		put(&e.masters, r.Rep.Spec.ID, masterFromImage(r.Rep))
+		delete(e.replicas, r.Rep.Spec.ID)
 	case walReplica:
-		app := r.Rep.Spec.ID
-		if m, ok := ds.masters[app]; ok {
-			switch {
-			case r.Rep.Epoch < m.Epoch:
-				return
-			case r.Rep.Epoch == m.Epoch:
-				if r.Rep.Master.Addr == ds.self.Addr {
-					return
-				}
-				if ids.Closer(app, ds.self.ID, r.Rep.Master.ID) {
-					return
-				}
-				delete(ds.masters, app)
-			default:
-				delete(ds.masters, app)
-			}
+		if beat, _ := e.yieldTo(r.Rep); beat == nil {
+			e.keepReplica(r.Rep)
 		}
-		if cur, ok := ds.replicas[app]; ok && !newerReplica(r.Rep, cur) {
-			return
-		}
-		ds.replicas[app] = r.Rep
 	case walSnapshot:
-		ds.applySnapshot(r)
+		e.self = r.Self
+		for _, rep := range r.Masters {
+			put(&e.masters, rep.Spec.ID, masterFromImage(rep))
+		}
+		for i := range r.Replicas {
+			put(&e.replicas, r.Replicas[i].Spec.ID, &r.Replicas[i])
+		}
+		for _, w := range r.Subs {
+			e.apply(w)
+		}
 	}
 }
-
-// --- engine integration ---
 
 // journal appends one record to the durable store, folding the WAL into
 // a snapshot every SnapshotEvery appends.
@@ -287,13 +241,9 @@ func (e *Engine) journal(rec any) {
 	}
 	e.ctrStoreAppends.Inc()
 	e.walAppends++
-	every := e.opts.SnapshotEvery
-	if every <= 0 {
-		every = 64
-	}
 	// The boot-time identity record can trip the cadence before the ring
 	// exists; the next journaled mutation folds it into a snapshot.
-	if e.walAppends >= every && e.ring != nil {
+	if e.walAppends >= e.opts.SnapshotEvery && e.ring != nil {
 		e.snapshotDurable()
 	}
 }
@@ -326,18 +276,12 @@ func (e *Engine) snapshotDurable() {
 
 // buildSnapshot captures the engine's durable state, sorted so the same
 // state always serializes to the same bytes. A master's in-flight round
-// is recorded as not yet begun: its aggregate would die with us anyway,
-// and recovery re-runs it — the same contract a crash between rounds
-// has.
+// is recorded as not yet begun (committedImage) — the same contract a
+// crash between rounds has.
 func (e *Engine) buildSnapshot() walSnapshot {
-	snap := walSnapshot{Self: e.Self()}
+	snap := walSnapshot{Self: e.self}
 	for _, app := range sortedApps(e.masters) {
-		m := e.masters[app]
-		rep := e.masterImage(m)
-		if m.inFlight {
-			rep.Round--
-		}
-		snap.Masters = append(snap.Masters, rep)
+		snap.Masters = append(snap.Masters, e.committedImage(e.masters[app]))
 	}
 	for _, app := range sortedApps(e.replicas) {
 		snap.Replicas = append(snap.Replicas, *e.replicas[app])
@@ -370,23 +314,10 @@ func appendSortedApps[T any](dst []AppID, m map[AppID]T) []AppID {
 	return dst
 }
 
-// restore installs a recovered image into a freshly built engine (called
-// from NewEngine, before any traffic).
-func (e *Engine) restore(ds *durableState) {
-	for app, rep := range ds.masters {
-		put(&e.masters, app, masterFromImage(rep))
-	}
-	for app, rep := range ds.replicas {
-		r := rep
-		put(&e.replicas, app, &r)
-	}
-	for app, restricted := range ds.subs {
-		put(&e.workers, app, &workerState{restricted: restricted})
-	}
-	e.recovered = true
-	e.ctrRecoveries.Inc()
-}
-
+// masterFromImage is the one image→state conversion: journal replay,
+// failover promotion and restart all build their masterState here. The
+// copies matter — a master updates its model in place, and an image may be
+// shared with the journal, the network and other replica holders.
 func masterFromImage(rep replicaMsg) *masterState {
 	return &masterState{
 		spec:    rep.Spec,
@@ -438,25 +369,10 @@ func (e *Engine) ResumeAfterRestart() {
 	}
 	for _, app := range sortedApps(e.masters) {
 		m := e.masters[app]
-		m.epoch++
-		e.journal(walMaster{Rep: e.masterImage(m)})
-		// The bumped epoch restarts the tree's multicast stream (sequence
-		// numbers restart from 1 under a new generation); without it, every
-		// member that saw the pre-crash stream would drop the recovered
-		// master's broadcasts as replays until the sequence passed the old
-		// high-water mark.
-		e.ps.CreateWithConfig(app, pubsub.TreeConfig{
-			MaxFanout:  m.spec.TreeFanout,
-			AggTimeout: m.spec.RoundDeadline,
-			Epoch:      uint64(m.epoch),
-		})
-		e.ps.ResetRounds(app)
-		e.replicateRound(m)
+		m.epoch++ // demotes whoever promoted itself during the outage
+		e.claim(m)
 		if m.started && !m.done {
 			grace := e.opts.FailoverGrace
-			if grace <= 0 {
-				grace = time.Second
-			}
 			round := m.round
 			var resume func()
 			resume = func() {

@@ -158,6 +158,10 @@ type workerState struct {
 type Engine struct {
 	env  transport.Env
 	opts Options
+	// self is this node's overlay identity: the contact NewEngine was given,
+	// or the one its journal recorded (replay overwrites it before the ring
+	// node is built).
+	self ring.Contact
 	ring *ring.Node
 	ps   *pubsub.Node
 
@@ -218,11 +222,20 @@ func NewEngine(env transport.Env, self ring.Contact, opts Options) *Engine {
 	if opts.Speed == 0 {
 		opts.Speed = 1
 	}
+	if opts.ReplicaCheckInterval <= 0 {
+		opts.ReplicaCheckInterval = 500 * time.Millisecond
+	}
+	if opts.FailoverGrace <= 0 {
+		opts.FailoverGrace = time.Second
+	}
+	if opts.SnapshotEvery <= 0 {
+		opts.SnapshotEvery = 64
+	}
 	queue := opts.Queue
 	if queue == nil {
 		queue = &workload.ComputeQueue{}
 	}
-	e := &Engine{env: env, opts: opts, queue: queue}
+	e := &Engine{env: env, opts: opts, queue: queue, self: self}
 	e.ctrPromotions = env.Metrics().Counter("engine.promotions")
 	e.ctrRounds = env.Metrics().Counter("engine.rounds")
 	if opts.Store != nil {
@@ -233,22 +246,22 @@ func NewEngine(env transport.Env, self ring.Contact, opts Options) *Engine {
 		e.ctrRecoveries = env.Metrics().Counter("engine.recoveries")
 		e.gaugeDegraded = env.Metrics().Gauge("store.degraded")
 		RegisterWire() // journals decode through the same codec registry
-		ds, err := loadDurable(e.store)
+		loaded, err := e.replay(e.store)
 		if err != nil {
 			e.ctrStoreErrors.Inc()
 		}
-		if ds.loaded {
-			// Rejoin under the identity the journal recorded: peers, trees,
-			// and replicated state all key on it.
-			if !ds.self.ID.IsZero() {
-				self = ring.Contact{ID: ds.self.ID, Addr: self.Addr}
-			}
-			e.restore(ds)
+		if loaded {
+			// Rejoin under the identity the journal recorded — peers, trees,
+			// and replicated state all key on it — at the address this
+			// process listens on now.
+			e.self.Addr = self.Addr
+			e.recovered = true
+			e.ctrRecoveries.Inc()
 		} else {
 			e.journal(walIdentity{Self: self})
 		}
 	}
-	e.ring = ring.New(env, self, opts.Ring)
+	e.ring = ring.New(env, e.self, opts.Ring)
 	e.ps = pubsub.New(env, e.ring, opts.PubSub)
 	// The engine interposes on the ring's upcalls to catch its own control
 	// messages, delegating everything else to the pub/sub layer.
@@ -262,7 +275,7 @@ func NewEngine(env transport.Env, self ring.Contact, opts Options) *Engine {
 }
 
 // Self returns this node's overlay contact.
-func (e *Engine) Self() ring.Contact { return e.ring.Self() }
+func (e *Engine) Self() ring.Contact { return e.self }
 
 // Ring exposes the overlay node (diagnostics and experiments).
 func (e *Engine) Ring() *ring.Node { return e.ring }
@@ -324,8 +337,13 @@ func (e *Engine) Subscribe(app AppID, shard *ml.Dataset, restricted bool) error 
 				e.Self().Addr, e.Self().ID.ZonePrefix(e.opts.ZoneBits), app.ZonePrefix(e.opts.ZoneBits))
 		}
 	}
-	put(&e.workers, app, &workerState{shard: shard, restricted: restricted})
-	e.journal(walSub{App: app, Restricted: restricted})
+	// Applied before it is journaled (as every master mutation is): an
+	// append that trips the snapshot cadence folds the journal, this record
+	// included, into an image of the state as it stands.
+	rec := walSub{App: app, Restricted: restricted}
+	e.apply(rec)
+	e.workers[app].shard = shard
+	e.journal(rec)
 	e.ps.Subscribe(app)
 	return nil
 }
@@ -335,8 +353,9 @@ func (e *Engine) SubscribeTopic(app AppID) { e.ps.Subscribe(app) }
 
 // Unsubscribe leaves an application.
 func (e *Engine) Unsubscribe(app AppID) {
-	delete(e.workers, app)
-	e.journal(walUnsub{App: app})
+	rec := walUnsub{App: app}
+	e.apply(rec)
+	e.journal(rec)
 	e.ps.Unsubscribe(app)
 }
 
@@ -430,8 +449,7 @@ func (e *Engine) Deliver(d ring.Delivery) {
 		e.maybePromote(p.App)
 		if m, ok := e.masters[p.App]; ok && !m.started && !m.done {
 			m.started = true
-			e.journal(walMaster{Rep: e.masterImage(m)})
-			e.replicateRound(m)
+			e.ack(m)
 			e.beginRound(m)
 		}
 	default:
@@ -467,17 +485,7 @@ func (e *Engine) becomeMaster(spec AppSpec) {
 		progress: &workload.Progress{App: spec.Name},
 	}
 	put(&e.masters, spec.ID, m)
-	// Journal the mastership before claiming the tree: a crash after this
-	// point recovers as master, never as a node that half-claimed a root.
-	e.journal(walMaster{Rep: e.masterImage(m)})
-	// Claim the tree root so early subscribers splice below us, installing
-	// the owner's tree parameters (fanout cap, semi-sync round deadline).
-	e.ps.CreateWithConfig(spec.ID, pubsub.TreeConfig{
-		MaxFanout:  spec.TreeFanout,
-		AggTimeout: spec.RoundDeadline,
-		Epoch:      uint64(m.epoch),
-	})
-	e.replicateRound(m)
+	e.claim(m) // early subscribers splice below us
 }
 
 func (e *Engine) beginRound(m *masterState) {
@@ -703,17 +711,15 @@ func (e *Engine) completeRound(m *masterState, round int, u updateAgg) {
 		m.done = true
 		m.progress.Done = now
 		m.progress.Reached = reached
-		// The committed round is journaled before anything is replicated or
-		// broadcast: a crash from here on recovers to this round, not the
-		// previous one. The final replica carries Done, which also stops the
-		// replica holders' ownership-probe loops.
-		e.journal(walMaster{Rep: e.masterImage(m)})
-		e.replicateRound(m)
-		return
 	}
-	e.journal(walMaster{Rep: e.masterImage(m)})
-	e.replicateRound(m)
-	e.beginRound(m)
+	// The committed round is journaled before anything is replicated or
+	// broadcast: a crash from here on recovers to this round, not the
+	// previous one. The final replica carries Done, which also stops the
+	// replica holders' ownership-probe loops.
+	e.ack(m)
+	if !m.done {
+		e.beginRound(m)
+	}
 }
 
 // retryRound re-runs a round that stayed below quorum through every hold.
@@ -737,20 +743,7 @@ func (e *Engine) retryRound(m *masterState, round int) {
 	m.pending = updateAgg{}
 	m.holds = 0
 	e.env.Metrics().Counter("fl.round_retries").Inc()
-	// Journal the epoch bump before any network action, like a promotion:
-	// a crash mid-retry must not recover into the aborted epoch.
-	e.journal(walMaster{Rep: e.masterImage(m)})
-	// The bumped epoch restarts the multicast stream; members clear their
-	// per-round aggregation state when the re-announcement reaches them.
-	e.ps.CreateWithConfig(m.spec.ID, pubsub.TreeConfig{
-		MaxFanout:  m.spec.TreeFanout,
-		AggTimeout: m.spec.RoundDeadline,
-		Epoch:      uint64(m.epoch),
-	})
-	// This node's own aggRound for the aborted instance is flushed; the
-	// re-announced round must aggregate fresh.
-	e.ps.ResetRounds(m.spec.ID)
-	e.replicateRound(m)
+	e.claim(m)
 	e.beginRound(m)
 }
 

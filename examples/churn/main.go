@@ -1,18 +1,19 @@
 // Churn: training through node failures (paper §4.5, §7.5).
 //
-// An FL application trains while a seeded Poisson churn process keeps
-// failing (and later reviving) nodes around it. Keep-alive heartbeats
-// detect failed parents; orphaned children re-route their JOINs toward
-// the AppId and splice back into the tree; aggregation timeouts keep
-// rounds flowing while repairs happen. Training finishes despite the
-// churn — and the whole fault schedule is deterministic, so every run of
-// this example prints the same trajectory.
+// An FL application trains while a seeded Poisson churn phase of the
+// nemesis scheduler keeps failing (and later reviving) nodes around it.
+// Keep-alive heartbeats detect failed parents; orphaned children re-route
+// their JOINs toward the AppId and splice back into the tree; aggregation
+// timeouts keep rounds flowing while repairs happen. Training finishes
+// despite the churn — and the whole fault schedule is deterministic, so
+// every run of this example prints the same trajectory.
 //
 //	go run ./examples/churn
 package main
 
 import (
 	"fmt"
+	"log"
 	"math/rand"
 	"time"
 
@@ -44,7 +45,7 @@ func main() {
 	app.TargetAccuracy = 0 // run the full schedule
 	app.MaxRounds = 14
 
-	// Place the workers explicitly so the churn process can be told to spare
+	// Place the workers explicitly so the churn phase can be told to spare
 	// them: the point here is tree repair around failures, not data loss.
 	perm := rand.New(rand.NewSource(31)).Perm(len(cluster.Engines))
 	workers := perm[:len(app.Shards)]
@@ -59,20 +60,23 @@ func main() {
 	for _, w := range workers {
 		exempt = append(exempt, cluster.Engines[w].Self().Addr)
 	}
-	churn := cluster.Net.StartChurn(simnet.ChurnConfig{
-		Seed:      12,
-		FailEvery: 400 * time.Millisecond,
-		Downtime:  5 * time.Second,
-		Exempt:    exempt,
-		OnFail: func(a transport.Addr, now time.Duration) {
-			fmt.Printf("t=%5.1fs: node %s failed\n", now.Seconds(), a)
-		},
+	// The phase starts now, not at zero: building the tree advanced the clock.
+	const limit = 10 * time.Minute
+	churn, err := cluster.Net.StartNemesis(simnet.NemesisConfig{
+		Seed:   12,
+		Exempt: exempt,
+		Phases: []simnet.Phase{{
+			Kind: "churn", Start: cluster.Net.Now(), Dur: limit,
+			Params: map[string]string{"mtbf": "400ms", "down": "5s"},
+		}},
 	})
-	defer churn.Stop()
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// Train to completion while the churn process runs underneath.
+	// Train to completion while the churn phase runs underneath.
 	cluster.Engines[workers[0]].StartTraining(id)
-	cluster.StepUntilDone(cluster.Net.Now()+10*time.Minute, id)
+	cluster.StepUntilDone(cluster.Net.Now()+limit, id)
 
 	p := cluster.Progress(id)
 	repairs := 0
@@ -81,7 +85,7 @@ func main() {
 	}
 	last := p.Points[len(p.Points)-1]
 	fmt.Printf("\nchurn injected %d failures (%d revived); survivors ran %d tree repairs\n",
-		churn.Fails, churn.Revives, repairs)
+		churn.Kills, churn.Revives, repairs)
 	fmt.Printf("training completed round %d with accuracy %.3f at t=%.1fs\n",
 		last.Round, last.Accuracy, p.Done.Seconds())
 	for _, pt := range p.Points {

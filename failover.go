@@ -55,12 +55,12 @@ func newerReplica(a, b replicaMsg) bool {
 }
 
 // masterImage captures a mastership as a replicaMsg: the unit of both
-// network replication (replicateRound) and durable journaling
+// network replication (replicate) and durable journaling
 // (walMaster/walSnapshot in durable.go).
 func (e *Engine) masterImage(m *masterState) replicaMsg {
 	return replicaMsg{
 		Spec:    m.spec,
-		Master:  e.Self(),
+		Master:  e.self,
 		Epoch:   m.epoch,
 		Round:   m.round,
 		Global:  append([]float64(nil), m.global...),
@@ -72,69 +72,146 @@ func (e *Engine) masterImage(m *masterState) replicaMsg {
 	}
 }
 
-// replicateRound ships the master's current round state to its leaf-set
-// successors. Called after becoming master, on training start, and after
-// every completed round — so a replica is never more than one round stale.
-func (e *Engine) replicateRound(m *masterState) {
+// claim is the one way to take a mastership — announce, failover
+// promotion, quorum retry, restart re-claim: journal the image, claim the
+// tree root under m.epoch, drop this node's stale rounds, replicate.
+func (e *Engine) claim(m *masterState) {
+	img := e.masterImage(m)
+	// Journal before any network action: a crash from here on recovers as
+	// master at this epoch and re-runs the takeover — never as a node that
+	// half-claimed a root, and never into an epoch it has abandoned.
+	e.journal(walMaster{Rep: img})
+	// Claiming installs the owner's tree parameters (fanout cap, semi-sync
+	// round deadline). A bumped epoch restarts the tree's multicast stream:
+	// members reset their dedup and per-round aggregation state instead of
+	// swallowing the new root's sequence numbers (which restart from 1) as
+	// replays of its predecessor's until they pass the old high-water mark.
+	e.ps.CreateWithConfig(m.spec.ID, pubsub.TreeConfig{
+		MaxFanout:  m.spec.TreeFanout,
+		AggTimeout: m.spec.RoundDeadline,
+		Epoch:      uint64(m.epoch),
+	})
+	// From its life as an interior node, or from the instance a retry
+	// aborts, this node may hold aggRounds already marked flushed; a
+	// re-announced round must aggregate fresh. A no-op on a new topic.
+	e.ps.ResetRounds(m.spec.ID)
+	e.replicate(img)
+}
+
+// ack acknowledges the master's current state — training started, a round
+// committed: journal the image, then replicate it.
+func (e *Engine) ack(m *masterState) {
+	img := e.masterImage(m)
+	e.journal(walMaster{Rep: img})
+	e.replicate(img)
+}
+
+// committedImage is masterImage as of the last committed round. claim and
+// ack only run between rounds, but a snapshot or a ping can catch the
+// master mid-round, and an image claiming the in-flight round would put a
+// replica ahead of the master's acks: the round's aggregate dies with its
+// master anyway, and whoever takes over re-runs it.
+func (e *Engine) committedImage(m *masterState) replicaMsg {
+	img := e.masterImage(m)
+	if m.inFlight {
+		img.Round--
+	}
+	return img
+}
+
+// replicate ships an acknowledged image to the master's leaf-set
+// successors. It follows every claim, the start of training and every
+// committed round — so a replica is never more than one round stale. The
+// image is the value just journaled: stores encode synchronously and
+// replica holders never write to an image (promotion copies it), so
+// sharing it is safe.
+func (e *Engine) replicate(img replicaMsg) {
 	if e.AckHook != nil {
-		e.AckHook(m.spec.ID, m.epoch, m.round, 0, false)
+		e.AckHook(img.Spec.ID, img.Epoch, img.Round, 0, false)
 	}
 	k := e.opts.Replicas
 	if k <= 0 {
 		return // replication disabled (the default)
 	}
-	rep := e.masterImage(m)
-	for _, c := range e.ring.ClosestLeaves(m.spec.ID, k) {
-		e.env.Send(c.Addr, rep)
+	for _, c := range e.ring.ClosestLeaves(img.Spec.ID, k) {
+		e.env.Send(c.Addr, img)
 	}
+}
+
+// yieldTo and keepReplica are the one statement of the epoch rules. They
+// touch only the role maps: handleReplica runs them on an image from the
+// network and acts on the outcome, WAL replay (apply) on a journaled one.
+//
+// yieldTo is the mastership half: does this node's mastership of the app,
+// if it has one, survive the image? beat is the mastership that outranks
+// the image (or that the image merely echoes) — the image goes no further;
+// demoted reports that the image ended it.
+func (e *Engine) yieldTo(rep replicaMsg) (beat *masterState, demoted bool) {
+	app := rep.Spec.ID
+	m, ok := e.masters[app]
+	switch {
+	case !ok:
+		return nil, false
+	case rep.Epoch < m.epoch:
+		return m, false
+	case rep.Epoch == m.epoch:
+		if rep.Master.Addr == e.self.Addr {
+			return m, false // echo of our own replication
+		}
+		// Two masters promoted from the same replica (inconsistent ring
+		// views). Deterministic tie-break: the one closer to the app key
+		// is the rightful rendezvous node; the other steps down.
+		if ids.Closer(app, e.self.ID, rep.Master.ID) {
+			return m, false
+		}
+	}
+	// A higher-epoch master exists (we are a revived old master or lost an
+	// epoch race), or we lost the tie-break: step down. Our in-flight round
+	// dies with the demotion — the replica we keep is the winner's image, so
+	// nothing of our divergent state merges into the app.
+	delete(e.masters, app)
+	return nil, true
+}
+
+// keepReplica is the replica half: the image is stored unless the one
+// already held supersedes it.
+func (e *Engine) keepReplica(rep replicaMsg) bool {
+	app := rep.Spec.ID
+	if cur, ok := e.replicas[app]; ok && !newerReplica(rep, *cur) {
+		return false
+	}
+	delete(e.suspect, app) // a fresh image is proof of a live master
+	put(&e.replicas, app, &rep)
+	return true
 }
 
 // handleReplica stores (or refreshes) a replica, demoting this node first
 // if the replica proves a higher-epoch master exists elsewhere.
 func (e *Engine) handleReplica(rep replicaMsg) {
 	app := rep.Spec.ID
-	// Journal before applying: replay folds the record through the same
-	// guards below (durableState.apply), reaching the same masters/replicas
-	// split a live engine holds.
+	// Journal first: replay folds the record through the same two rules,
+	// reaching the masters/replicas split a live engine holds.
 	e.journal(walReplica{Rep: rep})
-	if m, ok := e.masters[app]; ok {
-		switch {
-		case rep.Epoch < m.epoch:
-			// A stale master is still replicating: a partition healed and the
-			// loser of an epoch race doesn't know it lost. Beat it back with
-			// our newer image — handleReplica on its side demotes it, which
-			// discards (not merges) its divergent in-flight round. Without
-			// this reply the loser only reconciles if it happens to sit in
-			// our leaf set; with it, heal resolves within one of the loser's
-			// replication attempts.
-			e.nackStaleMaster(m, rep)
-			return
-		case rep.Epoch == m.epoch:
-			if rep.Master.Addr == e.Self().Addr {
-				return // echo of our own replication
-			}
-			// Two masters promoted from the same replica (inconsistent ring
-			// views). Deterministic tie-break: the one closer to the app key
-			// is the rightful rendezvous node; the other steps down.
-			if ids.Closer(app, e.Self().ID, rep.Master.ID) {
-				e.nackStaleMaster(m, rep) // same-epoch tie-break: tell the loser
-				return
-			}
-			delete(e.masters, app)
-			e.ps.Disown(app)
-		default:
-			// A higher-epoch master exists (we are a revived old master or
-			// lost an epoch race): step down, keep the state as a replica.
-			delete(e.masters, app)
-			e.ps.Disown(app)
+	beat, demoted := e.yieldTo(rep)
+	if beat != nil {
+		// A stale master is still replicating: a partition healed and the
+		// loser of an epoch race (or of the same-epoch tie-break) doesn't
+		// know it lost. Beat it back with our image, straight to the sender
+		// — yieldTo on its side demotes it. Without this reply the loser
+		// only reconciles if it happens to sit in our leaf set; with it,
+		// heal resolves within one of the loser's replication attempts.
+		if rep.Master.Addr != e.self.Addr && rep.Master.Addr != "" {
+			e.env.Send(rep.Master.Addr, e.masterImage(beat))
 		}
-	}
-	if cur, ok := e.replicas[app]; ok && !newerReplica(rep, *cur) {
 		return
 	}
-	delete(e.suspect, app) // a fresh image is proof of a live master
-	put(&e.replicas, app, &rep)
-	if rep.Started && !rep.Done {
+	if demoted {
+		// Before the image is stored: a subscribed root re-joins through
+		// the ring, which can route the JOIN straight back to this node,
+		// and maybePromote must then find nothing to promote from.
+		e.ps.Disown(app)
+	}
+	if e.keepReplica(rep) && rep.Started && !rep.Done {
 		e.ensureReplicaCheck(app)
 	}
 }
@@ -166,30 +243,10 @@ const masterProbeTries = 2
 // Anything else stays silent — the prober's timeout is the signal.
 func (e *Engine) handleMasterPing(p masterPing) {
 	m, ok := e.masters[p.App]
-	if !ok || p.From == e.Self().Addr || p.From == "" {
+	if !ok || p.From == e.self.Addr || p.From == "" {
 		return
 	}
-	img := e.masterImage(m)
-	if m.inFlight {
-		// Unlike replicateRound (which only runs right after a commit),
-		// a ping can catch the master mid-round. Report the last
-		// *committed* round: an image claiming an unacked round would put
-		// the replica ahead of the master's acks.
-		img.Round = m.round - 1
-	}
-	e.env.Send(p.From, img)
-}
-
-// nackStaleMaster answers a losing master's replication with this
-// master's own winning image, sent straight back to the sender. The
-// loser's handleReplica demotes it by the normal epoch/tie-break rules;
-// its in-flight round dies with the demotion (the replica it keeps is
-// OUR image, so nothing of its divergent state merges into the app).
-func (e *Engine) nackStaleMaster(m *masterState, stale replicaMsg) {
-	if stale.Master.Addr == e.Self().Addr || stale.Master.Addr == "" {
-		return
-	}
-	e.env.Send(stale.Master.Addr, e.masterImage(m))
+	e.env.Send(p.From, e.committedImage(m))
 }
 
 // ensureReplicaCheck runs a periodic ownership probe while this node holds
@@ -203,9 +260,6 @@ func (e *Engine) ensureReplicaCheck(app AppID) {
 		return
 	}
 	interval := e.opts.ReplicaCheckInterval
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
 	put(&e.checking, app, true)
 	var tick func()
 	tick = func() {
@@ -225,10 +279,9 @@ func (e *Engine) ensureReplicaCheck(app AppID) {
 
 // maybePromote makes this node the application's master from its stored
 // replica — but only if the ring says this node now owns the app key
-// (NextHop returns no hop). It reclaims the tree root, resets any stale
-// aggregation state left from this node's life as an interior aggregator,
-// re-replicates at a higher epoch (demoting a revived predecessor), and
-// resumes rounds after a grace period that lets orphaned workers re-attach.
+// (NextHop returns no hop). It claims the mastership at a higher epoch
+// (demoting a revived predecessor) and resumes rounds after a grace period
+// that lets orphaned workers re-attach.
 func (e *Engine) maybePromote(app AppID) bool {
 	rep, ok := e.replicas[app]
 	if !ok {
@@ -245,53 +298,23 @@ func (e *Engine) maybePromote(app AppID) bool {
 	// the master's death (see masterPing). Probe it directly and only
 	// promote after masterProbeTries consecutive silent checks; any image
 	// it sends back lands in handleReplica, which clears the suspicion.
-	if rep.Master.Addr != "" && rep.Master.Addr != e.Self().Addr {
+	if rep.Master.Addr != "" && rep.Master.Addr != e.self.Addr {
 		if tries := e.suspect[app]; tries < masterProbeTries {
 			put(&e.suspect, app, tries+1)
-			e.env.Send(rep.Master.Addr, masterPing{App: app, From: e.Self().Addr})
+			e.env.Send(rep.Master.Addr, masterPing{App: app, From: e.self.Addr})
 			return false
 		}
 	}
 	delete(e.suspect, app)
 	delete(e.replicas, app)
-	m := &masterState{
-		spec:    rep.Spec,
-		global:  append([]float64(nil), rep.Global...),
-		round:   rep.Round,
-		epoch:   rep.Epoch + 1,
-		started: rep.Started,
-		done:    rep.Done,
-		progress: &workload.Progress{
-			App:     rep.Spec.Name,
-			Points:  append([]workload.AccuracyPoint(nil), rep.Points...),
-			Done:    rep.DoneAt,
-			Reached: rep.Reached,
-		},
-	}
+	m := masterFromImage(*rep)
+	m.epoch++ // demotes a revived predecessor
 	put(&e.masters, app, m)
 	e.ctrPromotions.Inc()
-	// Journal the promotion before any network action: a crash mid-takeover
-	// recovers as the (bumped-epoch) master and re-runs the takeover.
-	e.journal(walMaster{Rep: e.masterImage(m)})
-	// The bumped epoch restarts the tree's multicast stream: members reset
-	// their dedup state instead of swallowing the new root's sequence
-	// numbers (which restart from 1) as replays of the dead master's.
-	e.ps.CreateWithConfig(app, pubsub.TreeConfig{
-		MaxFanout:  m.spec.TreeFanout,
-		AggTimeout: m.spec.RoundDeadline,
-		Epoch:      uint64(m.epoch),
-	})
-	// As an interior node this engine may hold aggRounds already marked
-	// flushed; a re-announced round must aggregate fresh.
-	e.ps.ResetRounds(app)
-	e.replicateRound(m)
+	e.claim(m)
 	if m.started && !m.done {
-		grace := e.opts.FailoverGrace
-		if grace <= 0 {
-			grace = time.Second
-		}
 		round := m.round
-		e.env.After(grace, func() {
+		e.env.After(e.opts.FailoverGrace, func() {
 			// Resume only if nothing else moved the app meanwhile (we could
 			// have been demoted, or a round could already be in flight).
 			if cur, ok := e.masters[app]; ok && cur == m && !m.done && m.round == round {

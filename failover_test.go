@@ -85,13 +85,16 @@ func runFailover(t *testing.T, seed int64, kill bool) failoverResult {
 	for _, w := range workers {
 		exempt = append(exempt, c.Engines[w].Self().Addr)
 	}
-	ch := c.Net.StartChurn(simnet.ChurnConfig{
-		Seed:      seed + 7,
-		FailEvery: 500 * time.Millisecond,
-		Downtime:  3 * time.Second,
-		Exempt:    exempt,
-	})
-	defer ch.Stop()
+	if _, err := c.Net.StartNemesis(simnet.NemesisConfig{
+		Seed:   seed + 7,
+		Exempt: exempt,
+		Phases: []simnet.Phase{{
+			Kind: "churn", Start: c.Net.Now(), Dur: 10 * time.Minute,
+			Params: map[string]string{"mtbf": "500ms", "down": "3s"},
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	c.Engines[owner].StartTraining(id)
 

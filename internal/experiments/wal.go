@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"os"
-	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"totoro/internal/ids"
 	"totoro/internal/store"
-	"totoro/internal/store/wal"
 	"totoro/internal/wire/codec"
 )
 
@@ -60,10 +57,6 @@ func walBenchInit() {
 	})
 }
 
-// walBenchAppenders is RunParallel's per-CPU goroutine multiplier for
-// the group-commit rows.
-const walBenchAppenders = 8
-
 func walBenchParams(n int) []float64 {
 	params := make([]float64, n)
 	for i := range params {
@@ -74,10 +67,8 @@ func walBenchParams(n int) []float64 {
 
 // WALBenchRow is one append measurement on the file-backed store.
 type WALBenchRow struct {
-	Op          string  // "append-round", "append-image10k", "append-round-concurrent"
+	Op          string  // "append-round", "append-image10k"
 	Sync        bool    // fsync per append
-	Batched     bool    // group commit: concurrent appenders share fsyncs
-	Par         int     // concurrent appender goroutines (1 = serial)
 	NsPerOp     float64 //
 	AppendsPerS float64
 	MBPerSec    float64 // payload throughput (image rows)
@@ -108,45 +99,8 @@ func walAppendBench(syncEach bool, rec any, payload int) func(b *testing.B) {
 	}
 }
 
-// walGroupBench measures synchronous appends issued by concurrent
-// goroutines straight against the wal.Writer, batched (group commit:
-// lock-leader shared fsyncs) or unbatched (every appender fsyncs its own
-// record). The body is a round-marker-sized frame — the engine's hot
-// path and the case -wal-sync makes expensive.
-func walGroupBench(group bool, body []byte) func(b *testing.B) {
-	return func(b *testing.B) {
-		dir, err := os.MkdirTemp("", "totoro-walgroup-*")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		w, _, err := wal.Open(filepath.Join(dir, "wal.log"), true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer w.Close()
-		w.SetGroupCommit(group)
-		b.ReportAllocs()
-		// Appenders beyond GOMAXPROCS still overlap: a synchronous append
-		// parks in fsync, not on a CPU, so even a single-core host sees the
-		// group form.
-		b.SetParallelism(walBenchAppenders)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if err := w.Append(body); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-	}
-}
-
 // WALAppendBench measures WAL append cost for the round-marker record and
-// a 10k-parameter model image, with and without per-append fsync, plus
-// the group-commit rows: concurrent synchronous appenders with and
-// without shared fsyncs.
+// a 10k-parameter model image, with and without per-append fsync.
 func WALAppendBench(o Options) []WALBenchRow {
 	walBenchInit()
 	round := walBenchRound{App: ids.ID{Hi: 1, Lo: 2}, Round: 42}
@@ -173,37 +127,12 @@ func WALAppendBench(o Options) []WALBenchRow {
 		}
 		return out
 	}
-	rows := []WALBenchRow{
+	return []WALBenchRow{
 		row("append-round", false, round, 16),
 		row("append-image10k", false, image, imgPayload),
 		row("append-round", true, round, 16),
 		row("append-image10k", true, image, imgPayload),
 	}
-
-	// Group-commit comparison: walBenchAppenders×GOMAXPROCS concurrent
-	// appenders; batched mode shares fsyncs across them.
-	par := walBenchAppenders * runtime.GOMAXPROCS(0)
-	body := make([]byte, 16)
-	groupRow := func(batched bool) WALBenchRow {
-		r := testing.Benchmark(walGroupBench(batched, body))
-		out := WALBenchRow{
-			Op: "append-round-concurrent", Sync: true, Batched: batched, Par: par,
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if r.NsPerOp() > 0 {
-			out.AppendsPerS = 1e9 / float64(r.NsPerOp())
-		}
-		return out
-	}
-	rows = append(rows, groupRow(false), groupRow(true))
-	for i := range rows {
-		if rows[i].Par == 0 {
-			rows[i].Par = 1
-		}
-	}
-	return rows
 }
 
 // WALRecoveryRow is one cold-recovery measurement: reopen a data

@@ -11,7 +11,7 @@ import (
 )
 
 // TestRepairUnderChurnRedeliversBroadcast drives the keep-alive repair path
-// with the churn scheduler instead of a single surgical failure: an interior
+// with a churn phase instead of a single surgical failure: an interior
 // parent is killed while background churn keeps removing other nodes, and
 // every surviving subscriber must re-graft onto the tree (OnRepair fires)
 // and deliver the next Publish exactly as if nothing had happened.
@@ -79,16 +79,21 @@ func TestRepairUnderChurnRedeliversBroadcast(t *testing.T) {
 	for a := range subs {
 		exempt = append(exempt, a)
 	}
-	ch := f.net.StartChurn(simnet.ChurnConfig{
-		Seed:      99,
-		FailEvery: 200 * time.Millisecond,
-		Exempt:    exempt,
+	nm, err := f.net.StartNemesis(simnet.NemesisConfig{
+		Seed:   99,
+		Exempt: exempt,
+		Phases: []simnet.Phase{{
+			Kind: "churn", Start: f.net.Now(), Dur: 2 * time.Second,
+			Params: map[string]string{"mtbf": "200ms"},
+		}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	f.net.Fail(victimAddr)
 	f.net.Run(f.net.Now() + 2*time.Second) // repair plays out under churn
-	ch.Stop()
-	if ch.Fails == 0 {
+	if nm.Kills == 0 {
 		t.Fatal("churn injected no background failures")
 	}
 	f.net.Run(f.net.Now() + 2*time.Second) // quiesce: quarantines expire, joins settle

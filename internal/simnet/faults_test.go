@@ -245,13 +245,18 @@ func TestInvariantCheckerPanicsWithoutHandler(t *testing.T) {
 }
 
 func TestParseScheduleRoundTrip(t *testing.T) {
-	spec := "partition@2s+3s/frac=0.4; drop@1s+6s/p=0.2 ;kill@4s+2s/n=2,restart=true;disk@500ms+1s"
+	spec := "partition@2s+3s/frac=0.4; drop@1s+6s/p=0.2 ;kill@4s+2s/n=2,restart=true;disk@500ms+1s;" +
+		"churn@0s+1m/mtbf=400ms,down=5s,restart=true"
 	phases, err := ParseSchedule(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(phases) != 4 {
+	if len(phases) != 5 {
 		t.Fatalf("got %d phases", len(phases))
+	}
+	if ch := phases[4]; ch.duration("mtbf", 0) != 400*time.Millisecond ||
+		ch.duration("down", 0) != 5*time.Second || !ch.boolean("restart", false) {
+		t.Fatalf("churn params: %+v", ch)
 	}
 	if phases[0].Kind != "partition" || phases[0].Start != 2*time.Second || phases[0].Dur != 3*time.Second {
 		t.Fatalf("phase 0: %+v", phases[0])
@@ -280,6 +285,7 @@ func TestParseScheduleRejectsGarbage(t *testing.T) {
 		"partition@1s+0s",
 		"partition@1s+2s/bogus=1",
 		"kill@1s+2s/n",
+		"churn@1s+2s/n=2",
 		"drop@x+2s/p=0.1",
 	} {
 		if _, err := ParseSchedule(bad); err == nil {

@@ -43,6 +43,14 @@ import (
 //	kill       n (1) random nodes crash at phase start; at phase end they
 //	           crash-restart (restart=true) or revive with memory intact
 //	           (restart=false)
+//	churn      a Poisson fail/revive process (the paper's §7.5 failure
+//	           experiments) for the length of the phase: after every
+//	           exponential gap of mean mtbf (1s) one eligible node crashes,
+//	           to return after an exponential downtime of mean down (0 =
+//	           never) revived (restart=false) or crash-restarted
+//	           (restart=true), also past phase end. Each failure draws the
+//	           victim (Intn over the eligible list), its downtime if
+//	           down > 0, then the next gap
 //	disk       n (1) random nodes' durable stores start failing for the
 //	           phase (delivered through NemesisConfig.OnDisk; the network
 //	           itself has no disks)
@@ -60,8 +68,8 @@ type Nemesis struct {
 // NemesisConfig parameterizes a Nemesis run.
 type NemesisConfig struct {
 	// Seed drives victim selection and any per-phase randomness,
-	// independent of the network seed, so fault schedules compose with
-	// other seeded processes (churn) without perturbing them.
+	// independent of the network seed, so a fault schedule never perturbs
+	// the traffic it is injected into.
 	Seed int64
 	// Spec is the schedule in the textual grammar above. Ignored when
 	// Phases is set.
@@ -77,8 +85,8 @@ type NemesisConfig struct {
 	// start and active=false at heal, once per victim. Nil disables the
 	// kind (phases are skipped).
 	OnDisk func(addr transport.Addr, active bool)
-	// OnRestart fires after a kill phase crash-restarts a node (the
-	// harness completes recovery: re-attach shards, rejoin, resume).
+	// OnRestart fires after a kill or churn phase crash-restarts a node
+	// (the harness completes recovery: re-attach shards, rejoin, resume).
 	OnRestart func(addr transport.Addr, now time.Duration)
 	// OnPhase observes every activation/heal (logging, assertions).
 	OnPhase func(ph Phase, active bool, victims []transport.Addr)
@@ -148,12 +156,6 @@ func (p Phase) boolean(key string, def bool) bool {
 	return def
 }
 
-var nemesisKinds = map[string]bool{
-	"partition": true, "oneway": true, "isolate": true,
-	"drop": true, "dup": true, "reorder": true, "delay": true,
-	"slow": true, "kill": true, "disk": true,
-}
-
 // ParseSchedule parses the nemesis spec grammar. It validates kinds,
 // times, and parameter syntax; unknown parameter keys are rejected too,
 // so a typo fails the run instead of silently injecting nothing.
@@ -176,6 +178,7 @@ func ParseSchedule(spec string) ([]Phase, error) {
 	return phases, nil
 }
 
+// phaseParamKeys lists the phase kinds and the parameters each one takes.
 var phaseParamKeys = map[string]map[string]bool{
 	"partition": {"frac": true},
 	"oneway":    {"frac": true, "dir": true},
@@ -186,6 +189,7 @@ var phaseParamKeys = map[string]map[string]bool{
 	"delay":     {"d": true},
 	"slow":      {"n": true, "d": true},
 	"kill":      {"n": true, "restart": true},
+	"churn":     {"mtbf": true, "down": true, "restart": true},
 	"disk":      {"n": true},
 }
 
@@ -195,7 +199,8 @@ func parsePhase(s string) (Phase, error) {
 		return Phase{}, fmt.Errorf("missing '@' (want kind@start+dur)")
 	}
 	kind = strings.TrimSpace(kind)
-	if !nemesisKinds[kind] {
+	allowed, ok := phaseParamKeys[kind]
+	if !ok {
 		return Phase{}, fmt.Errorf("unknown kind %q", kind)
 	}
 	timing, params, _ := strings.Cut(rest, "/")
@@ -217,7 +222,6 @@ func parsePhase(s string) (Phase, error) {
 	ph := Phase{Kind: kind, Start: start, Dur: dur}
 	if params != "" {
 		ph.Params = make(map[string]string)
-		allowed := phaseParamKeys[kind]
 		for _, kv := range strings.Split(params, ",") {
 			k, v, ok := strings.Cut(kv, "=")
 			k = strings.TrimSpace(k)
@@ -259,6 +263,21 @@ func (n *Network) StartNemesis(cfg NemesisConfig) (*Nemesis, error) {
 		n.timer(ph.Start-n.now, nil, func() { nm.activate(ph) })
 	}
 	return nm, nil
+}
+
+// bringBack ends a victim's downtime: crash-restarted with a rebuilt stack
+// (only its durable store survives) or revived with its memory intact.
+func (nm *Nemesis) bringBack(addr transport.Addr, restart bool) {
+	if !restart {
+		nm.net.Revive(addr)
+		nm.Revives++
+		return
+	}
+	nm.net.Restart(addr)
+	nm.Restarts++
+	if nm.cfg.OnRestart != nil {
+		nm.cfg.OnRestart(addr, nm.net.Now())
+	}
 }
 
 // eligible lists the alive, non-exempt nodes in deterministic order.
@@ -376,18 +395,39 @@ func (nm *Nemesis) activate(ph Phase) {
 		vs := victims
 		heal = func() {
 			for _, a := range vs {
-				if restart {
-					nm.net.Restart(a)
-					nm.Restarts++
-					if nm.cfg.OnRestart != nil {
-						nm.cfg.OnRestart(a, nm.net.Now())
-					}
-				} else {
-					nm.net.Revive(a)
-					nm.Revives++
-				}
+				nm.bringBack(a, restart)
 			}
 		}
+	case "churn":
+		mtbf := ph.duration("mtbf", time.Second)
+		if mtbf <= 0 {
+			return
+		}
+		down := ph.duration("down", 0)
+		restart := ph.boolean("restart", false)
+		over := false
+		var failNext func()
+		failNext = func() {
+			nm.net.timer(time.Duration(nm.rng.ExpFloat64()*float64(mtbf)), nil, func() {
+				if over {
+					return
+				}
+				// A dead node is not eligible, so no victim is failed twice.
+				if cand := nm.eligible(); len(cand) > 0 {
+					victim := cand[nm.rng.Intn(len(cand))]
+					nm.net.Fail(victim)
+					nm.Kills++
+					if down > 0 {
+						nm.net.timer(time.Duration(nm.rng.ExpFloat64()*float64(down)), nil, func() {
+							nm.bringBack(victim, restart)
+						})
+					}
+				}
+				failNext()
+			})
+		}
+		failNext()
+		heal = func() { over = true }
 	case "disk":
 		if nm.cfg.OnDisk == nil {
 			return

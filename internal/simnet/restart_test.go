@@ -171,7 +171,7 @@ func TestExactSizesMatchWire(t *testing.T) {
 	}
 }
 
-// TestChurnRestartMode drives a churn process in Restart mode and checks
+// TestChurnRestartMode drives a churn phase in restart mode and checks
 // downed nodes come back as rebuilt stacks, not revived zombies.
 func TestChurnRestartMode(t *testing.T) {
 	net := New(Config{Seed: 7})
@@ -184,28 +184,24 @@ func TestChurnRestartMode(t *testing.T) {
 		})
 	}
 	var restarted []transport.Addr
-	c := net.StartChurn(ChurnConfig{
-		Seed:      11,
-		FailEvery: 100 * time.Millisecond,
-		Downtime:  50 * time.Millisecond,
-		Restart:   true,
+	nm := startChurn(t, net, NemesisConfig{
+		Seed: 11,
 		OnRestart: func(addr transport.Addr, now time.Duration) {
 			restarted = append(restarted, addr)
 		},
-	})
+	}, churnPhase(net, 2*time.Second, 100*time.Millisecond, 50*time.Millisecond, true))
 	net.Run(2 * time.Second)
-	c.Stop()
-	if c.Restarts == 0 || c.Revives != 0 {
-		t.Fatalf("restarts=%d revives=%d, want restarts>0 and no revives", c.Restarts, c.Revives)
+	if nm.Restarts == 0 || nm.Revives != 0 {
+		t.Fatalf("restarts=%d revives=%d, want restarts>0 and no revives", nm.Restarts, nm.Revives)
 	}
-	if len(restarted) != c.Restarts {
-		t.Fatalf("OnRestart fired %d times, counter says %d", len(restarted), c.Restarts)
+	if len(restarted) != nm.Restarts {
+		t.Fatalf("OnRestart fired %d times, counter says %d", len(restarted), nm.Restarts)
 	}
 	rebuilt := 0
 	for _, n := range builds {
 		rebuilt += n - 1
 	}
-	if rebuilt != c.Restarts {
-		t.Fatalf("stacks rebuilt %d times, restarts %d", rebuilt, c.Restarts)
+	if rebuilt != nm.Restarts {
+		t.Fatalf("stacks rebuilt %d times, restarts %d", rebuilt, nm.Restarts)
 	}
 }

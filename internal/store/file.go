@@ -15,11 +15,6 @@ type FileConfig struct {
 	// power cut can cost the records since the last OS flush — the same
 	// trade most edge databases default to.
 	Sync bool
-	// GroupCommit batches synchronous appends issued by concurrent
-	// goroutines into shared fsyncs (lock-leader, see wal.Writer). Same
-	// durability, one disk flush amortized over the group; no effect
-	// without Sync.
-	GroupCommit bool
 }
 
 // File is the file-backed Store for totoro-node: a WAL at <dir>/wal.log
@@ -30,7 +25,6 @@ type FileConfig struct {
 // idempotent on replay.
 type File struct {
 	dir string
-	cfg FileConfig
 	w   *wal.Writer
 	lsn uint64
 }
@@ -51,8 +45,7 @@ func Open(dir string, cfg FileConfig) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.SetGroupCommit(cfg.GroupCommit)
-	f := &File{dir: dir, cfg: cfg, w: w}
+	f := &File{dir: dir, w: w}
 	// Seed the LSN from everything on disk so appends continue the
 	// sequence even if the caller never calls Load.
 	snapLSN, _, _ := f.readSnapshot()

@@ -89,26 +89,17 @@ func Scan(b []byte) (bodies [][]byte, valid int) {
 // first — scanning it and truncating any torn tail — so an append after a
 // crash always starts at a record boundary.
 //
-// The writer is goroutine-safe. In synchronous mode with group commit
-// enabled (SetGroupCommit), concurrent appenders share fsyncs with a
-// lock-leader protocol: whoever reaches the sync lock first flushes for
-// everyone written so far, and followers whose bytes that flush covered
-// return without issuing their own — one disk flush amortized over the
-// whole group, with every appender still only acking after its record is
-// durable.
+// The writer is goroutine-safe: one mutex covers the write and, in
+// synchronous mode, the fsync that follows it.
 type Writer struct {
 	f     *os.File
 	sync  bool
-	group bool
 	valid int // records found intact at open
 
-	mu   sync2.Mutex // guards file writes, size, buf, herr, synced
+	mu   sync2.Mutex // guards file writes, size, buf, herr
 	size int64
 	buf  []byte
 	herr error // sticky write error; appends after it are refused
-
-	syncMu sync2.Mutex // held by the group-commit fsync leader
-	synced int64       // bytes known durable (group mode)
 }
 
 // Open opens (creating if needed) the log at path, truncates any torn
@@ -149,85 +140,24 @@ func (w *Writer) Size() int64 {
 	return w.size
 }
 
-// SetGroupCommit toggles group-commit batching for synchronous appends.
-// It only changes who issues fsyncs, never the durability contract: an
-// Append still returns only after its record is on stable storage.
-func (w *Writer) SetGroupCommit(on bool) {
-	w.mu.Lock()
-	w.group = on
-	w.mu.Unlock()
-}
-
 // Append frames body onto the log, fsyncing if the writer is synchronous.
 // After a failed append the log may hold a torn tail; the writer goes
 // sticky-failed (every later Append returns the same error) so the caller
 // sees a consistent "storage down" signal rather than interleaved frames.
 func (w *Writer) Append(body []byte) error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.herr != nil {
-		err := w.herr
-		w.mu.Unlock()
-		return err
+		return w.herr
 	}
 	w.buf = AppendRecord(w.buf[:0], body)
 	n, err := w.f.Write(w.buf)
 	w.size += int64(n)
-	if err != nil {
-		w.herr = err
-		w.mu.Unlock()
-		return err
+	if err == nil && w.sync {
+		err = w.f.Sync()
 	}
-	end := w.size
-	doSync, group := w.sync, w.group
-	if doSync && !group {
-		// Unbatched synchronous mode: flush under the write lock, one
-		// fsync per record.
-		if err := w.f.Sync(); err != nil {
-			w.herr = err
-			w.mu.Unlock()
-			return err
-		}
-		w.mu.Unlock()
-		return nil
-	}
-	w.mu.Unlock()
-	if !doSync {
-		return nil
-	}
-	return w.groupSync(end)
-}
-
-// groupSync makes the caller's bytes durable via the lock-leader
-// protocol: the first appender through syncMu flushes everything written
-// so far; appenders that arrive later and find their bytes already
-// covered by that flush return immediately.
-func (w *Writer) groupSync(end int64) error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	w.mu.Lock()
-	if w.herr != nil {
-		err := w.herr
-		w.mu.Unlock()
-		return err
-	}
-	if w.synced >= end {
-		w.mu.Unlock()
-		return nil // a leader's flush already covered our record
-	}
-	target := w.size
-	w.mu.Unlock()
-	if err := w.f.Sync(); err != nil {
-		w.mu.Lock()
-		w.herr = err
-		w.mu.Unlock()
-		return err
-	}
-	w.mu.Lock()
-	if target > w.synced {
-		w.synced = target
-	}
-	w.mu.Unlock()
-	return nil
+	w.herr = err
+	return err
 }
 
 // Truncate drops every record (after a snapshot has captured their
@@ -243,7 +173,6 @@ func (w *Writer) Truncate() error {
 		return err
 	}
 	w.size = 0
-	w.synced = 0
 	w.herr = nil
 	if w.sync {
 		return w.f.Sync()
