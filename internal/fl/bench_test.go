@@ -29,12 +29,17 @@ func BenchmarkLocalTrain(b *testing.B) {
 // partial aggregate with the in-place hot path every interior tree node
 // runs per child.
 func BenchmarkAccumMerge(b *testing.B) {
-	rng := rand.New(rand.NewSource(45))
-	dim := 64*48 + 48 + 48*62 + 62
-	delta := make([]float64, dim)
-	for i := range delta {
-		delta[i] = rng.NormFloat64()
-	}
+	benchAccumAdd(b, 45, []int{64, 48, 62})
+}
+
+// BenchmarkAccumAddBig is BenchmarkAccumMerge at the size bigmodel-1k
+// aggregates: the 32 574 parameters of a 64-256-62 model.
+func BenchmarkAccumAddBig(b *testing.B) {
+	benchAccumAdd(b, 49, []int{64, 256, 62})
+}
+
+func benchAccumAdd(b *testing.B, seed int64, sizes []int) {
+	delta := ml.NewMLP(sizes, rand.New(rand.NewSource(seed))).Params()
 	agg := NewAccum(Update{Delta: delta, Samples: 50})
 	leaf := NewAccum(Update{Delta: delta, Samples: 50})
 	b.ReportAllocs()

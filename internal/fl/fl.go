@@ -75,10 +75,7 @@ func (a *Accum) Add(b *Accum) {
 		panic(fmt.Sprintf("fl: merging aggregates of different sizes %d vs %d",
 			len(a.WeightedSum), len(b.WeightedSum)))
 	}
-	ws, bs := a.WeightedSum, b.WeightedSum
-	for i := range ws {
-		ws[i] += bs[i]
-	}
+	ml.Axpy(1, b.WeightedSum, a.WeightedSum)
 	a.Samples += b.Samples
 	a.Count += b.Count
 }
@@ -115,9 +112,7 @@ func (a *Accum) MeanDelta() []float64 {
 //
 //vet:noalloc
 func ApplyDelta(global, delta []float64) {
-	for i := range global {
-		global[i] += delta[i]
-	}
+	ml.Axpy(1, delta[:len(global)], global)
 }
 
 // ClientConfig controls one client's local optimization.

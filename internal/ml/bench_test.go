@@ -41,14 +41,62 @@ func BenchmarkBackward(b *testing.B) {
 // 50-sample client shard (the Table 3 per-client workload) with a reused
 // workspace and the in-place SGD step.
 func BenchmarkTrainEpoch(b *testing.B) {
-	rng := rand.New(rand.NewSource(43))
-	d := FEMNISTLike(50, rng)
-	m := NewMLP([]int{64, 48, 62}, rng)
+	benchTrainEpoch(b, 43, []int{64, 48, 62}, 50, 0.05)
+}
+
+func benchTrainEpoch(b *testing.B, seed int64, sizes []int, shard int, lr float64) {
+	rng := rand.New(rand.NewSource(seed))
+	d := FEMNISTLike(shard, rng)
+	m := NewMLP(sizes, rng)
 	ws := NewWorkspace()
-	opt := ws.Optimizer(0.05, 0.5)
+	opt := ws.Optimizer(lr, 0.5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		TrainEpochWS(m, d, 20, opt, 0, nil, rng, ws)
 	}
 }
+
+// bigSizes is the model bigmodel-1k trains (bench/workloads.go): the Big
+// benchmarks below run the shapes the end-to-end benchmark spends its train
+// phase in — batch 20, a 60-sample shard, a 450-sample test set.
+var bigSizes = []int{64, 256, 62}
+
+// BenchmarkTrainEpochBig is one worker's local epoch on bigmodel-1k.
+func BenchmarkTrainEpochBig(b *testing.B) {
+	benchTrainEpoch(b, 46, bigSizes, 60, 0.1)
+}
+
+// BenchmarkStepModelBig is the SGD step alone: one element-wise pass over
+// the 32 574 parameters, their gradients and their velocities.
+func BenchmarkStepModelBig(b *testing.B) {
+	rng := rand.New(rand.NewSource(47))
+	m := NewMLP(bigSizes, rng)
+	g := NewGrads(m)
+	for l := range g.W {
+		for i := range g.W[l] {
+			g.W[l][i] = rng.NormFloat64() * 1e-3
+		}
+	}
+	opt := &SGD{LR: 0.1, Momentum: 0.5}
+	opt.StepModel(m, g, 0, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.StepModel(m, g, 0, nil)
+	}
+}
+
+// BenchmarkAccuracyBig is the master's per-round evaluation.
+func BenchmarkAccuracyBig(b *testing.B) {
+	rng := rand.New(rand.NewSource(48))
+	m := NewMLP(bigSizes, rng)
+	test := FEMNISTLike(450, rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += m.Accuracy(test)
+	}
+}
+
+var benchSink float64

@@ -115,3 +115,69 @@ func dot(x, y []float64) float64 {
 	}
 	return (s0 + s1) + (s2 + s3)
 }
+
+// The three element-wise kernels below do no multiply-add fusing on either
+// path, so unlike the kernels above their AVX and scalar forms agree bit
+// for bit (NaN payloads and signed zeros included); the explicit float64
+// conversions keep the compiler from fusing the scalar form where it may.
+
+// sgdStep applies one momentum/weight-decay update to a parameter slice:
+// gi = g + wd·p; vel ← mom·vel − lr·gi; p ← p + vel.
+//
+//vet:noalloc
+func sgdStep(p, g, vel []float64, lr, mom, wd float64) {
+	n := len(p)
+	g, vel = g[:n], vel[:n]
+	if hasSIMD && n >= 4 {
+		sgdStepAVX(&p[0], &g[0], &vel[0], n, lr, mom, wd)
+		return
+	}
+	for i := range p {
+		gi := g[i] + float64(wd*p[i])
+		vel[i] = float64(mom*vel[i]) - float64(lr*gi)
+		p[i] += vel[i]
+	}
+}
+
+// reluClamp applies ReLU in place: negative entries become +0; −0 and NaN
+// pass through.
+//
+//vet:noalloc
+func reluClamp(z []float64) {
+	if hasSIMD && len(z) >= 4 {
+		reluClampAVX(&z[0], len(z))
+		return
+	}
+	for j := range z {
+		if z[j] < 0 {
+			z[j] = 0
+		}
+	}
+}
+
+// reluGate applies ReLU' to a delta vector given the layer's ReLU outputs:
+// d[j] becomes +0 where a[j] is zero and is kept where a[j] is positive (or
+// NaN).
+//
+//vet:noalloc
+func reluGate(d, a []float64) {
+	n := len(d)
+	a = a[:n]
+	if hasSIMD && n >= 4 {
+		reluGateAVX(&d[0], &a[0], n)
+		return
+	}
+	for j := range d {
+		if a[j] == 0 {
+			d[j] = 0
+		}
+	}
+}
+
+// Axpy computes y[j] += a·x[j] over len(x) — the full-vector folds of
+// package fl (aggregate merge, delta apply) on the kernels training uses. A
+// multiplier of ±1 rounds once, exactly like the add or subtract it stands
+// for.
+//
+//vet:noalloc
+func Axpy(a float64, x, y []float64) { axpy(a, x, y) }

@@ -49,3 +49,15 @@ func axpy8AVX(c, x *float64, stride int, y *float64, n int)
 //go:noescape
 //vet:noalloc
 func dot4AVX(d, w *float64, stride int, dst *float64, n int)
+
+//go:noescape
+//vet:noalloc
+func sgdStepAVX(p, grad, vel *float64, n int, lr, mom, wd float64)
+
+//go:noescape
+//vet:noalloc
+func reluClampAVX(z *float64, n int)
+
+//go:noescape
+//vet:noalloc
+func reluGateAVX(d, a *float64, n int)

@@ -346,3 +346,125 @@ d4_done:
 	VMOVSD X3, 24(R11)
 	VZEROUPPER
 	RET
+
+// The element-wise kernels below use separate multiply, add and subtract
+// in the operation and operand order the compiler gives their scalar loops
+// in kernels.go (no FMA: one rounding per Go operator; first source operand
+// first, which is the one whose NaN payload survives), so both paths
+// produce the same bits.
+
+// func sgdStepAVX(p, grad, vel *float64, n int, lr, mom, wd float64)
+// gi = grad[j] + wd*p[j]; vel[j] = mom*vel[j] - lr*gi; p[j] += vel[j]
+TEXT ·sgdStepAVX(SB), NOSPLIT, $0-56
+	MOVQ p+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ vel+16(FP), BX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD lr+32(FP), Y0
+	VBROADCASTSD mom+40(FP), Y1
+	VBROADCASTSD wd+48(FP), Y2
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+sgd_loop4:
+	CMPQ AX, DX
+	JGE  sgd_tail1
+	VMOVUPD (DI)(AX*8), Y3
+	VMULPD Y2, Y3, Y4
+	VADDPD (SI)(AX*8), Y4, Y4
+	VMOVUPD (BX)(AX*8), Y5
+	VMULPD Y1, Y5, Y5
+	VMULPD Y0, Y4, Y4
+	VSUBPD Y4, Y5, Y5
+	VMOVUPD Y5, (BX)(AX*8)
+	VADDPD Y5, Y3, Y3
+	VMOVUPD Y3, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  sgd_loop4
+
+sgd_tail1:
+	CMPQ AX, CX
+	JGE  sgd_done
+	VMOVSD (DI)(AX*8), X3
+	VMULSD X2, X3, X4
+	VADDSD (SI)(AX*8), X4, X4
+	VMOVSD (BX)(AX*8), X5
+	VMULSD X1, X5, X5
+	VMULSD X0, X4, X4
+	VSUBSD X4, X5, X5
+	VMOVSD X5, (BX)(AX*8)
+	VADDSD X5, X3, X3
+	VMOVSD X3, (DI)(AX*8)
+	INCQ AX
+	JMP  sgd_tail1
+
+sgd_done:
+	VZEROUPPER
+	RET
+
+// func reluClampAVX(z *float64, n int)
+// z[j] = max(+0, z[j]) with z as the second source, the one VMAXPD returns
+// when an operand is NaN or both are zero: like `if z < 0 { z = 0 }`.
+TEXT ·reluClampAVX(SB), NOSPLIT, $0-16
+	MOVQ z+0(FP), DI
+	MOVQ n+8(FP), CX
+	VXORPD Y0, Y0, Y0
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+relu_loop4:
+	CMPQ AX, DX
+	JGE  relu_tail1
+	VMAXPD (DI)(AX*8), Y0, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  relu_loop4
+
+relu_tail1:
+	CMPQ AX, CX
+	JGE  relu_done
+	VMAXSD (DI)(AX*8), X0, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  relu_tail1
+
+relu_done:
+	VZEROUPPER
+	RET
+
+// func reluGateAVX(d, a *float64, n int)
+// d[j] &= (a[j] != 0) as an all-ones/all-zeros mask; predicate 4 is
+// not-equal, unordered, so a NaN activation keeps its delta.
+TEXT ·reluGateAVX(SB), NOSPLIT, $0-24
+	MOVQ d+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ n+16(FP), CX
+	VXORPD Y0, Y0, Y0
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+gate_loop4:
+	CMPQ AX, DX
+	JGE  gate_tail1
+	VCMPPD $4, (SI)(AX*8), Y0, Y1
+	VANDPD (DI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  gate_loop4
+
+gate_tail1:
+	CMPQ AX, CX
+	JGE  gate_done
+	VCMPSD $4, (SI)(AX*8), X0, X1
+	VMOVSD (DI)(AX*8), X2
+	VANDPD X2, X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  gate_tail1
+
+gate_done:
+	VZEROUPPER
+	RET

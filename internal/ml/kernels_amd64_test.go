@@ -3,6 +3,7 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -129,6 +130,81 @@ func TestSIMDKernelUnits(t *testing.T) {
 			if dd := relDiff(dst0[j], dst1[j]); dd > 1e-13 {
 				t.Fatalf("dotN4 n=%d t=%d: simd=%v scalar=%v", n, j, dst0[j], dst1[j])
 			}
+		}
+	}
+}
+
+// TestElementwiseKernelsBitExact holds the three element-wise kernels to
+// their scalar loops bit for bit: every length that mixes the 4-wide body
+// with the scalar tail, and in every operand the values on which a reordered
+// operand or a fused multiply-add would show — NaNs of two payloads, ±0,
+// ±Inf, denormals, and magnitudes whose products round.
+func TestElementwiseKernelsBitExact(t *testing.T) {
+	if !hasSIMD {
+		t.Skip("CPU does not support AVX2+FMA")
+	}
+	defer func() { hasSIMD = true }()
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0xfff8_0000_0000_0bad),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1030,
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 1 + 0x1p-52, 0.1, -1e-3,
+	}
+	rng := rand.New(rand.NewSource(31))
+	// fill draws half of the entries from specials, the rest normal.
+	fill := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			if rng.Intn(2) == 0 {
+				v[i] = specials[rng.Intn(len(specials))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+		return v
+	}
+	// both runs f on the SIMD and on the scalar path over copies of the
+	// operands and compares every one of them afterwards.
+	both := func(name string, n int, f func(v [][]float64), operands ...[]float64) {
+		t.Helper()
+		clone := func() [][]float64 {
+			out := make([][]float64, len(operands))
+			for i, o := range operands {
+				out[i] = append([]float64(nil), o...)
+			}
+			return out
+		}
+		simd, scalar := clone(), clone()
+		hasSIMD = true
+		f(simd)
+		hasSIMD = false
+		f(scalar)
+		hasSIMD = true
+		for i := range simd {
+			for j := range simd[i] {
+				if a, b := math.Float64bits(simd[i][j]), math.Float64bits(scalar[i][j]); a != b {
+					t.Fatalf("%s n=%d operand %d j=%d: simd %#016x (%v) scalar %#016x (%v)",
+						name, n, i, j, a, simd[i][j], b, scalar[i][j])
+				}
+			}
+		}
+	}
+	lengths := []int{255, 256, 257}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		// Enough draws that two different NaNs meet in the scalar tail.
+		for rep := 0; rep < 200; rep++ {
+			hyper := []float64{0.1, 0.5, 1e-4}
+			if rep%4 == 3 {
+				hyper = fill(3) // specials reach lr, momentum and weight decay too
+			}
+			both("sgdStep", n, func(v [][]float64) {
+				sgdStep(v[0], v[1], v[2], hyper[0], hyper[1], hyper[2])
+			}, fill(n), fill(n), fill(n))
+			both("reluClamp", n, func(v [][]float64) { reluClamp(v[0]) }, fill(n))
+			both("reluGate", n, func(v [][]float64) { reluGate(v[0], v[1]) }, fill(n), fill(n))
 		}
 	}
 }

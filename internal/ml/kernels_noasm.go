@@ -19,3 +19,14 @@ func axpy8AVX(c, x *float64, stride int, y *float64, n int) { panic("ml: SIMD un
 func dot4AVX(d, w *float64, stride int, dst *float64, n int) {
 	panic("ml: SIMD unavailable")
 }
+
+//vet:noalloc
+func sgdStepAVX(p, grad, vel *float64, n int, lr, mom, wd float64) {
+	panic("ml: SIMD unavailable")
+}
+
+//vet:noalloc
+func reluClampAVX(z *float64, n int) { panic("ml: SIMD unavailable") }
+
+//vet:noalloc
+func reluGateAVX(d, a *float64, n int) { panic("ml: SIMD unavailable") }

@@ -123,11 +123,7 @@ func (m *MLP) layerForwardInto(l int, a, z []float64, relu bool) {
 		axpy(ai, w[i*out:i*out+out], z)
 	}
 	if relu {
-		for j := range z {
-			if z[j] < 0 {
-				z[j] = 0
-			}
-		}
+		reluClamp(z)
 	}
 }
 
@@ -280,15 +276,10 @@ func (m *MLP) DeltaInto(base, dst []float64) {
 	}
 	off := 0
 	for l := range m.W {
-		for _, v := range m.W[l] {
-			dst[off] = v - base[off]
-			off++
-		}
-		for _, v := range m.B[l] {
-			dst[off] = v - base[off]
-			off++
-		}
+		off += copy(dst[off:], m.W[l])
+		off += copy(dst[off:], m.B[l])
 	}
+	axpy(-1, base, dst)
 }
 
 // Loss computes the average cross-entropy loss without gradients.

@@ -64,11 +64,7 @@ func (s *SGD) stepSlice(p, g []float64, mu float64, anchor []float64, off int) i
 			p[i] += vel[i]
 		}
 	} else {
-		for i := range p {
-			gi := g[i] + wd*p[i]
-			vel[i] = mom*vel[i] - lr*gi
-			p[i] += vel[i]
-		}
+		sgdStep(p, g, vel, lr, mom, wd)
 	}
 	return off + len(p)
 }

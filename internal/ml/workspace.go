@@ -193,55 +193,63 @@ func (m *MLP) BackwardWS(X [][]float64, Y []int, g *Grads, ws *Workspace) float6
 			axpy(invN, cur[b*out:b*out+out], gb)
 		}
 
-		// Weight gradients: gw[i] += Σ_b (Al[b][i]·invN) · delta row b,
-		// batch-blocked so each gradient row is loaded once per 8 examples.
+		// Weight gradients: gw[i] += Σ_b (Al[b][i]·invN) · delta row b, in
+		// blocks of 8 examples. The block is the outer loop, so its rows of
+		// cur stay in L1 while the gradient rows stream past once per block;
+		// every gw[i][j] still takes its blocks in ascending b, so the sum
+		// is the same sum.
 		gw, w := g.W[l], m.W[l]
-		for i := 0; i < in; i++ {
-			gr := gw[i*out : i*out+out]
-			b := 0
-			for ; b+8 <= n; b += 8 {
+		b = 0
+		for ; b+8 <= n; b += 8 {
+			rows := cur[b*out:]
+			for i := 0; i < in; i++ {
 				var c [8]float64
 				for t := range c {
 					c[t] = Al[(b+t)*in+i] * invN
 				}
-				axpyN8(&c, cur[b*out:], out, gr)
+				axpyN8(&c, rows, out, gw[i*out:i*out+out])
 			}
-			if b+4 <= n {
+		}
+		if b+4 <= n {
+			rows := cur[b*out:]
+			for i := 0; i < in; i++ {
 				var c [4]float64
 				for t := range c {
 					c[t] = Al[(b+t)*in+i] * invN
 				}
-				axpyN4(&c, cur[b*out:], out, gr)
-				b += 4
+				axpyN4(&c, rows, out, gw[i*out:i*out+out])
 			}
-			for ; b < n; b++ {
+			b += 4
+		}
+		for ; b < n; b++ {
+			drow := cur[b*out : b*out+out]
+			for i := 0; i < in; i++ {
 				if ai := Al[b*in+i]; ai != 0 {
-					axpy(ai*invN, cur[b*out:b*out+out], gr)
+					axpy(ai*invN, drow, gw[i*out:i*out+out])
 				}
 			}
 		}
 
 		if l > 0 {
 			// Previous-layer deltas: spare[b][i] = Σ_j w[i][j]·cur[b][j],
-			// then gated by ReLU' (hidden activations are ReLU outputs, so
-			// the gate is exactly Al > 0 — and 0 where Al is 0).
-			for b := 0; b < n; b++ {
-				drow := cur[b*out : b*out+out]
-				prow := spare[b*in : b*in+in]
-				arow := Al[b*in : b*in+in]
-				i := 0
-				for ; i+4 <= in; i += 4 {
-					dotN4(drow, w[i*out:], out, prow[i:i+4])
-				}
-				for ; i < in; i++ {
-					prow[i] = dot(w[i*out:i*out+out], drow)
-				}
-				for i := range prow {
-					if arow[i] == 0 {
-						prow[i] = 0
-					}
+			// four rows of w at a time against every example (the rows stay
+			// in L1; cur is small), then gated by ReLU' over the whole
+			// matrix (hidden activations are ReLU outputs, so the gate is
+			// exactly Al > 0 — and 0 where Al is 0).
+			i := 0
+			for ; i+4 <= in; i += 4 {
+				wRows := w[i*out:]
+				for b := 0; b < n; b++ {
+					dotN4(cur[b*out:b*out+out], wRows, out, spare[b*in+i:b*in+i+4])
 				}
 			}
+			for ; i < in; i++ {
+				row := w[i*out : i*out+out]
+				for b := 0; b < n; b++ {
+					spare[b*in+i] = dot(row, cur[b*out:b*out+out])
+				}
+			}
+			reluGate(spare[:n*in], Al)
 			cur, spare = spare, cur
 		}
 	}
@@ -285,12 +293,7 @@ func (m *MLP) batchForward(l, n int, A, Z []float64, relu bool) {
 		}
 	}
 	if relu {
-		zn := Z[:n*out]
-		for j := range zn {
-			if zn[j] < 0 {
-				zn[j] = 0
-			}
-		}
+		reluClamp(Z[:n*out])
 	}
 }
 

@@ -88,14 +88,19 @@ func registered(rec any) error {
 	return nil
 }
 
-// encodeBody produces one record body: uvarint(lsn) followed by the
+// writeBody writes one record body into e: uvarint(lsn) followed by the
 // codec-tagged value.
+func writeBody(e *codec.Enc, lsn uint64, rec any) error {
+	e.Uvarint(lsn)
+	e.Value(rec)
+	return e.Err()
+}
+
+// encodeBody produces one record body in a buffer the caller owns.
 func encodeBody(lsn uint64, rec any) ([]byte, error) {
 	e := codec.NewEnc()
 	defer e.Free()
-	e.Uvarint(lsn)
-	e.Value(rec)
-	if err := e.Err(); err != nil {
+	if err := writeBody(e, lsn, rec); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), e.Bytes()...), nil
@@ -156,12 +161,15 @@ func (m *Mem) Append(rec any) error {
 	if err := registered(rec); err != nil {
 		return err
 	}
-	body, err := encodeBody(m.lsn+1, rec)
-	if err != nil {
+	// Framed straight from the pooled encoder: the log's copy is the only
+	// one an image-sized record needs.
+	e := codec.NewEnc()
+	defer e.Free()
+	if err := writeBody(e, m.lsn+1, rec); err != nil {
 		return err
 	}
 	m.lsn++
-	m.log = wal.AppendRecord(m.log, body)
+	m.log = wal.AppendRecord(m.log, e.Bytes())
 	return nil
 }
 
@@ -170,11 +178,12 @@ func (m *Mem) Snapshot(state any) error {
 	if err := registered(state); err != nil {
 		return err
 	}
-	body, err := encodeBody(m.lsn, state)
-	if err != nil {
+	e := codec.NewEnc()
+	defer e.Free()
+	if err := writeBody(e, m.lsn, state); err != nil {
 		return err
 	}
-	m.snap = wal.AppendRecord(nil, body)
+	m.snap = wal.AppendRecord(nil, e.Bytes())
 	m.log = m.log[:0]
 	return nil
 }
