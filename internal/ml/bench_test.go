@@ -57,6 +57,31 @@ func benchTrainEpoch(b *testing.B, seed int64, sizes []int, shard int, lr float6
 	}
 }
 
+// BenchmarkTrainEpochTiny is the epoch the training pool waits for on
+// forest-10k and fleet-50k (bench/workloads.go): a 64-4-62 model, where a
+// sample costs 62 exps against ≈500 forward multiply-adds, over the
+// 3 000-sample shard DirichletPartition leaves its last client.
+func BenchmarkTrainEpochTiny(b *testing.B) {
+	benchTrainEpoch(b, 44, []int{64, 4, 62}, 3000, 0.05)
+}
+
+// BenchmarkSoftmax62 is the head alone: one 62-way softmax, over
+// logits of a trained model's spread.
+func BenchmarkSoftmax62(b *testing.B) {
+	rng := rand.New(rand.NewSource(45))
+	logits := make([]float64, 62)
+	for i := range logits {
+		logits[i] = rng.NormFloat64() * 3
+	}
+	p := make([]float64, 62)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		softmaxInto(p, logits)
+	}
+	benchSink += p[0]
+}
+
 // bigSizes is the model bigmodel-1k trains (bench/workloads.go): the Big
 // benchmarks below run the shapes the end-to-end benchmark spends its train
 // phase in — batch 20, a 60-sample shard, a 450-sample test set.

@@ -1,5 +1,7 @@
 package ml
 
+import "math"
+
 // Kernels for the training hot path. Each public kernel dispatches to an
 // AVX2+FMA assembly implementation on amd64 CPUs that support it (see
 // kernels_amd64.s) and otherwise to the portable scalar form below. The
@@ -116,10 +118,11 @@ func dot(x, y []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// The three element-wise kernels below do no multiply-add fusing on either
-// path, so unlike the kernels above their AVX and scalar forms agree bit
-// for bit (NaN payloads and signed zeros included); the explicit float64
-// conversions keep the compiler from fusing the scalar form where it may.
+// The element-wise kernels below do no multiply-add fusing on either path
+// (expSub fuses exactly where math.Exp does), so unlike the kernels above
+// their AVX and scalar forms agree bit for bit (NaN payloads and signed
+// zeros included); the explicit float64 conversions keep the compiler from
+// fusing the scalar form where it may.
 
 // sgdStep applies one momentum/weight-decay update to a parameter slice:
 // gi = g + wd·p; vel ← mom·vel − lr·gi; p ← p + vel.
@@ -171,6 +174,39 @@ func reluGate(d, a []float64) {
 		if a[j] == 0 {
 			d[j] = 0
 		}
+	}
+}
+
+// expSub computes dst[j] = math.Exp(src[j]-sub) over len(src); dst may be
+// src. expSubAVX is math.Exp's own instruction sequence four lanes wide
+// and takes whole groups of four until one has a lane outside [-708, 709];
+// that group, and the tail, go to math.Exp itself, so NaN, ±Inf, overflow,
+// underflow and denormal results are the runtime's on both paths.
+//
+//vet:noalloc
+func expSub(dst, src []float64, sub float64) {
+	n := len(src)
+	dst = dst[:n]
+	for j := 0; j < n; {
+		if hasSIMD && expExact && n-j >= 4 {
+			j += expSubAVX(&dst[j], &src[j], n-j, sub)
+		}
+		for end := min(j+4, n); j < end; j++ {
+			dst[j] = math.Exp(src[j] - sub)
+		}
+	}
+}
+
+// divBy computes x[j] /= d.
+//
+//vet:noalloc
+func divBy(x []float64, d float64) {
+	if hasSIMD && len(x) >= 4 {
+		divAVX(&x[0], len(x), d)
+		return
+	}
+	for j := range x {
+		x[j] /= d
 	}
 }
 

@@ -2,6 +2,8 @@
 
 package ml
 
+import "math"
+
 // hasSIMD reports whether the AVX2+FMA kernels in kernels_amd64.s are
 // usable: the CPU must advertise FMA, AVX and AVX2, and the OS must have
 // enabled XMM/YMM state saving. A variable (not const) so the scalar
@@ -61,3 +63,36 @@ func reluClampAVX(z *float64, n int)
 //go:noescape
 //vet:noalloc
 func reluGateAVX(d, a *float64, n int)
+
+//go:noescape
+//vet:noalloc
+func expSubAVX(dst, src *float64, n int, sub float64) int
+
+//go:noescape
+//vet:noalloc
+func divAVX(x *float64, n int, d float64)
+
+// expExact reports whether expSubAVX returns math.Exp's bits. It copies the
+// FMA branch of the runtime's archExp; the runtime takes the other branch
+// under GODEBUG=cpu.fma=off (hasSIMD reads CPUID itself and stays true), and
+// a future Go may change either. So the copy is checked against the
+// original once, on values that tell the two branches apart, and expSub
+// uses it only if every bit agrees.
+var expExact = hasSIMD && expMatchesRuntime()
+
+func expMatchesRuntime() bool {
+	var x, y [64]float64
+	x[0] = -56.28938948144715 // ...cc87 fused, ...cc88 not
+	for i := 1; i < len(x); i++ {
+		x[i] = -708 + 22.4*float64(i) + 1/float64(i)
+	}
+	if expSubAVX(&y[0], &x[0], len(x), 0) != len(x) {
+		return false
+	}
+	for i, v := range x {
+		if math.Float64bits(y[i]) != math.Float64bits(math.Exp(v)) {
+			return false
+		}
+	}
+	return true
+}

@@ -468,3 +468,128 @@ gate_tail1:
 gate_done:
 	VZEROUPPER
 	RET
+
+// The softmax head. expSubAVX is math.Exp four lanes wide: the avxfma branch
+// of archExp ($GOROOT/src/math/exp_amd64.s) instruction for instruction —
+// same constants from the same decimal literals, same operand order, same
+// fusing — so every lane holds the bits math.Exp returns. Only the straight
+// line is copied: a group with a lane outside [-708, 709] (NaN, ±Inf, and
+// the overflow, underflow and denormal branches all lie there) is left to
+// the caller, who gives it to math.Exp itself. Each constant is stored four
+// times over so that it can be a memory operand.
+
+#define EXPC4(off, v) \
+	DATA expc<>+off+0(SB)/8, v; \
+	DATA expc<>+off+8(SB)/8, v; \
+	DATA expc<>+off+16(SB)/8, v; \
+	DATA expc<>+off+24(SB)/8, v
+
+EXPC4(0, $1.4426950408889634073599246810018920) // LOG2E
+EXPC4(32, $0.69314718055966295651160180568695068359375) // LN2U
+EXPC4(64, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+EXPC4(96, $0.0625)
+EXPC4(128, $2.4801587301587301587e-5) // exprodata, last to first
+EXPC4(160, $1.9841269841269841270e-4)
+EXPC4(192, $1.3888888888888888889e-3)
+EXPC4(224, $8.3333333333333333333e-3)
+EXPC4(256, $4.1666666666666666667e-2)
+EXPC4(288, $1.6666666666666666667e-1)
+EXPC4(320, $0.5)
+EXPC4(352, $1.0)
+EXPC4(384, $2.0)
+EXPC4(416, $0x3FF) // exponent bias, an integer
+EXPC4(448, $-708.0) // a group is taken when every lane is in [-708, 709]
+EXPC4(480, $709.0)
+GLOBL expc<>(SB), RODATA|NOPTR, $512
+
+// func expSubAVX(dst, src *float64, n int, sub float64) int
+// dst[j] = exp(src[j]-sub) for whole groups of four from j = 0, until a
+// group has a lane outside [-708, 709] or fewer than four are left; returns
+// the number of elements written.
+TEXT ·expSubAVX(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD sub+24(FP), Y15
+	VMOVUPD expc<>+384(SB), Y14 // 2.0, used four times a group
+	XORQ AX, AX
+	ANDQ $-4, CX
+
+exp_loop4:
+	CMPQ AX, CX
+	JGE  exp_done
+	VMOVUPD (SI)(AX*8), Y0
+	VSUBPD Y15, Y0, Y0
+	VCMPPD $0x1D, expc<>+448(SB), Y0, Y1 // x >= -708, ordered
+	VCMPPD $0x12, expc<>+480(SB), Y0, Y2 // x <= 709, ordered
+	VANDPD Y2, Y1, Y1
+	VMOVMSKPD Y1, BX
+	CMPL BX, $15
+	JNE  exp_done
+	VMULPD expc<>+0(SB), Y0, Y1
+	VCVTPD2DQY Y1, X2 // k = round-to-even(x*LOG2E), as CVTSD2SL under MXCSR
+	VCVTDQ2PD X2, Y1
+	VFNMADD231PD expc<>+32(SB), Y1, Y0
+	VFNMADD231PD expc<>+64(SB), Y1, Y0
+	VMULPD expc<>+96(SB), Y0, Y0
+	VMOVUPD expc<>+128(SB), Y1
+	VFMADD213PD expc<>+160(SB), Y0, Y1
+	VFMADD213PD expc<>+192(SB), Y0, Y1
+	VFMADD213PD expc<>+224(SB), Y0, Y1
+	VFMADD213PD expc<>+256(SB), Y0, Y1
+	VFMADD213PD expc<>+288(SB), Y0, Y1
+	VFMADD213PD expc<>+320(SB), Y0, Y1
+	VFMADD213PD expc<>+352(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y14, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y14, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y14, Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD Y14, Y0, Y1
+	VFMADD213PD expc<>+352(SB), Y1, Y0
+	VPMOVSXDQ X2, Y2 // 2**k: (k + bias) << 52
+	VPADDQ expc<>+416(SB), Y2, Y2
+	VPSLLQ $52, Y2, Y2
+	VMULPD Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  exp_loop4
+
+exp_done:
+	MOVQ AX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func divAVX(x *float64, n int, d float64)
+// x[j] /= d: one correctly rounded divide per lane, like the scalar loop.
+TEXT ·divAVX(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), DI
+	MOVQ n+8(FP), CX
+	VBROADCASTSD d+16(FP), Y0
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+div_loop4:
+	CMPQ AX, DX
+	JGE  div_tail1
+	VMOVUPD (DI)(AX*8), Y1
+	VDIVPD Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  div_loop4
+
+div_tail1:
+	CMPQ AX, CX
+	JGE  div_done
+	VMOVSD (DI)(AX*8), X1
+	VDIVSD X0, X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  div_tail1
+
+div_done:
+	VZEROUPPER
+	RET

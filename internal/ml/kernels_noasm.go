@@ -4,7 +4,7 @@ package ml
 
 // Non-amd64 builds always take the portable scalar kernels; the stubs
 // below exist only to satisfy the dispatch sites and are unreachable.
-const hasSIMD = false
+const hasSIMD, expExact = false, false
 
 //vet:noalloc
 func axpyAVX(a float64, x, y *float64, n int) { panic("ml: SIMD unavailable") }
@@ -30,3 +30,9 @@ func reluClampAVX(z *float64, n int) { panic("ml: SIMD unavailable") }
 
 //vet:noalloc
 func reluGateAVX(d, a *float64, n int) { panic("ml: SIMD unavailable") }
+
+//vet:noalloc
+func expSubAVX(dst, src *float64, n int, sub float64) int { panic("ml: SIMD unavailable") }
+
+//vet:noalloc
+func divAVX(x *float64, n int, d float64) { panic("ml: SIMD unavailable") }

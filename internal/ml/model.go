@@ -190,7 +190,9 @@ func Softmax(logits []float64) []float64 {
 }
 
 // softmaxInto is Softmax into a caller-provided buffer (dst may alias
-// logits' storage only if identical).
+// logits' storage only if identical). The max scan and the sum are scalar
+// and ascending on every path — their order is the interface — and exp and
+// the divide are per-lane, so the AVX path returns the scalar path's bits.
 //
 //vet:noalloc
 func softmaxInto(dst, logits []float64) {
@@ -200,14 +202,13 @@ func softmaxInto(dst, logits []float64) {
 			maxv = v
 		}
 	}
+	dst = dst[:len(logits)]
+	expSub(dst, logits, maxv)
 	sum := 0.0
-	for i, v := range logits {
-		dst[i] = math.Exp(v - maxv)
-		sum += dst[i]
+	for _, v := range dst {
+		sum += v
 	}
-	for i := range dst {
-		dst[i] /= sum
-	}
+	divBy(dst, sum)
 }
 
 // Grads holds flat per-layer gradients matching the MLP layout.
