@@ -34,12 +34,12 @@ type Chaos struct {
 	c   *Cluster
 	cfg ChaosConfig
 
-	// epochs records, per live engine object and app, the highest
+	// epochs records, per engine incarnation and app, the highest
 	// mastership epoch that engine has held or witnessed (master or
-	// replica role). Keyed by engine pointer: a crash-restart rebuilds
-	// the engine, and its recovered view legitimately restarts from
-	// whatever its journal's clean prefix holds.
-	epochs map[*Engine]map[AppID]int
+	// replica role). Parallel to c.Engines; install resets a slot, because
+	// a crash-restart rebuilds the engine and its recovered view
+	// legitimately restarts from whatever its journal's clean prefix holds.
+	epochs []map[AppID]int
 	// lastCommit tracks the last committed round per master lineage
 	// (committer address + app + epoch): commits must strictly advance.
 	lastCommit map[commitKey]int
@@ -55,13 +55,18 @@ type Chaos struct {
 	pending   error
 
 	// Scratch for check, which runs on every virtual tick and must not
-	// feed the GC: the sorted app IDs being visited, and the live masters
-	// of one app.
-	appScratch    []AppID
-	masterScratch []*Engine
+	// feed the GC: the sorted app IDs being visited, and this tick's live
+	// unfinished masters in engine-index order.
+	appScratch []AppID
+	live       []liveMaster
 
 	// Commits counts observed round commits (test instrumentation).
 	Commits int
+}
+
+type liveMaster struct {
+	app AppID
+	e   *Engine
 }
 
 type appEpoch struct {
@@ -95,7 +100,7 @@ func (c *Cluster) StartChaos(cfg ChaosConfig) *Chaos {
 	ch := &Chaos{
 		c:          c,
 		cfg:        cfg,
-		epochs:     make(map[*Engine]map[AppID]int),
+		epochs:     make([]map[AppID]int, len(c.Engines)),
 		lastCommit: make(map[commitKey]int),
 		maxAcked:   make(map[appEpoch]int),
 		eligible:   make(map[AppID]int),
@@ -116,8 +121,8 @@ func (c *Cluster) StartChaos(cfg ChaosConfig) *Chaos {
 
 // install wires one engine (initial or rebuilt after Restart) into the
 // checker.
-func (ch *Chaos) install(_ int, e *Engine) {
-	ch.epochs[e] = make(map[AppID]int)
+func (ch *Chaos) install(i int, e *Engine) {
+	ch.epochs[i] = make(map[AppID]int)
 	e.AckHook = func(app AppID, epoch, round, participants int, commit bool) {
 		ch.observe(e, app, epoch, round, participants, commit)
 	}
@@ -173,8 +178,11 @@ func (ch *Chaos) fail(err error) {
 }
 
 // check is the invariant function the network runs on every step that
-// advances virtual time, and at quiesce. Iteration is index- and
-// sort-ordered throughout so a violation (and its message) is
+// advances virtual time, and at quiesce. It polls every engine on every
+// tick — an engine never announces a role change, because an unannounced
+// one is what the checker exists to catch — but an engine that holds no
+// role costs the two length reads and nothing else. Iteration is index-
+// and sort-ordered throughout so a violation (and its message) is
 // deterministic for a given seed. A tick without a violation allocates
 // nothing (the violation messages are built in cold helpers).
 //
@@ -183,25 +191,36 @@ func (ch *Chaos) check() error {
 	if ch.pending != nil {
 		return ch.pending
 	}
-	for i := range ch.c.Engines {
-		if err := ch.checkEngine(ch.c.Engines[i]); err != nil {
+	ch.live = ch.live[:0]
+	for i, e := range ch.c.Engines {
+		if len(e.masters) == 0 && len(e.replicas) == 0 {
+			continue
+		}
+		if err := ch.checkEngine(e, ch.epochs[i]); err != nil {
 			return err
 		}
 	}
 	return ch.checkDualMasters()
 }
 
-// checkEngine asserts per-engine invariants: mastership epochs never
-// regress within one engine incarnation, and no held replica is ahead of
-// what its master ever acknowledged.
+// checkEngine asserts per-engine invariants — mastership epochs never
+// regress within one engine incarnation (em, created by install), and no
+// held replica is ahead of what its master ever acknowledged — and
+// collects the engine's live unfinished masters for checkDualMasters.
 //
 //vet:noalloc
-func (ch *Chaos) checkEngine(e *Engine) error {
-	em := ch.epochs[e] // created by install
-	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.masters)
-	for _, app := range ch.appScratch {
-		if err := ch.noteEpoch(e, em, app, e.masters[app].epoch, "master"); err != nil {
-			return err
+func (ch *Chaos) checkEngine(e *Engine, em map[AppID]int) error {
+	if len(e.masters) > 0 {
+		alive := ch.c.Net.Alive(e.Self().Addr)
+		ch.appScratch = appendSortedApps(ch.appScratch[:0], e.masters)
+		for _, app := range ch.appScratch {
+			m := e.masters[app]
+			if err := ch.noteEpoch(e, em, app, m.epoch, "master"); err != nil {
+				return err
+			}
+			if alive && !m.done {
+				ch.live = append(ch.live, liveMaster{app, e})
+			}
 		}
 	}
 	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.replicas)
@@ -246,10 +265,11 @@ func (ch *Chaos) ackedThrough(app AppID, through int) (int, bool) {
 
 //vet:noalloc
 func (ch *Chaos) noteEpoch(e *Engine, em map[AppID]int, app AppID, epoch int, role string) error {
-	if prev, seen := em[app]; seen && epoch < prev {
+	prev, seen := em[app]
+	if seen && epoch < prev {
 		return errEpochRegressed(app, e.Self().Addr, role, epoch, prev)
 	}
-	if epoch > em[app] {
+	if epoch > prev {
 		em[app] = epoch
 	}
 	return nil
@@ -269,22 +289,21 @@ func errEpochRegressed(app AppID, at transport.Addr, role string, epoch, prev in
 //
 //vet:noalloc
 func (ch *Chaos) checkDualMasters() error {
+	live := ch.live // this tick's, engine-index order
+	if len(live) < 2 && len(ch.dualSince) == 0 {
+		return nil // no pair to find and no clock to clear
+	}
 	now := ch.c.Net.Now()
 	ch.appScratch = appendSortedApps(ch.appScratch[:0], ch.c.apps)
 	for _, app := range ch.appScratch {
-		masters := ch.masterScratch[:0]
-		for i := range ch.c.Engines {
-			e := ch.c.Engines[i]
-			if m, ok := e.masters[app]; ok && !m.done && ch.c.Net.Alive(e.Self().Addr) {
-				masters = append(masters, e)
-			}
-		}
-		ch.masterScratch = masters
 		var a, b *Engine
-		for x := 0; x < len(masters) && a == nil; x++ {
-			for y := x + 1; y < len(masters); y++ {
-				if ch.c.Net.Reachable(masters[x].Self().Addr, masters[y].Self().Addr) {
-					a, b = masters[x], masters[y]
+		for x := 0; x < len(live) && a == nil; x++ {
+			if live[x].app != app {
+				continue
+			}
+			for y := x + 1; y < len(live); y++ {
+				if live[y].app == app && ch.c.Net.Reachable(live[x].e.Self().Addr, live[y].e.Self().Addr) {
+					a, b = live[x].e, live[y].e
 					break
 				}
 			}

@@ -23,7 +23,11 @@ import (
 // OnViolation handler that records instead of panicking, so tests can
 // assert on Net.Violation().
 func chaosCluster(seed int64, replicas int) *Cluster {
-	return NewCluster(ClusterConfig{
+	return NewCluster(chaosConfig(seed, replicas))
+}
+
+func chaosConfig(seed int64, replicas int) ClusterConfig {
+	return ClusterConfig{
 		N:    60,
 		Seed: seed,
 		Ring: ring.Config{B: 4, ReliableHops: true, HopAckTimeout: 150 * time.Millisecond},
@@ -39,7 +43,7 @@ func chaosCluster(seed int64, replicas int) *Cluster {
 		Durable:              true,
 		FaultyStores:         true,
 		OnViolation:          func(*simnet.InvariantViolation) {},
-	})
+	}
 }
 
 // chaosSpec is the composed acceptance schedule: nine fault kinds overlap
@@ -72,6 +76,14 @@ type chaosResult struct {
 func startChaos(t *testing.T, seed int64, spec string, rounds int) (*Cluster, AppID, *Chaos, *simnet.Nemesis) {
 	t.Helper()
 	c := chaosCluster(seed, 2)
+	id, chaos, nem := startChaosOn(t, c, seed, spec, rounds)
+	return c, id, chaos, nem
+}
+
+// startChaosOn is startChaos on a cluster the caller built (from
+// chaosConfig(seed, 2), possibly with another OnViolation).
+func startChaosOn(t *testing.T, c *Cluster, seed int64, spec string, rounds int) (AppID, *Chaos, *simnet.Nemesis) {
+	t.Helper()
 	app := testApps(1, seed)[0]
 	app.MaxRounds = rounds
 	app.TargetAccuracy = 0.999 // unreachable: every run does all `rounds` rounds
@@ -108,7 +120,7 @@ func startChaos(t *testing.T, seed int64, spec string, rounds int) (*Cluster, Ap
 			t.Fatal(err)
 		}
 	}
-	return c, id, chaos, nem
+	return id, chaos, nem
 }
 
 // runChaos trains startChaos's app to completion and runs the quiesce

@@ -404,13 +404,18 @@ func insertSorted(self ids.ID, list []Contact, c Contact, cw bool, max int) []Co
 		}
 		return ids.CWDist(x.ID, self)
 	}
+	// A full half is unchanged by a contact no closer than its last entry,
+	// whether that contact is already in it or farther than all of it.
+	dc := dist(c)
+	if k := len(list); k >= max && (k == 0 || !dc.Less(dist(list[k-1]))) {
+		return list
+	}
 	for _, e := range list {
 		if e.Addr == c.Addr {
 			return list
 		}
 	}
 	pos := len(list)
-	dc := dist(c)
 	for i, e := range list {
 		if dc.Less(dist(e)) {
 			pos = i

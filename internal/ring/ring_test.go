@@ -311,6 +311,90 @@ func TestInsertSortedProperties(t *testing.T) {
 	}
 }
 
+// insertSortedReference is insertSorted as it stood before the full-half
+// early-out: a duplicate scan, then a position scan.
+func insertSortedReference(self ids.ID, list []Contact, c Contact, cw bool, max int) []Contact {
+	dist := func(x Contact) ids.ID {
+		if cw {
+			return ids.CWDist(self, x.ID)
+		}
+		return ids.CWDist(x.ID, self)
+	}
+	for _, e := range list {
+		if e.Addr == c.Addr {
+			return list
+		}
+	}
+	pos := len(list)
+	dc := dist(c)
+	for i, e := range list {
+		if dc.Less(dist(e)) {
+			pos = i
+			break
+		}
+	}
+	if pos >= max {
+		return list // farther than every entry of a full half
+	}
+	if list == nil {
+		list = make([]Contact, 0, max)
+	}
+	if len(list) < max {
+		list = append(list, Contact{})
+	}
+	copy(list[pos+1:], list[pos:])
+	list[pos] = c
+	return list
+}
+
+// TestInsertSortedMatchesReference feeds the same contacts to insertSorted
+// and to the function it replaced — random IDs, addresses that come back
+// under a different ID, IDs (so distances) that come back under a different
+// address, both directions, halves of size 0, 1 and the default — and
+// requires the same half after every insert.
+func TestInsertSortedMatchesReference(t *testing.T) {
+	for _, max := range []int{0, 1, 2, 8} {
+		for _, cw := range []bool{true, false} {
+			rng := rand.New(rand.NewSource(int64(31 + max)))
+			self := ids.Random(rng)
+			var got, want []Contact
+			var pool []ids.ID
+			for i := 0; i < 2000; i++ {
+				c := Contact{ID: ids.Random(rng), Addr: transport.Addr(fmt.Sprintf("c%d", rng.Intn(40)))}
+				switch rng.Intn(4) {
+				case 0:
+					if len(pool) > 0 { // an equal distance, usually under another address
+						c.ID = pool[rng.Intn(len(pool))]
+					}
+				case 1:
+					if len(want) > 0 { // an entry's address or ID, the other field fresh
+						e := want[rng.Intn(len(want))]
+						if rng.Intn(2) == 0 {
+							c.Addr = e.Addr
+						} else {
+							c.ID = e.ID
+						}
+					}
+				}
+				pool = append(pool, c.ID)
+				got = insertSorted(self, got, c, cw, max)
+				want = insertSortedReference(self, want, c, cw, max)
+				if len(got) != len(want) {
+					t.Fatalf("max %d cw %v insert %d: half has %d entries, reference %d", max, cw, i, len(got), len(want))
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("max %d cw %v insert %d: entry %d is %v, reference %v", max, cw, i, j, got[j], want[j])
+					}
+				}
+			}
+			if len(want) != max {
+				t.Fatalf("max %d cw %v: the half never filled (%d entries)", max, cw, len(want))
+			}
+		}
+	}
+}
+
 func TestJoinedNodeRoutesImmediately(t *testing.T) {
 	c := newStaticCluster(t, 64, Config{B: 3}, 10)
 	// A brand-new node joins the static overlay dynamically and can route.

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"fmt"
-
-	"totoro/internal/store/wal"
-)
+import "fmt"
 
 // Faulty wraps a Store and injects disk failures on command: fsync
 // errors, short writes, and out-of-space conditions. It exists to prove
@@ -92,15 +88,11 @@ func (f *Faulty) Append(rec any) error {
 	f.Failed++
 	switch f.kind {
 	case FaultShortWrite:
-		// Tear the frame for real when we can see the inner bytes: encode
-		// the record, then land all but the last byte. wal.Scan's
-		// prefix-tolerance drops the torn tail on recovery — and anything
-		// a buggy engine appended after it.
+		// Tear the frame for real when we can see the inner bytes: land
+		// all but its last byte. wal.Scan's prefix-tolerance drops the torn
+		// tail on recovery — and anything a buggy engine appended after it.
 		if m, ok := f.inner.(*Mem); ok {
-			if body, err := encodeBody(m.lsn+1, rec); err == nil {
-				framed := wal.AppendRecord(nil, body)
-				m.log = append(m.log, framed[:len(framed)-1]...)
-			}
+			_ = m.write(rec, 1) // an unencodable record tears nothing
 		}
 		return fmt.Errorf("store: injected short write (%v)", f.kind)
 	case FaultENOSPC:

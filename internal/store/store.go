@@ -148,10 +148,21 @@ func decodeLog(bodies [][]byte, snapLSN uint64) (recs []any, last uint64) {
 // simulated recovery exercises the real encode/replay path, only the
 // disk is imaginary.
 type Mem struct {
-	log  []byte
+	// log is the journal as a list of chunks. A frame never spans two
+	// chunks and a written byte is never moved again: the last chunk takes
+	// frames while they fit its capacity, then a new one is started, of
+	// twice the capacity (memChunkMin to memChunkMax) or, for a frame
+	// larger than that, of exactly its size; the doubling starts over
+	// after such a frame, so a marker between two images costs no 64 KB.
+	log  [][]byte
 	snap []byte // one framed record: uvarint(lsn) + state value
 	lsn  uint64
 }
+
+const (
+	memChunkMin = 512
+	memChunkMax = 64 << 10
+)
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{} }
@@ -161,15 +172,35 @@ func (m *Mem) Append(rec any) error {
 	if err := registered(rec); err != nil {
 		return err
 	}
-	// Framed straight from the pooled encoder: the log's copy is the only
-	// one an image-sized record needs.
+	if err := m.write(rec, 0); err != nil {
+		return err
+	}
+	m.lsn++
+	return nil
+}
+
+// write frames rec, at the next LSN, onto the journal, less the frame's
+// last tear bytes (Faulty's short write; 0 for a whole frame). It frames
+// straight from the pooled encoder: the log's copy is the only one an
+// image-sized record needs.
+func (m *Mem) write(rec any, tear int) error {
 	e := codec.NewEnc()
 	defer e.Free()
 	if err := writeBody(e, m.lsn+1, rec); err != nil {
 		return err
 	}
-	m.lsn++
-	m.log = wal.AppendRecord(m.log, e.Bytes())
+	size := wal.FrameSize(len(e.Bytes()))
+	last := len(m.log) - 1
+	if last < 0 || cap(m.log[last])-len(m.log[last]) < size {
+		next := memChunkMin // also after an oversized frame's own chunk
+		if last >= 0 && cap(m.log[last]) <= memChunkMax {
+			next = min(2*cap(m.log[last]), memChunkMax)
+		}
+		m.log = append(m.log, make([]byte, 0, max(next, size)))
+		last++
+	}
+	framed := wal.AppendRecord(m.log[last], e.Bytes())
+	m.log[last] = framed[:len(framed)-tear]
 	return nil
 }
 
@@ -184,7 +215,7 @@ func (m *Mem) Snapshot(state any) error {
 		return err
 	}
 	m.snap = wal.AppendRecord(nil, e.Bytes())
-	m.log = m.log[:0]
+	m.log = nil
 	return nil
 }
 
@@ -199,7 +230,17 @@ func (m *Mem) Load() (state any, recs []any, err error) {
 			}
 		}
 	}
-	bodies, _ := wal.Scan(m.log)
+	// Chunk by chunk, up to the first chunk a scan does not consume whole:
+	// a torn or corrupt frame ends replay there, as it does in the flat
+	// stream, whatever was appended after it.
+	var bodies [][]byte
+	for _, chunk := range m.log {
+		b, valid := wal.Scan(chunk)
+		bodies = append(bodies, b...)
+		if valid < len(chunk) {
+			break
+		}
+	}
 	recs, last := decodeLog(bodies, snapLSN)
 	if last > m.lsn {
 		m.lsn = last
@@ -212,4 +253,9 @@ func (m *Mem) Close() error { return nil }
 
 // Bytes reports the store's current footprint (journal + snapshot), for
 // benchmarks and cadence tests.
-func (m *Mem) Bytes() (log, snap int) { return len(m.log), len(m.snap) }
+func (m *Mem) Bytes() (log, snap int) {
+	for _, chunk := range m.log {
+		log += len(chunk)
+	}
+	return log, len(m.snap)
+}

@@ -1,11 +1,16 @@
 package store
 
 import (
+	"bytes"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"totoro/internal/store/wal"
 	"totoro/internal/wire/codec"
 )
 
@@ -110,7 +115,7 @@ func TestSnapshotCrashWindow(t *testing.T) {
 	appendAll(t, m, recN(5)[3:])
 
 	// Crash window: the WAL still holds all five records.
-	m.log = append([]byte(nil), full.log...)
+	m.log = full.log
 
 	state, recs, err := m.Load()
 	if err != nil {
@@ -259,7 +264,100 @@ func TestMemFileParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(raw) != string(m.log) {
-		t.Fatalf("file journal (%d bytes) differs from memory journal (%d bytes)", len(raw), len(m.log))
+	if joined := bytes.Join(m.log, nil); !bytes.Equal(raw, joined) {
+		t.Fatalf("file journal (%d bytes) differs from memory journal (%d bytes)", len(raw), len(joined))
+	}
+}
+
+// TestMemLoadEqualsStreamScan holds the chunked journal to the flat stream
+// it replaced: over random sequences of appends (30 B to 300 KB records),
+// short writes, appends after a tear and snapshots, Load must return
+// exactly what scanning the chunks joined end to end returns — the same
+// clean prefix, cut at the same torn frame — and Bytes the joined length.
+// Along the way no chunk outgrows its bound and no written byte moves.
+func TestMemLoadEqualsStreamScan(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMem()
+		f := NewFaulty(m)
+		var wantState any
+		snapLSN := uint64(0)
+		var firsts []*byte // each chunk's first byte, as first seen
+		for op := 0; op < 120; op++ {
+			// Log-uniform body sizes: as many 30 B markers as 300 KB images.
+			size := int(30 * math.Pow(1e4, rng.Float64()))
+			var rec any = testRec{Seq: op, Name: strings.Repeat("x", size)}
+			if rng.Intn(2) == 0 {
+				rec = testState{Vals: make([]float64, size/8), Note: "img"}
+			}
+			switch k := rng.Intn(20); {
+			case k == 0:
+				if err := m.Snapshot(rec); err != nil {
+					t.Fatal(err)
+				}
+				wantState, snapLSN, firsts = rec, m.lsn, nil
+			case k <= 2:
+				f.Fail(FaultShortWrite)
+				if err := f.Append(rec); err == nil {
+					t.Fatal("short write reported success")
+				}
+				f.Heal()
+			default:
+				appendAll(t, m, []any{rec})
+			}
+
+			joined := bytes.Join(m.log, nil)
+			bodies, _ := wal.Scan(joined)
+			wantRecs, _ := decodeLog(bodies, snapLSN)
+			state, recs, err := m.Load()
+			if err != nil || !reflect.DeepEqual(state, wantState) {
+				t.Fatalf("seed %d op %d: Load state mismatch (err %v)", seed, op, err)
+			}
+			if !reflect.DeepEqual(recs, wantRecs) {
+				t.Fatalf("seed %d op %d: Load returned %d records, the joined stream holds %d", seed, op, len(recs), len(wantRecs))
+			}
+			if n, _ := m.Bytes(); n != len(joined) {
+				t.Fatalf("seed %d op %d: Bytes() = %d, joined chunks are %d", seed, op, n, len(joined))
+			}
+			for i, chunk := range m.log {
+				if i == len(firsts) {
+					firsts = append(firsts, &chunk[0])
+				}
+				if &chunk[0] != firsts[i] {
+					t.Fatalf("seed %d op %d: chunk %d was moved", seed, op, i)
+				}
+				// Larger than the largest regular chunk: made for one frame,
+				// which (whole, or torn by a byte) fills it.
+				if cap(chunk) < memChunkMin || cap(chunk) > memChunkMax && len(chunk) < cap(chunk)-1 {
+					t.Fatalf("seed %d op %d: chunk %d has %d of %d bytes used", seed, op, i, len(chunk), cap(chunk))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMemAppend is the journal append at chaos-60's record size (a
+// round marker) and at bigmodel-1k's (a 261 KB master image, forty to a
+// journal as between two of its snapshots).
+func BenchmarkMemAppend(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		rec    any
+		perLog int
+	}{
+		{"marker", testRec{Seq: 42, Name: "round"}, 20000},
+		{"image261KB", testState{Vals: make([]float64, 261<<10/8)}, 40},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := NewMem()
+			for i := 0; b.Loop(); i++ {
+				if i%bc.perLog == 0 {
+					m = NewMem()
+				}
+				if err := m.Append(bc.rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
