@@ -26,10 +26,8 @@ type ClusterConfig struct {
 	Ring ring.Config
 	// PubSub configures the forest layer.
 	PubSub pubsub.Config
-	// Latency is the one-way link latency (default 5ms); LatencyFn
-	// overrides it per link when set.
-	Latency   time.Duration
-	LatencyFn simnet.LatencyFunc
+	// Latency is the one-way link latency (default 5ms).
+	Latency time.Duration
 	// Bandwidth is each node's NIC speed in bytes/sec (0 = unlimited).
 	Bandwidth int64
 	// Cost models local compute.
@@ -65,7 +63,7 @@ type ClusterConfig struct {
 	// requires Durable. Access the wrappers via FaultyStore.
 	FaultyStores bool
 	// ExactSizes routes simulated message-size accounting through the v2
-	// wire codec (see simnet.Config.ExactSizes).
+	// wire codec (see simnet.Config.Sizer).
 	ExactSizes bool
 	// OnViolation handles invariant violations found by the chaos checker
 	// (see simnet.Config.OnViolation; nil panics with the violation).
@@ -116,10 +114,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Latency == 0 {
 		cfg.Latency = 5 * time.Millisecond
 	}
-	lat := cfg.LatencyFn
-	if lat == nil {
-		lat = simnet.ConstLatency(cfg.Latency)
-	}
 	c := &Cluster{
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
@@ -127,7 +121,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 	netCfg := simnet.Config{
 		Seed:             cfg.Seed,
-		Latency:          lat,
+		Latency:          simnet.ConstLatency(cfg.Latency),
 		DefaultBandwidth: cfg.Bandwidth,
 		OnViolation:      cfg.OnViolation,
 	}

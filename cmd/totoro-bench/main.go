@@ -12,10 +12,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -26,7 +27,7 @@ var experimentsOrder = []string{
 	"fig5a", "fig5b", "fig5c", "fig5d",
 	"fig6ab", "fig6c", "fig7",
 	"table3", "fig10", "fig11", "fig12", "fig13",
-	"ablations", "wire", "wal",
+	"ablations", "wire",
 }
 
 func main() {
@@ -121,7 +122,8 @@ func run(id string, o experiments.Options) bool {
 				r.SpeedupOpenFL, r.SpeedupFedScale)
 		}
 		fmt.Println("\nFig 8/9 accuracy-over-time curve endpoints:")
-		for key, curve := range res.Curves {
+		for _, key := range slices.Sorted(maps.Keys(res.Curves)) {
+			curve := res.Curves[key]
 			if len(curve) == 0 {
 				continue
 			}
@@ -182,40 +184,6 @@ func run(id string, o experiments.Options) bool {
 			fmt.Printf("  %-10s final-acc=%.3f  update=%6dB of %6dB dense  saving=%5.1f%%\n",
 				r.Compressor, r.FinalAcc, r.UpdateBytes, r.DenseBytes, 100*r.Saving)
 		}
-	case "wal":
-		fmt.Println("=== Durable store: WAL append cost and cold-recovery time ===")
-		rep := experiments.WALReport{Append: experiments.WALAppendBench(o)}
-		recovery, err := experiments.WALColdRecovery(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wal recovery run failed: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Recovery = recovery
-		fmt.Printf("%-24s %-12s %12s %12s %10s %10s %8s\n",
-			"op", "mode", "ns/op", "appends/s", "MB/s", "B/op", "allocs")
-		for _, r := range rep.Append {
-			mode := "no-sync"
-			if r.Sync {
-				mode = "fsync"
-			}
-			fmt.Printf("%-24s %-12s %12.1f %12.0f %10.1f %10d %8d\n",
-				r.Op, mode, r.NsPerOp, r.AppendsPerS, r.MBPerSec, r.BytesPerOp, r.AllocsPerOp)
-		}
-		fmt.Println("\ncold recovery (snapshot + journal tail replay on boot):")
-		for _, r := range rep.Recovery {
-			fmt.Printf("  tail=%6d records  wal=%9dB  replayed=%6d  recovery=%8.2fms\n",
-				r.TailRecords, r.WALBytes, r.Replayed, r.RecoveryMs)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "marshal wal report: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile("BENCH_wal.json", append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write BENCH_wal.json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("\nwrote BENCH_wal.json")
 	default:
 		return false
 	}

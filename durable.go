@@ -222,21 +222,20 @@ func (e *Engine) apply(rec any) {
 // The first append failure permanently degrades the engine to
 // non-durable: it keeps serving from memory (availability over
 // durability) but never journals again, raising the store.degraded
-// gauge and firing Options.OnStoreFailure. Degrading — rather than
-// retrying once the disk looks healthy again — is a safety rule: records
-// lost inside a fault window would leave a gap, and a journal that
-// resumes past a gap replays as a clean prefix after the next crash,
-// silently dropping everything after the gap. That is ack-then-lose,
-// the one failure mode the journal-before-ack contract exists to
-// prevent. A deployment that prefers crash-stop installs an
-// OnStoreFailure hook that halts the node.
+// gauge. Degrading — rather than retrying once the disk looks healthy
+// again — is a safety rule: records lost inside a fault window would
+// leave a gap, and a journal that resumes past a gap replays as a clean
+// prefix after the next crash, silently dropping everything after the
+// gap. That is ack-then-lose, the one failure mode the journal-before-ack
+// contract exists to prevent.
 func (e *Engine) journal(rec any) {
 	if e.store == nil || e.degraded {
 		return
 	}
 	if err := e.store.Append(rec); err != nil {
 		e.ctrStoreErrors.Inc()
-		e.degrade(err)
+		e.degraded = true
+		e.gaugeDegraded.Set(1)
 		return
 	}
 	e.ctrStoreAppends.Inc()
@@ -245,16 +244,6 @@ func (e *Engine) journal(rec any) {
 	// exists; the next journaled mutation folds it into a snapshot.
 	if e.walAppends >= e.opts.SnapshotEvery && e.ring != nil {
 		e.snapshotDurable()
-	}
-}
-
-// degrade drops durability for the rest of this engine's life (see
-// journal for why the drop is permanent).
-func (e *Engine) degrade(err error) {
-	e.degraded = true
-	e.gaugeDegraded.Set(1)
-	if e.opts.OnStoreFailure != nil {
-		e.opts.OnStoreFailure(err)
 	}
 }
 

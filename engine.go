@@ -62,11 +62,6 @@ type Options struct {
 	// SnapshotEvery is how many WAL appends accumulate before the journal
 	// is folded into a snapshot and truncated (0 = 64).
 	SnapshotEvery int
-	// OnStoreFailure fires once, when the first journal append fails and
-	// the engine permanently degrades to non-durable (see durable.go).
-	// Deployments that prefer crash-stop over degraded service halt the
-	// node here. Nil just degrades loudly (store.degraded gauge).
-	OnStoreFailure func(err error)
 }
 
 // Callbacks are the user-facing upcalls of Table 2 for custom
@@ -201,10 +196,6 @@ type Engine struct {
 	ctrRecoveries     *obs.Counter
 	gaugeDegraded     *obs.Gauge
 
-	// RoundHook, when set, observes every completed master round
-	// (experiment instrumentation).
-	RoundHook func(app AppID, round int, acc float64, now time.Duration)
-
 	// AckHook, when set, observes every master-state acknowledgement:
 	// commit=true fires synchronously at each committed round (with the
 	// merged participant count), commit=false at every replication of a
@@ -286,10 +277,6 @@ func (e *Engine) PubSub() *pubsub.Node { return e.ps }
 // Metrics returns this node's telemetry registry: every layer of the
 // stack (ring, pubsub, fl driver, transport) emits into it.
 func (e *Engine) Metrics() *obs.Registry { return e.env.Metrics() }
-
-// Promotions returns how many times this node promoted itself to master
-// from a replica (failover instrumentation, "engine.promotions").
-func (e *Engine) Promotions() int { return int(e.ctrPromotions.Value()) }
 
 // SetCallbacks installs the custom-application upcalls.
 func (e *Engine) SetCallbacks(cb Callbacks) { e.cb = cb }
@@ -700,9 +687,6 @@ func (e *Engine) completeRound(m *masterState, round int, u updateAgg) {
 	m.progress.Points = append(m.progress.Points, workload.AccuracyPoint{
 		Time: now, Round: m.round, Accuracy: acc, Participants: participants,
 	})
-	if e.RoundHook != nil {
-		e.RoundHook(m.spec.ID, m.round, acc, now)
-	}
 	if e.AckHook != nil {
 		e.AckHook(m.spec.ID, m.epoch, m.round, participants, true)
 	}

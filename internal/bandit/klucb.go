@@ -50,16 +50,3 @@ func KLUCBUpper(thetaHat float64, attempts int, budget float64) float64 {
 	}
 	return clamp(lo, 1e-9, 1)
 }
-
-// LCBMean returns the standard Hoeffding lower confidence bound used by the
-// end-to-end baseline: mean − sqrt(2·budget / n), floored at 0.
-func LCBMean(mean float64, n int, budget float64) float64 {
-	if n == 0 {
-		return 0
-	}
-	b := mean - math.Sqrt(2*budget/float64(n))
-	if b < 0 {
-		return 0
-	}
-	return b
-}

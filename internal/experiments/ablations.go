@@ -76,7 +76,7 @@ func aggregationAblationRun(o Options, n int) AggregationAblationRow {
 	}
 	f.Net.RunUntilIdle()
 	var aggDone time.Duration
-	for _, e := range f.mergedTrace() {
+	for _, e := range f.Net.MergedTrace() {
 		if e.Kind == obs.KindPubSubAgg && e.Note == "root" && e.Key == topic.String() &&
 			e.At >= start && e.At > aggDone {
 			aggDone = e.At

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"totoro/internal/ids"
-	"totoro/internal/obs"
 	"totoro/internal/pubsub"
 	"totoro/internal/ring"
 	"totoro/internal/simnet"
@@ -109,31 +108,6 @@ func newForest(cfg forestConfig) *forest {
 	}
 	ring.BuildStatic(ringNodes, f.RNG)
 	return f
-}
-
-// counterSum sums one named counter across every node's telemetry
-// registry — the figures read their numbers from here instead of keeping
-// private tallies.
-func (f *forest) counterSum(name string) int64 {
-	var total int64
-	for _, env := range f.Envs {
-		total += env.Metrics().Counter(name).Value()
-	}
-	return total
-}
-
-// mergedTrace is the fleet-wide trace timeline in virtual-time order.
-func (f *forest) mergedTrace() []obs.Event { return f.Net.MergedTrace() }
-
-// mergedSnapshot merges every node's telemetry registry into one fleet
-// snapshot. Paired with Snapshot.Delta it gives windowed measurements
-// (fig 7's maintenance traffic) without resetting live counters.
-func (f *forest) mergedSnapshot() obs.Snapshot {
-	snaps := make([]obs.Snapshot, len(f.Envs))
-	for i, env := range f.Envs {
-		snaps[i] = env.Metrics().Snapshot()
-	}
-	return obs.MergeSnapshots(snaps...)
 }
 
 // subscribeDistinct subscribes k distinct random nodes to topic and waits

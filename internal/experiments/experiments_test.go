@@ -20,7 +20,7 @@ func TestRingPathReconstructedFromTrace(t *testing.T) {
 	src.Ring.Route(key, nil)
 	f.Net.RunUntilIdle()
 
-	path := obs.PathOf(f.mergedTrace(), key.String())
+	path := obs.PathOf(f.Net.MergedTrace(), key.String())
 	if len(path) == 0 {
 		t.Fatal("no trace events recorded for the routed key")
 	}

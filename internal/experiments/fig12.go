@@ -82,7 +82,7 @@ func recoveryRun(o Options, trees int) RecoveryRow {
 		f.Net.Fail(addr)
 	}
 	failAt := f.Net.Now()
-	repairsBefore := f.counterSum("pubsub.repairs")
+	repairsBefore := f.Net.MergedSnapshot().Counters["pubsub.repairs"]
 
 	// Advance in small steps until every live member of every tree has a
 	// fully live parent chain to its root.
@@ -97,7 +97,7 @@ func recoveryRun(o Options, trees int) RecoveryRow {
 		Trees:       trees,
 		FailedNodes: len(failed),
 		RecoveryMs:  float64(f.Net.Now()-failAt) / float64(time.Millisecond),
-		RepairJoins: int(f.counterSum("pubsub.repairs") - repairsBefore),
+		RepairJoins: int(f.Net.MergedSnapshot().Counters["pubsub.repairs"] - repairsBefore),
 	}
 }
 

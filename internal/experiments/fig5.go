@@ -170,8 +170,14 @@ func Fig5cMastersPerZone(o Options) []ZoneWorkloadRow {
 	for z := range bin.Members {
 		zones = append(zones, z)
 	}
+	// Dense→sparse, ties by zone ID: zones come out of a map, so an order
+	// on member count alone changes from run to run.
 	sort.Slice(zones, func(i, j int) bool {
-		return len(bin.Members[zones[i]]) > len(bin.Members[zones[j]])
+		ni, nj := len(bin.Members[zones[i]]), len(bin.Members[zones[j]])
+		if ni != nj {
+			return ni > nj
+		}
+		return zones[i] < zones[j]
 	})
 	var out []ZoneWorkloadRow
 	for _, z := range zones {

@@ -72,7 +72,7 @@ func measureTree(o Options, b, n int) ScaleRow {
 	root.PS.Publish(topic, modelObj{Bytes: fig6ModelBytes})
 	f.Net.RunUntilIdle()
 	var lastDeliver time.Duration
-	for _, e := range f.mergedTrace() {
+	for _, e := range f.Net.MergedTrace() {
 		if e.Kind == obs.KindPubSubDeliver && e.Note == "sub" && e.Key == topicKey &&
 			e.At >= start && e.At > lastDeliver {
 			lastDeliver = e.At
@@ -96,7 +96,7 @@ func measureTree(o Options, b, n int) ScaleRow {
 	}
 	f.Net.RunUntilIdle()
 	var aggDone time.Duration
-	for _, e := range f.mergedTrace() {
+	for _, e := range f.Net.MergedTrace() {
 		if e.Kind == obs.KindPubSubAgg && e.Note == "root" && e.Key == topicKey &&
 			e.At >= start && e.At > aggDone {
 			aggDone = e.At

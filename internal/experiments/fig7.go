@@ -77,7 +77,7 @@ func trafficRun(o Options, nodes, trees, subsPerTree, window int) (tcpPerNode, u
 	// before the window and subtract it afterwards, so tree construction
 	// traffic is excluded without resetting the live counters other
 	// figures may still read.
-	before := f.mergedSnapshot()
+	before := f.Net.MergedSnapshot()
 	// The measurement window (in seconds): the overlay probes its leaf sets
 	// every 15 seconds (slow background maintenance) while tree keep-alives
 	// tick every second on their own timers.
@@ -91,7 +91,7 @@ func trafficRun(o Options, nodes, trees, subsPerTree, window int) (tcpPerNode, u
 	}
 	// Traffic totals come from the per-node telemetry registries (the same
 	// counters a live node would expose over /metrics).
-	win := f.mergedSnapshot().Delta(before)
+	win := f.Net.MergedSnapshot().Delta(before)
 	bytes := win.Counters[simnet.CtrBytesOut]
 	msgs := win.Counters[simnet.CtrMsgsOut]
 	n := float64(nodes)

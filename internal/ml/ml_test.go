@@ -215,35 +215,6 @@ func TestDirichletAlphaControlsSkew(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeParamsRoundTrip(t *testing.T) {
-	f := func(vals []float64) bool {
-		b := EncodeParams(vals)
-		got, err := DecodeParams(b)
-		if err != nil || len(got) != len(vals) {
-			return false
-		}
-		for i := range vals {
-			if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeParamsRejectsGarbage(t *testing.T) {
-	if _, err := DecodeParams([]byte{1, 2}); err == nil {
-		t.Fatal("short buffer accepted")
-	}
-	b := EncodeParams([]float64{1, 2, 3})
-	if _, err := DecodeParams(b[:len(b)-1]); err == nil {
-		t.Fatal("truncated buffer accepted")
-	}
-}
-
 func TestUntrainedAccuracyNearChance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds := SyntheticClusters(10, 16, 2000, 0.5, rng)

@@ -13,8 +13,9 @@ import (
 // TestRepairUnderChurnRedeliversBroadcast drives the keep-alive repair path
 // with a churn phase instead of a single surgical failure: an interior
 // parent is killed while background churn keeps removing other nodes, and
-// every surviving subscriber must re-graft onto the tree (OnRepair fires)
-// and deliver the next Publish exactly as if nothing had happened.
+// every surviving subscriber must re-graft onto the tree (pubsub.repairs
+// counts the re-joins) and deliver the next Publish exactly as if nothing
+// had happened.
 func TestRepairUnderChurnRedeliversBroadcast(t *testing.T) {
 	rcfg := ring.Config{B: 4, ReliableHops: true, HopAckTimeout: 50 * time.Millisecond}
 	pcfg := Config{
@@ -25,7 +26,6 @@ func TestRepairUnderChurnRedeliversBroadcast(t *testing.T) {
 	topic := ids.Hash("app-churn-repair")
 
 	delivered := make(map[transport.Addr]int)
-	repairs := 0
 	for _, s := range f.stacks {
 		addr := s.ring.Self().Addr
 		s.ps.SetHandlers(Handlers{
@@ -34,7 +34,6 @@ func TestRepairUnderChurnRedeliversBroadcast(t *testing.T) {
 					delivered[addr]++
 				}
 			},
-			OnRepair: func(ids.ID) { repairs++ },
 		})
 	}
 
@@ -98,8 +97,8 @@ func TestRepairUnderChurnRedeliversBroadcast(t *testing.T) {
 	}
 	f.net.Run(f.net.Now() + 2*time.Second) // quiesce: quarantines expire, joins settle
 
-	if repairs == 0 {
-		t.Fatal("no OnRepair upcall despite a killed parent")
+	if f.net.MergedSnapshot().Counters["pubsub.repairs"] == 0 {
+		t.Fatal("no pubsub.repairs despite a killed parent")
 	}
 
 	// Every subscriber must sit on a live parent chain ending at the root.

@@ -51,12 +51,6 @@ type Handlers struct {
 	// OnAggregate is invoked at the tree root when a round's aggregation
 	// flushes, with the combined object and the contribution count.
 	OnAggregate func(topic ids.ID, round int, obj any, count int)
-	// OnChildUpdate is invoked on interior nodes whenever a child's
-	// (partial) update arrives — the paper's onAggregate callback.
-	OnChildUpdate func(topic ids.ID, round int, from ring.Contact, count int)
-	// OnRepair is invoked when this node detects its parent failed and
-	// starts re-joining (used by the churn experiments).
-	OnRepair func(topic ids.ID)
 }
 
 // aggRound tracks one round's in-network aggregation at one node. A leaf,
@@ -810,9 +804,6 @@ func (n *Node) handleUpstream(m Upstream) {
 		r.waiting = slices.Delete(r.waiting, i, i+1)
 	}
 	delete(st.missCount, m.From.Addr)
-	if n.handlers.OnChildUpdate != nil {
-		n.handlers.OnChildUpdate(m.Topic, m.Round, m.From, m.Count)
-	}
 	if r.flushed {
 		// Late contribution after a timeout flush: r.combined was already
 		// forwarded upstream by reference (the in-memory transport does not
@@ -997,9 +988,6 @@ func (n *Node) repairParent(st *topicState) {
 	st.lastSeen = n.env.Now()
 	n.ctrRepairs.Inc()
 	n.ring.RemoveContact(dead.Addr)
-	if n.handlers.OnRepair != nil {
-		n.handlers.OnRepair(st.topic)
-	}
 	n.ring.Route(st.topic, JoinMsg{Topic: st.topic, Subscriber: n.ring.Self()})
 }
 
@@ -1110,13 +1098,6 @@ func (n *Node) dropRounds(st *topicState) {
 	st.rounds, st.missCount = nil, nil
 }
 
-// ForceRepair triggers parent repair immediately (experiment driver hook).
-func (n *Node) ForceRepair(topic ids.ID) {
-	if st, ok := n.topics[topic]; ok && !st.parent.IsZero() {
-		n.repairParent(st)
-	}
-}
-
 func (n *Node) stopTimers(st *topicState) {
 	if st.kaCancel != nil {
 		st.kaCancel()
@@ -1164,15 +1145,6 @@ func (n *Node) TreeInfo(topic ids.ID) (Info, bool) {
 	}
 	info.Children = slices.Clone(st.children)
 	return info, true
-}
-
-// Topics lists the topics this node holds any state for.
-func (n *Node) Topics() []ids.ID {
-	out := make([]ids.ID, 0, len(n.topics))
-	for t := range n.topics {
-		out = append(out, t)
-	}
-	return out
 }
 
 // RootCount reports how many trees this node is the root (master) of.

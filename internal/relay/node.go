@@ -21,23 +21,18 @@ type Config struct {
 	// AckTimeout is the per-hop retransmission deadline (one "time slot"
 	// of the geometric link model).
 	AckTimeout time.Duration
-	// AdvertiseInterval is the distance-vector exchange period. Zero
-	// disables periodic adverts (tests drive AdvertiseNow explicitly).
-	AdvertiseInterval time.Duration
-	// MaxTTL bounds a frame's hop count (default 32).
-	MaxTTL int
 	// Policy selects the planning policy: "totoro" (default, KL-UCB with
 	// lookahead) or "greedy" (empirical next-hop, the Fig 10 baseline) —
 	// kept here so the ablation runs both over identical plumbing.
 	Policy string
 }
 
+// maxTTL bounds a frame's hop count.
+const maxTTL = 32
+
 func (c Config) withDefaults() Config {
 	if c.AckTimeout == 0 {
 		c.AckTimeout = 50 * time.Millisecond
-	}
-	if c.MaxTTL == 0 {
-		c.MaxTTL = 32
 	}
 	if c.Policy == "" {
 		c.Policy = "totoro"
@@ -88,8 +83,6 @@ type Node struct {
 	seen    map[uint64]bool // frame IDs already routed (duplicate guard)
 	totalTx int             // time-slot counter τ for the KL-UCB budget
 	deliver func(d Data)
-	stopped bool
-	advStop func()
 
 	// Cached handles into env.Metrics() — see the "relay.*" names below.
 	ctrDelivered   *obs.Counter
@@ -125,27 +118,11 @@ func New(env transport.Env, cfg Config, deliver func(Data)) *Node {
 		n.order = append(n.order, nb)
 	}
 	sort.Slice(n.order, func(i, j int) bool { return n.order[i] < n.order[j] })
-	if cfg.AdvertiseInterval > 0 {
-		var tick func()
-		tick = func() {
-			n.AdvertiseNow()
-			n.advStop = n.env.After(n.cfg.AdvertiseInterval, tick)
-		}
-		n.advStop = env.After(cfg.AdvertiseInterval, tick)
-	}
 	return n
 }
 
 // Metrics returns the node's telemetry registry ("relay.*" counters).
 func (n *Node) Metrics() *obs.Registry { return n.env.Metrics() }
-
-// Stop cancels periodic advertising.
-func (n *Node) Stop() {
-	n.stopped = true
-	if n.advStop != nil {
-		n.advStop()
-	}
-}
 
 // omega is the empirical transmission cost with exploration adjustment of
 // one outgoing link: 1 / KLUCB(θ̂) (Algorithm 1).
@@ -201,7 +178,8 @@ func jOr(m map[transport.Addr]float64, k transport.Addr) float64 {
 }
 
 // AdvertiseNow recomputes and pushes this node's cost table to all
-// neighbors.
+// neighbors. There is no periodic exchange: the driver decides when
+// adverts flow.
 func (n *Node) AdvertiseNow() {
 	n.recomputeJ()
 	tbl := make(map[transport.Addr]float64, len(n.jSelf))
@@ -220,7 +198,7 @@ func (n *Node) Send(dst transport.Addr, payload any) {
 		Dst:     dst,
 		Origin:  n.env.Self(),
 		ID:      hashAddr(n.env.Self())<<20 | n.frameID,
-		TTL:     n.cfg.MaxTTL,
+		TTL:     maxTTL,
 		Payload: payload,
 	})
 }

@@ -1,15 +1,17 @@
 // Package ring implements the Pastry-style structured P2P overlay that is
 // Totoro's Layer 1 substrate (paper §4.2, §6).
 //
-// Every node keeps three data structures, exactly as in the paper:
+// Every node keeps two data structures:
 //
 //   - a routing table of ⌈128/b⌉ rows × 2^b−1 entries used for greedy
 //     prefix routing (the paper's configurable "base bit value" b of 3, 4,
-//     or 5 gives tree fanouts of 8, 16 and 32);
+//     or 5 gives tree fanouts of 8, 16 and 32); and
 //   - a leaf set of the numerically closest nodes on either side, used to
-//     finish routes and to rebuild state upon failures; and
-//   - a neighborhood set of physically (proximity-wise) close nodes used to
-//     keep routing-table entries locality-aware.
+//     finish routes and to rebuild state upon failures.
+//
+// Pastry's third, the neighborhood set of physically close nodes, exists
+// only to make routing-table entries locality-aware; no deployment here
+// has a proximity metric, so a slot keeps the first contact written to it.
 //
 // Any message routed with a 128-bit key reaches the live node whose NodeId
 // is numerically closest to the key within ⌈log_{2^b} N⌉ hops.

@@ -19,31 +19,28 @@ type Config struct {
 	// LeafSetSize is the total leaf set size (half on each side of the
 	// ring). The paper configures 24 (§7.1).
 	LeafSetSize int
-	// NeighborhoodSize bounds the physically-closest node set.
-	NeighborhoodSize int
 	// ReliableHops enables per-hop acknowledgements: a hop that is not
 	// acked within HopAckTimeout removes the suspect contact and re-routes.
 	// This is how routes adapt to failed nodes (§4.5).
 	ReliableHops bool
 	// HopAckTimeout is the per-hop ack deadline when ReliableHops is set.
 	HopAckTimeout time.Duration
-	// DeadQuarantine is how long a removed (suspected-failed) contact is
+}
+
+const (
+	// deadQuarantine is how long a removed (suspected-failed) contact is
 	// refused re-insertion, so that repair replies from peers that have not
 	// yet noticed the failure cannot resurrect it.
-	DeadQuarantine time.Duration
-	// RecontactTries is how many maintenance cycles a removed contact keeps
+	deadQuarantine = 2 * time.Second
+	// recontactTries is how many maintenance cycles a removed contact keeps
 	// being probed after it is scrubbed. A healed partition looks exactly
 	// like a mass failure — both sides have scrubbed each other from all
 	// routing state, so no traffic crosses the former boundary and the
 	// overlay would stay split forever without an active re-contact path.
 	// A contact that stays silent for this many probes is dropped for good
-	// (it can still return via an explicit re-join). Negative disables.
-	RecontactTries int
-	// Proximity estimates the network distance between two addresses; when
-	// set, routing-table slots prefer physically closer candidates,
-	// which is Pastry's locality property. May be nil.
-	Proximity func(a, b transport.Addr) float64
-}
+	// (it can still return via an explicit re-join).
+	recontactTries = 20
+)
 
 func (c Config) withDefaults() Config {
 	if c.B == 0 {
@@ -52,17 +49,8 @@ func (c Config) withDefaults() Config {
 	if c.LeafSetSize == 0 {
 		c.LeafSetSize = 24
 	}
-	if c.NeighborhoodSize == 0 {
-		c.NeighborhoodSize = 16
-	}
 	if c.HopAckTimeout == 0 {
 		c.HopAckTimeout = 200 * time.Millisecond
-	}
-	if c.DeadQuarantine == 0 {
-		c.DeadQuarantine = 2 * time.Second
-	}
-	if c.RecontactTries == 0 {
-		c.RecontactTries = 20
 	}
 	return c
 }
@@ -92,10 +80,9 @@ type Node struct {
 	// entry in exist: rt stops at the deepest such row, and a row before it
 	// that never got an entry is nil. At 50k nodes that is 4–5 rows of the
 	// 32 the ID space has.
-	rt        [][]Contact
-	leafCW    []Contact // successors, sorted by clockwise distance
-	leafCCW   []Contact // predecessors, sorted by counter-clockwise distance
-	neighbors []Contact
+	rt      [][]Contact
+	leafCW  []Contact // successors, sorted by clockwise distance
+	leafCCW []Contact // predecessors, sorted by counter-clockwise distance
 
 	// The maps below are created by their first write; most nodes of a
 	// healthy fleet never need any of them.
@@ -144,9 +131,6 @@ func (n *Node) SetApp(app App) { n.app = app }
 
 // Self returns this node's contact.
 func (n *Node) Self() Contact { return n.self }
-
-// Config returns the node configuration.
-func (n *Node) Config() Config { return n.cfg }
 
 // Joined reports whether the node completed a join (static builds mark
 // nodes joined directly).
@@ -351,9 +335,6 @@ func (n *Node) ClosestLeaves(key ids.ID, k int) []Contact {
 	return ls
 }
 
-// Neighbors returns the physical-proximity neighborhood set.
-func (n *Node) Neighbors() []Contact { return n.neighbors }
-
 // knownContacts returns every contact in the node's state.
 func (n *Node) knownContacts() []Contact {
 	out := n.Leafset()
@@ -364,15 +345,14 @@ func (n *Node) knownContacts() []Contact {
 			}
 		}
 	}
-	out = append(out, n.neighbors...)
 	return out
 }
 
 // KnownContacts exposes knownContacts for diagnostics and tests.
 func (n *Node) KnownContacts() []Contact { return n.knownContacts() }
 
-// considerContact folds c into the leaf set, routing table, and
-// neighborhood set wherever it improves them.
+// considerContact folds c into the leaf set and routing table wherever it
+// improves them.
 func (n *Node) considerContact(c Contact) {
 	if c.IsZero() || c.Addr == n.self.Addr || c.ID == n.self.ID {
 		return
@@ -386,7 +366,6 @@ func (n *Node) considerContact(c Contact) {
 	delete(n.removed, c.Addr)
 	n.insertLeaf(c)
 	n.insertRT(c)
-	n.insertNeighbor(c)
 }
 
 func (n *Node) insertLeaf(c Contact) {
@@ -466,37 +445,9 @@ func (n *Node) insertRT(c Contact) {
 	if row >= ids.NumDigits(n.cfg.B) {
 		return
 	}
-	col := c.ID.Digit(row, n.cfg.B)
-	cur := n.rtEntry(row, col)
-	switch {
-	case cur.IsZero():
+	// The first writer keeps the slot.
+	if col := c.ID.Digit(row, n.cfg.B); n.rtEntry(row, col).IsZero() {
 		n.setRT(row, col, c)
-	case n.cfg.Proximity != nil &&
-		n.cfg.Proximity(n.self.Addr, c.Addr) < n.cfg.Proximity(n.self.Addr, cur.Addr):
-		n.setRT(row, col, c)
-	}
-}
-
-func (n *Node) insertNeighbor(c Contact) {
-	if n.cfg.Proximity == nil {
-		return
-	}
-	for _, e := range n.neighbors {
-		if e.Addr == c.Addr {
-			return
-		}
-	}
-	n.neighbors = append(n.neighbors, c)
-	if len(n.neighbors) > n.cfg.NeighborhoodSize {
-		// Evict the farthest.
-		worst, wd := -1, -1.0
-		for i, e := range n.neighbors {
-			d := n.cfg.Proximity(n.self.Addr, e.Addr)
-			if d > wd {
-				worst, wd = i, d
-			}
-		}
-		n.neighbors = append(n.neighbors[:worst], n.neighbors[worst+1:]...)
 	}
 }
 
@@ -506,7 +457,7 @@ func (n *Node) RemoveContact(addr transport.Addr) {
 	if n.deadUntil == nil {
 		n.deadUntil = make(map[transport.Addr]time.Duration)
 	}
-	n.deadUntil[addr] = n.env.Now() + n.cfg.DeadQuarantine
+	n.deadUntil[addr] = n.env.Now() + deadQuarantine
 	delete(n.probeSent, addr)
 	delete(n.lastPong, addr)
 	repaired := false
@@ -525,7 +476,6 @@ func (n *Node) RemoveContact(addr transport.Addr) {
 	}
 	n.leafCW = filter(n.leafCW)
 	n.leafCCW = filter(n.leafCCW)
-	n.neighbors = filter(n.neighbors)
 	for _, row := range n.rt {
 		for i, c := range row {
 			if c.Addr == addr {
@@ -538,7 +488,7 @@ func (n *Node) RemoveContact(addr transport.Addr) {
 	// silent because of a partition rather than a crash, the probes are the
 	// only traffic that can cross the healed boundary and re-merge the two
 	// sides' routing state.
-	if !gone.IsZero() && n.cfg.RecontactTries > 0 {
+	if !gone.IsZero() {
 		if n.removed == nil {
 			n.removed = make(map[transport.Addr]removedContact)
 		}
@@ -677,7 +627,7 @@ func (n *Node) maintainOnce() {
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, a := range addrs {
 		rc := n.removed[a]
-		if rc.tries >= n.cfg.RecontactTries {
+		if rc.tries >= recontactTries {
 			delete(n.removed, a)
 			continue
 		}

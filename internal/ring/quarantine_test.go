@@ -21,8 +21,7 @@ func inKnown(n *Node, c Contact) bool {
 // stale gossip cannot resurrect it), accepted again once it expires, and
 // AddContactDirect (the revived-node path) clears the quarantine early.
 func TestQuarantineExpiresAndReaccepts(t *testing.T) {
-	const quarantine = 500 * time.Millisecond
-	c := newStaticCluster(t, 50, Config{B: 4, DeadQuarantine: quarantine}, 41)
+	c := newStaticCluster(t, 50, Config{B: 4}, 41)
 	n := c.nodes[0]
 
 	victim := n.leafCW[0]
@@ -39,7 +38,7 @@ func TestQuarantineExpiresAndReaccepts(t *testing.T) {
 	}
 
 	// Advance virtual time past the quarantine, then gossip again.
-	n.env.After(quarantine+time.Millisecond, func() {})
+	n.env.After(deadQuarantine+time.Millisecond, func() {})
 	c.net.RunUntilIdle()
 	n.Receive(c.nodes[1].self.Addr, NodeJoined{Node: victim})
 	if !inKnown(n, victim) {

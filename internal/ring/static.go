@@ -21,8 +21,8 @@ type member struct {
 // joining them one message at a time would dominate experiment runtime
 // while measuring nothing the paper reports. BuildStatic writes exactly
 // the state the join protocol converges to: full leaf sets from ring order,
-// and locality-aware routing tables populated by recursive digit
-// partitioning — overwriting, so the same wiring twice changes nothing.
+// and routing tables populated by recursive digit partitioning —
+// overwriting, so the same wiring twice changes nothing.
 // Dynamic joins and repairs remain fully functional on top of a statically
 // built overlay.
 func BuildStatic(nodes []*Node, rng *rand.Rand) {
@@ -58,9 +58,9 @@ func BuildStatic(nodes []*Node, rng *rand.Rand) {
 
 	// Routing tables by recursive partition on digits: every member of a
 	// prefix group gets, for each sibling group, one contact sampled from
-	// that sibling (preferring proximity when configured). A prefix group is
-	// a run of ring order and so are its digit buckets: the group's i-th is
-	// sorted[cut[i]:cut[i+1]], cut being its row's stretch of cuts.
+	// that sibling. A prefix group is a run of ring order and so are its
+	// digit buckets: the group's i-th is sorted[cut[i]:cut[i+1]], cut being
+	// its row's stretch of cuts.
 	width := 1<<uint(b) + 1
 	cuts := make([]int, numDigits*width)
 	var fill func(lo, hi, row int)
@@ -81,7 +81,7 @@ func BuildStatic(nodes []*Node, rng *rand.Rand) {
 			for _, m := range sorted[cut[i]:cut[i+1]] {
 				for j := 0; j < k; j++ {
 					if j != i {
-						c := pickContact(sorted[cut[j]:cut[j+1]], m.node, rng)
+						c := pickContact(sorted[cut[j]:cut[j+1]], rng)
 						m.node.setRT(row, c.ID.Digit(row, b), c)
 					}
 				}
@@ -92,20 +92,8 @@ func BuildStatic(nodes []*Node, rng *rand.Rand) {
 	fill(0, n, 0)
 }
 
-// pickContact samples up to four members of the bucket and returns the one
-// closest to node by its proximity metric (or the first sample when no
-// metric is configured). This mirrors Pastry's locality-aware table
-// construction.
-func pickContact(bucket []member, node *Node, rng *rand.Rand) Contact {
-	best, bestD := Contact{}, 0.0
-	for t := min(4, len(bucket)); t > 0; t-- {
-		c := bucket[rng.Intn(len(bucket))].c
-		if node.cfg.Proximity == nil {
-			return c
-		}
-		if d := node.cfg.Proximity(node.self.Addr, c.Addr); best.IsZero() || d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
+// pickContact samples one member of the bucket: a single rng draw per
+// routing-table slot, which every simulated run's results depend on.
+func pickContact(bucket []member, rng *rand.Rand) Contact {
+	return bucket[rng.Intn(len(bucket))].c
 }

@@ -24,24 +24,11 @@ func (stubEnv) After(time.Duration, func()) (cancel func()) { return func() {} }
 func (stubEnv) Rand() *rand.Rand                            { return nil }
 func (e stubEnv) Metrics() *obs.Registry                    { return e.reg }
 
-// hashProximity is a deterministic, asymmetric stand-in for a latency
-// estimate: any fixed function of the two addresses will do.
-func hashProximity(a, b transport.Addr) float64 {
-	h := fnv.New32a()
-	h.Write([]byte(a))
-	h.Write([]byte{0})
-	h.Write([]byte(b))
-	return float64(h.Sum32())
-}
-
 // population builds n unwired nodes. Zoned IDs carry 8 zone bits from a
 // handful of zones, so the leading digits are shared by everyone (the "all
 // share this digit, descend" rows) and one zone holds a single node.
-func population(n, b int, prox, zoned bool, rng *rand.Rand) []*Node {
+func population(n, b int, zoned bool, rng *rand.Rand) []*Node {
 	cfg := Config{B: b}
-	if prox {
-		cfg.Proximity = hashProximity
-	}
 	env := stubEnv{reg: obs.New(0)}
 	nodes := make([]*Node, n)
 	for i := range nodes {
@@ -108,126 +95,66 @@ func overlayDigest(nodes []*Node, rng *rand.Rand) string {
 // Any change to a routing table, a leaf set or the rng draw sequence shows
 // up here — and would move every simulated run's results.
 var goldenOverlays = map[string]string{
-	"n1/b3/prox=false/zoned=false":     "3f1d7c1d10245515",
-	"n1/b3/prox=false/zoned=true":      "d4f3500fdcbcd597",
-	"n1/b3/prox=true/zoned=false":      "3f1d7c1d10245515",
-	"n1/b3/prox=true/zoned=true":       "d4f3500fdcbcd597",
-	"n1/b4/prox=false/zoned=false":     "ace4150562c951a0",
-	"n1/b4/prox=false/zoned=true":      "549c8dfd14f21c9d",
-	"n1/b4/prox=true/zoned=false":      "ace4150562c951a0",
-	"n1/b4/prox=true/zoned=true":       "549c8dfd14f21c9d",
-	"n1/b5/prox=false/zoned=false":     "92ed9537fdf83089",
-	"n1/b5/prox=false/zoned=true":      "755e620f135a6a54",
-	"n1/b5/prox=true/zoned=false":      "92ed9537fdf83089",
-	"n1/b5/prox=true/zoned=true":       "755e620f135a6a54",
-	"n2/b3/prox=false/zoned=false":     "1dacfb04f89ac073",
-	"n2/b3/prox=false/zoned=true":      "82dcfa8072bd6f74",
-	"n2/b3/prox=true/zoned=false":      "1dacfb04f89ac073",
-	"n2/b3/prox=true/zoned=true":       "82dcfa8072bd6f74",
-	"n2/b4/prox=false/zoned=false":     "a0a6234c490f25e5",
-	"n2/b4/prox=false/zoned=true":      "e5077d37195b3c8e",
-	"n2/b4/prox=true/zoned=false":      "a0a6234c490f25e5",
-	"n2/b4/prox=true/zoned=true":       "e5077d37195b3c8e",
-	"n2/b5/prox=false/zoned=false":     "ab688575933c6ea6",
-	"n2/b5/prox=false/zoned=true":      "84d8ed57e6d56be4",
-	"n2/b5/prox=true/zoned=false":      "ab688575933c6ea6",
-	"n2/b5/prox=true/zoned=true":       "84d8ed57e6d56be4",
-	"n3/b3/prox=false/zoned=false":     "dfae452ca178ddd1",
-	"n3/b3/prox=false/zoned=true":      "cd8e2916e3f80062",
-	"n3/b3/prox=true/zoned=false":      "dfae452ca178ddd1",
-	"n3/b3/prox=true/zoned=true":       "0686481626188a91",
-	"n3/b4/prox=false/zoned=false":     "6966c98070af5c39",
-	"n3/b4/prox=false/zoned=true":      "46bcdb8f65370f69",
-	"n3/b4/prox=true/zoned=false":      "6966c98070af5c39",
-	"n3/b4/prox=true/zoned=true":       "c815c96d706f9d8c",
-	"n3/b5/prox=false/zoned=false":     "be1faf3c7f04f8ec",
-	"n3/b5/prox=false/zoned=true":      "e4617c0f7dc01222",
-	"n3/b5/prox=true/zoned=false":      "a009bce82917997e",
-	"n3/b5/prox=true/zoned=true":       "fd48e3c1d6897366",
-	"n12/b3/prox=false/zoned=false":    "717adb7eb1664fa2",
-	"n12/b3/prox=false/zoned=true":     "98bb41a4899cd9af",
-	"n12/b3/prox=true/zoned=false":     "9fe2e006c91f6562",
-	"n12/b3/prox=true/zoned=true":      "b4807ceef569366e",
-	"n12/b4/prox=false/zoned=false":    "b4af06b5e0686ef8",
-	"n12/b4/prox=false/zoned=true":     "df238edfa86b601b",
-	"n12/b4/prox=true/zoned=false":     "c55256b5be1f6396",
-	"n12/b4/prox=true/zoned=true":      "f41a5d91a9d243b9",
-	"n12/b5/prox=false/zoned=false":    "4cbe137088496676",
-	"n12/b5/prox=false/zoned=true":     "b85ae2d143579026",
-	"n12/b5/prox=true/zoned=false":     "e7af72f2a11973bb",
-	"n12/b5/prox=true/zoned=true":      "af2fec3ecf4aed29",
-	"n24/b3/prox=false/zoned=false":    "305c6c0ef5316123",
-	"n24/b3/prox=false/zoned=true":     "d33b973f71810569",
-	"n24/b3/prox=true/zoned=false":     "2528eec13d120f45",
-	"n24/b3/prox=true/zoned=true":      "0c18b5b29e1eac25",
-	"n24/b4/prox=false/zoned=false":    "7608b9cdee6da960",
-	"n24/b4/prox=false/zoned=true":     "f5c20cde60651158",
-	"n24/b4/prox=true/zoned=false":     "5cef3d913a4ba650",
-	"n24/b4/prox=true/zoned=true":      "d9fd26afdb5ac1a4",
-	"n24/b5/prox=false/zoned=false":    "d0adfb2810bad21a",
-	"n24/b5/prox=false/zoned=true":     "860c74924bba4d72",
-	"n24/b5/prox=true/zoned=false":     "eee058569c682d81",
-	"n24/b5/prox=true/zoned=true":      "cb1031391ae7a3ed",
-	"n25/b3/prox=false/zoned=false":    "a8d6a4649aab27f5",
-	"n25/b3/prox=false/zoned=true":     "a9b18645ded3bfb4",
-	"n25/b3/prox=true/zoned=false":     "2426f00a84fc6415",
-	"n25/b3/prox=true/zoned=true":      "39d5aa6e0d149ac0",
-	"n25/b4/prox=false/zoned=false":    "1581377f6cdb411c",
-	"n25/b4/prox=false/zoned=true":     "79286a37d6e5befa",
-	"n25/b4/prox=true/zoned=false":     "dc3bf1b91acdcf9a",
-	"n25/b4/prox=true/zoned=true":      "de731063f4e27dfb",
-	"n25/b5/prox=false/zoned=false":    "e81c53410fd54005",
-	"n25/b5/prox=false/zoned=true":     "1952a790bb2552be",
-	"n25/b5/prox=true/zoned=false":     "cbd089894236837a",
-	"n25/b5/prox=true/zoned=true":      "60f34ebe9d5abd6f",
-	"n26/b3/prox=false/zoned=false":    "bf3d682cd1c88044",
-	"n26/b3/prox=false/zoned=true":     "df8e70ec1de798cf",
-	"n26/b3/prox=true/zoned=false":     "5dbb1b66a7bece33",
-	"n26/b3/prox=true/zoned=true":      "2c9274ece76a259a",
-	"n26/b4/prox=false/zoned=false":    "7f2c72b6e3cd28af",
-	"n26/b4/prox=false/zoned=true":     "c08be66f82ba93a0",
-	"n26/b4/prox=true/zoned=false":     "61a625a6111e164b",
-	"n26/b4/prox=true/zoned=true":      "b48332d030d3f6fa",
-	"n26/b5/prox=false/zoned=false":    "acccb6fbacab91f3",
-	"n26/b5/prox=false/zoned=true":     "ea663cc8aca29779",
-	"n26/b5/prox=true/zoned=false":     "7e3dc6ce80f64447",
-	"n26/b5/prox=true/zoned=true":      "672971dcbc158529",
-	"n60/b3/prox=false/zoned=false":    "8413bd7539ab58ef",
-	"n60/b3/prox=false/zoned=true":     "46ac0484e0a10861",
-	"n60/b3/prox=true/zoned=false":     "a8f74a2356c37260",
-	"n60/b3/prox=true/zoned=true":      "d2f41ec5ba0698a1",
-	"n60/b4/prox=false/zoned=false":    "e6297ac58748c5a6",
-	"n60/b4/prox=false/zoned=true":     "5a6703204380aaa4",
-	"n60/b4/prox=true/zoned=false":     "49c6d2a63ff0fe49",
-	"n60/b4/prox=true/zoned=true":      "a524c81d6dd7d893",
-	"n60/b5/prox=false/zoned=false":    "f66672d01e03dcfc",
-	"n60/b5/prox=false/zoned=true":     "d98effb7bb8b5b1d",
-	"n60/b5/prox=true/zoned=false":     "2a2bcf213d46a32a",
-	"n60/b5/prox=true/zoned=true":      "adb480d761fac204",
-	"n1000/b3/prox=false/zoned=false":  "e22b4e6abaf31461",
-	"n1000/b3/prox=false/zoned=true":   "16a51757e5ddc2db",
-	"n1000/b3/prox=true/zoned=false":   "3cf7d4389f9e28e4",
-	"n1000/b3/prox=true/zoned=true":    "f45d362eba70f6d9",
-	"n1000/b4/prox=false/zoned=false":  "8401d0fe856d8123",
-	"n1000/b4/prox=false/zoned=true":   "2dd9399218d7928e",
-	"n1000/b4/prox=true/zoned=false":   "f95f16a1b46b8ae2",
-	"n1000/b4/prox=true/zoned=true":    "3873446f93d96a25",
-	"n1000/b5/prox=false/zoned=false":  "f1a2f901a167d358",
-	"n1000/b5/prox=false/zoned=true":   "70dddfc63b8313ba",
-	"n1000/b5/prox=true/zoned=false":   "673bf0a1763d9a2f",
-	"n1000/b5/prox=true/zoned=true":    "877f319786bb0e50",
-	"n20000/b3/prox=false/zoned=false": "2e40e6214bfe4b25",
-	"n20000/b3/prox=false/zoned=true":  "4c6aaae03e013ca0",
-	"n20000/b3/prox=true/zoned=false":  "ed3ba42d715079bb",
-	"n20000/b3/prox=true/zoned=true":   "0d7e185950f609dc",
-	"n20000/b4/prox=false/zoned=false": "f8500a8d735b93a1",
-	"n20000/b4/prox=false/zoned=true":  "b8674c3198837656",
-	"n20000/b4/prox=true/zoned=false":  "03f5a32810572ecb",
-	"n20000/b4/prox=true/zoned=true":   "0979f86f778d9664",
-	"n20000/b5/prox=false/zoned=false": "7d7c3089cf4da656",
-	"n20000/b5/prox=false/zoned=true":  "3e98810b030ab3f3",
-	"n20000/b5/prox=true/zoned=false":  "36df240db064ad0e",
-	"n20000/b5/prox=true/zoned=true":   "479eb73fa359c40c",
+	"n1/b3/zoned=false":     "3f1d7c1d10245515",
+	"n1/b3/zoned=true":      "d4f3500fdcbcd597",
+	"n1/b4/zoned=false":     "ace4150562c951a0",
+	"n1/b4/zoned=true":      "549c8dfd14f21c9d",
+	"n1/b5/zoned=false":     "92ed9537fdf83089",
+	"n1/b5/zoned=true":      "755e620f135a6a54",
+	"n2/b3/zoned=false":     "1dacfb04f89ac073",
+	"n2/b3/zoned=true":      "82dcfa8072bd6f74",
+	"n2/b4/zoned=false":     "a0a6234c490f25e5",
+	"n2/b4/zoned=true":      "e5077d37195b3c8e",
+	"n2/b5/zoned=false":     "ab688575933c6ea6",
+	"n2/b5/zoned=true":      "84d8ed57e6d56be4",
+	"n3/b3/zoned=false":     "dfae452ca178ddd1",
+	"n3/b3/zoned=true":      "cd8e2916e3f80062",
+	"n3/b4/zoned=false":     "6966c98070af5c39",
+	"n3/b4/zoned=true":      "46bcdb8f65370f69",
+	"n3/b5/zoned=false":     "be1faf3c7f04f8ec",
+	"n3/b5/zoned=true":      "e4617c0f7dc01222",
+	"n12/b3/zoned=false":    "717adb7eb1664fa2",
+	"n12/b3/zoned=true":     "98bb41a4899cd9af",
+	"n12/b4/zoned=false":    "b4af06b5e0686ef8",
+	"n12/b4/zoned=true":     "df238edfa86b601b",
+	"n12/b5/zoned=false":    "4cbe137088496676",
+	"n12/b5/zoned=true":     "b85ae2d143579026",
+	"n24/b3/zoned=false":    "305c6c0ef5316123",
+	"n24/b3/zoned=true":     "d33b973f71810569",
+	"n24/b4/zoned=false":    "7608b9cdee6da960",
+	"n24/b4/zoned=true":     "f5c20cde60651158",
+	"n24/b5/zoned=false":    "d0adfb2810bad21a",
+	"n24/b5/zoned=true":     "860c74924bba4d72",
+	"n25/b3/zoned=false":    "a8d6a4649aab27f5",
+	"n25/b3/zoned=true":     "a9b18645ded3bfb4",
+	"n25/b4/zoned=false":    "1581377f6cdb411c",
+	"n25/b4/zoned=true":     "79286a37d6e5befa",
+	"n25/b5/zoned=false":    "e81c53410fd54005",
+	"n25/b5/zoned=true":     "1952a790bb2552be",
+	"n26/b3/zoned=false":    "bf3d682cd1c88044",
+	"n26/b3/zoned=true":     "df8e70ec1de798cf",
+	"n26/b4/zoned=false":    "7f2c72b6e3cd28af",
+	"n26/b4/zoned=true":     "c08be66f82ba93a0",
+	"n26/b5/zoned=false":    "acccb6fbacab91f3",
+	"n26/b5/zoned=true":     "ea663cc8aca29779",
+	"n60/b3/zoned=false":    "8413bd7539ab58ef",
+	"n60/b3/zoned=true":     "46ac0484e0a10861",
+	"n60/b4/zoned=false":    "e6297ac58748c5a6",
+	"n60/b4/zoned=true":     "5a6703204380aaa4",
+	"n60/b5/zoned=false":    "f66672d01e03dcfc",
+	"n60/b5/zoned=true":     "d98effb7bb8b5b1d",
+	"n1000/b3/zoned=false":  "e22b4e6abaf31461",
+	"n1000/b3/zoned=true":   "16a51757e5ddc2db",
+	"n1000/b4/zoned=false":  "8401d0fe856d8123",
+	"n1000/b4/zoned=true":   "2dd9399218d7928e",
+	"n1000/b5/zoned=false":  "f1a2f901a167d358",
+	"n1000/b5/zoned=true":   "70dddfc63b8313ba",
+	"n20000/b3/zoned=false": "2e40e6214bfe4b25",
+	"n20000/b3/zoned=true":  "4c6aaae03e013ca0",
+	"n20000/b4/zoned=false": "f8500a8d735b93a1",
+	"n20000/b4/zoned=true":  "b8674c3198837656",
+	"n20000/b5/zoned=false": "7d7c3089cf4da656",
+	"n20000/b5/zoned=true":  "3e98810b030ab3f3",
 }
 
 func TestBuildStaticGolden(t *testing.T) {
@@ -236,15 +163,13 @@ func TestBuildStaticGolden(t *testing.T) {
 			continue // seconds plain, most of a minute under the race detector
 		}
 		for _, b := range []int{3, 4, 5} {
-			for _, prox := range []bool{false, true} {
-				for _, zoned := range []bool{false, true} {
-					name := fmt.Sprintf("n%d/b%d/prox=%t/zoned=%t", n, b, prox, zoned)
-					rng := rand.New(rand.NewSource(int64(n*100 + b)))
-					nodes := population(n, b, prox, zoned, rng)
-					BuildStatic(nodes, rng)
-					if got := overlayDigest(nodes, rng); got != goldenOverlays[name] {
-						t.Errorf("%q: %q, // pinned %q", name, got, goldenOverlays[name])
-					}
+			for _, zoned := range []bool{false, true} {
+				name := fmt.Sprintf("n%d/b%d/zoned=%t", n, b, zoned)
+				rng := rand.New(rand.NewSource(int64(n*100 + b)))
+				nodes := population(n, b, zoned, rng)
+				BuildStatic(nodes, rng)
+				if got := overlayDigest(nodes, rng); got != goldenOverlays[name] {
+					t.Errorf("%q: %q, // pinned %q", name, got, goldenOverlays[name])
 				}
 			}
 		}
@@ -256,7 +181,7 @@ func TestBuildStaticGolden(t *testing.T) {
 func TestBuildStaticRewireIsIdempotent(t *testing.T) {
 	for _, n := range []int{3, 24, 26, 1000} {
 		for _, zoned := range []bool{false, true} {
-			nodes := population(n, 4, true, zoned, rand.New(rand.NewSource(5)))
+			nodes := population(n, 4, zoned, rand.New(rand.NewSource(5)))
 			BuildStatic(nodes, rand.New(rand.NewSource(9)))
 			first := overlayDigest(nodes, rand.New(rand.NewSource(0)))
 			BuildStatic(nodes, rand.New(rand.NewSource(9)))
@@ -278,7 +203,7 @@ func TestBuildStaticAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var pops [runs + 1][]*Node // AllocsPerRun calls once more, to warm up
 	for i := range pops {
-		pops[i] = population(size, 4, false, false, rng)
+		pops[i] = population(size, 4, false, rng)
 	}
 	next := 0
 	got := testing.AllocsPerRun(runs, func() {
@@ -311,7 +236,7 @@ func BenchmarkBuildStatic(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				rng := rand.New(rand.NewSource(1))
-				nodes := population(size, 4, false, false, rng)
+				nodes := population(size, 4, false, rng)
 				b.StartTimer()
 				BuildStatic(nodes, rng)
 			}

@@ -50,9 +50,6 @@ type Config struct {
 	// node that many peers talk to simultaneously into a measurable
 	// bottleneck — the effect behind the centralized-baseline comparison.
 	DefaultBandwidth int64
-	// TraceCap bounds each node's trace-event ring buffer; 0 means
-	// obs.DefaultTraceCap.
-	TraceCap int
 	// Sizer, when set, charges each message its exact wire cost instead of
 	// the WireSize estimate. Pass codec.FrameSize to make simulated byte
 	// counters equal live-deployment (tcpnet) byte counters for every
@@ -284,7 +281,7 @@ func New(cfg Config) *Network {
 	if cfg.Loss == nil {
 		cfg.Loss = func(a, b transport.Addr) float64 { return 0 }
 	}
-	reg := obs.New(cfg.TraceCap)
+	reg := obs.New(0)
 	return &Network{
 		cfg:              cfg,
 		nodes:            make(map[transport.Addr]*simNode),
@@ -345,7 +342,7 @@ func (n *Network) AddNode(addr transport.Addr, build func(transport.Env) transpo
 	if _, dup := n.nodes[addr]; dup {
 		panic(fmt.Sprintf("simnet: duplicate node %q", addr))
 	}
-	reg := obs.NewLike(n.cfg.TraceCap, n.lastReg)
+	reg := obs.NewLike(0, n.lastReg)
 	n.lastReg = reg
 	node := &simNode{
 		net:       n,

@@ -70,12 +70,6 @@ func (f *Faulty) Fail(kind FaultKind) {
 // clean journal prefix into ack-then-lose on the next crash.
 func (f *Faulty) Heal() { f.failing = false }
 
-// Failing reports whether a fault window is open.
-func (f *Faulty) Failing() bool { return f.failing }
-
-// Inner returns the wrapped store (tests restart nodes from it).
-func (f *Faulty) Inner() Store { return f.inner }
-
 // Append implements Store.
 func (f *Faulty) Append(rec any) error {
 	if !f.failing {

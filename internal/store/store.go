@@ -19,7 +19,6 @@ package store
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 
 	"totoro/internal/store/wal"
@@ -59,23 +58,6 @@ func RegisterRecords(protos ...any) {
 	for _, p := range protos {
 		recTypes[reflect.TypeOf(p)] = true
 	}
-}
-
-// Records returns the registered prototypes in a deterministic order
-// (certification tests round-trip each one).
-func Records() []any {
-	recMu.Lock()
-	defer recMu.Unlock()
-	types := make([]reflect.Type, 0, len(recTypes))
-	for t := range recTypes {
-		types = append(types, t)
-	}
-	sort.Slice(types, func(i, j int) bool { return types[i].String() < types[j].String() })
-	out := make([]any, len(types))
-	for i, t := range types {
-		out[i] = reflect.New(t).Elem().Interface()
-	}
-	return out
 }
 
 func registered(rec any) error {

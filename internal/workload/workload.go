@@ -61,9 +61,12 @@ type Params struct {
 	Apps             int
 	ClientsPerApp    int
 	SamplesPerClient int
-	DirichletAlpha   float64
 	Seed             int64
 }
+
+// dirichletAlpha is the label skew of every app's client shards (1 is
+// moderately non-IID).
+const dirichletAlpha = 1.0
 
 func (p Params) withDefaults() Params {
 	if p.ClientsPerApp == 0 {
@@ -71,9 +74,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.SamplesPerClient == 0 {
 		p.SamplesPerClient = 60
-	}
-	if p.DirichletAlpha == 0 {
-		p.DirichletAlpha = 1.0
 	}
 	return p
 }
@@ -112,7 +112,7 @@ func makeApp(p Params, idx int, rng *rand.Rand) *App {
 		panic(fmt.Sprintf("workload: unknown task %q", p.Task))
 	}
 	train, test := full.Split(0.2, rng)
-	shards := ml.DirichletPartition(train, p.ClientsPerApp, p.DirichletAlpha, rng)
+	shards := ml.DirichletPartition(train, p.ClientsPerApp, dirichletAlpha, rng)
 	return &App{
 		Name:           name,
 		Proto:          ml.NewMLP(sizes, rng),
