@@ -162,6 +162,38 @@ func TestReplayReachesLiveRoles(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
+	for _, seed := range seeds {
+		c, id, _, _ := startChaos(t, seed, chaosSpec, chaosRounds)
+		replayReachesLive(t, c, id, seed)
+	}
+}
+
+// TestCompactionKeepsReplicaSeed241 is the regression test for a replica
+// accepted on the append that triggers compaction: handleReplica journals
+// the image before it stores it, so a snapshot taken after that append
+// folds the state without the replica and truncates the record away. With
+// compaction every third append, seed 241 loses one that way at t=756ms
+// unless the snapshot precedes the append.
+func TestCompactionKeepsReplicaSeed241(t *testing.T) {
+	const seed = 241
+	c := chaosCluster(seed, 2)
+	stores := setCadence(c, 3)
+	id, _, _ := startChaosOn(t, c, seed, chaosSpec, chaosRounds)
+	replayReachesLive(t, c, id, seed)
+	n := 0
+	for _, s := range stores {
+		n += s.replicasOnSnap
+	}
+	if n == 0 {
+		t.Fatal("no replica was journaled right after a snapshot")
+	}
+}
+
+// replayReachesLive trains the app of a started chaos run to completion
+// and, every 50ms of virtual time, holds every alive engine with an intact
+// journal to its store (see TestReplayReachesLiveRoles).
+func replayReachesLive(t *testing.T, c *Cluster, id AppID, seed int64) {
+	t.Helper()
 	image := func(e *Engine) []byte {
 		enc := codec.NewEnc()
 		defer enc.Free()
@@ -171,44 +203,41 @@ func TestReplayReachesLiveRoles(t *testing.T) {
 		}
 		return slices.Clone(enc.Bytes())
 	}
-	for _, seed := range seeds {
-		c, id, _, _ := startChaos(t, seed, chaosSpec, chaosRounds)
-		c.Engines[0].StartTraining(id)
-		folded := make([][]byte, len(c.Engines)) // each store's replayed image ...
-		foldedAt := make([]int, len(c.Engines))  // ... as of this many appends
-		checked := 0
-		for deadline := c.Net.Now() + 10*time.Minute; c.Net.Now() < deadline && !c.allDone([]AppID{id}); {
-			c.Net.Run(c.Net.Now() + 50*time.Millisecond)
-			for i, live := range c.Engines {
-				if !c.Net.Alive(live.Self().Addr) || live.Degraded() {
-					continue
-				}
-				if n := c.FaultyStore(i).Appends; n != foldedAt[i] {
-					replayed := &Engine{}
-					if _, err := replayed.replay(c.stores[i]); err != nil {
-						t.Fatalf("seed %d: %s: %v", seed, live.Self().Addr, err)
-					}
-					folded[i], foldedAt[i] = image(replayed), n
-				}
-				if !bytes.Equal(folded[i], image(live)) {
-					replayed := &Engine{}
-					replayed.replay(c.stores[i])
-					t.Fatalf("seed %d, t=%v: %s replays to a state it does not hold:\nreplayed %s\nlive     %s",
-						seed, c.Net.Now(), live.Self().Addr, roles(replayed), roles(live))
-				}
-				checked++
+	c.Engines[0].StartTraining(id)
+	folded := make([][]byte, len(c.Engines)) // each store's replayed image ...
+	foldedAt := make([]int, len(c.Engines))  // ... as of this many appends
+	checked := 0
+	for deadline := c.Net.Now() + 10*time.Minute; c.Net.Now() < deadline && !c.allDone([]AppID{id}); {
+		c.Net.Run(c.Net.Now() + 50*time.Millisecond)
+		for i, live := range c.Engines {
+			if !c.Net.Alive(live.Self().Addr) || live.Degraded() {
+				continue
 			}
+			if n := c.FaultyStore(i).Appends; n != foldedAt[i] {
+				replayed := &Engine{}
+				if _, err := replayed.replay(c.stores[i]); err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, live.Self().Addr, err)
+				}
+				folded[i], foldedAt[i] = image(replayed), n
+			}
+			if !bytes.Equal(folded[i], image(live)) {
+				replayed := &Engine{}
+				replayed.replay(c.stores[i])
+				t.Fatalf("seed %d, t=%v: %s replays to a state it does not hold:\nreplayed %s\nlive     %s",
+					seed, c.Net.Now(), live.Self().Addr, roles(replayed), roles(live))
+			}
+			checked++
 		}
-		if v := c.Net.Violation(); v != nil {
-			t.Fatalf("seed %d: %v", seed, v)
-		}
-		promotions := int64(0)
-		for _, e := range c.Engines {
-			promotions += e.Metrics().Counter("engine.promotions").Value()
-		}
-		if promotions == 0 || checked == 0 {
-			t.Fatalf("seed %d: %d promotions, %d comparisons: the run no longer moves a mastership", seed, promotions, checked)
-		}
+	}
+	if v := c.Net.Violation(); v != nil {
+		t.Fatalf("seed %d: %v", seed, v)
+	}
+	promotions := int64(0)
+	for _, e := range c.Engines {
+		promotions += e.Metrics().Counter("engine.promotions").Value()
+	}
+	if promotions == 0 || checked == 0 {
+		t.Fatalf("seed %d: %d promotions, %d comparisons: the run no longer moves a mastership", seed, promotions, checked)
 	}
 }
 

@@ -54,10 +54,8 @@ type ClusterConfig struct {
 	// Durable gives every engine an in-memory durable store (the simnet
 	// stand-in for a node's on-disk WAL — byte-identical journals, see
 	// internal/store): node state then survives Restart, making
-	// crash-restart a first-class churn event. SnapshotEvery is the WAL
-	// snapshot cadence (see Options.SnapshotEvery).
-	Durable       bool
-	SnapshotEvery int
+	// crash-restart a first-class churn event.
+	Durable bool
 	// FaultyStores wraps every engine's durable store in a fault-injecting
 	// wrapper (store.Faulty) so a nemesis schedule can fail disks mid-run;
 	// requires Durable. Access the wrappers via FaultyStore.
@@ -85,7 +83,9 @@ type Cluster struct {
 	// stores holds each engine's durable store (nil entries when Durable is
 	// off); shards remembers which data shard each engine holds per app, so
 	// a crash-restarted engine can be handed its data back (the store
-	// journals the subscription, the driver owns the bytes).
+	// journals the subscription, the driver owns the bytes). A Restart
+	// rebuilds the engine on stores[i] as it then stands, so a test may
+	// wrap it.
 	stores []store.Store
 	faulty []*store.Faulty
 	shards []map[AppID]*ml.Dataset
@@ -169,6 +169,8 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 				}
 			}
 			idx := len(c.Engines)
+			c.stores = append(c.stores, st)
+			c.faulty = append(c.faulty, fs)
 			var eng *Engine
 			c.Net.AddNode(addr, func(env transport.Env) transport.Handler {
 				eng = NewEngine(env, ring.Contact{ID: id, Addr: addr}, Options{
@@ -182,8 +184,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 					Replicas:             cfg.Replicas,
 					ReplicaCheckInterval: cfg.ReplicaCheckInterval,
 					FailoverGrace:        cfg.FailoverGrace,
-					Store:                st,
-					SnapshotEvery:        cfg.SnapshotEvery,
+					Store:                c.stores[idx],
 				})
 				if idx < len(c.Engines) {
 					c.Engines[idx] = eng // rebuild via Restart: replace the corpse
@@ -198,8 +199,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			}
 			c.Engines = append(c.Engines, eng)
 			c.HostOf = append(c.HostOf, host)
-			c.stores = append(c.stores, st)
-			c.faulty = append(c.faulty, fs)
 			c.shards = append(c.shards, nil)
 			ringNodes = append(ringNodes, eng.Ring())
 		}

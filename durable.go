@@ -65,7 +65,7 @@ type walReplica struct {
 	Rep replicaMsg
 }
 
-// walSnapshot is the periodic full-state image that lets the WAL be
+// walSnapshot is the full-state image that lets the WAL be
 // truncated: everything the records since boot fold to, in sorted order
 // so identical states serialize to identical bytes.
 type walSnapshot struct {
@@ -216,8 +216,12 @@ func (e *Engine) apply(rec any) {
 	}
 }
 
-// journal appends one record to the durable store, folding the WAL into
-// a snapshot every SnapshotEvery appends.
+// journal appends one record to the durable store, first folding the
+// journal into a snapshot if it has outgrown the last one. The snapshot
+// goes before the append, not after it: by now every record journaled so
+// far has been applied, while the one being appended may not be yet
+// (handleReplica journals before it acts), and a snapshot taken after
+// the append would truncate that record away unapplied.
 //
 // The first append failure permanently degrades the engine to
 // non-durable: it keeps serving from memory (availability over
@@ -232,6 +236,9 @@ func (e *Engine) journal(rec any) {
 	if e.store == nil || e.degraded {
 		return
 	}
+	if e.store.Outgrown() {
+		e.snapshotDurable()
+	}
 	if err := e.store.Append(rec); err != nil {
 		e.ctrStoreErrors.Inc()
 		e.degraded = true
@@ -239,12 +246,6 @@ func (e *Engine) journal(rec any) {
 		return
 	}
 	e.ctrStoreAppends.Inc()
-	e.walAppends++
-	// The boot-time identity record can trip the cadence before the ring
-	// exists; the next journaled mutation folds it into a snapshot.
-	if e.walAppends >= e.opts.SnapshotEvery && e.ring != nil {
-		e.snapshotDurable()
-	}
 }
 
 // Degraded reports whether this engine has dropped to non-durable after
@@ -252,11 +253,10 @@ func (e *Engine) journal(rec any) {
 func (e *Engine) Degraded() bool { return e.degraded }
 
 func (e *Engine) snapshotDurable() {
-	e.walAppends = 0
 	if err := e.store.Snapshot(e.buildSnapshot()); err != nil {
 		// A failed snapshot is tolerable without degrading: the WAL is only
 		// truncated after a snapshot lands, so the journal stays a clean
-		// prefix and the next cadence retries.
+		// prefix and the next journal call retries.
 		e.ctrStoreErrors.Inc()
 		return
 	}
@@ -266,16 +266,18 @@ func (e *Engine) snapshotDurable() {
 // buildSnapshot captures the engine's durable state, sorted so the same
 // state always serializes to the same bytes. A master's in-flight round
 // is recorded as not yet begun (committedImage) — the same contract a
-// crash between rounds has.
+// crash between rounds has. Its master images alias the live models, as
+// every journaled image does (masterImage).
 func (e *Engine) buildSnapshot() walSnapshot {
 	snap := walSnapshot{Self: e.self}
-	for _, app := range sortedApps(e.masters) {
+	var keys [8]AppID // sort scratch: on the stack for up to eight apps a map
+	for _, app := range appendSortedApps(keys[:0], e.masters) {
 		snap.Masters = append(snap.Masters, e.committedImage(e.masters[app]))
 	}
-	for _, app := range sortedApps(e.replicas) {
+	for _, app := range appendSortedApps(keys[:0], e.replicas) {
 		snap.Replicas = append(snap.Replicas, *e.replicas[app])
 	}
-	for _, app := range sortedApps(e.workers) {
+	for _, app := range appendSortedApps(keys[:0], e.workers) {
 		snap.Subs = append(snap.Subs, walSub{App: app, Restricted: e.workers[app].restricted})
 	}
 	return snap

@@ -8,6 +8,7 @@ import (
 	"totoro/internal/ids"
 	"totoro/internal/pubsub"
 	"totoro/internal/ring"
+	"totoro/internal/store"
 	"totoro/internal/workload"
 )
 
@@ -17,7 +18,7 @@ import (
 // resume only if the restarted node reconstructs its state from the WAL.
 // ExactSizes routes all traffic accounting through the v2 codec at the
 // same time, so these runs also exercise the byte-parity path end to end.
-func durableCluster(seed int64, snapshotEvery int) *Cluster {
+func durableCluster(seed int64) *Cluster {
 	return NewCluster(ClusterConfig{
 		N:    60,
 		Seed: seed,
@@ -30,7 +31,6 @@ func durableCluster(seed int64, snapshotEvery int) *Cluster {
 		Bandwidth:     2 << 20,
 		FailoverGrace: 500 * time.Millisecond,
 		Durable:       true,
-		SnapshotEvery: snapshotEvery,
 		ExactSizes:    true,
 	})
 }
@@ -46,9 +46,13 @@ type durableResult struct {
 // master is crashed as soon as two rounds have completed, left dead for a
 // second of virtual time, and then restarted — rebooting with amnesia
 // except for its durable store. killWorker crashes a worker instead.
-func runDurableRestart(t *testing.T, seed int64, kill, killWorker bool, snapshotEvery int) durableResult {
+// Without compact no store is ever snapshotted.
+func runDurableRestart(t *testing.T, seed int64, kill, killWorker, compact bool) durableResult {
 	t.Helper()
-	c := durableCluster(seed, snapshotEvery)
+	c := durableCluster(seed)
+	if !compact {
+		setCadence(c, 0)
+	}
 	app := testApps(1, seed)[0]
 	app.MaxRounds = 8
 	app.TargetAccuracy = 0.999 // unreachable: every run does all 8 rounds
@@ -146,8 +150,8 @@ func runDurableRestart(t *testing.T, seed int64, kill, killWorker bool, snapshot
 // uninterrupted run.
 func TestCrashRestartResumesTraining(t *testing.T) {
 	const seed = 171
-	base := runDurableRestart(t, seed, false, false, 64)
-	killRun := runDurableRestart(t, seed, true, false, 64)
+	base := runDurableRestart(t, seed, false, false, true)
+	killRun := runDurableRestart(t, seed, true, false, true)
 
 	if base.recoveries != 0 {
 		t.Fatalf("baseline run recovered %d engines with nobody crashed", base.recoveries)
@@ -187,8 +191,8 @@ func TestCrashRestartResumesTraining(t *testing.T) {
 // with the same seed: the recovered trajectories must be bit-identical.
 func TestCrashRestartIsDeterministic(t *testing.T) {
 	const seed = 173
-	a := runDurableRestart(t, seed, true, false, 64)
-	b := runDurableRestart(t, seed, true, false, 64)
+	a := runDurableRestart(t, seed, true, false, true)
+	b := runDurableRestart(t, seed, true, false, true)
 	if a.recoveries != b.recoveries {
 		t.Fatalf("recoveries differ: %d vs %d", a.recoveries, b.recoveries)
 	}
@@ -202,24 +206,70 @@ func TestCrashRestartIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotCadenceInvariant pins that the snapshot schedule is purely a
-// space/recovery-time trade: recovering from (snapshot + WAL tail) at
-// cadence 1 must reconstruct exactly the state that cadence 64 — which
-// replays nearly the whole log — reconstructs. Any divergence means the
-// snapshot fold and the record replay disagree about engine state.
+// TestSnapshotCadenceInvariant pins that compaction is purely a
+// space/recovery-time trade: recovering from (snapshot + WAL tail) must
+// reconstruct exactly the state that replaying the whole journal of a
+// never-compacted store reconstructs. Any divergence means the snapshot
+// fold and the record replay disagree about engine state.
 func TestSnapshotCadenceInvariant(t *testing.T) {
 	const seed = 177
-	everyRecord := runDurableRestart(t, seed, true, false, 1)
-	rarely := runDurableRestart(t, seed, true, false, 64)
-	if len(everyRecord.prog.Points) != len(rarely.prog.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(everyRecord.prog.Points), len(rarely.prog.Points))
+	compacted := runDurableRestart(t, seed, true, false, true)
+	whole := runDurableRestart(t, seed, true, false, false)
+	if len(compacted.prog.Points) != len(whole.prog.Points) {
+		t.Fatalf("point counts differ: %d vs %d", len(compacted.prog.Points), len(whole.prog.Points))
 	}
-	for i := range everyRecord.prog.Points {
-		if everyRecord.prog.Points[i] != rarely.prog.Points[i] {
-			t.Fatalf("round %d diverged across snapshot cadences: %+v vs %+v",
-				i+1, everyRecord.prog.Points[i], rarely.prog.Points[i])
+	for i := range compacted.prog.Points {
+		if compacted.prog.Points[i] != whole.prog.Points[i] {
+			t.Fatalf("round %d diverged between a compacted and a whole journal: %+v vs %+v",
+				i+1, compacted.prog.Points[i], whole.prog.Points[i])
 		}
 	}
+}
+
+// cadenceStore replaces a store's size rule with a count: it is outgrown
+// once every appends have landed since its last snapshot, and never when
+// every is 0. replicasOnSnap counts the replicas journaled by the first
+// append after a snapshot.
+type cadenceStore struct {
+	store.Store
+	every, since   int
+	fresh          bool
+	replicasOnSnap int
+}
+
+func (s *cadenceStore) Append(rec any) error {
+	if _, ok := rec.(walReplica); ok && s.fresh {
+		s.replicasOnSnap++
+	}
+	s.fresh = false
+	err := s.Store.Append(rec)
+	if err == nil {
+		s.since++
+	}
+	return err
+}
+
+func (s *cadenceStore) Snapshot(state any) error {
+	err := s.Store.Snapshot(state)
+	if err == nil {
+		s.since, s.fresh = 0, true
+	}
+	return err
+}
+
+func (s *cadenceStore) Outgrown() bool { return s.every > 0 && s.since >= s.every }
+
+// setCadence puts every engine of a new cluster c, and every engine a
+// Restart builds, on a cadenceStore over the store it had, which holds the
+// identity record NewEngine journaled.
+func setCadence(c *Cluster, every int) []*cadenceStore {
+	out := make([]*cadenceStore, len(c.stores))
+	for i := range c.stores {
+		out[i] = &cadenceStore{Store: c.stores[i], every: every, since: 1}
+		c.stores[i] = out[i]
+		c.Engines[i].store = out[i]
+	}
+	return out
 }
 
 // TestWorkerCrashRestartRejoins crashes a data-holding worker instead of
@@ -229,7 +279,7 @@ func TestSnapshotCadenceInvariant(t *testing.T) {
 // meantime) must still complete every round.
 func TestWorkerCrashRestartRejoins(t *testing.T) {
 	const seed = 179
-	res := runDurableRestart(t, seed, false, true, 64)
+	res := runDurableRestart(t, seed, false, true, true)
 	if res.recoveries < 1 {
 		t.Fatalf("recoveries = %d, want >= 1", res.recoveries)
 	}
@@ -252,10 +302,11 @@ func TestWorkerCrashRestartRejoins(t *testing.T) {
 // that never crashed would journal: the WAL's fold of the mutation stream
 // must equal the live engine's in-memory state at every commit point. The
 // telemetry counters make the journaling itself observable — every run
-// with a store must append, and a cadence-1 run must snapshot.
+// with a store must append, and a master's journal of model images must
+// outgrow its snapshot.
 func TestRecoveredStateMatchesLive(t *testing.T) {
 	const seed = 181
-	c := durableCluster(seed, 1)
+	c := durableCluster(seed)
 	app := testApps(1, seed)[0]
 	app.MaxRounds = 4
 	app.TargetAccuracy = 0.999
@@ -272,7 +323,7 @@ func TestRecoveredStateMatchesLive(t *testing.T) {
 		t.Fatal("durable cluster trained without a single WAL append")
 	}
 	if snapshots == 0 {
-		t.Fatal("snapshot cadence 1 trained without a single snapshot")
+		t.Fatal("durable cluster trained without a single snapshot")
 	}
 	errs := 0
 	for _, e := range c.Engines {

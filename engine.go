@@ -59,9 +59,6 @@ type Options struct {
 	// replicas) so the node can recover its roles after a crash-restart.
 	// Nil (the default) keeps the engine purely in-memory.
 	Store store.Store
-	// SnapshotEvery is how many WAL appends accumulate before the journal
-	// is folded into a snapshot and truncated (0 = 64).
-	SnapshotEvery int
 }
 
 // Callbacks are the user-facing upcalls of Table 2 for custom
@@ -183,10 +180,8 @@ type Engine struct {
 	ctrRounds     *obs.Counter
 
 	// Durable state (durable.go). store journals engine mutations;
-	// walAppends counts records since the last snapshot; recovered/resumed
-	// track the boot-from-journal lifecycle.
+	// recovered/resumed track the boot-from-journal lifecycle.
 	store             store.Store
-	walAppends        int
 	recovered         bool
 	resumed           bool
 	degraded          bool
@@ -218,9 +213,6 @@ func NewEngine(env transport.Env, self ring.Contact, opts Options) *Engine {
 	}
 	if opts.FailoverGrace <= 0 {
 		opts.FailoverGrace = time.Second
-	}
-	if opts.SnapshotEvery <= 0 {
-		opts.SnapshotEvery = 64
 	}
 	queue := opts.Queue
 	if queue == nil {
@@ -324,9 +316,6 @@ func (e *Engine) Subscribe(app AppID, shard *ml.Dataset, restricted bool) error 
 				e.Self().Addr, e.Self().ID.ZonePrefix(e.opts.ZoneBits), app.ZonePrefix(e.opts.ZoneBits))
 		}
 	}
-	// Applied before it is journaled (as every master mutation is): an
-	// append that trips the snapshot cadence folds the journal, this record
-	// included, into an image of the state as it stands.
 	rec := walSub{App: app, Restricted: restricted}
 	e.apply(rec)
 	e.workers[app].shard = shard

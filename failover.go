@@ -56,20 +56,29 @@ func newerReplica(a, b replicaMsg) bool {
 
 // masterImage captures a mastership as a replicaMsg: the unit of both
 // network replication (replicate) and durable journaling
-// (walMaster/walSnapshot in durable.go).
+// (walMaster/walSnapshot in durable.go). The image aliases m's model and
+// trajectory, which the master goes on updating in place: stores encode
+// synchronously, and whatever sends an image sends an own() copy.
 func (e *Engine) masterImage(m *masterState) replicaMsg {
 	return replicaMsg{
 		Spec:    m.spec,
 		Master:  e.self,
 		Epoch:   m.epoch,
 		Round:   m.round,
-		Global:  append([]float64(nil), m.global...),
-		Points:  append([]workload.AccuracyPoint(nil), m.progress.Points...),
+		Global:  m.global,
+		Points:  m.progress.Points,
 		Started: m.started,
 		Done:    m.done,
 		Reached: m.progress.Reached,
 		DoneAt:  m.progress.Done,
 	}
+}
+
+// own returns r with its own copy of the model and the trajectory.
+func (r replicaMsg) own() replicaMsg {
+	r.Global = append([]float64(nil), r.Global...)
+	r.Points = append([]workload.AccuracyPoint(nil), r.Points...)
+	return r
 }
 
 // claim is the one way to take a mastership — announce, failover
@@ -122,9 +131,8 @@ func (e *Engine) committedImage(m *masterState) replicaMsg {
 // replicate ships an acknowledged image to the master's leaf-set
 // successors. It follows every claim, the start of training and every
 // committed round — so a replica is never more than one round stale. The
-// image is the value just journaled: stores encode synchronously and
-// replica holders never write to an image (promotion copies it), so
-// sharing it is safe.
+// successors share one copy of the image just journaled: replica holders
+// never write to an image (promotion copies it).
 func (e *Engine) replicate(img replicaMsg) {
 	if e.AckHook != nil {
 		e.AckHook(img.Spec.ID, img.Epoch, img.Round, 0, false)
@@ -133,6 +141,7 @@ func (e *Engine) replicate(img replicaMsg) {
 	if k <= 0 {
 		return // replication disabled (the default)
 	}
+	img = img.own()
 	for _, c := range e.ring.ClosestLeaves(img.Spec.ID, k) {
 		e.env.Send(c.Addr, img)
 	}
@@ -201,7 +210,7 @@ func (e *Engine) handleReplica(rep replicaMsg) {
 		// only reconciles if it happens to sit in our leaf set; with it,
 		// heal resolves within one of the loser's replication attempts.
 		if rep.Master.Addr != e.self.Addr && rep.Master.Addr != "" {
-			e.env.Send(rep.Master.Addr, e.masterImage(beat))
+			e.env.Send(rep.Master.Addr, e.masterImage(beat).own())
 		}
 		return
 	}
@@ -246,7 +255,7 @@ func (e *Engine) handleMasterPing(p masterPing) {
 	if !ok || p.From == e.self.Addr || p.From == "" {
 		return
 	}
-	e.env.Send(p.From, e.committedImage(m))
+	e.env.Send(p.From, e.committedImage(m).own())
 }
 
 // ensureReplicaCheck runs a periodic ownership probe while this node holds

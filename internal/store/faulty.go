@@ -107,6 +107,9 @@ func (f *Faulty) Snapshot(state any) error {
 	return f.inner.Snapshot(state)
 }
 
+// Outgrown implements Store.
+func (f *Faulty) Outgrown() bool { return f.inner.Outgrown() }
+
 // Load implements Store.
 func (f *Faulty) Load() (state any, recs []any, err error) { return f.inner.Load() }
 

@@ -24,9 +24,10 @@ type FileConfig struct {
 // embedded in each record makes the crash window between those two steps
 // idempotent on replay.
 type File struct {
-	dir string
-	w   *wal.Writer
-	lsn uint64
+	dir      string
+	w        *wal.Writer
+	lsn      uint64
+	snapSize int64 // bytes in snapshot.dat
 }
 
 const (
@@ -46,6 +47,9 @@ func Open(dir string, cfg FileConfig) (*File, error) {
 		return nil, err
 	}
 	f := &File{dir: dir, w: w}
+	if fi, err := os.Stat(filepath.Join(dir, snapFile)); err == nil {
+		f.snapSize = fi.Size()
+	}
 	// Seed the LSN from everything on disk so appends continue the
 	// sequence even if the caller never calls Load.
 	snapLSN, _, _ := f.readSnapshot()
@@ -125,7 +129,14 @@ func (f *File) Snapshot(state any) error {
 		return err
 	}
 	syncDir(f.dir)
+	f.snapSize = int64(len(framed))
 	return f.w.Truncate()
+}
+
+// Outgrown implements Store.
+func (f *File) Outgrown() bool {
+	n := f.w.Size()
+	return n > 0 && n >= f.snapSize
 }
 
 // syncDir flushes directory metadata so the snapshot rename is durable;

@@ -1,6 +1,6 @@
 // Package store is the engine's durable-state layer: an append-only WAL
-// of engine mutations plus periodic state snapshots, behind a Store
-// interface small enough to have two honest implementations — an
+// of engine mutations plus the state snapshots that compact it, behind a
+// Store interface small enough to have two honest implementations — an
 // in-memory one for the deterministic simulator (a simulated restart
 // reboots from it) and a file-backed one for totoro-node.
 //
@@ -29,12 +29,18 @@ import (
 //
 // Append journals one mutation record. Snapshot replaces the journal with
 // one state image (records appended before the snapshot are not replayed
-// again). Load returns the latest snapshot state (nil if none) and every
-// record appended after it, in append order. Implementations are not
+// again). Outgrown reports that the records appended since the last
+// snapshot hold at least as many bytes as that snapshot (an empty journal
+// never has): a caller that snapshots whenever it is true, before its next
+// append, keeps the journal at about twice the state it records and, while
+// that state holds its size, encodes at most twice the bytes it journals.
+// Load returns the latest snapshot state (nil if none) and every record
+// appended after it, in append order. Implementations are not
 // goroutine-safe: the engine calls them from its event loop.
 type Store interface {
 	Append(rec any) error
 	Snapshot(state any) error
+	Outgrown() bool
 	Load() (state any, recs []any, err error)
 	Close() error
 }
@@ -137,6 +143,7 @@ type Mem struct {
 	// larger than that, of exactly its size; the doubling starts over
 	// after such a frame, so a marker between two images costs no 64 KB.
 	log  [][]byte
+	size int    // bytes in log
 	snap []byte // one framed record: uvarint(lsn) + state value
 	lsn  uint64
 }
@@ -183,10 +190,12 @@ func (m *Mem) write(rec any, tear int) error {
 	}
 	framed := wal.AppendRecord(m.log[last], e.Bytes())
 	m.log[last] = framed[:len(framed)-tear]
+	m.size += size - tear
 	return nil
 }
 
-// Snapshot implements Store.
+// Snapshot implements Store. The new image overwrites the old one in
+// place: Load decodes into fresh values, so nothing aliases it.
 func (m *Mem) Snapshot(state any) error {
 	if err := registered(state); err != nil {
 		return err
@@ -196,10 +205,20 @@ func (m *Mem) Snapshot(state any) error {
 	if err := writeBody(e, m.lsn, state); err != nil {
 		return err
 	}
-	m.snap = wal.AppendRecord(nil, e.Bytes())
-	m.log = nil
+	m.snap = wal.AppendRecord(m.snap[:0], e.Bytes())
+	// Truncate in place: the chunk list keeps its array, and a regular
+	// first chunk stays to take the next frames; every other chunk goes.
+	keep := 0
+	if len(m.log) > 0 && cap(m.log[0]) <= memChunkMax {
+		m.log[0], keep = m.log[0][:0], 1
+	}
+	clear(m.log[keep:])
+	m.log, m.size = m.log[:keep], 0
 	return nil
 }
+
+// Outgrown implements Store.
+func (m *Mem) Outgrown() bool { return m.size > 0 && m.size >= len(m.snap) }
 
 // Load implements Store.
 func (m *Mem) Load() (state any, recs []any, err error) {
@@ -234,10 +253,5 @@ func (m *Mem) Load() (state any, recs []any, err error) {
 func (m *Mem) Close() error { return nil }
 
 // Bytes reports the store's current footprint (journal + snapshot), for
-// benchmarks and cadence tests.
-func (m *Mem) Bytes() (log, snap int) {
-	for _, chunk := range m.log {
-		log += len(chunk)
-	}
-	return log, len(m.snap)
-}
+// benchmarks and tests.
+func (m *Mem) Bytes() (log, snap int) { return m.size, len(m.snap) }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -320,10 +321,11 @@ func TestMemLoadEqualsStreamScan(t *testing.T) {
 				t.Fatalf("seed %d op %d: Bytes() = %d, joined chunks are %d", seed, op, n, len(joined))
 			}
 			for i, chunk := range m.log {
+				first := &chunk[:1][0] // a chunk a snapshot kept may be empty
 				if i == len(firsts) {
-					firsts = append(firsts, &chunk[0])
+					firsts = append(firsts, first)
 				}
-				if &chunk[0] != firsts[i] {
+				if first != firsts[i] {
 					t.Fatalf("seed %d op %d: chunk %d was moved", seed, op, i)
 				}
 				// Larger than the largest regular chunk: made for one frame,
@@ -333,6 +335,120 @@ func TestMemLoadEqualsStreamScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOutgrown runs the same operations on a Mem, a Faulty over a Mem and a
+// File, reopened from its directory before every question: an empty
+// journal is never outgrown, a record outgrows no snapshot, and after a
+// snapshot the journal outgrows it once it holds as many bytes.
+func TestOutgrown(t *testing.T) {
+	dir := t.TempDir()
+	f, err := Open(dir, FileConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { f.Close() }()
+	m, fm := NewMem(), NewFaulty(NewMem())
+	do := func(op func(Store) error) {
+		t.Helper()
+		for _, s := range []Store{m, fm, f} {
+			if err := op(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(step string) bool {
+		t.Helper()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if f, err = Open(dir, FileConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		log, snap := m.Bytes()
+		want := log > 0 && log >= snap
+		if m.Outgrown() != want || fm.Outgrown() != want || f.Outgrown() != want {
+			t.Fatalf("%s: log %d B, snapshot %d B: Outgrown mem %v, faulty %v, file %v; want %v",
+				step, log, snap, m.Outgrown(), fm.Outgrown(), f.Outgrown(), want)
+		}
+		return want
+	}
+	appendRec := func(s Store) error { return s.Append(testRec{Seq: 1, Name: "rec"}) }
+	if check("empty") {
+		t.Fatal("an empty store is outgrown")
+	}
+	do(appendRec)
+	if !check("a record, no snapshot") {
+		t.Fatal("a record does not outgrow the absent snapshot")
+	}
+	do(func(s Store) error { return s.Snapshot(testState{Vals: make([]float64, 32)}) })
+	if check("just snapshotted") {
+		t.Fatal("an empty journal outgrew its snapshot")
+	}
+	for i := 1; !check(fmt.Sprintf("%d records after the snapshot", i-1)); i++ {
+		if i > 100 {
+			t.Fatal("a hundred records never outgrew a 300-byte snapshot")
+		}
+		do(appendRec)
+	}
+}
+
+// TestJournalStaysUnderTwiceItsState journals what a bigmodel-1k master
+// does, a 261 KB model image and a round marker per round for forty
+// rounds, snapshotting the image before an append whenever the journal
+// has outgrown the last snapshot, as Engine.journal does: the store never
+// holds more than two images plus markers.
+func TestJournalStaysUnderTwiceItsState(t *testing.T) {
+	image := testState{Vals: make([]float64, 261<<10/8)}
+	marker := testRec{Seq: 1, Name: "round"}
+	frame := func(rec any) int {
+		m := NewMem()
+		appendAll(t, m, []any{rec})
+		n, _ := m.Bytes()
+		return n
+	}
+	bound := 2*frame(image) + 2*frame(marker)
+	m := NewMem()
+	snapshots := 0
+	for round := 1; round <= 40; round++ {
+		for _, rec := range []any{image, marker} {
+			if m.Outgrown() {
+				if err := m.Snapshot(image); err != nil {
+					t.Fatal(err)
+				}
+				snapshots++
+			}
+			appendAll(t, m, []any{rec})
+			if log, snap := m.Bytes(); log+snap > bound {
+				t.Fatalf("round %d: journal %d B + snapshot %d B, over two images plus markers (%d B)", round, log, snap, bound)
+			}
+		}
+	}
+	if snapshots < 39 {
+		t.Fatalf("%d snapshots over 40 images", snapshots)
+	}
+}
+
+// BenchmarkMemSnapshot is the compaction Engine.journal runs once a
+// journal outgrows its snapshot, at a marker-sized state and at
+// bigmodel-1k's (one 261 KB master image).
+func BenchmarkMemSnapshot(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		state any
+	}{
+		{"marker", testRec{Seq: 42, Name: "round"}},
+		{"image261KB", testState{Vals: make([]float64, 261<<10/8)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := NewMem()
+			for b.Loop() {
+				if err := m.Snapshot(bc.state); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
