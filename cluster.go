@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"totoro/internal/fl"
 	"totoro/internal/ids"
 	"totoro/internal/ml"
 	"totoro/internal/pubsub"
@@ -216,7 +217,7 @@ func (c *Cluster) evalApp(app AppID, params []float64) float64 {
 		return 0
 	}
 	reg.eval.SetParams(params)
-	return reg.eval.Accuracy(reg.app.Test)
+	return fl.Accuracy(reg.eval, reg.app.Test)
 }
 
 // Deploy registers a workload app, creates its tree from the owner node,

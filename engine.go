@@ -570,7 +570,7 @@ func (e *Engine) trainRound(app ids.ID, rs roundStart, w *workerState) {
 			addGaussianNoise(u.Delta, rs.NoiseSigma, crng)
 		}
 		spec := AppSpec{Compressor: rs.Compressor, TopK: rs.TopK}
-		recon, bytes := spec.compressor().Apply(u.Delta)
+		recon, bytes := fl.ApplyOwned(spec.compressor(), u.Delta)
 		u.Delta = recon
 		agg = updateAgg{Acc: fl.NewAccumOwning(u), Bytes: bytes}
 	})
@@ -650,20 +650,17 @@ func (e *Engine) completeRound(m *masterState, round int, u updateAgg) {
 	m.pending = updateAgg{}
 	m.inFlight = false
 	m.holds = 0
+	participants := 0
 	if u.Acc != nil {
-		if d := u.Acc.MeanDelta(); d != nil {
-			fl.ApplyDelta(m.global, d)
-		}
+		u.Acc.ApplyMean(m.global)
+		participants = u.Acc.Count
+		fl.Recycle(u.Acc) // its last reader (DESIGN.md §4.1)
 	}
 	acc := 0.0
 	if e.opts.Eval != nil {
 		acc = e.opts.Eval(m.spec.ID, m.global)
 	}
 	now := e.env.Now()
-	participants := 0
-	if u.Acc != nil {
-		participants = u.Acc.Count
-	}
 	// Round telemetry is emitted here, on the event loop, so it stays
 	// deterministic under the simulator (never from training goroutines).
 	reg := e.env.Metrics()

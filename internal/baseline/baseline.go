@@ -242,7 +242,7 @@ func (e *Engine) clientRecv(node int, msg any) {
 		if u.Samples == 0 {
 			u = fl.Update{Delta: make([]float64, len(params)), Samples: 1}
 		}
-		recon, bytes := st.app.Comp.Apply(u.Delta)
+		recon, bytes := fl.ApplyOwned(st.app.Comp, u.Delta)
 		u.Delta = recon
 		up = updateUp{App: m.App, Round: m.Round, Client: client, Acc: fl.NewAccumOwning(u), Bytes: bytes}
 	})
@@ -266,11 +266,9 @@ func (e *Engine) serverRecv(from transport.Addr, msg any) {
 	if st.received < len(st.selected) {
 		return
 	}
-	if d := st.pending.MeanDelta(); d != nil {
-		fl.ApplyDelta(st.global, d)
-	}
+	st.pending.ApplyMean(st.global)
 	st.eval.SetParams(st.global)
-	acc := st.eval.Accuracy(st.app.Test)
+	acc := fl.Accuracy(st.eval, st.app.Test)
 	st.progress.Points = append(st.progress.Points, workload.AccuracyPoint{
 		Time: e.server.Now(), Round: st.round, Accuracy: acc,
 	})

@@ -22,6 +22,16 @@ type Compressor interface {
 	Apply(v []float64) (recon []float64, wireBytes int)
 }
 
+// ApplyOwned is c.Apply on a delta the caller hands over: a v the
+// reconstruction does not reuse goes back to the free list at once.
+func ApplyOwned(c Compressor, v []float64) ([]float64, int) {
+	recon, bytes := c.Apply(v)
+	if len(v) > 0 && (len(recon) == 0 || &recon[0] != &v[0]) {
+		Recycle(&Accum{WeightedSum: v})
+	}
+	return recon, bytes
+}
+
 // NoCompression ships dense float64s.
 type NoCompression struct{}
 

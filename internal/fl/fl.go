@@ -2,7 +2,9 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 
 	"totoro/internal/ml"
 )
@@ -45,26 +47,6 @@ func NewAccumOwning(u Update) *Accum {
 	return &Accum{WeightedSum: u.Delta, Samples: u.Samples, Count: 1}
 }
 
-// Merge folds two partial aggregates (either may be nil) into a freshly
-// allocated result. It never mutates its arguments; aggregation hot paths
-// that own their left operand use MergeInPlace instead.
-func Merge(a, b *Accum) *Accum {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := &Accum{
-		WeightedSum: make([]float64, len(a.WeightedSum)),
-		Samples:     a.Samples,
-		Count:       a.Count,
-	}
-	copy(out.WeightedSum, a.WeightedSum)
-	out.Add(b)
-	return out
-}
-
 // Add folds b into a in place (b is read, never retained). The O(P)
 // buffer is reused, so interior aggregation nodes merging many children
 // do not allocate per merge.
@@ -80,8 +62,9 @@ func (a *Accum) Add(b *Accum) {
 	a.Count += b.Count
 }
 
-// MergeInPlace folds b into a, reusing a's buffer when possible (either
-// side may be nil). The caller must own a; b is only read.
+// MergeInPlace folds b into a, reusing a's buffer (either side may be nil).
+// The caller owns both: b then goes to the free list (see Recycle), so
+// neither b nor its buffer may be read again.
 //
 //vet:noalloc
 func MergeInPlace(a, b *Accum) *Accum {
@@ -92,27 +75,55 @@ func MergeInPlace(a, b *Accum) *Accum {
 		return a
 	}
 	a.Add(b)
+	if b != a {
+		Recycle(b)
+	}
 	return a
 }
 
-// MeanDelta resolves the FedAvg weighted-average delta. Nil if empty.
-func (a *Accum) MeanDelta() []float64 {
-	if a == nil || a.Samples == 0 {
-		return nil
-	}
-	out := make([]float64, len(a.WeightedSum))
-	w := float64(a.Samples)
-	for i, v := range a.WeightedSum {
-		out[i] = v / w
-	}
-	return out
-}
-
-// ApplyDelta adds delta into global in place.
+// ApplyMean adds the FedAvg weighted-mean delta into global in place:
+// global[i] += WeightedSum[i]/Samples, rounded exactly as materialising the
+// mean first would be. A nil or empty aggregate changes nothing.
 //
 //vet:noalloc
-func ApplyDelta(global, delta []float64) {
-	ml.Axpy(1, delta[:len(global)], global)
+func (a *Accum) ApplyMean(global []float64) {
+	if a == nil || a.Samples == 0 {
+		return
+	}
+	w := float64(a.Samples)
+	for i, v := range a.WeightedSum[:len(global)] {
+		global[i] += v / w
+	}
+}
+
+// free is the free list of update buffers LocalTrainWS draws from. It holds
+// *Accum rather than slices so that a Put does not allocate.
+var free sync.Pool
+
+// Recycle hands a's buffer to the free list for a later LocalTrainWS to
+// overwrite. The caller must be a's last reader; DESIGN.md §4.1 "In-place
+// aggregation" says why every update has exactly one.
+//
+//vet:noalloc
+func Recycle(a *Accum) {
+	if poisonRecycled {
+		for i := range a.WeightedSum {
+			a.WeightedSum[i] = math.NaN()
+		}
+	}
+	free.Put(a)
+}
+
+// poisonRecycled is set by the poisonrecycle build tag (poison.go).
+var poisonRecycled bool
+
+// deltaBuf returns a length-n buffer of arbitrary contents, recycled when
+// the free list holds one of sufficient capacity.
+func deltaBuf(n int) []float64 {
+	if a, ok := free.Get().(*Accum); ok && cap(a.WeightedSum) >= n {
+		return a.WeightedSum[:n]
+	}
+	return make([]float64, n)
 }
 
 // ClientConfig controls one client's local optimization.
@@ -139,18 +150,13 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	return c
 }
 
-// LocalTrain runs one client's local update starting from the global
-// parameters and returns the resulting delta. proto supplies the model
-// architecture (it is cloned, never mutated). It is a thin wrapper over
-// LocalTrainWS with a throwaway workspace.
-func LocalTrain(proto *ml.MLP, global []float64, data *ml.Dataset, cfg ClientConfig, rng *rand.Rand) Update {
-	return LocalTrainWS(proto, global, data, cfg, rng, ml.NewWorkspace())
-}
-
-// LocalTrainWS is LocalTrain with all scratch state — the working model,
-// optimizer, gradients, and activation buffers — drawn from a reusable
-// per-worker workspace. The only allocation per call is the returned
-// delta vector, which the caller keeps.
+// LocalTrainWS runs one client's local update starting from the global
+// parameters and returns the resulting delta, which the caller owns. proto
+// supplies the architecture only. All scratch state — the working model,
+// optimizer, gradients, and activation buffers — comes from a reusable
+// per-worker workspace, and the delta from the free list when it holds a
+// large enough buffer (DeltaInto overwrites every element), so in steady
+// state a call allocates nothing.
 func LocalTrainWS(proto *ml.MLP, global []float64, data *ml.Dataset, cfg ClientConfig, rng *rand.Rand, ws *ml.Workspace) Update {
 	cfg = cfg.withDefaults()
 	if data.Len() == 0 {
@@ -166,7 +172,7 @@ func LocalTrainWS(proto *ml.MLP, global []float64, data *ml.Dataset, cfg ClientC
 	for e := 0; e < cfg.LocalEpochs; e++ {
 		ml.TrainEpochWS(m, data, cfg.BatchSize, opt, cfg.ProxMu, anchor, rng, ws)
 	}
-	delta := make([]float64, len(global))
+	delta := deltaBuf(len(global))
 	m.DeltaInto(global, delta)
 	return Update{Delta: delta, Samples: data.Len()}
 }

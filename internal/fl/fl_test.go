@@ -9,6 +9,17 @@ import (
 	"totoro/internal/ml"
 )
 
+// merge is the allocating fold the tests compare against: it touches
+// neither argument.
+func merge(a, b *Accum) *Accum {
+	if a == nil || b == nil {
+		return MergeInPlace(a, b)
+	}
+	out := &Accum{WeightedSum: append([]float64(nil), a.WeightedSum...), Samples: a.Samples, Count: a.Count}
+	out.Add(b)
+	return out
+}
+
 func TestAccumMergeAssociativeCommutative(t *testing.T) {
 	mk := func(vals []float64, samples int) *Accum {
 		return NewAccum(Update{Delta: vals, Samples: samples})
@@ -16,9 +27,9 @@ func TestAccumMergeAssociativeCommutative(t *testing.T) {
 	a := mk([]float64{1, 2}, 10)
 	b := mk([]float64{3, -1}, 5)
 	c := mk([]float64{-2, 4}, 20)
-	left := Merge(Merge(a, b), c)
-	right := Merge(a, Merge(b, c))
-	swapped := Merge(c, Merge(b, a))
+	left := merge(merge(a, b), c)
+	right := merge(a, merge(b, c))
+	swapped := merge(c, merge(b, a))
 	for i := range left.WeightedSum {
 		if math.Abs(left.WeightedSum[i]-right.WeightedSum[i]) > 1e-12 ||
 			math.Abs(left.WeightedSum[i]-swapped.WeightedSum[i]) > 1e-12 {
@@ -32,10 +43,10 @@ func TestAccumMergeAssociativeCommutative(t *testing.T) {
 
 func TestMergeNilIdentity(t *testing.T) {
 	a := NewAccum(Update{Delta: []float64{1}, Samples: 2})
-	if Merge(nil, a) != a || Merge(a, nil) != a {
+	if MergeInPlace(nil, a) != a || MergeInPlace(a, nil) != a {
 		t.Fatal("nil is not the merge identity")
 	}
-	if Merge(nil, nil) != nil {
+	if MergeInPlace(nil, nil) != nil {
 		t.Fatal("nil+nil")
 	}
 }
@@ -43,7 +54,8 @@ func TestMergeNilIdentity(t *testing.T) {
 func TestMeanDeltaWeighted(t *testing.T) {
 	a := NewAccum(Update{Delta: []float64{1, 1}, Samples: 30})
 	b := NewAccum(Update{Delta: []float64{4, 0}, Samples: 10})
-	mean := Merge(a, b).MeanDelta()
+	mean := make([]float64, 2)
+	merge(a, b).ApplyMean(mean)
 	// (1*30 + 4*10)/40 = 1.75 ; (1*30+0)/40 = 0.75
 	if math.Abs(mean[0]-1.75) > 1e-12 || math.Abs(mean[1]-0.75) > 1e-12 {
 		t.Fatalf("mean %v", mean)
@@ -57,7 +69,7 @@ func TestMeanDeltaOfIdenticalUpdatesIsIdentity(t *testing.T) {
 		}
 		var agg *Accum
 		for i := 0; i < int(reps%7)+1; i++ {
-			agg = Merge(agg, NewAccum(Update{Delta: raw, Samples: 13}))
+			agg = merge(agg, NewAccum(Update{Delta: raw, Samples: 13}))
 		}
 		for _, v := range raw {
 			// Skip inputs whose sample-weighted sum overflows float64.
@@ -65,7 +77,8 @@ func TestMeanDeltaOfIdenticalUpdatesIsIdentity(t *testing.T) {
 				return true
 			}
 		}
-		mean := agg.MeanDelta()
+		mean := make([]float64, len(raw))
+		agg.ApplyMean(mean)
 		for i := range raw {
 			if math.Abs(mean[i]-raw[i]) > 1e-9*(1+math.Abs(raw[i])) {
 				return false
@@ -83,13 +96,13 @@ func TestLocalTrainReducesClientLoss(t *testing.T) {
 	ds := ml.SyntheticClusters(4, 8, 300, 0.4, rng)
 	proto := ml.NewMLP([]int{8, 16, 4}, rng)
 	global := proto.Params()
-	u := LocalTrain(proto, global, ds, ClientConfig{LocalEpochs: 3, LR: 0.1}, rng)
+	u := LocalTrainWS(proto, global, ds, ClientConfig{LocalEpochs: 3, LR: 0.1}, rng, ml.NewWorkspace())
 	if u.Samples != 300 {
 		t.Fatalf("samples=%d", u.Samples)
 	}
 	after := proto.Clone()
 	params := append([]float64(nil), global...)
-	ApplyDelta(params, u.Delta)
+	ml.Axpy(1, u.Delta, params)
 	after.SetParams(params)
 	base := proto.Clone()
 	base.SetParams(global)

@@ -84,11 +84,11 @@ func TestForEachCoversAllIndices(t *testing.T) {
 }
 
 // TestAccumAddMatchesMerge proves the in-place fold computes the same
-// aggregate as the pure Merge.
+// aggregate as the allocating one.
 func TestAccumAddMatchesMerge(t *testing.T) {
 	u1 := Update{Delta: []float64{1, -2, 3}, Samples: 10}
 	u2 := Update{Delta: []float64{0.5, 0.25, -1}, Samples: 30}
-	pure := Merge(NewAccum(u1), NewAccum(u2))
+	pure := merge(NewAccum(u1), NewAccum(u2))
 	inPlace := NewAccumOwning(Update{Delta: append([]float64(nil), u1.Delta...), Samples: u1.Samples})
 	inPlace.Add(NewAccum(u2))
 	if pure.Samples != inPlace.Samples || pure.Count != inPlace.Count {

@@ -22,6 +22,7 @@ var (
 	poolMu    sync.Mutex
 	poolCond  *sync.Cond
 	poolQueue []func(ws *ml.Workspace) // FIFO of pending jobs
+	poolIdle  int                      // workers parked in poolCond.Wait
 	wsPool    = sync.Pool{New: func() any { return ml.NewWorkspace() }}
 )
 
@@ -48,7 +49,9 @@ func poolWorker() {
 	for {
 		poolMu.Lock()
 		for len(poolQueue) == 0 {
+			poolIdle++
 			poolCond.Wait()
+			poolIdle--
 		}
 		job := poolQueue[0]
 		poolQueue[0] = nil // release the popped job for GC
@@ -78,10 +81,20 @@ func (f *Future) Wait() { <-f.done }
 // the simulators use this to overlap client training with (virtual) time.
 // Jobs must not Wait on other pool jobs: with every worker parked in such
 // a Wait the queue would deadlock.
-func Go(job func(ws *ml.Workspace)) *Future {
-	f := &Future{done: make(chan struct{})}
+func Go(job func(ws *ml.Workspace)) *Future { return submit(job, false) }
+
+// goIfIdle is Go, but only if a worker is parked and no job is queued at
+// the moment of the call; otherwise it queues nothing and returns nil.
+func goIfIdle(job func(ws *ml.Workspace)) *Future { return submit(job, true) }
+
+func submit(job func(ws *ml.Workspace), ifIdle bool) *Future {
 	startWorkers()
 	poolMu.Lock()
+	if ifIdle && (poolIdle == 0 || len(poolQueue) > 0) {
+		poolMu.Unlock()
+		return nil
+	}
+	f := &Future{done: make(chan struct{})}
 	poolQueue = append(poolQueue, func(ws *ml.Workspace) {
 		job(ws)
 		close(f.done)
@@ -89,6 +102,58 @@ func Go(job func(ws *ml.Workspace)) *Future {
 	poolMu.Unlock()
 	poolCond.Signal()
 	return f
+}
+
+// evalChunk is how many test samples one claim of a shared evaluation
+// scores.
+const evalChunk = 32
+
+// Accuracy is model.Accuracy(test) with an idle worker lending a hand: the
+// caller scores 32-sample chunks, and one helper job claims chunks beside it
+// if a worker is idle and nothing is queued. The caller waits only for a
+// helper that has started, so a busy pool never holds it up. Hit counts are
+// integers, so the result is model.Accuracy's at any GOMAXPROCS.
+func Accuracy(model *ml.MLP, test *ml.Dataset) float64 {
+	return sharedAccuracy(model, test, goIfIdle)
+}
+
+// sharedAccuracy is Accuracy with the helper's submission passed in, so
+// tests can force the helper in or keep it out.
+func sharedAccuracy(model *ml.MLP, test *ml.Dataset, spawn func(func(*ml.Workspace)) *Future) float64 {
+	n := len(test.Y)
+	if n == 0 {
+		return 0
+	}
+	var next atomic.Int64 // first sample of the next unclaimed chunk
+	score := func() (hit int) {
+		buf := model.ActBuffer()
+		for {
+			lo := int(next.Add(evalChunk)) - evalChunk
+			if lo >= n {
+				return hit
+			}
+			hi := min(lo+evalChunk, n)
+			hit += model.CountCorrect(test.X[lo:hi], test.Y[lo:hi], buf)
+		}
+	}
+	var state atomic.Int32 // 0 queued, 1 started by the helper, 2 called off by the caller
+	var helper *Future
+	helped := 0 // read by the caller only after helper.Wait
+	if n > evalChunk {
+		helper = spawn(func(*ml.Workspace) {
+			if state.CompareAndSwap(0, 1) {
+				helped = score()
+			}
+		})
+	}
+	hit := score()
+	// A helper that has not started is called off; one that has is scoring
+	// its last chunk, and only that is waited for.
+	if helper != nil && !state.CompareAndSwap(0, 2) {
+		helper.Wait()
+		hit += helped
+	}
+	return float64(hit) / float64(n)
 }
 
 // ForEach runs job(i, ws) for every i in [0, n) across the pool and

@@ -27,9 +27,9 @@ type Session struct {
 	// ID, and updates are merged in selection order.
 	Workers int
 	// Metrics, when set, receives the session's telemetry: counters
-	// fl.rounds / fl.participants / fl.update_bytes, an update-size
-	// histogram, and the fl.accuracy gauge. The engine passes its Env's
-	// registry; standalone sessions may leave it nil.
+	// fl.rounds / fl.participants / fl.update_bytes (over the updates
+	// merged), an update-size histogram, and the fl.accuracy gauge. Nil
+	// discards them.
 	Metrics *obs.Registry
 
 	infos []ClientInfo
@@ -84,27 +84,32 @@ func (s *Session) Round(perRound int, rng *rand.Rand) RoundReport {
 		crng := DeriveRNG(roundSeed, s.round, uint64(id))
 		updates[i] = LocalTrainWS(s.Proto, s.Global, s.Clients[id], s.Cfg, crng, ws)
 	})
+	// Telemetry counts what was merged, as the engine does.
 	var agg *Accum
-	updateBytes := 0
+	updateBytes, sentBytes := 0, 0
 	for i, id := range selected {
 		u := updates[i]
 		if u.Samples == 0 {
 			continue
 		}
-		recon, bytes := s.Comp.Apply(u.Delta)
+		recon, bytes := ApplyOwned(s.Comp, u.Delta)
 		u.Delta = recon
 		updateBytes = bytes
+		sentBytes += bytes
 		s.infos[id].Rounds++
 		s.infos[id].LastLoss = lossProxy(u)
 		agg = MergeInPlace(agg, NewAccumOwning(u))
 	}
-	if d := agg.MeanDelta(); d != nil {
-		ApplyDelta(s.Global, d)
+	agg.ApplyMean(s.Global)
+	merged := 0
+	if agg != nil {
+		merged = agg.Count
+		Recycle(agg)
 	}
 	acc := s.Accuracy()
 	s.Metrics.Counter("fl.rounds").Inc()
-	s.Metrics.Counter("fl.participants").Add(int64(len(selected)))
-	s.Metrics.Counter("fl.update_bytes").Add(int64(updateBytes) * int64(len(selected)))
+	s.Metrics.Counter("fl.participants").Add(int64(merged))
+	s.Metrics.Counter("fl.update_bytes").Add(int64(sentBytes))
 	s.Metrics.Histogram("fl.update_size", obs.ByteBuckets).Observe(float64(updateBytes))
 	s.Metrics.Gauge("fl.accuracy").Set(acc)
 	return RoundReport{
@@ -121,7 +126,7 @@ func (s *Session) Accuracy() float64 {
 		s.eval = s.Proto.Clone()
 	}
 	s.eval.SetParams(s.Global)
-	return s.eval.Accuracy(s.Test)
+	return Accuracy(s.eval, s.Test)
 }
 
 // lossProxy scores an update's magnitude as a cheap stand-in for client

@@ -129,12 +129,12 @@ func (m *MLP) layerForwardInto(l int, a, z []float64, relu bool) {
 
 // Predict returns the argmax class for one input.
 func (m *MLP) Predict(x []float64) int {
-	return m.predictInto(x, m.actBuffer())
+	return m.predictInto(x, m.ActBuffer())
 }
 
-// actBuffer returns the scratch predictInto needs: two activation buffers,
+// ActBuffer returns the scratch CountCorrect needs: two activation buffers,
 // each as wide as the widest layer output, in one slice.
-func (m *MLP) actBuffer() []float64 {
+func (m *MLP) ActBuffer() []float64 {
 	width := 0
 	for l := range m.W {
 		width = max(width, m.Sizes[l+1])
@@ -143,7 +143,7 @@ func (m *MLP) actBuffer() []float64 {
 }
 
 // predictInto is Predict with the activations ping-ponging between the two
-// halves of buf (see actBuffer) instead of a fresh slice per layer. The
+// halves of buf (see ActBuffer) instead of a fresh slice per layer. The
 // arithmetic and its order are Forward's.
 //
 //vet:noalloc
@@ -172,14 +172,22 @@ func (m *MLP) Accuracy(d *Dataset) float64 {
 	if len(d.Y) == 0 {
 		return 0
 	}
-	buf := m.actBuffer()
+	return float64(m.CountCorrect(d.X, d.Y, m.ActBuffer())) / float64(len(d.Y))
+}
+
+// CountCorrect returns how many of the samples X the model labels Y, using
+// buf (from ActBuffer) as its only scratch. It only reads the model, so
+// goroutines with their own buf may score disjoint samples concurrently.
+//
+//vet:noalloc
+func (m *MLP) CountCorrect(X [][]float64, Y []int, buf []float64) int {
 	hit := 0
-	for i := range d.Y {
-		if m.predictInto(d.X[i], buf) == d.Y[i] {
+	for i, y := range Y {
+		if m.predictInto(X[i], buf) == y {
 			hit++
 		}
 	}
-	return float64(hit) / float64(len(d.Y))
+	return hit
 }
 
 // Softmax converts logits into probabilities (numerically stable).
