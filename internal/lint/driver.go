@@ -39,10 +39,12 @@ var (
 		"internal/workload":    true,
 	}
 	// hotPathDirs are packages outside the protocol/deterministic sets that
-	// carry //vet:noalloc annotations — the training kernels. (fl and the
-	// codec are hot paths too, but already members of protocolDirs.)
+	// carry //vet:noalloc annotations — the training kernels and the trace
+	// ring. (fl and the codec are hot paths too, but already members of
+	// protocolDirs.)
 	hotPathDirs = map[string]bool{
-		"internal/ml": true,
+		"internal/ml":  true,
+		"internal/obs": true,
 	}
 )
 

@@ -77,6 +77,7 @@ var obsEmitNames = map[string]bool{
 	"Observe": true,
 	"Set":     true,
 	"Trace":   true,
+	"TraceID": true,
 }
 
 // mergeCallNames are functions/methods that fold one aggregate into

@@ -151,7 +151,7 @@ func TestChildrenStaySortedAndUnique(t *testing.T) {
 					t.Fatalf("seed %d step %d: %s left %d of %d children", seed, step, what, len(st.children), len(before))
 				}
 				for a := range want {
-					if _, kept := st.childIndex(a); !kept {
+					if _, kept := childIndex(st.children, a); !kept {
 						delete(want, a)
 						evicted++
 					}

@@ -53,31 +53,31 @@ type Handlers struct {
 	OnAggregate func(topic ids.ID, round int, obj any, count int)
 }
 
-// aggRound tracks one round's in-network aggregation at one node. A leaf,
-// which has no children to wait for or hear from, allocates nothing but the
-// struct.
+// aggRound tracks one round's in-network aggregation at one node. All of it
+// is cut from the topic's storage (carve), so a round allocates nothing.
 //
-// Once flushed, a round is a tombstone: flush releases combined, waiting and
+// Once flushed, a round is a tombstone: flush releases combined, kids and
 // cancel, and what stays (flushed, selfDone, count, seen) is what routes
 // stragglers and drops duplicates. topicState.rounds keeps one tombstone per
 // round — it is never pruned here, because a round that came back to life
 // would merge stragglers instead of forwarding them.
 type aggRound struct {
+	round int
 	// combined is the aggregate so far. It leaves by reference at the flush,
 	// so from then on it belongs to whoever received it.
 	combined any
 	count    int
-	// waiting holds the children (as of the round's creation) that have not
-	// reported yet, sorted; the round is complete when it is empty.
-	waiting []transport.Addr
-	// seen records every (sender, upstream-seq) pair already folded into
-	// (or forwarded for) this round, so a network-duplicated Upstream is
-	// dropped instead of double-counted. One per reporting child (a few more
-	// when stragglers resend), so a scanned slice, sized with waiting.
-	seen     []upKey
-	selfDone bool
-	flushed  bool
-	cancel   func()
+	// kids is the topic's copy-on-write children as the round began; bit i of
+	// reported is set once kids[i] reports, and waiting counts those not set.
+	kids     []ring.Contact
+	reported []uint64
+	// seen holds every (sender, upstream-seq) pair folded into (or forwarded
+	// for) this round, so a network-duplicated Upstream is dropped, not
+	// double-counted: about one per kid, so a scanned slice sized with kids.
+	seen              []upKey
+	waiting           int32
+	selfDone, flushed bool
+	cancel            func()
 }
 
 // upKey identifies one Upstream emission for dedup.
@@ -89,9 +89,7 @@ type upKey struct {
 // topicState is this node's view of one tree. Its maps are created by their
 // first write.
 type topicState struct {
-	topic ids.ID
-	// key is topic.String(), formatted once for the trace events.
-	key        string
+	topic      ids.ID
 	parent     ring.Contact
 	isRoot     bool
 	subscribed bool // participates as worker (receives multicasts)
@@ -108,11 +106,13 @@ type topicState struct {
 	// (fanout cap, aggregation deadline), learned from CreateMsg at the
 	// root and from Welcome everywhere else.
 	ownerCfg TreeConfig
-	rounds   map[int]*aggRound
-	// roundPool is the unused tail of the last chunk newRound carved rounds
-	// from. A chunk is never grown or moved: a *aggRound stays valid across
-	// the re-entrant flush → OnAggregate → SubmitUpdate(round+1) chain.
+	// rounds is sorted by number; the rounds, their bits and their pairs are
+	// carved from chunks that never move: a *aggRound stays valid across the
+	// re-entrant flush → OnAggregate → SubmitUpdate(round+1) chain.
+	rounds    []*aggRound
 	roundPool []aggRound
+	words     []uint64
+	keys      []upKey
 	// missCount tracks consecutive timed-out rounds per child without a
 	// report; children missing childMissLimit rounds in a row are dropped.
 	missCount map[transport.Addr]int
@@ -201,15 +201,15 @@ func (n *Node) SetHandlers(h Handlers) { n.handlers = h }
 
 // childIndex returns where the child with address a is, or would be
 // inserted, in the sorted children, and whether it is there.
-func (st *topicState) childIndex(a transport.Addr) (int, bool) {
-	return slices.BinarySearchFunc(st.children, a, func(c ring.Contact, a transport.Addr) int {
+func childIndex(children []ring.Contact, a transport.Addr) (int, bool) {
+	return slices.BinarySearchFunc(children, a, func(c ring.Contact, a transport.Addr) int {
 		return cmp.Compare(c.Addr, a)
 	})
 }
 
 // setChild records c as a child of the topic.
 func (st *topicState) setChild(c ring.Contact) {
-	i, found := st.childIndex(c.Addr)
+	i, found := childIndex(st.children, c.Addr)
 	next := make([]ring.Contact, 0, len(st.children)+1)
 	next = append(append(next, st.children[:i]...), c)
 	if found {
@@ -220,17 +220,9 @@ func (st *topicState) setChild(c ring.Contact) {
 
 // removeChild forgets the child with address a, if there is one.
 func (st *topicState) removeChild(a transport.Addr) {
-	if i, found := st.childIndex(a); found {
+	if i, found := childIndex(st.children, a); found {
 		st.children = slices.Concat(st.children[:i], st.children[i+1:])
 	}
-}
-
-// traceKey returns the topic's trace-event key.
-func (st *topicState) traceKey() string {
-	if st.key == "" {
-		st.key = st.topic.String()
-	}
-	return st.key
 }
 
 // state returns (creating if needed) the per-topic state.
@@ -504,7 +496,7 @@ func (n *Node) addChild(st *topicState, c ring.Contact) {
 	if c.Addr == n.ring.Self().Addr {
 		return
 	}
-	if _, dup := st.childIndex(c.Addr); dup {
+	if _, dup := childIndex(st.children, c.Addr); dup {
 		n.env.Send(c.Addr, Welcome{Topic: st.topic, Parent: n.ring.Self(), Cfg: st.ownerCfg, Epoch: st.mcEpoch, LastSeq: st.mcLast})
 		return
 	}
@@ -547,7 +539,7 @@ func (n *Node) handleWelcome(m Welcome) {
 	}
 	// Guard against trivial cycles: refuse a parent that is currently our
 	// child and re-join instead.
-	if _, isChild := st.childIndex(m.Parent.Addr); isChild {
+	if _, isChild := childIndex(st.children, m.Parent.Addr); isChild {
 		st.joining = true
 		n.ring.Route(st.topic, JoinMsg{Topic: st.topic, Subscriber: n.ring.Self()})
 		return
@@ -597,11 +589,10 @@ func (n *Node) recordDeliver(st *topicState, depth int) {
 	if st.subscribed {
 		note = "sub"
 	}
-	n.env.Metrics().Trace(obs.Event{
+	n.env.Metrics().TraceID(obs.Event{
 		At: n.env.Now(), Node: string(n.ring.Self().Addr),
-		Kind: obs.KindPubSubDeliver, Key: st.traceKey(),
-		Hop: depth, Note: note,
-	})
+		Kind: obs.KindPubSubDeliver, Hop: depth, Note: note,
+	}, st.topic.Hi, st.topic.Lo)
 }
 
 func (n *Node) forwardMulticast(st *topicState, m Multicast) {
@@ -733,44 +724,43 @@ func (st *topicState) cached(seq uint64) (Multicast, bool) {
 	return mc, mc.Seq == seq
 }
 
-// roundChunk is how many aggRounds a topic allocates at a time.
+// roundChunk is how many rounds' storage a topic allocates at a time.
 const roundChunk = 8
 
-// newRound returns a zero aggRound from the topic's current chunk.
-func (st *topicState) newRound() *aggRound {
-	if len(st.roundPool) == 0 {
-		st.roundPool = make([]aggRound, roundChunk)
+// carve cuts n zero elements of capacity n from *pool, refilled roundChunk·n at a time.
+func carve[T any](pool *[]T, n int) []T {
+	if len(*pool) < n {
+		*pool = make([]T, roundChunk*n)
 	}
-	r := &st.roundPool[0]
-	st.roundPool = st.roundPool[1:]
-	return r
+	s := (*pool)[:n:n]
+	*pool = (*pool)[n:]
+	return s
+}
+
+// findRound returns where the round numbered round is, or goes, in st.rounds.
+func (st *topicState) findRound(round int) (int, bool) {
+	return slices.BinarySearchFunc(st.rounds, round, func(r *aggRound, round int) int { return cmp.Compare(r.round, round) })
 }
 
 func (n *Node) round(st *topicState, round int) *aggRound {
-	r, ok := st.rounds[round]
-	if !ok {
-		r = st.newRound()
-		if k := len(st.children); k > 0 {
-			r.waiting = make([]transport.Addr, k)
-			for i, c := range st.children {
-				r.waiting[i] = c.Addr
+	i, ok := st.findRound(round)
+	if ok {
+		return st.rounds[i]
+	}
+	r := &carve(&st.roundPool, 1)[0]
+	r.round = round
+	st.rounds = slices.Insert(slices.Grow(st.rounds, max(roundChunk-len(st.rounds), 0)), i, r)
+	if k := len(st.children); k > 0 {
+		r.kids, r.waiting, r.reported, r.seen = st.children, int32(k), carve(&st.words, (k+63)/64), carve(&st.keys, k)[:0]
+	}
+	if timeout := n.effCfg(st).AggTimeout; timeout > 0 {
+		r.cancel = n.env.After(timeout, func() {
+			if i, ok := st.findRound(round); ok && !st.rounds[i].flushed {
+				n.recordMisses(st, st.rounds[i])
+				n.ctrTimeoutFlushes.Inc()
+				n.flush(st, round, st.rounds[i])
 			}
-			r.seen = make([]upKey, 0, k)
-		}
-		if st.rounds == nil {
-			st.rounds = make(map[int]*aggRound)
-		}
-		st.rounds[round] = r
-		if timeout := n.effCfg(st).AggTimeout; timeout > 0 {
-			rnd := round
-			r.cancel = n.env.After(timeout, func() {
-				if cur, ok := st.rounds[rnd]; ok && !cur.flushed {
-					n.recordMisses(st, cur)
-					n.ctrTimeoutFlushes.Inc()
-					n.flush(st, rnd, cur)
-				}
-			})
-		}
+		})
 	}
 	return r
 }
@@ -800,8 +790,8 @@ func (n *Node) handleUpstream(m Upstream) {
 		}
 		r.seen = append(r.seen, k)
 	}
-	if i, ok := slices.BinarySearch(r.waiting, m.From.Addr); ok {
-		r.waiting = slices.Delete(r.waiting, i, i+1)
+	if i, ok := childIndex(r.kids, m.From.Addr); ok && r.reported[i/64]&(1<<(i%64)) == 0 {
+		r.reported[i/64], r.waiting = r.reported[i/64]|1<<(i%64), r.waiting-1
 	}
 	delete(st.missCount, m.From.Addr)
 	if r.flushed {
@@ -822,7 +812,7 @@ func (n *Node) handleUpstream(m Upstream) {
 }
 
 func (n *Node) maybeFlush(st *topicState, round int, r *aggRound) {
-	if r.flushed || !r.selfDone || len(r.waiting) > 0 {
+	if r.flushed || !r.selfDone || r.waiting > 0 {
 		return
 	}
 	n.flush(st, round, r)
@@ -840,7 +830,7 @@ func (n *Node) flush(st *topicState, round int, r *aggRound) {
 	// lives only as long as its receiver (the parent's merge, the root's
 	// OnAggregate) holds it.
 	obj := r.combined
-	r.combined, r.waiting, r.cancel = nil, nil, nil
+	r.combined, r.kids, r.reported, r.cancel = nil, nil, nil, nil
 	n.forwardUp(st, round, obj, r.count)
 }
 
@@ -848,11 +838,10 @@ func (n *Node) forwardUp(st *topicState, round int, obj any, count int) {
 	if st.isRoot || st.parent.IsZero() {
 		// Root aggregation completes here; the trace event is what the
 		// experiments read aggregation-latency timings from.
-		n.env.Metrics().Trace(obs.Event{
+		n.env.Metrics().TraceID(obs.Event{
 			At: n.env.Now(), Node: string(n.ring.Self().Addr),
-			Kind: obs.KindPubSubAgg, Key: st.traceKey(),
-			Hop: count, Note: "root",
-		})
+			Kind: obs.KindPubSubAgg, Hop: count, Note: "root",
+		}, st.topic.Hi, st.topic.Lo)
 		if n.handlers.OnAggregate != nil {
 			n.handlers.OnAggregate(st.topic, round, obj, count)
 		}
@@ -887,14 +876,17 @@ const childMissLimit = 2
 // recordMisses charges children that did not report before a timeout
 // flush, pruning those past the limit.
 func (n *Node) recordMisses(st *topicState, r *aggRound) {
-	for _, a := range r.waiting {
+	for i, c := range r.kids {
+		if r.reported[i/64]&(1<<(i%64)) != 0 {
+			continue
+		}
 		if st.missCount == nil {
 			st.missCount = make(map[transport.Addr]int)
 		}
-		st.missCount[a]++
-		if st.missCount[a] >= childMissLimit {
-			st.removeChild(a)
-			delete(st.missCount, a)
+		st.missCount[c.Addr]++
+		if st.missCount[c.Addr] >= childMissLimit {
+			st.removeChild(c.Addr)
+			delete(st.missCount, c.Addr)
 		}
 	}
 }
@@ -1111,11 +1103,7 @@ func (n *Node) stopTimers(st *topicState) {
 		st.rootStop()
 		st.rootStop = nil
 	}
-	for _, r := range st.rounds {
-		if r.cancel != nil {
-			r.cancel()
-		}
-	}
+	n.dropRounds(st)
 }
 
 // --- introspection (experiments & tests) ---

@@ -159,12 +159,13 @@ func TestTombstoneStillRoutesStragglers(t *testing.T) {
 	f.net.Run(5 * time.Second)
 
 	st := mid.ps.topics[topic]
-	r := st.rounds[round]
-	if r == nil || !r.flushed {
+	i, ok := st.findRound(round)
+	if !ok || !st.rounds[i].flushed {
 		t.Fatal("mid's round did not flush on its deadline")
 	}
-	if r.combined != nil || r.waiting != nil || r.cancel != nil {
-		t.Fatalf("flushed round still holds combined=%v waiting=%v cancel set=%v", r.combined, r.waiting, r.cancel != nil)
+	r := st.rounds[i]
+	if r.combined != nil || r.kids != nil || r.reported != nil || r.cancel != nil {
+		t.Fatalf("flushed round still holds combined=%v kids=%v reported=%v cancel set=%v", r.combined, r.kids, r.reported, r.cancel != nil)
 	}
 	ups := mid.ps.Metrics().Counter("pubsub.upstreams_sent")
 	dupes := mid.ps.Metrics().Counter("pubsub.upstream_dupes")

@@ -192,11 +192,10 @@ func (n *Node) handleEnvelope(e Envelope) {
 	if next.IsZero() {
 		n.ctrDelivered.Inc()
 		n.hopHist.Observe(float64(e.Hops))
-		n.env.Metrics().Trace(obs.Event{
+		n.env.Metrics().TraceID(obs.Event{
 			At: n.env.Now(), Node: string(n.self.Addr),
-			Kind: obs.KindRingDeliver, Key: e.Key.String(),
-			From: string(e.Source.Addr), Hop: e.Hops,
-		})
+			Kind: obs.KindRingDeliver, From: string(e.Source.Addr), Hop: e.Hops,
+		}, e.Key.Hi, e.Key.Lo)
 		n.app.Deliver(Delivery{Key: e.Key, Source: e.Source, Hops: e.Hops, Payload: e.Payload})
 		return
 	}
@@ -206,11 +205,10 @@ func (n *Node) handleEnvelope(e Envelope) {
 	}
 	e.Payload = d.Payload
 	n.ctrForwarded.Inc()
-	n.env.Metrics().Trace(obs.Event{
+	n.env.Metrics().TraceID(obs.Event{
 		At: n.env.Now(), Node: string(n.self.Addr),
-		Kind: obs.KindRingHop, Key: e.Key.String(),
-		To: string(next.Addr), Hop: e.Hops,
-	})
+		Kind: obs.KindRingHop, To: string(next.Addr), Hop: e.Hops,
+	}, e.Key.Hi, e.Key.Lo)
 	n.forward(e, next)
 }
 
