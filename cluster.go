@@ -27,12 +27,8 @@ type ClusterConfig struct {
 	Ring ring.Config
 	// PubSub configures the forest layer.
 	PubSub pubsub.Config
-	// Latency is the one-way link latency (default 5ms).
-	Latency time.Duration
 	// Bandwidth is each node's NIC speed in bytes/sec (0 = unlimited).
 	Bandwidth int64
-	// Cost models local compute.
-	Cost workload.CostModel
 	// ZoneBits enables the multi-ring zone structure; ZoneOf assigns each
 	// node a zone (required when ZoneBits > 0).
 	ZoneBits int
@@ -112,9 +108,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.N <= 0 {
 		panic("totoro: cluster needs N > 0")
 	}
-	if cfg.Latency == 0 {
-		cfg.Latency = 5 * time.Millisecond
-	}
 	c := &Cluster{
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
@@ -122,7 +115,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 	netCfg := simnet.Config{
 		Seed:             cfg.Seed,
-		Latency:          simnet.ConstLatency(cfg.Latency),
+		Latency:          simnet.ConstLatency(5 * time.Millisecond),
 		DefaultBandwidth: cfg.Bandwidth,
 		OnViolation:      cfg.OnViolation,
 	}
@@ -177,7 +170,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 				eng = NewEngine(env, ring.Contact{ID: id, Addr: addr}, Options{
 					Ring:                 cfg.Ring,
 					PubSub:               cfg.PubSub,
-					Cost:                 cfg.Cost,
 					Speed:                speed,
 					ZoneBits:             cfg.ZoneBits,
 					Queue:                queue,
@@ -269,17 +261,7 @@ func (c *Cluster) Train(appIDs ...AppID) []*workload.Progress {
 	if c.cfg.PubSub.KeepAliveInterval > 0 {
 		return c.TrainUntil(c.Net.Now()+4*time.Hour, appIDs...)
 	}
-	for _, id := range appIDs {
-		// Any node can issue the start; use the registered owner path via a
-		// random engine to exercise routing.
-		c.Engines[c.rng.Intn(len(c.Engines))].StartTraining(id)
-	}
-	c.Net.RunUntilIdle()
-	out := make([]*workload.Progress, len(appIDs))
-	for i, id := range appIDs {
-		out[i] = c.Progress(id)
-	}
-	return out
+	return c.train(appIDs, func() { c.Net.RunUntilIdle() })
 }
 
 // TrainUntil starts the apps and advances virtual time in slices until all
@@ -287,10 +269,17 @@ func (c *Cluster) Train(appIDs ...AppID) []*workload.Progress {
 // keep-alive timers (or churn injected between slices via Hooks) keep the
 // event queue busy forever.
 func (c *Cluster) TrainUntil(deadline time.Duration, appIDs ...AppID) []*workload.Progress {
+	return c.train(appIDs, func() { c.StepUntilDone(deadline, appIDs...) })
+}
+
+// train starts every app, runs the network with run, and returns each app's
+// trajectory in order. Any node can issue a start: a random engine's goes
+// through the overlay's routing to the app's master.
+func (c *Cluster) train(appIDs []AppID, run func()) []*workload.Progress {
 	for _, id := range appIDs {
 		c.Engines[c.rng.Intn(len(c.Engines))].StartTraining(id)
 	}
-	c.StepUntilDone(deadline, appIDs...)
+	run()
 	out := make([]*workload.Progress, len(appIDs))
 	for i, id := range appIDs {
 		out[i] = c.Progress(id)

@@ -6,6 +6,7 @@ import (
 	"totoro/internal/ml"
 	"totoro/internal/ring"
 	"totoro/internal/store"
+	"totoro/internal/transport"
 	"totoro/internal/wire/codec"
 	"totoro/internal/workload"
 )
@@ -363,13 +364,11 @@ func (e *Engine) ResumeAfterRestart() {
 		m.epoch++ // demotes whoever promoted itself during the outage
 		e.claim(m)
 		if m.started && !m.done {
-			grace := e.opts.FailoverGrace
 			round := m.round
-			var resume func()
-			resume = func() {
+			transport.Every(e.env, e.opts.FailoverGrace, func() bool {
 				cur, ok := e.masters[app]
 				if !ok || cur != m || m.done || m.round != round {
-					return
+					return false
 				}
 				// Don't begin a round into an empty tree: right after a
 				// restart the workers are still parked under the interim
@@ -377,12 +376,11 @@ func (e *Engine) ResumeAfterRestart() {
 				// every remaining round instantly with zero participants.
 				// Wait another grace period for the tree to hand back.
 				if info, treeOK := e.ps.TreeInfo(app); treeOK && len(info.Children) == 0 {
-					e.env.After(grace, resume)
-					return
+					return true
 				}
 				e.beginRound(m)
-			}
-			e.env.After(grace, resume)
+				return false
+			})
 		}
 	}
 	for _, app := range sortedApps(e.replicas) {

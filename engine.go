@@ -2,6 +2,7 @@ package totoro
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"totoro/internal/fl"
@@ -23,8 +24,6 @@ type Options struct {
 	// PubSub configures the forest layer (keep-alives, fanout caps,
 	// aggregation timeouts).
 	PubSub pubsub.Config
-	// Cost models local compute time; zero value uses the default.
-	Cost workload.CostModel
 	// Speed is this node's compute speed factor (1 = nominal).
 	Speed float64
 	// ZoneBits is the multi-ring zone prefix width; 0 disables zone
@@ -202,9 +201,6 @@ type Engine struct {
 // NewEngine builds an engine for the given environment and identity.
 // The returned engine is the node's transport.Handler.
 func NewEngine(env transport.Env, self ring.Contact, opts Options) *Engine {
-	if opts.Cost.FLOPS == 0 {
-		opts.Cost = workload.DefaultCostModel()
-	}
 	if opts.Speed == 0 {
 		opts.Speed = 1
 	}
@@ -350,13 +346,7 @@ func (e *Engine) Aggregate(app AppID, round int, obj any) { e.ps.SubmitUpdate(ap
 // OnTimer invokes fn with progress information every interval until the
 // app finishes or cancel is called (Table 2 onTimer).
 func (e *Engine) OnTimer(app AppID, interval time.Duration, fn func(TimerInfo)) (cancel func()) {
-	stopped := false
-	var tick func()
-	var c func()
-	tick = func() {
-		if stopped {
-			return
-		}
+	return transport.Every(e.env, interval, func() bool {
 		info := TimerInfo{App: app, Now: e.env.Now()}
 		if m, ok := e.masters[app]; ok {
 			info.Round = m.round
@@ -366,18 +356,8 @@ func (e *Engine) OnTimer(app AppID, interval time.Duration, fn func(TimerInfo)) 
 			}
 		}
 		fn(info)
-		if info.Done {
-			return
-		}
-		c = e.env.After(interval, tick)
-	}
-	c = e.env.After(interval, tick)
-	return func() {
-		stopped = true
-		if c != nil {
-			c()
-		}
-	}
+		return !info.Done
+	})
 }
 
 // IsMaster reports whether this node is the application's master.
@@ -544,10 +524,10 @@ func (e *Engine) handleRoundStart(app ids.ID, rs roundStart, subscriber bool) {
 // for every tree member a round broadcast passes through.
 func (e *Engine) trainRound(app ids.ID, rs roundStart, w *workerState) {
 	gen := w.gen
-	if w.proto == nil || !sameSizes(w.proto.Sizes, rs.Sizes) {
+	if w.proto == nil || !slices.Equal(w.proto.Sizes, rs.Sizes) {
 		w.proto = &ml.MLP{Sizes: append([]int(nil), rs.Sizes...)}
 	}
-	dur := e.opts.Cost.Time(rs.Cfg.LocalEpochs, w.shard.Len(), len(rs.Params), e.opts.Speed)
+	dur := workload.DefaultCostModel().Time(rs.Cfg.LocalEpochs, w.shard.Len(), len(rs.Params), e.opts.Speed)
 	now := e.env.Now()
 	finish := e.queue.Start(now, dur)
 	// Training inputs are fully determined here, so hand the pure job to
@@ -723,16 +703,4 @@ func put[K comparable, V any](m *map[K]V, k K, v V) {
 		*m = make(map[K]V)
 	}
 	(*m)[k] = v
-}
-
-func sameSizes(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

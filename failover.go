@@ -268,22 +268,14 @@ func (e *Engine) ensureReplicaCheck(app AppID) {
 	if e.checking[app] {
 		return
 	}
-	interval := e.opts.ReplicaCheckInterval
 	put(&e.checking, app, true)
-	var tick func()
-	tick = func() {
-		rep, ok := e.replicas[app]
-		if !ok || rep.Done || e.IsMaster(app) {
+	transport.Every(e.env, e.opts.ReplicaCheckInterval, func() bool {
+		if rep, ok := e.replicas[app]; !ok || rep.Done || e.IsMaster(app) || e.maybePromote(app) {
 			delete(e.checking, app)
-			return
+			return false
 		}
-		if e.maybePromote(app) {
-			delete(e.checking, app)
-			return
-		}
-		e.env.After(interval, tick)
-	}
-	e.env.After(interval, tick)
+		return true
+	})
 }
 
 // maybePromote makes this node the application's master from its stored

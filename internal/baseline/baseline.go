@@ -61,8 +61,6 @@ type Config struct {
 	// device compute, as in the paper's shared platform).
 	ClientNodes int
 	Seed        int64
-	// Latency is the one-way network latency (default 5ms).
-	Latency time.Duration
 }
 
 // modelDown carries the global model to a selected client.
@@ -119,14 +117,11 @@ func New(apps []*workload.App, cfg Config) *Engine {
 	if cfg.ClientNodes == 0 {
 		cfg.ClientNodes = 50
 	}
-	if cfg.Latency == 0 {
-		cfg.Latency = 5 * time.Millisecond
-	}
 	e := &Engine{
 		cfg: cfg,
 		net: simnet.New(simnet.Config{
 			Seed:    cfg.Seed,
-			Latency: simnet.ConstLatency(cfg.Latency),
+			Latency: simnet.ConstLatency(5 * time.Millisecond),
 		}),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
@@ -144,7 +139,7 @@ func New(apps []*workload.App, cfg Config) *Engine {
 		e.clientEnv = append(e.clientEnv, env)
 		e.clientQueue = append(e.clientQueue, &workload.ComputeQueue{})
 	}
-	for ai, app := range apps {
+	for _, app := range apps {
 		st := &appState{
 			app:      app,
 			global:   app.Proto.Params(),
@@ -157,7 +152,6 @@ func New(apps []*workload.App, cfg Config) *Engine {
 			st.clients = append(st.clients, perm[c%cfg.ClientNodes])
 		}
 		e.apps = append(e.apps, st)
-		_ = ai
 	}
 	return e
 }

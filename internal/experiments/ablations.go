@@ -9,7 +9,6 @@ import (
 	"totoro/internal/ids"
 	"totoro/internal/ml"
 	"totoro/internal/obs"
-	"totoro/internal/pubsub"
 	"totoro/internal/ring"
 	"totoro/internal/simnet"
 	"totoro/internal/transport"
@@ -51,38 +50,13 @@ func aggregationAblationRun(o Options, n int) AggregationAblationRow {
 		Bandwidth: 2 << 20,
 	})
 	f.subscribeDistinct(topic, n)
-	var root *stack
-	for _, s := range f.Stacks {
-		if info, ok := s.PS.TreeInfo(topic); ok && info.IsRoot {
-			root = s
-			break
-		}
-	}
-	rootAddr := root.Ring.Self().Addr
+	rootAddr := f.root(topic).Ring.Self().Addr
 
 	// (a) In-network aggregation up the tree.
 	f.Net.ResetTraffic()
 	start := f.Net.Now()
-	for _, s := range f.Stacks {
-		info, ok := s.PS.TreeInfo(topic)
-		if !ok || !info.Attached {
-			continue
-		}
-		if info.Subscribed {
-			s.PS.SubmitUpdate(topic, 1, modelObj{Bytes: updateBytes})
-		} else {
-			s.PS.SubmitUpdate(topic, 1, nil)
-		}
-	}
-	f.Net.RunUntilIdle()
-	var aggDone time.Duration
-	for _, e := range f.Net.MergedTrace() {
-		if e.Kind == obs.KindPubSubAgg && e.Note == "root" && e.Key == topic.String() &&
-			e.At >= start && e.At > aggDone {
-			aggDone = e.At
-		}
-	}
-	treeMs := float64(aggDone-start) / float64(time.Millisecond)
+	f.submitAll(topic, updateBytes)
+	treeMs := float64(f.lastEvent(obs.KindPubSubAgg, "root", topic, start)-start) / float64(time.Millisecond)
 	rootBytesTree := f.Net.MetricsOf(rootAddr).Counter(simnet.CtrBytesIn).Value()
 
 	// (b) Naive: every subscriber sends its raw update straight to the
@@ -145,15 +119,30 @@ func AblationMultiRing(o Options) []MultiRingAblationRow {
 			name = "multi-ring"
 		}
 		var cross, intra int64
-		zoneOfAddr := map[transport.Addr]int{}
-		obs := func(from, to transport.Addr, size int) {
-			if zoneOfAddr[from] == zoneOfAddr[to] {
-				intra += int64(size)
-			} else {
-				cross += int64(size)
-			}
+		zoneOf := func(i int) uint64 { return uint64(i / perZone) }
+		zoneOfAddr := map[transport.Addr]uint64{}
+		cfg := forestConfig{
+			N:    zones * perZone,
+			Ring: ring.Config{B: zoneBits},
+			Seed: o.Seed,
+			Name: func(i int) transport.Addr {
+				return transport.Addr(fmt.Sprintf("z%d-n%d", i/perZone, i%perZone))
+			},
+			Observer: func(from, to transport.Addr, size int) {
+				if zoneOfAddr[from] == zoneOfAddr[to] {
+					intra += int64(size)
+				} else {
+					cross += int64(size)
+				}
+			},
 		}
-		f := zonedForest(o.Seed, zones, zoneBits, perZone, zoned, obs, zoneOfAddr)
+		if zoned {
+			cfg.ZoneBits, cfg.ZoneOf = zoneBits, zoneOf
+		}
+		f := newForest(cfg)
+		for i, s := range f.Stacks {
+			zoneOfAddr[s.Ring.Self().Addr] = zoneOf(i)
+		}
 		for a := 0; a < apps; a++ {
 			zone := uint64(a % zones)
 			var topic ids.ID
@@ -165,7 +154,7 @@ func AblationMultiRing(o Options) []MultiRingAblationRow {
 			// Subscribers all live in the app's home zone.
 			members := 0
 			for i, s := range f.Stacks {
-				if i/perZone == int(zone) {
+				if zoneOf(i) == zone {
 					s.PS.Subscribe(topic)
 					members++
 					if members >= subsPer {
@@ -188,44 +177,6 @@ func AblationMultiRing(o Options) []MultiRingAblationRow {
 		})
 	}
 	return out
-}
-
-// zonedForest builds a forest whose node IDs optionally carry zone
-// prefixes; zoneOfAddr is filled with each node's zone for the observer.
-func zonedForest(seed int64, zones, zoneBits, perZone int, zoned bool,
-	obs func(from, to transport.Addr, size int), zoneOfAddr map[transport.Addr]int) *forest {
-	rng := rand.New(rand.NewSource(seed))
-	f := &forest{
-		Net: simnet.New(simnet.Config{
-			Seed:     seed,
-			Latency:  simnet.ConstLatency(5 * time.Millisecond),
-			Observer: obs,
-		}),
-		ByAddr: map[transport.Addr]*stack{},
-		RNG:    rng,
-	}
-	var ringNodes []*ring.Node
-	for z := 0; z < zones; z++ {
-		for i := 0; i < perZone; i++ {
-			addr := transport.Addr(fmt.Sprintf("z%d-n%d", z, i))
-			id := ids.Random(rng)
-			if zoned {
-				id = ids.MakeZoned(uint64(z), zoneBits, id)
-			}
-			zoneOfAddr[addr] = z
-			s := &stack{}
-			f.Net.AddNode(addr, func(e transport.Env) transport.Handler {
-				s.Ring = ring.New(e, ring.Contact{ID: id, Addr: addr}, ring.Config{B: zoneBits})
-				s.PS = pubsub.New(e, s.Ring, pubsub.Config{})
-				return s
-			})
-			f.Stacks = append(f.Stacks, s)
-			f.ByAddr[addr] = s
-			ringNodes = append(ringNodes, s.Ring)
-		}
-	}
-	ring.BuildStatic(ringNodes, rng)
-	return f
 }
 
 // FedProxRow compares FedAvg and FedProx accuracy under non-IID skew.

@@ -73,19 +73,26 @@ type forestConfig struct {
 	Ring      ring.Config
 	PubSub    pubsub.Config
 	Seed      int64
-	Latency   time.Duration
 	Bandwidth int64
+	// Name gives node i its address (nil: "n<i>").
+	Name func(i int) transport.Addr
+	// ZoneBits enables zone-prefixed node IDs; ZoneOf assigns node i its zone
+	// (required when ZoneBits > 0).
+	ZoneBits int
+	ZoneOf   func(i int) uint64
+	// Observer sees every delivered message (simnet.Config.Observer).
+	Observer func(from, to transport.Addr, size int)
 }
 
+// newForest builds cfg.N stacks on a 5 ms network and wires the overlay
+// statically; every random draw comes from one rng seeded with cfg.Seed.
 func newForest(cfg forestConfig) *forest {
-	if cfg.Latency == 0 {
-		cfg.Latency = 5 * time.Millisecond
-	}
 	f := &forest{
 		Net: simnet.New(simnet.Config{
 			Seed:             cfg.Seed,
-			Latency:          simnet.ConstLatency(cfg.Latency),
+			Latency:          simnet.ConstLatency(5 * time.Millisecond),
 			DefaultBandwidth: cfg.Bandwidth,
+			Observer:         cfg.Observer,
 		}),
 		ByAddr:    make(map[transport.Addr]*stack),
 		RNG:       rand.New(rand.NewSource(cfg.Seed)),
@@ -93,8 +100,16 @@ func newForest(cfg forestConfig) *forest {
 	}
 	var ringNodes []*ring.Node
 	for i := 0; i < cfg.N; i++ {
-		addr := transport.Addr(fmt.Sprintf("n%d", i))
+		var addr transport.Addr
+		if cfg.Name != nil {
+			addr = cfg.Name(i)
+		} else {
+			addr = transport.Addr(fmt.Sprintf("n%d", i))
+		}
 		id := ids.Random(f.RNG)
+		if cfg.ZoneBits > 0 {
+			id = ids.MakeZoned(cfg.ZoneOf(i), cfg.ZoneBits, id)
+		}
 		s := &stack{}
 		env := f.Net.AddNode(addr, func(e transport.Env) transport.Handler {
 			s.Ring = ring.New(e, ring.Contact{ID: id, Addr: addr}, cfg.Ring)
@@ -121,16 +136,20 @@ func (f *forest) subscribeDistinct(topic ids.ID, k int) []int {
 	return perm
 }
 
+// root returns the stack that roots topic's tree (nil if none does).
+func (f *forest) root(topic ids.ID) *stack {
+	for _, s := range f.Stacks {
+		if info, ok := s.PS.TreeInfo(topic); ok && info.IsRoot {
+			return s
+		}
+	}
+	return nil
+}
+
 // treeLevels walks one tree from its root and returns the node count per
 // depth level.
 func (f *forest) treeLevels(topic ids.ID) []int {
-	var root *stack
-	for _, s := range f.Stacks {
-		if info, ok := s.PS.TreeInfo(topic); ok && info.IsRoot {
-			root = s
-			break
-		}
-	}
+	root := f.root(topic)
 	if root == nil {
 		return nil
 	}
@@ -150,6 +169,37 @@ func (f *forest) treeLevels(topic ids.ID) []int {
 		frontier = next
 	}
 	return levels
+}
+
+// submitAll has every attached member of topic's tree contribute to round 1
+// at the same instant — subscribers a payload of the given size, interior
+// nodes an empty contribution — and runs the network until idle.
+func (f *forest) submitAll(topic ids.ID, bytes int) {
+	for _, s := range f.Stacks {
+		info, ok := s.PS.TreeInfo(topic)
+		if !ok || !info.Attached {
+			continue
+		}
+		if info.Subscribed {
+			s.PS.SubmitUpdate(topic, 1, modelObj{Bytes: bytes})
+		} else {
+			s.PS.SubmitUpdate(topic, 1, nil)
+		}
+	}
+	f.Net.RunUntilIdle()
+}
+
+// lastEvent returns the virtual time of the fleet's latest trace event of
+// the given kind and note on topic, at or after since (0 if there is none).
+func (f *forest) lastEvent(kind, note string, topic ids.ID, since time.Duration) time.Duration {
+	key := topic.String()
+	var last time.Duration
+	for _, e := range f.Net.MergedTrace() {
+		if e.Kind == kind && e.Note == note && e.Key == key && e.At >= since && e.At > last {
+			last = e.At
+		}
+	}
+	return last
 }
 
 // modelObj is a payload with an explicit wire size, standing in for a

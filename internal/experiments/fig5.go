@@ -9,9 +9,7 @@ import (
 	"totoro/internal/eua"
 	"totoro/internal/ids"
 	"totoro/internal/multiring"
-	"totoro/internal/pubsub"
 	"totoro/internal/ring"
-	"totoro/internal/simnet"
 	"totoro/internal/transport"
 )
 
@@ -127,7 +125,14 @@ func Fig5cMastersPerZone(o Options) []ZoneWorkloadRow {
 	// One overlay whose node IDs carry their zone prefix; zonal AppIDs then
 	// rendezvous inside their own zone.
 	const zoneBits = 4
-	f := newForestZoned(len(pos), zoneBits, bin.ZoneOf, o.Seed)
+	f := newForest(forestConfig{
+		N:        len(pos),
+		Ring:     ring.Config{B: 4},
+		Seed:     o.Seed,
+		Name:     func(i int) transport.Addr { return transport.Addr(fmt.Sprintf("z%d", i)) },
+		ZoneBits: zoneBits,
+		ZoneOf:   func(i int) uint64 { return bin.ZoneOf[i] },
+	})
 	// Zones in sorted order: the RNG draws below consume a shared stream,
 	// so iteration order decides which node hosts each app.
 	zoneOrder := make([]uint64, 0, len(bin.Members))
@@ -193,35 +198,6 @@ func Fig5cMastersPerZone(o Options) []ZoneWorkloadRow {
 		out = append(out, row)
 	}
 	return out
-}
-
-// newForestZoned builds a forest whose node IDs carry zone prefixes.
-func newForestZoned(n, zoneBits int, zoneOf []uint64, seed int64) *forest {
-	f := &forest{
-		Net: simnet.New(simnet.Config{
-			Seed:    seed,
-			Latency: simnet.ConstLatency(5 * time.Millisecond),
-		}),
-		ByAddr: map[transport.Addr]*stack{},
-		RNG:    rand.New(rand.NewSource(seed)),
-	}
-	var ringNodes []*ring.Node
-	for i := 0; i < n; i++ {
-		addr := transport.Addr(fmt.Sprintf("z%d", i))
-		id := ids.MakeZoned(zoneOf[i], zoneBits, ids.Random(f.RNG))
-		s := &stack{}
-		env := f.Net.AddNode(addr, func(e transport.Env) transport.Handler {
-			s.Ring = ring.New(e, ring.Contact{ID: id, Addr: addr}, ring.Config{B: 4})
-			s.PS = pubsub.New(e, s.Ring, pubsub.Config{})
-			return s
-		})
-		f.Stacks = append(f.Stacks, s)
-		f.Envs = append(f.Envs, env)
-		f.ByAddr[addr] = s
-		ringNodes = append(ringNodes, s.Ring)
-	}
-	ring.BuildStatic(ringNodes, f.RNG)
-	return f
 }
 
 // TreeLevelRow is one (tree, level) cell of Fig 5d.

@@ -47,7 +47,6 @@ func Fig6Scale(o Options, b int) []ScaleRow {
 func measureTree(o Options, b, n int) ScaleRow {
 	network := n + n/4 + 50
 	topic := ids.Hash("fig6-app", fmt.Sprint(b), fmt.Sprint(n))
-	topicKey := topic.String()
 	// Latency-dominated regime (no NIC serialization): dissemination and
 	// aggregation time are then exactly the tree-depth staircase the paper
 	// reports; Fig 7 and Table 3 cover the bandwidth-bound regimes.
@@ -61,48 +60,16 @@ func measureTree(o Options, b, n int) ScaleRow {
 
 	// Dissemination: root publishes one model; time to the last subscriber,
 	// read from the subscribers' pubsub.deliver trace events.
-	var root *stack
-	for _, s := range f.Stacks {
-		if info, ok := s.PS.TreeInfo(topic); ok && info.IsRoot {
-			root = s
-			break
-		}
-	}
 	start := f.Net.Now()
-	root.PS.Publish(topic, modelObj{Bytes: fig6ModelBytes})
+	f.root(topic).PS.Publish(topic, modelObj{Bytes: fig6ModelBytes})
 	f.Net.RunUntilIdle()
-	var lastDeliver time.Duration
-	for _, e := range f.Net.MergedTrace() {
-		if e.Kind == obs.KindPubSubDeliver && e.Note == "sub" && e.Key == topicKey &&
-			e.At >= start && e.At > lastDeliver {
-			lastDeliver = e.At
-		}
-	}
-	dissem := lastDeliver - start
+	dissem := f.lastEvent(obs.KindPubSubDeliver, "sub", topic, start) - start
 
 	// Aggregation: every member submits simultaneously; time until the
 	// root's pubsub.agg trace event records the combined aggregate landing.
 	start = f.Net.Now()
-	for _, s := range f.Stacks {
-		info, ok := s.PS.TreeInfo(topic)
-		if !ok || !info.Attached {
-			continue
-		}
-		if info.Subscribed {
-			s.PS.SubmitUpdate(topic, 1, modelObj{Bytes: fig6ModelBytes})
-		} else {
-			s.PS.SubmitUpdate(topic, 1, nil)
-		}
-	}
-	f.Net.RunUntilIdle()
-	var aggDone time.Duration
-	for _, e := range f.Net.MergedTrace() {
-		if e.Kind == obs.KindPubSubAgg && e.Note == "root" && e.Key == topicKey &&
-			e.At >= start && e.At > aggDone {
-			aggDone = e.At
-		}
-	}
-	agg := aggDone - start
+	f.submitAll(topic, fig6ModelBytes)
+	agg := f.lastEvent(obs.KindPubSubAgg, "root", topic, start) - start
 
 	return ScaleRow{
 		Members:         n,

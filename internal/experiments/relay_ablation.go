@@ -48,20 +48,21 @@ func relayRun(o Options, policy string, K int) RelayRow {
 		"relayB": {"master"},
 		"master": {},
 	}
-	theta := map[string]float64{
-		"worker>relayA": 0.95, "relayA>master": 0.15,
-		"worker>relayB": 0.60, "relayB>master": 0.90,
+	net := simnet.New(simnet.Config{Seed: o.Seed, Latency: simnet.ConstLatency(time.Millisecond)})
+	// Each fabric link delivers a frame with probability θ.
+	for _, l := range []struct {
+		from, to transport.Addr
+		theta    float64
+	}{
+		{"worker", "relayA", 0.95}, {"relayA", "master", 0.15},
+		{"worker", "relayB", 0.60}, {"relayB", "master", 0.90},
+	} {
+		net.AddLinkRule(simnet.LinkRule{
+			From: map[transport.Addr]bool{l.from: true},
+			To:   map[transport.Addr]bool{l.to: true},
+			Drop: 1 - l.theta,
+		})
 	}
-	net := simnet.New(simnet.Config{
-		Seed:    o.Seed,
-		Latency: simnet.ConstLatency(time.Millisecond),
-		Loss: func(a, b transport.Addr) float64 {
-			if th, ok := theta[string(a)+">"+string(b)]; ok {
-				return 1 - th
-			}
-			return 0
-		},
-	})
 	// Iterate the topology in sorted order everywhere below: node factories
 	// fire the relays' first adverts as they register, so registration in
 	// map order would enqueue sends in a different order every run and
@@ -153,13 +154,8 @@ func percentile(v []float64, p float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), v...)
-	// insertion sort is fine at this size
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	s := slices.Clone(v)
+	slices.Sort(s)
 	idx := int(p * float64(len(s)-1))
 	return s[idx]
 }

@@ -9,9 +9,11 @@ import (
 
 // Session drives the pure FL algorithm for one application — selection,
 // local training, compression, aggregation, apply — with no networking or
-// timing. The decentralized engine and the centralized baselines both
-// delegate the algorithmic steps here so that their comparison isolates
-// the system architecture.
+// timing, for the experiments that study the algorithm alone. The engine
+// and the centralized baseline do not go through it: their round handlers
+// (trainRound/completeRound, clientRecv/serverRecv) call the same steps of
+// this package themselves, so their comparison still isolates the system
+// architecture.
 type Session struct {
 	Proto   *ml.MLP
 	Global  []float64

@@ -90,13 +90,14 @@ type CallGraph struct {
 
 // asyncSchedulerNames are callables whose function-valued arguments run
 // asynchronously: on a later virtual-time tick (After, AfterFunc,
-// ScheduleAfter, schedule) or on a supervised worker goroutine (fl.Go,
-// fl.ForEach). A literal passed to one — directly or through a local
+// ScheduleAfter, schedule, transport.Every) or on a supervised worker
+// goroutine (fl.Go, fl.ForEach). A literal passed to one — directly or through a local
 // variable, as in the `tick := func(){...}; env.After(d, tick)` idiom —
 // has its call sites marked Async.
 var asyncSchedulerNames = map[string]bool{
 	"After":         true,
 	"AfterFunc":     true,
+	"Every":         true,
 	"Go":            true,
 	"ForEach":       true,
 	"ScheduleAfter": true,

@@ -14,6 +14,7 @@ type createMsg struct{}
 type ackMsg struct{}
 type fanoutMsg struct{}
 type rebalanceMsg struct{}
+type probeMsg struct{}
 
 // Node subscribes to keys and republishes on fan-out.
 type Node struct {
@@ -32,6 +33,8 @@ func (n *Node) Deliver(d ring.Delivery) {
 		n.republish(d.Key)
 	case rebalanceMsg:
 		n.rebalance(d.Key)
+	case probeMsg:
+		n.probe(d.Key)
 	}
 }
 
@@ -48,6 +51,17 @@ func (n *Node) rebalance(key string) {
 	n.env.After(1, func() {
 		n.ring.Route(key, fanoutMsg{})
 	})
+}
+
+// probe re-checks ownership through transport.Every: the closure's Route
+// call runs on a later tick like rebalance's, while the same call made
+// directly closes the cycle.
+func (n *Node) probe(key string) {
+	transport.Every(n.env, 1, func() bool {
+		n.ring.Route(key, fanoutMsg{})
+		return false
+	})
+	n.ring.Route(key, fanoutMsg{}) // want "can synchronously re-enter"
 }
 
 // Receive is layered delegation — a dispatch entry forwarding to the

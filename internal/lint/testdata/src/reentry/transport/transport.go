@@ -12,3 +12,15 @@ type Env interface {
 	Send(to Addr, msg any)
 	After(ticks int, f func())
 }
+
+// Every runs f every ticks until it returns false: a loop of After calls,
+// so f always runs on a later tick, never in its caller's frame.
+func Every(env Env, ticks int, f func() bool) {
+	var run func()
+	run = func() {
+		if f() {
+			env.After(ticks, run)
+		}
+	}
+	env.After(ticks, run)
+}

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Workspace owns every scratch buffer one training worker needs — batch
@@ -41,7 +42,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 //
 //vet:noalloc amortized
 func (ws *Workspace) ensure(sizes []int) {
-	if intsEqual(ws.sizes, sizes) {
+	if slices.Equal(ws.sizes, sizes) {
 		return
 	}
 	ws.sizes = append(ws.sizes[:0], sizes...)
@@ -114,18 +115,6 @@ func (ws *Workspace) permBuf(n int) []int {
 		ws.perm = make([]int, n)
 	}
 	return ws.perm[:n]
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // BackwardWS computes the batch-mean cross-entropy loss and gradients like

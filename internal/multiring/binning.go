@@ -18,7 +18,7 @@
 // and the intra-zone ring respectively. Because inter-zone traffic flows
 // only through level-1 entries, a zone administrator can enforce
 // administrative isolation by blocking packets whose destination prefix
-// differs from the local zone (the ExitPolicy hook).
+// differs from the local zone unless their application is multi-zone.
 package multiring
 
 import (

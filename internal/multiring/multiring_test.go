@@ -126,7 +126,7 @@ type mrCluster struct {
 }
 
 // newMRCluster builds zonesN zones with perZone members each.
-func newMRCluster(t testing.TB, zonesN, perZone, mBits int, seed int64, policy func(Packet, uint64) bool) *mrCluster {
+func newMRCluster(t testing.TB, zonesN, perZone, mBits int, seed int64) *mrCluster {
 	t.Helper()
 	c := &mrCluster{
 		net:       simnet.New(simnet.Config{Seed: seed}),
@@ -140,7 +140,7 @@ func newMRCluster(t testing.TB, zonesN, perZone, mBits int, seed int64, policy f
 			id := ids.MakeZoned(uint64(z), mBits, ids.Random(c.rng))
 			var node *Node
 			c.net.AddNode(addr, func(e transport.Env) transport.Handler {
-				node = NewNode(e, ring.Contact{ID: id, Addr: addr}, Config{MBits: mBits, ExitPolicy: policy},
+				node = NewNode(e, ring.Contact{ID: id, Addr: addr}, Config{MBits: mBits},
 					func(p Packet) { c.delivered[addr] = append(c.delivered[addr], p) })
 				return node
 			})
@@ -152,7 +152,7 @@ func newMRCluster(t testing.TB, zonesN, perZone, mBits int, seed int64, policy f
 }
 
 func TestIntraZoneRoutingFindsOwner(t *testing.T) {
-	c := newMRCluster(t, 4, 60, 4, 10, nil)
+	c := newMRCluster(t, 4, 60, 4, 10)
 	for trial := 0; trial < 100; trial++ {
 		src := c.nodes[c.rng.Intn(len(c.nodes))]
 		// Key within the source's own zone.
@@ -168,7 +168,7 @@ func TestIntraZoneRoutingFindsOwner(t *testing.T) {
 }
 
 func TestIntraZoneNeverLeavesZone(t *testing.T) {
-	c := newMRCluster(t, 4, 60, 4, 11, nil)
+	c := newMRCluster(t, 4, 60, 4, 11)
 	src := c.nodes[0]
 	for trial := 0; trial < 50; trial++ {
 		key := ids.MakeZoned(src.Zone(), c.mBits, ids.Random(c.rng))
@@ -191,7 +191,7 @@ func TestIntraZoneNeverLeavesZone(t *testing.T) {
 }
 
 func TestCrossZoneGlobalRouting(t *testing.T) {
-	c := newMRCluster(t, 8, 40, 4, 12, nil)
+	c := newMRCluster(t, 8, 40, 4, 12)
 	for trial := 0; trial < 100; trial++ {
 		src := c.nodes[c.rng.Intn(len(c.nodes))]
 		destZone := uint64(c.rng.Intn(8))
@@ -211,7 +211,7 @@ func TestCrossZoneGlobalRouting(t *testing.T) {
 }
 
 func TestZonalPacketBlockedAtBoundary(t *testing.T) {
-	c := newMRCluster(t, 4, 30, 4, 13, nil)
+	c := newMRCluster(t, 4, 30, 4, 13)
 	src := c.nodes[0]
 	otherZone := (src.Zone() + 1) % 4
 	key := ids.MakeZoned(otherZone, c.mBits, ids.Random(c.rng))
@@ -229,22 +229,8 @@ func TestZonalPacketBlockedAtBoundary(t *testing.T) {
 	}
 }
 
-func TestCustomExitPolicyAllows(t *testing.T) {
-	allowAll := func(p Packet, destZone uint64) bool { return true }
-	c := newMRCluster(t, 4, 30, 4, 14, allowAll)
-	src := c.nodes[0]
-	otherZone := (src.Zone() + 1) % 4
-	key := ids.MakeZoned(otherZone, c.mBits, ids.Random(c.rng))
-	want := OwnerWithinZone(c.nodes, key, c.mBits)
-	src.Route(key, ScopeZonal, "allowed")
-	c.net.RunUntilIdle()
-	if len(c.delivered[want.self.Addr]) != 1 {
-		t.Fatal("custom policy did not let the packet through")
-	}
-}
-
 func TestSingleMemberZoneDeliversLocally(t *testing.T) {
-	c := newMRCluster(t, 1, 1, 4, 15, nil)
+	c := newMRCluster(t, 1, 1, 4, 15)
 	n := c.nodes[0]
 	key := ids.MakeZoned(n.Zone(), c.mBits, ids.Random(c.rng))
 	n.Route(key, ScopeZonal, "solo")
@@ -269,7 +255,7 @@ func TestZoneDistWraps(t *testing.T) {
 func TestHopsScaleWithZoneCount(t *testing.T) {
 	// With more zones, cross-zone routing uses more level-1 hops but stays
 	// bounded by m (the paper's m·O(logN) claim).
-	c := newMRCluster(t, 16, 20, 4, 16, nil)
+	c := newMRCluster(t, 16, 20, 4, 16)
 	worst := 0
 	for trial := 0; trial < 80; trial++ {
 		src := c.nodes[c.rng.Intn(len(c.nodes))]

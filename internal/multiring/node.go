@@ -45,12 +45,6 @@ func (p Packet) WireSize() int { return 48 + transport.SizeOf(p.Payload) }
 type Config struct {
 	// MBits is the zone-prefix width (zones = 2^MBits at most).
 	MBits int
-	// ExitPolicy decides whether packet p may be forwarded toward destZone
-	// across the local zone boundary. The default policy allows only
-	// ScopeGlobal traffic, which is exactly the paper's administrator rule:
-	// block any packet whose destination prefix differs from the local
-	// zone unless the application is multi-zone.
-	ExitPolicy func(p Packet, destZone uint64) bool
 }
 
 // Node is one participant of the two-level multi-ring overlay.
@@ -74,9 +68,6 @@ type Node struct {
 // NewNode creates a multiring node. deliver is invoked when this node owns
 // a packet's key; it may be nil.
 func NewNode(env transport.Env, self ring.Contact, cfg Config, deliver func(Packet)) *Node {
-	if cfg.ExitPolicy == nil {
-		cfg.ExitPolicy = func(p Packet, destZone uint64) bool { return p.Scope == ScopeGlobal }
-	}
 	m := env.Metrics()
 	return &Node{
 		env:     env,
@@ -125,7 +116,9 @@ func (n *Node) handle(p Packet) {
 	}
 	destZone := p.Key.ZonePrefix(n.cfg.MBits)
 	if destZone != n.zone {
-		if !n.cfg.ExitPolicy(p, destZone) {
+		// The paper's administrator rule: a packet leaves its zone only if
+		// its application is multi-zone.
+		if p.Scope != ScopeGlobal {
 			n.ctrBlocked.Inc()
 			return
 		}

@@ -46,7 +46,7 @@ func TestBetweenSuffixExclusiveInclusive(t *testing.T) {
 // TestOwnerWithinZoneIsSuccessor: the owner never has a suffix strictly
 // between the key and any other member going clockwise.
 func TestOwnerWithinZoneDeterministic(t *testing.T) {
-	c := newMRCluster(t, 4, 40, 4, 99, nil)
+	c := newMRCluster(t, 4, 40, 4, 99)
 	for trial := 0; trial < 50; trial++ {
 		key := ids.MakeZoned(uint64(trial%4), 4, ids.Random(c.rng))
 		o1 := OwnerWithinZone(c.nodes, key, 4)

@@ -133,7 +133,7 @@ type topicState struct {
 	mcBase    uint64
 	mcWindow  uint64
 	mcCache   []Multicast // ring of mcCacheSize slots indexed by Seq; see cached
-	kaCancel  func()
+	kaStop    func()
 	checkStop func()
 	// adopted marks a root claimed implicitly — a JOIN or PUBLISH arrived
 	// while this node happened to be the topic's rendezvous (typically
@@ -894,31 +894,27 @@ func (n *Node) recordMisses(st *topicState, r *aggRound) {
 // --- failure detection & repair ---
 
 func (n *Node) ensureKeepAlive(st *topicState) {
-	if n.cfg.KeepAliveInterval <= 0 || st.kaCancel != nil {
+	if n.cfg.KeepAliveInterval <= 0 || st.kaStop != nil {
 		return
 	}
-	var tick func()
-	tick = func() {
+	st.kaStop = transport.Every(n.env, n.cfg.KeepAliveInterval, func() bool {
 		for _, c := range st.children {
 			n.env.Send(c.Addr, KeepAlive{Topic: st.topic, Parent: n.ring.Self(), Epoch: st.mcEpoch, LastSeq: st.mcLast})
 		}
-		st.kaCancel = n.env.After(n.cfg.KeepAliveInterval, tick)
-	}
-	st.kaCancel = n.env.After(n.cfg.KeepAliveInterval, tick)
+		return true
+	})
 }
 
 func (n *Node) ensureParentCheck(st *topicState) {
 	if n.cfg.KeepAliveInterval <= 0 || st.checkStop != nil {
 		return
 	}
-	var tick func()
-	tick = func() {
+	st.checkStop = transport.Every(n.env, n.cfg.KeepAliveInterval, func() bool {
 		if !st.parent.IsZero() && n.env.Now()-st.lastSeen > n.cfg.KeepAliveTimeout {
 			n.repairParent(st)
 		}
-		st.checkStop = n.env.After(n.cfg.KeepAliveInterval, tick)
-	}
-	st.checkStop = n.env.After(n.cfg.KeepAliveInterval, tick)
+		return true
+	})
 }
 
 func (n *Node) handleKeepAlive(m KeepAlive) {
@@ -1009,22 +1005,19 @@ func (n *Node) ensureRootCheck(st *topicState) {
 	if n.cfg.KeepAliveInterval <= 0 || st.rootStop != nil {
 		return
 	}
-	interval := n.cfg.KeepAliveTimeout
-	var tick func()
-	tick = func() {
+	st.rootStop = transport.Every(n.env, n.cfg.KeepAliveTimeout, func() bool {
 		if !st.isRoot || !st.adopted {
 			st.rootStop = nil
-			return
+			return false
 		}
 		if !n.ring.NextHop(st.topic).IsZero() {
 			// The key routes elsewhere: the true owner is back. Hand off.
 			st.rootStop = nil
 			n.handBack(st)
-			return
+			return false
 		}
-		st.rootStop = n.env.After(interval, tick)
-	}
-	st.rootStop = n.env.After(interval, tick)
+		return true
+	})
 }
 
 // handBack demotes this node from root and splices it (with its whole
@@ -1044,7 +1037,7 @@ func (n *Node) handBack(st *topicState) {
 // Disown relinquishes tree rootship explicitly. The engine calls it when a
 // master demotes itself (a higher-epoch master exists elsewhere, see
 // handleReplica): the FL mastership and the tree root must move together.
-// Unlike an adopted root's hand-back, the children are dropped rather than
+// It is an adopted root's hand-back with the children dropped rather than
 // dragged along: a demoted master is typically one that died and revived,
 // so its children map predates its death — every live child repaired to
 // the new tree long ago, and splicing the phantom subtree into the live
@@ -1052,20 +1045,10 @@ func (n *Node) handBack(st *topicState) {
 // that never come. Any child that *is* still attached here notices the
 // missing keep-alives and repairs within a timeout, the normal churn path.
 func (n *Node) Disown(topic ids.ID) {
-	st, ok := n.topics[topic]
-	if !ok || !st.isRoot {
-		return
+	if st, ok := n.topics[topic]; ok && st.isRoot {
+		st.children, st.missCount = nil, nil
+		n.handBack(st)
 	}
-	st.isRoot = false
-	st.adopted = false
-	n.ctrRootHandoffs.Inc()
-	st.children, st.missCount = nil, nil
-	if st.subscribed {
-		st.joining = true
-		n.ring.Route(st.topic, JoinMsg{Topic: st.topic, Subscriber: n.ring.Self()})
-		return
-	}
-	n.maybeLeave(st)
 }
 
 // ResetRounds discards all aggregation-round state for topic, cancelling
@@ -1091,9 +1074,9 @@ func (n *Node) dropRounds(st *topicState) {
 }
 
 func (n *Node) stopTimers(st *topicState) {
-	if st.kaCancel != nil {
-		st.kaCancel()
-		st.kaCancel = nil
+	if st.kaStop != nil {
+		st.kaStop()
+		st.kaStop = nil
 	}
 	if st.checkStop != nil {
 		st.checkStop()

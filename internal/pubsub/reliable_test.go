@@ -13,22 +13,13 @@ import (
 	"totoro/internal/transport"
 )
 
-// lossyForest builds a forest whose data links can be switched lossy after
-// construction (joins happen over a clean network; the loss applies to the
-// broadcast phase, as on a wireless edge that degrades).
-func lossyForest(t *testing.T, n int, seed int64, lossOn *bool, p float64) *forest {
+// lossyForest builds a forest over a clean network that a test makes lossy
+// with a LinkRule after construction (joins happen over a clean network; the
+// loss applies to the broadcast phase, as on a wireless edge that degrades).
+func lossyForest(t *testing.T, n int, seed int64) *forest {
 	t.Helper()
 	f := &forest{
-		net: simnet.New(simnet.Config{
-			Seed:    seed,
-			Latency: simnet.ConstLatency(2 * time.Millisecond),
-			Loss: func(a, b transport.Addr) float64 {
-				if *lossOn {
-					return p
-				}
-				return 0
-			},
-		}),
+		net:        simnet.New(simnet.Config{Seed: seed, Latency: simnet.ConstLatency(2 * time.Millisecond)}),
 		byAddr:     make(map[transport.Addr]*stack),
 		rng:        rand.New(rand.NewSource(seed)),
 		delivered:  make(map[transport.Addr][]any),
@@ -67,8 +58,7 @@ func lossyForest(t *testing.T, n int, seed int64, lossOn *bool, p float64) *fore
 // keep-alive heartbeats) must still deliver every broadcast to every
 // subscriber.
 func TestReliableMulticastUnderLoss(t *testing.T) {
-	lossOn := false
-	f := lossyForest(t, 200, 91, &lossOn, 0.25)
+	f := lossyForest(t, 200, 91)
 	topic := ids.Hash("app-reliable")
 	var subs []*stack
 	seen := map[transport.Addr]bool{}
@@ -93,14 +83,14 @@ func TestReliableMulticastUnderLoss(t *testing.T) {
 		t.Fatal("no root")
 	}
 
-	lossOn = true
+	heal := f.net.AddLinkRule(simnet.LinkRule{Drop: 0.25})
 	const bursts = 12
 	for i := 0; i < bursts; i++ {
 		root.ps.Publish(topic, fmt.Sprintf("model-v%d", i))
 		f.net.Run(f.net.Now() + 30*time.Millisecond)
 	}
 	// Heartbeats + nacks repair the tail.
-	lossOn = false
+	heal()
 	f.net.Run(f.net.Now() + 2*time.Second)
 
 	for _, s := range subs {
@@ -123,8 +113,7 @@ func TestReliableMulticastUnderLoss(t *testing.T) {
 // node that subscribes after broadcasts were published receives the newest
 // one (the current global model) without replaying history.
 func TestLateJoinerCatchesUpToLatestModel(t *testing.T) {
-	lossOn := false
-	f := lossyForest(t, 120, 92, &lossOn, 0)
+	f := lossyForest(t, 120, 92)
 	topic := ids.Hash("app-catchup")
 	for i := 0; i < 20; i++ {
 		f.stacks[i].ps.Subscribe(topic)
@@ -161,8 +150,7 @@ func TestLateJoinerCatchesUpToLatestModel(t *testing.T) {
 // TestDuplicateMulticastSuppressed sends the same multicast twice directly;
 // the subscriber must deliver once.
 func TestDuplicateMulticastSuppressed(t *testing.T) {
-	lossOn := false
-	f := lossyForest(t, 60, 93, &lossOn, 0)
+	f := lossyForest(t, 60, 93)
 	topic := ids.Hash("app-dup")
 	s := f.stacks[5]
 	s.ps.Subscribe(topic)

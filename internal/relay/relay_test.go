@@ -9,21 +9,31 @@ import (
 	"totoro/internal/transport"
 )
 
-// lossyNet builds a relay deployment over a lossy simulated network.
-// links maps "src>dst" to the link success probability; everything not
-// listed is lossless (acks and adverts flow on reverse links).
-func lossyNet(seed int64, topo map[transport.Addr][]transport.Addr,
-	theta map[string]float64, policy string) (*simnet.Network, map[transport.Addr]*Node, map[transport.Addr][]Data) {
-	net := simnet.New(simnet.Config{
-		Seed:    seed,
-		Latency: simnet.ConstLatency(time.Millisecond),
-		Loss: func(a, b transport.Addr) float64 {
-			if th, ok := theta[string(a)+">"+string(b)]; ok {
-				return 1 - th
-			}
-			return 0
-		},
+// link is one lossy directed link: it delivers a frame with probability
+// theta. Links not listed are lossless (acks and adverts flow on reverse
+// links).
+type link struct {
+	from, to transport.Addr
+	theta    float64
+}
+
+// lossy installs l on the network as a drop rule and returns its remover.
+func lossy(net *simnet.Network, l link) (remove func()) {
+	return net.AddLinkRule(simnet.LinkRule{
+		From: map[transport.Addr]bool{l.from: true},
+		To:   map[transport.Addr]bool{l.to: true},
+		Drop: 1 - l.theta,
 	})
+}
+
+// lossyNet builds a relay deployment over a simulated network with the
+// given lossy links.
+func lossyNet(seed int64, topo map[transport.Addr][]transport.Addr,
+	links []link, policy string) (*simnet.Network, map[transport.Addr]*Node, map[transport.Addr][]Data) {
+	net := simnet.New(simnet.Config{Seed: seed, Latency: simnet.ConstLatency(time.Millisecond)})
+	for _, l := range links {
+		lossy(net, l)
+	}
 	nodes := make(map[transport.Addr]*Node)
 	delivered := make(map[transport.Addr][]Data)
 	inOf := make(map[transport.Addr][]transport.Addr)
@@ -53,18 +63,14 @@ func lossyNet(seed int64, topo map[transport.Addr][]transport.Addr,
 // diamond returns the greedy-trap topology: the shiny first hop s→a leads
 // into a terrible link a→d; the mediocre first hop s→b leads to a great
 // link b→d.
-func diamond() (map[transport.Addr][]transport.Addr, map[string]float64) {
+func diamond() (map[transport.Addr][]transport.Addr, []link) {
 	topo := map[transport.Addr][]transport.Addr{
 		"s": {"a", "b"},
 		"a": {"d"},
 		"b": {"d"},
 		"d": {},
 	}
-	theta := map[string]float64{
-		"s>a": 0.95, "a>d": 0.15,
-		"s>b": 0.60, "b>d": 0.90,
-	}
-	return topo, theta
+	return topo, []link{{"s", "a", 0.95}, {"a", "d", 0.15}, {"s", "b", 0.60}, {"b", "d", 0.90}}
 }
 
 func advertiseAll(net *simnet.Network, nodes map[transport.Addr]*Node, rounds int) {
@@ -93,8 +99,8 @@ func TestAdvertsPropagateCosts(t *testing.T) {
 }
 
 func TestAllFramesDeliveredOnceUnderLoss(t *testing.T) {
-	topo, theta := diamond()
-	net, nodes, delivered := lossyNet(2, topo, theta, "totoro")
+	topo, links := diamond()
+	net, nodes, delivered := lossyNet(2, topo, links, "totoro")
 	advertiseAll(net, nodes, 3)
 	const K = 300
 	for k := 0; k < K; k++ {
@@ -129,8 +135,8 @@ func pathVia(d Data, hop transport.Addr) bool {
 }
 
 func TestTotoroPolicyAvoidsGreedyTrap(t *testing.T) {
-	topo, theta := diamond()
-	net, nodes, delivered := lossyNet(3, topo, theta, "totoro")
+	topo, links := diamond()
+	net, nodes, delivered := lossyNet(3, topo, links, "totoro")
 	advertiseAll(net, nodes, 3)
 	const K = 400
 	for k := 0; k < K; k++ {
@@ -152,8 +158,8 @@ func TestTotoroPolicyAvoidsGreedyTrap(t *testing.T) {
 }
 
 func TestGreedyPolicyFallsIntoTrap(t *testing.T) {
-	topo, theta := diamond()
-	net, nodes, delivered := lossyNet(4, topo, theta, "greedy")
+	topo, links := diamond()
+	net, nodes, delivered := lossyNet(4, topo, links, "greedy")
 	advertiseAll(net, nodes, 3)
 	const K = 400
 	for k := 0; k < K; k++ {
@@ -175,8 +181,8 @@ func TestGreedyPolicyFallsIntoTrap(t *testing.T) {
 }
 
 func TestLinkEstimatesConverge(t *testing.T) {
-	topo, theta := diamond()
-	net, nodes, _ := lossyNet(5, topo, theta, "totoro")
+	topo, links := diamond()
+	net, nodes, _ := lossyNet(5, topo, links, "totoro")
 	advertiseAll(net, nodes, 3)
 	for k := 0; k < 500; k++ {
 		nodes["s"].Send("d", k)
@@ -216,11 +222,8 @@ func TestAdaptsWhenLinkDegrades(t *testing.T) {
 	topo := map[transport.Addr][]transport.Addr{
 		"s": {"a", "b"}, "a": {"d"}, "b": {"d"}, "d": {},
 	}
-	theta := map[string]float64{
-		"s>a": 0.95, "a>d": 0.95,
-		"s>b": 0.70, "b>d": 0.70,
-	}
-	net, nodes, delivered := lossyNet(7, topo, theta, "totoro")
+	net, nodes, delivered := lossyNet(7, topo, []link{{"s", "a", 0.95}, {"s", "b", 0.70}, {"b", "d", 0.70}}, "totoro")
+	healthy := lossy(net, link{"a", "d", 0.95})
 	advertiseAll(net, nodes, 3)
 	send := func(base, k int) {
 		for i := 0; i < k; i++ {
@@ -233,7 +236,8 @@ func TestAdaptsWhenLinkDegrades(t *testing.T) {
 	}
 	send(0, 200)
 	// Degrade the a-route drastically.
-	theta["a>d"] = 0.05
+	healthy()
+	lossy(net, link{"a", "d", 0.05})
 	send(1000, 600)
 	lateViaB := 0
 	lateTotal := 0
@@ -255,8 +259,8 @@ func TestAdaptsWhenLinkDegrades(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	topo, theta := diamond()
-	net, nodes, _ := lossyNet(8, topo, theta, "totoro")
+	topo, links := diamond()
+	net, nodes, _ := lossyNet(8, topo, links, "totoro")
 	advertiseAll(net, nodes, 3)
 	for k := 0; k < 50; k++ {
 		nodes["s"].Send("d", k)

@@ -16,9 +16,6 @@ type Config struct {
 	// 2^B−1 usable entries per row and pub/sub trees built on the overlay
 	// have fanout 2^B. The paper evaluates B ∈ {3,4,5} (fanouts 8/16/32).
 	B int
-	// LeafSetSize is the total leaf set size (half on each side of the
-	// ring). The paper configures 24 (§7.1).
-	LeafSetSize int
 	// ReliableHops enables per-hop acknowledgements: a hop that is not
 	// acked within HopAckTimeout removes the suspect contact and re-routes.
 	// This is how routes adapt to failed nodes (§4.5).
@@ -28,6 +25,9 @@ type Config struct {
 }
 
 const (
+	// leafHalf is the size of each half of the leaf set: the paper
+	// configures 24 leaves, 12 on each side of the ring (§7.1).
+	leafHalf = 12
 	// deadQuarantine is how long a removed (suspected-failed) contact is
 	// refused re-insertion, so that repair replies from peers that have not
 	// yet noticed the failure cannot resurrect it.
@@ -45,9 +45,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.B == 0 {
 		c.B = 4
-	}
-	if c.LeafSetSize == 0 {
-		c.LeafSetSize = 24
 	}
 	if c.HopAckTimeout == 0 {
 		c.HopAckTimeout = 200 * time.Millisecond
@@ -289,13 +286,13 @@ func (n *Node) nextHop(key ids.ID, exclude transport.Addr) Contact {
 }
 
 // inLeafRange reports whether key falls inside the span covered by the leaf
-// set. With fewer than LeafSetSize/2 leaves per side the node knows the
+// set. With fewer than leafHalf leaves per side the node knows the
 // whole (small) ring and the range is considered to cover everything.
 func (n *Node) inLeafRange(key ids.ID) bool {
 	if len(n.leafCW) == 0 || len(n.leafCCW) == 0 {
 		return true
 	}
-	if len(n.leafCW) < n.cfg.LeafSetSize/2 || len(n.leafCCW) < n.cfg.LeafSetSize/2 {
+	if len(n.leafCW) < leafHalf || len(n.leafCCW) < leafHalf {
 		return true
 	}
 	lo := n.leafCCW[len(n.leafCCW)-1].ID // farthest predecessor
@@ -367,8 +364,8 @@ func (n *Node) considerContact(c Contact) {
 }
 
 func (n *Node) insertLeaf(c Contact) {
-	n.leafCW = insertSorted(n.self.ID, n.leafCW, c, true, n.cfg.LeafSetSize/2)
-	n.leafCCW = insertSorted(n.self.ID, n.leafCCW, c, false, n.cfg.LeafSetSize/2)
+	n.leafCW = insertSorted(n.self.ID, n.leafCW, c, true, leafHalf)
+	n.leafCCW = insertSorted(n.self.ID, n.leafCCW, c, false, leafHalf)
 }
 
 // insertSorted inserts c into a distance-sorted leaf half (cw or ccw),
@@ -576,23 +573,10 @@ func (n *Node) ProbeLeafset() {
 // for rebuilding the routing tables upon failures"). The returned stop
 // function cancels the loop.
 func (n *Node) StartMaintenance(interval time.Duration) (stop func()) {
-	stopped := false
-	var cancel func()
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
+	return transport.Every(n.env, interval, func() bool {
 		n.maintainOnce()
-		cancel = n.env.After(interval, tick)
-	}
-	cancel = n.env.After(interval, tick)
-	return func() {
-		stopped = true
-		if cancel != nil {
-			cancel()
-		}
-	}
+		return true
+	})
 }
 
 // maintainOnce performs one maintenance cycle.

@@ -28,7 +28,7 @@ func TestSparseRoutingTable(t *testing.T) {
 	self := Contact{ID: ids.ID{Hi: 0x0123456789abcdef, Lo: 0x1111}, Addr: "self"}
 	var n *Node
 	net.AddNode(self.Addr, func(e transport.Env) transport.Handler {
-		n = New(e, self, Config{B: 4, LeafSetSize: 2})
+		n = New(e, self, Config{B: 4})
 		return n
 	})
 	if len(n.rt) != 0 || n.RTEntries() != 0 {
@@ -62,15 +62,15 @@ func TestSparseRoutingTable(t *testing.T) {
 		t.Fatalf("RTEntries=%d want 1", n.RTEntries())
 	}
 
-	// The two ring neighbours fill the 1+1 leaf set and shrink its range to
-	// self±1, so every other key takes the routing-table path. They share
-	// all but the last digit with self: the table now spans all 32 rows with
-	// rows 6–30 unallocated.
-	succ := Contact{ID: ids.ID{Hi: self.ID.Hi, Lo: self.ID.Lo + 1}, Addr: "succ"}
-	pred := Contact{ID: ids.ID{Hi: self.ID.Hi, Lo: self.ID.Lo - 1}, Addr: "pred"}
-	n.AddContactDirect(succ)
-	n.AddContactDirect(pred)
-	if len(n.rt) != 32 || n.rt[17] != nil || n.RTEntries() != 3 {
+	// The nearest twelve ring neighbours on each side fill the leaf set and
+	// shrink its range to self±12, so every other key takes the routing-table
+	// path. They share all but the last one or two digits with self: the
+	// table now spans all 32 rows with rows 6–29 unallocated.
+	for k := uint64(1); k <= 12; k++ {
+		n.AddContactDirect(Contact{ID: ids.ID{Hi: self.ID.Hi, Lo: self.ID.Lo + k}, Addr: transport.Addr(fmt.Sprintf("succ%d", k))})
+		n.AddContactDirect(Contact{ID: ids.ID{Hi: self.ID.Hi, Lo: self.ID.Lo - k}, Addr: transport.Addr(fmt.Sprintf("pred%d", k))})
+	}
+	if len(n.rt) != 32 || n.rt[17] != nil || n.RTEntries() != 15 {
 		t.Fatalf("table has %d rows, %d entries after the last-row inserts", len(n.rt), n.RTEntries())
 	}
 
@@ -91,7 +91,7 @@ func TestSparseRoutingTable(t *testing.T) {
 
 	// Removal walks nil rows without tripping and empties the entry.
 	n.RemoveContact(deep.Addr)
-	if n.RTEntries() != 2 || !n.rtEntry(5, deep.ID.Digit(5, 4)).IsZero() {
+	if n.RTEntries() != 14 || !n.rtEntry(5, deep.ID.Digit(5, 4)).IsZero() {
 		t.Fatalf("RemoveContact left %d entries", n.RTEntries())
 	}
 	for _, c := range n.KnownContacts() {

@@ -43,9 +43,9 @@ func BuildStatic(nodes []*Node, rng *rand.Rand) {
 	// its final depth at once: a node's deepest row is the longest prefix it
 	// shares with anyone, and that is with a ring neighbour.
 	for pos, m := range sorted {
-		node, half := m.node, m.node.cfg.LeafSetSize/2
-		node.leafCW, node.leafCCW = slices.Grow(node.leafCW[:0], half), slices.Grow(node.leafCCW[:0], half)
-		for k := 1; k <= min(half, n-1); k++ {
+		node := m.node
+		node.leafCW, node.leafCCW = slices.Grow(node.leafCW[:0], leafHalf), slices.Grow(node.leafCCW[:0], leafHalf)
+		for k := 1; k <= min(leafHalf, n-1); k++ {
 			node.leafCW = append(node.leafCW, sorted[(pos+k)%n].c)
 			node.leafCCW = append(node.leafCCW, sorted[(pos-k+n)%n].c)
 		}

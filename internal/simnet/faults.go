@@ -28,8 +28,8 @@ type LinkRule struct {
 	From, To map[transport.Addr]bool
 	// Bidirectional also matches the reverse direction (To→From).
 	Bidirectional bool
-	// Drop is the probability the message is discarded (counted under
-	// net.dropped_fault, distinct from Bernoulli link loss).
+	// Drop is the probability the message is discarded (Bernoulli link
+	// loss, counted under net.dropped_fault).
 	Drop float64
 	// Dup is the probability the network delivers a second copy of the
 	// message after an extra reorder-window jitter.

@@ -108,11 +108,11 @@ func TestLinkRuleDuplicates(t *testing.T) {
 		t.Fatalf("net.dup_injected = %d want 1", got)
 	}
 	// The sender transmitted once; the receiver really received twice.
-	if tr := net.TrafficOf("a"); tr.MsgsOut != 1 {
-		t.Fatalf("sender msgsOut = %d want 1", tr.MsgsOut)
+	if got := net.MetricsOf("a").Counter(CtrMsgsOut).Value(); got != 1 {
+		t.Fatalf("sender msgsOut = %d want 1", got)
 	}
-	if tr := net.TrafficOf("b"); tr.MsgsIn != 2 {
-		t.Fatalf("receiver msgsIn = %d want 2", tr.MsgsIn)
+	if got := net.MetricsOf("b").Counter(CtrMsgsIn).Value(); got != 2 {
+		t.Fatalf("receiver msgsIn = %d want 2", got)
 	}
 }
 
@@ -178,11 +178,12 @@ func TestDeadDestinationCountsCause(t *testing.T) {
 }
 
 func TestLossCountsCause(t *testing.T) {
-	net, _, _, ea, _ := twoNodes(t, Config{Seed: 2, Loss: func(a, b transport.Addr) float64 { return 1 }})
+	net, _, _, ea, _ := twoNodes(t, Config{Seed: 2})
+	net.AddLinkRule(LinkRule{From: AddrSet([]transport.Addr{"a"}), To: AddrSet([]transport.Addr{"b"}), Drop: 1})
 	ea.Send("b", "lost")
 	net.RunUntilIdle()
-	if got := net.Metrics().Counter("net.dropped_loss").Value(); got != 1 {
-		t.Fatalf("net.dropped_loss = %d want 1", got)
+	if got := net.Metrics().Counter("net.dropped_fault").Value(); got != 1 {
+		t.Fatalf("net.dropped_fault = %d want 1", got)
 	}
 }
 

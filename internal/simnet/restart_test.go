@@ -153,10 +153,10 @@ func TestExactSizesMatchWire(t *testing.T) {
 	net.AddNode("b", func(e transport.Env) transport.Handler { return &echoHandler{env: e} })
 	env.Send("b", msg)
 	net.Run(time.Second)
-	if got := net.TrafficOf("a").BytesOut; got != int64(want) {
+	if got := net.MetricsOf("a").Counter(CtrBytesOut).Value(); got != int64(want) {
 		t.Fatalf("ExactSizes charged %d bytes, want %d", got, want)
 	}
-	if got := net.TrafficOf("b").BytesIn; got != int64(want) {
+	if got := net.MetricsOf("b").Counter(CtrBytesIn).Value(); got != int64(want) {
 		t.Fatalf("receiver charged %d bytes, want %d", got, want)
 	}
 
@@ -166,7 +166,7 @@ func TestExactSizesMatchWire(t *testing.T) {
 	net2.AddNode("b", func(e transport.Env) transport.Handler { return &echoHandler{env: e} })
 	env2.Send("b", msg)
 	net2.Run(time.Second)
-	if got := net2.TrafficOf("a").BytesOut; got != 9999 {
+	if got := net2.MetricsOf("a").Counter(CtrBytesOut).Value(); got != 9999 {
 		t.Fatalf("estimate mode charged %d bytes, want WireSize 9999", got)
 	}
 }

@@ -11,7 +11,7 @@
 //     from synthetic geographic coordinates, mirroring the paper's use of
 //     the EUA dataset),
 //   - stochastic Bernoulli link loss (the unreliable-edge-network model of
-//     §5.1),
+//     §5.1, as LinkRule.Drop),
 //   - node churn (nodes failing, leaving, and joining mid-run, §7.5), and
 //   - per-node traffic accounting (bytes and messages in/out, Fig 7).
 package simnet
@@ -29,18 +29,12 @@ import (
 // LatencyFunc returns the one-way propagation delay from a to b.
 type LatencyFunc func(a, b transport.Addr) time.Duration
 
-// LossFunc returns the probability in [0,1] that a message from a to b is
-// dropped in flight.
-type LossFunc func(a, b transport.Addr) float64
-
 // Config parameterizes a Network.
 type Config struct {
 	// Seed drives all randomness in the network and in node Rand() sources.
 	Seed int64
 	// Latency models one-way link delay. Nil means ConstLatency(1ms).
 	Latency LatencyFunc
-	// Loss models link drop probability. Nil means no loss.
-	Loss LossFunc
 	// Observer, when set, sees every delivered message (src, dst, wire
 	// size). Experiments use it for pairwise traffic accounting.
 	Observer func(from, to transport.Addr, size int)
@@ -68,15 +62,6 @@ type Config struct {
 // ConstLatency returns a LatencyFunc with a fixed one-way delay.
 func ConstLatency(d time.Duration) LatencyFunc {
 	return func(a, b transport.Addr) time.Duration { return d }
-}
-
-// Traffic is a read-side view of one node's byte/message counters. The
-// counters themselves live in the node's obs.Registry under the
-// "net.msgs_in/out" and "net.bytes_in/out" names; this struct exists for
-// experiment code that wants them as plain numbers.
-type Traffic struct {
-	MsgsIn, MsgsOut   int
-	BytesIn, BytesOut int64
 }
 
 // Per-node traffic counter names in each node's registry, shared with the
@@ -243,7 +228,6 @@ type Network struct {
 	sorted  []transport.Addr // Addrs() cache; nil after AddNode
 	rng     *rand.Rand
 	latency LatencyFunc
-	loss    LossFunc
 	// reg holds network-level counters (net.delivered, net.dropped); the
 	// per-node counters live in each node's own registry, each sized like
 	// the one before it (lastReg).
@@ -253,7 +237,6 @@ type Network struct {
 	// dropped is the total of all drop causes; the per-cause counters say
 	// why a message died, not just that it did.
 	dropped          *obs.Counter
-	droppedLoss      *obs.Counter // Bernoulli link loss (Config.Loss)
 	droppedDead      *obs.Counter // destination missing or crashed
 	droppedPartition *obs.Counter // blocked link (Partition/BlockOneWay)
 	droppedFault     *obs.Counter // LinkRule.Drop
@@ -278,20 +261,15 @@ func New(cfg Config) *Network {
 	if cfg.Latency == nil {
 		cfg.Latency = ConstLatency(time.Millisecond)
 	}
-	if cfg.Loss == nil {
-		cfg.Loss = func(a, b transport.Addr) float64 { return 0 }
-	}
 	reg := obs.New(0)
 	return &Network{
 		cfg:              cfg,
 		nodes:            make(map[transport.Addr]*simNode),
 		rng:              rand.New(rand.NewSource(cfg.Seed)),
 		latency:          cfg.Latency,
-		loss:             cfg.Loss,
 		reg:              reg,
 		delivered:        reg.Counter("net.delivered"),
 		dropped:          reg.Counter("net.dropped"),
-		droppedLoss:      reg.Counter("net.dropped_loss"),
 		droppedDead:      reg.Counter("net.dropped_dead"),
 		droppedPartition: reg.Counter("net.dropped_partition"),
 		droppedFault:     reg.Counter("net.dropped_fault"),
@@ -305,9 +283,8 @@ func New(cfg Config) *Network {
 func (n *Network) Delivered() int64 { return n.delivered.Value() }
 
 // Dropped returns the total messages lost, to any cause. The per-cause
-// split lives in the network registry: net.dropped_loss (Bernoulli link
-// loss), net.dropped_dead (dead destination), net.dropped_partition
-// (blocked link), net.dropped_fault (LinkRule drops).
+// split lives in the network registry: net.dropped_dead (dead destination),
+// net.dropped_partition (blocked link), net.dropped_fault (LinkRule drops).
 func (n *Network) Dropped() int64 { return n.dropped.Value() }
 
 // Now returns the current virtual time.
@@ -409,11 +386,6 @@ func (n *Network) send(from *simNode, to transport.Addr, msg any) {
 			extra += time.Duration(n.rng.Int63n(int64(w)))
 			n.reorderInjected.Inc()
 		}
-	}
-	if p := n.loss(from.addr, to); p > 0 && n.rng.Float64() < p {
-		n.dropped.Inc()
-		n.droppedLoss.Inc()
-		return
 	}
 	// Egress serialization: the sender's NIC transmits one frame at a time.
 	txStart := n.now
@@ -696,20 +668,6 @@ func (n *Network) Alive(addr transport.Addr) bool {
 	return ok && node.alive
 }
 
-// TrafficOf returns a copy of the traffic counters for addr, read from
-// the node's registry.
-func (n *Network) TrafficOf(addr transport.Addr) Traffic {
-	if node, ok := n.nodes[addr]; ok {
-		return Traffic{
-			MsgsIn:   int(node.msgsIn.Value()),
-			MsgsOut:  int(node.msgsOut.Value()),
-			BytesIn:  node.bytesIn.Value(),
-			BytesOut: node.bytesOut.Value(),
-		}
-	}
-	return Traffic{}
-}
-
 // MetricsOf returns addr's telemetry registry (nil if unknown) — the same
 // registry the node's Env.Metrics() hands to its protocol stack.
 func (n *Network) MetricsOf(addr transport.Addr) *obs.Registry {
@@ -752,7 +710,7 @@ func (n *Network) ResetTraffic() {
 		node.reg.ResetCounters(CtrMsgsIn, CtrMsgsOut, CtrBytesIn, CtrBytesOut)
 	}
 	n.reg.ResetCounters("net.delivered", "net.dropped",
-		"net.dropped_loss", "net.dropped_dead", "net.dropped_partition",
+		"net.dropped_dead", "net.dropped_partition",
 		"net.dropped_fault", "net.dup_injected", "net.reorder_injected")
 }
 

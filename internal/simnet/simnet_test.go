@@ -60,9 +60,8 @@ func TestOrderingDeterministic(t *testing.T) {
 }
 
 func TestLossDropsAll(t *testing.T) {
-	net, _, rb, ea, _ := twoNodes(t, Config{
-		Loss: func(a, b transport.Addr) float64 { return 1.0 },
-	})
+	net, _, rb, ea, _ := twoNodes(t, Config{})
+	net.AddLinkRule(LinkRule{Drop: 1.0})
 	ea.Send("b", "x")
 	net.RunUntilIdle()
 	if len(rb.got) != 0 {
@@ -74,10 +73,8 @@ func TestLossDropsAll(t *testing.T) {
 }
 
 func TestLossRate(t *testing.T) {
-	net, _, rb, ea, _ := twoNodes(t, Config{
-		Seed: 42,
-		Loss: func(a, b transport.Addr) float64 { return 0.3 },
-	})
+	net, _, rb, ea, _ := twoNodes(t, Config{Seed: 42})
+	net.AddLinkRule(LinkRule{Drop: 0.3})
 	const total = 5000
 	for i := 0; i < total; i++ {
 		ea.Send("b", "x")
@@ -145,16 +142,18 @@ func TestTrafficAccounting(t *testing.T) {
 	ea.Send("b", sizedMsg{n: 1000})
 	ea.Send("b", "plain") // charged DefaultMessageSize
 	net.RunUntilIdle()
-	ta, tb := net.TrafficOf("a"), net.TrafficOf("b")
-	if ta.MsgsOut != 2 || ta.BytesOut != 1000+transport.DefaultMessageSize {
-		t.Fatalf("a out: %+v", ta)
+	ctr := func(addr transport.Addr, name string) int64 { return net.MetricsOf(addr).Counter(name).Value() }
+	if m, b := ctr("a", CtrMsgsOut), ctr("a", CtrBytesOut); m != 2 || b != 1000+transport.DefaultMessageSize {
+		t.Fatalf("a out: %d msgs, %d bytes", m, b)
 	}
-	if tb.MsgsIn != 2 || tb.BytesIn != 1000+transport.DefaultMessageSize {
-		t.Fatalf("b in: %+v", tb)
+	if m, b := ctr("b", CtrMsgsIn), ctr("b", CtrBytesIn); m != 2 || b != 1000+transport.DefaultMessageSize {
+		t.Fatalf("b in: %d msgs, %d bytes", m, b)
 	}
 	net.ResetTraffic()
-	if got := net.TrafficOf("a"); got != (Traffic{}) {
-		t.Fatalf("reset failed: %+v", got)
+	for _, name := range []string{CtrMsgsIn, CtrMsgsOut, CtrBytesIn, CtrBytesOut} {
+		if got := ctr("a", name); got != 0 {
+			t.Fatalf("reset left %s = %d", name, got)
+		}
 	}
 }
 
@@ -177,7 +176,8 @@ func TestRunDeadlineStopsClock(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []time.Duration {
-		net := New(Config{Seed: 7, Loss: func(a, b transport.Addr) float64 { return 0.2 }})
+		net := New(Config{Seed: 7})
+		net.AddLinkRule(LinkRule{Drop: 0.2})
 		r := &recorder{}
 		net.AddNode("sink", func(e transport.Env) transport.Handler { r.env = e; return r })
 		src := net.AddNode("src", func(e transport.Env) transport.Handler { return transport.HandlerFunc(func(transport.Addr, any) {}) })

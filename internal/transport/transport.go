@@ -53,6 +53,28 @@ type Env interface {
 	Metrics() *obs.Registry
 }
 
+// Every runs fn every d on env's clock, the first run d from now, until fn
+// returns false or stop is called. Each run is one env.After, armed when the
+// run before it returns — exactly what a hand-written
+// `run = func() { ...; env.After(d, run) }` loop schedules. stop cancels the
+// pending run; it may be called more than once, and from inside fn.
+func Every(env Env, d time.Duration, fn func() bool) (stop func()) {
+	stopped := false
+	var cancel func()
+	var run func()
+	run = func() {
+		// A real transport may already have queued the run stop cancelled.
+		if !stopped && fn() && !stopped {
+			cancel = env.After(d, run)
+		}
+	}
+	cancel = env.After(d, run)
+	return func() {
+		stopped = true
+		cancel()
+	}
+}
+
 // Per-node traffic counter names every transport maintains in the node's
 // registry: messages and bytes in/out, as seen by that transport (accounted
 // wire sizes under the simulator, real socket bytes under TCP).
