@@ -215,10 +215,10 @@ func (ch *Chaos) checkEngine(e *Engine, em map[AppID]int) error {
 		ch.appScratch = appendSortedApps(ch.appScratch[:0], e.masters)
 		for _, app := range ch.appScratch {
 			m := e.masters[app]
-			if err := ch.noteEpoch(e, em, app, m.epoch, "master"); err != nil {
+			if err := ch.noteEpoch(e, em, app, m.Epoch, "master"); err != nil {
 				return err
 			}
-			if alive && !m.done {
+			if alive && !m.Done {
 				ch.live = append(ch.live, liveMaster{app, e})
 			}
 		}
@@ -327,5 +327,5 @@ func (ch *Chaos) checkDualMasters() error {
 //vet:noalloc cold
 func errSplitBrain(app AppID, a, b *Engine, lasted time.Duration) error {
 	return fmt.Errorf("app %s: unreconciled split-brain: masters %s (epoch %d) and %s (epoch %d) mutually reachable for %v without resolving",
-		app.Short(), a.Self().Addr, a.masters[app].epoch, b.Self().Addr, b.masters[app].epoch, lasted)
+		app.Short(), a.Self().Addr, a.masters[app].Epoch, b.Self().Addr, b.masters[app].Epoch, lasted)
 }

@@ -61,7 +61,7 @@ func (ch *fullScan) checkEngine(e *Engine) error {
 	em := ch.epochs[e] // created by install
 	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.masters)
 	for _, app := range ch.appScratch {
-		if err := ch.noteEpoch(e, em, app, e.masters[app].epoch, "master"); err != nil {
+		if err := ch.noteEpoch(e, em, app, e.masters[app].Epoch, "master"); err != nil {
 			return err
 		}
 	}
@@ -99,7 +99,7 @@ func (ch *fullScan) checkDualMasters() error {
 		masters := ch.masterScratch[:0]
 		for i := range ch.c.Engines {
 			e := ch.c.Engines[i]
-			if m, ok := e.masters[app]; ok && !m.done && ch.c.Net.Alive(e.Self().Addr) {
+			if m, ok := e.masters[app]; ok && !m.Done && ch.c.Net.Alive(e.Self().Addr) {
 				masters = append(masters, e)
 			}
 		}

@@ -351,7 +351,7 @@ func TestChaosCatchesInjectedRegression(t *testing.T) {
 		if m == nil {
 			t.Fatal("no master after training")
 		}
-		bug(c, m, id, m.masters[id].epoch)
+		bug(c, m, id, m.masters[id].Epoch)
 		c.Net.CheckInvariants()
 		v := c.Net.Violation()
 		if v == nil {
@@ -385,9 +385,9 @@ func TestChaosCatchesInjectedRegression(t *testing.T) {
 	t.Run("epoch-regressed", func(t *testing.T) {
 		inject(t, "app 17d7fda2: epoch regressed on n34: master at epoch 0 after holding epoch 1",
 			func(c *Cluster, m *Engine, id AppID, epoch int) {
-				m.masters[id].epoch = epoch + 1
+				m.masters[id].Epoch = epoch + 1
 				c.Net.CheckInvariants()     // the checker witnesses epoch 1 ...
-				m.masters[id].epoch = epoch // ... and then the master falls back
+				m.masters[id].Epoch = epoch // ... and then the master falls back
 			})
 	})
 	t.Run("replica-ahead", func(t *testing.T) {

@@ -313,20 +313,17 @@ func (c *Cluster) allDone(appIDs []AppID) bool {
 }
 
 // Progress finds the app's master and returns its recorded trajectory. For
-// an unfinished app the result is a copy with Done set to the current time:
-// the master's own Progress rides every journaled and replicated image and
-// is what allDone polls, so a reader must not complete it.
+// an unfinished app Done is the current time.
 func (c *Cluster) Progress(id AppID) *workload.Progress {
-	if m := c.Master(id); m != nil {
-		p, _ := m.Progress(id)
-		if p.Done == 0 {
-			running := *p
-			running.Done = c.Net.Now()
-			return &running
-		}
-		return p
+	m := c.Master(id)
+	if m == nil {
+		return nil
 	}
-	return nil
+	p, _ := m.Progress(id)
+	if p.Done == 0 {
+		p.Done = c.Net.Now()
+	}
+	return p
 }
 
 // Master returns the engine currently mastering the app, or nil. A dead

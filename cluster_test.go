@@ -90,8 +90,8 @@ func TestEngineGlobalParamsCopy(t *testing.T) {
 	if _, ok := m.GlobalParams(NewAppID("ghost", "x")); ok {
 		t.Fatal("params for unknown app")
 	}
-	if apps := m.MasterApps(); len(apps) != 1 || apps[0] != id {
-		t.Fatalf("MasterApps=%v", apps)
+	if apps := sortedApps(m.masters); len(apps) != 1 || !m.IsMaster(id) {
+		t.Fatalf("masters %v, want only %v", apps, id)
 	}
 }
 

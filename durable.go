@@ -8,7 +8,6 @@ import (
 	"totoro/internal/store"
 	"totoro/internal/transport"
 	"totoro/internal/wire/codec"
-	"totoro/internal/workload"
 )
 
 // Durable engine state: the WAL record types journaled through
@@ -194,7 +193,7 @@ func (e *Engine) apply(rec any) {
 		// The begun round is in flight; recovery re-runs it from the last
 		// committed image, so only the started flag matters here.
 		if m, ok := e.masters[r.App]; ok {
-			m.started = true
+			m.Started = true
 		}
 	case walMaster:
 		put(&e.masters, r.Rep.Spec.ID, masterFromImage(r.Rep))
@@ -308,24 +307,9 @@ func appendSortedApps[T any](dst []AppID, m map[AppID]T) []AppID {
 
 // masterFromImage is the one image→state conversion: journal replay,
 // failover promotion and restart all build their masterState here. The
-// copies matter — a master updates its model in place, and an image may be
+// copy matters — a master updates its model in place, and an image may be
 // shared with the journal, the network and other replica holders.
-func masterFromImage(rep replicaMsg) *masterState {
-	return &masterState{
-		spec:    rep.Spec,
-		global:  append([]float64(nil), rep.Global...),
-		round:   rep.Round,
-		epoch:   rep.Epoch,
-		started: rep.Started,
-		done:    rep.Done,
-		progress: &workload.Progress{
-			App:     rep.Spec.Name,
-			Points:  append([]workload.AccuracyPoint(nil), rep.Points...),
-			Done:    rep.DoneAt,
-			Reached: rep.Reached,
-		},
-	}
-}
+func masterFromImage(rep replicaMsg) *masterState { return &masterState{replicaMsg: rep.own()} }
 
 // Recovered reports whether this engine booted from a non-empty durable
 // store.
@@ -361,13 +345,12 @@ func (e *Engine) ResumeAfterRestart() {
 	}
 	for _, app := range sortedApps(e.masters) {
 		m := e.masters[app]
-		m.epoch++ // demotes whoever promoted itself during the outage
+		m.Epoch++ // demotes whoever promoted itself during the outage
 		e.claim(m)
-		if m.started && !m.done {
-			round := m.round
+		if m.Started && !m.Done {
+			round := m.Round
 			transport.Every(e.env, e.opts.FailoverGrace, func() bool {
-				cur, ok := e.masters[app]
-				if !ok || cur != m || m.done || m.round != round {
+				if !e.still(m, round) {
 					return false
 				}
 				// Don't begin a round into an empty tree: right after a

@@ -1,10 +1,12 @@
 package totoro
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
+	"totoro/internal/fl"
 	"totoro/internal/ids"
 	"totoro/internal/pubsub"
 	"totoro/internal/ring"
@@ -373,5 +375,32 @@ func TestRecoveredStateMatchesLive(t *testing.T) {
 	if after.Reached != before.Reached || after.Done != before.Done {
 		t.Fatalf("recovered completion (%v,%v) != live (%v,%v)",
 			after.Reached, after.Done, before.Reached, before.Done)
+	}
+}
+
+// TestMasterFromImageCopies: a mastership built from an image owns its model
+// and trajectory. Replica holders share one copy of an image (replicate), so
+// two of them promoting from it and stepping their models in place, as
+// completeRound does, must leave the image untouched.
+func TestMasterFromImageCopies(t *testing.T) {
+	img := replicaMsg{
+		Spec:   AppSpec{ID: NewAppID("copies", "test")},
+		Round:  1,
+		Global: []float64{1, 2, 3},
+		Points: make([]workload.AccuracyPoint, 1, 4), // room to append in place
+	}
+	img.Points[0] = workload.AccuracyPoint{Round: 1, Accuracy: 0.5}
+	want := img.own()
+	for i := range 2 {
+		m := masterFromImage(img)
+		fl.NewAccum(fl.Update{Delta: []float64{1, 1, 1}, Samples: 1}).ApplyMean(m.Global)
+		m.Points = append(m.Points, workload.AccuracyPoint{Round: 2, Accuracy: float64(i)})
+	}
+	if !slices.Equal(img.Global, want.Global) {
+		t.Fatalf("image model %v after the promoted masters stepped theirs, want %v", img.Global, want.Global)
+	}
+	// An append in place would land in the slot just past the image's end.
+	if got := img.Points[:2]; got[0] != want.Points[0] || got[1] != (workload.AccuracyPoint{}) {
+		t.Fatalf("image trajectory storage %+v after the promoted masters appended to theirs", got)
 	}
 }

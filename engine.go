@@ -21,8 +21,8 @@ type Options struct {
 	// Ring configures the Pastry-style overlay (B controls tree fanout:
 	// fanout = 2^B, the paper's 8/16/32 settings).
 	Ring ring.Config
-	// PubSub configures the forest layer (keep-alives, fanout caps,
-	// aggregation timeouts).
+	// PubSub configures the forest layer (keep-alives, aggregation
+	// timeouts); a tree's fanout cap is its owner's (AppSpec.TreeFanout).
 	PubSub pubsub.Config
 	// Speed is this node's compute speed factor (1 = nominal).
 	Speed float64
@@ -84,14 +84,13 @@ type TimerInfo struct {
 	Now      time.Duration
 }
 
+// masterState is a mastership: the image it journals and replicates, plus
+// the state that never leaves the node. The image's Round is the current
+// round, so while a round is in flight it is one ahead of the image an
+// ack would record (committedImage steps back over it); its Epoch is the
+// mastership generation, bumped by every failover promotion.
 type masterState struct {
-	spec     AppSpec
-	global   []float64
-	round    int
-	epoch    int // mastership generation; bumped by every failover promotion
-	progress *workload.Progress
-	started  bool
-	done     bool
+	replicaMsg
 	// inFlight marks a begun, uncommitted round: durable snapshots taken
 	// mid-round record the previous round as the last completed one, so a
 	// recovered master re-runs the interrupted round (durable.go).
@@ -349,10 +348,10 @@ func (e *Engine) OnTimer(app AppID, interval time.Duration, fn func(TimerInfo)) 
 	return transport.Every(e.env, interval, func() bool {
 		info := TimerInfo{App: app, Now: e.env.Now()}
 		if m, ok := e.masters[app]; ok {
-			info.Round = m.round
-			info.Done = m.done
-			if n := len(m.progress.Points); n > 0 {
-				info.Accuracy = m.progress.Points[n-1].Accuracy
+			info.Round = m.Round
+			info.Done = m.Done
+			if n := len(m.Points); n > 0 {
+				info.Accuracy = m.Points[n-1].Accuracy
 			}
 		}
 		fn(info)
@@ -366,13 +365,15 @@ func (e *Engine) IsMaster(app AppID) bool {
 	return ok
 }
 
-// Progress returns the master-side training trajectory for an app.
+// Progress returns the master-side training trajectory for an app, built
+// afresh from the mastership's image on each call; its Points alias the
+// master's own.
 func (e *Engine) Progress(app AppID) (*workload.Progress, bool) {
 	m, ok := e.masters[app]
 	if !ok {
 		return nil, false
 	}
-	return m.progress, true
+	return &workload.Progress{App: m.Spec.Name, Points: m.Points, Done: m.DoneAt, Reached: m.Reached}, true
 }
 
 // GlobalParams returns a copy of the master's current global parameters.
@@ -381,16 +382,7 @@ func (e *Engine) GlobalParams(app AppID) ([]float64, bool) {
 	if !ok {
 		return nil, false
 	}
-	return append([]float64(nil), m.global...), true
-}
-
-// MasterApps lists the applications this node currently masters.
-func (e *Engine) MasterApps() []AppID {
-	out := make([]AppID, 0, len(e.masters))
-	for id := range e.masters {
-		out = append(out, id)
-	}
-	return out
+	return append([]float64(nil), m.Global...), true
 }
 
 // --- ring.App interposition ---
@@ -403,8 +395,8 @@ func (e *Engine) Deliver(d ring.Delivery) {
 		e.becomeMaster(p.Spec)
 	case startMsg:
 		e.maybePromote(p.App)
-		if m, ok := e.masters[p.App]; ok && !m.started && !m.done {
-			m.started = true
+		if m, ok := e.masters[p.App]; ok && !m.Started && !m.Done {
+			m.Started = true
 			e.ack(m)
 			e.beginRound(m)
 		}
@@ -435,32 +427,34 @@ func (e *Engine) becomeMaster(spec AppSpec) {
 	if _, dup := e.masters[spec.ID]; dup {
 		return
 	}
-	m := &masterState{
-		spec:     spec,
-		global:   append([]float64(nil), spec.InitParams...),
-		progress: &workload.Progress{App: spec.Name},
-	}
+	m := &masterState{replicaMsg: replicaMsg{Spec: spec, Global: append([]float64(nil), spec.InitParams...)}}
 	put(&e.masters, spec.ID, m)
 	e.claim(m) // early subscribers splice below us
 }
 
 func (e *Engine) beginRound(m *masterState) {
-	m.round++
+	m.Round++
 	m.inFlight = true
-	e.journal(walRound{App: m.spec.ID, Round: m.round})
-	params := append([]float64(nil), m.global...)
-	e.ps.Publish(m.spec.ID, roundStart{
-		App:           m.spec.ID,
-		Round:         m.round,
-		Sizes:         m.spec.Sizes,
+	e.journal(walRound{App: m.Spec.ID, Round: m.Round})
+	params := append([]float64(nil), m.Global...)
+	e.ps.Publish(m.Spec.ID, roundStart{
+		App:           m.Spec.ID,
+		Round:         m.Round,
+		Sizes:         m.Spec.Sizes,
 		Params:        params,
-		Cfg:           m.spec.Cfg,
-		Participation: m.spec.Participation,
-		Compressor:    m.spec.Compressor,
-		TopK:          m.spec.TopK,
-		NoiseSigma:    m.spec.NoiseSigma,
-		Seed:          m.spec.Seed,
+		Cfg:           m.Spec.Cfg,
+		Participation: m.Spec.Participation,
+		Compressor:    m.Spec.Compressor,
+		TopK:          m.Spec.TopK,
+		NoiseSigma:    m.Spec.NoiseSigma,
+		Seed:          m.Spec.Seed,
 	})
+}
+
+// still reports whether m is this node's live, unfinished mastership of its
+// app at the given round: the guard of every timer armed for that round.
+func (e *Engine) still(m *masterState, round int) bool {
+	return e.masters[m.Spec.ID] == m && !m.Done && m.Round == round
 }
 
 // --- pub/sub upcalls ---
@@ -568,7 +562,7 @@ func (e *Engine) trainRound(app ids.ID, rs roundStart, w *workerState) {
 }
 
 func (e *Engine) completeRound(m *masterState, round int, u updateAgg) {
-	if m.done || round != m.round {
+	if m.Done || round != m.Round {
 		return // stale flush, or supplementary partial for a committed round
 	}
 	// Fold this flush into the round's pending aggregate: while the round
@@ -586,7 +580,7 @@ func (e *Engine) completeRound(m *masterState, round int, u updateAgg) {
 	if m.pending.Acc != nil {
 		count = m.pending.Acc.Count
 	}
-	quorum := m.spec.MinParticipants
+	quorum := m.Spec.MinParticipants
 	if quorum < 1 {
 		quorum = 1 // never commit a zero-participant round unheld (vacuous-master guard)
 	}
@@ -601,20 +595,19 @@ func (e *Engine) completeRound(m *masterState, round int, u updateAgg) {
 			// an untrained model.
 			m.holds++
 			e.env.Metrics().Counter("fl.round_holds").Inc()
-			wait := m.spec.RoundDeadline
+			wait := m.Spec.RoundDeadline
 			if wait <= 0 {
 				wait = time.Second
 			}
-			epoch := m.epoch
+			epoch := m.Epoch
 			e.env.After(wait, func() {
-				if cur, ok := e.masters[m.spec.ID]; ok && cur == m && !m.done &&
-					m.round == round && m.inFlight && m.epoch == epoch {
+				if e.still(m, round) && m.inFlight && m.Epoch == epoch {
 					e.completeRound(m, round, updateAgg{})
 				}
 			})
 			return
 		}
-		if m.spec.MinParticipants > 1 && m.retriedRound != round {
+		if m.Spec.MinParticipants > 1 && m.retriedRound != round {
 			// Holds exhausted and still below quorum: the missing updates
 			// are not late, they are gone (the usual cause is partials lost
 			// inside failed interior aggregators). Re-run the round once
@@ -632,13 +625,13 @@ func (e *Engine) completeRound(m *masterState, round int, u updateAgg) {
 	m.holds = 0
 	participants := 0
 	if u.Acc != nil {
-		u.Acc.ApplyMean(m.global)
+		u.Acc.ApplyMean(m.Global)
 		participants = u.Acc.Count
 		fl.Recycle(u.Acc) // its last reader (DESIGN.md §4.1)
 	}
 	acc := 0.0
 	if e.opts.Eval != nil {
-		acc = e.opts.Eval(m.spec.ID, m.global)
+		acc = e.opts.Eval(m.Spec.ID, m.Global)
 	}
 	now := e.env.Now()
 	// Round telemetry is emitted here, on the event loop, so it stays
@@ -650,24 +643,24 @@ func (e *Engine) completeRound(m *masterState, round int, u updateAgg) {
 	reg.Counter("fl.update_bytes").Add(int64(u.Bytes))
 	reg.Histogram("fl.update_size", obs.ByteBuckets).Observe(float64(u.Bytes))
 	reg.Gauge("fl.accuracy").Set(acc)
-	m.progress.Points = append(m.progress.Points, workload.AccuracyPoint{
-		Time: now, Round: m.round, Accuracy: acc, Participants: participants,
+	m.Points = append(m.Points, workload.AccuracyPoint{
+		Time: now, Round: m.Round, Accuracy: acc, Participants: participants,
 	})
 	if e.AckHook != nil {
-		e.AckHook(m.spec.ID, m.epoch, m.round, participants, true)
+		e.AckHook(m.Spec.ID, m.Epoch, m.Round, participants, true)
 	}
-	reached := m.spec.TargetAccuracy > 0 && acc >= m.spec.TargetAccuracy
-	if reached || m.round >= m.spec.MaxRounds {
-		m.done = true
-		m.progress.Done = now
-		m.progress.Reached = reached
+	reached := m.Spec.TargetAccuracy > 0 && acc >= m.Spec.TargetAccuracy
+	if reached || m.Round >= m.Spec.MaxRounds {
+		m.Done = true
+		m.DoneAt = now
+		m.Reached = reached
 	}
 	// The committed round is journaled before anything is replicated or
 	// broadcast: a crash from here on recovers to this round, not the
 	// previous one. The final replica carries Done, which also stops the
 	// replica holders' ownership-probe loops.
 	e.ack(m)
-	if !m.done {
+	if !m.Done {
 		e.beginRound(m)
 	}
 }
@@ -687,8 +680,8 @@ func (e *Engine) completeRound(m *masterState, round int, u updateAgg) {
 // retry per round, keeping liveness bounded.
 func (e *Engine) retryRound(m *masterState, round int) {
 	m.retriedRound = round
-	m.epoch++
-	m.round = round - 1 // beginRound advances it back to round
+	m.Epoch++
+	m.Round = round - 1 // beginRound advances it back to round
 	m.inFlight = false
 	m.pending = updateAgg{}
 	m.holds = 0

@@ -54,24 +54,17 @@ func newerReplica(a, b replicaMsg) bool {
 	return true // same version: accept the fresher copy
 }
 
-// masterImage captures a mastership as a replicaMsg: the unit of both
-// network replication (replicate) and durable journaling
-// (walMaster/walSnapshot in durable.go). The image aliases m's model and
-// trajectory, which the master goes on updating in place: stores encode
-// synchronously, and whatever sends an image sends an own() copy.
+// masterImage is a mastership's image stamped with this node as its
+// master: the unit of both network replication (replicate) and durable
+// journaling (walMaster/walSnapshot in durable.go). The stamp matters — a
+// promoted or replayed mastership still carries whoever sent its image.
+// The image aliases m's model and trajectory, which the master goes on
+// updating in place: stores encode synchronously, and whatever sends an
+// image sends an own() copy.
 func (e *Engine) masterImage(m *masterState) replicaMsg {
-	return replicaMsg{
-		Spec:    m.spec,
-		Master:  e.self,
-		Epoch:   m.epoch,
-		Round:   m.round,
-		Global:  m.global,
-		Points:  m.progress.Points,
-		Started: m.started,
-		Done:    m.done,
-		Reached: m.progress.Reached,
-		DoneAt:  m.progress.Done,
-	}
+	img := m.replicaMsg
+	img.Master = e.self
+	return img
 }
 
 // own returns r with its own copy of the model and the trajectory.
@@ -83,7 +76,7 @@ func (r replicaMsg) own() replicaMsg {
 
 // claim is the one way to take a mastership — announce, failover
 // promotion, quorum retry, restart re-claim: journal the image, claim the
-// tree root under m.epoch, drop this node's stale rounds, replicate.
+// tree root under m.Epoch, drop this node's stale rounds, replicate.
 func (e *Engine) claim(m *masterState) {
 	img := e.masterImage(m)
 	// Journal before any network action: a crash from here on recovers as
@@ -95,15 +88,15 @@ func (e *Engine) claim(m *masterState) {
 	// members reset their dedup and per-round aggregation state instead of
 	// swallowing the new root's sequence numbers (which restart from 1) as
 	// replays of its predecessor's until they pass the old high-water mark.
-	e.ps.CreateWithConfig(m.spec.ID, pubsub.TreeConfig{
-		MaxFanout:  m.spec.TreeFanout,
-		AggTimeout: m.spec.RoundDeadline,
-		Epoch:      uint64(m.epoch),
+	e.ps.CreateWithConfig(m.Spec.ID, pubsub.TreeConfig{
+		MaxFanout:  m.Spec.TreeFanout,
+		AggTimeout: m.Spec.RoundDeadline,
+		Epoch:      uint64(m.Epoch),
 	})
 	// From its life as an interior node, or from the instance a retry
 	// aborts, this node may hold aggRounds already marked flushed; a
 	// re-announced round must aggregate fresh. A no-op on a new topic.
-	e.ps.ResetRounds(m.spec.ID)
+	e.ps.ResetRounds(m.Spec.ID)
 	e.replicate(img)
 }
 
@@ -161,9 +154,9 @@ func (e *Engine) yieldTo(rep replicaMsg) (beat *masterState, demoted bool) {
 	switch {
 	case !ok:
 		return nil, false
-	case rep.Epoch < m.epoch:
+	case rep.Epoch < m.Epoch:
 		return m, false
-	case rep.Epoch == m.epoch:
+	case rep.Epoch == m.Epoch:
 		if rep.Master.Addr == e.self.Addr {
 			return m, false // echo of our own replication
 		}
@@ -309,16 +302,16 @@ func (e *Engine) maybePromote(app AppID) bool {
 	delete(e.suspect, app)
 	delete(e.replicas, app)
 	m := masterFromImage(*rep)
-	m.epoch++ // demotes a revived predecessor
+	m.Epoch++ // demotes a revived predecessor
 	put(&e.masters, app, m)
 	e.ctrPromotions.Inc()
 	e.claim(m)
-	if m.started && !m.done {
-		round := m.round
+	if m.Started && !m.Done {
+		round := m.Round
 		e.env.After(e.opts.FailoverGrace, func() {
 			// Resume only if nothing else moved the app meanwhile (we could
 			// have been demoted, or a round could already be in flight).
-			if cur, ok := e.masters[app]; ok && cur == m && !m.done && m.round == round {
+			if e.still(m, round) {
 				e.beginRound(m)
 			}
 		})

@@ -205,7 +205,7 @@ func AblationFedProx(o Options) []FedProxRow {
 		run := func(mu float64) float64 {
 			proto := ml.NewMLP([]int{24, 32, 10}, rand.New(rand.NewSource(o.Seed+7)))
 			s := fl.NewSession(proto, clients, test,
-				fl.ClientConfig{LocalEpochs: 3, LR: 0.1, BatchSize: 20, ProxMu: mu}, nil, nil)
+				fl.ClientConfig{LocalEpochs: 3, LR: 0.1, BatchSize: 20, ProxMu: mu}, nil)
 			r := rand.New(rand.NewSource(o.Seed + 11))
 			acc := 0.0
 			for i := 0; i < rounds; i++ {

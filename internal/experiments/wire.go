@@ -48,7 +48,7 @@ func WireCompressionAccuracy(o Options) []WireCompressionRow {
 		clients := ml.DirichletPartition(train, 16, 1.0, rng)
 		proto := ml.NewMLP([]int{24, 32, 10}, rand.New(rand.NewSource(o.Seed+7)))
 		s := fl.NewSession(proto, clients, test,
-			fl.ClientConfig{LocalEpochs: 3, LR: 0.1, BatchSize: 20}, nil, comp)
+			fl.ClientConfig{LocalEpochs: 3, LR: 0.1, BatchSize: 20}, comp)
 		r := rand.New(rand.NewSource(o.Seed + 11))
 		var rep fl.RoundReport
 		for i := 0; i < rounds; i++ {

@@ -109,7 +109,7 @@ func TestSessionTelemetryCountsMergedUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	proto := ml.NewMLP([]int{64, 8, 62}, rng)
 	clients := []*ml.Dataset{ml.FEMNISTLike(20, rng), {}, ml.FEMNISTLike(20, rng)}
-	s := NewSession(proto, clients, ml.FEMNISTLike(40, rng), ClientConfig{}, nil, nil)
+	s := NewSession(proto, clients, ml.FEMNISTLike(40, rng), ClientConfig{}, nil)
 	s.Metrics = obs.New(0)
 	rep := s.Round(len(clients), rng)
 	if len(rep.Selected) != 3 {

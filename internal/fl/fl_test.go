@@ -123,7 +123,7 @@ func TestFederatedSessionConverges(t *testing.T) {
 	train, test := full.Split(0.2, rng)
 	clients := ml.DirichletPartition(train, 20, 1.0, rng)
 	proto := ml.NewMLP([]int{16, 32, 5}, rng)
-	s := NewSession(proto, clients, test, ClientConfig{LocalEpochs: 1, LR: 0.1, BatchSize: 20}, nil, nil)
+	s := NewSession(proto, clients, test, ClientConfig{LocalEpochs: 1, LR: 0.1, BatchSize: 20}, nil)
 	first := s.Accuracy()
 	var last RoundReport
 	for r := 0; r < 12; r++ {
@@ -142,7 +142,7 @@ func TestFedProxReducesDriftUnderSkew(t *testing.T) {
 	runWith := func(mu float64, seed int64) float64 {
 		r := rand.New(rand.NewSource(seed))
 		proto := ml.NewMLP([]int{12, 24, 6}, rand.New(rand.NewSource(99)))
-		s := NewSession(proto, clients, test, ClientConfig{LocalEpochs: 3, LR: 0.1, ProxMu: mu}, nil, nil)
+		s := NewSession(proto, clients, test, ClientConfig{LocalEpochs: 3, LR: 0.1, ProxMu: mu}, nil)
 		acc := 0.0
 		for i := 0; i < 10; i++ {
 			acc = s.Round(6, r).Accuracy
@@ -159,65 +159,28 @@ func TestFedProxReducesDriftUnderSkew(t *testing.T) {
 	}
 }
 
-func TestRandomSelectorDistinct(t *testing.T) {
+func TestSessionRoundSelectsDistinctClients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	clients := make([]ClientInfo, 50)
+	shard := ml.SyntheticClusters(2, 4, 20, 0.4, rng)
+	clients := make([]*ml.Dataset, 50)
 	for i := range clients {
-		clients[i] = ClientInfo{ID: i, Samples: 10}
+		clients[i] = shard
 	}
-	got := RandomSelector{}.Select(20, clients, rng)
+	s := NewSession(ml.NewMLP([]int{4, 4, 2}, rng), clients, shard, ClientConfig{LR: 0.1}, nil)
+	got := s.Round(20, rng).Selected
 	if len(got) != 20 {
 		t.Fatalf("selected %d", len(got))
 	}
 	seen := map[int]bool{}
 	for _, id := range got {
-		if seen[id] {
-			t.Fatal("duplicate selection")
+		if id < 0 || id >= len(clients) || seen[id] {
+			t.Fatalf("selection %v: client %d out of range or chosen twice", got, id)
 		}
 		seen[id] = true
 	}
-	// k >= n returns everyone.
-	if len(RandomSelector{}.Select(100, clients, rng)) != 50 {
-		t.Fatal("overselect did not return all")
-	}
-}
-
-func TestOortPrefersHighUtility(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	clients := make([]ClientInfo, 40)
-	for i := range clients {
-		clients[i] = ClientInfo{ID: i, Samples: 100, Rounds: 1, LastLoss: 0.1}
-	}
-	// Clients 0..4 have much higher loss.
-	for i := 0; i < 5; i++ {
-		clients[i].LastLoss = 10
-	}
-	got := OortSelector{ExploreFrac: 0}.Select(5, clients, rng)
-	for _, id := range got {
-		if id >= 5 {
-			t.Fatalf("oort picked low-utility client %d: %v", id, got)
-		}
-	}
-}
-
-func TestOortExploresUnexplored(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	clients := make([]ClientInfo, 20)
-	for i := range clients {
-		clients[i] = ClientInfo{ID: i, Samples: 100, Rounds: 1, LastLoss: 5}
-	}
-	clients[19].Rounds = 0 // one unexplored client
-	found := false
-	for trial := 0; trial < 10 && !found; trial++ {
-		got := OortSelector{ExploreFrac: 0.4}.Select(5, clients, rng)
-		for _, id := range got {
-			if id == 19 {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("oort never explored the unexplored client")
+	// k >= n takes everyone.
+	if got := s.Round(100, rng).Selected; len(got) != 50 {
+		t.Fatalf("overselect took %d of 50 clients", len(got))
 	}
 }
 
@@ -285,7 +248,7 @@ func TestCompressedSessionStillLearns(t *testing.T) {
 	train, test := full.Split(0.2, rng)
 	clients := ml.DirichletPartition(train, 10, 1.0, rng)
 	proto := ml.NewMLP([]int{10, 20, 4}, rng)
-	s := NewSession(proto, clients, test, ClientConfig{LR: 0.1}, RandomSelector{}, QuantizeInt8{})
+	s := NewSession(proto, clients, test, ClientConfig{LR: 0.1}, QuantizeInt8{})
 	var acc float64
 	for r := 0; r < 10; r++ {
 		acc = s.Round(8, rng).Accuracy

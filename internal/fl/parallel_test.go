@@ -16,7 +16,7 @@ func runSessionRounds(t *testing.T, workers, rounds int) []float64 {
 	full := ml.FEMNISTLike(400, rng)
 	train, test := full.Split(0.2, rng)
 	clients := ml.DirichletPartition(train, 12, 1.0, rng)
-	s := NewSession(proto, clients, test, ClientConfig{LocalEpochs: 1, LR: 0.1, BatchSize: 20}, nil, nil)
+	s := NewSession(proto, clients, test, ClientConfig{LocalEpochs: 1, LR: 0.1, BatchSize: 20}, nil)
 	s.Workers = workers
 	roundRng := rand.New(rand.NewSource(77))
 	for r := 0; r < rounds; r++ {

@@ -20,7 +20,6 @@ type Session struct {
 	Clients []*ml.Dataset
 	Test    *ml.Dataset
 	Cfg     ClientConfig
-	Sel     Selector
 	Comp    Compressor
 	// Workers bounds the parallelism of client training within a round:
 	// 0 means one worker per CPU, 1 forces the serial reference path.
@@ -34,33 +33,24 @@ type Session struct {
 	// discards them.
 	Metrics *obs.Registry
 
-	infos []ClientInfo
 	round int
 	eval  *ml.MLP
 }
 
 // NewSession initializes a session; proto supplies both architecture and
 // the initial global parameters.
-func NewSession(proto *ml.MLP, clients []*ml.Dataset, test *ml.Dataset, cfg ClientConfig, sel Selector, comp Compressor) *Session {
-	if sel == nil {
-		sel = RandomSelector{}
-	}
+func NewSession(proto *ml.MLP, clients []*ml.Dataset, test *ml.Dataset, cfg ClientConfig, comp Compressor) *Session {
 	if comp == nil {
 		comp = NoCompression{}
 	}
-	s := &Session{
+	return &Session{
 		Proto:   proto,
 		Global:  proto.Params(),
 		Clients: clients,
 		Test:    test,
 		Cfg:     cfg,
-		Sel:     sel,
 		Comp:    comp,
 	}
-	for i, c := range clients {
-		s.infos = append(s.infos, ClientInfo{ID: i, Samples: c.Len()})
-	}
-	return s
 }
 
 // RoundReport summarizes one completed round.
@@ -71,14 +61,23 @@ type RoundReport struct {
 	Accuracy   float64
 }
 
-// Round executes one synchronous FL round with perRound participants and
-// returns its stats. Client training fans out across the training pool;
+// Round executes one synchronous FL round with perRound participants, drawn
+// uniformly without replacement (everyone when perRound covers the fleet),
+// and returns its stats. Client training fans out across the training pool;
 // every client draws from a private rng derived from this round's seed and
 // its ID, and updates are merged in selection order, so the result is
 // bit-identical at any worker count.
 func (s *Session) Round(perRound int, rng *rand.Rand) RoundReport {
 	s.round++
-	selected := s.Sel.Select(perRound, s.infos, rng)
+	var selected []int
+	if n := len(s.Clients); perRound >= n {
+		selected = make([]int, n)
+		for i := range selected {
+			selected[i] = i
+		}
+	} else {
+		selected = rng.Perm(n)[:perRound]
+	}
 	roundSeed := rng.Int63()
 	updates := make([]Update, len(selected))
 	ForEach(len(selected), s.Workers, func(i int, ws *ml.Workspace) {
@@ -89,8 +88,7 @@ func (s *Session) Round(perRound int, rng *rand.Rand) RoundReport {
 	// Telemetry counts what was merged, as the engine does.
 	var agg *Accum
 	updateBytes, sentBytes := 0, 0
-	for i, id := range selected {
-		u := updates[i]
+	for _, u := range updates {
 		if u.Samples == 0 {
 			continue
 		}
@@ -98,8 +96,6 @@ func (s *Session) Round(perRound int, rng *rand.Rand) RoundReport {
 		u.Delta = recon
 		updateBytes = bytes
 		sentBytes += bytes
-		s.infos[id].Rounds++
-		s.infos[id].LastLoss = lossProxy(u)
 		agg = MergeInPlace(agg, NewAccumOwning(u))
 	}
 	agg.ApplyMean(s.Global)
@@ -129,15 +125,4 @@ func (s *Session) Accuracy() float64 {
 	}
 	s.eval.SetParams(s.Global)
 	return Accuracy(s.eval, s.Test)
-}
-
-// lossProxy scores an update's magnitude as a cheap stand-in for client
-// loss (larger drift ⇒ more to learn), keeping selection deterministic
-// without a second forward pass.
-func lossProxy(u Update) float64 {
-	s := 0.0
-	for _, v := range u.Delta {
-		s += v * v
-	}
-	return s
 }

@@ -21,13 +21,13 @@ func TestBatchGradientIsMeanOfSingles(t *testing.T) {
 		Y[i] = rng.Intn(4)
 	}
 	batch := NewGrads(m)
-	m.Backward(X, Y, batch)
+	m.BackwardWS(X, Y, batch, NewWorkspace())
 	batchFlat := batch.Flat()
 
 	mean := make([]float64, len(batchFlat))
 	for i := range X {
 		g := NewGrads(m)
-		m.Backward(X[i:i+1], Y[i:i+1], g)
+		m.BackwardWS(X[i:i+1], Y[i:i+1], g, NewWorkspace())
 		for k, v := range g.Flat() {
 			mean[k] += v / float64(len(X))
 		}

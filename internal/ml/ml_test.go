@@ -75,7 +75,7 @@ func TestGradientCheck(t *testing.T) {
 	}
 	Y := []int{0, 2, 1}
 	g := NewGrads(m)
-	m.Backward(X, Y, g)
+	m.BackwardWS(X, Y, g, NewWorkspace())
 	analytic := g.Flat()
 	params := m.Params()
 	const eps = 1e-6
@@ -104,7 +104,7 @@ func TestTrainingLearnsClusters(t *testing.T) {
 	before := m.Accuracy(test)
 	opt := &SGD{LR: 0.1, Momentum: 0.9}
 	for epoch := 0; epoch < 15; epoch++ {
-		TrainEpoch(m, train, 20, opt, 0, nil, rng)
+		TrainEpochWS(m, train, 20, opt, 0, nil, rng, NewWorkspace())
 	}
 	after := m.Accuracy(test)
 	if before > 0.5 {
@@ -122,7 +122,7 @@ func TestTrainEpochReducesLoss(t *testing.T) {
 	opt := &SGD{LR: 0.05}
 	l0 := m.Loss(ds.X, ds.Y)
 	for e := 0; e < 5; e++ {
-		TrainEpoch(m, ds, 32, opt, 0, nil, rng)
+		TrainEpochWS(m, ds, 32, opt, 0, nil, rng, NewWorkspace())
 	}
 	l1 := m.Loss(ds.X, ds.Y)
 	if l1 >= l0 {
@@ -141,8 +141,8 @@ func TestProximalTermPullsTowardAnchor(t *testing.T) {
 	rngA := rand.New(rand.NewSource(7))
 	rngB := rand.New(rand.NewSource(7))
 	for e := 0; e < 5; e++ {
-		TrainEpoch(free, ds, 16, &SGD{LR: 0.1}, 0, nil, rngA)
-		TrainEpoch(prox, ds, 16, &SGD{LR: 0.1}, 1.0, anchor, rngB)
+		TrainEpochWS(free, ds, 16, &SGD{LR: 0.1}, 0, nil, rngA, NewWorkspace())
+		TrainEpochWS(prox, ds, 16, &SGD{LR: 0.1}, 1.0, anchor, rngB, NewWorkspace())
 	}
 	dFree := l2dist(free.Params(), anchor)
 	dProx := l2dist(prox.Params(), anchor)

@@ -267,14 +267,6 @@ func (g *Grads) Flat() []float64 {
 	return out
 }
 
-// Backward computes the average cross-entropy loss and its gradients over
-// a mini-batch (rows of X with labels Y), accumulating into g. It is a
-// thin wrapper over BackwardWS with a throwaway workspace; hot paths hold
-// a per-worker Workspace instead.
-func (m *MLP) Backward(X [][]float64, Y []int, g *Grads) float64 {
-	return m.BackwardWS(X, Y, g, NewWorkspace())
-}
-
 // DeltaInto writes this model's parameters minus base into dst, both in
 // Params order (the client-update delta, computed without flattening).
 //

@@ -1,7 +1,5 @@
 package ml
 
-import "math/rand"
-
 // SGD is a mini-batch stochastic gradient descent optimizer with classical
 // momentum and L2 weight decay, operating on flat parameter vectors.
 type SGD struct {
@@ -67,12 +65,4 @@ func (s *SGD) stepSlice(p, g []float64, mu float64, anchor []float64, off int) i
 		sgdStep(p, g, vel, lr, mom, wd)
 	}
 	return off + len(p)
-}
-
-// TrainEpoch runs one epoch of mini-batch SGD over the dataset and returns
-// the mean training loss. The proximal term μ/2·‖w − w₀‖² (FedProx, §4.3)
-// is applied when mu > 0 with anchor w₀ = anchor. It is a thin wrapper
-// over TrainEpochWS with a throwaway workspace.
-func TrainEpoch(m *MLP, d *Dataset, batch int, opt *SGD, mu float64, anchor []float64, rng *rand.Rand) float64 {
-	return TrainEpochWS(m, d, batch, opt, mu, anchor, rng, NewWorkspace())
 }

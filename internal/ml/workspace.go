@@ -10,9 +10,8 @@ import (
 // activation matrices, backprop delta matrices, gradient and momentum
 // buffers, the mini-batch index/view slices, and a scratch model. Reusing
 // one Workspace across batches (and across clients on the same worker)
-// makes the training hot path allocation-free in steady state; the
-// per-example wrappers (Backward, TrainEpoch) remain as thin shims that
-// build a throwaway Workspace.
+// makes the training hot path allocation-free in steady state; a one-off
+// caller passes a fresh NewWorkspace().
 //
 // A Workspace is not safe for concurrent use; give each worker goroutine
 // its own (see fl's training pool).
@@ -117,9 +116,9 @@ func (ws *Workspace) permBuf(n int) []int {
 	return ws.perm[:n]
 }
 
-// BackwardWS computes the batch-mean cross-entropy loss and gradients like
-// Backward, accumulating into g, with every intermediate buffer drawn from
-// ws — zero allocations in steady state. The batch is processed
+// BackwardWS computes the average cross-entropy loss and its gradients over
+// a mini-batch (rows of X with labels Y), accumulating into g, with every
+// intermediate buffer drawn from ws — zero allocations in steady state. The batch is processed
 // batch-major (activation and delta matrices), so each weight row is
 // streamed once per batch instead of once per example.
 //
@@ -286,9 +285,12 @@ func (m *MLP) batchForward(l, n int, A, Z []float64, relu bool) {
 	}
 }
 
-// TrainEpochWS is TrainEpoch with every scratch buffer drawn from ws and
-// the SGD step applied in place to the model's layers — no flat-vector
-// round trips, zero steady-state allocations per batch.
+// TrainEpochWS runs one epoch of mini-batch SGD over the dataset and
+// returns the mean training loss. The proximal term μ/2·‖w − w₀‖² (FedProx,
+// §4.3) is applied when mu > 0 with anchor w₀ = anchor. Every scratch
+// buffer is drawn from ws and the SGD step is applied in place to the
+// model's layers — no flat-vector round trips, zero steady-state
+// allocations per batch.
 //
 //vet:noalloc
 func TrainEpochWS(m *MLP, d *Dataset, batch int, opt *SGD, mu float64, anchor []float64, rng *rand.Rand, ws *Workspace) float64 {

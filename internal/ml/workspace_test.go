@@ -225,9 +225,10 @@ func TestPermIntoMatchesRandPerm(t *testing.T) {
 	}
 }
 
-// TestTrainEpochWSMatchesLegacySemantics runs the wrapper and the
-// workspace form side by side from identical starting points and checks
-// they produce bit-identical models.
+// TestTrainEpochWSMatchesLegacySemantics runs a reused workspace with its
+// own optimizer and a fresh workspace per epoch with a plain SGD side by
+// side from identical starting points and checks they produce
+// bit-identical models.
 func TestTrainEpochWSMatchesLegacySemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	d := FEMNISTLike(50, rng)
@@ -240,12 +241,12 @@ func TestTrainEpochWSMatchesLegacySemantics(t *testing.T) {
 	opt2 := &SGD{LR: 0.05, Momentum: 0.5}
 	for e := 0; e < 2; e++ {
 		TrainEpochWS(m1, d, 20, opt1, 0, nil, r1, ws)
-		TrainEpoch(m2, d, 20, opt2, 0, nil, r2)
+		TrainEpochWS(m2, d, 20, opt2, 0, nil, r2, NewWorkspace())
 	}
 	p1, p2 := m1.Params(), m2.Params()
 	for i := range p1 {
 		if p1[i] != p2[i] {
-			t.Fatalf("param %d: workspace=%v wrapper=%v", i, p1[i], p2[i])
+			t.Fatalf("param %d: reused workspace=%v fresh=%v", i, p1[i], p2[i])
 		}
 	}
 }

@@ -66,7 +66,9 @@ func (Welcome) pubsubMessage() {}
 // member through Welcome messages and overrides the node-level defaults
 // for that topic only.
 type TreeConfig struct {
-	// MaxFanout caps children per node for this tree (0 = node default).
+	// MaxFanout caps children per node for this tree; joins beyond the cap
+	// are pushed down to an existing child. Zero leaves the natural fanout
+	// of the overlay (≈2^B) unenforced.
 	MaxFanout int
 	// AggTimeout flushes this tree's rounds after the deadline even if
 	// children are missing — per-application semi-synchronous rounds
@@ -84,9 +86,6 @@ type TreeConfig struct {
 
 // merged overlays the tree's overrides on the node defaults.
 func (tc TreeConfig) merged(node Config) TreeConfig {
-	if tc.MaxFanout == 0 {
-		tc.MaxFanout = node.MaxFanout
-	}
 	if tc.AggTimeout == 0 {
 		tc.AggTimeout = node.AggTimeout
 	}

@@ -13,10 +13,6 @@ import (
 
 // Config parameterizes the pub/sub layer of one node.
 type Config struct {
-	// MaxFanout caps children per node per tree; joins beyond the cap are
-	// pushed down to an existing child. Zero means the natural fanout of
-	// the overlay (≈2^B) is not enforced.
-	MaxFanout int
 	// KeepAliveInterval is the parent→children heartbeat period. Zero
 	// disables heartbeats (deterministic experiments drive repair
 	// explicitly).
@@ -460,7 +456,7 @@ func (n *Node) learnTreeConfig(st *topicState, cfg TreeConfig) {
 
 // enforceFanout pushes children beyond the tree's cap down to siblings.
 func (n *Node) enforceFanout(st *topicState) {
-	max := n.effCfg(st).MaxFanout
+	max := st.ownerCfg.MaxFanout
 	if max <= 0 {
 		return
 	}
@@ -500,7 +496,7 @@ func (n *Node) addChild(st *topicState, c ring.Contact) {
 		n.env.Send(c.Addr, Welcome{Topic: st.topic, Parent: n.ring.Self(), Cfg: st.ownerCfg, Epoch: st.mcEpoch, LastSeq: st.mcLast})
 		return
 	}
-	if max := n.effCfg(st).MaxFanout; max > 0 && len(st.children) >= max {
+	if max := st.ownerCfg.MaxFanout; max > 0 && len(st.children) >= max {
 		// Push down: redirect the join to the child whose ID is closest to
 		// the subscriber (keeps locality and balances subtrees).
 		var best ring.Contact

@@ -373,38 +373,6 @@ func TestPostFlushStragglerWithInPlaceCombiner(t *testing.T) {
 	}
 }
 
-func TestMaxFanoutRespected(t *testing.T) {
-	f := newForest(t, 400, ring.Config{B: 5}, Config{MaxFanout: 4}, 6)
-	topic := ids.Hash("app-fanout")
-	var subs []*stack
-	seen := map[transport.Addr]bool{}
-	for len(subs) < 150 {
-		s := f.stacks[f.rng.Intn(len(f.stacks))]
-		if seen[s.ring.Self().Addr] {
-			continue
-		}
-		seen[s.ring.Self().Addr] = true
-		s.ps.Subscribe(topic)
-		subs = append(subs, s)
-		f.net.RunUntilIdle()
-	}
-	f.verifyTree(t, topic, subs)
-	for _, s := range f.stacks {
-		if info, ok := s.ps.TreeInfo(topic); ok && len(info.Children) > 4 {
-			t.Fatalf("node %s has %d children (cap 4)", s.ring.Self().Addr, len(info.Children))
-		}
-	}
-	// Broadcast still reaches everyone.
-	root := f.verifyTree(t, topic, subs)
-	root.ps.Publish(topic, "m")
-	f.net.RunUntilIdle()
-	for _, s := range subs {
-		if len(f.delivered[s.ring.Self().Addr]) != 1 {
-			t.Fatalf("subscriber %s missed broadcast under fanout cap", s.ring.Self().Addr)
-		}
-	}
-}
-
 func TestKeepAliveRepairAfterParentFailure(t *testing.T) {
 	pcfg := Config{
 		KeepAliveInterval: 50 * time.Millisecond,

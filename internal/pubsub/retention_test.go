@@ -9,10 +9,13 @@ import (
 	"totoro/internal/ring"
 )
 
-// deepTree subscribes 40 of 150 nodes under a fanout cap of 3, which forces
-// the tree at least three levels deep, and returns the topic's members.
+// deepTree creates the topic's tree with a fanout cap of 3 and subscribes 40
+// of 150 nodes, which forces it at least three levels deep, and returns the
+// topic's members.
 func deepTree(t *testing.T, f *forest, topic ids.ID) []*stack {
 	t.Helper()
+	f.stacks[0].ps.CreateWithConfig(topic, TreeConfig{MaxFanout: 3})
+	f.net.RunUntilIdle()
 	var subs []*stack
 	for i := 0; i < 40; i++ {
 		s := f.stacks[f.rng.Intn(len(f.stacks))]
@@ -46,7 +49,7 @@ func heapInUse() uint64 {
 // the life of the node.
 func TestFlushedRoundsReleaseTheirPayload(t *testing.T) {
 	const floats, rounds, warmup = 32 << 10, 30, 3
-	f := newForest(t, 150, ring.Config{B: 4}, Config{MaxFanout: 3}, 11)
+	f := newForest(t, 150, ring.Config{B: 4}, Config{}, 11)
 	topic := ids.Hash("app-retention")
 	aggregated := 0
 	for _, s := range f.stacks {
@@ -106,7 +109,7 @@ func TestFlushedRoundsReleaseTheirPayload(t *testing.T) {
 // network duplicate of it is still dropped.
 func TestTombstoneStillRoutesStragglers(t *testing.T) {
 	type acc struct{ sum, count int }
-	f := newForest(t, 150, ring.Config{B: 4}, Config{AggTimeout: 100 * time.Millisecond, MaxFanout: 3}, 11)
+	f := newForest(t, 150, ring.Config{B: 4}, Config{AggTimeout: 100 * time.Millisecond}, 11)
 	topic := ids.Hash("app-tombstone")
 	var results []*acc
 	for _, s := range f.stacks {

@@ -7,6 +7,7 @@ import (
 
 	"totoro/internal/ids"
 	"totoro/internal/ring"
+	"totoro/internal/transport"
 )
 
 // TestPerTreeFanoutOverride verifies the owner-set fanout cap applies to
@@ -90,5 +91,42 @@ func TestPerTreeAggTimeoutOverride(t *testing.T) {
 	}
 	if len(f.aggregates[fmt.Sprintf("%s/%d", strict, 1)]) != 0 {
 		t.Fatal("strict tree flushed despite a missing member")
+	}
+}
+
+// TestMaxFanoutRespected grows a capped tree one subscriber at a time: no
+// node ever holds more children than the owner's cap, and a broadcast still
+// reaches every subscriber through the pushed-down joins.
+func TestMaxFanoutRespected(t *testing.T) {
+	f := newForest(t, 400, ring.Config{B: 5}, Config{}, 6)
+	topic := ids.Hash("app-fanout")
+	f.stacks[0].ps.CreateWithConfig(topic, TreeConfig{MaxFanout: 4})
+	f.net.RunUntilIdle()
+	var subs []*stack
+	seen := map[transport.Addr]bool{}
+	for len(subs) < 150 {
+		s := f.stacks[f.rng.Intn(len(f.stacks))]
+		if seen[s.ring.Self().Addr] {
+			continue
+		}
+		seen[s.ring.Self().Addr] = true
+		s.ps.Subscribe(topic)
+		subs = append(subs, s)
+		f.net.RunUntilIdle()
+	}
+	f.verifyTree(t, topic, subs)
+	for _, s := range f.stacks {
+		if info, ok := s.ps.TreeInfo(topic); ok && len(info.Children) > 4 {
+			t.Fatalf("node %s has %d children (cap 4)", s.ring.Self().Addr, len(info.Children))
+		}
+	}
+	// Broadcast still reaches everyone.
+	root := f.verifyTree(t, topic, subs)
+	root.ps.Publish(topic, "m")
+	f.net.RunUntilIdle()
+	for _, s := range subs {
+		if len(f.delivered[s.ring.Self().Addr]) != 1 {
+			t.Fatalf("subscriber %s missed broadcast under fanout cap", s.ring.Self().Addr)
+		}
 	}
 }

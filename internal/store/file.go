@@ -168,6 +168,3 @@ func (f *File) Load() (state any, recs []any, err error) {
 
 // Close implements Store.
 func (f *File) Close() error { return f.w.Close() }
-
-// WALSize reports the journal's current on-disk length (benchmarks).
-func (f *File) WALSize() int64 { return f.w.Size() }

@@ -122,12 +122,14 @@ type Node struct {
 	closed bool
 
 	// reg is the node's telemetry registry (shared with the protocol stack
-	// via Env.Metrics). reconnects counts successful redials of previously
-	// broken connections; droppedSends counts frames lost to full queues,
-	// an exhausted retry budget, or a payload with no codec; decodeErrors
-	// counts inbound frames whose body failed to decode (skipped without
-	// killing the connection) and connections refused for not speaking
-	// codec v2. The net.* counters track real socket traffic under the same
+	// via Env.Metrics). reconnects ("tcpnet.reconnects") counts successful
+	// redials of previously broken connections; droppedSends
+	// ("tcpnet.dropped_sends") counts frames lost to full queues, an
+	// exhausted retry budget, or a payload with no codec; decodeErrors
+	// ("net.decode_errors") counts inbound frames whose body failed to
+	// decode (skipped without killing the connection) and connections
+	// closed over a framing violation: no codec-v2 preamble, or an oversized
+	// length header. The net.* counters track real socket traffic under the same
 	// names the simulator uses. Counters are safe from reader and writer
 	// goroutines.
 	reg          *obs.Registry
@@ -146,20 +148,6 @@ type Node struct {
 // protocol stack emits into via its Env. cmd/totoro-node serves it over
 // HTTP with obs.RegistryHandler.
 func (n *Node) Metrics() *obs.Registry { return n.reg }
-
-// Reconnects returns the count of successful redials of broken
-// connections ("tcpnet.reconnects").
-func (n *Node) Reconnects() int64 { return n.reconnects.Value() }
-
-// DroppedSends returns the count of frames lost to full queues or an
-// exhausted retry budget ("tcpnet.dropped_sends").
-func (n *Node) DroppedSends() int64 { return n.droppedSends.Value() }
-
-// DecodeErrors returns the count of inbound frames whose body failed to
-// decode — skipped, the connection survives — plus connections closed over
-// a framing violation: no codec-v2 preamble, or an oversized length header
-// ("net.decode_errors").
-func (n *Node) DecodeErrors() int64 { return n.decodeErrors.Value() }
 
 // Listen starts a node on the given TCP address ("host:port") with default
 // resilience settings. build receives the node's Env and returns its

@@ -150,8 +150,8 @@ func TestReconnectDrainsQueuedFrames(t *testing.T) {
 	waitFor(t, func() bool { return h2.seen.Load() >= 1 })
 	a.Do(func() { ha.env.Send(port, "after-reconnect") })
 	waitFor(t, func() bool { return h2.seen.Load() >= 2 })
-	if a.Reconnects() < 1 {
-		t.Fatalf("Reconnects = %d, want >= 1", a.Reconnects())
+	if n := a.Metrics().Counter("tcpnet.reconnects").Value(); n < 1 {
+		t.Fatalf("tcpnet.reconnects = %d, want >= 1", n)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestRetryBudgetAbandonsPeerThenRecovers(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 
 	a.Do(func() { ha.env.Send(port, "doomed") })
-	waitFor(t, func() bool { return a.DroppedSends() >= 1 })
+	waitFor(t, func() bool { return a.Metrics().Counter("tcpnet.dropped_sends").Value() >= 1 })
 	a.mu.Lock()
 	_, still := a.peers[port]
 	a.mu.Unlock()
@@ -210,15 +210,15 @@ func TestNonV2StreamIsRejected(t *testing.T) {
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatal("connection still alive after a non-v2 opening")
 	}
-	if got := b.DecodeErrors(); got != 1 {
+	if got := b.Metrics().Counter(transport.CtrDecodeErrors).Value(); got != 1 {
 		t.Fatalf("DecodeErrors = %d, want 1", got)
 	}
 
 	a, ha := startNode(t)
 	a.Do(func() { ha.env.Send(b.Addr(), "ping") })
 	waitFor(t, func() bool { return ha.seen.Load() >= 1 }) // b got it and answered
-	if hb.seen.Load() != 1 || b.DecodeErrors() != 1 {
-		t.Fatalf("after a v2 peer: delivered %d (want 1, the ping), DecodeErrors %d (want 1)", hb.seen.Load(), b.DecodeErrors())
+	if hb.seen.Load() != 1 || b.Metrics().Counter(transport.CtrDecodeErrors).Value() != 1 {
+		t.Fatalf("after a v2 peer: delivered %d (want 1, the ping), net.decode_errors %d (want 1)", hb.seen.Load(), b.Metrics().Counter(transport.CtrDecodeErrors).Value())
 	}
 }
 
@@ -260,7 +260,7 @@ func TestMalformedFrameCountedNotFatal(t *testing.T) {
 
 	// Both good frames arrive — the bad ones were skipped, not fatal.
 	waitFor(t, func() bool { return hb.seen.Load() >= 3 })
-	waitFor(t, func() bool { return b.DecodeErrors() == 2 })
+	waitFor(t, func() bool { return b.Metrics().Counter(transport.CtrDecodeErrors).Value() == 2 })
 	if got := b.Metrics().Counter(transport.CtrDecodeErrors).Value(); got != 2 {
 		t.Fatalf("net.decode_errors = %d, want 2", got)
 	}
@@ -280,7 +280,7 @@ func TestOversizedFrameKillsConnection(t *testing.T) {
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, 1<<30)
 	conn.Write(hdr)
-	waitFor(t, func() bool { return b.DecodeErrors() == 1 })
+	waitFor(t, func() bool { return b.Metrics().Counter(transport.CtrDecodeErrors).Value() == 1 })
 	// The node closed its side: reads hit EOF once the kernel drains.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err == nil {

@@ -248,7 +248,7 @@ func TestModelUpdateParityOverTCP(t *testing.T) {
 	})
 
 	for _, ln := range nodes {
-		if n := ln.node.DecodeErrors(); n != 0 {
+		if n := ln.node.Metrics().Counter(transport.CtrDecodeErrors).Value(); n != 0 {
 			t.Fatalf("%s: %d decode errors during parity run", ln.node.Addr(), n)
 		}
 	}

@@ -128,7 +128,7 @@ func sessionHash() uint64 {
 	train, test := full.Split(0.25, rng)
 	clients := ml.DirichletPartition(train, 16, 0.3, rng)
 	proto := ml.NewMLP([]int{64, 48, 62}, rng)
-	s := fl.NewSession(proto, clients, test, fl.ClientConfig{LR: 0.1}, nil, fl.QuantizeInt8{})
+	s := fl.NewSession(proto, clients, test, fl.ClientConfig{LR: 0.1}, fl.QuantizeInt8{})
 	h := fnv.New64a()
 	for r := 0; r < 4; r++ {
 		rep := s.Round(10, rng)
