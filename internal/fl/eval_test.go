@@ -28,7 +28,7 @@ func TestAccuracyMatchesMLP(t *testing.T) {
 		// The helper starts before the caller scores anything and takes
 		// every chunk.
 		f := &Future{done: make(chan struct{})}
-		job(nil)
+		job(ml.NewWorkspace())
 		close(f.done)
 		return f
 	}

@@ -112,7 +112,8 @@ const evalChunk = 32
 // caller scores 32-sample chunks, and one helper job claims chunks beside it
 // if a worker is idle and nothing is queued. The caller waits only for a
 // helper that has started, so a busy pool never holds it up. Hit counts are
-// integers, so the result is model.Accuracy's at any GOMAXPROCS.
+// integers, so the result is model.Accuracy's at any GOMAXPROCS. Both score
+// into a pooled workspace's ActBuffer, so an evaluation leaves no garbage.
 func Accuracy(model *ml.MLP, test *ml.Dataset) float64 {
 	return sharedAccuracy(model, test, goIfIdle)
 }
@@ -125,8 +126,8 @@ func sharedAccuracy(model *ml.MLP, test *ml.Dataset, spawn func(func(*ml.Workspa
 		return 0
 	}
 	var next atomic.Int64 // first sample of the next unclaimed chunk
-	score := func() (hit int) {
-		buf := model.ActBuffer()
+	score := func(ws *ml.Workspace) (hit int) {
+		buf := ws.ActBuffer(model)
 		for {
 			lo := int(next.Add(evalChunk)) - evalChunk
 			if lo >= n {
@@ -140,13 +141,15 @@ func sharedAccuracy(model *ml.MLP, test *ml.Dataset, spawn func(func(*ml.Workspa
 	var helper *Future
 	helped := 0 // read by the caller only after helper.Wait
 	if n > evalChunk {
-		helper = spawn(func(*ml.Workspace) {
+		helper = spawn(func(ws *ml.Workspace) {
 			if state.CompareAndSwap(0, 1) {
-				helped = score()
+				helped = score(ws)
 			}
 		})
 	}
-	hit := score()
+	ws := wsPool.Get().(*ml.Workspace)
+	hit := score(ws)
+	wsPool.Put(ws)
 	// A helper that has not started is called off; one that has is scoring
 	// its last chunk, and only that is waited for.
 	if helper != nil && !state.CompareAndSwap(0, 2) {

@@ -114,9 +114,19 @@ func BenchmarkStepModelBig(b *testing.B) {
 
 // BenchmarkAccuracyBig is the master's per-round evaluation.
 func BenchmarkAccuracyBig(b *testing.B) {
-	rng := rand.New(rand.NewSource(48))
-	m := NewMLP(bigSizes, rng)
-	test := FEMNISTLike(450, rng)
+	benchAccuracy(b, 48, bigSizes, 450)
+}
+
+// BenchmarkAccuracyTiny is the same on forest-10k: the 64-4-62 model over
+// the 900-sample test set of a 600-worker app.
+func BenchmarkAccuracyTiny(b *testing.B) {
+	benchAccuracy(b, 49, []int{64, 4, 62}, 900)
+}
+
+func benchAccuracy(b *testing.B, seed int64, sizes []int, samples int) {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewMLP(sizes, rng)
+	test := FEMNISTLike(samples, rng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -46,7 +46,7 @@ func axpyN4(c *[4]float64, x []float64, stride int, y []float64) {
 	n := len(y)
 	_ = x[3*stride+n-1]
 	if hasSIMD && n >= 4 {
-		axpy4AVX(&c[0], &x[0], stride, &y[0], n)
+		axpy4LoopAVX(&c[0], 0, &x[0], stride, &y[0], 0, n, 1)
 		return
 	}
 	x0, x1 := x[:n], x[stride:stride+n]
@@ -63,7 +63,7 @@ func axpyN8(c *[8]float64, x []float64, stride int, y []float64) {
 	n := len(y)
 	_ = x[7*stride+n-1]
 	if hasSIMD && n >= 4 {
-		axpy8AVX(&c[0], &x[0], stride, &y[0], n)
+		axpy8LoopAVX(&c[0], 0, &x[0], stride, &y[0], 0, n, 1)
 		return
 	}
 	var c0, c1 [4]float64
@@ -82,7 +82,7 @@ func dotN4(d []float64, w []float64, stride int, dst []float64) {
 	_ = w[3*stride+n-1]
 	_ = dst[3]
 	if hasSIMD && n >= 4 {
-		dot4AVX(&d[0], &w[0], stride, &dst[0], n)
+		dot4LoopAVX(&d[0], 0, &w[0], stride, &dst[0], 0, n, 1)
 		return
 	}
 	w0, w1 := w[:n], w[stride:stride+n]
@@ -96,6 +96,71 @@ func dotN4(d []float64, w []float64, stride int, dst []float64) {
 		s3 += w3[j] * dj
 	}
 	dst[0], dst[1], dst[2], dst[3] = s0, s1, s2, s3
+}
+
+// The layer-pass forms below run their single-pass kernel count times,
+// the k-th time on c, y (d, dst) moved on by k steps and on the same rows
+// x (w): on the AVX path in one kernel call, otherwise one single-pass call
+// each. Either way every element is computed as the single pass computes
+// it.
+
+// axpyN4Loop computes y[k*ystep+j] += Σ_t c[k*cstep+t]*x[t*stride+j] for
+// j in [0, n), k in [0, count): axpyN4 count times.
+//
+//vet:noalloc
+func axpyN4Loop(c []float64, cstep int, x []float64, stride int, y []float64, ystep, n, count int) {
+	if count == 0 || n == 0 {
+		return
+	}
+	_ = c[(count-1)*cstep+3]
+	_ = x[3*stride+n-1]
+	_ = y[(count-1)*ystep+n-1]
+	if hasSIMD && n >= 4 {
+		axpy4LoopAVX(&c[0], cstep, &x[0], stride, &y[0], ystep, n, count)
+		return
+	}
+	for k := 0; k < count; k++ {
+		axpyN4((*[4]float64)(c[k*cstep:]), x, stride, y[k*ystep:k*ystep+n])
+	}
+}
+
+// axpyN8Loop is axpyN4Loop over eight rows: axpyN8 count times.
+//
+//vet:noalloc
+func axpyN8Loop(c []float64, cstep int, x []float64, stride int, y []float64, ystep, n, count int) {
+	if count == 0 || n == 0 {
+		return
+	}
+	_ = c[(count-1)*cstep+7]
+	_ = x[7*stride+n-1]
+	_ = y[(count-1)*ystep+n-1]
+	if hasSIMD && n >= 4 {
+		axpy8LoopAVX(&c[0], cstep, &x[0], stride, &y[0], ystep, n, count)
+		return
+	}
+	for k := 0; k < count; k++ {
+		axpyN8((*[8]float64)(c[k*cstep:]), x, stride, y[k*ystep:k*ystep+n])
+	}
+}
+
+// dotN4Loop computes dst[k*dststep+t] = Σ_j w[t*stride+j]*d[k*dstep+j] for
+// j in [0, n), t in 0..3, k in [0, count): dotN4 count times.
+//
+//vet:noalloc
+func dotN4Loop(d []float64, dstep int, w []float64, stride int, dst []float64, dststep, n, count int) {
+	if count == 0 || n == 0 {
+		return
+	}
+	_ = d[(count-1)*dstep+n-1]
+	_ = w[3*stride+n-1]
+	_ = dst[(count-1)*dststep+3]
+	if hasSIMD && n >= 4 {
+		dot4LoopAVX(&d[0], dstep, &w[0], stride, &dst[0], dststep, n, count)
+		return
+	}
+	for k := 0; k < count; k++ {
+		dotN4(d[k*dstep:k*dstep+n], w, stride, dst[k*dststep:k*dststep+4])
+	}
 }
 
 // dot computes the inner product of x and y.

@@ -42,15 +42,19 @@ func axpyAVX(a float64, x, y *float64, n int)
 
 //go:noescape
 //vet:noalloc
-func axpy4AVX(c, x *float64, stride int, y *float64, n int)
+func axpy4LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int)
 
 //go:noescape
 //vet:noalloc
-func axpy8AVX(c, x *float64, stride int, y *float64, n int)
+func axpy8LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int)
 
 //go:noescape
 //vet:noalloc
-func dot4AVX(d, w *float64, stride int, dst *float64, n int)
+func dot4LoopAVX(d *float64, dstep int, w *float64, stride int, dst *float64, dststep, n, count int)
+
+//go:noescape
+//vet:noalloc
+func forwardTileAVX(a *float64, in int, w, b, z *float64, out int)
 
 //go:noescape
 //vet:noalloc

@@ -1,7 +1,7 @@
-// AVX2+FMA kernels for the training hot path. Every routine keeps enough
-// independent accumulator chains in flight to cover the 4-5 cycle FMA
-// latency; the N-row variants hold all row coefficients broadcast in YMM
-// registers so the inner loop is pure load+FMA.
+// AVX2+FMA kernels for the training and evaluation hot paths. Every routine
+// keeps enough independent accumulator chains in flight to cover the 4-5
+// cycle FMA latency; the N-row variants hold all row coefficients broadcast
+// in YMM registers so the inner loop is pure load+FMA.
 
 #include "textflag.h"
 
@@ -79,22 +79,36 @@ axpy_done:
 	VZEROUPPER
 	RET
 
-// func axpy4AVX(c, x *float64, stride int, y *float64, n int)
-// y[j] += sum_t c[t]*x[t*stride+j] for t in 0..3, j in [0, n)
-TEXT ·axpy4AVX(SB), NOSPLIT, $0-40
-	MOVQ c+0(FP), BX
-	VBROADCASTSD (BX), Y0
-	VBROADCASTSD 8(BX), Y1
-	VBROADCASTSD 16(BX), Y2
-	VBROADCASTSD 24(BX), Y3
-	MOVQ x+8(FP), SI
-	MOVQ stride+16(FP), BX
+// The three multi-row kernels below run a whole layer pass per call: one
+// pass over the matrix rows x (w) per step, count steps, the k-th on
+// coefficients and outputs k·cstep and k·ystep (k·dstep and k·dststep)
+// elements on. Each pass is the same instruction sequence, accumulator
+// chains and horizontal reduction included, so every output element gets
+// the same operations in the same order whatever the count; a single pass
+// is count 1.
+
+// func axpy4LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int)
+// y[k*ystep+j] += sum_t c[k*cstep+t]*x[t*stride+j] for t in 0..3, j in [0, n),
+// k in [0, count)
+TEXT ·axpy4LoopAVX(SB), NOSPLIT, $0-64
+	MOVQ count+56(FP), R15
+	TESTQ R15, R15
+	JLE  a4_done
+	MOVQ x+16(FP), SI
+	MOVQ stride+24(FP), BX
 	SHLQ $3, BX
 	LEAQ (SI)(BX*1), R8
 	LEAQ (R8)(BX*1), R9
 	LEAQ (R9)(BX*1), R10
-	MOVQ y+24(FP), DI
-	MOVQ n+32(FP), CX
+	MOVQ c+0(FP), BX
+	MOVQ y+32(FP), DI
+	MOVQ n+48(FP), CX
+
+a4_pass:
+	VBROADCASTSD (BX), Y0
+	VBROADCASTSD 8(BX), Y1
+	VBROADCASTSD 16(BX), Y2
+	VBROADCASTSD 24(BX), Y3
 	XORQ AX, AX
 	MOVQ CX, DX
 	ANDQ $-8, DX
@@ -140,7 +154,7 @@ a4_tail4:
 
 a4_tail1:
 	CMPQ AX, CX
-	JGE  a4_done
+	JGE  a4_next
 	VMOVSD (DI)(AX*8), X4
 	VFMADD231SD (SI)(AX*8), X0, X4
 	VFMADD231SD (R8)(AX*8), X1, X4
@@ -150,24 +164,27 @@ a4_tail1:
 	INCQ AX
 	JMP  a4_tail1
 
+a4_next:
+	MOVQ cstep+8(FP), DX
+	LEAQ (BX)(DX*8), BX
+	MOVQ ystep+40(FP), DX
+	LEAQ (DI)(DX*8), DI
+	DECQ R15
+	JNZ  a4_pass
+
 a4_done:
 	VZEROUPPER
 	RET
 
-// func axpy8AVX(c, x *float64, stride int, y *float64, n int)
-// y[j] += sum_t c[t]*x[t*stride+j] for t in 0..7, j in [0, n)
-TEXT ·axpy8AVX(SB), NOSPLIT, $0-40
-	MOVQ c+0(FP), BX
-	VBROADCASTSD (BX), Y0
-	VBROADCASTSD 8(BX), Y1
-	VBROADCASTSD 16(BX), Y2
-	VBROADCASTSD 24(BX), Y3
-	VBROADCASTSD 32(BX), Y4
-	VBROADCASTSD 40(BX), Y5
-	VBROADCASTSD 48(BX), Y6
-	VBROADCASTSD 56(BX), Y7
-	MOVQ x+8(FP), SI
-	MOVQ stride+16(FP), BX
+// func axpy8LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int)
+// y[k*ystep+j] += sum_t c[k*cstep+t]*x[t*stride+j] for t in 0..7, j in [0, n),
+// k in [0, count)
+TEXT ·axpy8LoopAVX(SB), NOSPLIT, $0-64
+	MOVQ count+56(FP), R15
+	TESTQ R15, R15
+	JLE  a8_done
+	MOVQ x+16(FP), SI
+	MOVQ stride+24(FP), BX
 	SHLQ $3, BX
 	LEAQ (SI)(BX*1), R8
 	LEAQ (R8)(BX*1), R9
@@ -176,8 +193,19 @@ TEXT ·axpy8AVX(SB), NOSPLIT, $0-40
 	LEAQ (R11)(BX*1), R12
 	LEAQ (R12)(BX*1), R13
 	LEAQ (R13)(BX*1), R14
-	MOVQ y+24(FP), DI
-	MOVQ n+32(FP), CX
+	MOVQ c+0(FP), BX
+	MOVQ y+32(FP), DI
+	MOVQ n+48(FP), CX
+
+a8_pass:
+	VBROADCASTSD (BX), Y0
+	VBROADCASTSD 8(BX), Y1
+	VBROADCASTSD 16(BX), Y2
+	VBROADCASTSD 24(BX), Y3
+	VBROADCASTSD 32(BX), Y4
+	VBROADCASTSD 40(BX), Y5
+	VBROADCASTSD 48(BX), Y6
+	VBROADCASTSD 56(BX), Y7
 	XORQ AX, AX
 	MOVQ CX, DX
 	ANDQ $-8, DX
@@ -236,7 +264,7 @@ a8_tail4:
 
 a8_tail1:
 	CMPQ AX, CX
-	JGE  a8_done
+	JGE  a8_next
 	VMOVSD (DI)(AX*8), X8
 	VFMADD231SD (SI)(AX*8), X0, X8
 	VFMADD231SD (R8)(AX*8), X1, X8
@@ -250,22 +278,36 @@ a8_tail1:
 	INCQ AX
 	JMP  a8_tail1
 
+a8_next:
+	MOVQ cstep+8(FP), DX
+	LEAQ (BX)(DX*8), BX
+	MOVQ ystep+40(FP), DX
+	LEAQ (DI)(DX*8), DI
+	DECQ R15
+	JNZ  a8_pass
+
 a8_done:
 	VZEROUPPER
 	RET
 
-// func dot4AVX(d, w *float64, stride int, dst *float64, n int)
-// dst[t] = sum_j w[t*stride+j]*d[j] for t in 0..3
-TEXT ·dot4AVX(SB), NOSPLIT, $0-40
+// func dot4LoopAVX(d *float64, dstep int, w *float64, stride int, dst *float64, dststep, n, count int)
+// dst[k*dststep+t] = sum_j w[t*stride+j]*d[k*dstep+j] for t in 0..3,
+// k in [0, count)
+TEXT ·dot4LoopAVX(SB), NOSPLIT, $0-64
+	MOVQ count+56(FP), R15
+	TESTQ R15, R15
+	JLE  d4_done
 	MOVQ d+0(FP), SI
-	MOVQ w+8(FP), DI
-	MOVQ stride+16(FP), BX
+	MOVQ w+16(FP), DI
+	MOVQ stride+24(FP), BX
 	SHLQ $3, BX
 	LEAQ (DI)(BX*1), R8
 	LEAQ (R8)(BX*1), R9
 	LEAQ (R9)(BX*1), R10
-	MOVQ dst+24(FP), R11
-	MOVQ n+32(FP), CX
+	MOVQ dst+32(FP), R11
+	MOVQ n+48(FP), CX
+
+d4_pass:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -330,7 +372,7 @@ d4_reduce:
 
 d4_tail1:
 	CMPQ AX, CX
-	JGE  d4_done
+	JGE  d4_store
 	VMOVSD (SI)(AX*8), X8
 	VFMADD231SD (DI)(AX*8), X8, X0
 	VFMADD231SD (R8)(AX*8), X8, X1
@@ -339,11 +381,254 @@ d4_tail1:
 	INCQ AX
 	JMP  d4_tail1
 
-d4_done:
+d4_store:
 	VMOVSD X0, (R11)
 	VMOVSD X1, 8(R11)
 	VMOVSD X2, 16(R11)
 	VMOVSD X3, 24(R11)
+	MOVQ dstep+8(FP), DX
+	LEAQ (SI)(DX*8), SI
+	MOVQ dststep+40(FP), DX
+	LEAQ (R11)(DX*8), R11
+	DECQ R15
+	JNZ  d4_pass
+
+d4_done:
+	VZEROUPPER
+	RET
+
+// Evaluation. forwardTileAVX computes one layer for a tile of four samples
+// with the accumulators in registers: for a block of up to three output
+// vectors it keeps the four samples' twelve accumulators in Y0-Y11 across
+// all of the layer's inputs, so each weight vector is loaded once for the
+// four samples and no output is stored before its last input. Every
+// element gets predictInto's operations in predictInto's order — the bias,
+// then one fused multiply-add per input in ascending order, with the
+// operands in axpyAVX's positions (accumulator, input, weight) — except
+// that an input of zero is multiplied in rather than skipped. Outputs past
+// the last whole vector are one vector under a lane mask.
+
+// tailmask<>+8*(3-r) holds r all-ones lanes followed by zero lanes.
+DATA tailmask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+24(SB)/8, $0
+DATA tailmask<>+32(SB)/8, $0
+DATA tailmask<>+40(SB)/8, $0
+DATA tailmask<>+48(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $56
+
+// func forwardTileAVX(a *float64, in int, w, b, z *float64, out int)
+// z[s*out+j] = b[j] + sum_i a[s*in+i]*w[i*out+j], one fused multiply-add
+// per i in ascending order, for s in 0..3 and j in [0, out)
+TEXT ·forwardTileAVX(SB), NOSPLIT, $0-48
+	// SI, R8, R9, R10 point past the four input rows, which are indexed
+	// from -in up to 0; DI, R11, R12, R13 at the four output rows.
+	MOVQ in+8(FP), CX
+	MOVQ a+0(FP), SI
+	LEAQ (SI)(CX*8), SI
+	LEAQ (SI)(CX*8), R8
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+	NEGQ CX
+	MOVQ out+40(FP), R14
+	MOVQ z+32(FP), DI
+	LEAQ (DI)(R14*8), R11
+	LEAQ (R11)(R14*8), R12
+	LEAQ (R12)(R14*8), R13
+	SHLQ $3, R14 // bytes from one weight row to the next
+	XORQ DX, DX  // first output of the block
+
+ft_block12:
+	LEAQ 12(DX), AX
+	CMPQ AX, out+40(FP)
+	JGT  ft_block8
+	MOVQ b+24(FP), BX
+	VMOVUPD (BX)(DX*8), Y0
+	VMOVUPD 32(BX)(DX*8), Y1
+	VMOVUPD 64(BX)(DX*8), Y2
+	VMOVAPD Y0, Y3
+	VMOVAPD Y1, Y4
+	VMOVAPD Y2, Y5
+	VMOVAPD Y0, Y6
+	VMOVAPD Y1, Y7
+	VMOVAPD Y2, Y8
+	VMOVAPD Y0, Y9
+	VMOVAPD Y1, Y10
+	VMOVAPD Y2, Y11
+	MOVQ w+16(FP), BX
+	LEAQ (BX)(DX*8), BX
+	MOVQ CX, AX
+	TESTQ AX, AX
+	JZ   ft_store12
+
+ft_loop12:
+	VMOVUPD (BX), Y12
+	VMOVUPD 32(BX), Y13
+	VMOVUPD 64(BX), Y14
+	VBROADCASTSD (SI)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y0
+	VFMADD231PD Y13, Y15, Y1
+	VFMADD231PD Y14, Y15, Y2
+	VBROADCASTSD (R8)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y3
+	VFMADD231PD Y13, Y15, Y4
+	VFMADD231PD Y14, Y15, Y5
+	VBROADCASTSD (R9)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y6
+	VFMADD231PD Y13, Y15, Y7
+	VFMADD231PD Y14, Y15, Y8
+	VBROADCASTSD (R10)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y9
+	VFMADD231PD Y13, Y15, Y10
+	VFMADD231PD Y14, Y15, Y11
+	ADDQ R14, BX
+	INCQ AX
+	JNZ  ft_loop12
+
+ft_store12:
+	VMOVUPD Y0, (DI)(DX*8)
+	VMOVUPD Y1, 32(DI)(DX*8)
+	VMOVUPD Y2, 64(DI)(DX*8)
+	VMOVUPD Y3, (R11)(DX*8)
+	VMOVUPD Y4, 32(R11)(DX*8)
+	VMOVUPD Y5, 64(R11)(DX*8)
+	VMOVUPD Y6, (R12)(DX*8)
+	VMOVUPD Y7, 32(R12)(DX*8)
+	VMOVUPD Y8, 64(R12)(DX*8)
+	VMOVUPD Y9, (R13)(DX*8)
+	VMOVUPD Y10, 32(R13)(DX*8)
+	VMOVUPD Y11, 64(R13)(DX*8)
+	ADDQ $12, DX
+	JMP  ft_block12
+
+ft_block8:
+	LEAQ 8(DX), AX
+	CMPQ AX, out+40(FP)
+	JGT  ft_block4
+	MOVQ b+24(FP), BX
+	VMOVUPD (BX)(DX*8), Y0
+	VMOVUPD 32(BX)(DX*8), Y1
+	VMOVAPD Y0, Y2
+	VMOVAPD Y1, Y3
+	VMOVAPD Y0, Y4
+	VMOVAPD Y1, Y5
+	VMOVAPD Y0, Y6
+	VMOVAPD Y1, Y7
+	MOVQ w+16(FP), BX
+	LEAQ (BX)(DX*8), BX
+	MOVQ CX, AX
+	TESTQ AX, AX
+	JZ   ft_store8
+
+ft_loop8:
+	VMOVUPD (BX), Y12
+	VMOVUPD 32(BX), Y13
+	VBROADCASTSD (SI)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y0
+	VFMADD231PD Y13, Y15, Y1
+	VBROADCASTSD (R8)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y2
+	VFMADD231PD Y13, Y15, Y3
+	VBROADCASTSD (R9)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y4
+	VFMADD231PD Y13, Y15, Y5
+	VBROADCASTSD (R10)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y6
+	VFMADD231PD Y13, Y15, Y7
+	ADDQ R14, BX
+	INCQ AX
+	JNZ  ft_loop8
+
+ft_store8:
+	VMOVUPD Y0, (DI)(DX*8)
+	VMOVUPD Y1, 32(DI)(DX*8)
+	VMOVUPD Y2, (R11)(DX*8)
+	VMOVUPD Y3, 32(R11)(DX*8)
+	VMOVUPD Y4, (R12)(DX*8)
+	VMOVUPD Y5, 32(R12)(DX*8)
+	VMOVUPD Y6, (R13)(DX*8)
+	VMOVUPD Y7, 32(R13)(DX*8)
+	ADDQ $8, DX
+
+ft_block4:
+	LEAQ 4(DX), AX
+	CMPQ AX, out+40(FP)
+	JGT  ft_tail
+	MOVQ b+24(FP), BX
+	VMOVUPD (BX)(DX*8), Y0
+	VMOVAPD Y0, Y1
+	VMOVAPD Y0, Y2
+	VMOVAPD Y0, Y3
+	MOVQ w+16(FP), BX
+	LEAQ (BX)(DX*8), BX
+	MOVQ CX, AX
+	TESTQ AX, AX
+	JZ   ft_store4
+
+ft_loop4:
+	VMOVUPD (BX), Y12
+	VBROADCASTSD (SI)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y0
+	VBROADCASTSD (R8)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y1
+	VBROADCASTSD (R9)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y2
+	VBROADCASTSD (R10)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y3
+	ADDQ R14, BX
+	INCQ AX
+	JNZ  ft_loop4
+
+ft_store4:
+	VMOVUPD Y0, (DI)(DX*8)
+	VMOVUPD Y1, (R11)(DX*8)
+	VMOVUPD Y2, (R12)(DX*8)
+	VMOVUPD Y3, (R13)(DX*8)
+	ADDQ $4, DX
+
+ft_tail:
+	// the last 1-3 outputs: loads and stores under the mask in Y14
+	MOVQ out+40(FP), AX
+	SUBQ DX, AX
+	JZ   ft_done
+	MOVQ $3, BX
+	SUBQ AX, BX
+	LEAQ tailmask<>(SB), AX
+	VMOVUPD (AX)(BX*8), Y14
+	MOVQ b+24(FP), BX
+	LEAQ (BX)(DX*8), BX
+	VMASKMOVPD (BX), Y14, Y0
+	VMOVAPD Y0, Y1
+	VMOVAPD Y0, Y2
+	VMOVAPD Y0, Y3
+	MOVQ w+16(FP), BX
+	LEAQ (BX)(DX*8), BX
+	MOVQ CX, AX
+	TESTQ AX, AX
+	JZ   ft_storetail
+
+ft_looptail:
+	VMASKMOVPD (BX), Y14, Y12
+	VBROADCASTSD (SI)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y0
+	VBROADCASTSD (R8)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y1
+	VBROADCASTSD (R9)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y2
+	VBROADCASTSD (R10)(AX*8), Y15
+	VFMADD231PD Y12, Y15, Y3
+	ADDQ R14, BX
+	INCQ AX
+	JNZ  ft_looptail
+
+ft_storetail:
+	VMASKMOVPD Y0, Y14, (DI)(DX*8)
+	VMASKMOVPD Y1, Y14, (R11)(DX*8)
+	VMASKMOVPD Y2, Y14, (R12)(DX*8)
+	VMASKMOVPD Y3, Y14, (R13)(DX*8)
+
+ft_done:
 	VZEROUPPER
 	RET
 

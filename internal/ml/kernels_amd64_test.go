@@ -5,6 +5,8 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -130,6 +132,83 @@ func TestSIMDKernelUnits(t *testing.T) {
 			if dd := relDiff(dst0[j], dst1[j]); dd > 1e-13 {
 				t.Fatalf("dotN4 n=%d t=%d: simd=%v scalar=%v", n, j, dst0[j], dst1[j])
 			}
+		}
+	}
+}
+
+// TestLayerPassKernels: one layer-pass call equals its single-pass kernel
+// run once per step bit for bit, and the scalar loop to rounding, and
+// writes nothing between the rows it steps over — for every n % 8, 0–9
+// steps, and operands spaced wider than they need.
+func TestLayerPassKernels(t *testing.T) {
+	if !hasSIMD {
+		t.Skip("CPU does not support AVX2+FMA")
+	}
+	defer func() { hasSIMD = true }()
+	rng := rand.New(rand.NewSource(43))
+	fill := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	// check runs pass (the layer-pass call) with the AVX kernels and with
+	// the scalar ones, and steps (the single-pass calls) with the AVX
+	// kernels, each on its own copy of out.
+	check := func(name string, n, count int, out []float64, pass, steps func(out []float64)) {
+		t.Helper()
+		fused, single, scalar := slices.Clone(out), slices.Clone(out), slices.Clone(out)
+		hasSIMD = true
+		pass(fused)
+		steps(single)
+		hasSIMD = false
+		pass(scalar)
+		hasSIMD = true
+		for j := range fused {
+			if math.Float64bits(fused[j]) != math.Float64bits(single[j]) {
+				t.Fatalf("%s n=%d count=%d [%d]: layer pass %v, single passes %v", name, n, count, j, fused[j], single[j])
+			}
+			if d := relDiff(fused[j], scalar[j]); d > 1e-13 {
+				t.Fatalf("%s n=%d count=%d [%d]: simd %v, scalar %v", name, n, count, j, fused[j], scalar[j])
+			}
+		}
+	}
+	for n := 1; n <= 20; n++ {
+		for count := 0; count <= 9; count++ {
+			stride := n + rng.Intn(3)
+			x := fill(8 * stride)
+			ystep := n + rng.Intn(3)
+			y := fill(count*ystep + n)
+			for _, rows := range []int{4, 8} {
+				cstep := rows + rng.Intn(3)
+				c := fill(count*cstep + rows)
+				check("axpy rows="+strconv.Itoa(rows), n, count, y, func(y []float64) {
+					if rows == 4 {
+						axpyN4Loop(c, cstep, x, stride, y, ystep, n, count)
+					} else {
+						axpyN8Loop(c, cstep, x, stride, y, ystep, n, count)
+					}
+				}, func(y []float64) {
+					for k := range count {
+						if rows == 4 {
+							axpyN4((*[4]float64)(c[k*cstep:]), x, stride, y[k*ystep:k*ystep+n])
+						} else {
+							axpyN8((*[8]float64)(c[k*cstep:]), x, stride, y[k*ystep:k*ystep+n])
+						}
+					}
+				})
+			}
+			dstep, dststep := n+rng.Intn(3), 4+rng.Intn(3)
+			d := fill(count*dstep + n)
+			dst := fill(count*dststep + 4)
+			check("dotN4", n, count, dst, func(dst []float64) {
+				dotN4Loop(d, dstep, x, stride, dst, dststep, n, count)
+			}, func(dst []float64) {
+				for k := range count {
+					dotN4(d[k*dstep:k*dstep+n], x, stride, dst[k*dststep:k*dststep+4])
+				}
+			})
 		}
 	}
 }

@@ -10,15 +10,22 @@ const hasSIMD, expExact = false, false
 func axpyAVX(a float64, x, y *float64, n int) { panic("ml: SIMD unavailable") }
 
 //vet:noalloc
-func axpy4AVX(c, x *float64, stride int, y *float64, n int) { panic("ml: SIMD unavailable") }
-
-//vet:noalloc
-func axpy8AVX(c, x *float64, stride int, y *float64, n int) { panic("ml: SIMD unavailable") }
-
-//vet:noalloc
-func dot4AVX(d, w *float64, stride int, dst *float64, n int) {
+func axpy4LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int) {
 	panic("ml: SIMD unavailable")
 }
+
+//vet:noalloc
+func axpy8LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int) {
+	panic("ml: SIMD unavailable")
+}
+
+//vet:noalloc
+func dot4LoopAVX(d *float64, dstep int, w *float64, stride int, dst *float64, dststep, n, count int) {
+	panic("ml: SIMD unavailable")
+}
+
+//vet:noalloc
+func forwardTileAVX(a *float64, in int, w, b, z *float64, out int) { panic("ml: SIMD unavailable") }
 
 //vet:noalloc
 func sgdStepAVX(p, grad, vel *float64, n int, lr, mom, wd float64) {

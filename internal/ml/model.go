@@ -132,14 +132,23 @@ func (m *MLP) Predict(x []float64) int {
 	return m.predictInto(x, m.ActBuffer())
 }
 
-// ActBuffer returns the scratch CountCorrect needs: two activation buffers,
-// each as wide as the widest layer output, in one slice.
-func (m *MLP) ActBuffer() []float64 {
+// tile is how many samples CountCorrect runs through a layer per kernel
+// call: four samples' accumulators for three output vectors are twelve of
+// the sixteen YMM registers.
+const tile = 4
+
+// ActBuffer returns the scratch CountCorrect needs: one tile's inputs and
+// two activation buffers, each tile rows as wide as the widest layer
+// output, in one slice.
+func (m *MLP) ActBuffer() []float64 { return make([]float64, m.actLen()) }
+
+// actLen is the length of ActBuffer's slice.
+func (m *MLP) actLen() int {
 	width := 0
 	for l := range m.W {
 		width = max(width, m.Sizes[l+1])
 	}
-	return make([]float64, 2*width)
+	return tile * (m.Sizes[0] + 2*width)
 }
 
 // predictInto is Predict with the activations ping-ponging between the two
@@ -164,6 +173,24 @@ func (m *MLP) predictInto(x, buf []float64) int {
 	return best
 }
 
+// argmaxOrdered is predictInto's argmax — the first index of a's largest
+// element as > ranks them, ±0 alike — for an a without NaN, and -1 for an a
+// with one, which > does not rank.
+//
+//vet:noalloc
+func argmaxOrdered(a []float64) int {
+	best, top := 0, a[0]
+	for j, v := range a {
+		if v != v {
+			return -1
+		}
+		if v > top {
+			best, top = j, v
+		}
+	}
+	return best
+}
+
 // Accuracy evaluates top-1 accuracy over a dataset. It allocates one
 // activation buffer per call and nothing per sample.
 //
@@ -179,15 +206,89 @@ func (m *MLP) Accuracy(d *Dataset) float64 {
 // buf (from ActBuffer) as its only scratch. It only reads the model, so
 // goroutines with their own buf may score disjoint samples concurrently.
 //
+// Where the AVX kernels run and every layer is at least four wide, samples
+// go through the layers a tile at a time (forwardTile). A sample whose tile
+// logits hold a NaN is scored again by predictInto; every other one gets
+// predictInto's prediction (DESIGN.md §4.1, "the zero rule").
+//
 //vet:noalloc
 func (m *MLP) CountCorrect(X [][]float64, Y []int, buf []float64) int {
 	hit := 0
-	for i, y := range Y {
-		if m.predictInto(X[i], buf) == y {
-			hit++
+	if !m.tiled() {
+		for i, y := range Y {
+			if m.predictInto(X[i], buf) == y {
+				hit++
+			}
+		}
+		return hit
+	}
+	out := m.Sizes[len(m.Sizes)-1]
+	for lo := 0; lo < len(Y); lo += tile {
+		n := min(tile, len(Y)-lo)
+		z := m.forwardTile(X[lo:lo+n], buf)
+		var pred [tile]int
+		for s := range n {
+			pred[s] = argmaxOrdered(z[s*out : s*out+out])
+		}
+		for s, y := range Y[lo : lo+n] {
+			if pred[s] < 0 {
+				pred[s] = m.predictInto(X[lo+s], buf)
+			}
+			if pred[s] == y {
+				hit++
+			}
 		}
 	}
 	return hit
+}
+
+// tiled reports whether CountCorrect runs m through forwardTile: the AVX
+// kernels are on and every layer output is at least one vector wide, which
+// is when predictInto's axpy fuses every multiply-add.
+func (m *MLP) tiled() bool {
+	if !hasSIMD || m.Sizes[0] == 0 {
+		return false
+	}
+	for _, w := range m.Sizes[1:] {
+		if w < 4 {
+			return false
+		}
+	}
+	return true
+}
+
+// forwardTile computes the logits of up to tile samples X (a shorter X is
+// padded with its last sample) into buf, one forwardTileAVX call and one
+// ReLU pass per layer, and returns them as tile rows of Sizes[L].
+//
+// Each element gets predictInto's operations in its order, except that an
+// input of zero is multiplied in instead of skipped. Multiplying a finite
+// weight by ±0 adds ±0, which changes an element at most in the sign of a
+// zero; a non-finite weight makes a NaN, which the next layer spreads to
+// every logit of that sample. ReLU keeps both, and argmax ranks ±0 alike,
+// so a sample with no NaN among its logits has predictInto's prediction.
+//
+//vet:noalloc
+func (m *MLP) forwardTile(X [][]float64, buf []float64) []float64 {
+	in := m.Sizes[0]
+	a := buf[:tile*in]
+	for s := range tile {
+		copy(a[s*in:s*in+in], X[min(s, len(X)-1)][:in])
+	}
+	acts := buf[len(a):]
+	half := len(acts) / 2
+	for l, w := range m.W {
+		in, out := m.Sizes[l], m.Sizes[l+1]
+		a = a[:tile*in]
+		w, b := w[:in*out], m.B[l][:out]
+		z := acts[(l&1)*half:][:tile*out]
+		forwardTileAVX(&a[0], in, &w[0], &b[0], &z[0], out)
+		if l+1 < len(m.W) {
+			reluClamp(z)
+		}
+		a = z
+	}
+	return a
 }
 
 // Softmax converts logits into probabilities (numerically stable).

@@ -30,6 +30,11 @@ type Workspace struct {
 	by               []int
 	model            *MLP
 	opt              SGD
+	// coef holds one example block's weight-gradient coefficients,
+	// Al[(b+t)*in+i]·invN at coef[i*8+t], for the widest layer input.
+	coef []float64
+	// act is CountCorrect's scratch (ActBuffer).
+	act []float64
 }
 
 // NewWorkspace returns an empty workspace; buffers are shaped lazily on
@@ -49,6 +54,7 @@ func (ws *Workspace) ensure(sizes []int) {
 	ws.actm = nil
 	ws.grads = newGrads(sizes)
 	L := len(sizes) - 1
+	ws.coef = make([]float64, 8*slices.Max(sizes[:L]))
 	ws.model = &MLP{Sizes: append([]int(nil), sizes...)}
 	ws.model.W, ws.model.B = nil, nil
 	for l := 0; l < L; l++ {
@@ -86,6 +92,19 @@ func (ws *Workspace) ensureBatch(sizes []int, n int) {
 func (ws *Workspace) Model(sizes []int) *MLP {
 	ws.ensure(sizes)
 	return ws.model
+}
+
+// ActBuffer returns the workspace's CountCorrect scratch for m, what
+// m.ActBuffer would allocate, so evaluations that draw workspaces from a
+// pool leave no garbage behind.
+//
+//vet:noalloc amortized
+func (ws *Workspace) ActBuffer(m *MLP) []float64 {
+	n := m.actLen()
+	if cap(ws.act) < n {
+		ws.act = make([]float64, n)
+	}
+	return ws.act[:n]
 }
 
 // Grads returns the workspace's gradient buffer shaped like sizes,
@@ -185,28 +204,27 @@ func (m *MLP) BackwardWS(X [][]float64, Y []int, g *Grads, ws *Workspace) float6
 		// blocks of 8 examples. The block is the outer loop, so its rows of
 		// cur stay in L1 while the gradient rows stream past once per block;
 		// every gw[i][j] still takes its blocks in ascending b, so the sum
-		// is the same sum.
+		// is the same sum. A block's coefficients are gathered first, then
+		// one call runs it over every gradient row.
 		gw, w := g.W[l], m.W[l]
 		b = 0
 		for ; b+8 <= n; b += 8 {
-			rows := cur[b*out:]
-			for i := 0; i < in; i++ {
-				var c [8]float64
-				for t := range c {
-					c[t] = Al[(b+t)*in+i] * invN
+			c := ws.coef[:8*in]
+			for t := 0; t < 8; t++ {
+				for i, a := range Al[(b+t)*in : (b+t)*in+in] {
+					c[i*8+t] = a * invN
 				}
-				axpyN8(&c, rows, out, gw[i*out:i*out+out])
 			}
+			axpyN8Loop(c, 8, cur[b*out:], out, gw, out, out, in)
 		}
 		if b+4 <= n {
-			rows := cur[b*out:]
-			for i := 0; i < in; i++ {
-				var c [4]float64
-				for t := range c {
-					c[t] = Al[(b+t)*in+i] * invN
+			c := ws.coef[:4*in]
+			for t := 0; t < 4; t++ {
+				for i, a := range Al[(b+t)*in : (b+t)*in+in] {
+					c[i*4+t] = a * invN
 				}
-				axpyN4(&c, rows, out, gw[i*out:i*out+out])
 			}
+			axpyN4Loop(c, 4, cur[b*out:], out, gw, out, out, in)
 			b += 4
 		}
 		for ; b < n; b++ {
@@ -220,16 +238,13 @@ func (m *MLP) BackwardWS(X [][]float64, Y []int, g *Grads, ws *Workspace) float6
 
 		if l > 0 {
 			// Previous-layer deltas: spare[b][i] = Σ_j w[i][j]·cur[b][j],
-			// four rows of w at a time against every example (the rows stay
-			// in L1; cur is small), then gated by ReLU' over the whole
-			// matrix (hidden activations are ReLU outputs, so the gate is
-			// exactly Al > 0 — and 0 where Al is 0).
+			// four rows of w at a time against every example in one call
+			// (the rows stay in L1; cur is small), then gated by ReLU' over
+			// the whole matrix (hidden activations are ReLU outputs, so the
+			// gate is exactly Al > 0 — and 0 where Al is 0).
 			i := 0
 			for ; i+4 <= in; i += 4 {
-				wRows := w[i*out:]
-				for b := 0; b < n; b++ {
-					dotN4(cur[b*out:b*out+out], wRows, out, spare[b*in+i:b*in+i+4])
-				}
+				dotN4Loop(cur, out, w[i*out:], out, spare[i:], in, out, n)
 			}
 			for ; i < in; i++ {
 				row := w[i*out : i*out+out]
@@ -246,7 +261,8 @@ func (m *MLP) BackwardWS(X [][]float64, Y []int, g *Grads, ws *Workspace) float6
 
 // batchForward computes layer l's outputs for all n examples: Z = A·W + b
 // (with optional ReLU), input-blocked ×8 so each weight row is loaded once
-// per batch and each output row is touched once per 8 input units.
+// per batch and each output row is touched once per 8 input units; one
+// call runs a block over every example.
 //
 //vet:noalloc
 func (m *MLP) batchForward(l, n int, A, Z []float64, relu bool) {
@@ -258,18 +274,10 @@ func (m *MLP) batchForward(l, n int, A, Z []float64, relu bool) {
 	w := m.W[l]
 	i := 0
 	for ; i+8 <= in; i += 8 {
-		wRows := w[i*out:]
-		for b := 0; b < n; b++ {
-			c := (*[8]float64)(A[b*in+i : b*in+i+8])
-			axpyN8(c, wRows, out, Z[b*out:b*out+out])
-		}
+		axpyN8Loop(A[i:], in, w[i*out:], out, Z, out, out, n)
 	}
 	if i+4 <= in {
-		wRows := w[i*out:]
-		for b := 0; b < n; b++ {
-			c := (*[4]float64)(A[b*in+i : b*in+i+4])
-			axpyN4(c, wRows, out, Z[b*out:b*out+out])
-		}
+		axpyN4Loop(A[i:], in, w[i*out:], out, Z, out, out, n)
 		i += 4
 	}
 	for ; i < in; i++ {

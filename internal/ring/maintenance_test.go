@@ -93,3 +93,29 @@ func TestMaintenanceQuietOnHealthyRing(t *testing.T) {
 		}
 	}
 }
+
+// A maintenance tick over a full leaf set, with every probe answered,
+// allocates nothing once the first tick has made the probe bookkeeping:
+// the Ping and the Pong are boxed once per node, and the tick walks the
+// leaf set in place.
+func TestMaintenanceTickAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	c := newStaticCluster(t, 300, Config{B: 4}, 34)
+	n := c.nodes[0]
+	if len(n.leafCW) != leafHalf || len(n.leafCCW) != leafHalf {
+		t.Fatalf("leaf set %d+%d, want full halves of %d", len(n.leafCW), len(n.leafCCW), leafHalf)
+	}
+	tick := func() {
+		n.maintainOnce()
+		c.net.RunUntilIdle()
+	}
+	tick()
+	if allocs := testing.AllocsPerRun(20, tick); allocs != 0 {
+		t.Fatalf("a maintenance tick allocated %.1f times", allocs)
+	}
+	if len(n.Leafset()) != 2*leafHalf {
+		t.Fatalf("answered probes cost leaves: %d left", len(n.Leafset()))
+	}
+}

@@ -66,6 +66,11 @@ type removedContact struct {
 	tries int
 }
 
+// boxedProbes is a node's Ping and Pong as interface values. Send takes an
+// interface, and self never changes, so every probe and every reply can
+// send the same two values instead of boxing a new one each time.
+type boxedProbes struct{ ping, pong any }
+
 // Node is one overlay participant.
 type Node struct {
 	env  transport.Env
@@ -92,6 +97,9 @@ type Node struct {
 	lastPong  map[transport.Addr]time.Duration
 	// Removed contacts still being re-probed (partition-heal re-merge).
 	removed map[transport.Addr]removedContact
+	// boxed holds the node's Ping and Pong once it has sent either; most
+	// nodes of a large fleet never run maintenance and never need them.
+	boxed *boxedProbes
 
 	// Cached handles into env.Metrics() — see the "ring.*" names below.
 	ctrDelivered  *obs.Counter
@@ -173,7 +181,7 @@ func (n *Node) Receive(from transport.Addr, msg any) {
 		}
 	case Ping:
 		n.considerContact(m.From)
-		n.env.Send(from, Pong{From: n.self})
+		n.env.Send(from, n.probes().pong)
 	case Pong:
 		if n.lastPong == nil {
 			n.lastPong = make(map[transport.Addr]time.Duration)
@@ -562,8 +570,16 @@ func (n *Node) handleJoinReply(m JoinReply) {
 // cycle of the overlay's periodic maintenance traffic.
 func (n *Node) ProbeLeafset() {
 	for _, c := range n.Leafset() {
-		n.env.Send(c.Addr, Ping{From: n.self})
+		n.env.Send(c.Addr, n.probes().ping)
 	}
+}
+
+// probes returns the node's boxed Ping and Pong, made on first use.
+func (n *Node) probes() *boxedProbes {
+	if n.boxed == nil {
+		n.boxed = &boxedProbes{ping: Ping{From: n.self}, pong: Pong{From: n.self}}
+	}
+	return n.boxed
 }
 
 // StartMaintenance runs periodic leaf-set maintenance: every interval the
@@ -579,21 +595,39 @@ func (n *Node) StartMaintenance(interval time.Duration) (stop func()) {
 	})
 }
 
-// maintainOnce performs one maintenance cycle.
+// maintainOnce performs one maintenance cycle. It visits the leaves in
+// Leafset's order — the clockwise half, then the counter-clockwise leaves
+// not in it — by index rather than over a copy. That is the same walk:
+// RemoveContact compacts both halves in place, so the leaf after a removed
+// one moves into its index, and nothing is inserted during the cycle.
 func (n *Node) maintainOnce() {
 	now := n.env.Now()
-	for _, c := range n.Leafset() {
+	// probe sends c its probe, or scrubs it and reports true if it did not
+	// answer the previous one.
+	probe := func(c Contact) (removed bool) {
 		if sent, probed := n.probeSent[c.Addr]; probed && n.lastPong[c.Addr] < sent {
 			// No pong since the previous probe: declare the leaf failed.
 			delete(n.probeSent, c.Addr)
 			n.RemoveContact(c.Addr)
-			continue
+			return true
 		}
 		if n.probeSent == nil {
 			n.probeSent = make(map[transport.Addr]time.Duration)
 		}
 		n.probeSent[c.Addr] = now
-		n.env.Send(c.Addr, Ping{From: n.self})
+		n.env.Send(c.Addr, n.probes().ping)
+		return false
+	}
+	for i := 0; i < len(n.leafCW); {
+		if !probe(n.leafCW[i]) {
+			i++
+		}
+	}
+	for i := 0; i < len(n.leafCCW); {
+		c := n.leafCCW[i]
+		if slices.ContainsFunc(n.leafCW, func(e Contact) bool { return e.Addr == c.Addr }) || !probe(c) {
+			i++
+		}
 	}
 	// Re-probe scrubbed contacts: a pong re-merges a healed partition (the
 	// direct reply clears the quarantine and re-inserts the contact); a
@@ -616,7 +650,7 @@ func (n *Node) maintainOnce() {
 		rc.tries++
 		n.removed[a] = rc
 		n.ctrRecontacts.Inc()
-		n.env.Send(a, Ping{From: n.self})
+		n.env.Send(a, n.probes().ping)
 	}
 }
 
