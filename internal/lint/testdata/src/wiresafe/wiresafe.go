@@ -72,6 +72,23 @@ type AnyPayload struct {
 	Body any
 }
 
+// Boxed is a transport.Recycler: its unexported field is the way back to its
+// sender's free list, not wire state, so it is not flagged. A Recycle method
+// that is not Recycler's exempts nothing (NotBoxed).
+type Boxed struct {
+	ID   string
+	home *[]*Boxed
+}
+
+func (b *Boxed) Recycle() { *b.home = append(*b.home, b) }
+
+type NotBoxed struct {
+	ID   string
+	home *[]*NotBoxed // want "wire field NotBoxed.home is unexported"
+}
+
+func (b *NotBoxed) Recycle(int) {}
+
 func init() {
 	codec.RegisterCodec(64, Clean{}, nil, nil)
 	codec.RegisterCodec(65, BadFunc{}, nil, nil)
@@ -85,6 +102,8 @@ func init() {
 	// Unnamed codec types (primitives, slices) have no declaration to
 	// anchor findings to; the dynamic certification covers them.
 	codec.RegisterCodec(73, []int32(nil), nil, nil)
+	codec.RegisterCodec(75, Boxed{}, nil, nil)
+	codec.RegisterCodec(76, NotBoxed{}, nil, nil)
 }
 
 // --- durable-store record registrations ---
@@ -124,6 +143,10 @@ func send(env transport.Env, to transport.Addr) {
 	env.Send(to, Clean{ID: "ok"})
 	env.Send(to, &Clean{ID: "ptr"})   // want "^\\*totoro/.*/wiresafe.Clean is sent over the wire but has no codec-v2 registration"
 	env.Send(to, NoCodec{ID: "nope"}) // want "wiresafe.NoCodec is sent over the wire but has no codec-v2 registration"
+	// Recycling is how a *T is delivered, not how it is encoded: only T is
+	// registered, so the pointer is still reported.
+	env.Send(to, Boxed{ID: "ok"})
+	env.Send(to, &Boxed{ID: "ptr"}) // want "^\\*totoro/.*/wiresafe.Boxed is sent over the wire but has no codec-v2 registration"
 }
 
 func suppressedSend(env transport.Env, to transport.Addr) {

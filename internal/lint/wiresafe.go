@@ -20,7 +20,9 @@ import (
 //     no func or chan fields, no unexported fields (hand-rolled encoders
 //     carry exported fields only, and codec.CertifyLossless — the dynamic
 //     half of this contract — fills only those, so unexported state exists
-//     under simnet and vanishes over TCP unnoticed), no structs whose fields
+//     under simnet and vanishes over TCP unnoticed; the one exception is a
+//     transport.Recycler, whose own unexported fields are the way back to its
+//     sender's free list and are meant to stay home), no structs whose fields
 //     are all unexported, and no non-empty interface fields (Enc.Value
 //     dispatches on the concrete type; each implementation would need its
 //     own registration that nothing enforces). Unnamed codec types
@@ -28,7 +30,8 @@ import (
 //     CertifyLossless covers them;
 //   - every concrete in-module struct handed to transport.Env.Send must have
 //     a codec registration for exactly the type sent (a *T does not ride
-//     T's codec): tcpnet drops what it cannot encode;
+//     T's codec unless wire/codec's registerPointer gives it T's tag):
+//     tcpnet drops what it cannot encode;
 //   - every durable-store record type (internal/store.RegisterRecords) must
 //     have one too, because WAL bodies are encoded with codec.Value: a
 //     record without a codec is refused by Append/Snapshot at runtime —
@@ -64,7 +67,7 @@ func (w *WireSet) HasCodec(t types.Type) bool {
 }
 
 // CollectWire scans one package for codec registrations (wire/codec's
-// register and RegisterCodec, whose explicit prototype argument exists
+// register, registerPointer and RegisterCodec, whose explicit prototype argument exists
 // precisely so this pass can see the static type) and store.RegisterRecords
 // calls, and records the static types of their prototype arguments. The
 // driver runs this over every package before any analyzer, so registrations
@@ -92,7 +95,7 @@ func CollectWire(pkg *Package, ws *WireSet) {
 				for _, arg := range call.Args { // variadic: every argument is a prototype
 					add(ws.records, arg)
 				}
-			case (fn.Name() == "register" || fn.Name() == "RegisterCodec") &&
+			case (fn.Name() == "register" || fn.Name() == "registerPointer" || fn.Name() == "RegisterCodec") &&
 				strings.HasSuffix(path, "/wire/codec") && len(call.Args) > 1:
 				add(ws.codecs, call.Args[1]) // (tag, prototype, enc, dec)
 			}
@@ -101,14 +104,14 @@ func CollectWire(pkg *Package, ws *WireSet) {
 	}
 }
 
-// declaredHere returns, in stable order, the named struct types of set that
-// the package under analysis declares; the others are checked when their own
-// package runs.
+// declaredHere returns, in stable order and once each, the named struct types
+// of set (registered as T or *T) that the package under analysis declares;
+// the others are checked when their own package runs.
 func declaredHere(pass *Pass, set map[string]types.Type) []*types.Named {
 	var out []*types.Named
 	for _, k := range slices.Sorted(maps.Keys(set)) {
 		named := namedStructOf(set[k])
-		if named != nil && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pass.Path {
+		if named != nil && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pass.Path && !slices.Contains(out, named) {
 			out = append(out, named)
 		}
 	}
@@ -121,7 +124,7 @@ func runWireSafe(pass *Pass) {
 	}
 	checkStruct := func(named *types.Named) {
 		obj := named.Obj()
-		checkCodecStruct(pass, obj.Name(), obj.Pos(), named.Underlying().(*types.Struct), map[string]bool{wireKey(named): true})
+		checkCodecStruct(pass, obj.Name(), obj.Pos(), named.Underlying().(*types.Struct), map[string]bool{wireKey(named): true}, isRecycler(named))
 	}
 	for _, named := range declaredHere(pass, pass.Wire.codecs) {
 		checkStruct(named)
@@ -205,12 +208,25 @@ func hasOwnEncoding(t types.Type) bool {
 	return ok
 }
 
+// isRecycler reports whether *t has transport.Recycler's Recycle method.
+func isRecycler(t *types.Named) bool {
+	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, t.Obj().Pkg(), "Recycle")
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	return sig.Params().Len() == 0 && sig.Results().Len() == 0
+}
+
 // checkCodecStruct walks the fields of a codec-registered struct and reports
 // anything a codec cannot carry losslessly. at is the position the finding
 // is anchored to: the field declaration while inside the package under
 // analysis, the outermost local field once the walk crosses into imported
-// types (whose positions come from export data).
-func checkCodecStruct(pass *Pass, path string, at token.Pos, st *types.Struct, seen map[string]bool) {
+// types (whose positions come from export data). keepsHome passes the
+// struct's own unexported fields: it is a transport.Recycler, and they are
+// its free-list bookkeeping.
+func checkCodecStruct(pass *Pass, path string, at token.Pos, st *types.Struct, seen map[string]bool, keepsHome bool) {
 	exported := 0
 	for i := 0; i < st.NumFields(); i++ {
 		if st.Field(i).Exported() {
@@ -229,6 +245,9 @@ func checkCodecStruct(pass *Pass, path string, at token.Pos, st *types.Struct, s
 			fieldAt = field.Pos()
 		}
 		if !field.Exported() {
+			if keepsHome {
+				continue
+			}
 			pass.Reportf(fieldAt, "wire field %s is unexported; a codec carries exported fields only, so its state vanishes over tcpnet", fieldPath)
 			continue
 		}
@@ -265,6 +284,6 @@ func checkCodecType(pass *Pass, path string, at token.Pos, t types.Type, seen ma
 		if hasOwnEncoding(t) {
 			return
 		}
-		checkCodecStruct(pass, path, at, u, seen)
+		checkCodecStruct(pass, path, at, u, seen, false)
 	}
 }

@@ -183,16 +183,43 @@ func TestTraceAppendDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceAppend is one routing hop's trace event into a full ring.
+// BenchmarkTraceAppend is one trace event into a full ring, in the shapes the
+// stack and the benchmark emit. A string that is neither seeded nor an
+// identifier costs a look-up in the locked string table:
+//   - deliver: a tree delivery through TraceID, as pubsub records it (none);
+//   - hop: a routing hop through TraceID, as ring records it (its To);
+//   - probe: the benchmark's obs.trace_append_ns event through Trace (its
+//     To "n2" and its 16-hex Key, which is not an identifier);
+//   - probe-no-key and probe-bare: that event without its Key, and without
+//     its Key and To.
 func BenchmarkTraceAppend(b *testing.B) {
-	r := New(0)
-	for i := 0; i < DefaultTraceCap; i++ {
-		r.TraceID(ringHop, 1, uint64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.TraceID(ringHop, 1, uint64(i))
+	probe := Event{At: time.Second, Node: "n1", Kind: KindRingHop, Key: "0123456789abcdef", To: "n2", Hop: 3}
+	noKey := probe
+	noKey.Key = ""
+	bare := noKey
+	bare.To = ""
+	deliver := Event{At: time.Second, Node: "n1", Kind: KindPubSubDeliver, Hop: 3, Note: "sub"}
+	for _, c := range []struct {
+		name string
+		emit func(r *Registry, i int)
+	}{
+		{"deliver", func(r *Registry, i int) { r.TraceID(deliver, 1, uint64(i)) }},
+		{"hop", func(r *Registry, i int) { r.TraceID(ringHop, 1, uint64(i)) }},
+		{"probe", func(r *Registry, _ int) { r.Trace(probe) }},
+		{"probe-no-key", func(r *Registry, _ int) { r.Trace(noKey) }},
+		{"probe-bare", func(r *Registry, _ int) { r.Trace(bare) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r := New(0)
+			for i := 0; i < DefaultTraceCap; i++ {
+				c.emit(r, i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.emit(r, i)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 
 // The allocation pins: what a tree member may allocate per message once its
 // topic is warm. Each run feeds the member the next multicast of a stream
-// boxed beforehand, so the count is the member's own.
+// boxed beforehand, so the count is the member's own. The solo env hands
+// every envelope the member sends back after its delivery, as simnet does,
+// so a warm member sends from its free lists.
 
 // multicasts boxes n in-order multicasts of topic, as a parent would send
 // them to a child one level down.
@@ -30,9 +32,9 @@ func skipUnderRace(t *testing.T) {
 
 // TestLeafRoundAllocations: a leaf's whole round — the multicast arrives, the
 // application is told, it reports nothing to contribute, the round flushes
-// and the Upstream leaves — costs the boxed Upstream plus what grows in
-// chunks (the topic's round storage and index, the trace ring): one
-// allocation a round.
+// and the Upstream leaves in a recycled envelope — allocates nothing but what
+// grows in chunks (the topic's round storage and index, the trace ring),
+// which rounds to zero a round.
 func TestLeafRoundAllocations(t *testing.T) {
 	skipUnderRace(t)
 	const warm, runs = 300, 1000 // the trace ring stops growing after 256 events
@@ -53,8 +55,8 @@ func TestLeafRoundAllocations(t *testing.T) {
 	for next < warm {
 		step()
 	}
-	if got := testing.AllocsPerRun(runs, step); got > 1 {
-		t.Fatalf("a leaf's round allocates %.0f times, want at most 1", got)
+	if got := testing.AllocsPerRun(runs, step); got != 0 {
+		t.Fatalf("a leaf's round allocates %.0f times, want 0", got)
 	}
 	if ups := n.ctrUpstreams.Value(); ups != int64(next) {
 		t.Fatalf("%d rounds sent %d upstreams", next, ups)
@@ -63,10 +65,10 @@ func TestLeafRoundAllocations(t *testing.T) {
 
 // TestInteriorRoundAllocations: an interior member's whole aggregation
 // round — its own empty report, then one Upstream from each child, merged,
-// and the flush that sends the round's Upstream on — allocates that boxed
-// Upstream and nothing else but the topic's round storage, which grows in
-// chunks: the children awaited are a reference to the children's array
-// plus a bitset, and the dedup pairs are carved from the topic's.
+// and the flush that sends the round's Upstream on in a recycled envelope —
+// allocates nothing but the topic's round storage, which grows in chunks:
+// the children awaited are a reference to the children's array plus a
+// bitset, and the dedup pairs are carved from the topic's.
 func TestInteriorRoundAllocations(t *testing.T) {
 	skipUnderRace(t)
 	const warm, runs = 300, 200
@@ -99,8 +101,8 @@ func TestInteriorRoundAllocations(t *testing.T) {
 		for round < warm {
 			step()
 		}
-		if got := testing.AllocsPerRun(runs, step); got != 1 {
-			t.Errorf("an interior round with %d children allocates %.0f times, want 1", k, got)
+		if got := testing.AllocsPerRun(runs, step); got != 0 {
+			t.Errorf("an interior round with %d children allocates %.0f times, want 0", k, got)
 		}
 		if sent := n.ctrUpstreams.Value(); sent != int64(round) {
 			t.Errorf("%d rounds with %d children sent %d upstreams", round, k, sent)
@@ -108,8 +110,9 @@ func TestInteriorRoundAllocations(t *testing.T) {
 	}
 }
 
-// TestInteriorForwardAllocations: forwarding a multicast allocates the one
-// boxed message every child is sent, however many children there are.
+// TestInteriorForwardAllocations: forwarding a multicast sends every child
+// the same envelope, which comes back after the last child's delivery, so it
+// allocates nothing however many children there are.
 func TestInteriorForwardAllocations(t *testing.T) {
 	skipUnderRace(t)
 	const warm, runs = 300, 200
@@ -130,8 +133,8 @@ func TestInteriorForwardAllocations(t *testing.T) {
 		for next < warm {
 			step()
 		}
-		if got := testing.AllocsPerRun(runs, step); got != 1 {
-			t.Errorf("forwarding to %d children allocates %.0f times, want 1", k, got)
+		if got := testing.AllocsPerRun(runs, step); got != 0 {
+			t.Errorf("forwarding to %d children allocates %.0f times, want 0", k, got)
 		}
 		if sent := n.ctrMulticasts.Value(); sent != int64(next*k) {
 			t.Errorf("%d multicasts reached %d children as %d sends", next, k, sent)
@@ -151,7 +154,7 @@ func TestRecordMulticastAllocations(t *testing.T) {
 	seq := uint64(0)
 	step := func() {
 		seq++
-		if !n.recordMulticast(st, Multicast{Topic: topic, Seq: seq, Depth: 1}) {
+		if !n.recordMulticast(st, &Multicast{Topic: topic, Seq: seq, Depth: 1}) {
 			t.Fatalf("sequence %d reported a duplicate", seq)
 		}
 	}

@@ -17,8 +17,11 @@ import (
 // recorded instead of performed, so a test feeds the node one message at a
 // time and reads what it would have put on the wire.
 type soloEnv struct {
-	reg    *obs.Registry
-	record bool // keep what is sent (off for allocation counts)
+	reg *obs.Registry
+	// record keeps what is sent. Off (for allocation counts), a send is
+	// delivered and done with at once: a transport.Recycler goes back to its
+	// sender's free list, as simnet hands it back after the delivery.
+	record bool
 	sent   []soloSend
 	timers []*soloTimer
 }
@@ -38,6 +41,8 @@ func (e *soloEnv) Metrics() *obs.Registry { return e.reg }
 func (e *soloEnv) Send(to transport.Addr, msg any) {
 	if e.record {
 		e.sent = append(e.sent, soloSend{to, msg})
+	} else if r, ok := msg.(transport.Recycler); ok {
+		r.Recycle()
 	}
 }
 

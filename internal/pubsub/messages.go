@@ -123,12 +123,22 @@ type Multicast struct {
 	Seq    uint64
 	Depth  int
 	Object any
+	envelope[Multicast]
 }
 
 func (Multicast) pubsubMessage() {}
 
 // WireSize charges header plus object.
 func (m Multicast) WireSize() int { return 40 + transport.SizeOf(m.Object) }
+
+// Recycle counts one child's delivery of a forwarded multicast and hands the
+// box back to its sender's free list after the last (transport.Recycler).
+func (m *Multicast) Recycle() {
+	if home := m.home; m.delivered() {
+		*m = recycledMulticast
+		m.next, home.mcFree = home.mcFree, m
+	}
+}
 
 // Upstream flows from children to parents carrying (partially aggregated)
 // updates for one round (gradient aggregation).
@@ -154,12 +164,46 @@ type Upstream struct {
 	// double-count its contributions. The counter restarts when the sender
 	// reboots, which is safe because dedup is scoped per aggregation round.
 	Seq uint64
+	envelope[Upstream]
 }
 
 func (Upstream) pubsubMessage() {}
 
 // WireSize charges header plus object.
 func (u Upstream) WireSize() int { return 56 + transport.SizeOf(u.Object) }
+
+// Recycle hands u back to its sender's free list after its one delivery
+// (transport.Recycler).
+func (u *Upstream) Recycle() {
+	if home := u.home; u.delivered() {
+		*u = recycledUpstream
+		u.next, home.upFree = home.upFree, u
+	}
+}
+
+// envelope is what a message of type T sent by reference from a node's free
+// list carries besides its fields, and it is not on the wire: the node it goes
+// back to, how many deliveries it still awaits, and, while it is on that
+// list, the next message there.
+type envelope[T any] struct {
+	home    *Node
+	pending int32
+	next    *T
+}
+
+// delivered counts one delivery and reports whether the message now goes
+// back: it came from a free list and that was its last delivery.
+func (e *envelope[T]) delivered() bool {
+	e.pending--
+	return e.home != nil && e.pending == 0
+}
+
+// What a recycled message is overwritten with: zero values, which drop the
+// object, or sentinels under the poisonrecycle build tag (poison.go).
+var (
+	recycledUpstream  Upstream
+	recycledMulticast Multicast
+)
 
 // KeepAlive is the parent→child heartbeat used for failure detection. It
 // piggybacks the parent's highest multicast sequence (and the stream

@@ -128,7 +128,7 @@ type topicState struct {
 	mcLast    uint64
 	mcBase    uint64
 	mcWindow  uint64
-	mcCache   []Multicast // ring of mcCacheSize slots indexed by Seq; see cached
+	mcCache   []mcCached // ring of mcCacheSize slots indexed by Seq; see cached
 	kaStop    func()
 	checkStop func()
 	// adopted marks a root claimed implicitly — a JOIN or PUBLISH arrived
@@ -153,6 +153,11 @@ type Node struct {
 	// messages mostly concern one tree, and this spares them hashing the
 	// 128-bit key. maybeLeave clears it when it deletes that topic.
 	lastTopic *topicState
+	// upFree and mcFree head the free lists of the Upstreams and forwarded
+	// Multicasts this node sent and got back (transport.Recycler), threaded
+	// through their envelopes, for its next sends to reuse.
+	upFree *Upstream
+	mcFree *Multicast
 
 	// Cached handles into env.Metrics() — see the "pubsub.*" names below.
 	ctrMulticasts     *obs.Counter
@@ -405,10 +410,14 @@ func (n *Node) Receive(from transport.Addr, msg any) bool {
 		n.addChild(st, m.Subscriber)
 	case Welcome:
 		n.handleWelcome(m)
-	case Multicast:
+	case *Multicast:
 		n.handleMulticast(m)
-	case Upstream:
+	case Multicast:
+		n.handleMulticast(&m)
+	case *Upstream:
 		n.handleUpstream(m)
+	case Upstream:
+		n.handleUpstream(&m)
 	case KeepAlive:
 		n.handleKeepAlive(m)
 	case McNack:
@@ -555,15 +564,17 @@ func (n *Node) multicast(st *topicState, obj any) {
 	n.mcAdvance(st, st.ownerCfg.Epoch)
 	st.seq++
 	m := Multicast{Topic: st.topic, Epoch: st.mcEpoch, Seq: st.seq, Depth: 0, Object: obj}
-	n.recordMulticast(st, m)
+	n.recordMulticast(st, &m)
 	n.recordDeliver(st, 0)
 	if n.handlers.OnDeliver != nil {
 		n.handlers.OnDeliver(st.topic, obj, 0, st.subscribed)
 	}
-	n.forwardMulticast(st, m)
+	n.forwardMulticast(st, &m)
 }
 
-func (n *Node) handleMulticast(m Multicast) {
+// handleMulticast delivers and forwards a multicast. m is read, not kept:
+// it may be an envelope that goes back to its sender once Receive returns.
+func (n *Node) handleMulticast(m *Multicast) {
 	st := n.state(m.Topic)
 	if !n.recordMulticast(st, m) {
 		return // duplicate (retransmission overlap)
@@ -591,16 +602,26 @@ func (n *Node) recordDeliver(st *topicState, depth int) {
 	}, st.topic.Hi, st.topic.Lo)
 }
 
-func (n *Node) forwardMulticast(st *topicState, m Multicast) {
-	if len(st.children) == 0 {
+// forwardMulticast sends m one level down. Every child is sent the same
+// envelope, which goes back to the free list after the last child's delivery.
+//
+//vet:noalloc amortized
+func (n *Node) forwardMulticast(st *topicState, m *Multicast) {
+	kids := st.children
+	if len(kids) == 0 {
 		return
 	}
-	// Boxed once: every child is sent the same immutable value.
-	m.Depth++
-	var msg any = m
-	for _, c := range st.children {
+	box := n.mcFree
+	if box == nil {
+		box = new(Multicast)
+	}
+	n.mcFree = box.next
+	*box = *m
+	box.Depth++
+	box.envelope = envelope[Multicast]{home: n, pending: int32(len(kids))}
+	for _, c := range kids {
 		n.ctrMulticasts.Inc()
-		n.env.Send(c.Addr, msg)
+		n.env.Send(c.Addr, box)
 	}
 }
 
@@ -654,7 +675,7 @@ func (n *Node) mcAdvance(st *topicState, epoch uint64) bool {
 // retransmission cache, and gap detection (a sequence jump means earlier
 // broadcasts were lost in flight; the node re-requests them from its
 // parent). It reports whether the multicast is new.
-func (n *Node) recordMulticast(st *topicState, m Multicast) bool {
+func (n *Node) recordMulticast(st *topicState, m *Multicast) bool {
 	if !n.mcAdvance(st, m.Epoch) {
 		return false // stale root generation
 	}
@@ -662,7 +683,7 @@ func (n *Node) recordMulticast(st *topicState, m Multicast) bool {
 		return false
 	}
 	if st.mcCache == nil {
-		st.mcCache = make([]Multicast, mcCacheSize)
+		st.mcCache = make([]mcCached, mcCacheSize)
 	}
 	if m.Seq > st.mcLast {
 		if st.mcBase == 0 {
@@ -690,7 +711,7 @@ func (n *Node) recordMulticast(st *topicState, m Multicast) bool {
 	// Two sequences that share a slot are mcCacheSize apart, so the one a
 	// store overwrites has always left the window.
 	if m.Seq+mcCacheSize > st.mcLast {
-		st.mcCache[m.Seq%mcCacheSize] = m
+		st.mcCache[m.Seq%mcCacheSize] = mcCached{m.Epoch, m.Seq, m.Depth, m.Object}
 	}
 	return true
 }
@@ -710,14 +731,25 @@ func (n *Node) handleNack(m McNack) {
 	}
 }
 
+// mcCached is a multicast as the retransmission cache keeps it: its topic
+// is the cache's, and the envelope it came in is not kept.
+type mcCached struct {
+	epoch, seq uint64
+	depth      int
+	object     any
+}
+
 // cached returns the multicast with the given sequence number if it is
 // still inside the retransmission window (the last mcCacheSize sequences).
 func (st *topicState) cached(seq uint64) (Multicast, bool) {
 	if st.mcCache == nil || seq == 0 || seq+mcCacheSize <= st.mcLast {
 		return Multicast{}, false
 	}
-	mc := st.mcCache[seq%mcCacheSize]
-	return mc, mc.Seq == seq
+	c := st.mcCache[seq%mcCacheSize]
+	if c.seq != seq {
+		return Multicast{}, false
+	}
+	return Multicast{Topic: st.topic, Epoch: c.epoch, Seq: c.seq, Depth: c.depth, Object: c.object}, true
 }
 
 // roundChunk is how many rounds' storage a topic allocates at a time.
@@ -761,7 +793,9 @@ func (n *Node) round(st *topicState, round int) *aggRound {
 	return r
 }
 
-func (n *Node) handleUpstream(m Upstream) {
+// handleUpstream merges or forwards a child's partial. Like handleMulticast
+// it reads m and keeps only its Object.
+func (n *Node) handleUpstream(m *Upstream) {
 	st := n.state(m.Topic)
 	// Epoch-gate before touching round state: a partial aggregated under a
 	// previous tree generation is divergent in-flight state and must be
@@ -830,6 +864,10 @@ func (n *Node) flush(st *topicState, round int, r *aggRound) {
 	n.forwardUp(st, round, obj, r.count)
 }
 
+// forwardUp sends a round's partial to the parent in an envelope from the free
+// list, or hands it to OnAggregate at the root.
+//
+//vet:noalloc amortized
 func (n *Node) forwardUp(st *topicState, round int, obj any, count int) {
 	if st.isRoot || st.parent.IsZero() {
 		// Root aggregation completes here; the trace event is what the
@@ -845,10 +883,16 @@ func (n *Node) forwardUp(st *topicState, round int, obj any, count int) {
 	}
 	n.ctrUpstreams.Inc()
 	st.upSeq++
-	n.env.Send(st.parent.Addr, Upstream{
+	up := n.upFree
+	if up == nil {
+		up = new(Upstream)
+	}
+	n.upFree = up.next
+	*up = Upstream{
 		Topic: st.topic, Round: round, From: n.ring.Self(), Epoch: st.mcEpoch,
-		Object: obj, Count: count, Seq: st.upSeq,
-	})
+		Object: obj, Count: count, Seq: st.upSeq, envelope: envelope[Upstream]{home: n, pending: 1},
+	}
+	n.env.Send(st.parent.Addr, up)
 }
 
 func (n *Node) combine(topic ids.ID, a, b any) any {

@@ -103,6 +103,9 @@ const (
 type event struct {
 	seq  uint64 // 0 while on the free list
 	kind eventKind
+	// dup marks a message a LinkRule.Dup fault put in two events: neither
+	// delivery is its only one, so neither recycles it.
+	dup  bool
 	fn   func()
 	node *simNode
 	gen  uint64
@@ -395,14 +398,14 @@ func (n *Network) send(from *simNode, to transport.Addr, msg any) {
 	txEnd := txStart + from.txTime(size)
 	from.egressFree = txEnd
 	arrival := txEnd + n.latency(from.addr, to) + extra
-	n.message(evArrive, arrival-n.now, from, to, msg, size)
+	n.message(evArrive, arrival-n.now, from, to, msg, size, dup)
 	if dup {
 		// The duplicate is a network-level copy: it skips the sender's NIC
 		// (sent once) but arrives independently after its own jitter.
 		n.dupInjected.Inc()
 		w := defaultReorderWindow
 		arrival2 := arrival + time.Duration(n.rng.Int63n(int64(w)))
-		n.message(evArrive, arrival2-n.now, from, to, msg, size)
+		n.message(evArrive, arrival2-n.now, from, to, msg, size, dup)
 	}
 }
 
@@ -411,8 +414,8 @@ func (n *Network) send(from *simNode, to transport.Addr, msg any) {
 // sent: the receiver drains its link in true arrival order, so messages
 // that the fault layer delayed or reordered don't head-of-line-block
 // messages that physically got there first.
-func (n *Network) arrive(from *simNode, to transport.Addr, msg any, size int) {
-	dst, ok := n.nodes[to]
+func (n *Network) arrive(e *event) {
+	dst, ok := n.nodes[e.to]
 	if !ok || !dst.alive {
 		n.dropped.Inc()
 		n.droppedDead.Inc()
@@ -422,36 +425,42 @@ func (n *Network) arrive(from *simNode, to transport.Addr, msg any, size int) {
 	if dst.ingressFree > deliverAt {
 		deliverAt = dst.ingressFree
 	}
-	deliverAt += dst.txTime(size)
+	deliverAt += dst.txTime(e.size)
 	dst.ingressFree = deliverAt
 	if deliverAt <= n.now {
-		n.handoff(dst, from.addr, size, msg)
+		n.handoff(dst, e)
 		return
 	}
-	n.message(evIngress, deliverAt-n.now, from, to, msg, size)
+	n.message(evIngress, deliverAt-n.now, e.node, e.to, e.msg, e.size, e.dup)
 }
 
 // ingress handles a message that has cleared the destination's ingress
 // queue; the destination may have died while it waited there.
-func (n *Network) ingress(from *simNode, to transport.Addr, msg any, size int) {
-	dst, ok := n.nodes[to]
+func (n *Network) ingress(e *event) {
+	dst, ok := n.nodes[e.to]
 	if !ok || !dst.alive {
 		n.dropped.Inc()
 		n.droppedDead.Inc()
 		return
 	}
-	n.handoff(dst, from.addr, size, msg)
+	n.handoff(dst, e)
 }
 
 // handoff counts and delivers one message that cleared the receiver's link.
-func (n *Network) handoff(dst *simNode, src transport.Addr, size int, msg any) {
+// The delivery is the message's only one unless a dup fault copied it, so a
+// transport.Recycler goes back to its sender's free list once Receive
+// returns.
+func (n *Network) handoff(dst *simNode, e *event) {
 	dst.msgsIn.Inc()
-	dst.bytesIn.Add(int64(size))
+	dst.bytesIn.Add(int64(e.size))
 	n.delivered.Inc()
 	if n.cfg.Observer != nil {
-		n.cfg.Observer(src, dst.addr, size)
+		n.cfg.Observer(e.node.addr, dst.addr, e.size)
 	}
-	dst.handler.Receive(src, msg)
+	dst.handler.Receive(e.node.addr, e.msg)
+	if r, ok := e.msg.(transport.Recycler); ok && !e.dup {
+		r.Recycle()
+	}
 }
 
 // sizeOf charges a message's simulated wire cost: the exact frame size
@@ -517,9 +526,9 @@ func (n *Network) timer(d time.Duration, node *simNode, fn func()) *event {
 // message queues one stage (evArrive or evIngress) of a message's delivery.
 //
 //vet:noalloc
-func (n *Network) message(kind eventKind, d time.Duration, from *simNode, to transport.Addr, msg any, size int) {
+func (n *Network) message(kind eventKind, d time.Duration, from *simNode, to transport.Addr, msg any, size int, dup bool) {
 	ev := n.schedule(d)
-	ev.kind = kind
+	ev.kind, ev.dup = kind, dup
 	ev.node, ev.to, ev.msg, ev.size = from, to, msg, size
 }
 
@@ -561,9 +570,9 @@ func (n *Network) Step() bool {
 				e.fn()
 			}
 		case evArrive:
-			n.arrive(e.node, e.to, e.msg, e.size)
+			n.arrive(&e)
 		case evIngress:
-			n.ingress(e.node, e.to, e.msg, e.size)
+			n.ingress(&e)
 		}
 		if len(n.invariants) > 0 && n.now != n.lastCheck {
 			n.lastCheck = n.now

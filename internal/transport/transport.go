@@ -100,6 +100,16 @@ type HandlerFunc func(from Addr, msg any)
 // Receive calls f(from, msg).
 func (f HandlerFunc) Receive(from Addr, msg any) { f(from, msg) }
 
+// Recycler is a message drawn from its sender's free list. A transport that
+// delivers messages by reference calls Recycle once, after the message's one
+// delivery has returned from Receive, and the message goes back to that list
+// to carry a later send. A transport that encodes messages never calls it.
+// A message delivered more than once (a duplicate) or not at all (dropped,
+// partitioned, dead destination) is not recycled: the collector takes it.
+type Recycler interface {
+	Recycle()
+}
+
 // Sized is implemented by messages that know their wire size in bytes.
 // The simulator uses it for the per-node traffic accounting behind Fig 7;
 // messages that do not implement it are charged DefaultMessageSize.

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -15,7 +16,8 @@ import (
 // contract: totoro-vet's wiresafe analyzer proves the registered types are
 // structurally encodable, this proves the hand-rolled encoders actually
 // carry every exported field. Every instance is also sized: FrameSize must
-// count exactly the bytes the encoder writes for it. Tests call it with
+// count exactly the bytes the encoder writes for it. A type that also goes
+// out as a pointer must frame to the same bytes in both forms. Tests call it with
 // Registered() — after all RegisterCodec calls, so application types are
 // certified too.
 func CertifyLossless(prototypes []any, rng *rand.Rand, trials int) error {
@@ -48,6 +50,9 @@ func CertifyLossless(prototypes []any, rng *rand.Rand, trials int) error {
 			if err := checkFrameSize("certify-addr", v); err != nil {
 				return fmt.Errorf("certify %v: %w", t, err)
 			}
+			if err := checkPointerForm("certify-addr", v); err != nil {
+				return fmt.Errorf("certify %v: %w", t, err)
+			}
 		}
 	}
 	return nil
@@ -72,6 +77,30 @@ func checkFrameSize(from transport.Addr, v any) error {
 		return fmt.Errorf("FrameSize(%T) = %d, the encoded frame is %d bytes\n value: %.200s", v, got, want, fmt.Sprintf("%#v", v))
 	}
 	return nil
+}
+
+// checkPointerForm reports a pointer form of v's type (registerPointer) whose
+// frame is not v's: other bytes, another error, or a FrameSize that
+// disagrees with them. A type without a pointer form passes.
+func checkPointerForm(from transport.Addr, v any) error {
+	t := reflect.TypeOf(v)
+	if t == nil {
+		return nil
+	}
+	if _, ok := encoders[reflect.PointerTo(t)]; !ok {
+		return nil
+	}
+	p := reflect.New(t)
+	p.Elem().Set(reflect.ValueOf(v))
+	ptr := p.Interface()
+	ev, ep := NewEnc(), NewEnc()
+	defer ev.Free()
+	defer ep.Free()
+	errV, errP := EncodeFrame(ev, from, v), EncodeFrame(ep, from, ptr)
+	if fmt.Sprint(errV) != fmt.Sprint(errP) || !bytes.Equal(ev.Bytes(), ep.Bytes()) {
+		return fmt.Errorf("*%v frames %d bytes (error %v), %v %d bytes (error %v)", t, ep.Len(), errP, t, ev.Len(), errV)
+	}
+	return checkFrameSize(from, ptr)
 }
 
 // payloadSamples is what interface-typed fields (message payloads) are

@@ -134,6 +134,23 @@ func register(tag uint64, prototype any, enc EncodeFunc, dec DecodeFunc) {
 	decoders[tag] = e
 }
 
+// registerPointer lets *T encode under the tag registered for T, in the same
+// bytes; the frame decodes as T. enc writes the payload from the pointer, so
+// sizing or sending one boxes nothing.
+func registerPointer(tag uint64, prototype any, enc EncodeFunc) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	t := reflect.TypeOf(prototype)
+	val, ok := decoders[tag]
+	if t == nil || t.Kind() != reflect.Pointer || !ok || reflect.TypeOf(val.proto) != t.Elem() {
+		panic(fmt.Sprintf("codec: %v is not a pointer to the type under tag %d", t, tag))
+	}
+	if _, dup := encoders[t]; dup {
+		panic(fmt.Sprintf("codec: duplicate codec for type %v", t))
+	}
+	encoders[t] = &entry{tag: tag, proto: prototype, enc: enc, dec: val.dec}
+}
+
 // RegisterCodec installs an application codec for prototype's concrete
 // type. tag must be >= TagApp and process-unique; both endpoints must
 // register the same tag for the same type (the engine's own registrations

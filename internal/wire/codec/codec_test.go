@@ -30,7 +30,8 @@ func TestCertifyLossless(t *testing.T) {
 // not reach: the compressed update encodings at size, nil, Values nested
 // in Values, payloads with no codec (top-level and nested: both sides must
 // fail), and sender addresses and bodies on either side of a varint length
-// boundary.
+// boundary. Every Upstream and Multicast is also framed as the pointer a
+// sender's free list sends, which must give the same bytes or error.
 func TestFrameSizeMatchesEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dense := make([]float64, 32574)
@@ -52,10 +53,21 @@ func TestFrameSizeMatchesEncoder(t *testing.T) {
 		ring.Envelope{Key: testID(6), Source: testContact(7), Payload: unregistered{A: 1, B: "nested"}},
 		func() {},
 		upstream(func() {}),
+		upstream(unregistered{A: 2, B: "object"}),
+		pubsub.Multicast{Topic: testID(8), Epoch: 1, Seq: 2, Depth: 1, Object: dense},
+		pubsub.Multicast{Topic: testID(9), Object: unregistered{A: 3, B: "object"}},
+	}
+	for _, p := range []any{(*pubsub.Upstream)(nil), (*pubsub.Multicast)(nil)} {
+		if _, ok := encoders[reflect.TypeOf(p)]; !ok {
+			t.Fatalf("%T has no pointer form", p)
+		}
 	}
 	for _, from := range []transport.Addr{"", "a", transport.Addr(strings.Repeat("h", 130))} {
 		for _, v := range cases {
 			if err := checkFrameSize(from, v); err != nil {
+				t.Error(err)
+			}
+			if err := checkPointerForm(from, v); err != nil {
 				t.Error(err)
 			}
 		}
@@ -69,22 +81,25 @@ func TestFrameSizeMatchesEncoder(t *testing.T) {
 	}
 }
 
-// Sizing the largest frame the engine sends must not allocate.
+// Sizing the largest frame the engine sends must not allocate, in either
+// form.
 func TestFrameSizeDoesNotAllocate(t *testing.T) {
-	var msg any = pubsub.Upstream{Topic: testID(1), Round: 3, From: testContact(2), Count: 17, Object: make([]float64, 32574)}
-	var size int
-	allocs := testing.AllocsPerRun(100, func() {
-		n, err := FrameSize("10.0.0.9:9000", msg)
-		if err != nil {
-			t.Fatal(err)
+	up := pubsub.Upstream{Topic: testID(1), Round: 3, From: testContact(2), Count: 17, Object: make([]float64, 32574)}
+	for _, msg := range []any{up, &up} {
+		var size int
+		allocs := testing.AllocsPerRun(100, func() {
+			n, err := FrameSize("10.0.0.9:9000", msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size = n
+		})
+		if allocs != 0 {
+			t.Fatalf("FrameSize of a 32 574-float %T allocates %.0f times per call, want 0", msg, allocs)
 		}
-		size = n
-	})
-	if allocs != 0 {
-		t.Fatalf("FrameSize of a 32 574-float Upstream allocates %.0f times per call, want 0", allocs)
-	}
-	if size < 8*32574 {
-		t.Fatalf("FrameSize = %d, smaller than its own payload", size)
+		if size < 8*32574 {
+			t.Fatalf("FrameSize = %d, smaller than its own payload", size)
+		}
 	}
 }
 

@@ -39,6 +39,8 @@ func fuzzSeeds() [][]byte {
 		ring.LeafsetReply{From: c, Leafset: []ring.Contact{c, c}},
 		pubsub.Multicast{Topic: id, Seq: 5, Depth: 2, Object: "payload"},
 		pubsub.Upstream{Topic: id, Round: 7, From: c, Count: 3, Object: []float64{1}},
+		&pubsub.Multicast{Topic: id, Epoch: 1, Seq: 6, Depth: 3, Object: []float64{2}},
+		&pubsub.Upstream{Topic: id, Round: 8, From: c, Epoch: 1, Count: 4, Seq: 9, Object: "partial"},
 		pubsub.McNack{Topic: id, Child: c, Missing: []uint64{4, 5, 6}},
 		relay.Data{Dst: "a", Origin: "b", ID: 1, Seq: 2, TTL: 3,
 			Visited: []transport.Addr{"a", "b"}, Payload: "x"},

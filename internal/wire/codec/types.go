@@ -221,32 +221,28 @@ func init() {
 			e.Value(m.Object)
 		},
 		func(d *Dec) any { return pubsub.PublishMsg{Topic: d.ID(), Object: d.Value()} })
+	// Multicast and Upstream also go out as pointers from the sender's free
+	// list (transport.Recycler): same tag, same bytes, decoded as values.
 	register(tagPSMulticast, pubsub.Multicast{},
 		func(e *Enc, v any) {
 			m := v.(pubsub.Multicast)
-			e.ID(m.Topic)
-			e.Uvarint(m.Epoch)
-			e.Uvarint(m.Seq)
-			e.Int(m.Depth)
-			e.Value(m.Object)
+			e.multicast(&m)
 		},
 		func(d *Dec) any {
 			return pubsub.Multicast{Topic: d.ID(), Epoch: d.Uvarint(), Seq: d.Uvarint(), Depth: d.Int(), Object: d.Value()}
 		})
+	registerPointer(tagPSMulticast, (*pubsub.Multicast)(nil),
+		func(e *Enc, v any) { e.multicast(v.(*pubsub.Multicast)) })
 	register(tagPSUpstream, pubsub.Upstream{},
 		func(e *Enc, v any) {
 			m := v.(pubsub.Upstream)
-			e.ID(m.Topic)
-			e.Int(m.Round)
-			e.Contact(m.From)
-			e.Uvarint(m.Epoch)
-			e.Int(m.Count)
-			e.Uvarint(m.Seq)
-			e.Value(m.Object)
+			e.upstream(&m)
 		},
 		func(d *Dec) any {
 			return pubsub.Upstream{Topic: d.ID(), Round: d.Int(), From: d.Contact(), Epoch: d.Uvarint(), Count: d.Int(), Seq: d.Uvarint(), Object: d.Value()}
 		})
+	registerPointer(tagPSUpstream, (*pubsub.Upstream)(nil),
+		func(e *Enc, v any) { e.upstream(v.(*pubsub.Upstream)) })
 	register(tagPSKeepAlive, pubsub.KeepAlive{},
 		func(e *Enc, v any) {
 			m := v.(pubsub.KeepAlive)
@@ -343,6 +339,24 @@ func init() {
 			}
 			return a
 		})
+}
+
+func (e *Enc) multicast(m *pubsub.Multicast) {
+	e.ID(m.Topic)
+	e.Uvarint(m.Epoch)
+	e.Uvarint(m.Seq)
+	e.Int(m.Depth)
+	e.Value(m.Object)
+}
+
+func (e *Enc) upstream(m *pubsub.Upstream) {
+	e.ID(m.Topic)
+	e.Int(m.Round)
+	e.Contact(m.From)
+	e.Uvarint(m.Epoch)
+	e.Int(m.Count)
+	e.Uvarint(m.Seq)
+	e.Value(m.Object)
 }
 
 // treeConfig encodes pubsub.TreeConfig (fanout + aggregation deadline +
