@@ -53,9 +53,12 @@ func BenchmarkTreeRound(b *testing.B) {
 			b.Fatalf("round %d aggregated %d of %d contributions", round, aggregated, subscribers)
 		}
 	}
-	for round < 3 {
-		runRound() // first deliveries make each member's retransmission cache
+	// Warm up: the first deliveries make each member's retransmission cache,
+	// and its trace ring stops growing after 256 events.
+	for round < 300 {
+		runRound()
 	}
+	heapBefore := heapInUse()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
@@ -64,7 +67,12 @@ func BenchmarkTreeRound(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
+	heapAfter := heapInUse()
+	runtime.KeepAlive(f)
 	perMember := float64(b.N * members)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perMember, "ns/member")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perMember, "allocs/member")
+	// What the rounds left reachable: round state that is not recycled past
+	// a horizon shows up here as bytes per member-round.
+	b.ReportMetric((float64(heapAfter)-float64(heapBefore))/perMember, "retained-B/member")
 }

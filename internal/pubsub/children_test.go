@@ -41,8 +41,17 @@ func (e *soloEnv) Metrics() *obs.Registry { return e.reg }
 func (e *soloEnv) Send(to transport.Addr, msg any) {
 	if e.record {
 		e.sent = append(e.sent, soloSend{to, msg})
-	} else if r, ok := msg.(transport.Recycler); ok {
-		r.Recycle()
+		return
+	}
+	// A switch on the concrete types, not an assertion to transport.Recycler:
+	// the runtime caches an assertion to an interface at its site the first
+	// time a random draw (about one in a thousand) says so, and that cache is
+	// a heap allocation the allocation pins would count.
+	switch m := msg.(type) {
+	case *Upstream:
+		m.Recycle()
+	case *Multicast:
+		m.Recycle()
 	}
 }
 

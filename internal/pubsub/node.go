@@ -45,18 +45,28 @@ type Handlers struct {
 	// commutative). Nil falls back to keeping the latest non-nil object.
 	Combine func(topic ids.ID, a, b any) any
 	// OnAggregate is invoked at the tree root when a round's aggregation
-	// flushes, with the combined object and the contribution count.
+	// flushes, with the combined object and the contribution count. A
+	// partial for a round that has left the root's window (one arriving
+	// after a round more than roundHorizon newer opened there) is dropped,
+	// not handed up.
 	OnAggregate func(topic ids.ID, round int, obj any, count int)
 }
+
+// roundHorizon is how many rounds a flushed round is kept behind the newest:
+// a round opened more than roundHorizon rounds after the oldest held one
+// takes over its slot, and from then on a partial for a round below the
+// topic's floor is dropped and counted (pubsub.pruned_partials).
+const roundHorizon = 2
 
 // aggRound tracks one round's in-network aggregation at one node. All of it
 // is cut from the topic's storage (carve), so a round allocates nothing.
 //
 // Once flushed, a round is a tombstone: flush releases combined, kids and
 // cancel, and what stays (flushed, selfDone, count, seen) is what routes
-// stragglers and drops duplicates. topicState.rounds keeps one tombstone per
-// round — it is never pruned here, because a round that came back to life
-// would merge stragglers instead of forwarding them.
+// stragglers and drops duplicates. The oldest tombstone lives until a round
+// more than roundHorizon newer opens; that round reuses its slot, its words
+// and its seen array, and raises the floor past it, so the round never comes
+// back to life to merge stragglers it must forward.
 type aggRound struct {
 	round int
 	// combined is the aggregate so far. It leaves by reference at the flush,
@@ -65,8 +75,11 @@ type aggRound struct {
 	count    int
 	// kids is the topic's copy-on-write children as the round began; bit i of
 	// reported is set once kids[i] reports, and waiting counts those not set.
+	// words is reported's storage, which outlives the flush for the slot's
+	// next round.
 	kids     []ring.Contact
 	reported []uint64
+	words    []uint64
 	// seen holds every (sender, upstream-seq) pair folded into (or forwarded
 	// for) this round, so a network-duplicated Upstream is dropped, not
 	// double-counted: about one per kid, so a scanned slice sized with kids.
@@ -102,10 +115,13 @@ type topicState struct {
 	// (fanout cap, aggregation deadline), learned from CreateMsg at the
 	// root and from Welcome everywhere else.
 	ownerCfg TreeConfig
-	// rounds is sorted by number; the rounds, their bits and their pairs are
-	// carved from chunks that never move: a *aggRound stays valid across the
-	// re-entrant flush → OnAggregate → SubmitUpdate(round+1) chain.
+	// rounds is the window of held rounds, sorted by number; every round
+	// below floor has left it. The rounds, their bits and their pairs are
+	// carved from chunks that never move, and a slot is reused only by a
+	// round more than roundHorizon newer, so a *aggRound stays valid across
+	// the re-entrant flush → OnAggregate → SubmitUpdate(round+1) chain.
 	rounds    []*aggRound
+	floor     int
 	roundPool []aggRound
 	words     []uint64
 	keys      []upKey
@@ -320,6 +336,9 @@ func (n *Node) Publish(topic ids.ID, obj any) {
 func (n *Node) SubmitUpdate(topic ids.ID, round int, obj any) {
 	st := n.state(topic)
 	r := n.round(st, round)
+	if r == nil {
+		return
+	}
 	r.selfDone = true
 	if r.flushed {
 		// Late self-contribution after a timeout flush: r.combined was
@@ -752,34 +771,65 @@ func (st *topicState) cached(seq uint64) (Multicast, bool) {
 	return Multicast{Topic: st.topic, Epoch: c.epoch, Seq: c.seq, Depth: c.depth, Object: c.object}, true
 }
 
-// roundChunk is how many rounds' storage a topic allocates at a time.
-const roundChunk = 8
-
-// carve cuts n zero elements of capacity n from *pool, refilled roundChunk·n at a time.
+// carve cuts n zero elements of capacity n from *pool, refilled a window's
+// worth — roundHorizon+2 rounds of n — at a time.
 func carve[T any](pool *[]T, n int) []T {
 	if len(*pool) < n {
-		*pool = make([]T, roundChunk*n)
+		*pool = make([]T, (roundHorizon+2)*n)
 	}
 	s := (*pool)[:n:n]
 	*pool = (*pool)[n:]
 	return s
 }
 
-// findRound returns where the round numbered round is, or goes, in st.rounds.
+// findRound returns where the round numbered round is, or goes, in st.rounds,
+// scanning the short window from its newest end, where rounds open.
 func (st *topicState) findRound(round int) (int, bool) {
-	return slices.BinarySearchFunc(st.rounds, round, func(r *aggRound, round int) int { return cmp.Compare(r.round, round) })
+	i := len(st.rounds)
+	for i > 0 && st.rounds[i-1].round >= round {
+		i--
+	}
+	return i, i < len(st.rounds) && st.rounds[i].round == round
 }
 
+// round returns the window's slot for the round numbered round, opening it if
+// the window does not hold it, or nil, counting the drop, if the round has
+// left the window.
+//
+//vet:noalloc amortized
 func (n *Node) round(st *topicState, round int) *aggRound {
+	if round < st.floor {
+		// Registered by the first drop, so a node that never drops does not
+		// list the counter.
+		n.env.Metrics().Counter("pubsub.pruned_partials").Inc()
+		return nil
+	}
 	i, ok := st.findRound(round)
 	if ok {
 		return st.rounds[i]
 	}
-	r := &carve(&st.roundPool, 1)[0]
+	var r *aggRound
+	if old := st.rounds; len(old) > 0 && old[0].flushed && round-old[0].round > roundHorizon {
+		// The oldest round is a tombstone past the horizon: the new round takes
+		// its slot and storage, and it leaves the window for good.
+		r, st.floor = old[0], old[0].round+1
+		*r = aggRound{words: r.words, seen: r.seen[:0]}
+		st.rounds, i = slices.Delete(old, 0, 1), i-1
+	} else {
+		r = &carve(&st.roundPool, 1)[0]
+	}
 	r.round = round
-	st.rounds = slices.Insert(slices.Grow(st.rounds, max(roundChunk-len(st.rounds), 0)), i, r)
+	st.rounds = slices.Insert(slices.Grow(st.rounds, max(roundHorizon+2-len(st.rounds), 0)), i, r)
 	if k := len(st.children); k > 0 {
-		r.kids, r.waiting, r.reported, r.seen = st.children, int32(k), carve(&st.words, (k+63)/64), carve(&st.keys, k)[:0]
+		w := (k + 63) / 64
+		if len(r.words) < w {
+			r.words = carve(&st.words, w)
+		}
+		if cap(r.seen) < k {
+			r.seen = carve(&st.keys, k)[:0]
+		}
+		r.kids, r.waiting, r.reported = st.children, int32(k), r.words[:w]
+		clear(r.reported)
 	}
 	if timeout := n.effCfg(st).AggTimeout; timeout > 0 {
 		r.cancel = n.env.After(timeout, func() {
@@ -808,6 +858,9 @@ func (n *Node) handleUpstream(m *Upstream) {
 		return
 	}
 	r := n.round(st, m.Round)
+	if r == nil {
+		return
+	}
 	if m.Seq != 0 {
 		// Drop duplicates before any merging or forwarding: the network can
 		// deliver an Upstream twice (retry logic, injected faults), and the
@@ -854,9 +907,9 @@ func (n *Node) flush(st *topicState, round int, r *aggRound) {
 		r.cancel()
 	}
 	n.ctrFlushes.Inc()
-	// The round stays in the map marked flushed so that stragglers arriving
-	// later are forwarded upstream as supplementary partials instead of
-	// resurrecting the round. Nothing reads the aggregate here again, so it
+	// The round stays in the window marked flushed so that stragglers
+	// arriving later are forwarded upstream as supplementary partials instead
+	// of resurrecting the round. Nothing reads the aggregate here again, so it
 	// lives only as long as its receiver (the parent's merge, the root's
 	// OnAggregate) holds it.
 	obj := r.combined
@@ -1102,15 +1155,15 @@ func (n *Node) ResetRounds(topic ids.ID) {
 	}
 }
 
-// dropRounds cancels the topic's round timers and forgets its rounds and
-// the per-child miss tallies that go with them.
+// dropRounds cancels the topic's round timers and forgets its rounds, its
+// floor and the per-child miss tallies that go with them.
 func (n *Node) dropRounds(st *topicState) {
 	for _, r := range st.rounds {
 		if r.cancel != nil {
 			r.cancel()
 		}
 	}
-	st.rounds, st.missCount = nil, nil
+	st.rounds, st.floor, st.missCount = nil, 0, nil
 }
 
 func (n *Node) stopTimers(st *topicState) {

@@ -103,6 +103,118 @@ func TestFlushedRoundsReleaseTheirPayload(t *testing.T) {
 	}
 }
 
+// TestRoundStateStopsGrowing is the soak: once a tree's members have warmed
+// up, a round leaves nothing behind. Each member holds a window of rounds and
+// reuses a slot past the horizon, so heap in use stays flat however many
+// rounds go by; with one tombstone kept per round it grew about 160 B per
+// member-round.
+func TestRoundStateStopsGrowing(t *testing.T) {
+	const warmup, rounds = 300, 10000 // the trace ring stops growing after 256 events
+	f := newForest(t, 150, ring.Config{B: 4}, Config{}, 11)
+	topic := ids.Hash("app-soak")
+	aggregated := 0
+	for _, s := range f.stacks {
+		s.ps.SetHandlers(Handlers{
+			Combine:     func(_ ids.ID, a, _ any) any { return a },
+			OnAggregate: func(_ ids.ID, _ int, _ any, count int) { aggregated += count },
+		})
+	}
+	members := deepTree(t, f, topic)
+	var update any = struct{}{}
+	subscribed, contributors := make([]bool, len(members)), 0
+	for i, s := range members {
+		info, _ := s.ps.TreeInfo(topic)
+		if subscribed[i] = info.Subscribed; info.Subscribed {
+			contributors++
+		}
+	}
+	runRound := func(round int) {
+		for i, s := range members {
+			if subscribed[i] {
+				s.ps.SubmitUpdate(topic, round, update)
+			} else {
+				s.ps.SubmitUpdate(topic, round, nil)
+			}
+		}
+		f.net.RunUntilIdle()
+	}
+	for r := 1; r <= warmup; r++ {
+		runRound(r)
+	}
+	aggregated = 0
+	before := heapInUse()
+	for r := warmup + 1; r <= warmup+rounds; r++ {
+		runRound(r)
+	}
+	after := heapInUse()
+	runtime.KeepAlive(f)
+	if want := rounds * contributors; aggregated != want {
+		t.Fatalf("root aggregated %d contributions, want %d", aggregated, want)
+	}
+	perMemberRound := (float64(after) - float64(before)) / float64(rounds*len(members))
+	t.Logf("%d members, %d rounds: heap in use grew %.2f B per member-round", len(members), rounds, perMemberRound)
+	if perMemberRound >= 1 {
+		t.Fatalf("heap in use grew %.2f B per member-round over %d rounds, want < 1: round state must stop growing past the horizon",
+			perMemberRound, rounds)
+	}
+}
+
+// TestLatePartialPastTheWindowIsDropped: at an interior member, a round
+// roundHorizon+1 behind the newest has left the window. A child's partial or
+// the member's own update for it sends nothing and merges nothing; it is
+// counted. One round later is still inside the window, and a partial for it
+// is forwarded as a straggler.
+func TestLatePartialPastTheWindowIsDropped(t *testing.T) {
+	n, env := newSolo(Config{}, true)
+	topic := ids.Hash("app-window")
+	merges := 0
+	n.SetHandlers(Handlers{Combine: func(_ ids.ID, a, _ any) any { merges++; return a }})
+	parent := contact(0)
+	n.Receive(parent.Addr, Welcome{Topic: topic, Parent: parent})
+	kids := []ring.Contact{contact(1), contact(2)}
+	for _, c := range kids {
+		n.Receive(c.Addr, JoinMsg{Topic: topic, Subscriber: c})
+	}
+	env.take() // the children's Welcomes
+	seq := uint64(0)
+	upstream := func(from ring.Contact, round int) {
+		seq++
+		n.Receive(from.Addr, Upstream{Topic: topic, Round: round, From: from, Object: 1, Count: 1, Seq: seq})
+	}
+	const newest = 1 + roundHorizon + 1
+	for round := 1; round <= newest; round++ {
+		n.SubmitUpdate(topic, round, 1)
+		for _, c := range kids {
+			upstream(c, round)
+		}
+	}
+	if sent := len(env.take()); sent != newest {
+		t.Fatalf("%d complete rounds sent %d messages, want one Upstream each", newest, sent)
+	}
+	pruned := n.Metrics().Counter("pubsub.pruned_partials")
+	merged := merges
+	expect := func(what string, wantSent int, wantPruned int64) []soloSend {
+		t.Helper()
+		sent := env.take()
+		if len(sent) != wantSent || merges != merged || pruned.Value() != wantPruned {
+			t.Fatalf("%s with round %d open: sent %d, merged %d, pruned_partials %d; want %d, 0 and %d",
+				what, newest, len(sent), merges-merged, pruned.Value(), wantSent, wantPruned)
+		}
+		return sent
+	}
+
+	upstream(kids[0], 1)
+	expect("a child's partial for round 1", 0, 1)
+	n.SubmitUpdate(topic, 1, 1)
+	expect("an own update for round 1", 0, 2)
+
+	upstream(kids[0], 2)
+	sent := expect("a child's partial for round 2", 1, 2)
+	if up, ok := sent[0].msg.(*Upstream); !ok || up.Round != 2 || sent[0].to != parent.Addr {
+		t.Fatalf("the straggler left as %#v to %s, want round 2's Upstream to the parent", sent[0].msg, sent[0].to)
+	}
+}
+
 // TestTombstoneStillRoutesStragglers extends the in-place-combiner
 // regression test above to the released round: whatever reaches a flushed
 // round after its aggregate is gone is still forwarded exactly once, and a

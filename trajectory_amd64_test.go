@@ -46,7 +46,7 @@ func TestTrajectoriesAreGolden(t *testing.T) {
 		"baseline":        baselineHash(),
 	}
 	for _, seed := range []int64{229, 233, 239, 241, 251} {
-		got["chaos-"+strconv.FormatInt(seed, 10)] = chaosHash(t, seed)
+		got["chaos-"+strconv.FormatInt(seed, 10)], _ = chaosRun(t, seed)
 	}
 	for name, want := range goldenTrajectories {
 		if got[name] != want {
@@ -107,8 +107,9 @@ func bigModelFleetHash(t *testing.T) uint64 {
 	return h.Sum64()
 }
 
-// chaosHash runs chaos_test.go's acceptance schedule on one fleet seed.
-func chaosHash(t *testing.T, seed int64) uint64 {
+// chaosRun runs chaos_test.go's acceptance schedule on one fleet seed and
+// returns the run's hash and the trained cluster.
+func chaosRun(t *testing.T, seed int64) (uint64, *Cluster) {
 	c, id, _, _ := startChaos(t, seed, chaosSpec, chaosRounds)
 	prog := c.TrainUntil(c.Net.Now()+10*time.Minute, id)[0]
 	if n := len(prog.Points); n == 0 || prog.Points[n-1].Round != chaosRounds {
@@ -117,7 +118,28 @@ func chaosHash(t *testing.T, seed int64) uint64 {
 	params, _ := c.Master(id).GlobalParams(id)
 	h := fnv.New64a()
 	hashRun(h, prog.Points, params)
-	return h.Sum64()
+	return h.Sum64(), c
+}
+
+// TestLatePartialLeavesTheRunAlone pins the seed on which a partial reaches
+// a tree member after its round has left the member's window (pubsub's
+// roundHorizon): fleet seed 7 under the nine-phase schedule, one of
+// TestCheckMatchesFullScan's clean seeds. The member drops and counts it,
+// and the run trains, bit for bit and without a violation, as it did when
+// every member kept every round. The hash was recorded with the unbounded
+// round list and must not be re-recorded.
+func TestLatePartialLeavesTheRunAlone(t *testing.T) {
+	const seed, want = 7, uint64(0xab8873b84e30bf94)
+	got, c := chaosRun(t, seed)
+	if v := c.Net.Violation(); v != nil {
+		t.Errorf("seed %d: violation %v, want none", seed, v)
+	}
+	if got != want {
+		t.Errorf("seed %d: trajectory hash %#016x, recorded %#016x", seed, got, want)
+	}
+	if n := c.Net.MergedSnapshot().Counters["pubsub.pruned_partials"]; n == 0 {
+		t.Errorf("seed %d: no partial reached a round past the window; this seed no longer exercises the drop", seed)
+	}
 }
 
 // sessionHash runs the network-free Session with a compressor that returns
