@@ -22,6 +22,14 @@ import (
 // replicated master state) plus durable, fault-injectable stores and an
 // OnViolation handler that records instead of panicking, so tests can
 // assert on Net.Violation().
+// restartEngine crash-restarts engine i: the node reboots with a rebuilt
+// stack (amnesia except for its durable store), then rejoins and resumes
+// through Cluster.Restarted.
+func restartEngine(c *Cluster, i int) {
+	c.Net.Restart(c.Engines[i].Self().Addr)
+	c.Restarted(c.Engines[i].Self().Addr)
+}
+
 func chaosCluster(seed int64, replicas int) *Cluster {
 	return NewCluster(chaosConfig(seed, replicas))
 }
@@ -210,10 +218,10 @@ func replayReachesLive(t *testing.T, c *Cluster, id AppID, seed int64) {
 	for deadline := c.Net.Now() + 10*time.Minute; c.Net.Now() < deadline && !c.allDone([]AppID{id}); {
 		c.Net.Run(c.Net.Now() + 50*time.Millisecond)
 		for i, live := range c.Engines {
-			if !c.Net.Alive(live.Self().Addr) || live.Degraded() {
+			if !c.Net.Alive(live.Self().Addr) || live.degraded {
 				continue
 			}
-			if n := c.FaultyStore(i).Appends; n != foldedAt[i] {
+			if n := c.faulty[i].Appends; n != foldedAt[i] {
 				replayed := &Engine{}
 				if _, err := replayed.replay(c.stores[i]); err != nil {
 					t.Fatalf("seed %d: %s: %v", seed, live.Self().Addr, err)
@@ -500,7 +508,7 @@ func TestRepeatedKillRestartSameNode(t *testing.T) {
 	for c.Net.Now() < deadline && !c.allDone([]AppID{id}) {
 		c.Net.Run(c.Net.Now() + 100*time.Millisecond)
 		if down && c.Net.Now() >= killedAt+time.Second {
-			c.Restart(victimIdx)
+			restartEngine(c, victimIdx)
 			down = false
 		}
 		if !down && kills < 3 && rounds() >= 2*(kills+1) && c.Net.Alive(victim) {
@@ -511,7 +519,7 @@ func TestRepeatedKillRestartSameNode(t *testing.T) {
 		}
 	}
 	if down {
-		c.Restart(victimIdx)
+		restartEngine(c, victimIdx)
 	}
 
 	if kills != 3 {
@@ -589,14 +597,14 @@ func TestStoreFaultDegradesLoudly(t *testing.T) {
 	runUntilRounds(2)
 	m := c.Master(id)
 	masterIdx := c.EngineIndex(m.Self().Addr)
-	faulty := c.FaultyStore(masterIdx)
+	faulty := c.faulty[masterIdx]
 	if faulty.Appends == 0 {
 		t.Fatal("master journaled nothing before the fault window")
 	}
 	faulty.Fail(store.FaultFsync)
 
 	runUntilRounds(5)
-	if !m.Degraded() {
+	if !m.degraded {
 		t.Fatal("master kept a failing journal without degrading")
 	}
 	if got := m.Metrics().Gauge("store.degraded").Value(); got != 1 {
@@ -625,7 +633,7 @@ func TestStoreFaultDegradesLoudly(t *testing.T) {
 	// finishes from there.
 	c.Net.Fail(m.Self().Addr)
 	c.Net.Run(c.Net.Now() + time.Second)
-	c.Restart(masterIdx)
+	restartEngine(c, masterIdx)
 
 	deadline := c.Net.Now() + 10*time.Minute
 	for c.Net.Now() < deadline && !c.allDone([]AppID{id}) {
@@ -639,7 +647,7 @@ func TestStoreFaultDegradesLoudly(t *testing.T) {
 	if !reborn.Recovered() {
 		t.Fatal("restarted master did not recover from its clean WAL prefix")
 	}
-	if reborn.Degraded() {
+	if reborn.degraded {
 		t.Fatal("rebirth on a healthy store reports degraded")
 	}
 	prog := c.Progress(id)

@@ -33,8 +33,6 @@ type ClusterConfig struct {
 	// node a zone (required when ZoneBits > 0).
 	ZoneBits int
 	ZoneOf   func(node int) uint64
-	// SpeedOf draws a per-node compute speed factor (nil = all 1.0).
-	SpeedOf func(node int) float64
 	// VirtualNodesOf maps a physical host to the number of logical P2P
 	// nodes it runs (the paper's heterogeneity mechanism, §7.5):
 	// resource-rich hosts run several logical nodes — owning
@@ -42,6 +40,7 @@ type ClusterConfig struct {
 	// aggregator roles — while all logical nodes of one host share a
 	// single compute queue. Nil means one logical node per host; N then
 	// counts physical hosts either way.
+	//lint:ignore unused the paper's §7.5 heterogeneity mechanism (DESIGN row 18)
 	VirtualNodesOf func(host int) int
 	// Replicas, ReplicaCheckInterval, and FailoverGrace configure master
 	// failover on every engine (see Options). Replicas = 0 disables it.
@@ -55,7 +54,7 @@ type ClusterConfig struct {
 	Durable bool
 	// FaultyStores wraps every engine's durable store in a fault-injecting
 	// wrapper (store.Faulty) so a nemesis schedule can fail disks mid-run;
-	// requires Durable. Access the wrappers via FaultyStore.
+	// requires Durable; the chaos harness's "disk" phases fail and heal them.
 	FaultyStores bool
 	// ExactSizes routes simulated message-size accounting through the v2
 	// wire codec (see simnet.Config.Sizer).
@@ -133,10 +132,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 				virtual = v
 			}
 		}
-		speed := 1.0
-		if cfg.SpeedOf != nil {
-			speed = cfg.SpeedOf(host)
-		}
 		// All logical nodes of one host serialize compute on one queue and
 		// split the host NIC.
 		queue := &workload.ComputeQueue{}
@@ -170,7 +165,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 				eng = NewEngine(env, ring.Contact{ID: id, Addr: addr}, Options{
 					Ring:                 cfg.Ring,
 					PubSub:               cfg.PubSub,
-					Speed:                speed,
 					ZoneBits:             cfg.ZoneBits,
 					Queue:                queue,
 					Eval:                 c.evalApp,
@@ -348,14 +342,6 @@ func (c *Cluster) Master(id AppID) *Engine {
 	return nil
 }
 
-// Restart crash-restarts engine i: the node reboots with a rebuilt stack
-// (amnesia except for its durable store), then rejoins and resumes. See
-// Restarted for the recovery sequence.
-func (c *Cluster) Restart(i int) {
-	c.Net.Restart(c.Engines[i].Self().Addr)
-	c.Restarted(c.Engines[i].Self().Addr)
-}
-
 // Restarted completes a crash-restart that the network layer already
 // performed (a nemesis kill or churn phase calls Network.Restart itself;
 // pass this as NemesisConfig.OnRestart). It plays the role a node's init
@@ -412,10 +398,6 @@ func (c *Cluster) StartMaintenance(interval time.Duration) {
 	}
 }
 
-// FaultyStore returns engine i's fault-injecting store wrapper, or nil
-// when the cluster wasn't built with FaultyStores.
-func (c *Cluster) FaultyStore(i int) *store.Faulty { return c.faulty[i] }
-
 // EngineIndex maps a node address to its engine index (-1 if unknown).
 func (c *Cluster) EngineIndex(addr transport.Addr) int {
 	for i, e := range c.Engines {
@@ -424,13 +406,4 @@ func (c *Cluster) EngineIndex(addr transport.Addr) int {
 		}
 	}
 	return -1
-}
-
-// Spec returns the registered spec for an app.
-func (c *Cluster) Spec(id AppID) (AppSpec, bool) {
-	reg, ok := c.apps[id]
-	if !ok {
-		return AppSpec{}, false
-	}
-	return reg.spec, true
 }

@@ -8,19 +8,6 @@ import (
 	"totoro/internal/workload"
 )
 
-func TestClusterSpecAccessor(t *testing.T) {
-	c := testCluster(40, 41)
-	app := testApps(1, 41)[0]
-	id := c.DeployOnRandomNodes(app)
-	spec, ok := c.Spec(id)
-	if !ok || spec.Name != app.Name {
-		t.Fatalf("Spec(%v)=%+v,%v", id, spec, ok)
-	}
-	if _, ok := c.Spec(NewAppID("nope", "nope")); ok {
-		t.Fatal("unknown app returned a spec")
-	}
-}
-
 func TestClusterProgressUnknownApp(t *testing.T) {
 	c := testCluster(20, 42)
 	if p := c.Progress(NewAppID("ghost", "x")); p != nil {

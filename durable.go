@@ -248,10 +248,6 @@ func (e *Engine) journal(rec any) {
 	e.ctrStoreAppends.Inc()
 }
 
-// Degraded reports whether this engine has dropped to non-durable after
-// a journal failure.
-func (e *Engine) Degraded() bool { return e.degraded }
-
 func (e *Engine) snapshotDurable() {
 	if err := e.store.Snapshot(e.buildSnapshot()); err != nil {
 		// A failed snapshot is tolerable without degrading: the WAL is only

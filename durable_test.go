@@ -105,7 +105,7 @@ func runDurableRestart(t *testing.T, seed int64, kill, killWorker, compact bool)
 			}
 		}
 		if killed && !restarted && c.Net.Now() >= killedAt+time.Second {
-			c.Restart(victimIdx)
+			restartEngine(c, victimIdx)
 			restarted, restartedAt = true, c.Net.Now()
 		}
 		if c.allDone([]AppID{id}) {
@@ -353,7 +353,7 @@ func TestRecoveredStateMatchesLive(t *testing.T) {
 	}
 	c.Net.Fail(m.Self().Addr)
 	c.Net.Run(c.Net.Now() + time.Second)
-	c.Restart(masterIdx)
+	restartEngine(c, masterIdx)
 	c.Net.Run(c.Net.Now() + 5*time.Second)
 
 	reborn := c.Engines[masterIdx]

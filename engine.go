@@ -323,6 +323,8 @@ func (e *Engine) Subscribe(app AppID, shard *ml.Dataset, restricted bool) error 
 func (e *Engine) SubscribeTopic(app AppID) { e.ps.Subscribe(app) }
 
 // Unsubscribe leaves an application.
+//
+//lint:ignore unused Subscribe's inverse: the journal's walUnsub record and pubsub's tree leave exist for it
 func (e *Engine) Unsubscribe(app AppID) {
 	rec := walUnsub{App: app}
 	e.apply(rec)

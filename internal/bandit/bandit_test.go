@@ -279,10 +279,9 @@ func TestLayeredGraphShape(t *testing.T) {
 	if len(g.Out(dst)) != 0 {
 		t.Fatal("dst must be a sink")
 	}
-	for _, l := range g.Links() {
-		th := g.Theta(l[0], l[1])
+	for l, th := range g.theta {
 		if th < 0.1 || th > 0.9 {
-			t.Fatalf("theta %v out of range", th)
+			t.Fatalf("theta %v of link %v out of range", th, l)
 		}
 	}
 }

@@ -56,17 +56,6 @@ func (g *Graph) Theta(u, v int) float64 { return g.theta[[2]int{u, v}] }
 // Out returns the out-neighbors of u.
 func (g *Graph) Out(u int) []int { return g.adj[u] }
 
-// Links returns all links in deterministic order.
-func (g *Graph) Links() [][2]int {
-	out := make([][2]int, 0, len(g.theta))
-	for u := 0; u < g.N; u++ {
-		for _, v := range g.adj[u] {
-			out = append(out, [2]int{u, v})
-		}
-	}
-	return out
-}
-
 // ExpectedDelay of a path is Σ 1/θ over its links.
 func (g *Graph) ExpectedDelay(path []int) float64 {
 	d := 0.0

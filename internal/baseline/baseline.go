@@ -173,9 +173,6 @@ func (e *Engine) Run() []*workload.Progress {
 	return out
 }
 
-// Network exposes the simulator (tests, traffic accounting).
-func (e *Engine) Network() *simnet.Network { return e.net }
-
 // scheduleRound enqueues the app's next round setup on the coordinator's
 // FCFS queue — the "handle them one by one" behaviour of §7.4.
 func (e *Engine) scheduleRound(ai int) {

@@ -94,7 +94,7 @@ func TestServerIsTheTrafficHotspot(t *testing.T) {
 	e := New(apps, Config{Profile: FedScale(), ClientNodes: 16, Seed: 4})
 	e.Run()
 	bytes := func(addr transport.Addr) int64 {
-		reg := e.Network().MetricsOf(addr)
+		reg := e.net.MetricsOf(addr)
 		return reg.Counter(transport.CtrBytesIn).Value() + reg.Counter(transport.CtrBytesOut).Value()
 	}
 	var maxClient int64

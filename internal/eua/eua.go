@@ -47,15 +47,9 @@ func Regions() []Region {
 // Total is the dataset's node count.
 const Total = 95271
 
-// Generate draws every node of the full dataset. It returns the node
-// positions and each node's region index.
-func Generate(rng *rand.Rand) (positions []multiring.Point, regionOf []int) {
-	return GenerateScaled(Total, rng)
-}
-
 // GenerateScaled draws a proportionally downsampled dataset with about n
-// nodes (each region keeps at least one node). Use it for experiments that
-// do not need all 95k points.
+// nodes (each region keeps at least one node); n = Total draws the full
+// dataset.
 func GenerateScaled(n int, rng *rand.Rand) (positions []multiring.Point, regionOf []int) {
 	regions := Regions()
 	for ri, r := range regions {

@@ -26,7 +26,7 @@ func TestRegionCountsMatchPaper(t *testing.T) {
 
 func TestGenerateFullDataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	pos, reg := Generate(rng)
+	pos, reg := GenerateScaled(Total, rng)
 	if len(pos) != Total || len(reg) != Total {
 		t.Fatalf("generated %d nodes", len(pos))
 	}

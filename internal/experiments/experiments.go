@@ -25,9 +25,6 @@ type Options struct {
 	Short bool
 }
 
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options { return Options{Seed: 20240422} }
-
 // --- shared mini-harness: a raw ring+pub/sub forest (no FL driver) ---
 
 // stack couples one ring node with one pub/sub node.

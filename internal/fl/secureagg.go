@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
-	"sort"
 )
 
 // Secure aggregation (paper §4.4: owners may specify "secure aggregation"
@@ -22,18 +20,12 @@ import (
 // cancel exactly (each mask component is a multiple of 2^-20).
 const maskScale = 1 << 20
 
-// PairwiseMask derives the deterministic mask vector shared by clients a
-// and b for one round, with components in [-1, 1). It is antisymmetric:
-// PairwiseMask(a,b,...) == -PairwiseMask(b,a,...), which is what makes
-// masks cancel in the sum.
-func PairwiseMask(a, b string, round, dim int) []float64 {
-	return PairwiseMaskScaled(a, b, round, dim, 1)
-}
-
-// PairwiseMaskScaled is PairwiseMask with components in
-// [-amplitude, amplitude). Pick an amplitude well above the magnitude of
-// the protected values so a single masked vector reveals nothing; use a
-// power of two to keep the float cancellation exact.
+// PairwiseMaskScaled derives the deterministic mask vector shared by
+// clients a and b for one round, with components in [-amplitude,
+// amplitude). It is antisymmetric — swapping a and b negates it — which is
+// what makes masks cancel in the sum. Pick an amplitude well above the
+// magnitude of the protected values so a single masked vector reveals
+// nothing; use a power of two to keep the float cancellation exact.
 func PairwiseMaskScaled(a, b string, round, dim int, amplitude float64) []float64 {
 	sign := 1.0
 	if a > b {
@@ -58,14 +50,10 @@ func PairwiseMaskScaled(a, b string, round, dim int, amplitude float64) []float6
 	return out
 }
 
-// MaskUpdate masks client self's update against every other participant in
-// the round with unit-amplitude masks. The participant list must be
-// identical (as a set) across all clients of the round.
-func MaskUpdate(self string, participants []string, round int, delta []float64) []float64 {
-	return MaskUpdateScaled(self, participants, round, delta, 1)
-}
-
-// MaskUpdateScaled is MaskUpdate with an explicit mask amplitude.
+// MaskUpdateScaled masks client self's update against every other
+// participant in the round with masks of the given amplitude. The
+// participant list must be identical (as a set) across all clients of the
+// round.
 func MaskUpdateScaled(self string, participants []string, round int, delta []float64, amplitude float64) []float64 {
 	out := append([]float64(nil), delta...)
 	for _, p := range participants {
@@ -78,66 +66,4 @@ func MaskUpdateScaled(self string, participants []string, round int, delta []flo
 		}
 	}
 	return out
-}
-
-// UnmaskDropouts removes the residual masks left in an aggregate when some
-// participants dropped out after masking was agreed: for every surviving
-// client s and dropped client d, the pair mask (s, d) did not cancel and
-// must be subtracted (this is the "recovery" phase of the protocol, run
-// with the survivors' cooperation).
-func UnmaskDropouts(agg []float64, survivors, dropped []string, round int) []float64 {
-	out := append([]float64(nil), agg...)
-	for _, s := range survivors {
-		for _, d := range dropped {
-			m := PairwiseMask(s, d, round, len(agg))
-			for i := range out {
-				out[i] -= m[i]
-			}
-		}
-	}
-	return out
-}
-
-// SecureRound is a convenience driver: it masks every participant's
-// update, sums the masked vectors (as the aggregation tree would), and
-// verifies the masks cancelled. It returns the plain sum.
-func SecureRound(updates map[string][]float64, round int) ([]float64, error) {
-	if len(updates) == 0 {
-		return nil, fmt.Errorf("fl: empty secure round")
-	}
-	names := make([]string, 0, len(updates))
-	dim := -1
-	for n, u := range updates {
-		names = append(names, n)
-		if dim == -1 {
-			dim = len(u)
-		} else if len(u) != dim {
-			return nil, fmt.Errorf("fl: dimension mismatch for %s", n)
-		}
-	}
-	sort.Strings(names)
-	sum := make([]float64, dim)
-	for _, n := range names {
-		masked := MaskUpdate(n, names, round, updates[n])
-		for i := range sum {
-			sum[i] += masked[i]
-		}
-	}
-	// Sanity: residual mask magnitude must be at float rounding level.
-	// Sum in the same sorted client order as the masked pass — float
-	// addition is not associative, so map-order iteration here would make
-	// same-seed runs differ in the last bits.
-	plain := make([]float64, dim)
-	for _, n := range names {
-		u := updates[n]
-		for i := range plain {
-			plain[i] += u[i]
-		}
-	}
-	for i := range sum {
-		if math.Abs(sum[i]-plain[i]) > 1e-6*(1+math.Abs(plain[i])) {
-			return nil, fmt.Errorf("fl: masks did not cancel at dim %d: %v vs %v", i, sum[i], plain[i])
-		}
-	}
-	return sum, nil
 }

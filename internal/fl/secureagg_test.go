@@ -8,8 +8,8 @@ import (
 )
 
 func TestPairwiseMaskAntisymmetric(t *testing.T) {
-	a := PairwiseMask("alice", "bob", 3, 64)
-	b := PairwiseMask("bob", "alice", 3, 64)
+	a := PairwiseMaskScaled("alice", "bob", 3, 64, 1)
+	b := PairwiseMaskScaled("bob", "alice", 3, 64, 1)
 	for i := range a {
 		if a[i] != -b[i] {
 			t.Fatalf("mask not antisymmetric at %d: %v vs %v", i, a[i], b[i])
@@ -18,9 +18,9 @@ func TestPairwiseMaskAntisymmetric(t *testing.T) {
 }
 
 func TestPairwiseMaskVariesWithRoundAndPair(t *testing.T) {
-	a := PairwiseMask("alice", "bob", 1, 32)
-	b := PairwiseMask("alice", "bob", 2, 32)
-	c := PairwiseMask("alice", "carol", 1, 32)
+	a := PairwiseMaskScaled("alice", "bob", 1, 32, 1)
+	b := PairwiseMaskScaled("alice", "bob", 2, 32, 1)
+	c := PairwiseMaskScaled("alice", "carol", 1, 32, 1)
 	same := func(x, y []float64) bool {
 		for i := range x {
 			if x[i] != y[i] {
@@ -38,7 +38,7 @@ func TestPairwiseMaskVariesWithRoundAndPair(t *testing.T) {
 }
 
 func TestPairwiseMaskBoundedAndNontrivial(t *testing.T) {
-	m := PairwiseMask("x", "y", 0, 256)
+	m := PairwiseMaskScaled("x", "y", 0, 256, 1)
 	nonzero := 0
 	for _, v := range m {
 		if v < -1 || v >= 1 {
@@ -53,22 +53,26 @@ func TestPairwiseMaskBoundedAndNontrivial(t *testing.T) {
 	}
 }
 
+// TestSecureRoundMasksCancelExactly masks every participant's update, sums
+// the masked vectors as the aggregation tree would, and finds the plain sum.
 func TestSecureRoundMasksCancelExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	updates := map[string][]float64{}
 	dim := 50
-	want := make([]float64, dim)
+	var names []string
 	for c := 0; c < 12; c++ {
+		names = append(names, fmt.Sprintf("client-%02d", c))
+	}
+	want := make([]float64, dim)
+	got := make([]float64, dim)
+	for _, n := range names {
 		u := make([]float64, dim)
 		for i := range u {
 			u[i] = rng.NormFloat64()
 			want[i] += u[i]
 		}
-		updates[fmt.Sprintf("client-%02d", c)] = u
-	}
-	got, err := SecureRound(updates, 5)
-	if err != nil {
-		t.Fatal(err)
+		for i, v := range MaskUpdateScaled(n, names, 5, u, 1) {
+			got[i] += v
+		}
 	}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-6 {
@@ -84,60 +88,12 @@ func TestMaskedUpdateHidesPlaintext(t *testing.T) {
 	for i := range delta {
 		delta[i] = 0.001 * float64(i)
 	}
-	masked := MaskUpdate("alice", []string{"alice", "bob", "carol"}, 1, delta)
+	masked := MaskUpdateScaled("alice", []string{"alice", "bob", "carol"}, 1, delta, 1)
 	diff := 0.0
 	for i := range delta {
 		diff += math.Abs(masked[i] - delta[i])
 	}
 	if diff < 1.0 {
 		t.Fatalf("masking barely changed the update (L1 diff %v)", diff)
-	}
-}
-
-func TestUnmaskDropouts(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	names := []string{"a", "b", "c", "d", "e"}
-	dim := 30
-	round := 9
-	updates := map[string][]float64{}
-	for _, n := range names {
-		u := make([]float64, dim)
-		for i := range u {
-			u[i] = rng.NormFloat64()
-		}
-		updates[n] = u
-	}
-	// Everyone masks against the full roster, but "e" drops before upload.
-	survivors := names[:4]
-	sum := make([]float64, dim)
-	for _, n := range survivors {
-		masked := MaskUpdate(n, names, round, updates[n])
-		for i := range sum {
-			sum[i] += masked[i]
-		}
-	}
-	// Residual masks (survivor, e) must be recovered.
-	recovered := UnmaskDropouts(sum, survivors, []string{"e"}, round)
-	want := make([]float64, dim)
-	for _, n := range survivors {
-		for i := range want {
-			want[i] += updates[n][i]
-		}
-	}
-	for i := range want {
-		if math.Abs(recovered[i]-want[i]) > 1e-6 {
-			t.Fatalf("dropout recovery failed at %d: %v vs %v", i, recovered[i], want[i])
-		}
-	}
-}
-
-func TestSecureRoundRejectsBadInput(t *testing.T) {
-	if _, err := SecureRound(nil, 1); err == nil {
-		t.Fatal("empty round accepted")
-	}
-	if _, err := SecureRound(map[string][]float64{
-		"a": {1, 2}, "b": {1},
-	}, 1); err == nil {
-		t.Fatal("dimension mismatch accepted")
 	}
 }

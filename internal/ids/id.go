@@ -33,14 +33,6 @@ func FromBytes(p []byte) ID {
 	}
 }
 
-// Bytes returns the big-endian 16-byte representation of d.
-func (d ID) Bytes() [16]byte {
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[0:8], d.Hi)
-	binary.BigEndian.PutUint64(buf[8:16], d.Lo)
-	return buf
-}
-
 // Hash derives an ID from arbitrary text using SHA-1, exactly as the paper
 // derives AppId = hash("FL application") (§4.3 step a). SHA-1 yields a
 // uniform distribution of IDs over the ring, which is what guarantees that
@@ -201,50 +193,6 @@ func CommonPrefix(a, o ID, b int) int {
 		}
 	}
 	return n
-}
-
-// WithDigit returns a copy of d whose i-th base-2^b digit is set to v,
-// and all following digits cleared to zero. It is used to synthesize routing
-// table target prefixes.
-func (d ID) WithDigit(i, b, v int) ID {
-	n := NumDigits(b)
-	var out ID
-	for j := 0; j < i; j++ {
-		out = out.setDigit(j, b, d.Digit(j, b))
-	}
-	out = out.setDigit(i, b, v)
-	_ = n
-	return out
-}
-
-func (d ID) setDigit(i, b, v int) ID {
-	hi := 128 - i*b
-	lo := hi - b
-	shift := lo
-	width := b
-	val := uint64(v)
-	if shift < 0 {
-		val >>= uint(-lo)
-		width += shift
-		shift = 0
-	}
-	return d.orBits(shift, width, val)
-}
-
-func (d ID) orBits(shift, width int, v uint64) ID {
-	if width <= 0 {
-		return d
-	}
-	v &= uint64(1)<<uint(width) - 1
-	if shift >= 64 {
-		d.Hi |= v << uint(shift-64)
-		return d
-	}
-	d.Lo |= v << uint(shift)
-	if shift+width > 64 {
-		d.Hi |= v >> uint(64-shift)
-	}
-	return d
 }
 
 // ZonePrefix returns the top m bits of d, interpreted as the zone ID of the

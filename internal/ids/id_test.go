@@ -1,6 +1,8 @@
 package ids
 
 import (
+	"encoding/binary"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -87,11 +89,16 @@ func TestDigitRoundTrip(t *testing.T) {
 			d := rid(rng)
 			// Reassemble the ID from its digits and compare, accounting for
 			// tail padding: digit n-1 may carry fewer than b significant bits.
-			var out ID
+			var acc big.Int
 			for i := 0; i < n; i++ {
-				out = out.setDigit(i, b, d.Digit(i, b))
+				v := big.NewInt(int64(d.Digit(i, b)))
+				if shift := 128 - (i+1)*b; shift >= 0 {
+					acc.Or(&acc, v.Lsh(v, uint(shift)))
+				} else {
+					acc.Or(&acc, v.Rsh(v, uint(-shift)))
+				}
 			}
-			if out != d {
+			if out := FromBytes(acc.FillBytes(make([]byte, 16))); out != d {
 				t.Fatalf("b=%d digits do not reassemble: %v != %v", b, out, d)
 			}
 		}
@@ -135,20 +142,6 @@ func TestCommonPrefix(t *testing.T) {
 	}
 	if got := CommonPrefix(a, a, 4); got != NumDigits(4) {
 		t.Fatalf("self prefix = %d", got)
-	}
-}
-
-func TestWithDigit(t *testing.T) {
-	a := ID{Hi: 0xABCD000000000000, Lo: 0x1234}
-	got := a.WithDigit(2, 4, 0x7)
-	// Digits 0,1 preserved; digit 2 = 7; everything after zero.
-	if got.Digit(0, 4) != 0xA || got.Digit(1, 4) != 0xB || got.Digit(2, 4) != 0x7 {
-		t.Fatalf("WithDigit prefix wrong: %v", got)
-	}
-	for i := 3; i < NumDigits(4); i++ {
-		if got.Digit(i, 4) != 0 {
-			t.Fatalf("digit %d not cleared", i)
-		}
 	}
 }
 
@@ -229,8 +222,8 @@ func TestHashDeterministicAndDistinct(t *testing.T) {
 func TestBytesRoundTrip(t *testing.T) {
 	f := func(hi, lo uint64) bool {
 		d := ID{hi, lo}
-		b := d.Bytes()
-		return FromBytes(b[:]) == d
+		b := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, hi), lo)
+		return FromBytes(b) == d
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package ids
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -25,26 +24,6 @@ func TestCommonPrefixDigitConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWithDigitSharesExactPrefix: a value synthesized with WithDigit(i,b,v)
-// shares exactly the first i digits with the source when v differs from the
-// source's i-th digit.
-func TestWithDigitSharesExactPrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 200; trial++ {
-		b := 2 + rng.Intn(4)
-		d := Random(rng)
-		i := rng.Intn(NumDigits(b) - 1)
-		v := (d.Digit(i, b) + 1 + rng.Intn((1<<uint(b))-1)) % (1 << uint(b))
-		if v == d.Digit(i, b) {
-			continue
-		}
-		syn := d.WithDigit(i, b, v)
-		if got := CommonPrefix(d, syn, b); got != i {
-			t.Fatalf("b=%d i=%d: common prefix %d", b, i, got)
-		}
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // The call graph is the whole-program substrate the cross-package
-// analyzers (reentry, maporder, noalloc) share. It is built once per
+// analyzers (reentry, maporder, noalloc, unused) share. It is built once per
 // driver run over every loaded package — which, thanks to the loader's
 // source-first importing, all live in ONE go/types universe, so nodes are
 // keyed by *types.Func identity and a call in pubsub resolves to the very
@@ -86,6 +86,7 @@ type CallGraph struct {
 	allocs     map[*types.Func]bool                 // noalloc summaries
 	noalloc    map[*types.Func]noallocMode          // parsed //vet:noalloc marks
 	entries    []*FuncNode                          // dispatch entries (reentry)
+	unused     map[types.Object]string              // unused findings, by name
 }
 
 // asyncSchedulerNames are callables whose function-valued arguments run

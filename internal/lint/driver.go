@@ -63,6 +63,11 @@ func analyzersFor(rel string) []*Analyzer {
 	if protocolDirs[rel] || deterministicDirs[rel] || hotPathDirs[rel] {
 		out = append(out, NoAlloc)
 	}
+	// Every library package: the main packages (cmd/, examples/, bench/)
+	// are callers, not targets.
+	if rel == "." || strings.HasPrefix(rel, "internal/") {
+		out = append(out, Unused)
+	}
 	return out
 }
 

@@ -24,7 +24,7 @@
 //     encoders (the WAL refuses them at runtime, after the state change
 //     they were meant to journal).
 //
-// Three analyzers run on a whole-program call graph (see callgraph.go)
+// Four analyzers run on a whole-program call graph (see callgraph.go)
 // that the driver builds once per run over every loaded package:
 //
 //   - reentry:  handler code synchronously re-entering the event-loop
@@ -35,7 +35,9 @@
 //   - noalloc:  functions marked //vet:noalloc (training kernels, Accum
 //     merges, codec hot paths) must not allocate: no composite literals
 //     that escape, no append beyond caller-owned storage, no interface
-//     boxing, closures, string building, or calls to allocating callees.
+//     boxing, closures, string building, or calls to allocating callees;
+//   - unused:   functions, and Config/Options fields, that no live non-test
+//     code uses.
 //
 // Findings a human has judged acceptable are suppressed in place with
 //
@@ -43,7 +45,7 @@
 //
 // on the flagged line or the line directly above it. The reason is
 // mandatory; an ignore directive without one is itself a diagnostic —
-// directive hygiene is the suite's eighth analyzer ("directive"), applied
+// directive hygiene is the suite's ninth analyzer ("directive"), applied
 // by the driver as part of suppression processing.
 //
 // The suite runs as `totoro-vet ./...` (cmd/totoro-vet) and as the
@@ -79,9 +81,9 @@ type Pass struct {
 	// context was collected.
 	Wire *WireSet
 	// Graph is the whole-program call graph, built once per driver run and
-	// shared by every analyzer (reentry, maporder, and noalloc consult it;
-	// the per-package analyzers ignore it). Nil only when an analyzer is
-	// run outside the driver without graph context.
+	// shared by every analyzer (reentry, maporder, noalloc and unused
+	// consult it; the per-package analyzers ignore it). Nil only when an
+	// analyzer is run outside the driver without graph context.
 	Graph *CallGraph
 
 	diags []Diagnostic
@@ -107,9 +109,9 @@ type Analyzer struct {
 }
 
 // Analyzers is the full suite in stable order: the five per-package
-// analyzers, the three call-graph analyzers, and directive hygiene.
+// analyzers, the four call-graph analyzers, and directive hygiene.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{EnvNow, MapOrder, SeedRand, GoFunc, WireSafe, Reentry, NoAlloc, Directive}
+	return []*Analyzer{EnvNow, MapOrder, SeedRand, GoFunc, WireSafe, Reentry, NoAlloc, Unused, Directive}
 }
 
 // Directive is the suppression-hygiene analyzer: //lint:ignore directives

@@ -83,9 +83,6 @@ func NewLoader(dir string) (*Loader, error) {
 	return l, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Loaded returns every package this loader has loaded, in load order.
 func (l *Loader) Loaded() []*Package { return l.loaded }
 

@@ -20,13 +20,13 @@ func TestBatchGradientIsMeanOfSingles(t *testing.T) {
 		}
 		Y[i] = rng.Intn(4)
 	}
-	batch := NewGrads(m)
+	batch := newGrads(m.Sizes)
 	m.BackwardWS(X, Y, batch, NewWorkspace())
 	batchFlat := batch.Flat()
 
 	mean := make([]float64, len(batchFlat))
 	for i := range X {
-		g := NewGrads(m)
+		g := newGrads(m.Sizes)
 		m.BackwardWS(X[i:i+1], Y[i:i+1], g, NewWorkspace())
 		for k, v := range g.Flat() {
 			mean[k] += v / float64(len(X))
@@ -55,7 +55,8 @@ func TestMomentumAcceleratesOnQuadratic(t *testing.T) {
 	}
 }
 
-// TestPredictConsistentWithForward: Predict is the argmax of Forward.
+// TestPredictConsistentWithForward: the per-sample prediction is the argmax
+// of Forward.
 func TestPredictConsistentWithForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	m := NewMLP([]int{5, 7, 3}, rng)
@@ -71,8 +72,8 @@ func TestPredictConsistentWithForward(t *testing.T) {
 				best = j
 			}
 		}
-		if m.Predict(x) != best {
-			t.Fatal("Predict disagrees with Forward argmax")
+		if m.predictInto(x, m.ActBuffer()) != best {
+			t.Fatal("prediction disagrees with Forward argmax")
 		}
 	}
 }

@@ -28,7 +28,7 @@ func benchModel(b *testing.B) (*MLP, [][]float64, []int) {
 func BenchmarkBackward(b *testing.B) {
 	m, X, Y := benchModel(b)
 	ws := NewWorkspace()
-	g := ws.Grads(m.Sizes)
+	g := zeroedGrads(ws, m.Sizes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,7 +97,7 @@ func BenchmarkTrainEpochBig(b *testing.B) {
 func BenchmarkStepModelBig(b *testing.B) {
 	rng := rand.New(rand.NewSource(47))
 	m := NewMLP(bigSizes, rng)
-	g := NewGrads(m)
+	g := newGrads(m.Sizes)
 	for l := range g.W {
 		for i := range g.W[l] {
 			g.W[l][i] = rng.NormFloat64() * 1e-3

@@ -32,11 +32,11 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 		m, X, Y := randomBatch(tc.sizes, tc.n, rng)
 
 		hasSIMD = true
-		gSIMD := NewGrads(m)
+		gSIMD := newGrads(m.Sizes)
 		lossSIMD := m.BackwardWS(X, Y, gSIMD, NewWorkspace())
 
 		hasSIMD = false
-		gScalar := NewGrads(m)
+		gScalar := newGrads(m.Sizes)
 		lossScalar := m.BackwardWS(X, Y, gScalar, NewWorkspace())
 		hasSIMD = true
 

@@ -74,7 +74,7 @@ func TestGradientCheck(t *testing.T) {
 		{1.1, 0.05, -0.7, -0.3},
 	}
 	Y := []int{0, 2, 1}
-	g := NewGrads(m)
+	g := newGrads(m.Sizes)
 	m.BackwardWS(X, Y, g, NewWorkspace())
 	analytic := g.Flat()
 	params := m.Params()

@@ -127,11 +127,6 @@ func (m *MLP) layerForwardInto(l int, a, z []float64, relu bool) {
 	}
 }
 
-// Predict returns the argmax class for one input.
-func (m *MLP) Predict(x []float64) int {
-	return m.predictInto(x, m.ActBuffer())
-}
-
 // tile is how many samples CountCorrect runs through a layer per kernel
 // call: four samples' accumulators for three output vectors are twelve of
 // the sixteen YMM registers.
@@ -151,9 +146,9 @@ func (m *MLP) actLen() int {
 	return tile * (m.Sizes[0] + 2*width)
 }
 
-// predictInto is Predict with the activations ping-ponging between the two
-// halves of buf (see ActBuffer) instead of a fresh slice per layer. The
-// arithmetic and its order are Forward's.
+// predictInto returns the argmax class for one input, with the activations
+// ping-ponging between the two halves of buf (see ActBuffer) instead of a
+// fresh slice per layer. The arithmetic and its order are Forward's.
 //
 //vet:noalloc
 func (m *MLP) predictInto(x, buf []float64) int {
@@ -326,9 +321,6 @@ type Grads struct {
 	B [][]float64
 }
 
-// NewGrads allocates zeroed gradients for m.
-func NewGrads(m *MLP) *Grads { return newGrads(m.Sizes) }
-
 // newGrads allocates zeroed gradients for an architecture.
 func newGrads(sizes []int) *Grads {
 	g := &Grads{}
@@ -359,6 +351,8 @@ func (g *Grads) Zero() {
 }
 
 // Flat flattens the gradients in Params order.
+//
+//lint:ignore unused the flat-vector gradient the batch, gradient-check and legacy-SGD reference tests compare against
 func (g *Grads) Flat() []float64 {
 	out := make([]float64, 0, g.NumParams())
 	for l := range g.W {
@@ -385,6 +379,8 @@ func (m *MLP) DeltaInto(base, dst []float64) {
 }
 
 // Loss computes the average cross-entropy loss without gradients.
+//
+//lint:ignore unused the reference loss of the gradient check and the training tests (with Forward and Softmax under it)
 func (m *MLP) Loss(X [][]float64, Y []int) float64 {
 	if len(Y) == 0 {
 		return 0

@@ -12,6 +12,7 @@ type SGD struct {
 // Step applies one update: p ← p − lr·(g + wd·p) with momentum.
 //
 //vet:noalloc amortized
+//lint:ignore unused the flat-vector optimizer the workspace path is held to (TestTrainEpochWSMatchesLegacySemantics)
 func (s *SGD) Step(params, grads []float64) {
 	if len(s.vel) != len(params) {
 		s.vel = make([]float64, len(params))

@@ -34,7 +34,7 @@ func checkCountCorrect(t *testing.T, m *MLP, X [][]float64) {
 	t.Helper()
 	Y := make([]int, len(X))
 	for i, x := range X {
-		Y[i] = m.Predict(x)
+		Y[i] = m.predictInto(x, m.ActBuffer())
 	}
 	buf := m.ActBuffer()
 	if got := m.CountCorrect(X, Y, buf); got != len(X) {

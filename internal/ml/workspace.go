@@ -107,14 +107,6 @@ func (ws *Workspace) ActBuffer(m *MLP) []float64 {
 	return ws.act[:n]
 }
 
-// Grads returns the workspace's gradient buffer shaped like sizes,
-// zeroed and ready to accumulate one batch.
-func (ws *Workspace) Grads(sizes []int) *Grads {
-	ws.ensure(sizes)
-	ws.grads.Zero()
-	return ws.grads
-}
-
 // Optimizer returns the workspace's reusable SGD configured for a new
 // client: hyperparameters installed, momentum cleared, velocity buffer
 // retained.

@@ -8,6 +8,13 @@ import (
 
 // referenceBackward is the original per-example backprop, kept verbatim as
 // the oracle for the batched workspace implementation.
+// zeroedGrads returns ws's gradient buffer shaped like sizes, zeroed.
+func zeroedGrads(ws *Workspace, sizes []int) *Grads {
+	ws.ensure(sizes)
+	ws.grads.Zero()
+	return ws.grads
+}
+
 func referenceBackward(m *MLP, X [][]float64, Y []int, g *Grads) float64 {
 	n := len(Y)
 	if n == 0 {
@@ -113,9 +120,9 @@ func TestBackwardWSMatchesReference(t *testing.T) {
 	ws := NewWorkspace()
 	for _, tc := range cases {
 		m, X, Y := randomBatch(tc.sizes, tc.n, rng)
-		ref := NewGrads(m)
+		ref := newGrads(m.Sizes)
 		refLoss := referenceBackward(m, X, Y, ref)
-		got := ws.Grads(m.Sizes)
+		got := zeroedGrads(ws, m.Sizes)
 		gotLoss := m.BackwardWS(X, Y, got, ws)
 		if d := relDiff(refLoss, gotLoss); d > 1e-12 {
 			t.Errorf("sizes=%v n=%d: loss mismatch ref=%v got=%v (rel %g)", tc.sizes, tc.n, refLoss, gotLoss, d)
@@ -142,13 +149,13 @@ func TestBackwardWorkspaceReuseDeterministic(t *testing.T) {
 	ws := NewWorkspace()
 	// Dirty the workspace with a different architecture and batch size.
 	m0, X0, Y0 := randomBatch([]int{30, 17, 9}, 27, rng)
-	m0.BackwardWS(X0, Y0, ws.Grads(m0.Sizes), ws)
+	m0.BackwardWS(X0, Y0, zeroedGrads(ws, m0.Sizes), ws)
 
 	m, X, Y := randomBatch([]int{64, 48, 62}, 20, rng)
-	reused := ws.Grads(m.Sizes)
+	reused := zeroedGrads(ws, m.Sizes)
 	lossReused := m.BackwardWS(X, Y, reused, ws)
 	fresh := NewWorkspace()
-	g := fresh.Grads(m.Sizes)
+	g := zeroedGrads(fresh, m.Sizes)
 	lossFresh := m.BackwardWS(X, Y, g, fresh)
 	if lossReused != lossFresh {
 		t.Errorf("loss: reused=%v fresh=%v", lossReused, lossFresh)
@@ -179,11 +186,11 @@ func TestStepModelMatchesFlatStep(t *testing.T) {
 		flat := &SGD{LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4}
 		ws := NewWorkspace()
 		for step := 0; step < 3; step++ {
-			g := ws.Grads(m.Sizes)
+			g := zeroedGrads(ws, m.Sizes)
 			m.BackwardWS(X, Y, g, ws)
 			inPlace.StepModel(m, g, mu, anchor)
 
-			lg := NewGrads(legacy)
+			lg := newGrads(legacy.Sizes)
 			legacy.BackwardWS(X, Y, lg, NewWorkspace())
 			flatG := lg.Flat()
 			params := legacy.Params()

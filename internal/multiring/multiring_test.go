@@ -156,7 +156,7 @@ func TestIntraZoneRoutingFindsOwner(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		src := c.nodes[c.rng.Intn(len(c.nodes))]
 		// Key within the source's own zone.
-		key := ids.MakeZoned(src.Zone(), c.mBits, ids.Random(c.rng))
+		key := ids.MakeZoned(src.zone, c.mBits, ids.Random(c.rng))
 		want := OwnerWithinZone(c.nodes, key, c.mBits)
 		before := len(c.delivered[want.self.Addr])
 		src.Route(key, ScopeZonal, trial)
@@ -171,21 +171,21 @@ func TestIntraZoneNeverLeavesZone(t *testing.T) {
 	c := newMRCluster(t, 4, 60, 4, 11)
 	src := c.nodes[0]
 	for trial := 0; trial < 50; trial++ {
-		key := ids.MakeZoned(src.Zone(), c.mBits, ids.Random(c.rng))
+		key := ids.MakeZoned(src.zone, c.mBits, ids.Random(c.rng))
 		src.Route(key, ScopeZonal, trial)
 	}
 	c.net.RunUntilIdle()
 	// No node outside zone 0 may have received anything.
 	for addr, pkts := range c.delivered {
 		for _, n := range c.nodes {
-			if n.self.Addr == addr && n.Zone() != src.Zone() && len(pkts) > 0 {
-				t.Fatalf("zone-%d node %s received intra-zone traffic", n.Zone(), addr)
+			if n.self.Addr == addr && n.zone != src.zone && len(pkts) > 0 {
+				t.Fatalf("zone-%d node %s received intra-zone traffic", n.zone, addr)
 			}
 		}
 	}
 	for _, n := range c.nodes {
-		if n.Zone() != src.Zone() && n.Forwarded() > 0 {
-			t.Fatalf("node %s in zone %d forwarded intra-zone traffic", n.self.Addr, n.Zone())
+		if n.zone != src.zone && n.ctrForwarded.Value() > 0 {
+			t.Fatalf("node %s in zone %d forwarded intra-zone traffic", n.self.Addr, n.zone)
 		}
 	}
 }
@@ -213,7 +213,7 @@ func TestCrossZoneGlobalRouting(t *testing.T) {
 func TestZonalPacketBlockedAtBoundary(t *testing.T) {
 	c := newMRCluster(t, 4, 30, 4, 13)
 	src := c.nodes[0]
-	otherZone := (src.Zone() + 1) % 4
+	otherZone := (src.zone + 1) % 4
 	key := ids.MakeZoned(otherZone, c.mBits, ids.Random(c.rng))
 	src.Route(key, ScopeZonal, "leak?")
 	c.net.RunUntilIdle()
@@ -232,7 +232,7 @@ func TestZonalPacketBlockedAtBoundary(t *testing.T) {
 func TestSingleMemberZoneDeliversLocally(t *testing.T) {
 	c := newMRCluster(t, 1, 1, 4, 15)
 	n := c.nodes[0]
-	key := ids.MakeZoned(n.Zone(), c.mBits, ids.Random(c.rng))
+	key := ids.MakeZoned(n.zone, c.mBits, ids.Random(c.rng))
 	n.Route(key, ScopeZonal, "solo")
 	c.net.RunUntilIdle()
 	if len(c.delivered[n.self.Addr]) != 1 {

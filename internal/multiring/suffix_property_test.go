@@ -54,7 +54,7 @@ func TestOwnerWithinZoneDeterministic(t *testing.T) {
 		if o1 != o2 || o1 == nil {
 			t.Fatal("owner lookup unstable")
 		}
-		if o1.Zone() != key.ZonePrefix(4) {
+		if o1.zone != key.ZonePrefix(4) {
 			t.Fatal("owner outside the key's zone")
 		}
 	}

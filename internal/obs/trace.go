@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -31,7 +30,7 @@ type Event struct {
 }
 
 // Trace kinds emitted by the stack. Kept here as constants so readers
-// (experiments, PathOf callers) and emitters agree on spelling.
+// (experiments, tests) and emitters agree on spelling.
 const (
 	KindRingHop       = "ring.hop"       // Key=msg ID, To=next hop, Hop=hops so far
 	KindRingDeliver   = "ring.deliver"   // Key=msg ID, Hop=total hops
@@ -318,50 +317,4 @@ func MergeTraces(streams ...[]Event) []Event {
 		return out[i].Seq < out[j].Seq
 	})
 	return out
-}
-
-// PathOf reconstructs a routed message's path from a merged timeline:
-// the ring.hop events for the given key in hop order, then its
-// ring.deliver event. The returned slice is the full per-hop record —
-// PathString renders it compactly.
-func PathOf(events []Event, key string) []Event {
-	var hops, delivers []Event
-	for _, e := range events {
-		if e.Key != key {
-			continue
-		}
-		switch e.Kind {
-		case KindRingHop:
-			hops = append(hops, e)
-		case KindRingDeliver:
-			delivers = append(delivers, e)
-		}
-	}
-	sort.SliceStable(hops, func(i, j int) bool { return hops[i].Hop < hops[j].Hop })
-	return append(hops, delivers...)
-}
-
-// PathString renders a PathOf result as "a -> b -> c (delivered hop=2)".
-func PathString(path []Event) string {
-	if len(path) == 0 {
-		return "(no trace)"
-	}
-	s := ""
-	for _, e := range path {
-		if e.Kind != KindRingHop {
-			continue
-		}
-		if s == "" {
-			s = e.Node
-		}
-		s += " -> " + e.To
-	}
-	last := path[len(path)-1]
-	if last.Kind == KindRingDeliver {
-		if s == "" {
-			s = last.Node
-		}
-		s += " (delivered hop=" + strconv.Itoa(last.Hop) + ")"
-	}
-	return s
 }

@@ -40,29 +40,3 @@ func TestMergeTracesOrdering(t *testing.T) {
 		}
 	}
 }
-
-func TestPathReconstruction(t *testing.T) {
-	// Message "m1" routed a -> b -> c: a and b emit hop events, c delivers.
-	events := []Event{
-		{At: 1, Node: "a", Kind: KindRingHop, Key: "m1", To: "b", Hop: 0},
-		{At: 2, Node: "b", Kind: KindRingHop, Key: "m1", From: "a", To: "c", Hop: 1},
-		{At: 3, Node: "c", Kind: KindRingDeliver, Key: "m1", From: "b", Hop: 2},
-		{At: 2, Node: "x", Kind: KindRingDeliver, Key: "other", Hop: 0},
-		{At: 2, Node: "a", Kind: KindPubSubDeliver, Key: "m1", Hop: 1},
-	}
-	path := PathOf(events, "m1")
-	if len(path) != 3 {
-		t.Fatalf("path has %d events, want 3: %v", len(path), path)
-	}
-	if path[0].Node != "a" || path[1].Node != "b" || path[2].Kind != KindRingDeliver {
-		t.Fatalf("wrong path: %v", path)
-	}
-	got := PathString(path)
-	want := "a -> b -> c (delivered hop=2)"
-	if got != want {
-		t.Fatalf("PathString = %q, want %q", got, want)
-	}
-	if s := PathString(nil); s != "(no trace)" {
-		t.Fatalf("empty path renders %q", s)
-	}
-}

@@ -209,10 +209,6 @@ func New(env transport.Env, rn *ring.Node, cfg Config) *Node {
 	return n
 }
 
-// Metrics returns the node's telemetry registry (shared with the rest of
-// its protocol stack through the Env).
-func (n *Node) Metrics() *obs.Registry { return n.env.Metrics() }
-
 // SetHandlers installs the application upcalls.
 func (n *Node) SetHandlers(h Handlers) { n.handlers = h }
 

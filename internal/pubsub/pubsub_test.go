@@ -242,7 +242,7 @@ func TestInNetworkAggregation(t *testing.T) {
 	// upstream messages equal the number of tree edges.
 	totalUp := 0
 	for _, s := range members {
-		totalUp += int(s.ps.Metrics().Counter("pubsub.upstreams_sent").Value())
+		totalUp += int(s.ps.env.Metrics().Counter("pubsub.upstreams_sent").Value())
 	}
 	if totalUp != len(members)-1 {
 		t.Fatalf("upstream messages = %d want %d (one per edge)", totalUp, len(members)-1)

@@ -191,7 +191,7 @@ func TestLatePartialPastTheWindowIsDropped(t *testing.T) {
 	if sent := len(env.take()); sent != newest {
 		t.Fatalf("%d complete rounds sent %d messages, want one Upstream each", newest, sent)
 	}
-	pruned := n.Metrics().Counter("pubsub.pruned_partials")
+	pruned := n.env.Metrics().Counter("pubsub.pruned_partials")
 	merged := merges
 	expect := func(what string, wantSent int, wantPruned int64) []soloSend {
 		t.Helper()
@@ -282,8 +282,8 @@ func TestTombstoneStillRoutesStragglers(t *testing.T) {
 	if r.combined != nil || r.kids != nil || r.reported != nil || r.cancel != nil {
 		t.Fatalf("flushed round still holds combined=%v kids=%v reported=%v cancel set=%v", r.combined, r.kids, r.reported, r.cancel != nil)
 	}
-	ups := mid.ps.Metrics().Counter("pubsub.upstreams_sent")
-	dupes := mid.ps.Metrics().Counter("pubsub.upstream_dupes")
+	ups := mid.ps.env.Metrics().Counter("pubsub.upstreams_sent")
+	dupes := mid.ps.env.Metrics().Counter("pubsub.upstream_dupes")
 	expect := func(what string, wantUps, wantDupes int64) {
 		t.Helper()
 		f.net.Run(time.Second)

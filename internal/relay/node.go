@@ -340,15 +340,3 @@ func (n *Node) Receive(from transport.Addr, msg any) bool {
 	}
 	return true
 }
-
-// J returns this node's current optimistic cost estimate to dst.
-func (n *Node) J(dst transport.Addr) float64 { return jOr(n.jSelf, dst) }
-
-// LinkEstimate reports the learned success probability of one link.
-func (n *Node) LinkEstimate(nb transport.Addr) (thetaHat float64, attempts int) {
-	s, ok := n.links[nb]
-	if !ok {
-		return 0, 0
-	}
-	return s.thetaHat(), s.attempts
-}

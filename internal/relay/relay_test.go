@@ -88,13 +88,13 @@ func TestAdvertsPropagateCosts(t *testing.T) {
 	}
 	net, nodes, _ := lossyNet(1, topo, nil, "totoro")
 	advertiseAll(net, nodes, 4)
-	j := nodes["a"].J("d")
+	j := jOr(nodes["a"].jSelf, "d")
 	// Three perfect hops with optimistic costs ≥ 1 each.
 	if j < 3 || j > 4 {
 		t.Fatalf("J(a->d)=%v want ~3", j)
 	}
-	if nodes["d"].J("d") != 0 {
-		t.Fatalf("self cost %v", nodes["d"].J("d"))
+	if jOr(nodes["d"].jSelf, "d") != 0 {
+		t.Fatalf("self cost %v", jOr(nodes["d"].jSelf, "d"))
 	}
 }
 
@@ -191,7 +191,7 @@ func TestLinkEstimatesConverge(t *testing.T) {
 		}
 	}
 	net.RunUntilIdle()
-	th, attempts := nodes["b"].LinkEstimate("d")
+	th, attempts := nodes["b"].links["d"].thetaHat(), nodes["b"].links["d"].attempts
 	if attempts < 100 {
 		t.Fatalf("b->d barely used: %d attempts", attempts)
 	}

@@ -68,8 +68,8 @@ func TestMaintenanceStops(t *testing.T) {
 	c.net.Run(c.net.Now() + 200*time.Millisecond)
 	stop()
 	c.net.RunUntilIdle() // must terminate: no periodic timer left
-	if c.net.Pending() != 0 {
-		t.Fatalf("pending events after stop: %d", c.net.Pending())
+	if c.net.Step() {
+		t.Fatal("an event still pending after stop")
 	}
 }
 

@@ -127,10 +127,6 @@ func New(env transport.Env, self Contact, cfg Config) *Node {
 	return n
 }
 
-// Metrics returns the node's telemetry registry (its Env's registry, so
-// ring counters sit next to the other layers').
-func (n *Node) Metrics() *obs.Registry { return n.env.Metrics() }
-
 // SetApp installs the application upcall handler.
 func (n *Node) SetApp(app App) { n.app = app }
 
@@ -350,9 +346,6 @@ func (n *Node) knownContacts() []Contact {
 	}
 	return out
 }
-
-// KnownContacts exposes knownContacts for diagnostics and tests.
-func (n *Node) KnownContacts() []Contact { return n.knownContacts() }
 
 // considerContact folds c into the leaf set and routing table wherever it
 // improves them.
@@ -652,27 +645,4 @@ func (n *Node) maintainOnce() {
 		n.ctrRecontacts.Inc()
 		n.env.Send(a, n.probes().ping)
 	}
-}
-
-// MarkJoined is used by the static overlay builder.
-func (n *Node) MarkJoined() { n.joined = true }
-
-// AddContactDirect inserts a contact without any messaging, clearing any
-// dead-quarantine for it (static builds, revived nodes, and tests).
-func (n *Node) AddContactDirect(c Contact) {
-	delete(n.deadUntil, c.Addr)
-	n.considerContact(c)
-}
-
-// RTEntries counts the populated routing-table slots.
-func (n *Node) RTEntries() int {
-	total := 0
-	for _, row := range n.rt {
-		for _, c := range row {
-			if !c.IsZero() {
-				total++
-			}
-		}
-	}
-	return total
 }

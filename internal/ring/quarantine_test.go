@@ -8,7 +8,7 @@ import (
 )
 
 func inKnown(n *Node, c Contact) bool {
-	for _, k := range n.KnownContacts() {
+	for _, k := range n.knownContacts() {
 		if k.Addr == c.Addr {
 			return true
 		}
@@ -19,7 +19,7 @@ func inKnown(n *Node, c Contact) bool {
 // TestQuarantineExpiresAndReaccepts covers the dead-quarantine life cycle:
 // a removed contact is refused re-insertion while the quarantine holds (so
 // stale gossip cannot resurrect it), accepted again once it expires, and
-// AddContactDirect (the revived-node path) clears the quarantine early.
+// lifted early by a message from the quarantined address itself.
 func TestQuarantineExpiresAndReaccepts(t *testing.T) {
 	c := newStaticCluster(t, 50, Config{B: 4}, 41)
 	n := c.nodes[0]
@@ -43,19 +43,6 @@ func TestQuarantineExpiresAndReaccepts(t *testing.T) {
 	n.Receive(c.nodes[1].self.Addr, NodeJoined{Node: victim})
 	if !inKnown(n, victim) {
 		t.Fatal("contact still refused after quarantine expired")
-	}
-
-	// AddContactDirect bypasses a live quarantine (revived-node path).
-	second := n.leafCCW[0]
-	n.RemoveContact(second.Addr)
-	c.net.RunUntilIdle()
-	n.Receive(c.nodes[1].self.Addr, NodeJoined{Node: second})
-	if inKnown(n, second) {
-		t.Fatal("quarantine did not hold before AddContactDirect")
-	}
-	n.AddContactDirect(second)
-	if !inKnown(n, second) {
-		t.Fatal("AddContactDirect did not clear the quarantine")
 	}
 
 	// A message received directly FROM the quarantined address is

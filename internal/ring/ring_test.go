@@ -177,7 +177,7 @@ func TestDynamicJoinConverges(t *testing.T) {
 	}
 
 	first := addNode(0)
-	first.MarkJoined()
+	first.joined = true
 	const n = 120
 	for i := 1; i < n; i++ {
 		node := addNode(i)
@@ -242,7 +242,7 @@ func TestReliableHopsRerouteAroundFailure(t *testing.T) {
 		}
 		c.net.Revive(first.Addr)
 		// Re-teach the revived contact so later trials see a full overlay.
-		c.nodes[src].AddContactDirect(first)
+		addContact(c.nodes[src], first)
 	}
 	if failures == 0 {
 		t.Fatal("test never exercised a failure")
@@ -253,9 +253,9 @@ func TestRemoveContactScrubsEverything(t *testing.T) {
 	c := newStaticCluster(t, 100, Config{B: 4}, 7)
 	victim := c.nodes[3].self
 	n := c.nodes[0]
-	n.AddContactDirect(victim)
+	addContact(n, victim)
 	n.RemoveContact(victim.Addr)
-	for _, k := range n.KnownContacts() {
+	for _, k := range n.knownContacts() {
 		if k.Addr == victim.Addr {
 			t.Fatal("victim still present after RemoveContact")
 		}
@@ -433,11 +433,30 @@ func TestJoinedNodeRoutesImmediately(t *testing.T) {
 	}
 }
 
+// addContact inserts c without any messaging, clearing its dead-quarantine.
+func addContact(n *Node, c Contact) {
+	delete(n.deadUntil, c.Addr)
+	n.considerContact(c)
+}
+
+// rtEntries counts the populated routing-table slots.
+func rtEntries(n *Node) int {
+	total := 0
+	for _, row := range n.rt {
+		for _, c := range row {
+			if !c.IsZero() {
+				total++
+			}
+		}
+	}
+	return total
+}
+
 func TestRTEntriesPopulated(t *testing.T) {
 	c := newStaticCluster(t, 1000, Config{B: 4}, 11)
 	empty := 0
 	for _, n := range c.nodes {
-		if n.RTEntries() == 0 {
+		if rtEntries(n) == 0 {
 			empty++
 		}
 	}

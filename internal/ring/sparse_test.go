@@ -14,12 +14,23 @@ import (
 // routing, insertion, removal and the join protocol through nodes whose
 // tables are mostly (or entirely) unallocated.
 
-// idWithPrefix returns base with digit `at` (B=4) replaced, so the result
-// shares exactly `at` leading digits with base.
+// idWithPrefix returns base's first `at` digits (B=4), then digit `at`
+// replaced and the tail cleared, so the result shares exactly `at` leading
+// digits with base.
 func idWithPrefix(base ids.ID, at int) ids.ID {
-	d := base.Digit(at, 4)
-	out := base.WithDigit(at, 4, (d+1)%16)
-	out.Lo |= 0xbeef // WithDigit clears the tail; keep the ID away from round numbers
+	var out ids.ID
+	for i := 0; i <= at; i++ {
+		v := uint64(base.Digit(i, 4))
+		if i == at {
+			v = (v + 1) % 16
+		}
+		if shift := 124 - 4*i; shift >= 64 {
+			out.Hi |= v << (shift - 64)
+		} else {
+			out.Lo |= v << shift
+		}
+	}
+	out.Lo |= 0xbeef // keep the ID away from round numbers
 	return out
 }
 
@@ -31,8 +42,8 @@ func TestSparseRoutingTable(t *testing.T) {
 		n = New(e, self, Config{B: 4})
 		return n
 	})
-	if len(n.rt) != 0 || n.RTEntries() != 0 {
-		t.Fatalf("a fresh node holds %d rows, %d entries; want none", len(n.rt), n.RTEntries())
+	if len(n.rt) != 0 || rtEntries(n) != 0 {
+		t.Fatalf("a fresh node holds %d rows, %d entries; want none", len(n.rt), rtEntries(n))
 	}
 	if next := n.NextHop(ids.ID{Hi: 42}); !next.IsZero() {
 		t.Fatalf("a node that knows nobody must own every key, got next hop %v", next)
@@ -40,7 +51,7 @@ func TestSparseRoutingTable(t *testing.T) {
 
 	// One contact deep in the table: row 5 exists, rows 0–4 stay nil.
 	deep := Contact{ID: idWithPrefix(self.ID, 5), Addr: "deep"}
-	n.AddContactDirect(deep)
+	addContact(n, deep)
 	if len(n.rt) != 6 {
 		t.Fatalf("table has %d rows after an insert at row 5, want 6", len(n.rt))
 	}
@@ -58,8 +69,8 @@ func TestSparseRoutingTable(t *testing.T) {
 	if got := n.rtEntry(20, 0); !got.IsZero() {
 		t.Fatalf("row 20, beyond the table, reports an entry %v", got)
 	}
-	if n.RTEntries() != 1 {
-		t.Fatalf("RTEntries=%d want 1", n.RTEntries())
+	if rtEntries(n) != 1 {
+		t.Fatalf("%d routing-table entries, want 1", rtEntries(n))
 	}
 
 	// The nearest twelve ring neighbours on each side fill the leaf set and
@@ -67,11 +78,11 @@ func TestSparseRoutingTable(t *testing.T) {
 	// path. They share all but the last one or two digits with self: the
 	// table now spans all 32 rows with rows 6–29 unallocated.
 	for k := uint64(1); k <= 12; k++ {
-		n.AddContactDirect(Contact{ID: ids.ID{Hi: self.ID.Hi, Lo: self.ID.Lo + k}, Addr: transport.Addr(fmt.Sprintf("succ%d", k))})
-		n.AddContactDirect(Contact{ID: ids.ID{Hi: self.ID.Hi, Lo: self.ID.Lo - k}, Addr: transport.Addr(fmt.Sprintf("pred%d", k))})
+		addContact(n, Contact{ID: ids.ID{Hi: self.ID.Hi, Lo: self.ID.Lo + k}, Addr: transport.Addr(fmt.Sprintf("succ%d", k))})
+		addContact(n, Contact{ID: ids.ID{Hi: self.ID.Hi, Lo: self.ID.Lo - k}, Addr: transport.Addr(fmt.Sprintf("pred%d", k))})
 	}
-	if len(n.rt) != 32 || n.rt[17] != nil || n.RTEntries() != 15 {
-		t.Fatalf("table has %d rows, %d entries after the last-row inserts", len(n.rt), n.RTEntries())
+	if len(n.rt) != 32 || n.rt[17] != nil || rtEntries(n) != 15 {
+		t.Fatalf("table has %d rows, %d entries after the last-row inserts", len(n.rt), rtEntries(n))
 	}
 
 	// A key whose row is allocated and populated routes through the entry.
@@ -91,10 +102,10 @@ func TestSparseRoutingTable(t *testing.T) {
 
 	// Removal walks nil rows without tripping and empties the entry.
 	n.RemoveContact(deep.Addr)
-	if n.RTEntries() != 14 || !n.rtEntry(5, deep.ID.Digit(5, 4)).IsZero() {
-		t.Fatalf("RemoveContact left %d entries", n.RTEntries())
+	if rtEntries(n) != 14 || !n.rtEntry(5, deep.ID.Digit(5, 4)).IsZero() {
+		t.Fatalf("RemoveContact left %d entries", rtEntries(n))
 	}
-	for _, c := range n.KnownContacts() {
+	for _, c := range n.knownContacts() {
 		if c.Addr == deep.Addr {
 			t.Fatal("removed contact still known")
 		}
@@ -123,7 +134,7 @@ func TestJoinRowsFromNilRows(t *testing.T) {
 			j.Receive(from, msg)
 		})
 	})
-	m.MarkJoined()
+	m.joined = true
 	j.Join(member.Addr)
 	net.RunUntilIdle()
 	if reply == nil || !j.Joined() {
@@ -197,7 +208,7 @@ func TestStaticAndJoinBuiltOverlaysAgree(t *testing.T) {
 
 	jNet, jNodes, jApps := build(2)
 	jRng := rand.New(rand.NewSource(2))
-	jNodes[0].MarkJoined()
+	jNodes[0].joined = true
 	for i := 1; i < n; i++ {
 		jNodes[i].Join(jNodes[jRng.Intn(i)].self.Addr)
 		jNet.RunUntilIdle()
@@ -209,9 +220,9 @@ func TestStaticAndJoinBuiltOverlaysAgree(t *testing.T) {
 	for i := 0; i < n; i++ {
 		checkTable(t, sNodes[i])
 		checkTable(t, jNodes[i])
-		if sNodes[i].RTEntries() == 0 || jNodes[i].RTEntries() == 0 {
+		if rtEntries(sNodes[i]) == 0 || rtEntries(jNodes[i]) == 0 {
 			t.Fatalf("node %d has an empty routing table (static %d, joined %d entries)",
-				i, sNodes[i].RTEntries(), jNodes[i].RTEntries())
+				i, rtEntries(sNodes[i]), rtEntries(jNodes[i]))
 		}
 	}
 

@@ -77,7 +77,7 @@ func TestRandomSchedulesPopInKeyOrder(t *testing.T) {
 	}
 }
 
-// Cancelled timers at the head of the queue are not pending, do not count as
+// Cancelled timers at the head of the queue do not run, do not count as
 // steps, and do not stop Run from parking the clock on its deadline.
 func TestCancelledHeadTimers(t *testing.T) {
 	net, _, _, ea, _ := twoNodes(t, Config{})
@@ -85,15 +85,9 @@ func TestCancelledHeadTimers(t *testing.T) {
 	c2 := net.ScheduleAfter(2*time.Millisecond, func() { t.Error("cancelled timer 2 ran") })
 	ran := 0
 	ea.After(30*time.Millisecond, func() { ran++ })
-	if got := net.Pending(); got != 3 {
-		t.Fatalf("Pending=%d want 3", got)
-	}
 	c1()
 	c2()
 	c2() // cancelling twice is harmless
-	if got := net.Pending(); got != 1 {
-		t.Fatalf("Pending=%d want 1 after cancelling two", got)
-	}
 	if steps := net.Run(10 * time.Millisecond); steps != 0 {
 		t.Fatalf("Run executed %d events before the deadline, want 0", steps)
 	}
@@ -106,7 +100,7 @@ func TestCancelledHeadTimers(t *testing.T) {
 	if net.Now() != 30*time.Millisecond {
 		t.Fatalf("clock=%v want 30ms: an idle queue leaves the clock on the last event", net.Now())
 	}
-	if net.Pending() != 0 || net.Step() {
+	if net.Step() {
 		t.Fatal("queue not empty after the last event")
 	}
 }

@@ -181,9 +181,6 @@ func (n *Network) Reachable(a, b transport.Addr) bool {
 	return true
 }
 
-// PartitionedLinks reports how many directed links are currently blocked.
-func (n *Network) PartitionedLinks() int { return len(n.blocked) }
-
 // --- invariant checking ---
 
 // InvariantViolation is a failed safety check: the virtual time it was
@@ -224,6 +221,8 @@ func (n *Network) AddInvariant(fn func() error) {
 }
 
 // Violation returns the recorded invariant violation, if any.
+//
+//lint:ignore unused the chaos tests' verdict, read by the root package's chaos tests and golden pins
 func (n *Network) Violation() *InvariantViolation { return n.violation }
 
 // CheckInvariants runs every registered check now — the quiesce check a

@@ -306,12 +306,21 @@ func nemesisNet(t *testing.T, n int, seed int64) *Network {
 	return net
 }
 
+func mustSchedule(t *testing.T, spec string) []Phase {
+	t.Helper()
+	phases, err := ParseSchedule(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return phases
+}
+
 func TestNemesisPartitionPhaseActivatesAndHeals(t *testing.T) {
 	net := nemesisNet(t, 10, 1)
 	var events []string
 	nm, err := net.StartNemesis(NemesisConfig{
-		Seed: 11,
-		Spec: "partition@10ms+20ms/frac=0.3",
+		Seed:   11,
+		Phases: mustSchedule(t, "partition@10ms+20ms/frac=0.3"),
 		OnPhase: func(ph Phase, active bool, victims []transport.Addr) {
 			events = append(events, fmt.Sprintf("%s active=%v victims=%d", ph.Kind, active, len(victims)))
 		},
@@ -320,15 +329,15 @@ func TestNemesisPartitionPhaseActivatesAndHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Run(5 * time.Millisecond)
-	if net.PartitionedLinks() != 0 {
+	if len(net.blocked) != 0 {
 		t.Fatal("partition active before its start time")
 	}
 	net.Run(15 * time.Millisecond)
-	if net.PartitionedLinks() == 0 {
+	if len(net.blocked) == 0 {
 		t.Fatal("partition not active mid-phase")
 	}
 	net.Run(50 * time.Millisecond)
-	if net.PartitionedLinks() != 0 {
+	if len(net.blocked) != 0 {
 		t.Fatal("partition not healed after phase end")
 	}
 	if nm.Phases != 1 {
@@ -345,7 +354,7 @@ func TestNemesisKillRestartsAtPhaseEnd(t *testing.T) {
 	var restarted []transport.Addr
 	nm, err := net.StartNemesis(NemesisConfig{
 		Seed:      3,
-		Spec:      "kill@5ms+10ms/n=2",
+		Phases:    mustSchedule(t, "kill@5ms+10ms/n=2"),
 		Exempt:    []transport.Addr{"n00"},
 		OnRestart: func(a transport.Addr, now time.Duration) { restarted = append(restarted, a) },
 	})
@@ -384,7 +393,7 @@ func TestNemesisDiskPhaseUsesHook(t *testing.T) {
 	calls := map[transport.Addr][]bool{}
 	_, err := net.StartNemesis(NemesisConfig{
 		Seed:   5,
-		Spec:   "disk@2ms+6ms/n=2",
+		Phases: mustSchedule(t, "disk@2ms+6ms/n=2"),
 		OnDisk: func(a transport.Addr, active bool) { calls[a] = append(calls[a], active) },
 	})
 	if err != nil {
@@ -406,8 +415,8 @@ func TestNemesisVictimSelectionDeterministic(t *testing.T) {
 		net := nemesisNet(t, 12, 4)
 		var picked []string
 		_, err := net.StartNemesis(NemesisConfig{
-			Seed: 77,
-			Spec: "partition@1ms+2ms/frac=0.25;kill@4ms+1ms/n=3;slow@6ms+2ms/n=2",
+			Seed:   77,
+			Phases: mustSchedule(t, "partition@1ms+2ms/frac=0.25;kill@4ms+1ms/n=3;slow@6ms+2ms/n=2"),
 			OnPhase: func(ph Phase, active bool, victims []transport.Addr) {
 				if active {
 					for _, v := range victims {

@@ -71,10 +71,7 @@ type NemesisConfig struct {
 	// independent of the network seed, so a fault schedule never perturbs
 	// the traffic it is injected into.
 	Seed int64
-	// Spec is the schedule in the textual grammar above. Ignored when
-	// Phases is set.
-	Spec string
-	// Phases is the parsed schedule (ParseSchedule output or hand-built).
+	// Phases is the schedule: ParseSchedule's output or hand-built.
 	Phases []Phase
 	// Exempt nodes are never killed, isolated, slowed, or disk-failed,
 	// and always land on the majority side of a partition (harnesses
@@ -238,17 +235,9 @@ func parsePhase(s string) (Phase, error) {
 }
 
 // StartNemesis schedules the configured fault phases on the network's
-// event loop. The spec (or Phases) is validated up front; the returned
-// Nemesis reports injection counts as the schedule plays out.
+// event loop; the returned Nemesis reports injection counts as the
+// schedule plays out.
 func (n *Network) StartNemesis(cfg NemesisConfig) (*Nemesis, error) {
-	phases := cfg.Phases
-	if phases == nil {
-		var err error
-		phases, err = ParseSchedule(cfg.Spec)
-		if err != nil {
-			return nil, err
-		}
-	}
 	nm := &Nemesis{
 		net:    n,
 		cfg:    cfg,
@@ -258,7 +247,7 @@ func (n *Network) StartNemesis(cfg NemesisConfig) (*Nemesis, error) {
 	for _, a := range cfg.Exempt {
 		nm.exempt[a] = true
 	}
-	for _, ph := range phases {
+	for _, ph := range cfg.Phases {
 		ph := ph
 		n.timer(ph.Start-n.now, nil, func() { nm.activate(ph) })
 	}

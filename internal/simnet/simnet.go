@@ -620,17 +620,6 @@ func (n *Network) skipCancelled() bool {
 	return false
 }
 
-// Pending reports the number of live queued events.
-func (n *Network) Pending() int {
-	c := 0
-	for _, q := range n.queue {
-		if q.ev.kind != evCancelled {
-			c++
-		}
-	}
-	return c
-}
-
 // Fail marks a node as crashed: it stops receiving messages and its pending
 // timers are suppressed. Counterpart of the 5%-simultaneous-failure churn
 // experiment (Fig 12).
@@ -736,6 +725,3 @@ func (n *Network) Addrs() []transport.Addr {
 	}
 	return n.sorted
 }
-
-// NumNodes returns the number of registered nodes.
-func (n *Network) NumNodes() int { return len(n.nodes) }

@@ -209,9 +209,6 @@ func TestAddrsSortedAndCount(t *testing.T) {
 	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Fatalf("addrs %v", got)
 	}
-	if net.NumNodes() != 3 {
-		t.Fatalf("NumNodes=%d", net.NumNodes())
-	}
 }
 
 func TestSelfAndRandIndependentPerNode(t *testing.T) {

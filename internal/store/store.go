@@ -251,7 +251,3 @@ func (m *Mem) Load() (state any, recs []any, err error) {
 
 // Close implements Store.
 func (m *Mem) Close() error { return nil }
-
-// Bytes reports the store's current footprint (journal + snapshot), for
-// benchmarks and tests.
-func (m *Mem) Bytes() (log, snap int) { return m.size, len(m.snap) }

@@ -81,7 +81,7 @@ func TestMemSnapshotTruncates(t *testing.T) {
 	if err := m.Snapshot(testState{Vals: []float64{1, 2}, Note: "s"}); err != nil {
 		t.Fatal(err)
 	}
-	if log, snap := m.Bytes(); log != 0 || snap == 0 {
+	if log, snap := m.size, len(m.snap); log != 0 || snap == 0 {
 		t.Fatalf("after snapshot: log %d, snap %d", log, snap)
 	}
 	late := []any{testRec{Seq: 9, Name: "late"}}
@@ -317,8 +317,8 @@ func TestMemLoadEqualsStreamScan(t *testing.T) {
 			if !reflect.DeepEqual(recs, wantRecs) {
 				t.Fatalf("seed %d op %d: Load returned %d records, the joined stream holds %d", seed, op, len(recs), len(wantRecs))
 			}
-			if n, _ := m.Bytes(); n != len(joined) {
-				t.Fatalf("seed %d op %d: Bytes() = %d, joined chunks are %d", seed, op, n, len(joined))
+			if n, _ := m.size, len(m.snap); n != len(joined) {
+				t.Fatalf("seed %d op %d: journal holds %d bytes, joined chunks are %d", seed, op, n, len(joined))
 			}
 			for i, chunk := range m.log {
 				first := &chunk[:1][0] // a chunk a snapshot kept may be empty
@@ -366,7 +366,7 @@ func TestOutgrown(t *testing.T) {
 		if f, err = Open(dir, FileConfig{}); err != nil {
 			t.Fatal(err)
 		}
-		log, snap := m.Bytes()
+		log, snap := m.size, len(m.snap)
 		want := log > 0 && log >= snap
 		if m.Outgrown() != want || fm.Outgrown() != want || f.Outgrown() != want {
 			t.Fatalf("%s: log %d B, snapshot %d B: Outgrown mem %v, faulty %v, file %v; want %v",
@@ -405,7 +405,7 @@ func TestJournalStaysUnderTwiceItsState(t *testing.T) {
 	frame := func(rec any) int {
 		m := NewMem()
 		appendAll(t, m, []any{rec})
-		n, _ := m.Bytes()
+		n, _ := m.size, len(m.snap)
 		return n
 	}
 	bound := 2*frame(image) + 2*frame(marker)
@@ -420,7 +420,7 @@ func TestJournalStaysUnderTwiceItsState(t *testing.T) {
 				snapshots++
 			}
 			appendAll(t, m, []any{rec})
-			if log, snap := m.Bytes(); log+snap > bound {
+			if log, snap := m.size, len(m.snap); log+snap > bound {
 				t.Fatalf("round %d: journal %d B + snapshot %d B, over two images plus markers (%d B)", round, log, snap, bound)
 			}
 		}

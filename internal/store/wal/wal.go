@@ -92,9 +92,8 @@ func Scan(b []byte) (bodies [][]byte, valid int) {
 // The writer is goroutine-safe: one mutex covers the write and, in
 // synchronous mode, the fsync that follows it.
 type Writer struct {
-	f     *os.File
-	sync  bool
-	valid int // records found intact at open
+	f    *os.File
+	sync bool
 
 	mu   sync2.Mutex // guards file writes, size, buf, herr
 	size int64
@@ -127,11 +126,8 @@ func Open(path string, sync bool) (*Writer, [][]byte, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &Writer{f: f, sync: sync, size: int64(valid), valid: len(bodies)}, bodies, nil
+	return &Writer{f: f, sync: sync, size: int64(valid)}, bodies, nil
 }
-
-// Recovered reports how many intact records Open found (diagnostics).
-func (w *Writer) Recovered() int { return w.valid }
 
 // Size returns the current log length in bytes.
 func (w *Writer) Size() int64 {
@@ -178,13 +174,6 @@ func (w *Writer) Truncate() error {
 		return w.f.Sync()
 	}
 	return nil
-}
-
-// Sync flushes the file to stable storage.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Sync()
 }
 
 // Close syncs and closes the log.

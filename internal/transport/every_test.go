@@ -45,8 +45,8 @@ func TestEveryStopsWhenFnReturnsFalse(t *testing.T) {
 		return runs < 2
 	})
 	net.Run(time.Second)
-	if runs != 2 || net.Pending() != 0 {
-		t.Fatalf("%d runs and %d events pending, want 2 and none", runs, net.Pending())
+	if runs != 2 || net.Step() {
+		t.Fatalf("%d runs and an event still pending, want 2 and none", runs)
 	}
 }
 
@@ -58,8 +58,8 @@ func TestEveryStop(t *testing.T) {
 		stop()
 		stop()
 		net.Run(time.Second)
-		if runs != 0 || net.Pending() != 0 {
-			t.Fatalf("%d runs and %d events pending after stop, want none", runs, net.Pending())
+		if runs != 0 || net.Step() {
+			t.Fatalf("%d runs and an event still pending after stop, want none", runs)
 		}
 	})
 	t.Run("between runs", func(t *testing.T) {
@@ -69,8 +69,8 @@ func TestEveryStop(t *testing.T) {
 		net.Run(period)
 		stop()
 		net.Run(time.Second)
-		if runs != 1 || net.Pending() != 0 {
-			t.Fatalf("%d runs and %d events pending, want 1 and none", runs, net.Pending())
+		if runs != 1 || net.Step() {
+			t.Fatalf("%d runs and an event still pending, want 1 and none", runs)
 		}
 	})
 	t.Run("from inside fn", func(t *testing.T) {
@@ -85,8 +85,8 @@ func TestEveryStop(t *testing.T) {
 			return true
 		})
 		net.Run(time.Second)
-		if runs != 2 || net.Pending() != 0 {
-			t.Fatalf("%d runs and %d events pending, want 2 and none", runs, net.Pending())
+		if runs != 2 || net.Step() {
+			t.Fatalf("%d runs and an event still pending, want 2 and none", runs)
 		}
 	})
 }

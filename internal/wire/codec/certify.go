@@ -20,6 +20,8 @@ import (
 // out as a pointer must frame to the same bytes in both forms. Tests call it with
 // Registered() — after all RegisterCodec calls, so application types are
 // certified too.
+//
+//lint:ignore unused the losslessness oracle wire_test.go and this package's tests run
 func CertifyLossless(prototypes []any, rng *rand.Rand, trials int) error {
 	if trials <= 0 {
 		trials = 8

@@ -168,6 +168,8 @@ func RegisterCodec(tag uint64, prototype any, enc EncodeFunc, dec DecodeFunc) {
 
 // Registered returns a prototype value of every registered type in tag
 // order — the corpus the losslessness certification tests round-trip.
+//
+//lint:ignore unused CertifyLossless's corpus in wire_test.go and this package's tests
 func Registered() []any {
 	regMu.Lock()
 	defer regMu.Unlock()

@@ -39,9 +39,6 @@ type App struct {
 	Seed int64
 }
 
-// ModelBytes is the wire size of one dense model/update for the app.
-func (a *App) ModelBytes() int { return 4 + 8*a.Proto.NumParams() }
-
 // Task identifies the two evaluation workloads of §7.4.
 type Task string
 
@@ -208,15 +205,4 @@ type Progress struct {
 	Done time.Duration
 	// Reached reports whether the target accuracy was met.
 	Reached bool
-}
-
-// TimeToAccuracy returns the first time the trajectory reaches acc, or
-// (Done, false) if it never does.
-func (p *Progress) TimeToAccuracy(acc float64) (time.Duration, bool) {
-	for _, pt := range p.Points {
-		if pt.Accuracy >= acc {
-			return pt.Time, true
-		}
-	}
-	return p.Done, false
 }

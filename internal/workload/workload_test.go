@@ -2,7 +2,6 @@ package workload
 
 import (
 	"testing"
-	"time"
 )
 
 func TestMakeAppsShapes(t *testing.T) {
@@ -68,30 +67,5 @@ func TestTrainTimeScaling(t *testing.T) {
 	// Raw form agrees with the app form.
 	if got := c.Time(app.Cfg.LocalEpochs, 100, app.Proto.NumParams(), 1); got != base {
 		t.Fatalf("Time != TrainTime: %v vs %v", got, base)
-	}
-}
-
-func TestModelBytes(t *testing.T) {
-	app := MakeApps(Params{Task: TaskSpeech, Apps: 1, ClientsPerApp: 2, SamplesPerClient: 10, Seed: 5})[0]
-	if app.ModelBytes() != 4+8*app.Proto.NumParams() {
-		t.Fatalf("ModelBytes=%d", app.ModelBytes())
-	}
-}
-
-func TestProgressTimeToAccuracy(t *testing.T) {
-	p := &Progress{
-		App: "x",
-		Points: []AccuracyPoint{
-			{Time: time.Second, Round: 1, Accuracy: 0.2},
-			{Time: 2 * time.Second, Round: 2, Accuracy: 0.5},
-			{Time: 3 * time.Second, Round: 3, Accuracy: 0.7},
-		},
-		Done: 3 * time.Second,
-	}
-	if at, ok := p.TimeToAccuracy(0.5); !ok || at != 2*time.Second {
-		t.Fatalf("TTA(0.5)=%v,%v", at, ok)
-	}
-	if at, ok := p.TimeToAccuracy(0.9); ok || at != 3*time.Second {
-		t.Fatalf("TTA(0.9)=%v,%v", at, ok)
 	}
 }

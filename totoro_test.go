@@ -283,24 +283,6 @@ func TestOnTimerReportsProgress(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousSpeedsSlowTail(t *testing.T) {
-	mk := func(speed func(int) float64, seed int64) time.Duration {
-		c := NewCluster(ClusterConfig{
-			N: 50, Seed: seed, Ring: ring.Config{B: 4}, SpeedOf: speed,
-		})
-		app := testApps(1, seed)[0]
-		app.MaxRounds = 3
-		app.TargetAccuracy = 0.999
-		id := c.DeployOnRandomNodes(app)
-		return c.Train(id)[0].Done
-	}
-	fast := mk(nil, 10)
-	slow := mk(func(i int) float64 { return 0.25 }, 10)
-	if slow <= fast {
-		t.Fatalf("slower nodes did not lengthen rounds: %v vs %v", slow, fast)
-	}
-}
-
 func TestTotoroBeatsCentralizedUnderConcurrency(t *testing.T) {
 	// Qualitative Table 3 check at unit-test scale: with several concurrent
 	// apps, Totoro's total completion beats the centralized baseline's.
