@@ -175,8 +175,8 @@ func (r roundStart) WireSize() int { return 64 + 4*len(r.Sizes) + 8*len(r.Params
 // costs its compressed size; once partials merge, the dense aggregate
 // size applies (in-network aggregation keeps it constant per hop).
 type updateAgg struct {
-	Acc   *fl.Accum
 	Bytes int
+	Acc   *fl.Accum
 }
 
 func (u updateAgg) WireSize() int { return 24 + u.Bytes }

@@ -89,72 +89,13 @@ const (
 )
 
 func registerWalCodecs() {
-	codec.RegisterCodec(tagWalIdentity, walIdentity{},
-		func(e *codec.Enc, v any) { e.Contact(v.(walIdentity).Self) },
-		func(d *codec.Dec) any { return walIdentity{Self: d.Contact()} })
-	codec.RegisterCodec(tagWalSub, walSub{},
-		func(e *codec.Enc, v any) {
-			r := v.(walSub)
-			e.ID(r.App)
-			e.Bool(r.Restricted)
-		},
-		func(d *codec.Dec) any { return walSub{App: d.ID(), Restricted: d.Bool()} })
-	codec.RegisterCodec(tagWalUnsub, walUnsub{},
-		func(e *codec.Enc, v any) { e.ID(v.(walUnsub).App) },
-		func(d *codec.Dec) any { return walUnsub{App: d.ID()} })
-	codec.RegisterCodec(tagWalRound, walRound{},
-		func(e *codec.Enc, v any) {
-			r := v.(walRound)
-			e.ID(r.App)
-			e.Int(r.Round)
-		},
-		func(d *codec.Dec) any { return walRound{App: d.ID(), Round: d.Int()} })
-	codec.RegisterCodec(tagWalMaster, walMaster{},
-		func(e *codec.Enc, v any) { encReplica(e, v.(walMaster).Rep) },
-		func(d *codec.Dec) any { return walMaster{Rep: decReplica(d)} })
-	codec.RegisterCodec(tagWalReplica, walReplica{},
-		func(e *codec.Enc, v any) { encReplica(e, v.(walReplica).Rep) },
-		func(d *codec.Dec) any { return walReplica{Rep: decReplica(d)} })
-	codec.RegisterCodec(tagWalSnapshot, walSnapshot{},
-		func(e *codec.Enc, v any) {
-			s := v.(walSnapshot)
-			e.Contact(s.Self)
-			e.Uvarint(uint64(len(s.Masters)))
-			for _, r := range s.Masters {
-				encReplica(e, r)
-			}
-			e.Uvarint(uint64(len(s.Replicas)))
-			for _, r := range s.Replicas {
-				encReplica(e, r)
-			}
-			e.Uvarint(uint64(len(s.Subs)))
-			for _, w := range s.Subs {
-				e.ID(w.App)
-				e.Bool(w.Restricted)
-			}
-		},
-		func(d *codec.Dec) any {
-			s := walSnapshot{Self: d.Contact()}
-			if n := d.SliceLen(16); n > 0 {
-				s.Masters = make([]replicaMsg, n)
-				for i := range s.Masters {
-					s.Masters[i] = decReplica(d)
-				}
-			}
-			if n := d.SliceLen(16); n > 0 {
-				s.Replicas = make([]replicaMsg, n)
-				for i := range s.Replicas {
-					s.Replicas[i] = decReplica(d)
-				}
-			}
-			if n := d.SliceLen(17); n > 0 {
-				s.Subs = make([]walSub, n)
-				for i := range s.Subs {
-					s.Subs[i] = walSub{App: d.ID(), Restricted: d.Bool()}
-				}
-			}
-			return s
-		})
+	codec.Register(tagWalIdentity, walIdentity{})
+	codec.Register(tagWalSub, walSub{})
+	codec.Register(tagWalUnsub, walUnsub{})
+	codec.Register(tagWalRound, walRound{})
+	codec.Register(tagWalMaster, walMaster{})
+	codec.Register(tagWalSnapshot, walSnapshot{})
+	codec.Register(tagWalReplica, walReplica{})
 	store.RegisterRecords(
 		walIdentity{}, walSub{}, walUnsub{}, walRound{},
 		walMaster{}, walReplica{}, walSnapshot{},

@@ -89,7 +89,22 @@ type NotBoxed struct {
 
 func (b *NotBoxed) Recycle(int) {}
 
+// Derived and DerivedBad are registered the way the engine registers its
+// own types: the codec is derived from the declaration.
+type Derived struct {
+	Key  string
+	Next *Clean
+	Body any
+}
+
+type DerivedBad struct {
+	Key  string
+	Done chan struct{} // want "wire field DerivedBad.Done has chan type"
+}
+
 func init() {
+	codec.Register(77, Derived{})
+	codec.Register(78, DerivedBad{})
 	codec.RegisterCodec(64, Clean{}, nil, nil)
 	codec.RegisterCodec(65, BadFunc{}, nil, nil)
 	codec.RegisterCodec(66, BadChan{}, nil, nil)

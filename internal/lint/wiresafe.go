@@ -15,14 +15,15 @@ import (
 // "works" in every simulation and only fails once the same binary runs over
 // tcpnet — the worst possible place to discover it. Three checks:
 //
-//   - every codec-registered struct type (wire/codec register/RegisterCodec)
-//     declared in the package under analysis must be structurally encodable:
-//     no func or chan fields, no unexported fields (hand-rolled encoders
-//     carry exported fields only, and codec.CertifyLossless — the dynamic
-//     half of this contract — fills only those, so unexported state exists
-//     under simnet and vanishes over TCP unnoticed; the one exception is a
-//     transport.Recycler, whose own unexported fields are the way back to its
-//     sender's free list and are meant to stay home), no structs whose fields
+//   - every codec-registered struct type (wire/codec register/Register/
+//     RegisterCodec) declared in the package under analysis must be
+//     structurally encodable: no func or chan fields, no unexported fields
+//     (a derived codec carries exported fields only, and
+//     codec.CertifyLossless — the dynamic half of this contract — fills
+//     only those, so unexported state exists under simnet and vanishes
+//     over TCP unnoticed; the one exception is a transport.Recycler, whose
+//     own unexported fields are the way back to its sender's free list and
+//     are meant to stay home), no structs whose fields
 //     are all unexported, and no non-empty interface fields (Enc.Value
 //     dispatches on the concrete type; each implementation would need its
 //     own registration that nothing enforces). Unnamed codec types
@@ -67,12 +68,13 @@ func (w *WireSet) HasCodec(t types.Type) bool {
 }
 
 // CollectWire scans one package for codec registrations (wire/codec's
-// register, registerPointer and RegisterCodec, whose explicit prototype argument exists
-// precisely so this pass can see the static type) and store.RegisterRecords
-// calls, and records the static types of their prototype arguments. The
-// driver runs this over every package before any analyzer, so registrations
-// made in one package (the codec package's init, the engine root) vouch for
-// types declared in another.
+// register, registerPointer, Register and RegisterCodec, whose explicit
+// prototype argument exists precisely so this pass can see the static type;
+// the derived ones also panic at registration on a field they cannot carry)
+// and store.RegisterRecords calls, and records the static types of their
+// prototype arguments. The driver runs this over every package before any
+// analyzer, so registrations made in one package (the codec package's init,
+// the engine root) vouch for types declared in another.
 func CollectWire(pkg *Package, ws *WireSet) {
 	pass := &Pass{Package: pkg}
 	add := func(set map[string]types.Type, arg ast.Expr) {
@@ -95,14 +97,16 @@ func CollectWire(pkg *Package, ws *WireSet) {
 				for _, arg := range call.Args { // variadic: every argument is a prototype
 					add(ws.records, arg)
 				}
-			case (fn.Name() == "register" || fn.Name() == "registerPointer" || fn.Name() == "RegisterCodec") &&
-				strings.HasSuffix(path, "/wire/codec") && len(call.Args) > 1:
-				add(ws.codecs, call.Args[1]) // (tag, prototype, enc, dec)
+			case strings.HasSuffix(path, "/wire/codec") && wireRegistrations[fn.Name()] && len(call.Args) > 1:
+				add(ws.codecs, call.Args[1]) // (tag, prototype[, enc, dec])
 			}
 			return true
 		})
 	}
 }
+
+// wireRegistrations are wire/codec's registration functions.
+var wireRegistrations = map[string]bool{"register": true, "registerPointer": true, "Register": true, "RegisterCodec": true}
 
 // declaredHere returns, in stable order and once each, the named struct types
 // of set (registered as T or *T) that the package under analysis declares;
@@ -134,7 +138,7 @@ func runWireSafe(pass *Pass) {
 			continue // structurally checked above
 		}
 		pass.Reportf(named.Obj().Pos(),
-			"%s is registered as a durable-store record but has no codec-v2 encoder; the WAL encodes bodies with codec.Value, so Append/Snapshot refuse it at runtime — add a RegisterCodec alongside RegisterRecords",
+			"%s is registered as a durable-store record but has no codec-v2 encoder; the WAL encodes bodies with codec.Value, so Append/Snapshot refuse it at runtime — add a codec.Register alongside RegisterRecords",
 			types.TypeString(named, nil))
 		checkStruct(named)
 	}
@@ -165,7 +169,7 @@ func runWireSafe(pass *Pass) {
 			}
 			if !pass.Wire.HasCodec(t) {
 				pass.Reportf(call.Args[1].Pos(),
-					"%s is sent over the wire but has no codec-v2 registration; add a RegisterCodec for it (moves in memory under simnet, dropped by tcpnet)",
+					"%s is sent over the wire but has no codec-v2 registration; add a codec.Register for it (moves in memory under simnet, dropped by tcpnet)",
 					types.TypeString(t, nil))
 			}
 			return true

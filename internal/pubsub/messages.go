@@ -153,9 +153,6 @@ type Upstream struct {
 	// new announcement, so folding the stale partial in would double-count
 	// every contribution in the sender's subtree.
 	Epoch uint64
-	// Object is the combined update of the sender's subtree (nil when the
-	// subtree had nothing to contribute).
-	Object any
 	// Count is the number of raw contributions folded into Object.
 	Count int
 	// Seq numbers every upstream this sender emits for this topic (from 1;
@@ -164,6 +161,9 @@ type Upstream struct {
 	// double-count its contributions. The counter restarts when the sender
 	// reboots, which is safe because dedup is scoped per aggregation round.
 	Seq uint64
+	// Object is the combined update of the sender's subtree (nil when the
+	// subtree had nothing to contribute).
+	Object any
 	envelope[Upstream]
 }
 

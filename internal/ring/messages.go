@@ -11,12 +11,12 @@ type Message interface{ ringMessage() }
 
 // Envelope carries a routed application payload one overlay hop.
 type Envelope struct {
-	Key     ids.ID
-	Source  Contact
-	Hops    int
-	Payload any
+	Key    ids.ID
+	Source Contact
+	Hops   int
 	// Seq identifies the envelope for per-hop acknowledgements.
-	Seq uint64
+	Seq     uint64
+	Payload any
 }
 
 func (Envelope) ringMessage() {}

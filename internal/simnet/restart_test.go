@@ -114,15 +114,7 @@ type parityMsg struct {
 
 func (parityMsg) WireSize() int { return 9999 } // estimate, deliberately wrong
 
-func init() {
-	codec.RegisterCodec(200, parityMsg{},
-		func(e *codec.Enc, v any) {
-			m := v.(parityMsg)
-			e.Int(m.N)
-			e.Float64s(m.Data)
-		},
-		func(d *codec.Dec) any { return parityMsg{N: d.Int(), Data: d.Float64s()} })
-}
+func init() { codec.Register(200, parityMsg{}) }
 
 // TestExactSizesMatchWire pins the satellite contract: with a codec Sizer, a
 // registered message is charged exactly the bytes tcpnet would write for
@@ -136,7 +128,7 @@ func TestExactSizesMatchWire(t *testing.T) {
 	}
 	// Independently recompute from a raw encode, the way tcpnet frames it.
 	enc := codec.NewEnc()
-	enc.Addr("a")
+	enc.String("a")
 	enc.Value(msg)
 	body := len(enc.Bytes())
 	enc.Free()

@@ -28,20 +28,8 @@ type testState struct {
 }
 
 func init() {
-	codec.RegisterCodec(240, testRec{},
-		func(e *codec.Enc, v any) {
-			r := v.(testRec)
-			e.Int(r.Seq)
-			e.String(r.Name)
-		},
-		func(d *codec.Dec) any { return testRec{Seq: d.Int(), Name: d.String()} })
-	codec.RegisterCodec(241, testState{},
-		func(e *codec.Enc, v any) {
-			s := v.(testState)
-			e.Float64s(s.Vals)
-			e.String(s.Note)
-		},
-		func(d *codec.Dec) any { return testState{Vals: d.Float64s(), Note: d.String()} })
+	codec.Register(240, testRec{})
+	codec.Register(241, testState{})
 	RegisterRecords(testRec{}, testState{})
 }
 

@@ -14,11 +14,11 @@ import (
 // through the codec and reports the first value that fails to survive
 // encode→decode intact. It is the dynamic half of the wire-v2 losslessness
 // contract: totoro-vet's wiresafe analyzer proves the registered types are
-// structurally encodable, this proves the hand-rolled encoders actually
+// structurally encodable, this proves the registered codecs actually
 // carry every exported field. Every instance is also sized: FrameSize must
 // count exactly the bytes the encoder writes for it. A type that also goes
 // out as a pointer must frame to the same bytes in both forms. Tests call it with
-// Registered() — after all RegisterCodec calls, so application types are
+// Registered() — after all registrations, so application types are
 // certified too.
 //
 //lint:ignore unused the losslessness oracle wire_test.go and this package's tests run

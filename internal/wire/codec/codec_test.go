@@ -2,6 +2,7 @@ package codec
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -177,7 +178,7 @@ func TestUnregisteredTypeFailsEncode(t *testing.T) {
 }
 
 // A nested payload (Envelope carrying an unregistered struct) fails the
-// frame from inside a hand-rolled codec, naming the inner type.
+// frame from inside a derived codec, naming the inner type.
 func TestNestedUnregisteredPayloadFailsEncode(t *testing.T) {
 	msg := ring.Envelope{Key: testID(3), Source: testContact(4), Hops: 2, Seq: 9,
 		Payload: unregistered{A: 1, B: "x"}}
@@ -374,4 +375,31 @@ func testID(n uint64) ids.ID { return ids.ID{Hi: n, Lo: n * 31} }
 
 func testContact(n uint64) ring.Contact {
 	return ring.Contact{ID: testID(n), Addr: transport.Addr(strings.Repeat("n", int(n%3)+1))}
+}
+
+// A field no plan can carry panics at registration, naming its path from
+// the registered type.
+func TestDeriveRejectsWhatNoCodecCarries(t *testing.T) {
+	type hidden struct{ a, b int }
+	for _, tc := range []struct {
+		proto any
+		want  string
+	}{
+		{struct{ F func() }{}, "x.F has type func()"},
+		{struct{ C []chan int }{}, "x.C[] has type chan int"},
+		{struct{ E error }{}, "x.E is the non-empty interface error"},
+		{struct{ N int32 }{}, "x.N has type int32"},
+		{struct{ M map[int]string }{}, "x.M is a map keyed by int"},
+		{struct{ H *hidden }{}, "x.H is a codec.hidden, whose fields are all unexported"},
+		{struct{ Z []struct{} }{}, "x.Z is a slice of struct {}, which encodes in zero bytes"},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("deriving %T panicked with %q, want %q", tc.proto, msg, tc.want)
+				}
+			}()
+			derive(reflect.TypeOf(tc.proto), "x")
+		}()
+	}
 }

@@ -23,7 +23,7 @@ const MaxFrameBytes = 64 << 20
 //
 //vet:noalloc
 func EncodeFrame(e *Enc, from transport.Addr, msg any) error {
-	e.Addr(from)
+	e.String(string(from))
 	e.Value(msg)
 	return e.Err()
 }
@@ -55,7 +55,7 @@ var decPool = sync.Pool{New: func() any { return new(Dec) }}
 func DecodeFrame(b []byte) (from transport.Addr, msg any, err error) {
 	d := decPool.Get().(*Dec)
 	*d = Dec{buf: b}
-	from = d.Addr()
+	from = transport.Addr(d.String())
 	msg = d.Value()
 	err, rem := d.Err(), d.Rem()
 	d.buf = nil // do not pin the caller's buffer while pooled

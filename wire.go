@@ -9,5 +9,5 @@ var wireOnce sync.Once
 // deployment over internal/transport/tcpnet. Call once per process before
 // creating TCP-backed engines. A custom Broadcast/Aggregate payload type
 // outside the codec's primitives (string, int, float64, []float64, ...)
-// must install its own codec with codec.RegisterCodec, or Send drops it.
+// must install its own codec with codec.Register, or Send drops it.
 func RegisterWire() { wireOnce.Do(registerCodecs) }
