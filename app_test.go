@@ -3,12 +3,14 @@ package totoro
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"totoro/internal/fl"
 	"totoro/internal/ids"
 	"totoro/internal/transport"
+	"totoro/internal/wire/codec"
 	"totoro/internal/workload"
 )
 
@@ -200,4 +202,49 @@ func TestSemiSyncRoundDeadline(t *testing.T) {
 		}
 	}
 	_ = ids.ID{}
+}
+
+// TestMalformedPartialsAreDropped hands a parent the two pairs of partials
+// that decode cleanly but cannot merge — two updateAggs without an
+// aggregate, on which mergeUpdates dereferenced nil, and two whose model
+// sizes differ, on which fl.Accum.Add panics by design — and then hands
+// the root one partial of the wrong model size, which its commit could not
+// apply. Each partial comes off the wire; the parent drops the malformed
+// side and goes on with the other, the root drops the partial, and every
+// drop is counted.
+func TestMalformedPartialsAreDropped(t *testing.T) {
+	RegisterWire()
+	wire := func(v updateAgg) any {
+		enc := codec.NewEnc()
+		defer enc.Free()
+		if err := codec.EncodeFrame(enc, "child", v); err != nil {
+			t.Fatal(err)
+		}
+		_, msg, err := codec.DecodeFrame(slices.Clone(enc.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+	agg := func(n int) updateAgg {
+		return updateAgg{Bytes: 24 + 8*n, Acc: fl.NewAccum(fl.Update{Delta: make([]float64, n), Samples: 1})}
+	}
+	c := testCluster(1, 1)
+	app := testApps(1, 1)[0]
+	id := c.Deploy(app, 0, []int{0})
+	root := c.Engines[0]
+	if got := root.combine(id, wire(updateAgg{}), wire(updateAgg{})); got != nil {
+		t.Fatalf("two empty partials combine to %#v, want nothing", got)
+	}
+	got, ok := root.combine(id, wire(agg(3)), wire(agg(2))).(updateAgg)
+	if !ok || got.Acc == nil || len(got.Acc.WeightedSum) != 3 || got.Acc.Count != 1 {
+		t.Fatalf("partials of 3 and 2 parameters combine to %#v, want the first", got)
+	}
+	root.onAggregate(id, 0, wire(agg(3)), 1)
+	if m := root.master(id); len(m.Points) != 0 {
+		t.Fatalf("the root committed a partial of 3 parameters to a model of %d", len(m.Global))
+	}
+	if n := root.Metrics().Counter("fl.rejected_partials").Value(); n != 4 {
+		t.Fatalf("fl.rejected_partials = %d, want 4", n)
+	}
 }

@@ -23,7 +23,8 @@ import (
 // discarded, never merged. Checks that would fire on legal transients
 // are therefore reachability-scoped and grace-bounded, while the
 // per-lineage checks (epoch monotonicity, committed-round progress,
-// participant accounting, replica staleness) are exact.
+// participant accounting, replica staleness) are exact. The checker reads
+// each engine's mastership state (mastership.State) directly.
 //
 // Install it after Deploy and before training or fault injection:
 //
@@ -31,8 +32,7 @@ import (
 //	... StartNemesis / Train ...
 //	cluster.Net.CheckInvariants() // quiesce check
 type Chaos struct {
-	c   *Cluster
-	cfg ChaosConfig
+	c *Cluster
 
 	// epochs records, per engine incarnation and app, the highest
 	// mastership epoch that engine has held or witnessed (master or
@@ -80,26 +80,23 @@ type commitKey struct {
 	epoch int
 }
 
-// ChaosConfig parameterizes the checker.
-type ChaosConfig struct {
-	// DualMasterGrace bounds how long two live, mutually-reachable
-	// masters for one app may coexist before the checker declares the
-	// split-brain unreconciled (0 = 3s). The window covers ring
-	// maintenance re-merging leaf sets after a heal plus one replication
-	// round-trip — the path by which the losing master learns it lost.
-	DualMasterGrace time.Duration
-}
+// ChaosConfig parameterizes the checker. It has no fields left; callers
+// pass ChaosConfig{}.
+type ChaosConfig struct{}
+
+// dualMasterGrace bounds how long two live, mutually-reachable masters for
+// one app may coexist before the checker declares the split-brain
+// unreconciled. The window covers ring maintenance re-merging leaf sets
+// after a heal plus one replication round-trip — the path by which the
+// losing master learns it lost.
+const dualMasterGrace = 3 * time.Second
 
 // StartChaos installs the invariant checker over the cluster: hooks on
 // every engine (re-installed on crash-restart rebuilds) and a check
 // function registered with the network's step loop.
-func (c *Cluster) StartChaos(cfg ChaosConfig) *Chaos {
-	if cfg.DualMasterGrace <= 0 {
-		cfg.DualMasterGrace = 3 * time.Second
-	}
+func (c *Cluster) StartChaos(ChaosConfig) *Chaos {
 	ch := &Chaos{
 		c:          c,
-		cfg:        cfg,
 		epochs:     make([]map[AppID]int, len(c.Engines)),
 		lastCommit: make(map[commitKey]int),
 		maxAcked:   make(map[appEpoch]int),
@@ -193,7 +190,7 @@ func (ch *Chaos) check() error {
 	}
 	ch.live = ch.live[:0]
 	for i, e := range ch.c.Engines {
-		if len(e.masters) == 0 && len(e.replicas) == 0 {
+		if len(e.roles) == 0 {
 			continue
 		}
 		if err := ch.checkEngine(e, ch.epochs[i]); err != nil {
@@ -210,22 +207,25 @@ func (ch *Chaos) check() error {
 //
 //vet:noalloc
 func (ch *Chaos) checkEngine(e *Engine, em map[AppID]int) error {
-	if len(e.masters) > 0 {
-		alive := ch.c.Net.Alive(e.Self().Addr)
-		ch.appScratch = appendSortedApps(ch.appScratch[:0], e.masters)
-		for _, app := range ch.appScratch {
-			m := e.masters[app]
-			if err := ch.noteEpoch(e, em, app, m.Epoch, "master"); err != nil {
-				return err
-			}
-			if alive && !m.Done {
-				ch.live = append(ch.live, liveMaster{app, e})
-			}
+	alive := ch.c.Net.Alive(e.Self().Addr)
+	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.roles)
+	for _, app := range ch.appScratch {
+		m := e.roles[app].Master
+		if m == nil {
+			continue
+		}
+		if err := ch.noteEpoch(e, em, app, m.Epoch, "master"); err != nil {
+			return err
+		}
+		if alive && !m.Done {
+			ch.live = append(ch.live, liveMaster{app, e})
 		}
 	}
-	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.replicas)
 	for _, app := range ch.appScratch {
-		rep := e.replicas[app]
+		rep := e.roles[app].Replica
+		if rep == nil {
+			continue
+		}
 		if err := ch.noteEpoch(e, em, app, rep.Epoch, "replica"); err != nil {
 			return err
 		}
@@ -317,7 +317,7 @@ func (ch *Chaos) checkDualMasters() error {
 			ch.dualSince[app] = now
 			continue
 		}
-		if now-since > ch.cfg.DualMasterGrace {
+		if now-since > dualMasterGrace {
 			return errSplitBrain(app, a, b, now-since)
 		}
 	}
@@ -327,5 +327,5 @@ func (ch *Chaos) checkDualMasters() error {
 //vet:noalloc cold
 func errSplitBrain(app AppID, a, b *Engine, lasted time.Duration) error {
 	return fmt.Errorf("app %s: unreconciled split-brain: masters %s (epoch %d) and %s (epoch %d) mutually reachable for %v without resolving",
-		app.Short(), a.Self().Addr, a.masters[app].Epoch, b.Self().Addr, b.masters[app].Epoch, lasted)
+		app.Short(), a.Self().Addr, a.master(app).Epoch, b.Self().Addr, b.master(app).Epoch, lasted)
 }

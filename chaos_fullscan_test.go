@@ -59,15 +59,19 @@ func (ch *fullScan) check() error {
 
 func (ch *fullScan) checkEngine(e *Engine) error {
 	em := ch.epochs[e] // created by install
-	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.masters)
+	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.roles)
 	for _, app := range ch.appScratch {
-		if err := ch.noteEpoch(e, em, app, e.masters[app].Epoch, "master"); err != nil {
-			return err
+		if m := e.roles[app].Master; m != nil {
+			if err := ch.noteEpoch(e, em, app, m.Epoch, "master"); err != nil {
+				return err
+			}
 		}
 	}
-	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.replicas)
 	for _, app := range ch.appScratch {
-		rep := e.replicas[app]
+		rep := e.roles[app].Replica
+		if rep == nil {
+			continue
+		}
 		if err := ch.noteEpoch(e, em, app, rep.Epoch, "replica"); err != nil {
 			return err
 		}
@@ -99,7 +103,7 @@ func (ch *fullScan) checkDualMasters() error {
 		masters := ch.masterScratch[:0]
 		for i := range ch.c.Engines {
 			e := ch.c.Engines[i]
-			if m, ok := e.masters[app]; ok && !m.Done && ch.c.Net.Alive(e.Self().Addr) {
+			if m := e.master(app); m != nil && !m.Done && ch.c.Net.Alive(e.Self().Addr) {
 				masters = append(masters, e)
 			}
 		}
@@ -122,7 +126,7 @@ func (ch *fullScan) checkDualMasters() error {
 			ch.dualSince[app] = now
 			continue
 		}
-		if now-since > ch.cfg.DualMasterGrace {
+		if now-since > dualMasterGrace {
 			return errSplitBrain(app, a, b, now-since)
 		}
 	}

@@ -163,7 +163,7 @@ func runChaos(t *testing.T, seed int64, spec string, rounds int) chaosResult {
 // write (a store is folded again only after an append; the live side is
 // compared every time, so an unjournaled mutation shows too).
 // TestRecoveredStateMatchesLive checks the same equation once, after a
-// fault-free run; this is the guard that keeps Engine.apply honest.
+// fault-free run; this is the guard that keeps replay honest.
 func TestReplayReachesLiveRoles(t *testing.T) {
 	// The two acceptance/replay seeds on which masterships actually move.
 	seeds := []int64{241, 269}
@@ -359,7 +359,7 @@ func TestChaosCatchesInjectedRegression(t *testing.T) {
 		if m == nil {
 			t.Fatal("no master after training")
 		}
-		bug(c, m, id, m.masters[id].Epoch)
+		bug(c, m, id, m.master(id).Epoch)
 		c.Net.CheckInvariants()
 		v := c.Net.Violation()
 		if v == nil {
@@ -393,15 +393,15 @@ func TestChaosCatchesInjectedRegression(t *testing.T) {
 	t.Run("epoch-regressed", func(t *testing.T) {
 		inject(t, "app 17d7fda2: epoch regressed on n34: master at epoch 0 after holding epoch 1",
 			func(c *Cluster, m *Engine, id AppID, epoch int) {
-				m.masters[id].Epoch = epoch + 1
-				c.Net.CheckInvariants()     // the checker witnesses epoch 1 ...
-				m.masters[id].Epoch = epoch // ... and then the master falls back
+				m.master(id).Epoch = epoch + 1
+				c.Net.CheckInvariants()    // the checker witnesses epoch 1 ...
+				m.master(id).Epoch = epoch // ... and then the master falls back
 			})
 	})
 	t.Run("replica-ahead", func(t *testing.T) {
 		inject(t, "app 17d7fda2: n34 holds replica round 9 at epoch 0 but no master lineage through that epoch acked past round 3 — replica ahead of master acks",
 			func(_ *Cluster, m *Engine, id AppID, epoch int) {
-				put(&m.replicas, id, &replicaMsg{Epoch: epoch, Round: 9})
+				m.roles[id].Replica = &replicaMsg{Epoch: epoch, Round: 9}
 			})
 	})
 }
@@ -429,7 +429,7 @@ func TestChaosCheckDoesNotAllocate(t *testing.T) {
 	}
 	most := 0
 	for _, e := range c.Engines {
-		most = max(most, len(e.masters), len(e.replicas))
+		most = max(most, len(e.roles))
 	}
 	if most < 2 {
 		t.Fatalf("no engine holds two apps (most: %d); the sorted path is not exercised", most)

@@ -77,8 +77,8 @@ func TestEngineGlobalParamsCopy(t *testing.T) {
 	if _, ok := m.GlobalParams(NewAppID("ghost", "x")); ok {
 		t.Fatal("params for unknown app")
 	}
-	if apps := sortedApps(m.masters); len(apps) != 1 || !m.IsMaster(id) {
-		t.Fatalf("masters %v, want only %v", apps, id)
+	if apps := sortedApps(m.roles); len(apps) != 1 || !m.IsMaster(id) {
+		t.Fatalf("roles %v, want only the mastership of %v", apps, id)
 	}
 }
 

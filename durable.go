@@ -3,10 +3,10 @@ package totoro
 import (
 	"slices"
 
+	"totoro/internal/mastership"
 	"totoro/internal/ml"
 	"totoro/internal/ring"
 	"totoro/internal/store"
-	"totoro/internal/transport"
 	"totoro/internal/wire/codec"
 )
 
@@ -110,19 +110,19 @@ func registerWalCodecs() {
 // calls it before the overlay node exists; it touches no network.
 func (e *Engine) replay(st store.Store) (loaded bool, err error) {
 	state, recs, err := st.Load()
-	e.apply(state) // nil when there is no snapshot yet
+	e.replaying = true
+	e.fold(state) // nil when there is no snapshot yet
 	for _, rec := range recs {
-		e.apply(rec)
+		e.fold(rec)
 	}
+	e.replaying = false
 	return state != nil || len(recs) > 0, err
 }
 
-// apply folds one journaled record into the role maps. It is the mutation
-// itself, not a mirror of it: Subscribe and Unsubscribe call it live, and
-// walReplica goes through the yieldTo and keepReplica that handleReplica
-// runs, so a replayed journal reaches the masters/replicas split the live
-// engine held (TestReplayReachesLiveRoles).
-func (e *Engine) apply(rec any) {
+// fold replays one journaled record. A mastership record is stepped through
+// the rules the live engine ran, so a replayed journal reaches the roles
+// the live engine held (TestReplayReachesLiveRoles).
+func (e *Engine) fold(rec any) {
 	switch r := rec.(type) {
 	case walIdentity:
 		e.self = r.Self
@@ -130,29 +130,21 @@ func (e *Engine) apply(rec any) {
 		put(&e.workers, r.App, &workerState{restricted: r.Restricted})
 	case walUnsub:
 		delete(e.workers, r.App)
-	case walRound:
-		// The begun round is in flight; recovery re-runs it from the last
-		// committed image, so only the started flag matters here.
-		if m, ok := e.masters[r.App]; ok {
-			m.Started = true
-		}
 	case walMaster:
-		put(&e.masters, r.Rep.Spec.ID, masterFromImage(r.Rep))
-		delete(e.replicas, r.Rep.Spec.ID)
+		e.step(r.Rep.Spec.ID, e.roleOf(r.Rep.Spec.ID), event{Kind: mastership.Restore, Image: &r.Rep})
 	case walReplica:
-		if beat, _ := e.yieldTo(r.Rep); beat == nil {
-			e.keepReplica(r.Rep)
-		}
+		e.offer(&r.Rep)
 	case walSnapshot:
 		e.self = r.Self
-		for _, rep := range r.Masters {
-			put(&e.masters, rep.Spec.ID, masterFromImage(rep))
+		for i := range r.Masters {
+			e.fold(walMaster{Rep: r.Masters[i]})
 		}
 		for i := range r.Replicas {
-			put(&e.replicas, r.Replicas[i].Spec.ID, &r.Replicas[i])
+			rep := &r.Replicas[i]
+			e.step(rep.Spec.ID, e.roleOf(rep.Spec.ID), event{Kind: mastership.Keep, Image: rep})
 		}
 		for _, w := range r.Subs {
-			e.apply(w)
+			e.fold(w)
 		}
 	}
 }
@@ -202,17 +194,22 @@ func (e *Engine) snapshotDurable() {
 
 // buildSnapshot captures the engine's durable state, sorted so the same
 // state always serializes to the same bytes. A master's in-flight round
-// is recorded as not yet begun (committedImage) — the same contract a
+// is recorded as not yet begun (State.Committed) — the same contract a
 // crash between rounds has. Its master images alias the live models, as
-// every journaled image does (masterImage).
+// every journaled image does (image).
 func (e *Engine) buildSnapshot() walSnapshot {
 	snap := walSnapshot{Self: e.self}
 	var keys [8]AppID // sort scratch: on the stack for up to eight apps a map
-	for _, app := range appendSortedApps(keys[:0], e.masters) {
-		snap.Masters = append(snap.Masters, e.committedImage(e.masters[app]))
+	apps := appendSortedApps(keys[:0], e.roles)
+	for _, app := range apps {
+		if r := e.roles[app]; r.Master != nil {
+			snap.Masters = append(snap.Masters, e.image(r.Master, r.Committed()))
+		}
 	}
-	for _, app := range appendSortedApps(keys[:0], e.replicas) {
-		snap.Replicas = append(snap.Replicas, *e.replicas[app])
+	for _, app := range apps {
+		if r := e.roles[app]; r.Replica != nil {
+			snap.Replicas = append(snap.Replicas, *r.Replica)
+		}
 	}
 	for _, app := range appendSortedApps(keys[:0], e.workers) {
 		snap.Subs = append(snap.Subs, walSub{App: app, Restricted: e.workers[app].restricted})
@@ -241,12 +238,6 @@ func appendSortedApps[T any](dst []AppID, m map[AppID]T) []AppID {
 	}
 	return dst
 }
-
-// masterFromImage is the one image→state conversion: journal replay,
-// failover promotion and restart all build their masterState here. The
-// copy matters — a master updates its model in place, and an image may be
-// shared with the journal, the network and other replica holders.
-func masterFromImage(rep replicaMsg) *masterState { return &masterState{replicaMsg: rep.own()} }
 
 // Recovered reports whether this engine booted from a non-empty durable
 // store.
@@ -280,33 +271,15 @@ func (e *Engine) ResumeAfterRestart() {
 	for _, app := range sortedApps(e.workers) {
 		e.ps.Subscribe(app)
 	}
-	for _, app := range sortedApps(e.masters) {
-		m := e.masters[app]
-		m.Epoch++ // demotes whoever promoted itself during the outage
-		e.claim(m)
-		if m.Started && !m.Done {
-			round := m.Round
-			transport.Every(e.env, e.opts.FailoverGrace, func() bool {
-				if !e.still(m, round) {
-					return false
-				}
-				// Don't begin a round into an empty tree: right after a
-				// restart the workers are still parked under the interim
-				// root (or mid-rejoin), and a childless root would complete
-				// every remaining round instantly with zero participants.
-				// Wait another grace period for the tree to hand back.
-				if info, treeOK := e.ps.TreeInfo(app); treeOK && len(info.Children) == 0 {
-					return true
-				}
-				e.beginRound(m)
-				return false
-			})
+	apps := sortedApps(e.roles)
+	for _, app := range apps {
+		if r := e.roles[app]; r.Master != nil {
+			e.step(app, r, event{Kind: mastership.Resume})
 		}
 	}
-	for _, app := range sortedApps(e.replicas) {
-		rep := e.replicas[app]
-		if rep.Started && !rep.Done {
-			e.ensureReplicaCheck(app)
+	for _, app := range apps {
+		if r := e.roles[app]; r.Replica != nil {
+			e.step(app, r, event{Kind: mastership.Keep, Image: r.Replica})
 		}
 	}
 }

@@ -381,7 +381,7 @@ func TestRecoveredStateMatchesLive(t *testing.T) {
 // TestMasterFromImageCopies: a mastership built from an image owns its model
 // and trajectory. Replica holders share one copy of an image (replicate), so
 // two of them promoting from it and stepping their models in place, as
-// completeRound does, must leave the image untouched.
+// commit does, must leave the image untouched.
 func TestMasterFromImageCopies(t *testing.T) {
 	img := replicaMsg{
 		Spec:   AppSpec{ID: NewAppID("copies", "test")},
@@ -392,7 +392,7 @@ func TestMasterFromImageCopies(t *testing.T) {
 	img.Points[0] = workload.AccuracyPoint{Round: 1, Accuracy: 0.5}
 	want := img.own()
 	for i := range 2 {
-		m := masterFromImage(img)
+		m := img.Own().(*replicaMsg)
 		fl.NewAccum(fl.Update{Delta: []float64{1, 1, 1}, Samples: 1}).ApplyMean(m.Global)
 		m.Points = append(m.Points, workload.AccuracyPoint{Round: 2, Accuracy: float64(i)})
 	}

@@ -7,6 +7,7 @@ import (
 
 	"totoro/internal/fl"
 	"totoro/internal/ids"
+	"totoro/internal/mastership"
 	"totoro/internal/ml"
 	"totoro/internal/obs"
 	"totoro/internal/pubsub"
@@ -84,44 +85,19 @@ type TimerInfo struct {
 	Now      time.Duration
 }
 
-// masterState is a mastership: the image it journals and replicates, plus
-// the state that never leaves the node. The image's Round is the current
-// round, so while a round is in flight it is one ahead of the image an
-// ack would record (committedImage steps back over it); its Epoch is the
-// mastership generation, bumped by every failover promotion.
-type masterState struct {
-	replicaMsg
-	// inFlight marks a begun, uncommitted round: durable snapshots taken
-	// mid-round record the previous round as the last completed one, so a
-	// recovered master re-runs the interrupted round (durable.go).
-	inFlight bool
-	// holds counts how many times the current round's commit has been
-	// deferred for lacking quorum (max(1, spec.MinParticipants) merged
-	// client updates). A master whose tree is empty — typically a failover
-	// promotion on the wrong side of a partition — would otherwise race
-	// through every round vacuously and mark the app done on an untrained
-	// model; with a configured quorum the same mechanism keeps the model
-	// from taking a nearly-empty step while a fault window cuts workers
-	// off. Transient: never journaled or replicated.
-	holds int
-	// pending accumulates the held round's aggregate across flushes: a
-	// held round's tree keeps forwarding disjoint supplementary partials
-	// (stragglers, workers back from a healed partition), one flush each,
-	// and the eventual commit folds them all. Transient, like holds.
-	pending updateAgg
-	// retriedRound marks the one round number already re-announced under a
-	// bumped epoch (see retryRound); a round is retried at most once so
-	// liveness stays bounded. Transient, like holds.
-	retriedRound int
+// role is one application at this node: the rules' state, plus what the
+// executor keeps beside it.
+type role struct {
+	mastership.State[*replicaMsg]
+	// pending folds the current round's flushes: a held round's tree keeps
+	// forwarding disjoint supplementary partials, one flush each, and the
+	// commit merges them all. flush is the one being stepped, for Fold.
+	pending, flush updateAgg
+	check          func() // the ownership probe's timer body
+	checking       bool   // the probe is armed
 }
 
-// maxRoundHolds bounds how many times a below-quorum round is held open
-// (one round deadline per hold) before the master commits whatever it
-// merged. The bound preserves liveness when a participation-sampled round
-// legitimately selects nobody or the fleet has genuinely shrunk; the
-// holds give tree repair, stale stragglers, and failover reconciliation
-// time to either deliver real updates or demote a vacuous master.
-const maxRoundHolds = 3
+type event = mastership.Event[*replicaMsg]
 
 type workerState struct {
 	shard *ml.Dataset
@@ -156,20 +132,16 @@ type Engine struct {
 	ps   *pubsub.Node
 
 	queue *workload.ComputeQueue
-	// The role maps (here and below) are created by their first entry, see
-	// put: most nodes of a fleet hold no role in most applications.
-	masters map[AppID]*masterState
+	// The role maps are created by their first entry, see put: most nodes
+	// of a fleet hold no role in most applications. roles holds every app
+	// this node masters or holds a replica of.
+	roles   map[AppID]*role
 	workers map[AppID]*workerState
 	cb      Callbacks
-
-	// replicas holds round state replicated to this node by masters whose
-	// leaf set it belongs to; checking tracks which replicas currently run
-	// an ownership-probe loop (see failover.go).
-	replicas map[AppID]*replicaMsg
-	checking map[AppID]bool
-	// suspect counts consecutive unanswered masterPings per app while the
-	// ring routes the app key here (promotion gate, see failover.go).
-	suspect map[AppID]int
+	// acts is the rules' action buffer: a step appends past the actions of
+	// the steps it runs inside and truncates back when it is done.
+	acts      []mastership.Action
+	replaying bool // folding the journal: no action but Store runs
 
 	// Cached handles into env.Metrics(): engine.promotions counts
 	// replica→master failover promotions, engine.rounds counts completed
@@ -276,7 +248,9 @@ func (e *Engine) Receive(from transport.Addr, msg any) {
 		return
 	}
 	if p, ok := msg.(masterPing); ok {
-		e.handleMasterPing(p)
+		if r := e.roles[p.App]; r != nil {
+			e.step(p.App, r, event{Kind: mastership.Ping, From: ring.Contact{Addr: p.From}})
+		}
 		return
 	}
 	if _, ok := msg.(ring.Message); ok {
@@ -311,10 +285,8 @@ func (e *Engine) Subscribe(app AppID, shard *ml.Dataset, restricted bool) error 
 				e.Self().Addr, e.Self().ID.ZonePrefix(e.opts.ZoneBits), app.ZonePrefix(e.opts.ZoneBits))
 		}
 	}
-	rec := walSub{App: app, Restricted: restricted}
-	e.apply(rec)
-	e.workers[app].shard = shard
-	e.journal(rec)
+	put(&e.workers, app, &workerState{shard: shard, restricted: restricted})
+	e.journal(walSub{App: app, Restricted: restricted})
 	e.ps.Subscribe(app)
 	return nil
 }
@@ -326,9 +298,8 @@ func (e *Engine) SubscribeTopic(app AppID) { e.ps.Subscribe(app) }
 //
 //lint:ignore unused Subscribe's inverse: the journal's walUnsub record and pubsub's tree leave exist for it
 func (e *Engine) Unsubscribe(app AppID) {
-	rec := walUnsub{App: app}
-	e.apply(rec)
-	e.journal(rec)
+	delete(e.workers, app)
+	e.journal(walUnsub{App: app})
 	e.ps.Unsubscribe(app)
 }
 
@@ -349,7 +320,7 @@ func (e *Engine) Aggregate(app AppID, round int, obj any) { e.ps.SubmitUpdate(ap
 func (e *Engine) OnTimer(app AppID, interval time.Duration, fn func(TimerInfo)) (cancel func()) {
 	return transport.Every(e.env, interval, func() bool {
 		info := TimerInfo{App: app, Now: e.env.Now()}
-		if m, ok := e.masters[app]; ok {
+		if m := e.master(app); m != nil {
 			info.Round = m.Round
 			info.Done = m.Done
 			if n := len(m.Points); n > 0 {
@@ -363,16 +334,23 @@ func (e *Engine) OnTimer(app AppID, interval time.Duration, fn func(TimerInfo)) 
 
 // IsMaster reports whether this node is the application's master.
 func (e *Engine) IsMaster(app AppID) bool {
-	_, ok := e.masters[app]
-	return ok
+	return e.master(app) != nil
+}
+
+// master is this node's mastership of app, or nil.
+func (e *Engine) master(app AppID) *replicaMsg {
+	if r := e.roles[app]; r != nil {
+		return r.Master
+	}
+	return nil
 }
 
 // Progress returns the master-side training trajectory for an app, built
 // afresh from the mastership's image on each call; its Points alias the
 // master's own.
 func (e *Engine) Progress(app AppID) (*workload.Progress, bool) {
-	m, ok := e.masters[app]
-	if !ok {
+	m := e.master(app)
+	if m == nil {
 		return nil, false
 	}
 	return &workload.Progress{App: m.Spec.Name, Points: m.Points, Done: m.DoneAt, Reached: m.Reached}, true
@@ -380,8 +358,8 @@ func (e *Engine) Progress(app AppID) (*workload.Progress, bool) {
 
 // GlobalParams returns a copy of the master's current global parameters.
 func (e *Engine) GlobalParams(app AppID) ([]float64, bool) {
-	m, ok := e.masters[app]
-	if !ok {
+	m := e.master(app)
+	if m == nil {
 		return nil, false
 	}
 	return append([]float64(nil), m.Global...), true
@@ -394,14 +372,11 @@ func (e *Engine) GlobalParams(app AppID) ([]float64, bool) {
 func (e *Engine) Deliver(d ring.Delivery) {
 	switch p := d.Payload.(type) {
 	case announceMsg:
-		e.becomeMaster(p.Spec)
+		// Early subscribers splice below the claimed root.
+		fresh := &replicaMsg{Spec: p.Spec, Global: append([]float64(nil), p.Spec.InitParams...)}
+		e.step(p.Spec.ID, e.roleOf(p.Spec.ID), event{Kind: mastership.Announce, Image: fresh})
 	case startMsg:
-		e.maybePromote(p.App)
-		if m, ok := e.masters[p.App]; ok && !m.Started && !m.Done {
-			m.Started = true
-			e.ack(m)
-			e.beginRound(m)
-		}
+		e.probe(p.App, mastership.Start)
 	default:
 		// Tree traffic arriving at the rendezvous node: if the previous
 		// master died and we hold its replica, this is the moment the ring
@@ -409,9 +384,9 @@ func (e *Engine) Deliver(d ring.Delivery) {
 		// claims the root, so the tree and the FL master move together.
 		switch q := d.Payload.(type) {
 		case pubsub.JoinMsg:
-			e.maybePromote(q.Topic)
+			e.probe(q.Topic, mastership.Probe)
 		case pubsub.PublishMsg:
-			e.maybePromote(q.Topic)
+			e.probe(q.Topic, mastership.Probe)
 		}
 		e.ps.Deliver(d)
 	}
@@ -420,43 +395,6 @@ func (e *Engine) Deliver(d ring.Delivery) {
 // Forward delegates to the pub/sub layer (JOIN interception).
 func (e *Engine) Forward(d *ring.Delivery, next ring.Contact) bool {
 	return e.ps.Forward(d, next)
-}
-
-func (e *Engine) becomeMaster(spec AppSpec) {
-	if e.maybePromote(spec.ID) {
-		return // a re-announced app resumes from the replica, not a fresh start
-	}
-	if _, dup := e.masters[spec.ID]; dup {
-		return
-	}
-	m := &masterState{replicaMsg: replicaMsg{Spec: spec, Global: append([]float64(nil), spec.InitParams...)}}
-	put(&e.masters, spec.ID, m)
-	e.claim(m) // early subscribers splice below us
-}
-
-func (e *Engine) beginRound(m *masterState) {
-	m.Round++
-	m.inFlight = true
-	e.journal(walRound{App: m.Spec.ID, Round: m.Round})
-	params := append([]float64(nil), m.Global...)
-	e.ps.Publish(m.Spec.ID, roundStart{
-		App:           m.Spec.ID,
-		Round:         m.Round,
-		Sizes:         m.Spec.Sizes,
-		Params:        params,
-		Cfg:           m.Spec.Cfg,
-		Participation: m.Spec.Participation,
-		Compressor:    m.Spec.Compressor,
-		TopK:          m.Spec.TopK,
-		NoiseSigma:    m.Spec.NoiseSigma,
-		Seed:          m.Spec.Seed,
-	})
-}
-
-// still reports whether m is this node's live, unfinished mastership of its
-// app at the given round: the guard of every timer armed for that round.
-func (e *Engine) still(m *masterState, round int) bool {
-	return e.masters[m.Spec.ID] == m && !m.Done && m.Round == round
 }
 
 // --- pub/sub upcalls ---
@@ -472,10 +410,25 @@ func (e *Engine) onDeliver(app ids.ID, obj any, depth int, subscriber bool) {
 }
 
 func (e *Engine) combine(app ids.ID, a, b any) any {
-	if _, ok := a.(updateAgg); ok {
-		return mergeUpdates(a, b)
+	ua, okA := a.(updateAgg)
+	ub, okB := b.(updateAgg)
+	if okA && okB {
+		// A partial that decodes but cannot merge is dropped where it
+		// enters, and the other side goes on: one without an aggregate, or
+		// one whose model size differs from the aggregate it meets.
+		switch {
+		case ua.Acc == nil && ub.Acc == nil:
+			e.reject(2)
+			return nil
+		case ua.Acc == nil:
+			e.reject(1)
+			return b
+		case ub.Acc == nil || len(ub.Acc.WeightedSum) != len(ua.Acc.WeightedSum):
+			e.reject(1)
+			return a
+		}
 	}
-	if _, ok := b.(updateAgg); ok {
+	if okA || okB {
 		return mergeUpdates(a, b)
 	}
 	if e.cb.Combine != nil {
@@ -485,16 +438,30 @@ func (e *Engine) combine(app ids.ID, a, b any) any {
 }
 
 func (e *Engine) onAggregate(app ids.ID, round int, obj any, count int) {
-	m, isMaster := e.masters[app]
+	r := e.roles[app]
 	u, isUpdate := obj.(updateAgg)
-	if isMaster && (isUpdate || obj == nil) {
-		e.completeRound(m, round, u)
+	if r != nil && r.Master != nil && (isUpdate || obj == nil) {
+		if u.Acc != nil && len(u.Acc.WeightedSum) != len(r.Master.Global) {
+			e.reject(1)
+			u = updateAgg{}
+		}
+		n := 0
+		if u.Acc != nil {
+			n = u.Acc.Count
+		}
+		r.flush = u
+		e.step(app, r, event{Kind: mastership.Flush, Round: round, Count: n})
+		r.flush = updateAgg{}
 		return
 	}
 	if e.cb.OnAggregate != nil {
 		e.cb.OnAggregate(app, round, obj, count)
 	}
 }
+
+// reject counts partials dropped for their shape. The counter is
+// registered by the first drop, so a run that drops none does not list it.
+func (e *Engine) reject(n int64) { e.env.Metrics().Counter("fl.rejected_partials").Add(n) }
 
 // handleRoundStart is every tree member's reaction to a round broadcast:
 // train and contribute if selected, otherwise report an empty
@@ -561,135 +528,6 @@ func (e *Engine) trainRound(app ids.ID, rs roundStart, w *workerState) {
 		}
 		e.ps.SubmitUpdate(app, rs.Round, agg)
 	})
-}
-
-func (e *Engine) completeRound(m *masterState, round int, u updateAgg) {
-	if m.Done || round != m.Round {
-		return // stale flush, or supplementary partial for a committed round
-	}
-	// Fold this flush into the round's pending aggregate: while the round
-	// is held below quorum, every later flush delivers a disjoint
-	// supplementary partial (upstream dedup guarantees disjointness), and
-	// the commit must merge them all.
-	if u.Acc != nil && u.Acc.Count > 0 {
-		if m.pending.Acc == nil {
-			m.pending = u
-		} else if merged, ok := mergeUpdates(m.pending, u).(updateAgg); ok {
-			m.pending = merged
-		}
-	}
-	count := 0
-	if m.pending.Acc != nil {
-		count = m.pending.Acc.Count
-	}
-	quorum := m.Spec.MinParticipants
-	if quorum < 1 {
-		quorum = 1 // never commit a zero-participant round unheld (vacuous-master guard)
-	}
-	if count < quorum {
-		if m.holds < maxRoundHolds {
-			// Below quorum. Hold the round open instead of committing a
-			// nearly-empty step: the round stays in flight, so supplementary
-			// partials (a straggler subtree, workers rejoining after a
-			// partition heals) re-enter here and commit for real — and a
-			// master promoted into an empty tree stalls harmlessly until
-			// reconciliation demotes it, rather than racing to MaxRounds on
-			// an untrained model.
-			m.holds++
-			e.env.Metrics().Counter("fl.round_holds").Inc()
-			wait := m.Spec.RoundDeadline
-			if wait <= 0 {
-				wait = time.Second
-			}
-			epoch := m.Epoch
-			e.env.After(wait, func() {
-				if e.still(m, round) && m.inFlight && m.Epoch == epoch {
-					e.completeRound(m, round, updateAgg{})
-				}
-			})
-			return
-		}
-		if m.Spec.MinParticipants > 1 && m.retriedRound != round {
-			// Holds exhausted and still below quorum: the missing updates
-			// are not late, they are gone (the usual cause is partials lost
-			// inside failed interior aggregators). Re-run the round once
-			// under a bumped epoch instead of committing a starved step.
-			e.retryRound(m, round)
-			return
-		}
-		// Liveness: after maxRoundHolds deadlines (and at most one retry)
-		// the round commits whatever it merged — participation sampling may
-		// legitimately select no one, or the fleet has genuinely shrunk.
-	}
-	u = m.pending
-	m.pending = updateAgg{}
-	m.inFlight = false
-	m.holds = 0
-	participants := 0
-	if u.Acc != nil {
-		u.Acc.ApplyMean(m.Global)
-		participants = u.Acc.Count
-		fl.Recycle(u.Acc) // its last reader (DESIGN.md §4.1)
-	}
-	acc := 0.0
-	if e.opts.Eval != nil {
-		acc = e.opts.Eval(m.Spec.ID, m.Global)
-	}
-	now := e.env.Now()
-	// Round telemetry is emitted here, on the event loop, so it stays
-	// deterministic under the simulator (never from training goroutines).
-	reg := e.env.Metrics()
-	e.ctrRounds.Inc()
-	reg.Counter("fl.rounds").Inc()
-	reg.Counter("fl.participants").Add(int64(participants))
-	reg.Counter("fl.update_bytes").Add(int64(u.Bytes))
-	reg.Histogram("fl.update_size", obs.ByteBuckets).Observe(float64(u.Bytes))
-	reg.Gauge("fl.accuracy").Set(acc)
-	m.Points = append(m.Points, workload.AccuracyPoint{
-		Time: now, Round: m.Round, Accuracy: acc, Participants: participants,
-	})
-	if e.AckHook != nil {
-		e.AckHook(m.Spec.ID, m.Epoch, m.Round, participants, true)
-	}
-	reached := m.Spec.TargetAccuracy > 0 && acc >= m.Spec.TargetAccuracy
-	if reached || m.Round >= m.Spec.MaxRounds {
-		m.Done = true
-		m.DoneAt = now
-		m.Reached = reached
-	}
-	// The committed round is journaled before anything is replicated or
-	// broadcast: a crash from here on recovers to this round, not the
-	// previous one. The final replica carries Done, which also stops the
-	// replica holders' ownership-probe loops.
-	e.ack(m)
-	if !m.Done {
-		e.beginRound(m)
-	}
-}
-
-// retryRound re-runs a round that stayed below quorum through every hold.
-// Holding longer cannot help: the missing client updates were typically
-// merged into partials that died with a failed interior aggregator, and
-// once partials have merged no resend can be deduplicated — a raw resend
-// risks counting a client twice. So the master aborts the round's
-// aggregation instance wholesale: it bumps its mastership epoch (exactly
-// like a failover promotion onto itself), which makes every hop's
-// upstream epoch gate discard the aborted instance's partials — dropped,
-// never merged — and re-announces the same round number. Workers retrain
-// deterministically (the per-round rng is derived from (seed, round,
-// client)) and resubmit under the new epoch, so the retried commit is
-// bit-identical to the round the fault erased. completeRound allows one
-// retry per round, keeping liveness bounded.
-func (e *Engine) retryRound(m *masterState, round int) {
-	m.retriedRound = round
-	m.Epoch++
-	m.Round = round - 1 // beginRound advances it back to round
-	m.inFlight = false
-	m.pending = updateAgg{}
-	m.holds = 0
-	e.env.Metrics().Counter("fl.round_retries").Inc()
-	e.claim(m)
-	e.beginRound(m)
 }
 
 // put stores m[k] = v, creating the map for its first entry.

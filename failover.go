@@ -3,7 +3,9 @@ package totoro
 import (
 	"time"
 
-	"totoro/internal/ids"
+	"totoro/internal/fl"
+	"totoro/internal/mastership"
+	"totoro/internal/obs"
 	"totoro/internal/pubsub"
 	"totoro/internal/ring"
 	"totoro/internal/transport"
@@ -37,34 +39,26 @@ func (r replicaMsg) WireSize() int {
 	return 64 + r.Spec.WireSize() + 8*len(r.Global) + 32*len(r.Points)
 }
 
-// newerReplica reports whether a supersedes b.
-func newerReplica(a, b replicaMsg) bool {
-	if a.Epoch != b.Epoch {
-		return a.Epoch > b.Epoch
-	}
-	if a.Round != b.Round {
-		return a.Round > b.Round
-	}
-	if a.Done != b.Done {
-		return a.Done
-	}
-	if a.Started != b.Started {
-		return a.Started
-	}
-	return true // same version: accept the fresher copy
+// Stamp, SetStamp, Rules and Own make *replicaMsg a mastership.Image.
+func (r *replicaMsg) Stamp() mastership.Stamp {
+	return mastership.Stamp{Master: r.Master, Epoch: r.Epoch, Round: r.Round,
+		Started: r.Started, Done: r.Done, Reached: r.Reached, DoneAt: r.DoneAt}
 }
 
-// masterImage is a mastership's image stamped with this node as its
-// master: the unit of both network replication (replicate) and durable
-// journaling (walMaster/walSnapshot in durable.go). The stamp matters — a
-// promoted or replayed mastership still carries whoever sent its image.
-// The image aliases m's model and trajectory, which the master goes on
-// updating in place: stores encode synchronously, and whatever sends an
-// image sends an own() copy.
-func (e *Engine) masterImage(m *masterState) replicaMsg {
-	img := m.replicaMsg
-	img.Master = e.self
-	return img
+func (r *replicaMsg) SetStamp(v mastership.Stamp) {
+	r.Master, r.Epoch, r.Round = v.Master, v.Epoch, v.Round
+	r.Started, r.Done, r.Reached, r.DoneAt = v.Started, v.Done, v.Reached, v.DoneAt
+}
+
+func (r *replicaMsg) Rules() mastership.Rules {
+	return mastership.Rules{Quorum: r.Spec.MinParticipants, MaxRounds: r.Spec.MaxRounds, Target: r.Spec.TargetAccuracy}
+}
+
+// Own copies an image into a mastership (promotion, journal replay): a
+// master updates its model in place, and an image may be shared.
+func (r *replicaMsg) Own() mastership.Image {
+	c := r.own()
+	return &c
 }
 
 // own returns r with its own copy of the model and the trajectory.
@@ -74,50 +68,16 @@ func (r replicaMsg) own() replicaMsg {
 	return r
 }
 
-// claim is the one way to take a mastership — announce, failover
-// promotion, quorum retry, restart re-claim: journal the image, claim the
-// tree root under m.Epoch, drop this node's stale rounds, replicate.
-func (e *Engine) claim(m *masterState) {
-	img := e.masterImage(m)
-	// Journal before any network action: a crash from here on recovers as
-	// master at this epoch and re-runs the takeover — never as a node that
-	// half-claimed a root, and never into an epoch it has abandoned.
-	e.journal(walMaster{Rep: img})
-	// Claiming installs the owner's tree parameters (fanout cap, semi-sync
-	// round deadline). A bumped epoch restarts the tree's multicast stream:
-	// members reset their dedup and per-round aggregation state instead of
-	// swallowing the new root's sequence numbers (which restart from 1) as
-	// replays of its predecessor's until they pass the old high-water mark.
-	e.ps.CreateWithConfig(m.Spec.ID, pubsub.TreeConfig{
-		MaxFanout:  m.Spec.TreeFanout,
-		AggTimeout: m.Spec.RoundDeadline,
-		Epoch:      uint64(m.Epoch),
-	})
-	// From its life as an interior node, or from the instance a retry
-	// aborts, this node may hold aggRounds already marked flushed; a
-	// re-announced round must aggregate fresh. A no-op on a new topic.
-	e.ps.ResetRounds(m.Spec.ID)
-	e.replicate(img)
-}
-
-// ack acknowledges the master's current state — training started, a round
-// committed: journal the image, then replicate it.
-func (e *Engine) ack(m *masterState) {
-	img := e.masterImage(m)
-	e.journal(walMaster{Rep: img})
-	e.replicate(img)
-}
-
-// committedImage is masterImage as of the last committed round. claim and
-// ack only run between rounds, but a snapshot or a ping can catch the
-// master mid-round, and an image claiming the in-flight round would put a
-// replica ahead of the master's acks: the round's aggregate dies with its
-// master anyway, and whoever takes over re-runs it.
-func (e *Engine) committedImage(m *masterState) replicaMsg {
-	img := e.masterImage(m)
-	if m.inFlight {
-		img.Round--
-	}
+// image is m's image at stamp v with this node as its master: the unit of
+// both network replication and durable journaling. The stamp matters — a
+// promoted or replayed mastership still carries whoever sent its image.
+// The image aliases m's model and trajectory, which the master goes on
+// updating in place: stores encode synchronously, and whatever sends an
+// image sends an own() copy.
+func (e *Engine) image(m *replicaMsg, v mastership.Stamp) replicaMsg {
+	img := *m
+	img.SetStamp(v)
+	img.Master = e.self
 	return img
 }
 
@@ -140,84 +100,6 @@ func (e *Engine) replicate(img replicaMsg) {
 	}
 }
 
-// yieldTo and keepReplica are the one statement of the epoch rules. They
-// touch only the role maps: handleReplica runs them on an image from the
-// network and acts on the outcome, WAL replay (apply) on a journaled one.
-//
-// yieldTo is the mastership half: does this node's mastership of the app,
-// if it has one, survive the image? beat is the mastership that outranks
-// the image (or that the image merely echoes) — the image goes no further;
-// demoted reports that the image ended it.
-func (e *Engine) yieldTo(rep replicaMsg) (beat *masterState, demoted bool) {
-	app := rep.Spec.ID
-	m, ok := e.masters[app]
-	switch {
-	case !ok:
-		return nil, false
-	case rep.Epoch < m.Epoch:
-		return m, false
-	case rep.Epoch == m.Epoch:
-		if rep.Master.Addr == e.self.Addr {
-			return m, false // echo of our own replication
-		}
-		// Two masters promoted from the same replica (inconsistent ring
-		// views). Deterministic tie-break: the one closer to the app key
-		// is the rightful rendezvous node; the other steps down.
-		if ids.Closer(app, e.self.ID, rep.Master.ID) {
-			return m, false
-		}
-	}
-	// A higher-epoch master exists (we are a revived old master or lost an
-	// epoch race), or we lost the tie-break: step down. Our in-flight round
-	// dies with the demotion — the replica we keep is the winner's image, so
-	// nothing of our divergent state merges into the app.
-	delete(e.masters, app)
-	return nil, true
-}
-
-// keepReplica is the replica half: the image is stored unless the one
-// already held supersedes it.
-func (e *Engine) keepReplica(rep replicaMsg) bool {
-	app := rep.Spec.ID
-	if cur, ok := e.replicas[app]; ok && !newerReplica(rep, *cur) {
-		return false
-	}
-	delete(e.suspect, app) // a fresh image is proof of a live master
-	put(&e.replicas, app, &rep)
-	return true
-}
-
-// handleReplica stores (or refreshes) a replica, demoting this node first
-// if the replica proves a higher-epoch master exists elsewhere.
-func (e *Engine) handleReplica(rep replicaMsg) {
-	app := rep.Spec.ID
-	// Journal first: replay folds the record through the same two rules,
-	// reaching the masters/replicas split a live engine holds.
-	e.journal(walReplica{Rep: rep})
-	beat, demoted := e.yieldTo(rep)
-	if beat != nil {
-		// A stale master is still replicating: a partition healed and the
-		// loser of an epoch race (or of the same-epoch tie-break) doesn't
-		// know it lost. Beat it back with our image, straight to the sender
-		// — yieldTo on its side demotes it. Without this reply the loser
-		// only reconciles if it happens to sit in our leaf set; with it,
-		// heal resolves within one of the loser's replication attempts.
-		if rep.Master.Addr != e.self.Addr && rep.Master.Addr != "" {
-			e.env.Send(rep.Master.Addr, e.masterImage(beat).own())
-		}
-		return
-	}
-	if demoted {
-		// Before the image is stored: a subscribed root re-joins through
-		// the ring, which can route the JOIN straight back to this node,
-		// and maybePromote must then find nothing to promote from.
-		e.ps.Disown(app)
-	}
-	if e.keepReplica(rep) && rep.Started && !rep.Done {
-		e.ensureReplicaCheck(app)
-	}
-}
-
 // masterPing asks an application's last-known master to prove it is still
 // alive and in charge. A replica holder sends it before promoting itself:
 // overlay routing state can scrub a live master on a single dropped
@@ -225,7 +107,7 @@ func (e *Engine) handleReplica(rep replicaMsg) {
 // spurious higher-epoch lineage that — by the epoch rule — later *wins*
 // reconciliation with nearly untrained state. The master answers with its
 // current image (a replicaMsg), which both refreshes the replica and
-// resets the holder's suspicion; silence across masterProbeTries
+// resets the holder's suspicion; silence across the rules' probeTries
 // consecutive checks clears the node to promote.
 type masterPing struct {
 	App  AppID
@@ -234,87 +116,197 @@ type masterPing struct {
 
 func (masterPing) WireSize() int { return 24 }
 
-// masterProbeTries is how many consecutive unanswered masterPings a
-// replica holder needs before concluding the master is gone. Two checks
-// tolerate one dropped ping or reply without delaying real failover by
-// more than one ReplicaCheckInterval.
-const masterProbeTries = 2
+// handleReplica offers a master's image to the epoch rules. It is its own
+// function so that only a replica escapes to the heap, not every message.
+func (e *Engine) handleReplica(rep replicaMsg) { e.offer(&rep) }
 
-// handleMasterPing answers a replica holder's liveness probe: if this node
-// masters the app, reply with the current image (proof plus refresh).
-// Anything else stays silent — the prober's timeout is the signal.
-func (e *Engine) handleMasterPing(p masterPing) {
-	m, ok := e.masters[p.App]
-	if !ok || p.From == e.self.Addr || p.From == "" {
-		return
-	}
-	e.env.Send(p.From, e.committedImage(m).own())
-}
-
-// ensureReplicaCheck runs a periodic ownership probe while this node holds
-// a replica of a live (started, unfinished) application: if the ring now
-// routes the app key to us — the master died and was scrubbed from our
-// routing state — we promote. The loop stops as soon as the replica is
-// gone, finished, or we became master, so it never keeps the event queue
-// busy after training ends (replicas of finished apps carry Done).
-func (e *Engine) ensureReplicaCheck(app AppID) {
-	if e.checking[app] {
-		return
-	}
-	put(&e.checking, app, true)
-	transport.Every(e.env, e.opts.ReplicaCheckInterval, func() bool {
-		if rep, ok := e.replicas[app]; !ok || rep.Done || e.IsMaster(app) || e.maybePromote(app) {
-			delete(e.checking, app)
-			return false
-		}
-		return true
-	})
-}
-
-// maybePromote makes this node the application's master from its stored
-// replica — but only if the ring says this node now owns the app key
-// (NextHop returns no hop). It claims the mastership at a higher epoch
-// (demoting a revived predecessor) and resumes rounds after a grace period
-// that lets orphaned workers re-attach.
-func (e *Engine) maybePromote(app AppID) bool {
-	rep, ok := e.replicas[app]
-	if !ok {
-		return false
-	}
-	if _, already := e.masters[app]; already {
-		return false
-	}
-	if !e.ring.NextHop(app).IsZero() {
-		delete(e.suspect, app) // the key routes elsewhere: not our call
-		return false
-	}
-	// The ring routes the key to us — but that alone is weak evidence of
-	// the master's death (see masterPing). Probe it directly and only
-	// promote after masterProbeTries consecutive silent checks; any image
-	// it sends back lands in handleReplica, which clears the suspicion.
-	if rep.Master.Addr != "" && rep.Master.Addr != e.self.Addr {
-		if tries := e.suspect[app]; tries < masterProbeTries {
-			put(&e.suspect, app, tries+1)
-			e.env.Send(rep.Master.Addr, masterPing{App: app, From: e.self.Addr})
-			return false
+// offer steps an image through the epoch rule. It alone executes Disown,
+// whose re-JOIN can route back into Deliver: no step Deliver runs may
+// Disown in turn.
+func (e *Engine) offer(rep *replicaMsg) {
+	app := rep.Spec.ID
+	r := e.roleOf(app)
+	ev := event{Kind: mastership.Offer, Image: rep}
+	base := e.plan(app, r, &ev)
+	for i, end := base, len(e.acts); i < end; i++ {
+		if a := e.acts[i]; a.Op != mastership.Disown {
+			e.do(app, r, ev, a)
+		} else if !e.replaying {
+			r.pending = updateAgg{}
+			e.ps.Disown(app)
 		}
 	}
-	delete(e.suspect, app)
-	delete(e.replicas, app)
-	m := masterFromImage(*rep)
-	m.Epoch++ // demotes a revived predecessor
-	put(&e.masters, app, m)
-	e.ctrPromotions.Inc()
-	e.claim(m)
-	if m.Started && !m.Done {
-		round := m.Round
-		e.env.After(e.opts.FailoverGrace, func() {
-			// Resume only if nothing else moved the app meanwhile (we could
-			// have been demoted, or a round could already be in flight).
-			if e.still(m, round) {
-				e.beginRound(m)
-			}
+	e.acts = e.acts[:base]
+}
+
+// roleOf returns app's entry in the role map, creating it.
+func (e *Engine) roleOf(app AppID) *role {
+	r := e.roles[app]
+	if r == nil {
+		r = &role{}
+		put(&e.roles, app, r)
+	}
+	return r
+}
+
+// probe steps ev's kind for an app this node holds a role in.
+func (e *Engine) probe(app AppID, kind mastership.Kind) {
+	if r := e.roles[app]; r != nil {
+		e.step(app, r, event{Kind: kind})
+	}
+}
+
+// step runs one event through the mastership rules and executes their
+// actions in order.
+func (e *Engine) step(app AppID, r *role, ev event) {
+	base := e.plan(app, r, &ev)
+	for i, end := base, len(e.acts); i < end; i++ {
+		e.do(app, r, ev, e.acts[i])
+	}
+	e.acts = e.acts[:base]
+}
+
+// plan runs the rules on ev, appending their actions to e.acts past those
+// of the steps it runs inside, and returns where its own start. The rules
+// learn whether the ring routes the app here only when they could promote.
+func (e *Engine) plan(app AppID, r *role, ev *event) int {
+	ev.Self, ev.App = e.self, app
+	if r.Role() == mastership.Holder && e.ring != nil {
+		ev.Owns = e.ring.NextHop(app).IsZero()
+	}
+	base := len(e.acts)
+	e.acts = mastership.Step(&r.State, *ev, e.acts)
+	return base
+}
+
+// do executes one action of the rules. While the journal is replayed only
+// the state counts: the journal holds the records being folded and the
+// network is not up, so Store, an Offer's second half, is all that runs.
+// Timers capture the mastership that armed them, and the rules ignore a
+// timer whose mastership has gone.
+func (e *Engine) do(app AppID, r *role, ev event, a mastership.Action) {
+	if e.replaying && a.Op != mastership.Store {
+		return
+	}
+	m, round := r.Master, a.Stamp.Round
+	switch a.Op {
+	case mastership.Journal:
+		// Before any network action: a crash from here on recovers as
+		// master at this epoch, never as a node that half-claimed a root.
+		e.journal(walMaster{Rep: e.image(m, a.Stamp)})
+	case mastership.JournalRound:
+		e.journal(walRound{App: app, Round: round})
+	case mastership.JournalOffer:
+		e.journal(walReplica{Rep: *ev.Image})
+	case mastership.Claim:
+		// Claiming installs the owner's tree parameters. A bumped epoch
+		// restarts the tree's multicast stream, and the rounds this node
+		// flushed as an interior node, or in the instance a retry aborts,
+		// must aggregate afresh.
+		e.ps.CreateWithConfig(app, pubsub.TreeConfig{
+			MaxFanout:  m.Spec.TreeFanout,
+			AggTimeout: m.Spec.RoundDeadline,
+			Epoch:      uint64(a.Stamp.Epoch),
 		})
+		e.ps.ResetRounds(app)
+	case mastership.Replicate:
+		e.replicate(e.image(m, a.Stamp))
+	case mastership.Publish:
+		e.ps.Publish(app, roundStart{
+			App:           app,
+			Round:         round,
+			Sizes:         m.Spec.Sizes,
+			Params:        append([]float64(nil), m.Global...),
+			Cfg:           m.Spec.Cfg,
+			Participation: m.Spec.Participation,
+			Compressor:    m.Spec.Compressor,
+			TopK:          m.Spec.TopK,
+			NoiseSigma:    m.Spec.NoiseSigma,
+			Seed:          m.Spec.Seed,
+		})
+	case mastership.Fold:
+		if r.pending.Acc == nil {
+			r.pending = r.flush
+		} else if merged, ok := mergeUpdates(r.pending, r.flush).(updateAgg); ok {
+			r.pending = merged
+		}
+	case mastership.Hold:
+		e.env.Metrics().Counter("fl.round_holds").Inc()
+		wait := m.Spec.RoundDeadline
+		if wait <= 0 {
+			wait = time.Second
+		}
+		epoch := a.Stamp.Epoch
+		e.env.After(wait, func() {
+			e.step(app, r, event{Kind: mastership.Deadline, Image: m, Round: round, Epoch: epoch})
+		})
+	case mastership.Retry:
+		e.env.Metrics().Counter("fl.round_retries").Inc()
+		r.pending = updateAgg{}
+	case mastership.Commit:
+		e.commit(app, r, a)
+	case mastership.Promoted:
+		e.ctrPromotions.Inc()
+	case mastership.ArmGrace:
+		e.env.After(e.opts.FailoverGrace, func() {
+			e.step(app, r, event{Kind: mastership.Grace, Image: m, Round: round})
+		})
+	case mastership.ArmTick:
+		e.env.After(e.opts.FailoverGrace, func() {
+			info, ok := e.ps.TreeInfo(app)
+			e.step(app, r, event{Kind: mastership.Grace, Image: m, Round: round, Empty: ok && len(info.Children) == 0})
+		})
+	case mastership.ArmCheck:
+		if r.check == nil {
+			// One closure for the life of the role: a holder re-arms it
+			// every interval.
+			r.check = func() {
+				r.checking = false
+				e.step(app, r, event{Kind: mastership.Check})
+			}
+		}
+		if !r.checking {
+			r.checking = true
+			e.env.After(e.opts.ReplicaCheckInterval, r.check)
+		}
+	case mastership.Store:
+		e.step(app, r, event{Kind: mastership.Keep, Image: ev.Image})
+	case mastership.SendImage:
+		e.env.Send(a.To.Addr, e.image(m, a.Stamp).own())
+	case mastership.SendPing:
+		e.env.Send(a.To.Addr, masterPing{App: app, From: e.self.Addr})
 	}
-	return true
+}
+
+// commit applies a committed round's aggregate to the model, records the
+// round and evaluates the model: the work between the rules' quorum
+// decision and their Done decision, which takes the accuracy as input.
+func (e *Engine) commit(app AppID, r *role, a mastership.Action) {
+	m, u := r.Master, r.pending
+	r.pending = updateAgg{}
+	if u.Acc != nil {
+		u.Acc.ApplyMean(m.Global)
+		fl.Recycle(u.Acc) // its last reader (DESIGN.md §4.1)
+	}
+	acc := 0.0
+	if e.opts.Eval != nil {
+		acc = e.opts.Eval(app, m.Global)
+	}
+	now := e.env.Now()
+	// Round telemetry is emitted here, on the event loop, so it stays
+	// deterministic under the simulator (never from training goroutines).
+	reg := e.env.Metrics()
+	e.ctrRounds.Inc()
+	reg.Counter("fl.rounds").Inc()
+	reg.Counter("fl.participants").Add(int64(a.Count))
+	reg.Counter("fl.update_bytes").Add(int64(u.Bytes))
+	reg.Histogram("fl.update_size", obs.ByteBuckets).Observe(float64(u.Bytes))
+	reg.Gauge("fl.accuracy").Set(acc)
+	m.Points = append(m.Points, workload.AccuracyPoint{
+		Time: now, Round: a.Stamp.Round, Accuracy: acc, Participants: a.Count,
+	})
+	if e.AckHook != nil {
+		e.AckHook(app, a.Stamp.Epoch, a.Stamp.Round, a.Count, true)
+	}
+	e.step(app, r, event{Kind: mastership.Evaluated, Accuracy: acc, Now: now})
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"totoro/internal/ids"
+	"totoro/internal/mastership"
 	"totoro/internal/pubsub"
 	"totoro/internal/ring"
 	"totoro/internal/simnet"
@@ -210,5 +211,64 @@ func TestMasterFailoverIsDeterministic(t *testing.T) {
 		if a.prog.Points[i] != b.prog.Points[i] {
 			t.Fatalf("round %d diverged: %+v vs %+v", i+1, a.prog.Points[i], b.prog.Points[i])
 		}
+	}
+}
+
+// TestBeatBackPlantsReplicaAhead replays the explorer's class (e) finding
+// (internal/mastership, TestExplorerFindings) through live engines on a
+// three-node cluster, and the always-on checker reports it. n0 masters the
+// app and its start ack reaches n1; n0 is cut off; n1 promotes at epoch 1
+// and begins round 1; the partition heals and n0's claim image, delayed,
+// reaches n1; n1 beats it back with the image of its round in flight (bug
+// (ii)), and n0 keeps round 1 of epoch 1 as its replica, ahead of every
+// ack. This is the regression seed for the fix of bug (ii), which flips it:
+// the beat-back then carries the committed image.
+func TestBeatBackPlantsReplicaAhead(t *testing.T) {
+	var v *simnet.InvariantViolation
+	c := NewCluster(ClusterConfig{
+		N: 3, Seed: 1, Ring: ring.Config{B: 4},
+		Replicas: 2, ReplicaCheckInterval: 100 * time.Millisecond, FailoverGrace: 100 * time.Millisecond,
+		OnViolation: func(got *simnet.InvariantViolation) { v = got },
+	})
+	app := testApps(1, 1)[0]
+	id := NewAppID(app.Name, "cluster")
+	n := []int{0, 1, 2}
+	sort.Slice(n, func(a, b int) bool { return ids.Closer(id, c.Engines[n[a]].Self().ID, c.Engines[n[b]].Self().ID) })
+	n0, n1 := c.Engines[n[0]], c.Engines[n[1]]
+	c.Deploy(app, n[2], n[1:])
+	m := n0.master(id)
+	if m == nil || m.Started {
+		t.Fatalf("%s does not hold the unstarted mastership", n0.Self().Addr)
+	}
+	claim := n0.image(m, m.Stamp()).own() // the image n0 replicated when it claimed the app
+	c.StartChaos(ChaosConfig{})
+	c.StartMaintenance(100 * time.Millisecond)
+	n0.StartTraining(id)
+	for rep := n1.roles[id].Replica; !rep.Started; rep = n1.roles[id].Replica {
+		c.Net.Run(c.Net.Now() + 10*time.Millisecond)
+	}
+	if n0.roles[id].Phase != mastership.Collecting {
+		t.Fatalf("%s committed round 1 before the start ack reached %s", n0.Self().Addr, n1.Self().Addr)
+	}
+
+	heal := c.Net.Partition([]transport.Addr{n0.Self().Addr}, []transport.Addr{n1.Self().Addr, c.Engines[n[2]].Self().Addr})
+	for deadline := c.Net.Now() + 10*time.Second; ; {
+		if r := n1.roles[id]; r.Master != nil && r.Master.Epoch == 1 && r.Phase.InFlight() {
+			break
+		}
+		if c.Net.Now() > deadline {
+			t.Fatalf("%s did not promote and begin a round", n1.Self().Addr)
+		}
+		c.Net.Run(c.Net.Now() + 10*time.Millisecond)
+	}
+	heal()
+	n0.env.Send(n1.Self().Addr, claim)
+	for deadline := c.Net.Now() + time.Second; v == nil && c.Net.Now() < deadline; {
+		c.Net.Run(c.Net.Now() + 10*time.Millisecond)
+	}
+	want := "app " + id.Short() + ": " + string(n0.Self().Addr) +
+		" holds replica round 1 at epoch 1 but no master lineage through that epoch acked past round 0 — replica ahead of master acks"
+	if v == nil || v.Err.Error() != want {
+		t.Fatalf("violation %v, want %q", v, want)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // local training, compression, aggregation, apply — with no networking or
 // timing, for the experiments that study the algorithm alone. The engine
 // and the centralized baseline do not go through it: their round handlers
-// (trainRound/completeRound, clientRecv/serverRecv) call the same steps of
+// (trainRound/commit, clientRecv/serverRecv) call the same steps of
 // this package themselves, so their comparison still isolates the system
 // architecture.
 type Session struct {

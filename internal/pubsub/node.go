@@ -1124,8 +1124,9 @@ func (n *Node) handBack(st *topicState) {
 }
 
 // Disown relinquishes tree rootship explicitly. The engine calls it when a
-// master demotes itself (a higher-epoch master exists elsewhere, see
-// handleReplica): the FL mastership and the tree root must move together.
+// master demotes itself (a higher-epoch master exists elsewhere, see the
+// mastership rules' Offer): the FL mastership and the tree root must move
+// together.
 // It is an adopted root's hand-back with the children dropped rather than
 // dragged along: a demoted master is typically one that died and revived,
 // so its children map predates its death — every live child repaired to
