@@ -200,15 +200,14 @@ func (e *Engine) do(app AppID, r *role, ev event, a mastership.Action) {
 		e.journal(walReplica{Rep: *ev.Image})
 	case mastership.Claim:
 		// Claiming installs the owner's tree parameters. A bumped epoch
-		// restarts the tree's multicast stream, and the rounds this node
-		// flushed as an interior node, or in the instance a retry aborts,
-		// must aggregate afresh.
+		// restarts the tree's multicast stream, and the claim drops the
+		// rounds this node flushed as an interior node, or in the instance a
+		// retry aborts, so they aggregate afresh.
 		e.ps.CreateWithConfig(app, pubsub.TreeConfig{
 			MaxFanout:  m.Spec.TreeFanout,
 			AggTimeout: m.Spec.RoundDeadline,
 			Epoch:      uint64(a.Stamp.Epoch),
 		})
-		e.ps.ResetRounds(app)
 	case mastership.Replicate:
 		e.replicate(e.image(m, a.Stamp))
 	case mastership.Publish:

@@ -84,14 +84,6 @@ type TreeConfig struct {
 	Epoch uint64
 }
 
-// merged overlays the tree's overrides on the node defaults.
-func (tc TreeConfig) merged(node Config) TreeConfig {
-	if tc.AggTimeout == 0 {
-		tc.AggTimeout = node.AggTimeout
-	}
-	return tc
-}
-
 // CreateMsg claims the topic's rendezvous node as the tree root (the
 // paper's CreateTree API). Carried in a ring envelope.
 type CreateMsg struct {

@@ -52,49 +52,6 @@ type Handlers struct {
 	OnAggregate func(topic ids.ID, round int, obj any, count int)
 }
 
-// roundHorizon is how many rounds a flushed round is kept behind the newest:
-// a round opened more than roundHorizon rounds after the oldest held one
-// takes over its slot, and from then on a partial for a round below the
-// topic's floor is dropped and counted (pubsub.pruned_partials).
-const roundHorizon = 2
-
-// aggRound tracks one round's in-network aggregation at one node. All of it
-// is cut from the topic's storage (carve), so a round allocates nothing.
-//
-// Once flushed, a round is a tombstone: flush releases combined, kids and
-// cancel, and what stays (flushed, selfDone, count, seen) is what routes
-// stragglers and drops duplicates. The oldest tombstone lives until a round
-// more than roundHorizon newer opens; that round reuses its slot, its words
-// and its seen array, and raises the floor past it, so the round never comes
-// back to life to merge stragglers it must forward.
-type aggRound struct {
-	round int
-	// combined is the aggregate so far. It leaves by reference at the flush,
-	// so from then on it belongs to whoever received it.
-	combined any
-	count    int
-	// kids is the topic's copy-on-write children as the round began; bit i of
-	// reported is set once kids[i] reports, and waiting counts those not set.
-	// words is reported's storage, which outlives the flush for the slot's
-	// next round.
-	kids     []ring.Contact
-	reported []uint64
-	words    []uint64
-	// seen holds every (sender, upstream-seq) pair folded into (or forwarded
-	// for) this round, so a network-duplicated Upstream is dropped, not
-	// double-counted: about one per kid, so a scanned slice sized with kids.
-	seen              []upKey
-	waiting           int32
-	selfDone, flushed bool
-	cancel            func()
-}
-
-// upKey identifies one Upstream emission for dedup.
-type upKey struct {
-	from transport.Addr
-	seq  uint64
-}
-
 // topicState is this node's view of one tree. Its maps are created by their
 // first write.
 type topicState struct {
@@ -261,8 +218,14 @@ func (n *Node) Create(topic ids.ID) { n.CreateWithConfig(topic, TreeConfig{}) }
 
 // CreateWithConfig claims the root and installs the owner's per-tree
 // parameters (fanout cap, aggregation deadline), which propagate to every
-// member as it joins.
+// member as it joins. A claim starts the tree's rounds afresh: a round this
+// node flushed as an interior node, or in an instance a retry aborts, must
+// aggregate again when the new root re-announces it, not route every
+// contribution up as a straggler.
 func (n *Node) CreateWithConfig(topic ids.ID, cfg TreeConfig) {
+	if st, ok := n.topics[topic]; ok {
+		n.dropRounds(st)
+	}
 	// The engine calls this from announce/retry handling, so the Route can
 	// self-deliver CreateMsg synchronously — safe because Deliver's
 	// CreateMsg arm only touches the topic's own state, which this caller
@@ -270,10 +233,6 @@ func (n *Node) CreateWithConfig(topic ids.ID, cfg TreeConfig) {
 	//lint:ignore reentry rendezvous create: synchronous self-delivery lands in Deliver's CreateMsg arm, which reads no caller state mid-update
 	n.ring.Route(topic, CreateMsg{Topic: topic, Creator: n.ring.Self(), Cfg: cfg})
 }
-
-// effCfg is the tree's effective configuration: owner overrides on top of
-// this node's defaults.
-func (n *Node) effCfg(st *topicState) TreeConfig { return st.ownerCfg.merged(n.cfg) }
 
 // Subscribe joins this node to the topic's tree as a worker.
 func (n *Node) Subscribe(topic ids.ID) {
@@ -309,49 +268,6 @@ func (n *Node) maybeLeave(st *topicState) {
 	if n.lastTopic == st {
 		n.lastTopic = nil
 	}
-}
-
-// Publish routes obj to the topic root, which multicasts it down the tree
-// (the Broadcast API: the master disseminates the model to the workers).
-func (n *Node) Publish(topic ids.ID, obj any) {
-	if st, ok := n.topics[topic]; ok && st.isRoot {
-		n.multicast(st, obj)
-		return
-	}
-	// Publishing from inside round handling can self-deliver when this
-	// node turns out to own the topic key: the PublishMsg arm either
-	// multicasts (isRoot, handled above) or adopts root and multicasts —
-	// both read only topic state this caller does not hold half-updated.
-	//lint:ignore reentry rendezvous publish: synchronous self-delivery lands in Deliver's PublishMsg arm, which observes no caller state mid-update
-	n.ring.Route(topic, PublishMsg{Topic: topic, Object: obj})
-}
-
-// SubmitUpdate contributes this node's update for an aggregation round
-// (the Aggregate API). Pass obj == nil to report "nothing to contribute";
-// interior nodes need the report to complete their round.
-func (n *Node) SubmitUpdate(topic ids.ID, round int, obj any) {
-	st := n.state(topic)
-	r := n.round(st, round)
-	if r == nil {
-		return
-	}
-	r.selfDone = true
-	if r.flushed {
-		// Late self-contribution after a timeout flush: r.combined was
-		// already forwarded upstream by reference (the in-memory transport
-		// does not copy messages, and the combiner merges in place), so it
-		// must not be touched. Forward the late object as a supplementary
-		// partial instead, mirroring straggler handling in handleUpstream.
-		if obj != nil {
-			n.forwardUp(st, round, obj, 1)
-		}
-		return
-	}
-	if obj != nil {
-		r.combined = n.combine(topic, r.combined, obj)
-		r.count++
-	}
-	n.maybeFlush(st, round, r)
 }
 
 // --- ring.App implementation ---
@@ -495,12 +411,7 @@ func (n *Node) enforceFanout(st *topicState) {
 			}
 		}
 		st.removeChild(victim.Addr)
-		var target ring.Contact
-		for _, ch := range st.children {
-			if target.IsZero() || ids.Closer(victim.ID, ch.ID, target.ID) {
-				target = ch
-			}
-		}
+		target := st.closestChild(victim.ID)
 		if target.IsZero() {
 			// No sibling to push to; keep the child after all.
 			st.setChild(victim)
@@ -523,18 +434,24 @@ func (n *Node) addChild(st *topicState, c ring.Contact) {
 	if max := st.ownerCfg.MaxFanout; max > 0 && len(st.children) >= max {
 		// Push down: redirect the join to the child whose ID is closest to
 		// the subscriber (keeps locality and balances subtrees).
-		var best ring.Contact
-		for _, ch := range st.children {
-			if best.IsZero() || ids.Closer(c.ID, ch.ID, best.ID) {
-				best = ch
-			}
-		}
-		n.env.Send(best.Addr, JoinMsg{Topic: st.topic, Subscriber: c})
+		n.env.Send(st.closestChild(c.ID).Addr, JoinMsg{Topic: st.topic, Subscriber: c})
 		return
 	}
 	st.setChild(c)
 	n.env.Send(c.Addr, Welcome{Topic: st.topic, Parent: n.ring.Self(), Cfg: st.ownerCfg, Epoch: st.mcEpoch, LastSeq: st.mcLast})
 	n.ensureKeepAlive(st)
+}
+
+// closestChild returns the child whose ID is numerically closest to id, or
+// the zero contact if there is no child.
+func (st *topicState) closestChild(id ids.ID) ring.Contact {
+	var best ring.Contact
+	for _, ch := range st.children {
+		if best.IsZero() || ids.Closer(id, ch.ID, best.ID) {
+			best = ch
+		}
+	}
+	return best
 }
 
 func (n *Node) handleWelcome(m Welcome) {
@@ -575,411 +492,6 @@ func (n *Node) handleWelcome(m Welcome) {
 	n.ensureParentCheck(st)
 }
 
-func (n *Node) multicast(st *topicState, obj any) {
-	n.mcAdvance(st, st.ownerCfg.Epoch)
-	st.seq++
-	m := Multicast{Topic: st.topic, Epoch: st.mcEpoch, Seq: st.seq, Depth: 0, Object: obj}
-	n.recordMulticast(st, &m)
-	n.recordDeliver(st, 0)
-	if n.handlers.OnDeliver != nil {
-		n.handlers.OnDeliver(st.topic, obj, 0, st.subscribed)
-	}
-	n.forwardMulticast(st, &m)
-}
-
-// handleMulticast delivers and forwards a multicast. m is read, not kept:
-// it may be an envelope that goes back to its sender once Receive returns.
-func (n *Node) handleMulticast(m *Multicast) {
-	st := n.state(m.Topic)
-	if !n.recordMulticast(st, m) {
-		return // duplicate (retransmission overlap)
-	}
-	n.recordDeliver(st, m.Depth)
-	if n.handlers.OnDeliver != nil {
-		n.handlers.OnDeliver(m.Topic, m.Object, m.Depth, st.subscribed)
-	}
-	n.forwardMulticast(st, m)
-}
-
-// recordDeliver emits the telemetry for one multicast delivery: a counter,
-// the depth histogram (tree-shape evidence, Fig 6), and a trace event from
-// which experiments reconstruct per-round dissemination timing.
-func (n *Node) recordDeliver(st *topicState, depth int) {
-	n.ctrDeliveries.Inc()
-	n.depthHist.Observe(float64(depth))
-	note := "fwd"
-	if st.subscribed {
-		note = "sub"
-	}
-	n.env.Metrics().TraceID(obs.Event{
-		At: n.env.Now(), Node: string(n.ring.Self().Addr),
-		Kind: obs.KindPubSubDeliver, Hop: depth, Note: note,
-	}, st.topic.Hi, st.topic.Lo)
-}
-
-// forwardMulticast sends m one level down. Every child is sent the same
-// envelope, which goes back to the free list after the last child's delivery.
-//
-//vet:noalloc amortized
-func (n *Node) forwardMulticast(st *topicState, m *Multicast) {
-	kids := st.children
-	if len(kids) == 0 {
-		return
-	}
-	box := n.mcFree
-	if box == nil {
-		box = new(Multicast)
-	}
-	n.mcFree = box.next
-	*box = *m
-	box.Depth++
-	box.envelope = envelope[Multicast]{home: n, pending: int32(len(kids))}
-	for _, c := range kids {
-		n.ctrMulticasts.Inc()
-		n.env.Send(c.Addr, box)
-	}
-}
-
-// mcCacheSize bounds the retransmission window: parents can serve the last
-// mcCacheSize multicasts to children that missed them.
-const mcCacheSize = 16
-
-// mcWindowBits is how many sequences back from mcLast a member remembers
-// having delivered: the 64 bits of topicState.mcWindow.
-const mcWindowBits = 4 * mcCacheSize
-
-var _ = [1]struct{}{}[mcWindowBits-64] // compiles only at 64: mcWindow is a uint64
-
-// mcDelivered reports whether seq is in the delivery window and marked
-// delivered. A sequence behind the window is forgotten, not delivered: if it
-// re-arrives it is new again, and a catch-up scan asks for it again.
-func (st *topicState) mcDelivered(seq uint64) bool {
-	back := st.mcLast - seq
-	return seq <= st.mcLast && back < mcWindowBits && st.mcWindow>>back&1 != 0
-}
-
-// mcAdvance moves the topic's reliable-multicast state to a newer stream
-// epoch. A higher epoch means a new root generation (failover promotion
-// or a crash-restarted master re-claiming its tree): the new root
-// restarts Seq from 1, so every per-sequence structure from the old
-// generation — dedup set, retransmission cache, baseline, high-water mark
-// — must be discarded or it would silently swallow the new stream. The
-// old generation's in-flight aggregation rounds are void for the same
-// reason (the new root re-announces the round it found incomplete, and
-// flushed aggRound state from the first announcement would suppress the
-// re-aggregation), so they are cleared too, cancelling their deadline
-// timers. It reports whether epoch is current-or-newer; a lower epoch is
-// a stale stream the caller must drop.
-func (n *Node) mcAdvance(st *topicState, epoch uint64) bool {
-	if epoch < st.mcEpoch {
-		return false
-	}
-	if epoch == st.mcEpoch {
-		return true
-	}
-	st.mcEpoch = epoch
-	st.seq = 0
-	st.mcLast, st.mcBase = 0, 0
-	st.mcWindow, st.mcCache = 0, nil
-	n.dropRounds(st)
-	return true
-}
-
-// recordMulticast registers a received (or originated) multicast for the
-// reliable-multicast machinery: duplicate suppression, a bounded
-// retransmission cache, and gap detection (a sequence jump means earlier
-// broadcasts were lost in flight; the node re-requests them from its
-// parent). It reports whether the multicast is new.
-func (n *Node) recordMulticast(st *topicState, m *Multicast) bool {
-	if !n.mcAdvance(st, m.Epoch) {
-		return false // stale root generation
-	}
-	if st.mcDelivered(m.Seq) {
-		return false
-	}
-	if st.mcCache == nil {
-		st.mcCache = make([]mcCached, mcCacheSize)
-	}
-	if m.Seq > st.mcLast {
-		if st.mcBase == 0 {
-			st.mcBase = m.Seq
-		}
-		if st.mcLast > 0 && !st.parent.IsZero() {
-			var missing []uint64
-			for s := st.mcLast + 1; s < m.Seq && len(missing) < mcCacheSize; s++ {
-				if !st.mcDelivered(s) {
-					missing = append(missing, s)
-				}
-			}
-			if len(missing) > 0 {
-				n.env.Send(st.parent.Addr, McNack{Topic: st.topic, Child: n.ring.Self(), Missing: missing})
-			}
-		}
-		// Slide the window up to the new head (a shift of 64 or more
-		// empties it) and mark the head.
-		st.mcWindow = st.mcWindow<<(m.Seq-st.mcLast) | 1
-		st.mcLast = m.Seq
-	} else if back := st.mcLast - m.Seq; back < mcWindowBits {
-		st.mcWindow |= 1 << back
-	}
-	// Cache it for retransmission unless it is already behind the window.
-	// Two sequences that share a slot are mcCacheSize apart, so the one a
-	// store overwrites has always left the window.
-	if m.Seq+mcCacheSize > st.mcLast {
-		st.mcCache[m.Seq%mcCacheSize] = mcCached{m.Epoch, m.Seq, m.Depth, m.Object}
-	}
-	return true
-}
-
-// handleNack retransmits cached multicasts a child reports missing.
-func (n *Node) handleNack(m McNack) {
-	st, ok := n.topics[m.Topic]
-	if !ok {
-		return
-	}
-	for _, seq := range m.Missing {
-		if mc, ok := st.cached(seq); ok {
-			n.env.Send(m.Child.Addr, Multicast{
-				Topic: mc.Topic, Epoch: mc.Epoch, Seq: mc.Seq, Depth: mc.Depth + 1, Object: mc.Object,
-			})
-		}
-	}
-}
-
-// mcCached is a multicast as the retransmission cache keeps it: its topic
-// is the cache's, and the envelope it came in is not kept.
-type mcCached struct {
-	epoch, seq uint64
-	depth      int
-	object     any
-}
-
-// cached returns the multicast with the given sequence number if it is
-// still inside the retransmission window (the last mcCacheSize sequences).
-func (st *topicState) cached(seq uint64) (Multicast, bool) {
-	if st.mcCache == nil || seq == 0 || seq+mcCacheSize <= st.mcLast {
-		return Multicast{}, false
-	}
-	c := st.mcCache[seq%mcCacheSize]
-	if c.seq != seq {
-		return Multicast{}, false
-	}
-	return Multicast{Topic: st.topic, Epoch: c.epoch, Seq: c.seq, Depth: c.depth, Object: c.object}, true
-}
-
-// carve cuts n zero elements of capacity n from *pool, refilled a window's
-// worth — roundHorizon+2 rounds of n — at a time.
-func carve[T any](pool *[]T, n int) []T {
-	if len(*pool) < n {
-		*pool = make([]T, (roundHorizon+2)*n)
-	}
-	s := (*pool)[:n:n]
-	*pool = (*pool)[n:]
-	return s
-}
-
-// findRound returns where the round numbered round is, or goes, in st.rounds,
-// scanning the short window from its newest end, where rounds open.
-func (st *topicState) findRound(round int) (int, bool) {
-	i := len(st.rounds)
-	for i > 0 && st.rounds[i-1].round >= round {
-		i--
-	}
-	return i, i < len(st.rounds) && st.rounds[i].round == round
-}
-
-// round returns the window's slot for the round numbered round, opening it if
-// the window does not hold it, or nil, counting the drop, if the round has
-// left the window.
-//
-//vet:noalloc amortized
-func (n *Node) round(st *topicState, round int) *aggRound {
-	if round < st.floor {
-		// Registered by the first drop, so a node that never drops does not
-		// list the counter.
-		n.env.Metrics().Counter("pubsub.pruned_partials").Inc()
-		return nil
-	}
-	i, ok := st.findRound(round)
-	if ok {
-		return st.rounds[i]
-	}
-	var r *aggRound
-	if old := st.rounds; len(old) > 0 && old[0].flushed && round-old[0].round > roundHorizon {
-		// The oldest round is a tombstone past the horizon: the new round takes
-		// its slot and storage, and it leaves the window for good.
-		r, st.floor = old[0], old[0].round+1
-		*r = aggRound{words: r.words, seen: r.seen[:0]}
-		st.rounds, i = slices.Delete(old, 0, 1), i-1
-	} else {
-		r = &carve(&st.roundPool, 1)[0]
-	}
-	r.round = round
-	st.rounds = slices.Insert(slices.Grow(st.rounds, max(roundHorizon+2-len(st.rounds), 0)), i, r)
-	if k := len(st.children); k > 0 {
-		w := (k + 63) / 64
-		if len(r.words) < w {
-			r.words = carve(&st.words, w)
-		}
-		if cap(r.seen) < k {
-			r.seen = carve(&st.keys, k)[:0]
-		}
-		r.kids, r.waiting, r.reported = st.children, int32(k), r.words[:w]
-		clear(r.reported)
-	}
-	if timeout := n.effCfg(st).AggTimeout; timeout > 0 {
-		r.cancel = n.env.After(timeout, func() {
-			if i, ok := st.findRound(round); ok && !st.rounds[i].flushed {
-				n.recordMisses(st, st.rounds[i])
-				n.ctrTimeoutFlushes.Inc()
-				n.flush(st, round, st.rounds[i])
-			}
-		})
-	}
-	return r
-}
-
-// handleUpstream merges or forwards a child's partial. Like handleMulticast
-// it reads m and keeps only its Object.
-func (n *Node) handleUpstream(m *Upstream) {
-	st := n.state(m.Topic)
-	// Epoch-gate before touching round state: a partial aggregated under a
-	// previous tree generation is divergent in-flight state and must be
-	// discarded, not merged (its clients resubmit under the new epoch). A
-	// newer epoch than ours means the root failed over and this node has
-	// not seen the new stream yet — advance, which voids our own stale
-	// rounds, then merge the partial into the fresh one.
-	if !n.mcAdvance(st, m.Epoch) {
-		n.ctrStaleUpstreams.Inc()
-		return
-	}
-	r := n.round(st, m.Round)
-	if r == nil {
-		return
-	}
-	if m.Seq != 0 {
-		// Drop duplicates before any merging or forwarding: the network can
-		// deliver an Upstream twice (retry logic, injected faults), and the
-		// combiner merges in place — a second merge would double-count every
-		// client contribution in the sender's subtree.
-		k := upKey{m.From.Addr, m.Seq}
-		if slices.Contains(r.seen, k) {
-			n.ctrUpstreamDupes.Inc()
-			return
-		}
-		r.seen = append(r.seen, k)
-	}
-	if i, ok := childIndex(r.kids, m.From.Addr); ok && r.reported[i/64]&(1<<(i%64)) == 0 {
-		r.reported[i/64], r.waiting = r.reported[i/64]|1<<(i%64), r.waiting-1
-	}
-	delete(st.missCount, m.From.Addr)
-	if r.flushed {
-		// Late contribution after a timeout flush: r.combined was already
-		// forwarded upstream by reference (the in-memory transport does not
-		// copy messages, and the combiner merges in place), so merging here
-		// would mutate the aggregate the parent holds and double-count the
-		// straggler. Forward it untouched as a supplementary partial so the
-		// root still counts it exactly once.
-		n.forwardUp(st, m.Round, m.Object, m.Count)
-		return
-	}
-	if m.Object != nil {
-		r.combined = n.combine(m.Topic, r.combined, m.Object)
-		r.count += m.Count
-	}
-	n.maybeFlush(st, m.Round, r)
-}
-
-func (n *Node) maybeFlush(st *topicState, round int, r *aggRound) {
-	if r.flushed || !r.selfDone || r.waiting > 0 {
-		return
-	}
-	n.flush(st, round, r)
-}
-
-func (n *Node) flush(st *topicState, round int, r *aggRound) {
-	r.flushed = true
-	if r.cancel != nil {
-		r.cancel()
-	}
-	n.ctrFlushes.Inc()
-	// The round stays in the window marked flushed so that stragglers
-	// arriving later are forwarded upstream as supplementary partials instead
-	// of resurrecting the round. Nothing reads the aggregate here again, so it
-	// lives only as long as its receiver (the parent's merge, the root's
-	// OnAggregate) holds it.
-	obj := r.combined
-	r.combined, r.kids, r.reported, r.cancel = nil, nil, nil, nil
-	n.forwardUp(st, round, obj, r.count)
-}
-
-// forwardUp sends a round's partial to the parent in an envelope from the free
-// list, or hands it to OnAggregate at the root.
-//
-//vet:noalloc amortized
-func (n *Node) forwardUp(st *topicState, round int, obj any, count int) {
-	if st.isRoot || st.parent.IsZero() {
-		// Root aggregation completes here; the trace event is what the
-		// experiments read aggregation-latency timings from.
-		n.env.Metrics().TraceID(obs.Event{
-			At: n.env.Now(), Node: string(n.ring.Self().Addr),
-			Kind: obs.KindPubSubAgg, Hop: count, Note: "root",
-		}, st.topic.Hi, st.topic.Lo)
-		if n.handlers.OnAggregate != nil {
-			n.handlers.OnAggregate(st.topic, round, obj, count)
-		}
-		return
-	}
-	n.ctrUpstreams.Inc()
-	st.upSeq++
-	up := n.upFree
-	if up == nil {
-		up = new(Upstream)
-	}
-	n.upFree = up.next
-	*up = Upstream{
-		Topic: st.topic, Round: round, From: n.ring.Self(), Epoch: st.mcEpoch,
-		Object: obj, Count: count, Seq: st.upSeq, envelope: envelope[Upstream]{home: n, pending: 1},
-	}
-	n.env.Send(st.parent.Addr, up)
-}
-
-func (n *Node) combine(topic ids.ID, a, b any) any {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	if n.handlers.Combine != nil {
-		return n.handlers.Combine(topic, a, b)
-	}
-	return b
-}
-
-// childMissLimit is how many consecutive timed-out rounds a child may fail
-// to report before the parent prunes it (a dead or partitioned subtree
-// would otherwise make every round pay the full aggregation timeout).
-const childMissLimit = 2
-
-// recordMisses charges children that did not report before a timeout
-// flush, pruning those past the limit.
-func (n *Node) recordMisses(st *topicState, r *aggRound) {
-	for i, c := range r.kids {
-		if r.reported[i/64]&(1<<(i%64)) != 0 {
-			continue
-		}
-		if st.missCount == nil {
-			st.missCount = make(map[transport.Addr]int)
-		}
-		st.missCount[c.Addr]++
-		if st.missCount[c.Addr] >= childMissLimit {
-			st.removeChild(c.Addr)
-			delete(st.missCount, c.Addr)
-		}
-	}
-}
-
 // --- failure detection & repair ---
 
 func (n *Node) ensureKeepAlive(st *topicState) {
@@ -1004,55 +516,6 @@ func (n *Node) ensureParentCheck(st *topicState) {
 		}
 		return true
 	})
-}
-
-func (n *Node) handleKeepAlive(m KeepAlive) {
-	st := n.state(m.Topic)
-	if st.parent.Addr != m.Parent.Addr {
-		return
-	}
-	st.lastSeen = n.env.Now()
-	// Loss repair: the heartbeat names the parent's newest multicast;
-	// re-request every sequence in the retransmittable window this node
-	// never saw (earlier nacks may themselves have been lost). A freshly
-	// joined member catches up with just the latest broadcast (the current
-	// model) rather than history it never owed.
-	if m.LastSeq == 0 {
-		return
-	}
-	if m.Epoch != st.mcEpoch {
-		if m.Epoch < st.mcEpoch {
-			return // stale stream: its sequence numbers mean nothing now
-		}
-		// The parent is on a newer root generation this node has not seen a
-		// broadcast from yet; sequence numbers are not comparable across
-		// generations, so just request the parent's newest multicast. The
-		// retransmission carries the new epoch and resets local state.
-		n.env.Send(st.parent.Addr, McNack{Topic: st.topic, Child: n.ring.Self(), Missing: []uint64{m.LastSeq}})
-		return
-	}
-	var missing []uint64
-	if st.mcLast == 0 && st.mcBase > m.LastSeq {
-		// Joined after every known broadcast: catch up with the newest one
-		// only (the current model).
-		missing = []uint64{m.LastSeq}
-	} else {
-		from := uint64(1)
-		if m.LastSeq > mcCacheSize {
-			from = m.LastSeq - mcCacheSize + 1
-		}
-		if from < st.mcBase {
-			from = st.mcBase // history before this member joined is not owed
-		}
-		for s := from; s <= m.LastSeq; s++ {
-			if !st.mcDelivered(s) {
-				missing = append(missing, s)
-			}
-		}
-	}
-	if len(missing) > 0 {
-		n.env.Send(st.parent.Addr, McNack{Topic: st.topic, Child: n.ring.Self(), Missing: missing})
-	}
 }
 
 // repairParent declares the parent failed and re-routes a JOIN toward the
@@ -1141,40 +604,12 @@ func (n *Node) Disown(topic ids.ID) {
 	}
 }
 
-// ResetRounds discards all aggregation-round state for topic, cancelling
-// any pending round timers. A master promoted through failover calls this:
-// from its life as an interior node the promoted root may hold aggRounds
-// already marked flushed, and a re-announced round must start aggregation
-// fresh instead of treating every contribution as a post-flush straggler.
-func (n *Node) ResetRounds(topic ids.ID) {
-	if st, ok := n.topics[topic]; ok {
-		n.dropRounds(st)
-	}
-}
-
-// dropRounds cancels the topic's round timers and forgets its rounds, its
-// floor and the per-child miss tallies that go with them.
-func (n *Node) dropRounds(st *topicState) {
-	for _, r := range st.rounds {
-		if r.cancel != nil {
-			r.cancel()
-		}
-	}
-	st.rounds, st.floor, st.missCount = nil, 0, nil
-}
-
 func (n *Node) stopTimers(st *topicState) {
-	if st.kaStop != nil {
-		st.kaStop()
-		st.kaStop = nil
-	}
-	if st.checkStop != nil {
-		st.checkStop()
-		st.checkStop = nil
-	}
-	if st.rootStop != nil {
-		st.rootStop()
-		st.rootStop = nil
+	for _, stop := range [...]*func(){&st.kaStop, &st.checkStop, &st.rootStop} {
+		if *stop != nil {
+			(*stop)()
+			*stop = nil
+		}
 	}
 	n.dropRounds(st)
 }

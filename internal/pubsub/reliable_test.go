@@ -163,6 +163,59 @@ func TestDuplicateMulticastSuppressed(t *testing.T) {
 	}
 }
 
+// TestNackRetransmitsEachSequenceOnce: a parent serves an honest nack —
+// strictly ascending, at most mcCacheSize entries — exactly as asked, but
+// resends a cached sequence at most once per nack and reads no more than
+// mcCacheSize entries. What it refuses is counted in pubsub.rejected_nacks,
+// which a parent that refuses nothing does not list.
+func TestNackRetransmitsEachSequenceOnce(t *testing.T) {
+	n, env := newSolo(Config{}, true)
+	topic := ids.Hash("app-nack")
+	kid := contact(1)
+	n.CreateWithConfig(topic, TreeConfig{})
+	n.Receive(kid.Addr, JoinMsg{Topic: topic, Subscriber: kid})
+	const last = 20 // the cache holds sequences 5..20
+	for i := 1; i <= last; i++ {
+		n.Publish(topic, i)
+	}
+	seqs := func(from, to uint64) []uint64 {
+		var s []uint64
+		for seq := from; seq <= to; seq++ {
+			s = append(s, seq)
+		}
+		return s
+	}
+	rejected := int64(0)
+	for _, tc := range []struct {
+		what            string
+		missing, resent []uint64
+		rejected        int64
+	}{
+		{"an honest nack", seqs(last-mcCacheSize+1, last), seqs(last-mcCacheSize+1, last), 0},
+		{"a nack reaching behind the cache", seqs(1, 7), seqs(5, 7), 0},
+		{"one sequence named 10 000 times", slices.Repeat([]uint64{last}, 10_000), []uint64{last}, 9_999},
+		{"repeats", []uint64{19, 20, 19, 20}, []uint64{19, 20}, 2},
+		{"one entry too many", seqs(last-mcCacheSize, last), seqs(last-mcCacheSize+1, last-1), 1},
+	} {
+		env.take()
+		n.Receive(kid.Addr, McNack{Topic: topic, Child: kid, Missing: tc.missing})
+		var resent []uint64
+		for _, s := range env.take() {
+			mc, ok := s.msg.(Multicast)
+			if !ok || s.to != kid.Addr || mc.Object != int(mc.Seq) {
+				t.Fatalf("%s: sent %#v to %s, want retransmissions to the child", tc.what, s.msg, s.to)
+			}
+			resent = append(resent, mc.Seq)
+		}
+		rejected += tc.rejected
+		got, listed := n.env.Metrics().Snapshot().Counters["pubsub.rejected_nacks"]
+		if !slices.Equal(resent, tc.resent) || got != rejected || listed != (rejected > 0) {
+			t.Fatalf("%s: resent %v, rejected_nacks %d (listed %v); want %v and %d in total",
+				tc.what, resent, got, listed, tc.resent, rejected)
+		}
+	}
+}
+
 // mapWindow is the delivery bookkeeping as recordMulticast, handleWelcome
 // and handleKeepAlive kept it before the 64-bit window: a set of delivered
 // sequences, pruned end to end on every delivery. It lives on as the oracle

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -218,7 +219,8 @@ func TestLatePartialPastTheWindowIsDropped(t *testing.T) {
 // TestTombstoneStillRoutesStragglers extends the in-place-combiner
 // regression test above to the released round: whatever reaches a flushed
 // round after its aggregate is gone is still forwarded exactly once, and a
-// network duplicate of it is still dropped.
+// network duplicate of it is still dropped — except a late own nil, which
+// sends nothing.
 func TestTombstoneStillRoutesStragglers(t *testing.T) {
 	type acc struct{ sum, count int }
 	f := newForest(t, 150, ring.Config{B: 4}, Config{AggTimeout: 100 * time.Millisecond}, 11)
@@ -306,6 +308,16 @@ func TestTombstoneStillRoutesStragglers(t *testing.T) {
 	mid.ps.SubmitUpdate(topic, round, &acc{sum: 1000, count: 1})
 	expect("a late own update", ups0+2, dupes0+1)
 
+	// The one asymmetry of a flushed round: a late own report of nothing has
+	// nothing to forward, but a child's late empty partial still goes up once.
+	mid.ps.SubmitUpdate(topic, round, nil)
+	expect("a late own nil", ups0+2, dupes0+1)
+	empty := Upstream{Topic: topic, Round: round, From: kid.ring.Self(), Epoch: kst.mcEpoch, Seq: kst.upSeq + 1}
+	mid.ps.Receive(kid.ring.Self().Addr, empty)
+	expect("a child's late nil partial", ups0+3, dupes0+1)
+	mid.ps.Receive(kid.ring.Self().Addr, empty)
+	expect("a duplicate of it", ups0+3, dupes0+2)
+
 	totalSum, totalCount := 0, 0
 	for _, res := range results {
 		totalSum += res.sum
@@ -316,5 +328,47 @@ func TestTombstoneStillRoutesStragglers(t *testing.T) {
 	}
 	if want := contributors + 2; totalCount != want {
 		t.Fatalf("aggregate count = %d want %d", totalCount, want)
+	}
+}
+
+// TestClaimStartsFlushedRoundsAfresh: a member that flushed a round as an
+// interior node and then claims the root must aggregate that round again when
+// it is re-announced. Were the flushed slot kept, the claim's new
+// contributions would each reach OnAggregate alone, as stragglers.
+func TestClaimStartsFlushedRoundsAfresh(t *testing.T) {
+	n, env := newSolo(Config{}, true)
+	topic := ids.Hash("app-claim")
+	type agg struct{ round, obj, count int }
+	var aggs []agg
+	n.SetHandlers(Handlers{
+		Combine:     func(_ ids.ID, a, b any) any { return a.(int) + b.(int) },
+		OnAggregate: func(_ ids.ID, round int, obj any, count int) { aggs = append(aggs, agg{round, obj.(int), count}) },
+	})
+	parent, kid := contact(0), contact(1)
+	n.Receive(parent.Addr, Welcome{Topic: topic, Parent: parent})
+	n.Receive(kid.Addr, JoinMsg{Topic: topic, Subscriber: kid})
+	env.take() // the child's Welcome
+	const round = 4
+	n.SubmitUpdate(topic, round, 1)
+	n.Receive(kid.Addr, Upstream{Topic: topic, Round: round, From: kid, Object: 2, Count: 1, Seq: 1})
+	sent := env.take()
+	if len(sent) != 1 || sent[0].to != parent.Addr {
+		t.Fatalf("the interior round sent %v, want one Upstream to the parent", sent)
+	}
+	if up, ok := sent[0].msg.(*Upstream); !ok || up.Round != round || up.Count != 2 {
+		t.Fatalf("the interior round flushed %#v, want round %d with 2 contributions", sent[0].msg, round)
+	}
+
+	n.CreateWithConfig(topic, TreeConfig{})
+	if info, _ := n.TreeInfo(topic); !info.IsRoot {
+		t.Fatal("the claim did not make the member root")
+	}
+	n.SubmitUpdate(topic, round, 10)
+	if len(aggs) != 0 {
+		t.Fatalf("the re-announced round's own update reached OnAggregate as %v before the child reported", aggs)
+	}
+	n.Receive(kid.Addr, Upstream{Topic: topic, Round: round, From: kid, Object: 20, Count: 1, Seq: 2})
+	if want := []agg{{round, 30, 2}}; !slices.Equal(aggs, want) {
+		t.Fatalf("OnAggregate got %v, want %v", aggs, want)
 	}
 }
