@@ -504,7 +504,7 @@ func (e *Engine) trainRound(app ids.ID, rs roundStart, w *workerState) {
 	tag := fl.ClientTag(string(e.Self().Addr))
 	var agg updateAgg
 	fut := fl.Go(func(ws *ml.Workspace) {
-		crng := fl.DeriveRNG(rs.Seed, rs.Round, tag)
+		crng := fl.ClientRNG(ws, rs.Seed, rs.Round, tag)
 		u := fl.LocalTrainWS(proto, params, shard, rs.Cfg, crng, ws)
 		if u.Samples == 0 {
 			return

@@ -228,7 +228,7 @@ func (e *Engine) clientRecv(node int, msg any) {
 	// pool scheduling.
 	var up updateUp
 	fut := fl.Go(func(ws *ml.Workspace) {
-		crng := fl.DeriveRNG(st.app.Seed, m.Round, uint64(client))
+		crng := fl.ClientRNG(ws, st.app.Seed, m.Round, uint64(client))
 		u := fl.LocalTrainWS(st.app.Proto, params, shard, st.app.Cfg, crng, ws)
 		if u.Samples == 0 {
 			u = fl.Update{Delta: make([]float64, len(params)), Samples: 1}

@@ -14,11 +14,12 @@
 // results, which requires two invariants:
 //
 //   - Private randomness. A shared *rand.Rand would make every client's
-//     stream depend on scheduling order. Instead each client derives its
-//     own rng as DeriveRNG(seed, round, tag) — see [DeriveSeed] — where
-//     seed is the application's seed, round the FL round, and tag the
-//     client's index or [ClientTag] of its node address. The stream
-//     depends only on that triple, never on execution order.
+//     stream depend on scheduling order. Instead each client draws from
+//     [ClientRNG](ws, seed, round, tag): its worker's rng reseeded to
+//     [DeriveSeed](seed, round, tag), where seed is the application's
+//     seed, round the FL round, and tag the client's index or [ClientTag]
+//     of its node address. The stream depends only on that triple, never
+//     on execution order or on which worker runs the client.
 //
 //   - Deterministic merge order. Floating-point addition is not
 //     associative, so updates are folded into the aggregate in a fixed

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"totoro/internal/ml"
@@ -28,22 +29,14 @@ type Accum struct {
 
 // NewAccum starts an aggregate from a single update.
 func NewAccum(u Update) *Accum {
-	ws := make([]float64, len(u.Delta))
-	w := float64(u.Samples)
-	for i, v := range u.Delta {
-		ws[i] = v * w
-	}
-	return &Accum{WeightedSum: ws, Samples: u.Samples, Count: 1}
+	return NewAccumOwning(Update{Delta: slices.Clone(u.Delta), Samples: u.Samples})
 }
 
 // NewAccumOwning starts an aggregate from an update whose delta buffer the
 // caller hands over: the weighting is applied in place and the Update must
 // not be used afterwards. This is the hot-path form of NewAccum.
 func NewAccumOwning(u Update) *Accum {
-	w := float64(u.Samples)
-	for i := range u.Delta {
-		u.Delta[i] *= w
-	}
+	ml.Scale(float64(u.Samples), u.Delta)
 	return &Accum{WeightedSum: u.Delta, Samples: u.Samples, Count: 1}
 }
 

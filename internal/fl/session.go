@@ -82,7 +82,7 @@ func (s *Session) Round(perRound int, rng *rand.Rand) RoundReport {
 	updates := make([]Update, len(selected))
 	ForEach(len(selected), s.Workers, func(i int, ws *ml.Workspace) {
 		id := selected[i]
-		crng := DeriveRNG(roundSeed, s.round, uint64(id))
+		crng := ClientRNG(ws, roundSeed, s.round, uint64(id))
 		updates[i] = LocalTrainWS(s.Proto, s.Global, s.Clients[id], s.Cfg, crng, ws)
 	})
 	// Telemetry counts what was merged, as the engine does.

@@ -7,7 +7,7 @@ import (
 
 // SeedRand guards same-seed reproducibility of randomness: deterministic
 // packages must draw from explicitly seeded sources — ideally derived via
-// fl.DeriveSeed/fl.DeriveRNG from (app seed, round, client tag) so streams
+// fl.DeriveSeed/fl.ClientRNG from (app seed, round, client tag) so streams
 // are independent of scheduling — never from math/rand's process-global
 // source (randomly seeded since Go 1.20) and never from sources seeded
 // with wall-clock time. One stray rand.Intn() makes two same-seed runs
@@ -41,7 +41,7 @@ func runSeedRand(pass *Pass) {
 		}
 		if !randSourceCtors[fn.Name()] {
 			pass.Reportf(ident.Pos(),
-				"rand.%s draws from the process-global source and breaks same-seed determinism; use a source derived via fl.DeriveSeed/fl.DeriveRNG", fn.Name())
+				"rand.%s draws from the process-global source and breaks same-seed determinism; use a source derived via fl.DeriveSeed/fl.ClientRNG", fn.Name())
 		}
 	}
 	// Explicit constructors are allowed — unless their seed argument comes

@@ -32,7 +32,6 @@ func BenchmarkBackward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Zero()
 		m.BackwardWS(X, Y, g, ws)
 	}
 }

@@ -46,7 +46,7 @@ func axpyN4(c *[4]float64, x []float64, stride int, y []float64) {
 	n := len(y)
 	_ = x[3*stride+n-1]
 	if hasSIMD && n >= 4 {
-		axpy4LoopAVX(&c[0], 0, &x[0], stride, &y[0], 0, n, 1)
+		axpy4LoopAVX(&c[0], 0, &x[0], stride, &y[0], 0, &y[0], 0, n, 1)
 		return
 	}
 	x0, x1 := x[:n], x[stride:stride+n]
@@ -63,7 +63,7 @@ func axpyN8(c *[8]float64, x []float64, stride int, y []float64) {
 	n := len(y)
 	_ = x[7*stride+n-1]
 	if hasSIMD && n >= 4 {
-		axpy8LoopAVX(&c[0], 0, &x[0], stride, &y[0], 0, n, 1)
+		axpy8LoopAVX(&c[0], 0, &x[0], stride, &y[0], 0, &y[0], 0, n, 1)
 		return
 	}
 	var c0, c1 [4]float64
@@ -102,44 +102,52 @@ func dotN4(d []float64, w []float64, stride int, dst []float64) {
 // the k-th time on c, y (d, dst) moved on by k steps and on the same rows
 // x (w): on the AVX path in one kernel call, otherwise one single-pass call
 // each. Either way every element is computed as the single pass computes
-// it.
+// it. The axpy forms add to rows of a: y itself (astep = ystep) to
+// accumulate, or a row of zeros (astep 0) to store what the single pass
+// computes on a cleared y, whatever y holds.
 
-// axpyN4Loop computes y[k*ystep+j] += Σ_t c[k*cstep+t]*x[t*stride+j] for
-// j in [0, n), k in [0, count): axpyN4 count times.
+// axpyN4Loop computes y[k*ystep+j] = a[k*astep+j] + Σ_t c[k*cstep+t]*x[t*stride+j]
+// for j in [0, n), k in [0, count): axpyN4 count times, on y rows set to a's.
 //
 //vet:noalloc
-func axpyN4Loop(c []float64, cstep int, x []float64, stride int, y []float64, ystep, n, count int) {
+func axpyN4Loop(c []float64, cstep int, x []float64, stride int, a []float64, astep int, y []float64, ystep, n, count int) {
 	if count == 0 || n == 0 {
 		return
 	}
 	_ = c[(count-1)*cstep+3]
 	_ = x[3*stride+n-1]
+	_ = a[(count-1)*astep+n-1]
 	_ = y[(count-1)*ystep+n-1]
 	if hasSIMD && n >= 4 {
-		axpy4LoopAVX(&c[0], cstep, &x[0], stride, &y[0], ystep, n, count)
+		axpy4LoopAVX(&c[0], cstep, &x[0], stride, &a[0], astep, &y[0], ystep, n, count)
 		return
 	}
 	for k := 0; k < count; k++ {
-		axpyN4((*[4]float64)(c[k*cstep:]), x, stride, y[k*ystep:k*ystep+n])
+		yk := y[k*ystep : k*ystep+n]
+		copy(yk, a[k*astep:k*astep+n])
+		axpyN4((*[4]float64)(c[k*cstep:]), x, stride, yk)
 	}
 }
 
 // axpyN8Loop is axpyN4Loop over eight rows: axpyN8 count times.
 //
 //vet:noalloc
-func axpyN8Loop(c []float64, cstep int, x []float64, stride int, y []float64, ystep, n, count int) {
+func axpyN8Loop(c []float64, cstep int, x []float64, stride int, a []float64, astep int, y []float64, ystep, n, count int) {
 	if count == 0 || n == 0 {
 		return
 	}
 	_ = c[(count-1)*cstep+7]
 	_ = x[7*stride+n-1]
+	_ = a[(count-1)*astep+n-1]
 	_ = y[(count-1)*ystep+n-1]
 	if hasSIMD && n >= 4 {
-		axpy8LoopAVX(&c[0], cstep, &x[0], stride, &y[0], ystep, n, count)
+		axpy8LoopAVX(&c[0], cstep, &x[0], stride, &a[0], astep, &y[0], ystep, n, count)
 		return
 	}
 	for k := 0; k < count; k++ {
-		axpyN8((*[8]float64)(c[k*cstep:]), x, stride, y[k*ystep:k*ystep+n])
+		yk := y[k*ystep : k*ystep+n]
+		copy(yk, a[k*astep:k*astep+n])
+		axpyN8((*[8]float64)(c[k*cstep:]), x, stride, yk)
 	}
 }
 
@@ -259,6 +267,20 @@ func expSub(dst, src []float64, sub float64) {
 		for end := min(j+4, n); j < end; j++ {
 			dst[j] = math.Exp(src[j] - sub)
 		}
+	}
+}
+
+// Scale computes x[j] *= a: one rounded multiply per element on either
+// path, so a weighting scales bit for bit as the scalar loop does.
+//
+//vet:noalloc
+func Scale(a float64, x []float64) {
+	if hasSIMD && len(x) >= 4 {
+		mulAVX(&x[0], len(x), a)
+		return
+	}
+	for j := range x {
+		x[j] *= a
 	}
 }
 

@@ -42,11 +42,11 @@ func axpyAVX(a float64, x, y *float64, n int)
 
 //go:noescape
 //vet:noalloc
-func axpy4LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int)
+func axpy4LoopAVX(c *float64, cstep int, x *float64, stride int, a *float64, astep int, y *float64, ystep, n, count int)
 
 //go:noescape
 //vet:noalloc
-func axpy8LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int)
+func axpy8LoopAVX(c *float64, cstep int, x *float64, stride int, a *float64, astep int, y *float64, ystep, n, count int)
 
 //go:noescape
 //vet:noalloc
@@ -71,6 +71,10 @@ func reluGateAVX(d, a *float64, n int)
 //go:noescape
 //vet:noalloc
 func expSubAVX(dst, src *float64, n int, sub float64) int
+
+//go:noescape
+//vet:noalloc
+func mulAVX(x *float64, n int, a float64)
 
 //go:noescape
 //vet:noalloc

@@ -85,13 +85,15 @@ axpy_done:
 // elements on. Each pass is the same instruction sequence, accumulator
 // chains and horizontal reduction included, so every output element gets
 // the same operations in the same order whatever the count; a single pass
-// is count 1.
+// is count 1. The two axpy kernels load the row they add to from a and
+// store it to y: a is y itself to accumulate, or a row of zeros (astep 0)
+// to overwrite y with what a cleared y would have received.
 
-// func axpy4LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int)
-// y[k*ystep+j] += sum_t c[k*cstep+t]*x[t*stride+j] for t in 0..3, j in [0, n),
-// k in [0, count)
-TEXT ·axpy4LoopAVX(SB), NOSPLIT, $0-64
-	MOVQ count+56(FP), R15
+// func axpy4LoopAVX(c *float64, cstep int, x *float64, stride int, a *float64, astep int, y *float64, ystep, n, count int)
+// y[k*ystep+j] = a[k*astep+j] + sum_t c[k*cstep+t]*x[t*stride+j] for t in 0..3,
+// j in [0, n), k in [0, count)
+TEXT ·axpy4LoopAVX(SB), NOSPLIT, $0-80
+	MOVQ count+72(FP), R15
 	TESTQ R15, R15
 	JLE  a4_done
 	MOVQ x+16(FP), SI
@@ -101,8 +103,9 @@ TEXT ·axpy4LoopAVX(SB), NOSPLIT, $0-64
 	LEAQ (R8)(BX*1), R9
 	LEAQ (R9)(BX*1), R10
 	MOVQ c+0(FP), BX
-	MOVQ y+32(FP), DI
-	MOVQ n+48(FP), CX
+	MOVQ a+32(FP), R11
+	MOVQ y+48(FP), DI
+	MOVQ n+64(FP), CX
 
 a4_pass:
 	VBROADCASTSD (BX), Y0
@@ -118,8 +121,8 @@ a4_loop8:
 	JGE  a4_tail4setup
 
 	// two y vectors, each with an acc chain and a mul chain
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y6
+	VMOVUPD (R11)(AX*8), Y4
+	VMOVUPD 32(R11)(AX*8), Y6
 	VFMADD231PD (SI)(AX*8), Y0, Y4
 	VMULPD (R8)(AX*8), Y1, Y5
 	VFMADD231PD 32(SI)(AX*8), Y0, Y6
@@ -142,7 +145,7 @@ a4_tail4setup:
 a4_tail4:
 	CMPQ AX, DX
 	JGE  a4_tail1
-	VMOVUPD (DI)(AX*8), Y4
+	VMOVUPD (R11)(AX*8), Y4
 	VFMADD231PD (SI)(AX*8), Y0, Y4
 	VMULPD (R8)(AX*8), Y1, Y5
 	VFMADD231PD (R9)(AX*8), Y2, Y4
@@ -155,7 +158,7 @@ a4_tail4:
 a4_tail1:
 	CMPQ AX, CX
 	JGE  a4_next
-	VMOVSD (DI)(AX*8), X4
+	VMOVSD (R11)(AX*8), X4
 	VFMADD231SD (SI)(AX*8), X0, X4
 	VFMADD231SD (R8)(AX*8), X1, X4
 	VFMADD231SD (R9)(AX*8), X2, X4
@@ -167,7 +170,9 @@ a4_tail1:
 a4_next:
 	MOVQ cstep+8(FP), DX
 	LEAQ (BX)(DX*8), BX
-	MOVQ ystep+40(FP), DX
+	MOVQ astep+40(FP), DX
+	LEAQ (R11)(DX*8), R11
+	MOVQ ystep+56(FP), DX
 	LEAQ (DI)(DX*8), DI
 	DECQ R15
 	JNZ  a4_pass
@@ -176,13 +181,15 @@ a4_done:
 	VZEROUPPER
 	RET
 
-// func axpy8LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int)
-// y[k*ystep+j] += sum_t c[k*cstep+t]*x[t*stride+j] for t in 0..7, j in [0, n),
-// k in [0, count)
-TEXT ·axpy8LoopAVX(SB), NOSPLIT, $0-64
-	MOVQ count+56(FP), R15
+// func axpy8LoopAVX(c *float64, cstep int, x *float64, stride int, a *float64, astep int, y *float64, ystep, n, count int)
+// y[k*ystep+j] = a[k*astep+j] + sum_t c[k*cstep+t]*x[t*stride+j] for t in 0..7,
+// j in [0, n), k in [0, count); the passes left are counted on the stack,
+// every register being taken
+TEXT ·axpy8LoopAVX(SB), NOSPLIT, $8-80
+	MOVQ count+72(FP), R15
 	TESTQ R15, R15
 	JLE  a8_done
+	MOVQ R15, left-8(SP)
 	MOVQ x+16(FP), SI
 	MOVQ stride+24(FP), BX
 	SHLQ $3, BX
@@ -194,8 +201,9 @@ TEXT ·axpy8LoopAVX(SB), NOSPLIT, $0-64
 	LEAQ (R12)(BX*1), R13
 	LEAQ (R13)(BX*1), R14
 	MOVQ c+0(FP), BX
-	MOVQ y+32(FP), DI
-	MOVQ n+48(FP), CX
+	MOVQ a+32(FP), R15
+	MOVQ y+48(FP), DI
+	MOVQ n+64(FP), CX
 
 a8_pass:
 	VBROADCASTSD (BX), Y0
@@ -216,8 +224,8 @@ a8_loop8:
 
 	// two y vectors; per vector an FMA chain (Y8/Y10) and a second
 	// chain started with a multiply (Y9/Y11) so latency overlaps
-	VMOVUPD (DI)(AX*8), Y8
-	VMOVUPD 32(DI)(AX*8), Y10
+	VMOVUPD (R15)(AX*8), Y8
+	VMOVUPD 32(R15)(AX*8), Y10
 	VFMADD231PD (SI)(AX*8), Y0, Y8
 	VMULPD (R8)(AX*8), Y1, Y9
 	VFMADD231PD 32(SI)(AX*8), Y0, Y10
@@ -248,7 +256,7 @@ a8_tail4setup:
 a8_tail4:
 	CMPQ AX, DX
 	JGE  a8_tail1
-	VMOVUPD (DI)(AX*8), Y8
+	VMOVUPD (R15)(AX*8), Y8
 	VFMADD231PD (SI)(AX*8), Y0, Y8
 	VMULPD (R8)(AX*8), Y1, Y9
 	VFMADD231PD (R9)(AX*8), Y2, Y8
@@ -265,7 +273,7 @@ a8_tail4:
 a8_tail1:
 	CMPQ AX, CX
 	JGE  a8_next
-	VMOVSD (DI)(AX*8), X8
+	VMOVSD (R15)(AX*8), X8
 	VFMADD231SD (SI)(AX*8), X0, X8
 	VFMADD231SD (R8)(AX*8), X1, X8
 	VFMADD231SD (R9)(AX*8), X2, X8
@@ -281,9 +289,11 @@ a8_tail1:
 a8_next:
 	MOVQ cstep+8(FP), DX
 	LEAQ (BX)(DX*8), BX
-	MOVQ ystep+40(FP), DX
+	MOVQ astep+40(FP), DX
+	LEAQ (R15)(DX*8), R15
+	MOVQ ystep+56(FP), DX
 	LEAQ (DI)(DX*8), DI
-	DECQ R15
+	DECQ left-8(SP)
 	JNZ  a8_pass
 
 a8_done:
@@ -844,6 +854,38 @@ exp_loop4:
 
 exp_done:
 	MOVQ AX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func mulAVX(x *float64, n int, a float64)
+// x[j] *= a: one rounded multiply per lane, like the scalar loop.
+TEXT ·mulAVX(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), DI
+	MOVQ n+8(FP), CX
+	VBROADCASTSD a+16(FP), Y0
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+mul_loop4:
+	CMPQ AX, DX
+	JGE  mul_tail1
+	VMOVUPD (DI)(AX*8), Y1
+	VMULPD Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  mul_loop4
+
+mul_tail1:
+	CMPQ AX, CX
+	JGE  mul_done
+	VMOVSD (DI)(AX*8), X1
+	VMULSD X0, X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  mul_tail1
+
+mul_done:
 	VZEROUPPER
 	RET
 

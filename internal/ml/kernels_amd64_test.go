@@ -139,7 +139,10 @@ func TestSIMDKernelUnits(t *testing.T) {
 // TestLayerPassKernels: one layer-pass call equals its single-pass kernel
 // run once per step bit for bit, and the scalar loop to rounding, and
 // writes nothing between the rows it steps over — for every n % 8, 0–9
-// steps, and operands spaced wider than they need.
+// steps, and operands spaced wider than they need. The axpy passes add to
+// y in place, to a row of zeros over NaN-filled rows of y (the zero-start
+// form), and to rows of a third operand, each against the single passes on
+// y's rows set to what they add to.
 func TestLayerPassKernels(t *testing.T) {
 	if !hasSIMD {
 		t.Skip("CPU does not support AVX2+FMA")
@@ -180,24 +183,42 @@ func TestLayerPassKernels(t *testing.T) {
 			x := fill(8 * stride)
 			ystep := n + rng.Intn(3)
 			y := fill(count*ystep + n)
+			stale := slices.Repeat([]float64{math.NaN()}, len(y))
+			astep := n + rng.Intn(3)
+			other := fill(count*astep + n)
 			for _, rows := range []int{4, 8} {
 				cstep := rows + rng.Intn(3)
 				c := fill(count*cstep + rows)
-				check("axpy rows="+strconv.Itoa(rows), n, count, y, func(y []float64) {
-					if rows == 4 {
-						axpyN4Loop(c, cstep, x, stride, y, ystep, n, count)
-					} else {
-						axpyN8Loop(c, cstep, x, stride, y, ystep, n, count)
-					}
-				}, func(y []float64) {
-					for k := range count {
-						if rows == 4 {
-							axpyN4((*[4]float64)(c[k*cstep:]), x, stride, y[k*ystep:k*ystep+n])
-						} else {
-							axpyN8((*[8]float64)(c[k*cstep:]), x, stride, y[k*ystep:k*ystep+n])
+				for _, form := range []struct {
+					name string
+					a    []float64 // nil: y itself
+					step int
+					out  []float64
+				}{{"in place", nil, ystep, y}, {"from zeros", make([]float64, n), 0, stale}, {"from a", other, astep, y}} {
+					check("axpy rows="+strconv.Itoa(rows)+" "+form.name, n, count, form.out, func(y []float64) {
+						a := form.a
+						if a == nil {
+							a = y
 						}
-					}
-				})
+						if rows == 4 {
+							axpyN4Loop(c, cstep, x, stride, a, form.step, y, ystep, n, count)
+						} else {
+							axpyN8Loop(c, cstep, x, stride, a, form.step, y, ystep, n, count)
+						}
+					}, func(y []float64) {
+						for k := range count {
+							yk := y[k*ystep : k*ystep+n]
+							if form.a != nil {
+								copy(yk, form.a[k*form.step:])
+							}
+							if rows == 4 {
+								axpyN4((*[4]float64)(c[k*cstep:]), x, stride, yk)
+							} else {
+								axpyN8((*[8]float64)(c[k*cstep:]), x, stride, yk)
+							}
+						}
+					})
+				}
 			}
 			dstep, dststep := n+rng.Intn(3), 4+rng.Intn(3)
 			d := fill(count*dstep + n)
@@ -213,7 +234,7 @@ func TestLayerPassKernels(t *testing.T) {
 	}
 }
 
-// TestElementwiseKernelsBitExact holds the three element-wise kernels to
+// TestElementwiseKernelsBitExact holds the element-wise kernels to
 // their scalar loops bit for bit: every length that mixes the 4-wide body
 // with the scalar tail, and in every operand the values on which a reordered
 // operand or a fused multiply-add would show — NaNs of two payloads, ±0,
@@ -284,6 +305,44 @@ func TestElementwiseKernelsBitExact(t *testing.T) {
 			}, fill(n), fill(n), fill(n))
 			both("reluClamp", n, func(v [][]float64) { reluClamp(v[0]) }, fill(n))
 			both("reluGate", n, func(v [][]float64) { reluGate(v[0], v[1]) }, fill(n), fill(n))
+			both("Scale", n, func(v [][]float64) { Scale(v[1][0], v[0]) }, fill(n), fill(1))
+		}
+	}
+}
+
+// TestBackwardZeroStart: BackwardWS overwrites its gradients. Into
+// NaN-filled buffers it computes what it computes into cleared ones, bit
+// for bit, at every batch size from 1 to 25 — every mix of 8-blocks, the
+// 4-block and single examples — on both paths, including layers narrower
+// than a vector.
+func TestBackwardZeroStart(t *testing.T) {
+	if !hasSIMD {
+		t.Skip("CPU does not support AVX2+FMA")
+	}
+	defer func() { hasSIMD = true }()
+	rng := rand.New(rand.NewSource(47))
+	for _, sizes := range [][]int{{64, 48, 62}, {9, 7, 3}, {5, 3}} {
+		for n := 1; n <= 25; n++ {
+			m, X, Y := randomBatch(sizes, n, rng)
+			for _, simd := range []bool{true, false} {
+				hasSIMD = simd
+				ws := NewWorkspace()
+				stale := newGrads(sizes)
+				for _, v := range append(stale.W, stale.B...) {
+					for i := range v {
+						v[i] = math.NaN()
+					}
+				}
+				m.BackwardWS(X, Y, stale, ws)
+				cleared := newGrads(sizes)
+				m.BackwardWS(X, Y, cleared, ws)
+				got := stale.Flat()
+				for i, v := range cleared.Flat() {
+					if math.Float64bits(got[i]) != math.Float64bits(v) {
+						t.Fatalf("sizes %v n=%d simd=%v: gradient %d is %v from NaN-filled buffers, %v from cleared ones", sizes, n, simd, i, got[i], v)
+					}
+				}
+			}
 		}
 	}
 }

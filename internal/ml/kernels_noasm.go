@@ -10,12 +10,12 @@ const hasSIMD, expExact = false, false
 func axpyAVX(a float64, x, y *float64, n int) { panic("ml: SIMD unavailable") }
 
 //vet:noalloc
-func axpy4LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int) {
+func axpy4LoopAVX(c *float64, cstep int, x *float64, stride int, a *float64, astep int, y *float64, ystep, n, count int) {
 	panic("ml: SIMD unavailable")
 }
 
 //vet:noalloc
-func axpy8LoopAVX(c *float64, cstep int, x *float64, stride int, y *float64, ystep, n, count int) {
+func axpy8LoopAVX(c *float64, cstep int, x *float64, stride int, a *float64, astep int, y *float64, ystep, n, count int) {
 	panic("ml: SIMD unavailable")
 }
 
@@ -40,6 +40,9 @@ func reluGateAVX(d, a *float64, n int) { panic("ml: SIMD unavailable") }
 
 //vet:noalloc
 func expSubAVX(dst, src *float64, n int, sub float64) int { panic("ml: SIMD unavailable") }
+
+//vet:noalloc
+func mulAVX(x *float64, n int, a float64) { panic("ml: SIMD unavailable") }
 
 //vet:noalloc
 func divAVX(x *float64, n int, d float64) { panic("ml: SIMD unavailable") }

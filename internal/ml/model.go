@@ -340,16 +340,6 @@ func (g *Grads) NumParams() int {
 	return n
 }
 
-// Zero clears the gradients in place for the next batch.
-//
-//vet:noalloc
-func (g *Grads) Zero() {
-	for l := range g.W {
-		clear(g.W[l])
-		clear(g.B[l])
-	}
-}
-
 // Flat flattens the gradients in Params order.
 //
 //lint:ignore unused the flat-vector gradient the batch, gradient-check and legacy-SGD reference tests compare against

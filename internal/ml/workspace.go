@@ -33,8 +33,13 @@ type Workspace struct {
 	// coef holds one example block's weight-gradient coefficients,
 	// Al[(b+t)*in+i]·invN at coef[i*8+t], for the widest layer input.
 	coef []float64
+	// zeros is a never-written row as wide as the widest layer output.
+	zeros []float64
 	// act is CountCorrect's scratch (ActBuffer).
 	act []float64
+	// Rand is the worker's rng, which package fl reseeds for every client
+	// job it runs on this workspace (fl.ClientRNG); nil until then.
+	Rand *rand.Rand
 }
 
 // NewWorkspace returns an empty workspace; buffers are shaped lazily on
@@ -55,6 +60,7 @@ func (ws *Workspace) ensure(sizes []int) {
 	ws.grads = newGrads(sizes)
 	L := len(sizes) - 1
 	ws.coef = make([]float64, 8*slices.Max(sizes[:L]))
+	ws.zeros = make([]float64, slices.Max(sizes[1:]))
 	ws.model = &MLP{Sizes: append([]int(nil), sizes...)}
 	ws.model.W, ws.model.B = nil, nil
 	for l := 0; l < L; l++ {
@@ -128,7 +134,7 @@ func (ws *Workspace) permBuf(n int) []int {
 }
 
 // BackwardWS computes the average cross-entropy loss and its gradients over
-// a mini-batch (rows of X with labels Y), accumulating into g, with every
+// a mini-batch (rows of X with labels Y), overwriting g, with every
 // intermediate buffer drawn from ws — zero allocations in steady state. The batch is processed
 // batch-major (activation and delta matrices), so each weight row is
 // streamed once per batch instead of once per example.
@@ -171,8 +177,9 @@ func (m *MLP) BackwardWS(X [][]float64, Y []int, g *Grads, ws *Workspace) float6
 		d[Y[b]] -= 1
 	}
 
-	// Backward: walk layers down, accumulating gradients and computing the
-	// previous layer's delta matrix.
+	// Backward: walk layers down, computing gradients and the previous
+	// layer's delta matrix. A layer's first example block adds to ws.zeros,
+	// not to its gradients; what no first block covers is cleared.
 	cur, spare := ws.deltaM0, ws.deltaM1
 	for l := L - 1; l >= 0; l-- {
 		in, out := m.Sizes[l], m.Sizes[l+1]
@@ -184,9 +191,13 @@ func (m *MLP) BackwardWS(X [][]float64, Y []int, g *Grads, ws *Workspace) float6
 		for t := range cb {
 			cb[t] = invN
 		}
+		if n < 8 {
+			clear(gb)
+		}
 		b := 0
-		for ; b+8 <= n; b += 8 {
-			axpyN8(&cb, cur[b*out:], out, gb)
+		for from := ws.zeros; b+8 <= n; b += 8 {
+			axpyN8Loop(cb[:], 0, cur[b*out:], out, from, 0, gb, 0, out, 1)
+			from = gb
 		}
 		for ; b < n; b++ {
 			axpy(invN, cur[b*out:b*out+out], gb)
@@ -199,6 +210,10 @@ func (m *MLP) BackwardWS(X [][]float64, Y []int, g *Grads, ws *Workspace) float6
 		// is the same sum. A block's coefficients are gathered first, then
 		// one call runs it over every gradient row.
 		gw, w := g.W[l], m.W[l]
+		if n < 4 {
+			clear(gw)
+		}
+		from, step := ws.zeros, 0
 		b = 0
 		for ; b+8 <= n; b += 8 {
 			c := ws.coef[:8*in]
@@ -207,7 +222,8 @@ func (m *MLP) BackwardWS(X [][]float64, Y []int, g *Grads, ws *Workspace) float6
 					c[i*8+t] = a * invN
 				}
 			}
-			axpyN8Loop(c, 8, cur[b*out:], out, gw, out, out, in)
+			axpyN8Loop(c, 8, cur[b*out:], out, from, step, gw, out, out, in)
+			from, step = gw, out
 		}
 		if b+4 <= n {
 			c := ws.coef[:4*in]
@@ -216,7 +232,7 @@ func (m *MLP) BackwardWS(X [][]float64, Y []int, g *Grads, ws *Workspace) float6
 					c[i*4+t] = a * invN
 				}
 			}
-			axpyN4Loop(c, 4, cur[b*out:], out, gw, out, out, in)
+			axpyN4Loop(c, 4, cur[b*out:], out, from, step, gw, out, out, in)
 			b += 4
 		}
 		for ; b < n; b++ {
@@ -266,10 +282,10 @@ func (m *MLP) batchForward(l, n int, A, Z []float64, relu bool) {
 	w := m.W[l]
 	i := 0
 	for ; i+8 <= in; i += 8 {
-		axpyN8Loop(A[i:], in, w[i*out:], out, Z, out, out, n)
+		axpyN8Loop(A[i:], in, w[i*out:], out, Z, out, Z, out, out, n)
 	}
 	if i+4 <= in {
-		axpyN4Loop(A[i:], in, w[i*out:], out, Z, out, out, n)
+		axpyN4Loop(A[i:], in, w[i*out:], out, Z, out, Z, out, out, n)
 		i += 4
 	}
 	for ; i < in; i++ {
@@ -317,7 +333,6 @@ func TrainEpochWS(m *MLP, d *Dataset, batch int, opt *SGD, mu float64, anchor []
 			by = append(by, d.Y[idx])
 		}
 		ws.bx, ws.by = bx, by
-		ws.grads.Zero()
 		totalLoss += m.BackwardWS(bx, by, ws.grads, ws)
 		opt.StepModel(m, ws.grads, mu, anchor)
 		batches++

@@ -11,7 +11,10 @@ import (
 // zeroedGrads returns ws's gradient buffer shaped like sizes, zeroed.
 func zeroedGrads(ws *Workspace, sizes []int) *Grads {
 	ws.ensure(sizes)
-	ws.grads.Zero()
+	for l := range ws.grads.W {
+		clear(ws.grads.W[l])
+		clear(ws.grads.B[l])
+	}
 	return ws.grads
 }
 
