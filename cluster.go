@@ -62,6 +62,8 @@ type ClusterConfig struct {
 	// OnViolation handles invariant violations found by the chaos checker
 	// (see simnet.Config.OnViolation; nil panics with the violation).
 	OnViolation func(*simnet.InvariantViolation)
+	// Observer sees every delivered message (see simnet.Config.Observer).
+	Observer func(from, to transport.Addr, size int)
 }
 
 // Cluster is a whole simulated Totoro deployment: N engines on a
@@ -117,6 +119,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		Latency:          simnet.ConstLatency(5 * time.Millisecond),
 		DefaultBandwidth: cfg.Bandwidth,
 		OnViolation:      cfg.OnViolation,
+		Observer:         cfg.Observer,
 	}
 	if cfg.ExactSizes {
 		RegisterWire() // exact accounting encodes through the codec registry
@@ -347,8 +350,7 @@ func (c *Cluster) Master(id AppID) *Engine {
 // pass this as NemesisConfig.OnRestart). It plays the role a node's init
 // system plays in a real deployment: hand the recovered engine its data shards
 // (the store journals *that* the node works for an app; the driver owns
-// the bytes), point it at a live bootstrap node, and — once the overlay
-// join completes — let it resume its recovered roles.
+// the bytes) and rejoin it through a live bootstrap node (Engine.Rejoin).
 func (c *Cluster) Restarted(addr transport.Addr) {
 	idx := c.EngineIndex(addr)
 	if idx < 0 {
@@ -371,19 +373,7 @@ func (c *Cluster) Restarted(addr transport.Addr) {
 	if bootstrap == "" {
 		return // nobody to rejoin through; the next restart will retry
 	}
-	eng.Join(bootstrap)
-	var poll func()
-	poll = func() {
-		if !c.Net.Alive(addr) || c.Engines[idx] != eng {
-			return // crashed again; its own restart drives recovery
-		}
-		if !eng.Ring().Joined() {
-			c.Net.ScheduleAfter(50*time.Millisecond, poll)
-			return
-		}
-		eng.ResumeAfterRestart()
-	}
-	c.Net.ScheduleAfter(50*time.Millisecond, poll)
+	eng.Rejoin(bootstrap)
 }
 
 // StartMaintenance starts periodic leaf-set maintenance on every engine's
@@ -397,6 +387,15 @@ func (c *Cluster) StartMaintenance(interval time.Duration) {
 		e.Ring().StartMaintenance(interval)
 	}
 }
+
+// Rand returns the deployment's random stream. NewCluster draws the node
+// IDs and then the overlay wiring from it; placements and start nodes come
+// from it after that.
+func (c *Cluster) Rand() *rand.Rand { return c.rng }
+
+// Env returns engine i's network endpoint, for traffic sent beside the
+// engine's own protocols.
+func (c *Cluster) Env(i int) transport.Env { return c.Engines[i].env }
 
 // EngineIndex maps a node address to its engine index (-1 if unknown).
 func (c *Cluster) EngineIndex(addr transport.Addr) int {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"totoro/internal/ring"
+	"totoro/internal/transport"
 	"totoro/internal/workload"
 )
 
@@ -162,4 +163,33 @@ func TestPerNodeFootprint(t *testing.T) {
 		t.Fatalf("a simulated node holds %d bytes after construction, want <= %d", per, 10<<10)
 	}
 	runtime.KeepAlive(c)
+}
+
+// TestObserverSeesEveryDelivery: ClusterConfig.Observer is called once per
+// delivered message of a short training run, with the size the receiver is
+// charged, so its tallies equal the fleet's net.delivered and net.bytes_in.
+func TestObserverSeesEveryDelivery(t *testing.T) {
+	var msgs, bytes int64
+	c := NewCluster(ClusterConfig{
+		N:         30,
+		Seed:      48,
+		Ring:      ring.Config{B: 4},
+		Bandwidth: 2 << 20,
+		Observer: func(_, _ transport.Addr, size int) {
+			msgs++
+			bytes += int64(size)
+		},
+	})
+	app := testApps(1, 48)[0]
+	app.MaxRounds = 3
+	if p := c.Train(c.DeployOnRandomNodes(app))[0]; len(p.Points) != 3 {
+		t.Fatalf("trained %d rounds, want 3", len(p.Points))
+	}
+	snap := c.Net.MergedSnapshot()
+	if want := snap.Counters["net.delivered"]; msgs != want {
+		t.Errorf("observer saw %d messages, net.delivered is %d", msgs, want)
+	}
+	if want := snap.Counters[transport.CtrBytesIn]; bytes != want {
+		t.Errorf("observer saw %d bytes, %s is %d", bytes, transport.CtrBytesIn, want)
+	}
 }

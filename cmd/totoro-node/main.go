@@ -114,7 +114,9 @@ func main() {
 	}
 
 	if *bootstrap != "" {
-		node.Do(func() { engine.Join(transport.Addr(*bootstrap)) })
+		// Rejoin also resumes the roles a recovered engine holds, once the
+		// ring reports the join complete.
+		node.Do(func() { engine.Rejoin(transport.Addr(*bootstrap)) })
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			joined := false
@@ -128,10 +130,9 @@ func main() {
 			time.Sleep(100 * time.Millisecond)
 		}
 		log.Printf("joined overlay via %s", *bootstrap)
-	}
-	if recovered {
-		// Back on the ring (or running standalone): restart any training
-		// rounds the WAL says were in flight when the last run died.
+	} else if recovered {
+		// Running standalone: restart any training rounds the WAL says were
+		// in flight when the last run died.
 		node.Do(func() { engine.ResumeAfterRestart() })
 		log.Printf("resumed recovered roles")
 	}

@@ -404,3 +404,56 @@ func TestMasterFromImageCopies(t *testing.T) {
 		t.Fatalf("image trajectory storage %+v after the promoted masters appended to theirs", got)
 	}
 }
+
+// TestRejoinResumesOnceJoined steps a crash-restarted durable worker through
+// Engine.Rejoin one event at a time: it resumes its recovered roles only
+// after its ring reports the join, and within one 50 ms poll of it. An
+// engine crash-restarted again, before its ring joined or between the join
+// and the next poll, never resumes that first incarnation; the next one
+// resumes in its place.
+func TestRejoinResumesOnceJoined(t *testing.T) {
+	const poll = 50 * time.Millisecond
+	for _, again := range []string{"", "before join", "after join"} {
+		c := durableCluster(183)
+		id := c.DeployOnRandomNodes(testApps(1, 183)[0])
+		w := slices.IndexFunc(c.Engines, func(e *Engine) bool { return e.workers[id] != nil })
+		// A slow link stretches the join over several polls.
+		c.Net.SetBandwidth(c.Engines[w].Self().Addr, 8<<10)
+		restartEngine(c, w)
+		first := c.Engines[w]
+		if !first.Recovered() {
+			t.Fatalf("%q: the restarted worker recovered nothing", again)
+		}
+		cur, bootAt, joinedAt := first, c.Net.Now(), time.Duration(-1)
+	run:
+		for c.Net.Now() < bootAt+5*time.Second {
+			if joinedAt < 0 && cur.Ring().Joined() {
+				joinedAt = c.Net.Now()
+				if joinedAt-bootAt <= poll {
+					t.Fatalf("%q: joined %v after the restart, within the first poll", again, joinedAt-bootAt)
+				}
+			}
+			switch {
+			case cur.resumed && joinedAt < 0:
+				t.Fatalf("%q: resumed at %v before its ring joined", again, c.Net.Now())
+			case cur.resumed && c.Net.Now()-joinedAt > poll:
+				t.Fatalf("%q: joined at %v but resumed only at %v", again, joinedAt, c.Net.Now())
+			case cur.resumed:
+				break run
+			case cur == first && c.Net.Now() > bootAt &&
+				(again == "before join" && joinedAt < 0 || again == "after join" && joinedAt >= 0):
+				restartEngine(c, w)
+				cur, bootAt, joinedAt = c.Engines[w], c.Net.Now(), -1
+				continue
+			}
+			c.Net.Step()
+		}
+		if !cur.resumed {
+			t.Fatalf("%q: the worker never resumed", again)
+		}
+		if again != "" && (cur == first || first.resumed) {
+			t.Fatalf("%q: first incarnation resumed=%v, final incarnation is the first: %v",
+				again, first.resumed, cur == first)
+		}
+	}
+}

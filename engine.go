@@ -262,8 +262,24 @@ func (e *Engine) Receive(from transport.Addr, msg any) {
 
 // --- Table 2 API ---
 
-// Join enters an existing overlay through any member node.
-func (e *Engine) Join(bootstrap transport.Addr) { e.ring.Join(bootstrap) }
+// Rejoin enters an existing overlay through any member node (the paper's
+// Join), checks every 50 ms on the engine's own timer whether the ring
+// reports the join complete, and then calls ResumeAfterRestart, which only
+// an engine recovered from its store acts on. The timer dies with the
+// process that armed it, so an engine that crashes again before it resumed
+// never resumes that incarnation; the next one rejoins anew.
+func (e *Engine) Rejoin(bootstrap transport.Addr) {
+	e.ring.Join(bootstrap)
+	var poll func()
+	poll = func() {
+		if !e.ring.Joined() {
+			e.env.After(50*time.Millisecond, poll)
+			return
+		}
+		e.ResumeAfterRestart()
+	}
+	e.env.After(50*time.Millisecond, poll)
+}
 
 // CreateTree creates the application's dataflow tree: the spec is routed
 // to the rendezvous node (numerically closest to the AppID), which becomes

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"totoro"
 	"totoro/internal/fl"
 	"totoro/internal/ids"
 	"totoro/internal/ml"
@@ -43,14 +44,14 @@ func AblationInNetworkAggregation(o Options) []AggregationAblationRow {
 func aggregationAblationRun(o Options, n int) AggregationAblationRow {
 	const updateBytes = 50 << 10
 	topic := ids.Hash("ablation-agg", fmt.Sprint(n))
-	f := newForest(forestConfig{
+	f := newForest(totoro.ClusterConfig{
 		N:         n + n/2,
 		Ring:      ring.Config{B: 4},
 		Seed:      o.Seed + int64(n),
 		Bandwidth: 2 << 20,
 	})
 	f.subscribeDistinct(topic, n)
-	rootAddr := f.root(topic).Ring.Self().Addr
+	rootAddr := f.root(topic).Self().Addr
 
 	// (a) In-network aggregation up the tree.
 	f.Net.ResetTraffic()
@@ -70,12 +71,12 @@ func aggregationAblationRun(o Options, n int) AggregationAblationRow {
 	sinkAddr := transport.Addr("direct-sink")
 	f.Net.AddNode(sinkAddr, func(e transport.Env) transport.Handler { return collector })
 	f.Net.SetBandwidth(sinkAddr, 2<<20)
-	for i, s := range f.Stacks {
-		info, ok := s.PS.TreeInfo(topic)
+	for i, e := range f.Engines {
+		info, ok := e.PubSub().TreeInfo(topic)
 		if !ok || !info.Subscribed {
 			continue
 		}
-		f.Envs[i].Send(sinkAddr, modelObj{Bytes: updateBytes})
+		f.Env(i).Send(sinkAddr, modelObj{Bytes: updateBytes})
 	}
 	f.Net.RunUntilIdle()
 	directMs := float64(lastArrive-start) / float64(time.Millisecond)
@@ -121,13 +122,10 @@ func AblationMultiRing(o Options) []MultiRingAblationRow {
 		var cross, intra int64
 		zoneOf := func(i int) uint64 { return uint64(i / perZone) }
 		zoneOfAddr := map[transport.Addr]uint64{}
-		cfg := forestConfig{
+		cfg := totoro.ClusterConfig{
 			N:    zones * perZone,
 			Ring: ring.Config{B: zoneBits},
 			Seed: o.Seed,
-			Name: func(i int) transport.Addr {
-				return transport.Addr(fmt.Sprintf("z%d-n%d", i/perZone, i%perZone))
-			},
 			Observer: func(from, to transport.Addr, size int) {
 				if zoneOfAddr[from] == zoneOfAddr[to] {
 					intra += int64(size)
@@ -140,8 +138,8 @@ func AblationMultiRing(o Options) []MultiRingAblationRow {
 			cfg.ZoneBits, cfg.ZoneOf = zoneBits, zoneOf
 		}
 		f := newForest(cfg)
-		for i, s := range f.Stacks {
-			zoneOfAddr[s.Ring.Self().Addr] = zoneOf(i)
+		for i, e := range f.Engines {
+			zoneOfAddr[e.Self().Addr] = zoneOf(i)
 		}
 		for a := 0; a < apps; a++ {
 			zone := uint64(a % zones)
@@ -153,9 +151,9 @@ func AblationMultiRing(o Options) []MultiRingAblationRow {
 			}
 			// Subscribers all live in the app's home zone.
 			members := 0
-			for i, s := range f.Stacks {
+			for i, e := range f.Engines {
 				if zoneOf(i) == zone {
-					s.PS.Subscribe(topic)
+					e.SubscribeTopic(topic)
 					members++
 					if members >= subsPer {
 						break

@@ -6,14 +6,10 @@
 package experiments
 
 import (
-	"fmt"
-	"math/rand"
 	"time"
 
+	"totoro"
 	"totoro/internal/ids"
-	"totoro/internal/pubsub"
-	"totoro/internal/ring"
-	"totoro/internal/simnet"
 	"totoro/internal/transport"
 )
 
@@ -25,33 +21,30 @@ type Options struct {
 	Short bool
 }
 
-// --- shared mini-harness: a raw ring+pub/sub forest (no FL driver) ---
+// --- shared mini-harness: a Cluster's engines, driven without training ---
 
-// stack couples one ring node with one pub/sub node.
-type stack struct {
-	Ring *ring.Node
-	PS   *pubsub.Node
-}
-
-// Receive implements transport.Handler.
-func (s *stack) Receive(from transport.Addr, msg any) {
-	if _, ok := msg.(ring.Message); ok {
-		s.Ring.Receive(from, msg)
-		return
-	}
-	s.PS.Receive(from, msg)
-}
-
-// forest is a population of stacks on a simulated network.
+// forest is the view the no-training figures take of a Cluster: its
+// engines indexed by address. A figure draws from the cluster's own stream
+// (Rand), after the node IDs and the overlay wiring.
 type forest struct {
-	Net    *simnet.Network
-	Stacks []*stack
-	Envs   []transport.Env
-	ByAddr map[transport.Addr]*stack
-	RNG    *rand.Rand
-	// keepAlive > 0 means periodic timers never drain; settle runs a
-	// bounded window instead of draining the queue.
-	keepAlive time.Duration
+	*totoro.Cluster
+	byAddr    map[transport.Addr]*totoro.Engine
+	keepAlive time.Duration // > 0: timers never drain, see settle
+}
+
+// newForest builds the deployment cfg describes (engines on a 5 ms network,
+// overlay wired statically) and indexes its engines by address.
+func newForest(cfg totoro.ClusterConfig) *forest {
+	c := totoro.NewCluster(cfg)
+	f := &forest{
+		Cluster:   c,
+		byAddr:    make(map[transport.Addr]*totoro.Engine, len(c.Engines)),
+		keepAlive: cfg.PubSub.KeepAliveInterval,
+	}
+	for _, e := range c.Engines {
+		f.byAddr[e.Self().Addr] = e
+	}
+	return f
 }
 
 // settle advances the network until quiescent: with keep-alives enabled it
@@ -65,79 +58,20 @@ func (f *forest) settle() {
 	f.Net.RunUntilIdle()
 }
 
-type forestConfig struct {
-	N         int
-	Ring      ring.Config
-	PubSub    pubsub.Config
-	Seed      int64
-	Bandwidth int64
-	// Name gives node i its address (nil: "n<i>").
-	Name func(i int) transport.Addr
-	// ZoneBits enables zone-prefixed node IDs; ZoneOf assigns node i its zone
-	// (required when ZoneBits > 0).
-	ZoneBits int
-	ZoneOf   func(i int) uint64
-	// Observer sees every delivered message (simnet.Config.Observer).
-	Observer func(from, to transport.Addr, size int)
-}
-
-// newForest builds cfg.N stacks on a 5 ms network and wires the overlay
-// statically; every random draw comes from one rng seeded with cfg.Seed.
-func newForest(cfg forestConfig) *forest {
-	f := &forest{
-		Net: simnet.New(simnet.Config{
-			Seed:             cfg.Seed,
-			Latency:          simnet.ConstLatency(5 * time.Millisecond),
-			DefaultBandwidth: cfg.Bandwidth,
-			Observer:         cfg.Observer,
-		}),
-		ByAddr:    make(map[transport.Addr]*stack),
-		RNG:       rand.New(rand.NewSource(cfg.Seed)),
-		keepAlive: cfg.PubSub.KeepAliveInterval,
-	}
-	var ringNodes []*ring.Node
-	for i := 0; i < cfg.N; i++ {
-		var addr transport.Addr
-		if cfg.Name != nil {
-			addr = cfg.Name(i)
-		} else {
-			addr = transport.Addr(fmt.Sprintf("n%d", i))
-		}
-		id := ids.Random(f.RNG)
-		if cfg.ZoneBits > 0 {
-			id = ids.MakeZoned(cfg.ZoneOf(i), cfg.ZoneBits, id)
-		}
-		s := &stack{}
-		env := f.Net.AddNode(addr, func(e transport.Env) transport.Handler {
-			s.Ring = ring.New(e, ring.Contact{ID: id, Addr: addr}, cfg.Ring)
-			s.PS = pubsub.New(e, s.Ring, cfg.PubSub)
-			return s
-		})
-		f.Stacks = append(f.Stacks, s)
-		f.Envs = append(f.Envs, env)
-		f.ByAddr[addr] = s
-		ringNodes = append(ringNodes, s.Ring)
-	}
-	ring.BuildStatic(ringNodes, f.RNG)
-	return f
-}
-
 // subscribeDistinct subscribes k distinct random nodes to topic and waits
-// for the tree to settle; it returns the chosen indices.
-func (f *forest) subscribeDistinct(topic ids.ID, k int) []int {
-	perm := f.RNG.Perm(len(f.Stacks))[:k]
-	for _, i := range perm {
-		f.Stacks[i].PS.Subscribe(topic)
+// for the tree to settle.
+func (f *forest) subscribeDistinct(topic ids.ID, k int) {
+	for _, i := range f.Rand().Perm(len(f.Engines))[:k] {
+		f.Engines[i].SubscribeTopic(topic)
 	}
 	f.settle()
-	return perm
 }
 
-// root returns the stack that roots topic's tree (nil if none does).
-func (f *forest) root(topic ids.ID) *stack {
-	for _, s := range f.Stacks {
-		if info, ok := s.PS.TreeInfo(topic); ok && info.IsRoot {
-			return s
+// root returns the engine that roots topic's tree (nil if none does).
+func (f *forest) root(topic ids.ID) *totoro.Engine {
+	for _, e := range f.Engines {
+		if info, ok := e.PubSub().TreeInfo(topic); ok && info.IsRoot {
+			return e
 		}
 	}
 	return nil
@@ -151,14 +85,14 @@ func (f *forest) treeLevels(topic ids.ID) []int {
 		return nil
 	}
 	levels := []int{}
-	frontier := []*stack{root}
+	frontier := []*totoro.Engine{root}
 	for len(frontier) > 0 {
 		levels = append(levels, len(frontier))
-		var next []*stack
-		for _, s := range frontier {
-			info, _ := s.PS.TreeInfo(topic)
+		var next []*totoro.Engine
+		for _, e := range frontier {
+			info, _ := e.PubSub().TreeInfo(topic)
 			for _, c := range info.Children {
-				if child, ok := f.ByAddr[c.Addr]; ok {
+				if child, ok := f.byAddr[c.Addr]; ok {
 					next = append(next, child)
 				}
 			}
@@ -172,15 +106,15 @@ func (f *forest) treeLevels(topic ids.ID) []int {
 // at the same instant — subscribers a payload of the given size, interior
 // nodes an empty contribution — and runs the network until idle.
 func (f *forest) submitAll(topic ids.ID, bytes int) {
-	for _, s := range f.Stacks {
-		info, ok := s.PS.TreeInfo(topic)
+	for _, e := range f.Engines {
+		info, ok := e.PubSub().TreeInfo(topic)
 		if !ok || !info.Attached {
 			continue
 		}
 		if info.Subscribed {
-			s.PS.SubmitUpdate(topic, 1, modelObj{Bytes: bytes})
+			e.Aggregate(topic, 1, modelObj{Bytes: bytes})
 		} else {
-			s.PS.SubmitUpdate(topic, 1, nil)
+			e.Aggregate(topic, 1, nil)
 		}
 	}
 	f.Net.RunUntilIdle()

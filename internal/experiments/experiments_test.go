@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"totoro"
 	"totoro/internal/ids"
 	"totoro/internal/obs"
 	"totoro/internal/ring"
@@ -15,10 +16,10 @@ import (
 // (each hop's To is the next hop's Node), and the chain ends at the node
 // that logged the delivery.
 func TestRingPathReconstructedFromTrace(t *testing.T) {
-	f := newForest(forestConfig{N: 60, Ring: ring.Config{B: 2}, Seed: 99})
+	f := newForest(totoro.ClusterConfig{N: 60, Ring: ring.Config{B: 2}, Seed: 99})
 	key := ids.Hash("trace-path", "probe")
-	src := f.Stacks[0]
-	src.Ring.Route(key, nil)
+	src := f.Engines[0]
+	src.Ring().Route(key, nil)
 	f.Net.RunUntilIdle()
 
 	path := ringPath(f.Net.MergedTrace(), key.String())
@@ -38,7 +39,7 @@ func TestRingPathReconstructedFromTrace(t *testing.T) {
 				i, path[i].Node, path[i].To, path[i+1].Node, path)
 		}
 	}
-	if path[0].Node != string(src.Ring.Self().Addr) && len(path) > 1 {
+	if path[0].Node != string(src.Self().Addr) && len(path) > 1 {
 		t.Fatalf("path does not start at the source: %v", path)
 	}
 	if last.Hop != len(path)-1 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"totoro"
 	"totoro/internal/ids"
 	"totoro/internal/pubsub"
 	"totoro/internal/ring"
@@ -46,7 +47,7 @@ func recoveryRun(o Options, trees int) RecoveryRow {
 		kaInterval  = 50 * time.Millisecond
 		kaTimeout   = 150 * time.Millisecond
 	)
-	f := newForest(forestConfig{
+	f := newForest(totoro.ClusterConfig{
 		N:    nodes,
 		Ring: ring.Config{B: 4, ReliableHops: true, HopAckTimeout: 100 * time.Millisecond},
 		PubSub: pubsub.Config{
@@ -67,15 +68,15 @@ func recoveryRun(o Options, trees int) RecoveryRow {
 	// that each tree keeps a rendezvous to repair toward.
 	failed := map[transport.Addr]bool{}
 	for _, topic := range topics {
-		var members []*stack
-		for _, s := range f.Stacks {
-			if info, ok := s.PS.TreeInfo(topic); ok && info.Attached && !info.IsRoot {
-				members = append(members, s)
+		var members []*totoro.Engine
+		for _, e := range f.Engines {
+			if info, ok := e.PubSub().TreeInfo(topic); ok && info.Attached && !info.IsRoot {
+				members = append(members, e)
 			}
 		}
-		f.RNG.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+		f.Rand().Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
 		for i := 0; i < len(members)/20; i++ {
-			failed[members[i].Ring.Self().Addr] = true
+			failed[members[i].Self().Addr] = true
 		}
 	}
 	for addr := range failed {
@@ -105,18 +106,17 @@ func recoveryRun(o Options, trees int) RecoveryRow {
 // unbroken live parent chain to a root.
 func (f *forest) allRepaired(topics []ids.ID, failed map[transport.Addr]bool) bool {
 	for _, topic := range topics {
-		for _, s := range f.Stacks {
-			addr := s.Ring.Self().Addr
-			if failed[addr] {
+		for _, e := range f.Engines {
+			if failed[e.Self().Addr] {
 				continue
 			}
-			info, ok := s.PS.TreeInfo(topic)
+			info, ok := e.PubSub().TreeInfo(topic)
 			if !ok || !info.Subscribed {
 				continue
 			}
-			cur := s
+			cur := e
 			for hops := 0; ; hops++ {
-				ci, ok := cur.PS.TreeInfo(topic)
+				ci, ok := cur.PubSub().TreeInfo(topic)
 				if !ok || !ci.Attached {
 					return false
 				}
@@ -126,8 +126,8 @@ func (f *forest) allRepaired(topics []ids.ID, failed map[transport.Addr]bool) bo
 				if failed[ci.Parent.Addr] {
 					return false
 				}
-				next, ok := f.ByAddr[ci.Parent.Addr]
-				if !ok || hops > len(f.Stacks) {
+				next, ok := f.byAddr[ci.Parent.Addr]
+				if !ok || hops > len(f.Engines) {
 					return false
 				}
 				cur = next

@@ -6,11 +6,11 @@ import (
 	"sort"
 	"time"
 
+	"totoro"
 	"totoro/internal/eua"
 	"totoro/internal/ids"
 	"totoro/internal/multiring"
 	"totoro/internal/ring"
-	"totoro/internal/transport"
 )
 
 // ZoneRow is one edge zone produced by distributed binning (Fig 5a).
@@ -68,18 +68,17 @@ func Fig5bMasterDistribution(o Options) Fig5bResult {
 	if o.Short {
 		nodes, trees = 300, 150
 	}
-	f := newForest(forestConfig{N: nodes, Ring: ring.Config{B: 4}, Seed: o.Seed})
+	f := newForest(totoro.ClusterConfig{N: nodes, Ring: ring.Config{B: 4}, Seed: o.Seed})
 	for t := 0; t < trees; t++ {
 		topic := ids.Hash("fig5b-app", fmt.Sprint(t))
-		src := f.Stacks[f.RNG.Intn(len(f.Stacks))]
-		src.PS.Create(topic)
+		f.Engines[f.Rand().Intn(len(f.Engines))].PubSub().Create(topic)
 	}
 	f.Net.RunUntilIdle()
 	hist := map[int]int{}
 	maxM := 0
 	atMost3 := 0
-	for _, s := range f.Stacks {
-		rc := s.PS.RootCount()
+	for _, e := range f.Engines {
+		rc := e.PubSub().RootCount()
 		hist[rc]++
 		if rc > maxM {
 			maxM = rc
@@ -125,11 +124,10 @@ func Fig5cMastersPerZone(o Options) []ZoneWorkloadRow {
 	// One overlay whose node IDs carry their zone prefix; zonal AppIDs then
 	// rendezvous inside their own zone.
 	const zoneBits = 4
-	f := newForest(forestConfig{
+	f := newForest(totoro.ClusterConfig{
 		N:        len(pos),
 		Ring:     ring.Config{B: 4},
 		Seed:     o.Seed,
-		Name:     func(i int) transport.Addr { return transport.Addr(fmt.Sprintf("z%d", i)) },
 		ZoneBits: zoneBits,
 		ZoneOf:   func(i int) uint64 { return bin.ZoneOf[i] },
 	})
@@ -147,8 +145,7 @@ func Fig5cMastersPerZone(o Options) []ZoneWorkloadRow {
 		appsPerZone[z] = apps
 		for a := 0; a < apps; a++ {
 			topic := ids.MakeZoned(z, zoneBits, ids.Hash("fig5c-app", fmt.Sprint(z), fmt.Sprint(a)))
-			src := f.Stacks[members[f.RNG.Intn(len(members))]]
-			src.PS.Create(topic)
+			f.Engines[members[f.Rand().Intn(len(members))]].PubSub().Create(topic)
 		}
 	}
 	f.Net.RunUntilIdle()
@@ -158,8 +155,8 @@ func Fig5cMastersPerZone(o Options) []ZoneWorkloadRow {
 		masters map[int]int
 	}
 	stats := map[uint64]*zstat{}
-	for i, s := range f.Stacks {
-		rc := s.PS.RootCount()
+	for i, e := range f.Engines {
+		rc := e.PubSub().RootCount()
 		if rc == 0 {
 			continue
 		}
@@ -215,12 +212,12 @@ func Fig5dTreeBalance(o Options) []TreeLevelRow {
 	if o.Short {
 		nodes, trees = 500, 8
 	}
-	f := newForest(forestConfig{N: nodes, Ring: ring.Config{B: 3}, Seed: o.Seed})
+	f := newForest(totoro.ClusterConfig{N: nodes, Ring: ring.Config{B: 3}, Seed: o.Seed})
 	var out []TreeLevelRow
 	for t := 0; t < trees; t++ {
 		topic := ids.Hash("fig5d-app", fmt.Sprint(t))
 		// Random tree sizes give the paper's random depth range.
-		size := 50 + f.RNG.Intn(nodes/2)
+		size := 50 + f.Rand().Intn(nodes/2)
 		f.subscribeDistinct(topic, size)
 		for lvl, cnt := range f.treeLevels(topic) {
 			out = append(out, TreeLevelRow{Tree: t, Level: lvl, Nodes: cnt})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"totoro"
 	"totoro/internal/ids"
 	"totoro/internal/obs"
 	"totoro/internal/ring"
@@ -50,7 +51,7 @@ func measureTree(o Options, b, n int) ScaleRow {
 	// Latency-dominated regime (no NIC serialization): dissemination and
 	// aggregation time are then exactly the tree-depth staircase the paper
 	// reports; Fig 7 and Table 3 cover the bandwidth-bound regimes.
-	f := newForest(forestConfig{
+	f := newForest(totoro.ClusterConfig{
 		N:    network,
 		Ring: ring.Config{B: b},
 		Seed: o.Seed + int64(n),
@@ -61,7 +62,7 @@ func measureTree(o Options, b, n int) ScaleRow {
 	// Dissemination: root publishes one model; time to the last subscriber,
 	// read from the subscribers' pubsub.deliver trace events.
 	start := f.Net.Now()
-	f.root(topic).PS.Publish(topic, modelObj{Bytes: fig6ModelBytes})
+	f.root(topic).Broadcast(topic, modelObj{Bytes: fig6ModelBytes})
 	f.Net.RunUntilIdle()
 	dissem := f.lastEvent(obs.KindPubSubDeliver, "sub", topic, start) - start
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"totoro"
 	"totoro/internal/ids"
 	"totoro/internal/pubsub"
 	"totoro/internal/ring"
@@ -60,7 +61,7 @@ func Fig7Traffic(o Options) []TrafficRow {
 }
 
 func trafficRun(o Options, nodes, trees, subsPerTree, window int) (tcpPerNode, udpPerNode float64) {
-	f := newForest(forestConfig{
+	f := newForest(totoro.ClusterConfig{
 		N:    nodes,
 		Ring: ring.Config{B: 4},
 		PubSub: pubsub.Config{
@@ -83,8 +84,8 @@ func trafficRun(o Options, nodes, trees, subsPerTree, window int) (tcpPerNode, u
 	// tick every second on their own timers.
 	for c := 0; c < window; c++ {
 		if c%15 == 0 {
-			for _, s := range f.Stacks {
-				s.Ring.ProbeLeafset()
+			for _, e := range f.Engines {
+				e.Ring().ProbeLeafset()
 			}
 		}
 		f.Net.Run(f.Net.Now() + time.Second)

@@ -91,18 +91,17 @@ type CallGraph struct {
 
 // asyncSchedulerNames are callables whose function-valued arguments run
 // asynchronously: on a later virtual-time tick (After, AfterFunc,
-// ScheduleAfter, schedule, transport.Every) or on a supervised worker
+// schedule, transport.Every) or on a supervised worker
 // goroutine (fl.Go, fl.ForEach). A literal passed to one — directly or through a local
 // variable, as in the `tick := func(){...}; env.After(d, tick)` idiom —
 // has its call sites marked Async.
 var asyncSchedulerNames = map[string]bool{
-	"After":         true,
-	"AfterFunc":     true,
-	"Every":         true,
-	"Go":            true,
-	"ForEach":       true,
-	"ScheduleAfter": true,
-	"schedule":      true,
+	"After":     true,
+	"AfterFunc": true,
+	"Every":     true,
+	"Go":        true,
+	"ForEach":   true,
+	"schedule":  true,
 }
 
 // asyncBoundaryMethods are interface methods that are asynchronous by the

@@ -44,7 +44,7 @@ func TestStaleCancelDoesNotHitRecycledEvent(t *testing.T) {
 func TestRandomSchedulesPopInKeyOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
-		net := New(Config{})
+		net, _, _, ea, _ := twoNodes(t, Config{})
 		type key struct {
 			at time.Duration
 			n  int
@@ -54,7 +54,7 @@ func TestRandomSchedulesPopInKeyOrder(t *testing.T) {
 		for i := 0; i < count; i++ {
 			k := key{time.Duration(rng.Intn(50)) * time.Millisecond, i}
 			want = append(want, k)
-			net.ScheduleAfter(k.at, func() { got = append(got, key{net.Now(), k.n}) })
+			ea.After(k.at, func() { got = append(got, key{net.Now(), k.n}) })
 		}
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
 		// Interleave pops with further pushes, as a running simulation does.
@@ -62,7 +62,7 @@ func TestRandomSchedulesPopInKeyOrder(t *testing.T) {
 			net.Step()
 		}
 		late := key{net.Now(), count}
-		net.ScheduleAfter(0, func() { got = append(got, key{net.Now(), late.n}) })
+		ea.After(0, func() { got = append(got, key{net.Now(), late.n}) })
 		pos := sort.Search(len(want), func(i int) bool { return want[i].at > late.at })
 		want = append(want[:pos], append([]key{late}, want[pos:]...)...)
 		net.RunUntilIdle()
@@ -82,7 +82,7 @@ func TestRandomSchedulesPopInKeyOrder(t *testing.T) {
 func TestCancelledHeadTimers(t *testing.T) {
 	net, _, _, ea, _ := twoNodes(t, Config{})
 	c1 := ea.After(1*time.Millisecond, func() { t.Error("cancelled timer 1 ran") })
-	c2 := net.ScheduleAfter(2*time.Millisecond, func() { t.Error("cancelled timer 2 ran") })
+	c2 := ea.After(2*time.Millisecond, func() { t.Error("cancelled timer 2 ran") })
 	ran := 0
 	ea.After(30*time.Millisecond, func() { ran++ })
 	c1()

@@ -229,9 +229,9 @@ func TestInvariantCheckerFailsRunWithSeed(t *testing.T) {
 
 func TestInvariantCheckerPanicsWithoutHandler(t *testing.T) {
 	net := New(Config{Seed: 9})
-	net.AddNode("a", func(e transport.Env) transport.Handler { return &recorder{env: e} })
+	a := net.AddNode("a", func(e transport.Env) transport.Handler { return &recorder{env: e} })
 	net.AddInvariant(func() error { return errors.New("split brain") })
-	net.ScheduleAfter(time.Millisecond, func() {})
+	a.After(time.Millisecond, func() {})
 	defer func() {
 		v, ok := recover().(*InvariantViolation)
 		if !ok {

@@ -88,29 +88,29 @@ func TestNeverRecyclesWhatIsNotDeliveredOnce(t *testing.T) {
 	cases := []struct {
 		name       string
 		deliveries int
-		fault      func(net *Network, to transport.Addr)
+		fault      func(net *Network, a transport.Env, to transport.Addr)
 	}{
-		{"dup", 2, func(net *Network, _ transport.Addr) { net.AddLinkRule(LinkRule{Dup: 1}) }},
-		{"drop", 0, func(net *Network, _ transport.Addr) { net.AddLinkRule(LinkRule{Drop: 1}) }},
-		{"partition", 0, func(net *Network, to transport.Addr) {
+		{"dup", 2, func(net *Network, _ transport.Env, _ transport.Addr) { net.AddLinkRule(LinkRule{Dup: 1}) }},
+		{"drop", 0, func(net *Network, _ transport.Env, _ transport.Addr) { net.AddLinkRule(LinkRule{Drop: 1}) }},
+		{"partition", 0, func(net *Network, _ transport.Env, to transport.Addr) {
 			net.Partition([]transport.Addr{"a"}, []transport.Addr{to})
 		}},
-		{"dead", 0, func(net *Network, to transport.Addr) { net.Fail(to) }},
-		{"restarted", 0, func(net *Network, to transport.Addr) {
+		{"dead", 0, func(net *Network, _ transport.Env, to transport.Addr) { net.Fail(to) }},
+		{"restarted", 0, func(net *Network, a transport.Env, to transport.Addr) {
 			// Down when the message arrives (after 1 ms), rebooted after.
 			net.Fail(to)
-			net.ScheduleAfter(100*time.Millisecond, func() { net.Restart(to) })
+			a.After(100*time.Millisecond, func() { net.Restart(to) })
 		}},
-		{"died queued", 0, func(net *Network, to transport.Addr) {
+		{"died queued", 0, func(net *Network, a transport.Env, to transport.Addr) {
 			// At 100 B/s the message clears to's ingress queue after about
 			// 0.6 s; to crashes while it waits.
 			net.SetBandwidth(to, 100)
-			net.ScheduleAfter(100*time.Millisecond, func() { net.Fail(to) })
+			a.After(100*time.Millisecond, func() { net.Fail(to) })
 		}},
 	}
 	for _, c := range cases {
 		net, a, to, seen := recycleNet(1)
-		c.fault(net, to[0])
+		c.fault(net, a, to[0])
 		b := &box{pending: 1}
 		a.Send(to[0], b)
 		net.RunUntilIdle()

@@ -545,13 +545,6 @@ func (ev *event) canceller() func() {
 	}
 }
 
-// ScheduleAfter runs fn on the event loop after d, independent of any
-// node's liveness (driver-level orchestration: churn scripts, restart
-// sequencing). Returns a cancel function.
-func (n *Network) ScheduleAfter(d time.Duration, fn func()) (cancel func()) {
-	return n.timer(max(d, 0), nil, fn).canceller()
-}
-
 // Step executes the next pending event. It reports false when the queue is
 // empty. With invariants registered (AddInvariant), the checks run after
 // every event that lands on a new virtual timestamp.

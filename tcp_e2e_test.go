@@ -70,7 +70,7 @@ func TestEnginesOverRealTCP(t *testing.T) {
 	bootstrap := nodes[0].node.Addr()
 	for _, ln := range nodes[1:] {
 		ln := ln
-		ln.node.Do(func() { ln.engine.Join(bootstrap) })
+		ln.node.Do(func() { ln.engine.Rejoin(bootstrap) })
 		time.Sleep(150 * time.Millisecond) // sequential joins settle
 	}
 	waitFor(t, func() bool {
@@ -194,7 +194,7 @@ func TestModelUpdateParityOverTCP(t *testing.T) {
 	bootstrap := nodes[0].node.Addr()
 	for _, ln := range nodes[1:] {
 		ln := ln
-		ln.node.Do(func() { ln.engine.Join(bootstrap) })
+		ln.node.Do(func() { ln.engine.Rejoin(bootstrap) })
 		time.Sleep(150 * time.Millisecond)
 	}
 	topic := totoro.NewAppID("parity", "e2e")
