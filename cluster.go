@@ -114,12 +114,16 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		apps: make(map[AppID]*clusterApp),
 	}
+	// Engines share no state with one another, so the fleet is isolated and
+	// its thick windows run on every core (DESIGN.md §4.8) — unless a host
+	// runs several logical nodes, which then share the host's compute queue.
 	netCfg := simnet.Config{
 		Seed:             cfg.Seed,
 		Latency:          simnet.ConstLatency(5 * time.Millisecond),
 		DefaultBandwidth: cfg.Bandwidth,
 		OnViolation:      cfg.OnViolation,
 		Observer:         cfg.Observer,
+		Isolated:         cfg.VirtualNodesOf == nil,
 	}
 	if cfg.ExactSizes {
 		RegisterWire() // exact accounting encodes through the codec registry
@@ -285,11 +289,13 @@ func (c *Cluster) train(appIDs []AppID, run func()) []*workload.Progress {
 }
 
 // StepUntilDone advances time in 100ms slices until every listed app's
-// master reports done (or the deadline passes).
+// master reports done, the deadline passes, or the network runs out of
+// events (a slice that ends with the clock short of its end).
 func (c *Cluster) StepUntilDone(deadline time.Duration, appIDs ...AppID) {
 	for c.Net.Now() < deadline {
-		c.Net.Run(c.Net.Now() + 100*time.Millisecond)
-		if c.allDone(appIDs) {
+		end := c.Net.Now() + 100*time.Millisecond
+		c.Net.Run(end)
+		if c.allDone(appIDs) || c.Net.Now() < end {
 			return
 		}
 	}

@@ -3,6 +3,7 @@ package totoro
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"totoro/internal/ring"
 	"totoro/internal/transport"
@@ -23,6 +24,23 @@ func TestClusterProgressUnknownApp(t *testing.T) {
 // progress bar, a test waiting for a round) used to write Done into the
 // live master's Progress, which ended StepUntilDone/TrainUntil early and
 // rode the next journaled and replicated image as a bogus DoneAt.
+// StepUntilDone returns once the network runs out of events, even though
+// the clock never reached the deadline and the app never finished: Run does
+// not advance an empty queue's clock, so it used to loop forever.
+func TestStepUntilDoneReturnsWhenTheQueueDrains(t *testing.T) {
+	c := NewCluster(ClusterConfig{N: 8, Seed: 1})
+	done := make(chan struct{})
+	go func() {
+		c.StepUntilDone(c.Net.Now()+time.Second, NewAppID("never-deployed", "x"))
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("StepUntilDone still loops after 10 s of wall time on an idle network")
+	}
+}
+
 func TestClusterProgressIsReadOnly(t *testing.T) {
 	c := testCluster(30, 47)
 	app := testApps(1, 47)[0]

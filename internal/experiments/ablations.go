@@ -65,11 +65,12 @@ func aggregationAblationRun(o Options, n int) AggregationAblationRow {
 	f.Net.ResetTraffic()
 	start = f.Net.Now()
 	var lastArrive time.Duration
+	var sink transport.Env
 	collector := transport.HandlerFunc(func(from transport.Addr, msg any) {
-		lastArrive = f.Net.Now()
+		lastArrive = sink.Now()
 	})
 	sinkAddr := transport.Addr("direct-sink")
-	f.Net.AddNode(sinkAddr, func(e transport.Env) transport.Handler { return collector })
+	sink = f.Net.AddNode(sinkAddr, func(e transport.Env) transport.Handler { return collector })
 	f.Net.SetBandwidth(sinkAddr, 2<<20)
 	for i, e := range f.Engines {
 		info, ok := e.PubSub().TreeInfo(topic)

@@ -55,10 +55,10 @@ var (
 func analyzersFor(rel string) []*Analyzer {
 	var out []*Analyzer
 	if protocolDirs[rel] {
-		out = append(out, EnvNow, GoFunc, WireSafe, Reentry)
+		out = append(out, EnvNow, WireSafe, Reentry)
 	}
 	if protocolDirs[rel] || deterministicDirs[rel] {
-		out = append(out, MapOrder, SeedRand)
+		out = append(out, GoFunc, MapOrder, SeedRand)
 	}
 	if protocolDirs[rel] || deterministicDirs[rel] || hotPathDirs[rel] {
 		out = append(out, NoAlloc)

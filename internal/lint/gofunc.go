@@ -11,7 +11,9 @@ import (
 // on the event loop. A bare `go` statement sidesteps both: it can outlive
 // the round that spawned it, race node state that the event loop assumes
 // it owns exclusively, and make goroutine count proportional to fleet
-// size. The pool's own implementation carries the suite's only blessed
+// size. The simulator core and the other deterministic packages are held
+// to the same rule. The pool's own implementation and the event loop's
+// lanes (simnet's parallel windows) carry the suite's only blessed
 // suppressions.
 var GoFunc = &Analyzer{
 	Name: "gofunc",

@@ -16,8 +16,8 @@
 //     bit-identical same-seed runs);
 //   - seedrand: math/rand global-source draws and time-seeded sources in
 //     deterministic packages (same);
-//   - gofunc:   bare goroutines in protocol packages that bypass the
-//     supervised fl.Go/fl.ForEach pool and the event loop;
+//   - gofunc:   bare goroutines in protocol and deterministic packages
+//     that bypass the supervised fl.Go/fl.ForEach pool and the event loop;
 //   - wiresafe: unencodable fields in codec-registered wire messages,
 //     Env.Send payload types with no codec (moves in memory under simnet,
 //     dropped by tcpnet), and durable-store record types without codec-v2

@@ -5,11 +5,11 @@
 // machines (§7.1). This package plays the same role in-process: each edge
 // node is a transport.Handler driven by a single event loop with a virtual
 // clock, so experiments over 10^5 nodes run deterministically in one
-// process. The simulator models:
+// process. An isolated fleet's loop runs each latency-wide window on every
+// core and merges it back into the same event order (window.go). The
+// simulator models:
 //
-//   - per-link propagation latency (pluggable; the experiments derive it
-//     from synthetic geographic coordinates, mirroring the paper's use of
-//     the EUA dataset),
+//   - one-way propagation latency, a constant per network,
 //   - stochastic Bernoulli link loss (the unreliable-edge-network model of
 //     §5.1, as LinkRule.Drop),
 //   - node churn (nodes failing, leaving, and joining mid-run, §7.5), and
@@ -18,6 +18,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -26,15 +27,12 @@ import (
 	"totoro/internal/transport"
 )
 
-// LatencyFunc returns the one-way propagation delay from a to b.
-type LatencyFunc func(a, b transport.Addr) time.Duration
-
 // Config parameterizes a Network.
 type Config struct {
 	// Seed drives all randomness in the network and in node Rand() sources.
 	Seed int64
-	// Latency models one-way link delay. Nil means ConstLatency(1ms).
-	Latency LatencyFunc
+	// Latency is every link's one-way delay. The zero Latency means 1 ms.
+	Latency Latency
 	// Observer, when set, sees every delivered message (src, dst, wire
 	// size). Experiments use it for pairwise traffic accounting.
 	Observer func(from, to transport.Addr, size int)
@@ -57,12 +55,22 @@ type Config struct {
 	// panics with the *InvariantViolation, which carries the seed and a
 	// trace excerpt for deterministic replay.
 	OnViolation func(*InvariantViolation)
+	// Isolated declares that the handlers of different nodes share no
+	// mutable state: each node's stack touches only its own state and its
+	// own Env, and a message is not written after it is sent. Run may then
+	// dispatch the events of one latency-wide window on several cores
+	// (window.go), with the serial loop's results.
+	Isolated bool
 }
 
-// ConstLatency returns a LatencyFunc with a fixed one-way delay.
-func ConstLatency(d time.Duration) LatencyFunc {
-	return func(a, b transport.Addr) time.Duration { return d }
+// Latency is a constant one-way link delay, as ConstLatency makes it.
+type Latency struct {
+	d   time.Duration
+	set bool
 }
+
+// ConstLatency returns a fixed one-way delay.
+func ConstLatency(d time.Duration) Latency { return Latency{d: d, set: true} }
 
 // Per-node traffic counter names in each node's registry, shared with the
 // TCP transport so live and simulated nodes expose the same surface.
@@ -95,17 +103,23 @@ const (
 // for Env.After, the node and generation that armed it); a message carries
 // (node = sender, to, msg, size) as plain fields, so a send costs no closure.
 //
-// Events are owned by the single-threaded Network and recycled through its
-// free list. The loop releases an event before running it, so the slot may
-// be reused — under a new seq — while its own callback is still on the
-// stack. Anything that holds an *event past that point (a timer's cancel
-// handle) must remember the seq it was issued and compare before writing.
+// Events are owned by the Network and recycled through its free lists. The
+// loop releases an event before running it, so the slot may be reused —
+// under a new seq — while its own callback is still on the stack. Anything
+// that holds an *event past that point (a timer's cancel handle) must
+// remember the seq it was issued and compare before writing.
 type event struct {
-	seq  uint64 // 0 while on the free list
+	// seq identifies this use of the slot: the heap key's seq, or for an
+	// event made in a parallel window the lane's provisional key (window.go).
+	// A slot's seqs only grow; 0 while on a free list.
+	seq  uint64
 	kind eventKind
 	// dup marks a message a LinkRule.Dup fault put in two events: neither
 	// delivery is its only one, so neither recycles it.
-	dup  bool
+	dup bool
+	// hash is a message's destination's simNode.hash, made by the sender
+	// so that a parallel window finds its lane without a look-up.
+	hash uint32
 	fn   func()
 	node *simNode
 	gen  uint64
@@ -209,6 +223,8 @@ type simNode struct {
 	// egressFree/ingressFree are the times the node's NIC queues drain.
 	egressFree  time.Duration
 	ingressFree time.Duration
+	// hash spreads the nodes over the lanes of a parallel window.
+	hash uint32
 }
 
 // txTime returns how long size bytes occupy this node's link.
@@ -219,8 +235,9 @@ func (n *simNode) txTime(size int) time.Duration {
 	return time.Duration(float64(size) / float64(n.bandwidth) * float64(time.Second))
 }
 
-// Network is the simulator. It is not safe for concurrent use; the event
-// loop is single-threaded by design for determinism.
+// Network is the simulator. It is not safe for concurrent use: its events
+// run in one (at, seq) order, on one goroutine or, for an isolated fleet, in
+// parallel windows that reproduce that order (window.go).
 type Network struct {
 	cfg     Config
 	now     time.Duration
@@ -230,7 +247,7 @@ type Network struct {
 	nodes   map[transport.Addr]*simNode
 	sorted  []transport.Addr // Addrs() cache; nil after AddNode
 	rng     *rand.Rand
-	latency LatencyFunc
+	latency time.Duration
 	// reg holds network-level counters (net.delivered, net.dropped); the
 	// per-node counters live in each node's own registry, each sized like
 	// the one before it (lastReg).
@@ -257,19 +274,30 @@ type Network struct {
 	invariants []func() error
 	lastCheck  time.Duration
 	violation  *InvariantViolation
+
+	// Parallel windows (window.go): one lane per loop worker, and whether a
+	// window is running, which makes clocks and scheduling per lane.
+	lanes []*lane
+	par   bool
+	crew  crew
+	// windows counts the windows run in parallel; force runs every
+	// eligible window in parallel however thin. Both are for tests.
+	windows int
+	force   bool
 }
 
 // New creates an empty simulated network.
 func New(cfg Config) *Network {
-	if cfg.Latency == nil {
-		cfg.Latency = ConstLatency(time.Millisecond)
+	latency := time.Millisecond
+	if cfg.Latency.set {
+		latency = cfg.Latency.d
 	}
 	reg := obs.New(0)
 	return &Network{
 		cfg:              cfg,
 		nodes:            make(map[transport.Addr]*simNode),
 		rng:              rand.New(rand.NewSource(cfg.Seed)),
-		latency:          cfg.Latency,
+		latency:          latency,
 		reg:              reg,
 		delivered:        reg.Counter("net.delivered"),
 		dropped:          reg.Counter("net.dropped"),
@@ -290,11 +318,25 @@ func (n *Network) Delivered() int64 { return n.delivered.Value() }
 // net.dropped_partition (blocked link), net.dropped_fault (LinkRule drops).
 func (n *Network) Dropped() int64 { return n.dropped.Value() }
 
-// Now returns the current virtual time.
-func (n *Network) Now() time.Duration { return n.now }
+// Now returns the current virtual time. Inside a parallel window every node
+// has its own clock, so a handler reads its Env's Now, and this panics.
+func (n *Network) Now() time.Duration {
+	if n.par {
+		panic("simnet: Network.Now inside a parallel window; a handler reads its own Env.Now")
+	}
+	return n.now
+}
+
+// clock is the virtual time of nd's current event.
+func (n *Network) clock(nd *simNode) time.Duration {
+	if n.par {
+		return n.lane(nd.hash).now
+	}
+	return n.now
+}
 
 func (nd *simNode) Self() transport.Addr   { return nd.addr }
-func (nd *simNode) Now() time.Duration     { return nd.net.now }
+func (nd *simNode) Now() time.Duration     { return nd.net.clock(nd) }
 func (nd *simNode) Metrics() *obs.Registry { return nd.reg }
 
 // Rand returns the node's private source, seeded from the network seed, the
@@ -335,6 +377,7 @@ func (n *Network) AddNode(addr transport.Addr, build func(transport.Env) transpo
 		bytesIn:   reg.Counter(CtrBytesIn),
 		bytesOut:  reg.Counter(CtrBytesOut),
 		bandwidth: n.cfg.DefaultBandwidth,
+		hash:      addrHash(addr),
 	}
 	n.nodes[addr] = node
 	n.sorted = nil
@@ -391,21 +434,23 @@ func (n *Network) send(from *simNode, to transport.Addr, msg any) {
 		}
 	}
 	// Egress serialization: the sender's NIC transmits one frame at a time.
-	txStart := n.now
+	now := n.clock(from)
+	txStart := now
 	if from.egressFree > txStart {
 		txStart = from.egressFree
 	}
 	txEnd := txStart + from.txTime(size)
 	from.egressFree = txEnd
-	arrival := txEnd + n.latency(from.addr, to) + extra
-	n.message(evArrive, arrival-n.now, from, to, msg, size, dup)
+	arrival := txEnd + n.latency + extra
+	hash := addrHash(to)
+	n.message(evArrive, arrival-now, from, from, to, hash, msg, size, dup)
 	if dup {
 		// The duplicate is a network-level copy: it skips the sender's NIC
 		// (sent once) but arrives independently after its own jitter.
 		n.dupInjected.Inc()
 		w := defaultReorderWindow
 		arrival2 := arrival + time.Duration(n.rng.Int63n(int64(w)))
-		n.message(evArrive, arrival2-n.now, from, to, msg, size, dup)
+		n.message(evArrive, arrival2-now, from, from, to, hash, msg, size, dup)
 	}
 }
 
@@ -421,17 +466,18 @@ func (n *Network) arrive(e *event) {
 		n.droppedDead.Inc()
 		return
 	}
-	deliverAt := n.now
+	now := n.clock(dst)
+	deliverAt := now
 	if dst.ingressFree > deliverAt {
 		deliverAt = dst.ingressFree
 	}
 	deliverAt += dst.txTime(e.size)
 	dst.ingressFree = deliverAt
-	if deliverAt <= n.now {
+	if deliverAt <= now {
 		n.handoff(dst, e)
 		return
 	}
-	n.message(evIngress, deliverAt-n.now, e.node, e.to, e.msg, e.size, e.dup)
+	n.message(evIngress, deliverAt-now, dst, e.node, e.to, e.hash, e.msg, e.size, e.dup)
 }
 
 // ingress handles a message that has cleared the destination's ingress
@@ -449,16 +495,28 @@ func (n *Network) ingress(e *event) {
 // handoff counts and delivers one message that cleared the receiver's link.
 // The delivery is the message's only one unless a dup fault copied it, so a
 // transport.Recycler goes back to its sender's free list once Receive
-// returns.
+// returns — in a parallel window at the barrier, where the sender's list is
+// no other lane's business.
 func (n *Network) handoff(dst *simNode, e *event) {
 	dst.msgsIn.Inc()
 	dst.bytesIn.Add(int64(e.size))
+	r, recycle := e.msg.(transport.Recycler)
+	recycle = recycle && !e.dup
+	if n.par {
+		l := n.lane(dst.hash)
+		l.delivered++
+		dst.handler.Receive(e.node.addr, e.msg)
+		if recycle {
+			l.log[len(l.log)-1].recycle = r
+		}
+		return
+	}
 	n.delivered.Inc()
 	if n.cfg.Observer != nil {
 		n.cfg.Observer(e.node.addr, dst.addr, e.size)
 	}
 	dst.handler.Receive(e.node.addr, e.msg)
-	if r, ok := e.msg.(transport.Recycler); ok && !e.dup {
+	if recycle {
 		r.Recycle()
 	}
 }
@@ -482,13 +540,17 @@ func (n *Network) SetBandwidth(addr transport.Addr, bytesPerSec int64) {
 	}
 }
 
-// schedule queues an event d from now and returns it for the caller to fill
-// in: only the (at, seq) key lives in the heap. Every call takes the next
-// seq, so events due at the same instant run in the order they were
-// scheduled.
+// schedule queues an event d after by's clock (the network's, for a global
+// timer) and returns it for the caller to fill in: only the (at, seq) key
+// lives in the heap. Every call takes the next seq, so events due at the
+// same instant run in the order they were scheduled. Inside a parallel
+// window the event is by's lane's to number.
 //
 //vet:noalloc amortized
-func (n *Network) schedule(d time.Duration) *event {
+func (n *Network) schedule(by *simNode, d time.Duration) *event {
+	if n.par {
+		return n.lane(by.hash).schedule(d)
+	}
 	var ev *event
 	if k := len(n.free); k > 0 {
 		ev = n.free[k-1]
@@ -514,7 +576,7 @@ func (n *Network) release(ev *event) {
 // timer queues fn to run after d. With a node, the timer is that node's: it
 // fires only if the node is still alive in the generation that armed it.
 func (n *Network) timer(d time.Duration, node *simNode, fn func()) *event {
-	ev := n.schedule(d)
+	ev := n.schedule(node, d)
 	ev.kind = evTimer
 	ev.fn = fn
 	if node != nil {
@@ -523,12 +585,14 @@ func (n *Network) timer(d time.Duration, node *simNode, fn func()) *event {
 	return ev
 }
 
-// message queues one stage (evArrive or evIngress) of a message's delivery.
+// message queues one stage (evArrive or evIngress) of a message's delivery,
+// d after by's clock: the sender's for an arrival, the receiver's for an
+// ingress.
 //
 //vet:noalloc
-func (n *Network) message(kind eventKind, d time.Duration, from *simNode, to transport.Addr, msg any, size int, dup bool) {
-	ev := n.schedule(d)
-	ev.kind, ev.dup = kind, dup
+func (n *Network) message(kind eventKind, d time.Duration, by, from *simNode, to transport.Addr, hash uint32, msg any, size int, dup bool) {
+	ev := n.schedule(by, d)
+	ev.kind, ev.dup, ev.hash = kind, dup, hash
 	ev.node, ev.to, ev.msg, ev.size = from, to, msg, size
 }
 
@@ -557,16 +621,7 @@ func (n *Network) Step() bool {
 			continue
 		}
 		n.now = q.at
-		switch e.kind {
-		case evTimer:
-			if e.node == nil || (e.node.alive && e.node.gen == e.gen) {
-				e.fn()
-			}
-		case evArrive:
-			n.arrive(&e)
-		case evIngress:
-			n.ingress(&e)
-		}
+		n.fire(&e)
 		if len(n.invariants) > 0 && n.now != n.lastCheck {
 			n.lastCheck = n.now
 			n.runInvariants()
@@ -576,14 +631,47 @@ func (n *Network) Step() bool {
 	return false
 }
 
+// fire runs one popped event.
+func (n *Network) fire(e *event) {
+	switch e.kind {
+	case evTimer:
+		if e.node == nil || (e.node.alive && e.node.gen == e.gen) {
+			e.fn()
+		}
+	case evArrive:
+		n.arrive(e)
+	case evIngress:
+		n.ingress(e)
+	}
+}
+
 // Run drains all events until the queue is empty or the virtual clock would
-// pass deadline. It returns the number of events executed.
+// pass deadline. It returns the number of events executed. An isolated
+// fleet's thick windows run in parallel (window.go); the order, and so every
+// result, is Step's.
 func (n *Network) Run(deadline time.Duration) int {
+	parallel := n.openLanes()
+	if parallel {
+		defer n.closeLanes()
+	}
 	steps := 0
+	serialUntil := time.Duration(math.MinInt64)
 	for n.skipCancelled() {
-		if n.queue[0].at > deadline {
+		at := n.queue[0].at
+		if at > deadline {
 			n.now = deadline
 			return steps
+		}
+		if parallel && at >= serialUntil {
+			end := at + n.latency
+			if deadline < end-1 {
+				end = deadline + 1
+			}
+			if k, ok := n.window(end); ok {
+				steps += k
+				continue
+			}
+			serialUntil = end
 		}
 		n.Step()
 		steps++
@@ -593,13 +681,7 @@ func (n *Network) Run(deadline time.Duration) int {
 
 // RunUntilIdle drains every pending event (including future timers). Use
 // with care when protocols schedule periodic timers: prefer Run(deadline).
-func (n *Network) RunUntilIdle() int {
-	steps := 0
-	for n.Step() {
-		steps++
-	}
-	return steps
-}
+func (n *Network) RunUntilIdle() int { return n.Run(math.MaxInt64) }
 
 // skipCancelled discards cancelled timers from the head of the queue and
 // reports whether a live event remains there.
