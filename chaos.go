@@ -43,9 +43,10 @@ type Chaos struct {
 	// lastCommit tracks the last committed round per master lineage
 	// (committer address + app + epoch): commits must strictly advance.
 	lastCommit map[commitKey]int
-	// maxAcked is the highest round any master acknowledged (journaled
-	// and replicated) per (app, epoch); no replica may hold more.
-	maxAcked map[appEpoch]int
+	// maxAcked is, per app and indexed by epoch, the highest round any
+	// master acknowledged (journaled and replicated); no replica may hold
+	// more.
+	maxAcked map[AppID][]int
 	// eligible is the number of deployed workers per app; no commit may
 	// merge more participants than that.
 	eligible map[AppID]int
@@ -55,8 +56,8 @@ type Chaos struct {
 	pending   error
 
 	// Scratch for check, which runs on every virtual tick and must not
-	// feed the GC: the sorted app IDs being visited, and this tick's live
-	// unfinished masters in engine-index order.
+	// feed the GC: the sorted app IDs checkDualMasters visits, and this
+	// tick's live unfinished masters in engine-index order.
 	appScratch []AppID
 	live       []liveMaster
 
@@ -67,11 +68,6 @@ type Chaos struct {
 type liveMaster struct {
 	app AppID
 	e   *Engine
-}
-
-type appEpoch struct {
-	app   AppID
-	epoch int
 }
 
 type commitKey struct {
@@ -99,7 +95,7 @@ func (c *Cluster) StartChaos(ChaosConfig) *Chaos {
 		c:          c,
 		epochs:     make([]map[AppID]int, len(c.Engines)),
 		lastCommit: make(map[commitKey]int),
-		maxAcked:   make(map[appEpoch]int),
+		maxAcked:   make(map[AppID][]int),
 		eligible:   make(map[AppID]int),
 		dualSince:  make(map[AppID]time.Duration),
 	}
@@ -146,10 +142,12 @@ func (ch *Chaos) DiskFault(kind store.FaultKind) func(addr transport.Addr, activ
 // loop at the exact moment state is acknowledged, so the commit history
 // it builds is free of polling races.
 func (ch *Chaos) observe(e *Engine, app AppID, epoch, round, participants int, commit bool) {
-	key := appEpoch{app, epoch}
-	if round > ch.maxAcked[key] {
-		ch.maxAcked[key] = round
+	acked := ch.maxAcked[app]
+	for len(acked) <= epoch {
+		acked = append(acked, 0)
 	}
+	acked[epoch] = max(acked[epoch], round)
+	ch.maxAcked[app] = acked
 	if !commit {
 		return
 	}
@@ -178,10 +176,11 @@ func (ch *Chaos) fail(err error) {
 // advances virtual time, and at quiesce. It polls every engine on every
 // tick — an engine never announces a role change, because an unannounced
 // one is what the checker exists to catch — but an engine that holds no
-// role costs the two length reads and nothing else. Iteration is index-
-// and sort-ordered throughout so a violation (and its message) is
-// deterministic for a given seed. A tick without a violation allocates
-// nothing (the violation messages are built in cold helpers).
+// role costs the two length reads and nothing else. Iteration follows the
+// engine index and each engine's roles, which are in AppID order, so a
+// violation (and its message) is deterministic for a given seed. A tick
+// without a violation allocates nothing (the violation messages are built
+// in cold helpers).
 //
 //vet:noalloc
 func (ch *Chaos) check() error {
@@ -207,34 +206,33 @@ func (ch *Chaos) check() error {
 //
 //vet:noalloc
 func (ch *Chaos) checkEngine(e *Engine, em map[AppID]int) error {
-	alive := ch.c.Net.Alive(e.Self().Addr)
-	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.roles)
-	for _, app := range ch.appScratch {
-		m := e.roles[app].Master
+	alive := ch.c.Net.Up(e.env)
+	for _, x := range e.roles {
+		m := x.r.Master
 		if m == nil {
 			continue
 		}
-		if err := ch.noteEpoch(e, em, app, m.Epoch, "master"); err != nil {
+		if err := ch.noteEpoch(e, em, x.app, m.Epoch, "master"); err != nil {
 			return err
 		}
 		if alive && !m.Done {
-			ch.live = append(ch.live, liveMaster{app, e})
+			ch.live = append(ch.live, liveMaster{x.app, e})
 		}
 	}
-	for _, app := range ch.appScratch {
-		rep := e.roles[app].Replica
+	for _, x := range e.roles {
+		rep := x.r.Replica
 		if rep == nil {
 			continue
 		}
-		if err := ch.noteEpoch(e, em, app, rep.Epoch, "replica"); err != nil {
+		if err := ch.noteEpoch(e, em, x.app, rep.Epoch, "replica"); err != nil {
 			return err
 		}
 		// A replica's round must have been acked by some lineage at an
 		// epoch ≤ the replica's: promotion inherits the predecessor's
 		// committed round into the successor epoch's image, so the bound
 		// is cumulative across epochs, not per-epoch.
-		if max, acked := ch.ackedThrough(app, rep.Epoch); rep.Round > max || (!acked && rep.Round > 0) {
-			return errReplicaAhead(app, e.Self().Addr, rep.Round, rep.Epoch, max)
+		if most := ch.ackedThrough(x.app, rep.Epoch); rep.Round > most {
+			return errReplicaAhead(x.app, e.Self().Addr, rep.Round, rep.Epoch, most)
 		}
 	}
 	return nil
@@ -247,20 +245,16 @@ func errReplicaAhead(app AppID, at transport.Addr, round, epoch, max int) error 
 }
 
 // ackedThrough returns the highest round any master lineage acked for app
-// at any epoch ≤ through, and whether any such ack exists.
+// at any epoch ≤ through, 0 if none.
 //
 //vet:noalloc
-func (ch *Chaos) ackedThrough(app AppID, through int) (int, bool) {
-	max, acked := 0, false
-	for ep := 0; ep <= through; ep++ {
-		if r, ok := ch.maxAcked[appEpoch{app, ep}]; ok {
-			acked = true
-			if r > max {
-				max = r
-			}
-		}
+func (ch *Chaos) ackedThrough(app AppID, through int) int {
+	acked := ch.maxAcked[app]
+	most := 0
+	for _, r := range acked[:min(through+1, len(acked))] {
+		most = max(most, r)
 	}
-	return max, acked
+	return most
 }
 
 //vet:noalloc

@@ -11,12 +11,13 @@ import (
 
 // fullScan is the per-tick checker as it stood before check learned to do
 // work only for engines that hold a role: every engine's epoch map looked
-// up by pointer and both role maps iterated on every tick, and every
+// up by pointer and every app's role looked up on every tick, and every
 // engine probed once per app for a live master. It is the oracle
-// TestCheckMatchesFullScan holds the real checker to. The four methods are
-// the old ones verbatim — the fields below shadow the embedded Chaos's, so
-// it keeps its own epochs and dualSince and shares what the ack hook
-// records (maxAcked, pending), the configuration and the cold helpers.
+// TestCheckMatchesFullScan holds the real checker to. The five methods are
+// the old ones, reading roles through findRole and acks from the checker's
+// per-epoch slices — the fields below shadow the embedded Chaos's, so it
+// keeps its own epochs and dualSince and shares what the ack hook records
+// (maxAcked, pending), the configuration and the cold helpers.
 type fullScan struct {
 	*Chaos
 	epochs        map[*Engine]map[AppID]int
@@ -49,6 +50,7 @@ func (ch *fullScan) check() error {
 	if ch.pending != nil {
 		return ch.pending
 	}
+	ch.appScratch = appendSortedApps(ch.appScratch[:0], ch.c.apps)
 	for i := range ch.c.Engines {
 		if err := ch.checkEngine(ch.c.Engines[i]); err != nil {
 			return err
@@ -59,19 +61,19 @@ func (ch *fullScan) check() error {
 
 func (ch *fullScan) checkEngine(e *Engine) error {
 	em := ch.epochs[e] // created by install
-	ch.appScratch = appendSortedApps(ch.appScratch[:0], e.roles)
 	for _, app := range ch.appScratch {
-		if m := e.roles[app].Master; m != nil {
-			if err := ch.noteEpoch(e, em, app, m.Epoch, "master"); err != nil {
+		if r := e.findRole(app); r != nil && r.Master != nil {
+			if err := ch.noteEpoch(e, em, app, r.Master.Epoch, "master"); err != nil {
 				return err
 			}
 		}
 	}
 	for _, app := range ch.appScratch {
-		rep := e.roles[app].Replica
-		if rep == nil {
+		r := e.findRole(app)
+		if r == nil || r.Replica == nil {
 			continue
 		}
+		rep := r.Replica
 		if err := ch.noteEpoch(e, em, app, rep.Epoch, "replica"); err != nil {
 			return err
 		}
@@ -84,6 +86,22 @@ func (ch *fullScan) checkEngine(e *Engine) error {
 		}
 	}
 	return nil
+}
+
+// ackedThrough returns the highest round acked for app at any epoch ≤
+// through, and whether any epoch saw a round past 0 acked.
+func (ch *fullScan) ackedThrough(app AppID, through int) (int, bool) {
+	max, acked := 0, false
+	rounds := ch.maxAcked[app]
+	for ep := 0; ep <= through && ep < len(rounds); ep++ {
+		if r := rounds[ep]; r > 0 {
+			acked = true
+			if r > max {
+				max = r
+			}
+		}
+	}
+	return max, acked
 }
 
 func (ch *fullScan) noteEpoch(e *Engine, em map[AppID]int, app AppID, epoch int, role string) error {

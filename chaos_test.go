@@ -401,7 +401,7 @@ func TestChaosCatchesInjectedRegression(t *testing.T) {
 	t.Run("replica-ahead", func(t *testing.T) {
 		inject(t, "app 17d7fda2: n34 holds replica round 9 at epoch 0 but no master lineage through that epoch acked past round 3 — replica ahead of master acks",
 			func(_ *Cluster, m *Engine, id AppID, epoch int) {
-				m.roles[id].Replica = &replicaMsg{Epoch: epoch, Round: 9}
+				m.findRole(id).Replica = &replicaMsg{Epoch: epoch, Round: 9}
 			})
 	})
 }

@@ -199,18 +199,17 @@ func (e *Engine) snapshotDurable() {
 // every journaled image does (image).
 func (e *Engine) buildSnapshot() walSnapshot {
 	snap := walSnapshot{Self: e.self}
-	var keys [8]AppID // sort scratch: on the stack for up to eight apps a map
-	apps := appendSortedApps(keys[:0], e.roles)
-	for _, app := range apps {
-		if r := e.roles[app]; r.Master != nil {
-			snap.Masters = append(snap.Masters, e.image(r.Master, r.Committed()))
+	for _, x := range e.roles {
+		if x.r.Master != nil {
+			snap.Masters = append(snap.Masters, e.image(x.r.Master, x.r.Committed()))
 		}
 	}
-	for _, app := range apps {
-		if r := e.roles[app]; r.Replica != nil {
-			snap.Replicas = append(snap.Replicas, *r.Replica)
+	for _, x := range e.roles {
+		if x.r.Replica != nil {
+			snap.Replicas = append(snap.Replicas, *x.r.Replica)
 		}
 	}
+	var keys [8]AppID // sort scratch: on the stack for up to eight apps
 	for _, app := range appendSortedApps(keys[:0], e.workers) {
 		snap.Subs = append(snap.Subs, walSub{App: app, Restricted: e.workers[app].restricted})
 	}
@@ -271,15 +270,15 @@ func (e *Engine) ResumeAfterRestart() {
 	for _, app := range sortedApps(e.workers) {
 		e.ps.Subscribe(app)
 	}
-	apps := sortedApps(e.roles)
-	for _, app := range apps {
-		if r := e.roles[app]; r.Master != nil {
-			e.step(app, r, event{Kind: mastership.Resume})
+	roles := slices.Clone(e.roles) // the roles held now, whatever the steps add
+	for _, x := range roles {
+		if x.r.Master != nil {
+			e.step(x.app, x.r, event{Kind: mastership.Resume})
 		}
 	}
-	for _, app := range apps {
-		if r := e.roles[app]; r.Replica != nil {
-			e.step(app, r, event{Kind: mastership.Keep, Image: r.Replica})
+	for _, x := range roles {
+		if x.r.Replica != nil {
+			e.step(x.app, x.r, event{Kind: mastership.Keep, Image: x.r.Replica})
 		}
 	}
 }

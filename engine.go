@@ -97,6 +97,12 @@ type role struct {
 	checking       bool   // the probe is armed
 }
 
+// appRole is one entry of Engine.roles.
+type appRole struct {
+	app AppID
+	r   *role
+}
+
 type event = mastership.Event[*replicaMsg]
 
 type workerState struct {
@@ -132,10 +138,10 @@ type Engine struct {
 	ps   *pubsub.Node
 
 	queue *workload.ComputeQueue
-	// The role maps are created by their first entry, see put: most nodes
-	// of a fleet hold no role in most applications. roles holds every app
-	// this node masters or holds a replica of.
-	roles   map[AppID]*role
+	// roles holds every app this node masters or holds a replica of, in
+	// AppID order: roleOf adds them and nothing removes one. The workers map
+	// is created by its first entry, see put.
+	roles   []appRole
 	workers map[AppID]*workerState
 	cb      Callbacks
 	// acts is the rules' action buffer: a step appends past the actions of
@@ -248,7 +254,7 @@ func (e *Engine) Receive(from transport.Addr, msg any) {
 		return
 	}
 	if p, ok := msg.(masterPing); ok {
-		if r := e.roles[p.App]; r != nil {
+		if r := e.findRole(p.App); r != nil {
 			e.step(p.App, r, event{Kind: mastership.Ping, From: ring.Contact{Addr: p.From}})
 		}
 		return
@@ -355,7 +361,7 @@ func (e *Engine) IsMaster(app AppID) bool {
 
 // master is this node's mastership of app, or nil.
 func (e *Engine) master(app AppID) *replicaMsg {
-	if r := e.roles[app]; r != nil {
+	if r := e.findRole(app); r != nil {
 		return r.Master
 	}
 	return nil
@@ -454,7 +460,7 @@ func (e *Engine) combine(app ids.ID, a, b any) any {
 }
 
 func (e *Engine) onAggregate(app ids.ID, round int, obj any, count int) {
-	r := e.roles[app]
+	r := e.findRole(app)
 	u, isUpdate := obj.(updateAgg)
 	if r != nil && r.Master != nil && (isUpdate || obj == nil) {
 		if u.Acc != nil && len(u.Acc.WeightedSum) != len(r.Master.Global) {

@@ -1,6 +1,7 @@
 package totoro
 
 import (
+	"slices"
 	"time"
 
 	"totoro/internal/fl"
@@ -139,19 +140,29 @@ func (e *Engine) offer(rep *replicaMsg) {
 	e.acts = e.acts[:base]
 }
 
-// roleOf returns app's entry in the role map, creating it.
+// roleOf returns app's entry in roles, creating it.
 func (e *Engine) roleOf(app AppID) *role {
-	r := e.roles[app]
-	if r == nil {
-		r = &role{}
-		put(&e.roles, app, r)
+	i, ok := slices.BinarySearchFunc(e.roles, app, func(x appRole, id AppID) int { return x.app.Cmp(id) })
+	if !ok {
+		e.roles = slices.Insert(e.roles, i, appRole{app, &role{}})
 	}
-	return r
+	return e.roles[i].r
+}
+
+// findRole returns app's entry in roles, or nil. A node holds few roles,
+// so a scan is all a look-up needs.
+func (e *Engine) findRole(app AppID) *role {
+	for _, x := range e.roles {
+		if x.app == app {
+			return x.r
+		}
+	}
+	return nil
 }
 
 // probe steps ev's kind for an app this node holds a role in.
 func (e *Engine) probe(app AppID, kind mastership.Kind) {
-	if r := e.roles[app]; r != nil {
+	if r := e.findRole(app); r != nil {
 		e.step(app, r, event{Kind: kind})
 	}
 }

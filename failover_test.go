@@ -244,16 +244,16 @@ func TestBeatBackPlantsReplicaAhead(t *testing.T) {
 	c.StartChaos(ChaosConfig{})
 	c.StartMaintenance(100 * time.Millisecond)
 	n0.StartTraining(id)
-	for rep := n1.roles[id].Replica; !rep.Started; rep = n1.roles[id].Replica {
+	for rep := n1.findRole(id).Replica; !rep.Started; rep = n1.findRole(id).Replica {
 		c.Net.Run(c.Net.Now() + 10*time.Millisecond)
 	}
-	if n0.roles[id].Phase != mastership.Collecting {
+	if n0.findRole(id).Phase != mastership.Collecting {
 		t.Fatalf("%s committed round 1 before the start ack reached %s", n0.Self().Addr, n1.Self().Addr)
 	}
 
 	heal := c.Net.Partition([]transport.Addr{n0.Self().Addr}, []transport.Addr{n1.Self().Addr, c.Engines[n[2]].Self().Addr})
 	for deadline := c.Net.Now() + 10*time.Second; ; {
-		if r := n1.roles[id]; r.Master != nil && r.Master.Epoch == 1 && r.Phase.InFlight() {
+		if r := n1.findRole(id); r.Master != nil && r.Master.Epoch == 1 && r.Phase.InFlight() {
 			break
 		}
 		if c.Net.Now() > deadline {

@@ -109,7 +109,7 @@ const (
 // that holds an *event past that point (a timer's cancel handle) must
 // remember the seq it was issued and compare before writing.
 type event struct {
-	// seq identifies this use of the slot: the heap key's seq, or for an
+	// seq identifies this use of the slot: the queue key's seq, or for an
 	// event made in a parallel window the lane's provisional key (window.go).
 	// A slot's seqs only grow; 0 while on a free list.
 	seq  uint64
@@ -126,75 +126,6 @@ type event struct {
 	to   transport.Addr
 	msg  any
 	size int
-}
-
-// queued is one heap slot: the (at, seq) key by value, so sifting never
-// dereferences an event.
-type queued struct {
-	at  time.Duration
-	seq uint64
-	ev  *event
-}
-
-func (a queued) before(b queued) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// eventQueue is a 4-ary min-heap on (at, seq). seq is unique, so the key is
-// a total order and pop order does not depend on the heap's shape or arity.
-type eventQueue []queued
-
-//vet:noalloc amortized
-func (q *eventQueue) push(x queued) {
-	h := append(*q, x)
-	*q = h
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !x.before(h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = x
-}
-
-//vet:noalloc
-func (q *eventQueue) pop() queued {
-	h := *q
-	top := h[0]
-	last := len(h) - 1
-	x := h[last]
-	h[last] = queued{}
-	h = h[:last]
-	*q = h
-	if last == 0 {
-		return top
-	}
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= last {
-			break
-		}
-		min := first
-		for c := first + 1; c < first+4 && c < last; c++ {
-			if h[c].before(h[min]) {
-				min = c
-			}
-		}
-		if !h[min].before(x) {
-			break
-		}
-		h[i] = h[min]
-		i = min
-	}
-	h[i] = x
-	return top
 }
 
 // simNode is one simulated node and, at the same time, the transport.Env its
@@ -242,7 +173,7 @@ type Network struct {
 	cfg     Config
 	now     time.Duration
 	seq     uint64
-	queue   eventQueue
+	queue   radixQueue
 	free    []*event // recycled events, last released on top
 	nodes   map[transport.Addr]*simNode
 	sorted  []transport.Addr // Addrs() cache; nil after AddNode
@@ -542,7 +473,7 @@ func (n *Network) SetBandwidth(addr transport.Addr, bytesPerSec int64) {
 
 // schedule queues an event d after by's clock (the network's, for a global
 // timer) and returns it for the caller to fill in: only the (at, seq) key
-// lives in the heap. Every call takes the next seq, so events due at the
+// lives in the queue. Every call takes the next seq, so events due at the
 // same instant run in the order they were scheduled. Inside a parallel
 // window the event is by's lane's to number.
 //
@@ -613,7 +544,7 @@ func (ev *event) canceller() func() {
 // empty. With invariants registered (AddInvariant), the checks run after
 // every event that lands on a new virtual timestamp.
 func (n *Network) Step() bool {
-	for len(n.queue) > 0 {
+	for n.queue.len() > 0 {
 		q := n.queue.pop()
 		e := *q.ev
 		n.release(q.ev)
@@ -657,7 +588,7 @@ func (n *Network) Run(deadline time.Duration) int {
 	steps := 0
 	serialUntil := time.Duration(math.MinInt64)
 	for n.skipCancelled() {
-		at := n.queue[0].at
+		at := n.queue.peek().at
 		if at > deadline {
 			n.now = deadline
 			return steps
@@ -686,8 +617,8 @@ func (n *Network) RunUntilIdle() int { return n.Run(math.MaxInt64) }
 // skipCancelled discards cancelled timers from the head of the queue and
 // reports whether a live event remains there.
 func (n *Network) skipCancelled() bool {
-	for len(n.queue) > 0 {
-		if n.queue[0].ev.kind != evCancelled {
+	for n.queue.len() > 0 {
+		if n.queue.peek().ev.kind != evCancelled {
 			return true
 		}
 		n.release(n.queue.pop().ev)
@@ -739,6 +670,12 @@ func (n *Network) Restart(addr transport.Addr) transport.Handler {
 func (n *Network) Alive(addr transport.Addr) bool {
 	node, ok := n.nodes[addr]
 	return ok && node.alive
+}
+
+// Up is Alive for a caller that holds the node's Env: no address look-up.
+func (n *Network) Up(env transport.Env) bool {
+	nd, ok := env.(*simNode)
+	return ok && nd.net == n && nd.alive
 }
 
 // MetricsOf returns addr's telemetry registry (nil if unknown) — the same

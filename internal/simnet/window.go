@@ -31,7 +31,7 @@ import (
 // creation. So each lane's log is the serial order restricted to its nodes.
 // At the barrier one merge of the logs by (at, seq) replays the serial
 // order, and gives each creation, in that order, the seq the serial loop
-// gave it: its creator was merged before it, from the same log. The heap
+// gave it: its creator was merged before it, from the same log. The queue
 // then holds the keys the serial loop's holds, and n.seq and n.now end
 // equal.
 //
@@ -54,7 +54,7 @@ type lane struct {
 	// order; local the lane's creations that are due inside the window,
 	// keyed (at, base + creation number).
 	in    []queued
-	local eventQueue
+	local radixQueue
 	made  []madeEvent
 	log   []doneEvent
 	// delivered counts handoffs, added to net.delivered at the barrier.
@@ -178,7 +178,7 @@ func (n *Network) window(end time.Duration) (steps int, ok bool) {
 		return 0, false
 	}
 	live, global := 0, false
-	for len(n.queue) > 0 && n.queue[0].at < end {
+	for n.queue.len() > 0 && n.queue.peek().at < end {
 		q := n.queue.pop()
 		ev := q.ev
 		var l *lane
@@ -252,10 +252,10 @@ func (n *Network) runLane(l *lane) {
 	for {
 		var q queued
 		switch {
-		case i < len(l.in) && (len(l.local) == 0 || l.in[i].before(l.local[0])):
+		case i < len(l.in) && (l.local.len() == 0 || l.in[i].before(l.local.peek())):
 			q = l.in[i]
 			i++
-		case len(l.local) > 0:
+		case l.local.len() > 0:
 			q = l.local.pop()
 		default:
 			return
@@ -313,7 +313,7 @@ func (l *lane) seqOf(key uint64) uint64 {
 }
 
 // merge replays the lanes' logs in (at, seq) order: each creation gets its
-// serial seq and, if it is due after the window, its place in the heap;
+// serial seq and, if it is due after the window, its place in the queue;
 // deferred Recycle calls run in the serial order. It returns how many
 // events the window ran.
 func (n *Network) merge() (steps int) {
