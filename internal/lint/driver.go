@@ -24,8 +24,8 @@ var (
 		"internal/multiring": true,
 		"internal/relay":     true,
 		"internal/fl":        true,
-		// The wire layer: a registered type's contract (structurally
-		// encodable, has a codec) is checked where the type lives.
+		// The wire layer: its codecs run inside every send, so the
+		// protocol rules hold there too.
 		"internal/wire/codec": true,
 	}
 	// deterministicDirs additionally covers the simulator core and the

@@ -18,11 +18,9 @@
 //     deterministic packages (same);
 //   - gofunc:   bare goroutines in protocol and deterministic packages
 //     that bypass the supervised fl.Go/fl.ForEach pool and the event loop;
-//   - wiresafe: unencodable fields in codec-registered wire messages,
-//     Env.Send payload types with no codec (moves in memory under simnet,
-//     dropped by tcpnet), and durable-store record types without codec-v2
-//     encoders (the WAL refuses them at runtime, after the state change
-//     they were meant to journal).
+//   - wiresafe: Env.Send payload types with no codec (moves in memory
+//     under simnet, dropped by tcpnet). What a registered type may hold is
+//     refused by the codec at registration, not here.
 //
 // Four analyzers run on a whole-program call graph (see callgraph.go)
 // that the driver builds once per run over every loaded package:
@@ -76,8 +74,8 @@ func (d Diagnostic) String() string {
 // analyzer's Run.
 type Pass struct {
 	*Package
-	// Wire is the repo-wide set of codec-registered wire types and store
-	// records, built by the driver before analyzers run. Nil when no wire
+	// Wire is the repo-wide set of codec-registered wire types, built by
+	// the driver before analyzers run. Nil when no wire
 	// context was collected.
 	Wire *WireSet
 	// Graph is the whole-program call graph, built once per driver run and

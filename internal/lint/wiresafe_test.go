@@ -2,15 +2,12 @@ package lint
 
 import "testing"
 
-// TestWireSafeCorpus pins the wiresafe analyzer's full output: func,
-// chan, unexported, all-unexported, and non-empty-interface fields of
-// codec-registered types flagged (transitively); Env.Send payloads without
-// a codec for exactly the type sent flagged; durable-store records without
-// codec encoders flagged (and structurally walked); an unregistered *T sent
-// beside a registered T flagged, also when *T is a transport.Recycler;
-// self-marshalling types, empty-interface payload slots, registered payloads,
-// certified records, a Recycler's own unexported fields, and unnamed codec
-// prototypes untouched.
+// TestWireSafeCorpus pins the wiresafe analyzer's full output: Env.Send
+// payloads without a codec for exactly the type sent flagged, including an
+// unregistered *T sent beside a registered T, also when *T is a
+// transport.Recycler; registered payloads and a suppressed send untouched.
+// The shape rules it once also checked are the codec's, pinned by
+// wire/codec's TestDeriveRejectsWhatNoCodecCarries.
 func TestWireSafeCorpus(t *testing.T) {
 	RunExpectTest(t, "testdata/src/wiresafe", WireSafe)
 }

@@ -6,10 +6,10 @@
 //
 // Records and snapshots are encoded with the v2 wire codec
 // (internal/wire/codec), so the same registration, losslessness, and
-// determinism invariants that guard network frames guard persisted frames
-// (totoro-vet's wiresafe analyzer certifies both from the same
-// registries). Every record carries a log sequence number; a snapshot
-// remembers the LSN it covers, and replay skips records at or below it —
+// determinism invariants that guard network frames guard persisted frames:
+// RegisterRecords refuses a prototype the codec cannot encode. Every record
+// carries a log sequence number; a snapshot remembers the LSN it covers,
+// and replay skips records at or below it —
 // which makes the snapshot-then-truncate pair crash-safe without any
 // atomicity between the two files (a crash after the snapshot rename but
 // before the WAL truncation just replays records the snapshot already
@@ -47,21 +47,25 @@ type Store interface {
 
 // registry of allowed record/snapshot prototypes. Declarative + enforced:
 // Append/Snapshot refuse types that were never registered, so a new
-// record type that skipped registration (and therefore skipped the
-// wiresafe certification pass that keys off RegisterRecords calls) fails
-// loudly in the first test that journals it.
+// record type that skipped registration (and therefore skipped
+// RegisterRecords' codec check) fails loudly in the first test that
+// journals it.
 var (
 	recMu    sync.Mutex
 	recTypes = map[reflect.Type]bool{}
 )
 
 // RegisterRecords declares the prototypes a Store may be asked to persist.
-// totoro-vet's wiresafe analyzer certifies every type passed here exactly
-// like a network wire type: codec-registered and structurally lossless.
+// It panics on a prototype that has no codec, so register each record's
+// codec first: a record the codec cannot encode would otherwise be found
+// by Append, after the state change it was meant to journal.
 func RegisterRecords(protos ...any) {
 	recMu.Lock()
 	defer recMu.Unlock()
 	for _, p := range protos {
+		if _, err := codec.FrameSize("", p); err != nil {
+			panic(fmt.Sprintf("store: cannot journal %T: %v", p, err))
+		}
 		recTypes[reflect.TypeOf(p)] = true
 	}
 }

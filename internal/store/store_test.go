@@ -236,6 +236,22 @@ func TestUnregisteredRecordRefused(t *testing.T) {
 	}
 }
 
+// A record type whose codec was never registered is refused at
+// registration, not by the first Append that tries to journal it.
+func TestRegisterRecordsRefusesTypeWithoutCodec(t *testing.T) {
+	type noCodec struct{ N int }
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "no codec registered for store.noCodec") {
+			t.Errorf("RegisterRecords(noCodec{}) panicked with %q, want a missing-codec refusal", msg)
+		}
+		if err := NewMem().Append(noCodec{1}); err == nil {
+			t.Error("a refused record type was registered anyway")
+		}
+	}()
+	RegisterRecords(noCodec{})
+}
+
 func TestMemFileParity(t *testing.T) {
 	// The two implementations must produce byte-identical journals: the
 	// simulator's recovery then exercises exactly what a real node writes.

@@ -12,10 +12,9 @@ import (
 
 // CertifyLossless round-trips randomized instances of every prototype
 // through the codec and reports the first value that fails to survive
-// encode→decode intact. It is the dynamic half of the wire-v2 losslessness
-// contract: totoro-vet's wiresafe analyzer proves the registered types are
-// structurally encodable, this proves the registered codecs actually
-// carry every exported field. Every instance is also sized: FrameSize must
+// encode→decode intact. Registration already refused every field a derived
+// codec cannot carry; this proves the registered codecs, hand-written ones
+// included, actually carry every exported field. Every instance is also sized: FrameSize must
 // count exactly the bytes the encoder writes for it. A type that also goes
 // out as a pointer must frame to the same bytes in both forms. Tests call it with
 // Registered() — after all registrations, so application types are

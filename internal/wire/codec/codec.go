@@ -129,7 +129,7 @@ var (
 // carry panics here, naming its path.
 func register(tag uint64, prototype any) {
 	t := typeOf(prototype)
-	pl := derive(t, t.String())
+	pl := derive(t, t.String(), nil)
 	install(t, &entry{tag: tag, proto: prototype, plan: pl, direct: pointerShaped(t), word: pl.isWord()})
 }
 
@@ -148,9 +148,9 @@ func registerPointer(tag uint64, prototype any) {
 // concrete type: its exported fields in declaration order, by the layout
 // rule in plan.go. tag must be >= TagApp and process-unique; both endpoints
 // must register the same tag for the same type (applications typically
-// register alongside totoro.RegisterWire). totoro-vet's wiresafe analyzer
-// checks the registered types statically and the certification test
-// round-trips them dynamically.
+// register alongside totoro.RegisterWire). A field the codec cannot carry,
+// or an unexported one, panics here, naming its path; CertifyLossless
+// round-trips what registers.
 func Register(tag uint64, prototype any) {
 	checkAppTag(tag)
 	register(tag, prototype)
@@ -158,7 +158,8 @@ func Register(tag uint64, prototype any) {
 
 // RegisterCodec installs an application codec with hand-written functions:
 // enc writes the payload, dec reads it back, and the value must round-trip
-// losslessly. Tag rules are Register's.
+// losslessly. Nothing checks that at registration: CertifyLossless is the
+// check, so run it over Registered(). Tag rules are Register's.
 func RegisterCodec(tag uint64, prototype any, enc EncodeFunc, dec DecodeFunc) {
 	checkAppTag(tag)
 	install(typeOf(prototype), &entry{tag: tag, proto: prototype, enc: enc, dec: dec})

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"totoro/internal/ids"
 	"totoro/internal/pubsub"
@@ -16,8 +17,8 @@ import (
 )
 
 // TestCertifyLossless round-trips randomized instances of every registered
-// type — the dynamic half of the losslessness contract (wiresafe's static
-// check is the other half). Application types registered later (e.g. the
+// type — the round-trip half of the losslessness contract (registration,
+// TestDeriveRejectsWhatNoCodecCarries, is the other half). Application types registered later (e.g. the
 // engine's roundStart/updateAgg) get the same treatment from the root
 // package's TestWireCodecLossless.
 func TestCertifyLossless(t *testing.T) {
@@ -377,8 +378,32 @@ func testContact(n uint64) ring.Contact {
 	return ring.Contact{ID: testID(n), Addr: transport.Addr(strings.Repeat("n", int(n%3)+1))}
 }
 
+// boxed is a transport.Recycler: its unexported home is the way back to
+// its sender's free list, not wire state.
+type boxed struct {
+	ID   string
+	home *[]*boxed
+}
+
+func (b *boxed) Recycle() { *b.home = append(*b.home, b) }
+
+// notBoxed has a Recycle method that is not Recycler's.
+type notBoxed struct {
+	ID   string
+	home *[]*notBoxed
+}
+
+func (b *notBoxed) Recycle(int) {}
+
+// link refers to itself.
+type link struct {
+	V    int
+	Next *link
+}
+
 // A field no plan can carry panics at registration, naming its path from
-// the registered type.
+// the registered type: its kind, an unexported field beside exported ones
+// (its state would vanish over a socket), or a type that contains itself.
 func TestDeriveRejectsWhatNoCodecCarries(t *testing.T) {
 	type hidden struct{ a, b int }
 	for _, tc := range []struct {
@@ -387,11 +412,44 @@ func TestDeriveRejectsWhatNoCodecCarries(t *testing.T) {
 	}{
 		{struct{ F func() }{}, "x.F has type func()"},
 		{struct{ C []chan int }{}, "x.C[] has type chan int"},
+		{struct {
+			Name string
+			C    chan int
+		}{}, "x.C has type chan int"},
 		{struct{ E error }{}, "x.E is the non-empty interface error"},
+		{struct {
+			Name string
+			H    interface{ Handle() }
+		}{}, "x.H is the non-empty interface interface { Handle() }"},
 		{struct{ N int32 }{}, "x.N has type int32"},
 		{struct{ M map[int]string }{}, "x.M is a map keyed by int"},
+		{hidden{}, "x is a codec.hidden, whose fields are all unexported"},
 		{struct{ H *hidden }{}, "x.H is a codec.hidden, whose fields are all unexported"},
 		{struct{ Z []struct{} }{}, "x.Z is a slice of struct {}, which encodes in zero bytes"},
+		{struct {
+			Name  string
+			count int
+		}{}, "x.count is unexported"},
+		{struct {
+			In struct {
+				OK string
+				n  int
+			}
+		}{}, "x.In.n is unexported"},
+		{struct {
+			In struct {
+				OK string
+				Fn func()
+			}
+		}{}, "x.In.Fn has type func()"},
+		{struct {
+			ID string
+			At time.Time
+		}{}, "x.At is a time.Time, whose fields are all unexported"},
+		{notBoxed{}, "x.home is unexported"},
+		{struct{ B boxed }{}, "x.B.home is unexported"},
+		{[]boxed{}, "x[].home is unexported"},
+		{link{}, "x.Next refers back to codec.link"},
 	} {
 		func() {
 			defer func() {
@@ -399,7 +457,22 @@ func TestDeriveRejectsWhatNoCodecCarries(t *testing.T) {
 					t.Errorf("deriving %T panicked with %q, want %q", tc.proto, msg, tc.want)
 				}
 			}()
-			derive(reflect.TypeOf(tc.proto), "x")
+			derive(reflect.TypeOf(tc.proto), "x", nil)
+		}()
+	}
+	// A Recycler's own top-level unexported fields stay home; an empty
+	// interface is Enc.Value's payload slot.
+	for _, proto := range []any{boxed{}, struct {
+		Kind string
+		Body any
+	}{}} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("deriving %T panicked: %v", proto, r)
+				}
+			}()
+			derive(reflect.TypeOf(proto), "x", nil)
 		}()
 	}
 }

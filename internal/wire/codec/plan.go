@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"totoro/internal/ids"
+	"totoro/internal/transport"
 )
 
 // A plan is the codec of one type, derived from its declaration once, at
@@ -67,15 +68,27 @@ type op struct {
 
 var idType = reflect.TypeFor[ids.ID]()
 
-// derive builds the plan of t. A field no codec can carry panics, named by
-// its path from the registered type.
-func derive(t reflect.Type, path string) *plan {
+var recyclerType = reflect.TypeFor[transport.Recycler]()
+
+// derive builds the plan of t, reached from the registered type through the
+// types on onPath (none when t is the registered type). A field no codec
+// can carry panics, named by its path from the registered type; so does an
+// unexported field, whose state would exist under simnet and vanish over a
+// socket, and a type that contains itself.
+func derive(t reflect.Type, path string, onPath []reflect.Type) *plan {
 	pl := &plan{size: t.Size()}
-	pl.add(t, 0, path)
+	pl.add(t, 0, path, onPath)
 	return pl
 }
 
-func (pl *plan) add(t reflect.Type, off uintptr, path string) {
+func (pl *plan) add(t reflect.Type, off uintptr, path string, onPath []reflect.Type) {
+	if slices.Contains(onPath, t) {
+		panic(fmt.Sprintf("codec: %s refers back to %v; a plan cannot contain itself", path, t))
+	}
+	// A registered transport.Recycler's own unexported fields are the way
+	// back to its sender's free list, and stay home.
+	keepsHome := len(onPath) == 0 && reflect.PointerTo(t).Implements(recyclerType)
+	onPath = append(onPath, t)
 	o, min := op{off: off, typ: t}, 1
 	switch t.Kind() {
 	case reflect.Struct:
@@ -83,14 +96,19 @@ func (pl *plan) add(t reflect.Type, off uintptr, path string) {
 			o.kind, min = opID, 16
 			break
 		}
-		n := len(pl.ops)
+		n, hidden := len(pl.ops), ""
 		for i := 0; i < t.NumField(); i++ {
 			if f := t.Field(i); f.IsExported() {
-				pl.add(f.Type, off+f.Offset, path+"."+f.Name)
+				pl.add(f.Type, off+f.Offset, path+"."+f.Name, onPath)
+			} else if hidden == "" && !keepsHome {
+				hidden = path + "." + f.Name
 			}
 		}
 		if len(pl.ops) == n && t.NumField() > 0 {
 			panic(fmt.Sprintf("codec: %s is a %v, whose fields are all unexported; nothing of it would cross the wire", path, t))
+		}
+		if hidden != "" {
+			panic(fmt.Sprintf("codec: %s is unexported; a codec carries exported fields only, so its state would not cross the wire", hidden))
 		}
 		return
 	case reflect.Int:
@@ -116,7 +134,7 @@ func (pl *plan) add(t reflect.Type, off uintptr, path string) {
 		case reflect.Float64:
 			o.kind = opFloat64s
 		default:
-			if o.kind, o.elem = opSlice, derive(t.Elem(), path+"[]"); o.elem.min == 0 {
+			if o.kind, o.elem = opSlice, derive(t.Elem(), path+"[]", onPath); o.elem.min == 0 {
 				panic(fmt.Sprintf("codec: %s is a slice of %v, which encodes in zero bytes", path, t.Elem()))
 			}
 		}
@@ -124,9 +142,9 @@ func (pl *plan) add(t reflect.Type, off uintptr, path string) {
 		if t.Key().Kind() != reflect.String {
 			panic(fmt.Sprintf("codec: %s is a map keyed by %v; only string keys have an encoding order", path, t.Key()))
 		}
-		o.kind, o.elem, o.val = opMap, derive(t.Key(), path+"[key]"), derive(t.Elem(), path+"[value]")
+		o.kind, o.elem, o.val = opMap, derive(t.Key(), path+"[key]", onPath), derive(t.Elem(), path+"[value]", onPath)
 	case reflect.Pointer:
-		o.kind, o.elem, o.typ = opPointer, derive(t.Elem(), path), t.Elem()
+		o.kind, o.elem, o.typ = opPointer, derive(t.Elem(), path, onPath), t.Elem()
 	case reflect.Interface:
 		if t.NumMethod() != 0 {
 			panic(fmt.Sprintf("codec: %s is the non-empty interface %v; Enc.Value carries only an empty one", path, t))
