@@ -103,6 +103,15 @@ type clusterApp struct {
 	master int // engine index, resolved lazily
 }
 
+// nodeHeapBytes sizes a fleet's huge-page reservation per node: set-up
+// takes 6 KiB a node on fleet-50k and 13 KiB on forest-10k, whose peak RSS
+// is 16 KiB a node (DESIGN.md §4.8 "Memory").
+const nodeHeapBytes = 24 << 10
+
+// reserveHeap is swapped out by a test that shows placement never reaches
+// a result.
+var reserveHeap = simnet.ReserveHugePages
+
 // NewCluster builds the deployment: engines with zoned or uniform IDs on
 // a statically wired overlay.
 func NewCluster(cfg ClusterConfig) *Cluster {
@@ -130,6 +139,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		netCfg.Sizer = codec.FrameSize
 	}
 	c.Net = simnet.New(netCfg)
+	reserveHeap(int64(cfg.N) * nodeHeapBytes)
 	var ringNodes []*ring.Node
 	logical := 0
 	for host := 0; host < cfg.N; host++ {
