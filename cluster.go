@@ -104,8 +104,8 @@ type clusterApp struct {
 }
 
 // nodeHeapBytes sizes a fleet's huge-page reservation per node: set-up
-// takes 6 KiB a node on fleet-50k and 13 KiB on forest-10k, whose peak RSS
-// is 16 KiB a node (DESIGN.md §4.8 "Memory").
+// leaves 3 KiB a node of live heap on fleet-50k and 8 KiB on forest-10k,
+// whose peak RSS is 14 KiB a node (DESIGN.md §4.8 "Memory").
 const nodeHeapBytes = 24 << 10
 
 // reserveHeap is swapped out by a test that shows placement never reaches

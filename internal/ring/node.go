@@ -40,6 +40,8 @@ const (
 	// A contact that stays silent for this many probes is dropped for good
 	// (it can still return via an explicit re-join).
 	recontactTries = 20
+	// cellChunk is how many run-time cells a node allocates at a time.
+	cellChunk = 16
 )
 
 func (c Config) withDefaults() Config {
@@ -62,7 +64,7 @@ type pendingHop struct {
 // probing it for a bounded number of cycles — the only way two sides of a
 // healed partition find each other again.
 type removedContact struct {
-	c     Contact
+	c     *Contact
 	tries int
 }
 
@@ -78,19 +80,27 @@ type Node struct {
 	self Contact
 	app  App
 
+	// Routing state points at cells: contacts that never change once a
+	// row or a half points at them, so one cell serves every slot that holds
+	// its contact. BuildStatic's cells are one fleet-wide array; a contact
+	// learned at run time gets the next cell of chunk, which the node owns,
+	// and used counts the chunk's cells taken. An empty slot is nil.
+	//
 	// rt is the routing table, [row][digit]. Only the rows a node has an
 	// entry in exist: rt stops at the deepest such row, and a row before it
 	// that never got an entry is nil. At 50k nodes that is 4–5 rows of the
 	// 32 the ID space has.
-	rt      [][]Contact
-	leafCW  []Contact // successors, sorted by clockwise distance
-	leafCCW []Contact // predecessors, sorted by counter-clockwise distance
+	rt      [][]*Contact
+	leafCW  []*Contact // successors, sorted by clockwise distance
+	leafCCW []*Contact // predecessors, sorted by counter-clockwise distance
+	chunk   *[cellChunk]Contact
 
 	// The maps below are created by their first write; most nodes of a
 	// healthy fleet never need any of them.
 	seq       uint64
 	pending   map[uint64]*pendingHop
 	joined    bool
+	used      uint8
 	deadUntil map[transport.Addr]time.Duration
 	// Maintenance probe bookkeeping (StartMaintenance).
 	probeSent map[transport.Addr]time.Duration
@@ -147,9 +157,11 @@ func (n *Node) Route(key ids.ID, payload any) {
 func (n *Node) Receive(from transport.Addr, msg any) {
 	// A message received directly from a quarantined address is first-hand
 	// proof the node is back (e.g. crash-restarted and rejoining); the
-	// quarantine only guards against stale third-party gossip.
+	// quarantine only guards against stale third-party gossip. The address
+	// stops being re-probed once the message is handled (nothing a message
+	// does reads the re-probe list), so considerContact can still hand it
+	// back its old cell.
 	delete(n.deadUntil, from)
-	delete(n.removed, from)
 	switch m := msg.(type) {
 	case Envelope:
 		if n.cfg.ReliableHops && from != n.self.Addr {
@@ -185,6 +197,7 @@ func (n *Node) Receive(from transport.Addr, msg any) {
 		n.lastPong[m.From.Addr] = n.env.Now()
 		n.considerContact(m.From)
 	}
+	delete(n.removed, from)
 }
 
 // handleEnvelope routes e one step from this node.
@@ -255,8 +268,8 @@ func (n *Node) nextHop(key ids.ID, exclude transport.Addr) Contact {
 	// Leaf set range check: if the key falls between the extreme leaves,
 	// the numerically closest of {leafset ∪ self} owns it.
 	if n.inLeafRange(key) {
-		best := n.self
-		for _, half := range [2][]Contact{n.leafCW, n.leafCCW} {
+		best := &n.self
+		for _, half := range [2][]*Contact{n.leafCW, n.leafCCW} {
 			for _, c := range half {
 				if c.Addr != exclude && ids.Closer(key, c.ID, best.ID) {
 					best = c
@@ -266,7 +279,7 @@ func (n *Node) nextHop(key ids.ID, exclude transport.Addr) Contact {
 		if best.Addr == n.self.Addr {
 			return Contact{}
 		}
-		return best
+		return *best
 	}
 	row := ids.CommonPrefix(n.self.ID, key, n.cfg.B)
 	if c := n.rtEntry(row, key.Digit(row, n.cfg.B)); !c.IsZero() && c.Addr != exclude {
@@ -306,13 +319,21 @@ func (n *Node) inLeafRange(key ids.ID) bool {
 
 // Leafset returns the union of both leaf-set halves (no duplicates).
 func (n *Node) Leafset() []Contact {
-	out := append(make([]Contact, 0, len(n.leafCW)+len(n.leafCCW)), n.leafCW...)
+	out := make([]Contact, 0, len(n.leafCW)+len(n.leafCCW))
+	for _, c := range n.leafCW {
+		out = append(out, *c)
+	}
 	for _, c := range n.leafCCW {
-		if !slices.ContainsFunc(n.leafCW, func(e Contact) bool { return e.Addr == c.Addr }) {
-			out = append(out, c)
+		if !inHalf(n.leafCW, c.Addr) {
+			out = append(out, *c)
 		}
 	}
 	return out
+}
+
+// inHalf reports whether a leaf half holds addr.
+func inHalf(half []*Contact, addr transport.Addr) bool {
+	return slices.ContainsFunc(half, func(e *Contact) bool { return e.Addr == addr })
 }
 
 // ClosestLeaves returns up to k leaf-set contacts ordered by numeric
@@ -339,8 +360,8 @@ func (n *Node) knownContacts() []Contact {
 	out := n.Leafset()
 	for _, row := range n.rt {
 		for _, c := range row {
-			if !c.IsZero() {
-				out = append(out, c)
+			if c != nil {
+				out = append(out, *c)
 			}
 		}
 	}
@@ -359,21 +380,39 @@ func (n *Node) considerContact(c Contact) {
 		}
 		delete(n.deadUntil, c.Addr)
 	}
-	delete(n.removed, c.Addr)
-	n.insertLeaf(c)
-	n.insertRT(c)
+	// A scrubbed contact that comes back unchanged takes its old cell.
+	var cell *Contact
+	if rc, ok := n.removed[c.Addr]; ok {
+		if *rc.c == c {
+			cell = rc.c
+		}
+		delete(n.removed, c.Addr)
+	}
+	n.leafCW = n.insertSorted(n.leafCW, c, &cell, true, leafHalf)
+	n.leafCCW = n.insertSorted(n.leafCCW, c, &cell, false, leafHalf)
+	n.insertRT(c, &cell)
 }
 
-func (n *Node) insertLeaf(c Contact) {
-	n.leafCW = insertSorted(n.self.ID, n.leafCW, c, true, leafHalf)
-	n.leafCCW = insertSorted(n.self.ID, n.leafCCW, c, false, leafHalf)
+// cell returns *cell, first copying c into the next cell of the node's
+// chunk: a contact the node keeps in several places takes one cell.
+func (n *Node) cell(cell **Contact, c Contact) *Contact {
+	if *cell == nil {
+		if n.chunk == nil || n.used == cellChunk {
+			n.chunk, n.used = new([cellChunk]Contact), 0
+		}
+		*cell = &n.chunk[n.used]
+		**cell = c
+		n.used++
+	}
+	return *cell
 }
 
 // insertSorted inserts c into a distance-sorted leaf half (cw or ccw),
 // deduplicating by address and keeping the max closest entries. The half is
 // allocated once, at its full size.
-func insertSorted(self ids.ID, list []Contact, c Contact, cw bool, max int) []Contact {
-	dist := func(x Contact) ids.ID {
+func (n *Node) insertSorted(list []*Contact, c Contact, cell **Contact, cw bool, max int) []*Contact {
+	self := n.self.ID
+	dist := func(x *Contact) ids.ID {
 		if cw {
 			return ids.CWDist(self, x.ID)
 		}
@@ -381,7 +420,7 @@ func insertSorted(self ids.ID, list []Contact, c Contact, cw bool, max int) []Co
 	}
 	// A full half is unchanged by a contact no closer than its last entry,
 	// whether that contact is already in it or farther than all of it.
-	dc := dist(c)
+	dc := dist(&c)
 	if k := len(list); k >= max && (k == 0 || !dc.Less(dist(list[k-1]))) {
 		return list
 	}
@@ -401,49 +440,49 @@ func insertSorted(self ids.ID, list []Contact, c Contact, cw bool, max int) []Co
 		return list // farther than every entry of a full half
 	}
 	if list == nil {
-		list = make([]Contact, 0, max)
+		list = make([]*Contact, 0, max)
 	}
 	if len(list) < max {
-		list = append(list, Contact{})
+		list = append(list, nil)
 	}
 	copy(list[pos+1:], list[pos:])
-	list[pos] = c
+	list[pos] = n.cell(cell, c)
 	return list
 }
 
 // rtEntry returns the routing-table entry at (row, col); a row the node
 // never allocated is empty.
 func (n *Node) rtEntry(row, col int) Contact {
-	if row >= len(n.rt) || n.rt[row] == nil {
+	if row >= len(n.rt) || n.rt[row] == nil || n.rt[row][col] == nil {
 		return Contact{}
 	}
-	return n.rt[row][col]
+	return *n.rt[row][col]
 }
 
 // growRT extends the table to depth rows; the new ones are nil.
 func (n *Node) growRT(depth int) {
 	if len(n.rt) < depth {
-		n.rt = append(make([][]Contact, 0, depth), n.rt...)[:depth]
+		n.rt = append(make([][]*Contact, 0, depth), n.rt...)[:depth]
 	}
 }
 
 // setRT stores c at (row, col), allocating the row on its first entry.
-func (n *Node) setRT(row, col int, c Contact) {
+func (n *Node) setRT(row, col int, c *Contact) {
 	n.growRT(row + 1)
 	if n.rt[row] == nil {
-		n.rt[row] = make([]Contact, 1<<uint(n.cfg.B))
+		n.rt[row] = make([]*Contact, 1<<uint(n.cfg.B))
 	}
 	n.rt[row][col] = c
 }
 
-func (n *Node) insertRT(c Contact) {
+func (n *Node) insertRT(c Contact, cell **Contact) {
 	row := ids.CommonPrefix(n.self.ID, c.ID, n.cfg.B)
 	if row >= ids.NumDigits(n.cfg.B) {
 		return
 	}
 	// The first writer keeps the slot.
 	if col := c.ID.Digit(row, n.cfg.B); n.rtEntry(row, col).IsZero() {
-		n.setRT(row, col, c)
+		n.setRT(row, col, n.cell(cell, c))
 	}
 }
 
@@ -457,8 +496,8 @@ func (n *Node) RemoveContact(addr transport.Addr) {
 	delete(n.probeSent, addr)
 	delete(n.lastPong, addr)
 	repaired := false
-	var gone Contact
-	filter := func(list []Contact) []Contact {
+	var gone *Contact
+	filter := func(list []*Contact) []*Contact {
 		out := list[:0]
 		for _, c := range list {
 			if c.Addr != addr {
@@ -468,15 +507,16 @@ func (n *Node) RemoveContact(addr transport.Addr) {
 				gone = c
 			}
 		}
+		clear(list[len(out):])
 		return out
 	}
 	n.leafCW = filter(n.leafCW)
 	n.leafCCW = filter(n.leafCCW)
 	for _, row := range n.rt {
 		for i, c := range row {
-			if c.Addr == addr {
+			if c != nil && c.Addr == addr {
 				gone = c
-				row[i] = Contact{}
+				row[i] = nil
 			}
 		}
 	}
@@ -484,7 +524,7 @@ func (n *Node) RemoveContact(addr transport.Addr) {
 	// silent because of a partition rather than a crash, the probes are the
 	// only traffic that can cross the healed boundary and re-merge the two
 	// sides' routing state.
-	if !gone.IsZero() {
+	if gone != nil {
 		if n.removed == nil {
 			n.removed = make(map[transport.Addr]removedContact)
 		}
@@ -521,8 +561,8 @@ func (n *Node) handleJoinRequest(m JoinRequest) {
 		var row []Contact // a row this node never allocated contributes only self
 		if r < len(n.rt) {
 			for _, c := range n.rt[r] {
-				if !c.IsZero() {
-					row = append(row, c)
+				if c != nil {
+					row = append(row, *c)
 				}
 			}
 		}
@@ -597,7 +637,7 @@ func (n *Node) maintainOnce() {
 	now := n.env.Now()
 	// probe sends c its probe, or scrubs it and reports true if it did not
 	// answer the previous one.
-	probe := func(c Contact) (removed bool) {
+	probe := func(c *Contact) (removed bool) {
 		if sent, probed := n.probeSent[c.Addr]; probed && n.lastPong[c.Addr] < sent {
 			// No pong since the previous probe: declare the leaf failed.
 			delete(n.probeSent, c.Addr)
@@ -618,7 +658,7 @@ func (n *Node) maintainOnce() {
 	}
 	for i := 0; i < len(n.leafCCW); {
 		c := n.leafCCW[i]
-		if slices.ContainsFunc(n.leafCW, func(e Contact) bool { return e.Addr == c.Addr }) || !probe(c) {
+		if inHalf(n.leafCW, c.Addr) || !probe(c) {
 			i++
 		}
 	}

@@ -24,7 +24,7 @@ func TestQuarantineExpiresAndReaccepts(t *testing.T) {
 	c := newStaticCluster(t, 50, Config{B: 4}, 41)
 	n := c.nodes[0]
 
-	victim := n.leafCW[0]
+	victim := *n.leafCW[0]
 	n.RemoveContact(victim.Addr)
 	c.net.RunUntilIdle() // let leaf-set repair traffic settle
 	if inKnown(n, victim) {
@@ -48,7 +48,7 @@ func TestQuarantineExpiresAndReaccepts(t *testing.T) {
 	// A message received directly FROM the quarantined address is
 	// first-hand liveness proof (the crash-restarted node announcing its
 	// rejoin) and lifts the quarantine immediately.
-	third := n.leafCW[0]
+	third := *n.leafCW[0]
 	n.RemoveContact(third.Addr)
 	c.net.RunUntilIdle()
 	n.Receive(c.nodes[1].self.Addr, NodeJoined{Node: third})

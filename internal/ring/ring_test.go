@@ -285,13 +285,15 @@ func TestLeafsetRepairRefills(t *testing.T) {
 
 func TestInsertSortedProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	self := ids.Random(rng)
-	var list []Contact
+	n := &Node{self: Contact{ID: ids.Random(rng)}}
+	self := n.self.ID
+	var list []*Contact
 	const max = 12
 	seen := make(map[transport.Addr]bool)
 	for i := 0; i < 500; i++ {
 		c := Contact{ID: ids.Random(rng), Addr: transport.Addr(fmt.Sprintf("c%d", i%80))}
-		list = insertSorted(self, list, c, true, max)
+		var cell *Contact
+		list = n.insertSorted(list, c, &cell, true, max)
 		seen[c.Addr] = true
 		if len(list) > max {
 			t.Fatalf("list overflow: %d", len(list))
@@ -356,8 +358,10 @@ func TestInsertSortedMatchesReference(t *testing.T) {
 	for _, max := range []int{0, 1, 2, 8} {
 		for _, cw := range []bool{true, false} {
 			rng := rand.New(rand.NewSource(int64(31 + max)))
-			self := ids.Random(rng)
-			var got, want []Contact
+			n := &Node{self: Contact{ID: ids.Random(rng)}}
+			self := n.self.ID
+			var got []*Contact
+			var want []Contact
 			var pool []ids.ID
 			for i := 0; i < 2000; i++ {
 				c := Contact{ID: ids.Random(rng), Addr: transport.Addr(fmt.Sprintf("c%d", rng.Intn(40)))}
@@ -377,14 +381,15 @@ func TestInsertSortedMatchesReference(t *testing.T) {
 					}
 				}
 				pool = append(pool, c.ID)
-				got = insertSorted(self, got, c, cw, max)
+				var cell *Contact
+				got = n.insertSorted(got, c, &cell, cw, max)
 				want = insertSortedReference(self, want, c, cw, max)
 				if len(got) != len(want) {
 					t.Fatalf("max %d cw %v insert %d: half has %d entries, reference %d", max, cw, i, len(got), len(want))
 				}
 				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("max %d cw %v insert %d: entry %d is %v, reference %v", max, cw, i, j, got[j], want[j])
+					if *got[j] != want[j] {
+						t.Fatalf("max %d cw %v insert %d: entry %d is %v, reference %v", max, cw, i, j, *got[j], want[j])
 					}
 				}
 			}
@@ -444,7 +449,7 @@ func rtEntries(n *Node) int {
 	total := 0
 	for _, row := range n.rt {
 		for _, c := range row {
-			if !c.IsZero() {
+			if c != nil {
 				total++
 			}
 		}
@@ -502,11 +507,11 @@ func closestContact(key ids.ID, cs []Contact) Contact {
 func leafsetByMap(n *Node) []Contact {
 	var out []Contact
 	seen := make(map[transport.Addr]bool)
-	for _, half := range [][]Contact{n.leafCW, n.leafCCW} {
+	for _, half := range [][]*Contact{n.leafCW, n.leafCCW} {
 		for _, c := range half {
 			if !seen[c.Addr] {
 				seen[c.Addr] = true
-				out = append(out, c)
+				out = append(out, *c)
 			}
 		}
 	}

@@ -166,7 +166,7 @@ func checkTable(t *testing.T, n *Node) {
 	}
 	for r, row := range n.rt {
 		for col, c := range row {
-			if c.IsZero() {
+			if c == nil {
 				continue
 			}
 			if got := ids.CommonPrefix(n.self.ID, c.ID, n.cfg.B); got != r || c.ID.Digit(r, n.cfg.B) != col {

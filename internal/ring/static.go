@@ -8,7 +8,7 @@ import (
 )
 
 // member is one node's place in ring order. The contacts sit side by side
-// so that sampling a bucket reads this array instead of chasing a *Node.
+// so that reading a bucket's digits does not chase a *Node.
 type member struct {
 	c    Contact
 	node *Node
@@ -23,6 +23,8 @@ type member struct {
 // the state the join protocol converges to: full leaf sets from ring order,
 // and routing tables populated by recursive digit partitioning —
 // overwriting, so the same wiring twice changes nothing.
+// Every slot it writes points into one array of the fleet's contacts, so a
+// contact is stored once however many nodes route through it.
 // Dynamic joins and repairs remain fully functional on top of a statically
 // built overlay.
 func BuildStatic(nodes []*Node, rng *rand.Rand) {
@@ -37,6 +39,12 @@ func BuildStatic(nodes []*Node, rng *rand.Rand) {
 		sorted[i] = member{node.self, node}
 	}
 	slices.SortFunc(sorted, func(x, y member) int { return x.c.ID.Cmp(y.c.ID) })
+	// The cells hold Contacts only: a pointer into sorted would keep every
+	// *Node alive for as long as any slot points at its contact.
+	cells := make([]Contact, n)
+	for i, m := range sorted {
+		cells[i] = m.c
+	}
 
 	// Leaf sets are the next and previous entries of ring order (all the
 	// others, each way round, on a ring smaller than a half). The table gets
@@ -46,8 +54,8 @@ func BuildStatic(nodes []*Node, rng *rand.Rand) {
 		node := m.node
 		node.leafCW, node.leafCCW = slices.Grow(node.leafCW[:0], leafHalf), slices.Grow(node.leafCCW[:0], leafHalf)
 		for k := 1; k <= min(leafHalf, n-1); k++ {
-			node.leafCW = append(node.leafCW, sorted[(pos+k)%n].c)
-			node.leafCCW = append(node.leafCCW, sorted[(pos-k+n)%n].c)
+			node.leafCW = append(node.leafCW, &cells[(pos+k)%n])
+			node.leafCCW = append(node.leafCCW, &cells[(pos-k+n)%n])
 		}
 		node.joined = true
 		if n > 1 {
@@ -81,7 +89,7 @@ func BuildStatic(nodes []*Node, rng *rand.Rand) {
 			for _, m := range sorted[cut[i]:cut[i+1]] {
 				for j := 0; j < k; j++ {
 					if j != i {
-						c := pickContact(sorted[cut[j]:cut[j+1]], rng)
+						c := pickContact(cells[cut[j]:cut[j+1]], rng)
 						m.node.setRT(row, c.ID.Digit(row, b), c)
 					}
 				}
@@ -92,8 +100,8 @@ func BuildStatic(nodes []*Node, rng *rand.Rand) {
 	fill(0, n, 0)
 }
 
-// pickContact samples one member of the bucket: a single rng draw per
+// pickContact samples one cell of the bucket: a single rng draw per
 // routing-table slot, which every simulated run's results depend on.
-func pickContact(bucket []member, rng *rand.Rand) Contact {
-	return bucket[rng.Intn(len(bucket))].c
+func pickContact(bucket []Contact, rng *rand.Rand) *Contact {
+	return &bucket[rng.Intn(len(bucket))]
 }
